@@ -42,6 +42,7 @@ from .cone import (
     slice_equivalence,
 )
 from .contract import (
+    CertificateMismatchError,
     CollapseSequence,
     HomologyProfile,
     NotContractibleError,

@@ -177,8 +177,8 @@ class Cellulation:
                 for v in s.vertices:
                     chat[j, pos[v]] = 1.0 / len(s.vertices)
                 lengths[j] = vertex_barycenter_distance(s.dim)
-                if lengths[j] > 0.0:
-                    assert eps < lengths[j], "vertex sphere would swallow the barycenter"
+                if lengths[j] > 0.0 and not eps < lengths[j]:
+                    raise EpsilonRangeError(f"eps={eps}: the vertex sphere would swallow the barycenter of {s}")
                 own.append([pos[v] for v in s.vertices if v not in prev])
                 prev |= set(s.vertices)
             self.cells.append(

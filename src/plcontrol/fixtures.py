@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .complexes import (
+    MalformedInputError,
     Point,
     Simplex,
     SimplicialComplex,
@@ -131,7 +132,8 @@ class HeightTrivialization:
         pts = [fiber_join(self.f, p, y) for p in fiber.embedding.values()]
         path = sorted(((self.height(p), p) for p in pts), key=lambda hp: hp[0])
         for (h1, _), (h2, _) in zip(path, path[1:]):
-            assert h2 - h1 > 1e-12, "height trivialization needs strictly monotone fibers"
+            if not h2 - h1 > 1e-12:
+                raise MalformedInputError(f"height trivialization needs strictly monotone fibers; the fiber over {y} is not")
         self._paths[key] = path
         return path
 

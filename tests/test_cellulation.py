@@ -273,3 +273,11 @@ def test_monotone_family(frac):
         cell, (sv, tv) = cel.invert(y)
         z = canonical(D2, cel.evaluate(cell, sv, tv, eps=delta))
         assert distance(D2, y, z) <= eps - delta + 1e-6
+
+
+def test_cellulation_rejects_eps_past_a_barycenter(monkeypatch):
+    import plcontrol.cellulation as cellulation
+
+    monkeypatch.setattr(cellulation, "comesh_of", lambda K: 10.0)  # let eps past the range guard
+    with pytest.raises(EpsilonRangeError, match="barycenter"):
+        cellulation.Cellulation(closure_complex([("a", "b", "c")]), 5.0)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,8 +295,15 @@ def test_cli_missing_file(capsys):
 
 
 def test_console_entrypoint_runs():
+    # the child finds the package where this process imported it, installed or not
+    import plcontrol
+
+    path = os.pathsep.join(filter(None, [str(Path(plcontrol.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "plcontrol.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "plcontrol.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "check-fibers" in proc.stdout

@@ -302,3 +302,10 @@ def test_star_retraction_endpoint_support(PROJ, rng):
                 continue
             end = R(x, 1.0)
             assert evaluate_map(PROJ, end).carrier == rho
+
+
+def test_height_trivialization_rejects_flat_fibers(PROJ):
+    triv = fixtures.HeightTrivialization(PROJ, lambda p: 0.0)
+    sigma = PROJ.target.simplex(["0", "e1+e2"])  # a fiber with three vertices
+    with pytest.raises(MalformedInputError, match="strictly monotone"):
+        triv.project(barycenter(PROJ.target, sigma), sigma)
