@@ -10,8 +10,6 @@ from .cellulation import (
     build_cellulation,
     comesh_of,
     enumerate_flags,
-    gamma_eval,
-    gamma_invert,
     gamma_vertex,
     straightline_homotopy,
 )

@@ -6,10 +6,25 @@ vertex images place v_i at the point of the segment from v_i to the barycenter
 of sigma_j at distance epsilon from v_i.  Because the barycenters of a chain
 have nested supports, inverting the bilinear map on a cell reduces to reading
 off level averages, which makes the inversion exact rather than iterative.
+
+The same structure locates the cell directly.  On a cell, the vertices
+entering at one chain level share one value (at most eps/sqrt(2)), these level
+values do not increase up the chain, and base values sit at or above them.  A
+cell that reproduces y to tol keeps that pattern in y's sorted coordinates up
+to 2 tol, so each level lies in one run of coordinates whose neighbours differ
+by at most the slack plus 2 tol.  Inversion reads the flags that fit the runs
+from a (base, chain) index over y's carrier and checks them in index order:
+O(d log d) for the sort and, away from ties, O(dim) cell checks.  Unless y has
+a coordinate within 2 tol, a cell over a larger carrier reproduces y only with
+zero weight on top levels made of the extra vertices, and then its truncated
+flag, of lower index, reproduces y with the same s and nonzero t.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +35,7 @@ from .complexes import (
     Point,
     Simplex,
     SimplicialComplex,
-    TOL,
-    barycenter,
     canonical,
-    make_point,
     vertex_point,
 )
 from .evaluators import Homotopy
@@ -129,6 +141,8 @@ class FlagCell:
     chat: np.ndarray       # (m+1, d)
     lengths: np.ndarray    # (m+1,) vertex-to-barycenter distance per level
     own: list[list[int]]   # per level, carrier coord positions new at that level
+    base_pos: list[int]    # carrier coord positions of the base vertices
+    sizes: np.ndarray      # (m+1,) vertex count per chain simplex
 
     @property
     def dim(self) -> int:
@@ -150,8 +164,57 @@ class FlagCell:
         return Point(self.carrier, tuple(coords))
 
 
+_SLACK = 1e-7
+
+
+def _ordered_partitions(items: list[int]):
+    """Ordered partitions of the positions into nonempty blocks (bitmasks)."""
+    if not items:
+        yield ()
+    for pick in range(1, 1 << len(items)):
+        block = sum(1 << p for i, p in enumerate(items) if pick >> i & 1)
+        rest = [p for i, p in enumerate(items) if not pick >> i & 1]
+        for tail in _ordered_partitions(rest):
+            yield (block, *tail)
+
+
+def _flag_cells(K: SimplicialComplex):
+    """The eps-free cells of every flag of K and their index, carrier ->
+    (base mask, chain masks) -> cell with masks over carrier positions; built
+    once and shared by the cellulations of K at every eps."""
+    if "flag_cells" not in K._cache:
+        cells: list[FlagCell] = []
+        index: dict[Simplex, dict[tuple[int, tuple[int, ...]], FlagCell]] = {}
+        for idx, fl in enumerate(enumerate_flags(K)):
+            carrier = fl.chain[-1]
+            pos = {v: i for i, v in enumerate(carrier.vertices)}
+            base_pos = [pos[v] for v in fl.base.vertices]
+            chat = np.zeros((len(fl.chain), len(pos)))
+            own: list[list[int]] = []
+            prev: set[str] = set(fl.base.vertices)
+            for j, s in enumerate(fl.chain):
+                chat[j, [pos[v] for v in s.vertices]] = 1.0 / len(s.vertices)
+                own.append([pos[v] for v in s.vertices if v not in prev])
+                prev |= set(s.vertices)
+            cell = FlagCell(
+                index=idx, flag=fl, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
+                lengths=np.array([vertex_barycenter_distance(s.dim) for s in fl.chain]),
+                own=own, base_pos=base_pos,
+                sizes=np.array([len(s.vertices) for s in fl.chain], dtype=float),
+            )
+            cells.append(cell)
+            masks = tuple(sum(1 << pos[v] for v in s.vertices) for s in (fl.base, *fl.chain))
+            index.setdefault(carrier, {})[masks[0], masks[1:]] = cell
+        K._cache["flag_cells"] = (cells, index)
+    return K._cache["flag_cells"]
+
+
 class Cellulation:
-    """The fundamental epsilon-subdivision cellulation of a complex."""
+    """The fundamental epsilon-subdivision cellulation of a complex.
+
+    ``inversions`` and ``cells_tried`` count the calls of :meth:`invert` and
+    the cells it checked, so their ratio is the attempts per inversion.
+    """
 
     def __init__(self, K: SimplicialComplex, eps: float):
         cm = comesh_of(K)
@@ -159,32 +222,18 @@ class Cellulation:
             raise EpsilonRangeError(f"eps={eps} outside (0, comesh={cm})")
         self.K = K
         self.eps = eps
-        self.cells: list[FlagCell] = []
-        for idx, fl in enumerate(enumerate_flags(K)):
-            carrier = fl.chain[-1]
-            verts = carrier.vertices
-            pos = {v: i for i, v in enumerate(verts)}
-            d = len(verts)
-            nbase = len(fl.base.vertices)
-            E = np.zeros((nbase, d))
-            for i, v in enumerate(fl.base.vertices):
-                E[i, pos[v]] = 1.0
-            chat = np.zeros((len(fl.chain), d))
-            lengths = np.zeros(len(fl.chain))
-            own: list[list[int]] = []
-            prev: set[str] = set(fl.base.vertices)
-            for j, s in enumerate(fl.chain):
-                for v in s.vertices:
-                    chat[j, pos[v]] = 1.0 / len(s.vertices)
-                lengths[j] = vertex_barycenter_distance(s.dim)
-                if lengths[j] > 0.0 and not eps < lengths[j]:
+        self.cells, self._index = _flag_cells(K)
+        for cell in self.cells:
+            for s, ell in zip(cell.flag.chain, cell.lengths):
+                if ell > 0.0 and not eps < ell:
                     raise EpsilonRangeError(f"eps={eps}: the vertex sphere would swallow the barycenter of {s}")
-                own.append([pos[v] for v in s.vertices if v not in prev])
-                prev |= set(s.vertices)
-            self.cells.append(
-                FlagCell(index=idx, flag=fl, carrier=carrier, E=E, chat=chat, lengths=lengths, own=own)
-            )
-        self._candidates: dict[Simplex, list[FlagCell]] = {}
+        # per cell, by index: a_coeffs and vertex_images at this eps
+        self._a = [cell.a_coeffs(eps) for cell in self.cells]
+        self._images = [cell.vertex_images(eps) for cell in self.cells]
+        # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
+        self._level_cap = eps / math.sqrt(2.0) + _SLACK
+        self.inversions = 0
+        self.cells_tried = 0
 
     # -- evaluation -------------------------------------------------------------
 
@@ -199,13 +248,6 @@ class Cellulation:
 
     # -- inversion ----------------------------------------------------------------
 
-    def _candidate_cells(self, carrier: Simplex) -> list[FlagCell]:
-        if carrier not in self._candidates:
-            self._candidates[carrier] = [
-                c for c in self.cells if c.carrier.contains(carrier)
-            ]
-        return self._candidates[carrier]
-
     def invert(self, y: Point, tol: float = 1e-9) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
         """The cell and (s, t) coordinates with evaluate(cell, s, t) == y.
 
@@ -214,21 +256,52 @@ class Cellulation:
         part determines s.  On cell boundaries the lowest-index cell wins.
         """
         y = canonical(self.K, y)
-        for cell in self._candidate_cells(y.carrier):
+        self.inversions += 1
+        fitting = self._fitting_cells(y, tol)
+        for cell in fitting:
+            self.cells_tried += 1
             out = self._try_cell(cell, y, tol)
             if out is not None:
                 return cell, out
-        raise InversionError(f"no cell of the eps={self.eps} cellulation reproduces {y}")
+        raise InversionError(
+            f"no cell of the eps={self.eps} cellulation reproduces {y} "
+            f"(carrier {y.carrier}, flags tried: {len(fitting)})"
+        )
+
+    def _fitting_cells(self, y: Point, tol: float) -> list[FlagCell]:
+        """The cells over y's carrier whose flag fits y's sorted coordinates
+        (see the module docstring), in ascending index."""
+        index = self._index[y.carrier]
+        vals = y.coords
+        order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+        runs = [[order[0]]]
+        for i, j in zip(order, order[1:]):
+            if vals[i] - vals[j] > _SLACK + 2.0 * tol:
+                runs.append([])
+            runs[-1].append(j)
+        cap = self._level_cap + tol
+        found = []
+        for r, run in enumerate(runs):
+            head = sum(1 << p for above in runs[:r] for p in above)
+            for pick in range(1, 1 << len(run)):
+                base = head | sum(1 << p for i, p in enumerate(run) if pick >> i & 1)
+                levels = [[p for i, p in enumerate(run) if not pick >> i & 1], *runs[r + 1 :]]
+                if any(vals[p] > cap for part in levels for p in part):
+                    continue
+                for parts in itertools.product(*map(_ordered_partitions, levels)):
+                    flat = (block for part in parts for block in part)
+                    chain = tuple(itertools.accumulate(flat, operator.or_, initial=base))
+                    found.append(index[base, chain])  # level 0 adds no vertex
+                    if len(chain) > 1:
+                        found.append(index[base, chain[1:]])
+        return sorted(found, key=lambda cell: cell.index)
 
     def _try_cell(self, cell: FlagCell, y: Point, tol: float):
-        slack = 1e-7
-        verts = cell.carrier.vertices
-        yv = np.zeros(len(verts))
-        for v, c in zip(y.carrier.vertices, y.coords):
-            yv[verts.index(v)] = c
+        slack = _SLACK
+        yv = np.array(y.coords)
         m1 = len(cell.flag.chain)
-        a = cell.a_coeffs(self.eps)
-        sizes = np.array([len(s.vertices) for s in cell.flag.chain], dtype=float)
+        a = self._a[cell.index]
+        sizes = cell.sizes
 
         mu = np.zeros(m1 + 1)
         for j in range(m1 - 1, -1, -1):
@@ -265,8 +338,7 @@ class Cellulation:
         beta = 1.0 - float((t * a).sum())
         if beta <= slack:
             return None
-        base_pos = [verts.index(v) for v in cell.flag.base.vertices]
-        s = (yv[base_pos] - mu0) / beta
+        s = (yv[cell.base_pos] - mu0) / beta
         if np.any(s < -slack):
             return None
         s = np.clip(s, 0.0, None)
@@ -276,7 +348,7 @@ class Cellulation:
         s /= total
         t = np.clip(t, 0.0, None)
         t /= t.sum()
-        res = np.einsum("i,j,ijd->d", s, t, cell.vertex_images(self.eps)) - yv
+        res = np.einsum("i,j,ijd->d", s, t, self._images[cell.index]) - yv
         if float(np.linalg.norm(res)) > tol:
             return None
         return s, t
@@ -310,16 +382,6 @@ def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
     return K._cache[key]
 
 
-def gamma_eval(K: SimplicialComplex, eps: float, cell: FlagCell, coords) -> Point:
-    """Bilinear evaluation on one cell at barycentric coordinates (s, t)."""
-    s, t = coords
-    return build_cellulation(K, eps).evaluate(cell, s, t)
-
-
-def gamma_invert(K: SimplicialComplex, eps: float, y: Point) -> tuple[FlagCell, tuple]:
-    return build_cellulation(K, eps).invert(y)
-
-
 def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
     """h(y, t) = Gamma_{eps(1-t)} applied to the eps-cell coordinates of y:
     the straight-line homotopy from the cellulation back to the complex."""
@@ -333,13 +395,10 @@ def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
 
         return tr
 
-    def fn(y: Point, time: float) -> Point:
-        return track_factory(y)(time)
-
     return Homotopy(
         domain=K,
         codomain=K,
-        fn=fn,
+        fn=lambda y, time: track_factory(y)(time),
         name=f"straight-line homotopy eps={eps}",
         lipschitz=2.0,
         track_factory=track_factory,

@@ -15,12 +15,10 @@ import numpy as np
 from .cellulation import build_cellulation
 from .complexes import barycenter
 from .cone import complex_metric, cone_distance, coning_map
-from .contract import contractibility_verdict
 from .homotopies import (
     CannotConstructError,
     approximate_lift,
     build_family,
-    epsilon_schedule,
     lift_discrepancy,
     measure_control,
     sample_points,
@@ -35,8 +33,7 @@ def _cmd_check_fibers(args) -> int:
     f = load_map(args.map)
     worst = 0
     for sigma in f.target.sorted_simplices():
-        fiber = fiber_over_barycenter(f, sigma)
-        v = contractibility_verdict(fiber.triangulation)
+        v = fiber_over_barycenter(f, sigma).verdict
         print(f"{str(sigma):<28} {v.kind:<18} {v.reason}")
         worst = max(worst, {"contractible": 0, "unknown": 2, "not_contractible": 1}[v.kind])
     return worst

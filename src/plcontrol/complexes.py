@@ -110,6 +110,7 @@ class SimplicialComplex:
             self._by_dim.setdefault(s.dim, ())
             self._by_dim[s.dim] += (s,)
         self._cache: dict = {}
+        self._maximal: tuple[Simplex, ...] | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -152,7 +153,11 @@ class SimplicialComplex:
         return self._by_dim.get(d, ())
 
     def maximal_simplices(self) -> list[Simplex]:
-        return [s for s in self.sorted_simplices() if not any(s < t for t in self._simplices)]
+        """Simplices that are no facet of another, sorted; kept after the first call."""
+        if self._maximal is None:
+            covered = {f for s in self._simplices for f in s.facets()}
+            self._maximal = tuple(s for s in self.sorted_simplices() if s not in covered)
+        return list(self._maximal)
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self._simplices
@@ -168,10 +173,6 @@ class SimplicialComplex:
         if s not in self._simplices:
             raise NotFoundError(f"simplex {s} not in complex")
         return {t for t in self._simplices if s <= t}
-
-    def cofaces(self, s: Simplex) -> list[Simplex]:
-        """Proper cofaces of ``s``, deterministically ordered."""
-        return [t for t in self.sorted_simplices() if s < t]
 
     def components(self) -> list[frozenset[str]]:
         """Connected components as vertex sets (union-find over edges)."""
@@ -236,9 +237,6 @@ class Point:
             return self.coords[self.carrier.vertices.index(label)]
         except ValueError:
             return 0.0
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(v for v, c in zip(self.carrier.vertices, self.coords) if c > TOL)
 
 
 def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = TOL) -> Point:

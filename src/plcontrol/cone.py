@@ -9,13 +9,12 @@ into a bounded equivalence with bound sup_t t * alpha(t) = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .complexes import Point, SimplicialComplex, canonical
+from .complexes import Point, SimplicialComplex
 from .evaluators import Homotopy, PLEvaluator
 from .homotopies import ControlledFamily, sample_points
 from .maps import SimplicialMap, evaluate_map

@@ -25,11 +25,9 @@ import heapq
 from dataclasses import dataclass
 
 from .complexes import (
-    MalformedInputError,
     Point,
     Simplex,
     SimplicialComplex,
-    TOL,
     combine_points,
     make_point,
 )

@@ -21,10 +21,8 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     barycenter,
-    canonical,
     closure_complex,
     combine_points,
-    make_point,
 )
 from .maps import SimplicialMap, fiber_join, fiber_over_barycenter
 

@@ -19,19 +19,16 @@ import numpy as np
 from .cellulation import build_cellulation, comesh_of, straightline_homotopy
 from .complexes import (
     MalformedInputError,
-    NotFoundError,
     Point,
     Simplex,
     SimplicialComplex,
-    TOL,
     barycenter,
     canonical,
     make_point,
     subdivision_points,
-    vertex_point,
 )
-from .contract import contraction_from_collapse, contractibility_verdict, Verdict
-from .evaluators import Homotopy, PLEvaluator, concatenate
+from .contract import Verdict, contraction_from_collapse
+from .evaluators import Homotopy, PLEvaluator
 from .maps import (
     FiberComplex,
     JoinTrivialization,
@@ -84,7 +81,6 @@ class FlagMap:
     f: SimplicialMap
     trivialization: object
     fibers: dict[Simplex, FiberComplex]
-    verdicts: dict[Simplex, Verdict]
     basepoints: dict[Simplex, Point]
     contractions: dict[Simplex, Homotopy]
     chain_overrides: dict[tuple[Simplex, ...], Callable[[np.ndarray], Point]] = field(
@@ -144,14 +140,12 @@ def build_gamma_map(
     """Construct gamma by induction on flag length; every fiber must be
     contractible, otherwise the failing simplex is reported."""
     fibers: dict[Simplex, FiberComplex] = {}
-    verdicts: dict[Simplex, Verdict] = {}
     basepoints: dict[Simplex, Point] = {}
     contractions: dict[Simplex, Homotopy] = {}
     for sigma in f.target.sorted_simplices():
         fiber = fiber_over_barycenter(f, sigma)
         fibers[sigma] = fiber
-        verdict = contractibility_verdict(fiber.triangulation)
-        verdicts[sigma] = verdict
+        verdict = fiber.verdict
         if not verdict.is_contractible:
             raise CannotConstructError(sigma, verdict)
         contractions[sigma] = contraction_from_collapse(fiber.triangulation, verdict.sequence)
@@ -172,7 +166,6 @@ def build_gamma_map(
         f=f,
         trivialization=trivialization if trivialization is not None else JoinTrivialization(f),
         fibers=fibers,
-        verdicts=verdicts,
         basepoints=basepoints,
         contractions=contractions,
         chain_overrides=dict(chain_overrides) if chain_overrides else {},
@@ -204,56 +197,45 @@ def build_inverse(f: SimplicialMap, eps: float, gamma: FlagMap) -> PLEvaluator:
 
 def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     """h1 = (fiber-direction correction) after (id x h2 through the product
-    structure); the first half carries the control, the second has none."""
-    h2 = build_h2(f, eps)
-    g = build_inverse(f, eps, gamma)
+    structure); the first half carries the control, the second has none.
+
+    One track splits x and inverts f(x) once: h1' (the first half), the end
+    of h1' and g_eps(f(x)) (the second half's ends) all read that cell."""
+    Y = f.target
+    cel = build_cellulation(Y, eps)
     triv = gamma.trivialization
 
-    def hprime_track(x: Point):
+    def track_factory(x: Point):
         z, y = triv.split(x)
-        tr = h2.track(y)
+        cell, (s, t) = cel.invert(y)
 
-        def at(t: float) -> Point:
-            return triv.join(z, tr(t))
+        def hprime(u: float) -> Point:
+            return triv.join(z, canonical(Y, cell.evaluate(eps * (1.0 - u), s, t)))
 
-        return at
+        second = None
 
-    hprime = Homotopy(
-        domain=f.source,
-        codomain=f.source,
-        fn=lambda x, t: hprime_track(x)(t),
-        name=f"h1' eps={eps}",
-        lipschitz=2.0,
-        track_factory=hprime_track,
-    )
-
-    def hsecond_track(x: Point):
-        tr = hprime_track(x)
-        a = tr(1.0)
-        ybar = evaluate_map(f, a)
-        b = g(evaluate_map(f, x))
-        w_a, _ = triv.split(a)
-        w_b, _ = triv.split(b)
-        sigma = ybar.carrier
-
-        def at(t: float) -> Point:
-            if t <= 0.5:
-                w = gamma.contract_in_fiber(sigma, w_a, 2.0 * t)
-            else:
-                w = gamma.contract_in_fiber(sigma, w_b, 2.0 - 2.0 * t)
-            return triv.join(w, ybar)
+        def at(time: float) -> Point:
+            nonlocal second
+            if time <= 0.5:
+                return hprime(2.0 * time)
+            if second is None:
+                a = hprime(1.0)
+                b = gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
+                second = (evaluate_map(f, a), triv.split(a)[0], triv.split(b)[0])
+            ybar, w_a, w_b = second
+            u = 2.0 * time - 1.0
+            w, r = (w_a, 2.0 * u) if u <= 0.5 else (w_b, 2.0 - 2.0 * u)
+            return triv.join(gamma.contract_in_fiber(ybar.carrier, w, r), ybar)
 
         return at
 
-    hsecond = Homotopy(
+    return Homotopy(
         domain=f.source,
         codomain=f.source,
-        fn=lambda x, t: hsecond_track(x)(t),
-        name=f"h1'' eps={eps}",
-        lipschitz=None,
-        track_factory=hsecond_track,
+        fn=lambda x, t: track_factory(x)(t),
+        name=f"h1 eps={eps}",
+        track_factory=track_factory,
     )
-    return concatenate(hprime, hsecond, name=f"h1 eps={eps}")
 
 
 @dataclass

@@ -9,6 +9,7 @@ base part (f(x)).  All fiber operations below are instances of regrouping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,12 +23,11 @@ from .complexes import (
     SimplicialComplex,
     TOL,
     barycenter,
-    canonical,
     closure_complex,
     combine_points,
     make_point,
-    vertex_point,
 )
+from .contract import Verdict, contractibility_verdict
 from .evaluators import Homotopy
 
 
@@ -147,6 +147,11 @@ class FiberComplex:
     def is_empty(self) -> bool:
         return not self.cells
 
+    @functools.cached_property
+    def verdict(self) -> Verdict:
+        """The triangulation's contractibility verdict, computed once."""
+        return contractibility_verdict(self.triangulation)
+
     def embed(self, labels: tuple[str, ...], weights: tuple[float, ...]) -> Point:
         return combine_points(
             self.f.source, [(w, self.embedding[v]) for v, w in zip(labels, weights)]
@@ -177,11 +182,6 @@ class FiberComplex:
             )
             return labels, mu
         raise NotFoundError(f"point {x} not located in fiber over {self.sigma}")
-
-    def component_count(self) -> int:
-        if self.is_empty:
-            return 0
-        return len(self.triangulation.components())
 
 
 def _staircase_locate(lambdas: list[list[float]], tol: float = 1e-12):

@@ -22,7 +22,6 @@ from .complexes import (
     Point,
     Simplex,
     SimplicialComplex,
-    TOL,
     barycenter,
     canonical,
 )
@@ -89,8 +88,9 @@ class _MetricGraph:
         self.points = list(nodes.values())
         self.adj: list[list[tuple[int, float]]] = [[] for _ in self.points]
         per_simplex: dict[Simplex, list[int]] = {}
+        maxs = K.maximal_simplices()
         for i, p in enumerate(self.points):
-            for m in K.maximal_simplices():
+            for m in maxs:
                 if m.contains(p.carrier):
                     per_simplex.setdefault(m, []).append(i)
         for m, idxs in per_simplex.items():

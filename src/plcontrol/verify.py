@@ -17,7 +17,7 @@ import numpy as np
 from .cellulation import comesh_of
 from .complexes import Simplex
 from .cone import assemble_bounded_equivalence, slice_equivalence
-from .contract import Verdict, contractibility_verdict
+from .contract import Verdict
 from .homotopies import (
     CannotConstructError,
     ControlledFamily,
@@ -153,8 +153,7 @@ def run_verify(
 
     report.missed_stars = surjectivity_check(f)
     for sigma in f.target.sorted_simplices():
-        fiber = fiber_over_barycenter(f, sigma)
-        report.fiber_verdicts[sigma] = contractibility_verdict(fiber.triangulation)
+        report.fiber_verdicts[sigma] = fiber_over_barycenter(f, sigma).verdict
 
     refuted = [s for s, v in report.fiber_verdicts.items() if v.kind == "not_contractible"]
     unknown = [s for s, v in report.fiber_verdicts.items() if v.kind == "unknown"]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellulation_oracle as oracle
 from plcontrol import (
     EpsilonRangeError,
+    InversionError,
     Point,
     barycenter,
+    barycentric_subdivision,
     build_cellulation,
     canonical,
     closure_complex,
@@ -18,8 +22,10 @@ from plcontrol import (
     gamma_vertex,
     min_distance_to_simplex,
     straightline_homotopy,
+    subdivision_points,
     vertex_point,
 )
+from plcontrol import fixtures
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,8 +208,8 @@ def test_invert_roundtrip_interior(D2, rng):
 
 
 def test_boundary_values_agree_between_incident_cells(D2, rng):
-    """Sampled boundary points: the inversion may pick either incident cell,
-    but the evaluated image agrees to 1e-9."""
+    """Sampled boundary points: the inversion picks the oracle's cell, the
+    lowest-index incident one, and the evaluated image agrees to 1e-9."""
     cel = build_cellulation(D2, 0.1)
     for cell in cel.cells:
         if len(cell.flag.chain) < 2:
@@ -215,10 +221,143 @@ def test_boundary_values_agree_between_incident_cells(D2, rng):
             t = t / t.sum()
             y = cel.evaluate(cell, s, t)
             c2, (s2, t2) = cel.invert(y)
+            assert c2.index == oracle.invert(cel, y)[0].index
             y2 = cel.evaluate(c2, s2, t2)
             yd, y2d = y.as_dict(), y2.as_dict()
             labels = set(yd) | set(y2d)
             assert max(abs(yd.get(v, 0) - y2d.get(v, 0)) for v in labels) < 1e-9
+
+
+# -- direct location against the scan oracle ----------------------------------------
+
+@functools.cache
+def _sd_d2():
+    return barycentric_subdivision(fixtures.d2())[0]
+
+
+TARGETS = {
+    "D2": fixtures.d2,
+    "Sd(D2)": _sd_d2,
+    "proj_map": lambda: fixtures.proj_map().target,
+    "map_collapse": lambda: fixtures.map_collapse().target,
+}
+
+
+def _cellulation(name, k):
+    K = TARGETS[name]()
+    return build_cellulation(K, comesh_of(K) / 2**k)
+
+
+@functools.cache
+def _subdivision_vertices(name):
+    return subdivision_points(TARGETS[name](), 2)
+
+
+def assert_inverts_like_oracle(cel, y):
+    cell, (s, t) = cel.invert(y)
+    ocell, (os_, ot) = oracle.invert(cel, y)
+    assert cell.index == ocell.index, (y, cell.flag, ocell.flag)
+    assert s.tobytes() == os_.tobytes() and t.tobytes() == ot.tobytes(), y
+
+
+def _weights(draw, n):
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return w / w.sum()
+
+
+def _near_face(draw, w):
+    """Set one weight to a value between 1e-9 and 1e-7, keep the sum 1."""
+    i = draw(st.integers(0, len(w) - 1))
+    delta = 10.0 ** draw(st.floats(-9.0, -7.0))
+    w = w * (1.0 - delta) / (w.sum() - w[i])
+    w[i] = delta
+    return w
+
+
+@st.composite
+def inversion_cases(draw):
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    cel = _cellulation(name, draw(st.integers(1, 5)))
+    K = cel.K
+    kind = draw(
+        st.sampled_from(["interior", "face", "barycenter", "subdivision", "near_face", "near_simplex_face", "jittered"])
+    )
+    if kind == "barycenter":
+        return cel, barycenter(K, draw(st.sampled_from(K.sorted_simplices())))
+    if kind == "subdivision":
+        return cel, draw(st.sampled_from(_subdivision_vertices(name)))
+    if kind == "near_simplex_face":
+        sigma = draw(st.sampled_from(K.sorted_simplices()))
+        w = _weights(draw, len(sigma.vertices))
+        if len(w) > 1:
+            w = _near_face(draw, w)
+        return cel, canonical(K, Point(sigma, tuple(w)))
+    cell = draw(st.sampled_from(cel.cells))
+    s = _weights(draw, len(cell.flag.base.vertices))
+    t = _weights(draw, len(cell.flag.chain))
+    on_s = draw(st.booleans())
+    w = s if on_s and len(s) > 1 else t
+    if kind in ("face", "near_face") and len(w) > 1:
+        if kind == "face":
+            w[draw(st.integers(0, len(w) - 1))] = 0.0
+            w /= w.sum()
+        else:
+            w[:] = _near_face(draw, w)
+    y = canonical(K, cel.evaluate(cell, s, t))
+    if kind == "jittered":
+        y = _jittered(y, 10.0 ** draw(st.floats(-14.0, -10.0)))
+    return cel, y
+
+
+def _jittered(y, size):
+    """y with its coordinates moved apart by about size, breaking the ties
+    inside each level so they must be merged back into one run."""
+    c = np.array(y.coords) + size * np.arange(len(y.coords))
+    return Point(y.carrier, tuple(c / c.sum()))
+
+
+@given(inversion_cases())
+@settings(max_examples=400, deadline=None)
+def test_invert_matches_scan_oracle(case):
+    cel, y = case
+    assert_inverts_like_oracle(cel, y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_invert_matches_scan_oracle_on_schedule(name, k):
+    """eps = comesh/2 ... comesh/32: every cell's centre, also with its ties
+    broken by 1e-12, the vertex images and every vertex of the first
+    subdivision."""
+    cel = _cellulation(name, k)
+    points = list(subdivision_points(cel.K, 1))
+    for cell in cel.cells:
+        s = np.full(len(cell.flag.base.vertices), 1.0 / len(cell.flag.base.vertices))
+        t = np.full(len(cell.flag.chain), 1.0 / len(cell.flag.chain))
+        points.append(cel.evaluate(cell, s, t))
+        points.append(_jittered(points[-1], 1e-12))
+    points.extend(img for _, _, img in cel.proper_vertex_images())
+    for y in points:
+        assert_inverts_like_oracle(cel, y)
+
+
+def test_invert_counts_inversions_and_cells_tried(rng):
+    cel = build_cellulation(closure_complex([("a", "b", "c")]), 0.1)
+    assert (cel.inversions, cel.cells_tried) == (0, 0)
+    s = cel.K.simplex(["a", "b", "c"])
+    for _ in range(50):
+        cel.invert(canonical(cel.K, Point(s, tuple(rng.dirichlet(np.ones(3))))))
+    assert cel.inversions == 50
+    # a generic interior point fits a handful of flags and the first usually holds
+    assert 50 <= cel.cells_tried <= 4 * 50
+
+
+def test_inversion_error_names_carrier_and_flags_tried(monkeypatch):
+    cel = build_cellulation(closure_complex([("a", "b", "c")]), 0.1)
+    monkeypatch.setattr(cel, "_try_cell", lambda cell, y, tol: None)
+    y = barycenter(cel.K, cel.K.simplex(["a", "b"]))
+    with pytest.raises(InversionError, match=r"carrier \{a,b\}, flags tried: 1"):
+        cel.invert(y)
 
 
 def test_straightline_homotopy_identity_at_zero(D2, rng):

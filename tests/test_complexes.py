@@ -85,6 +85,15 @@ def test_subdivision_matches_chain_oracle(K):
     assert len(sd.simplices) == brute_force_chain_count(K)
 
 
+@given(small_complexes)
+@settings(max_examples=60, deadline=None)
+def test_maximal_simplices_match_quadratic_oracle(K):
+    assert K._maximal is None  # computed on first call, never at construction
+    want = [s for s in K.sorted_simplices() if not any(s < t for t in K.simplices)]
+    assert K.maximal_simplices() == want
+    assert K.maximal_simplices() == want  # the kept result, unchanged by callers
+
+
 def test_subdivision_edge(D1):
     sd, mapping = barycentric_subdivision(D1)
     assert len(sd.simplices_of_dim(0)) == 3

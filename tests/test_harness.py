@@ -110,10 +110,10 @@ def test_verify_bad_map_names_simplex():
 
 
 def test_verify_unknown_propagates(monkeypatch):
-    from plcontrol import verify as verify_mod
+    from plcontrol import maps as maps_mod
     from plcontrol.contract import Verdict
 
-    real = verify_mod.contractibility_verdict
+    real = maps_mod.contractibility_verdict
 
     def fake(K):
         v = real(K)
@@ -121,10 +121,24 @@ def test_verify_unknown_propagates(monkeypatch):
             return Verdict(kind="unknown", reason="forced for test")
         return v
 
-    monkeypatch.setattr(verify_mod, "contractibility_verdict", fake)
-    rep = run_verify(fixtures.map_collapse(), samples=10)
+    monkeypatch.setattr(maps_mod, "contractibility_verdict", fake)
+    # a fresh map: the shared fixture's fibers may already hold their verdicts
+    rep = run_verify(fixtures.map_collapse.__wrapped__(), samples=10)
     assert rep.overall == UNKNOWN
     assert rep.exit_code == 2
+
+
+def test_verify_decides_each_fiber_once(monkeypatch):
+    """run_verify and the family construction share each fiber's verdict."""
+    from plcontrol import contract
+
+    calls = []
+    real = contract.homology
+    monkeypatch.setattr(contract, "homology", lambda K: calls.append(K) or real(K))
+    f = fixtures.map_collapse.__wrapped__()
+    rep = run_verify(f, samples=10)
+    assert rep.overall == THEOREM_CONSISTENT
+    assert len(calls) == len(f.target.simplices) == 3
 
 
 def test_verify_report_deterministic():

@@ -32,6 +32,7 @@ from plcontrol import (
     vertex_point,
 )
 from plcontrol import fixtures
+import cellulation_oracle
 
 
 def random_point(K, rng):
@@ -130,6 +131,30 @@ def test_h1_endpoints(MAP_COLLAPSE, rng):
         tr = h1.track(x)
         assert distance(X, tr(0.0), x) < 1e-9
         assert distance(X, tr(1.0), g(evaluate_map(MAP_COLLAPSE, x))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "make_family",
+    [
+        lambda: build_family(fixtures.map_collapse()),
+        lambda: build_family(fixtures.proj_map()),
+        fixtures.proj_explicit_family,
+    ],
+    ids=["map_collapse", "proj_map", "proj_explicit"],
+)
+def test_h1_tracks_match_concatenation_oracle(make_family):
+    """One inversion per track gives bit-identical values to the
+    concatenation of h1' and h1'' at 17 times."""
+    fam = make_family()
+    f = fam.f
+    for eps in epsilon_schedule(f.target, steps=3):
+        _, h1, _ = fam.at(eps)
+        ref = cellulation_oracle.build_h1(f, eps, fam.gamma)
+        for x in sample_points(f.source, 12, seed=3):
+            tr, tr_ref = h1.track(x), ref.track(x)
+            for t in np.linspace(0.0, 1.0, 17):
+                assert tr(float(t)) == tr_ref(float(t))
+            assert h1(x, 0.75) == ref(x, 0.75)
 
 
 def test_h1_time_zero_identity_on_vertices(MAP_COLLAPSE):
