@@ -77,10 +77,10 @@ from .maps import (
     FiberComplex,
     IsoCertificate,
     JoinTrivialization,
+    ProductDecompositionError,
     SimplicialMap,
     VacuousRetractionError,
     build_star_retraction,
-    complexes_isomorphic,
     evaluate_map,
     fiber_join,
     fiber_over_barycenter,

@@ -400,6 +400,5 @@ def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
         codomain=K,
         fn=lambda y, time: track_factory(y)(time),
         name=f"straight-line homotopy eps={eps}",
-        lipschitz=2.0,
         track_factory=track_factory,
     )

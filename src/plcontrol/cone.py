@@ -16,8 +16,8 @@ import numpy as np
 
 from .complexes import Point, SimplicialComplex
 from .evaluators import Homotopy, PLEvaluator
-from .homotopies import ControlledFamily, sample_points
-from .maps import SimplicialMap, evaluate_map
+from .homotopies import ControlledFamily, control_tracks, sample_points, sampled_sup
+from .maps import SimplicialMap
 from .metrics import distance
 
 
@@ -79,25 +79,19 @@ def _slice_controls(
     the assembly bound and slice extraction so the bound dominates by
     construction."""
     f = family.f
-    Y, X = f.target, f.source
     g, h1, h2 = family.at(eps)
-    pts_y = sample_points(Y, samples, seed=seed, subdivision_rounds=1)
-    pts_x = sample_points(X, samples, seed=seed + 1, subdivision_rounds=1)
+    pts_y = sample_points(f.target, samples, seed=seed, subdivision_rounds=1)
+    pts_x = sample_points(f.source, samples, seed=seed + 1, subdivision_rounds=1)
     times = np.linspace(0.0, 1.0, time_steps)
-    mg = 0.0
-    mh2 = 0.0
-    for y in pts_y:
-        mg = max(mg, distance(Y, y, evaluate_map(f, g(y))))
-        tr = h2.track(y)
-        for t in times:
-            mh2 = max(mh2, distance(Y, y, tr(float(t))))
-    mh1 = 0.0
-    for x in pts_x:
-        fx = evaluate_map(f, x)
-        tr = h1.track(x)
-        for t in times:
-            mh1 = max(mh1, distance(Y, fx, evaluate_map(f, tr(float(t)))))
-    return {"g": mg, "h1": mh1, "h2": mh2}
+    controls = {}
+    for name, u, p, q, pts, ts in (
+        ("g", g, None, f, pts_y, (0.0,)),
+        ("h1", h1, f, f, pts_x, times),
+        ("h2", h2, None, None, pts_y, times),
+    ):
+        M, tracks = control_tracks(u, p, q)
+        controls[name] = sampled_sup(M, pts, ts, tracks)[0]
+    return controls
 
 
 @dataclass

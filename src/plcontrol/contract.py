@@ -312,7 +312,9 @@ def _squash(K: SimplicialComplex, p: Point, free: Simplex, coface: Simplex) -> P
 
 def contraction_from_collapse(K: SimplicialComplex, seq: CollapseSequence) -> Homotopy:
     """Contraction K x I -> K: each elementary collapse contributes its linear
-    deformation retraction on an equal subinterval, composed in order."""
+    deformation retraction on an equal subinterval, composed in order.  A
+    track moves at barycentric-coordinate (l2) speed at most 2 * max(1, N),
+    N the number of collapse steps."""
     if not seq.complete:
         raise NotContractibleError("collapse sequence is partial; no contraction")
     steps = seq.steps
@@ -340,5 +342,4 @@ def contraction_from_collapse(K: SimplicialComplex, seq: CollapseSequence) -> Ho
         codomain=K,
         fn=fn,
         name=f"contraction to {base}",
-        lipschitz=float(2 * max(1, N)),
     )

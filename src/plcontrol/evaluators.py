@@ -1,8 +1,8 @@
 """Composable point-to-point map and homotopy representations.
 
 Maps built by the controlled constructions are not kept simplicial (cone
-extensions would force unbounded subdivision); they are evaluators with
-recorded Lipschitz margins, and all control claims are certified by sampling.
+extensions would force unbounded subdivision); they are point evaluators, and
+all control claims are certified by sampled sups (`homotopies.sampled_sup`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class PLEvaluator:
     codomain: SimplicialComplex
     fn: Callable[[Point], Point]
     name: str = "map"
-    lipschitz: float | None = None
 
     def __call__(self, p: Point) -> Point:
         return self.fn(p)
@@ -40,7 +39,6 @@ class Homotopy:
     codomain: SimplicialComplex
     fn: Callable[[Point, float], Point]
     name: str = "homotopy"
-    lipschitz: float | None = None
     track_factory: Callable[[Point], Callable[[float], Point]] | None = None
 
     def __call__(self, p: Point, t: float) -> Point:
@@ -58,7 +56,6 @@ class Homotopy:
             codomain=self.codomain,
             fn=lambda p: self.fn(p, t),
             name=name or f"{self.name}@t={t}",
-            lipschitz=self.lipschitz,
         )
 
 
@@ -84,14 +81,10 @@ def concatenate(first: Homotopy, second: Homotopy, name: str = "concatenation") 
 
         return tr
 
-    lip = None
-    if first.lipschitz is not None and second.lipschitz is not None:
-        lip = max(first.lipschitz, second.lipschitz)
     return Homotopy(
         domain=first.domain,
         codomain=second.codomain,
         fn=fn,
         name=name,
-        lipschitz=lip,
         track_factory=track_factory,
     )

@@ -58,16 +58,19 @@ class LiftMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ControlReport:
+    """A measured control, the number of (point, time) pairs behind it and
+    the first pair that attains it (time 0.0 for a map)."""
+
     epsilon_target: float | None
     measured_control: float
     samples: int
-    lipschitz_margin: float
+    witness: tuple[Point, float] | None
 
     def __str__(self) -> str:
         eps = "-" if self.epsilon_target is None else f"{self.epsilon_target:.9f}"
         return (
             f"control {self.measured_control:.9f} (target eps {eps}, "
-            f"{self.samples} samples, lipschitz margin {self.lipschitz_margin:.3g})"
+            f"{self.samples} samples)"
         )
 
 
@@ -191,7 +194,6 @@ def build_inverse(f: SimplicialMap, eps: float, gamma: FlagMap) -> PLEvaluator:
         codomain=f.source,
         fn=fn,
         name=f"g_eps eps={eps}",
-        lipschitz=None,
     )
 
 
@@ -298,10 +300,8 @@ class TrivialFamily:
         return cm if math.isfinite(cm) else 1.0
 
     def at(self, eps: float):
-        ident = PLEvaluator(domain=self.K, codomain=self.K, fn=lambda p: p, name="id", lipschitz=1.0)
-        const = Homotopy(
-            domain=self.K, codomain=self.K, fn=lambda p, t: p, name="constant", lipschitz=1.0
-        )
+        ident = PLEvaluator(domain=self.K, codomain=self.K, fn=lambda p: p, name="id")
+        const = Homotopy(domain=self.K, codomain=self.K, fn=lambda p, t: p, name="constant")
         return ident, const, const
 
 
@@ -337,6 +337,49 @@ def sample_points(K: SimplicialComplex, samples: int, seed: int = 0, subdivision
     return pts
 
 
+def sampled_sup(
+    M: SimplicialComplex,
+    points,
+    times,
+    tracks: Callable[[object], tuple[Callable[[float], Point], Callable[[float], Point]]],
+    *,
+    refinement: int = 2,
+) -> tuple[float, tuple[object, float] | None, int]:
+    """(sup, witness, pairs): the sup of d_M(a(t), b(t)) over each sample z,
+    with (a, b) = tracks(z), and each t in ``times``; the first (z, t) in
+    sample order that attains it (None when nothing is sampled); and the
+    number of pairs evaluated.  ``tracks`` runs once per sample, so per-point
+    setup such as a cellulation inversion belongs there."""
+    worst, witness, count = 0.0, None, 0
+    for z in points:
+        a, b = tracks(z)
+        for t in times:
+            t = float(t)
+            d = distance(M, a(t), b(t), refinement=refinement)
+            count += 1
+            if witness is None or d > worst:
+                worst, witness = d, (z, t)
+    return worst, witness, count
+
+
+def control_tracks(u, p: SimplicialMap | None, q: SimplicialMap | None):
+    """The metric complex M and z -> (the constant p(z), t -> q(u(z, t))),
+    whose sampled sup is the control of u measured through p and q (None is
+    the identity; a map counts as a homotopy constant in t)."""
+    pfn, M1 = _control_fn(p, u.domain)
+    qfn, M2 = _control_fn(q, u.codomain)
+    if M1 is not M2:
+        raise MalformedInputError("control maps must land in one metric complex")
+    track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
+
+    def tracks(z: Point):
+        anchor = pfn(z)
+        tr = track(z)
+        return (lambda t: anchor), (lambda t: qfn(tr(t)))
+
+    return M1, tracks
+
+
 def measure_control(
     u,
     p: SimplicialMap | None = None,
@@ -350,36 +393,17 @@ def measure_control(
     epsilon_target: float | None = None,
 ) -> ControlReport:
     """Sup over the sample set of d_M(p(z), q(u(z))), homotopies sampled at
-    ``time_steps`` times per spatial sample (tracks reuse per-point setup)."""
-    domain = u.domain
-    pfn, M1 = _control_fn(p, domain)
-    qfn, M2 = _control_fn(q, u.codomain)
-    if M1 is not M2:
-        raise MalformedInputError("control maps must land in one metric complex")
-    M = M1
-    pts = sample_points(domain, samples, seed=seed, subdivision_rounds=subdivision_rounds)
-    worst = 0.0
-    count = 0
-    if isinstance(u, Homotopy):
-        times = np.linspace(0.0, 1.0, time_steps)
-        for z in pts:
-            anchor = pfn(z)
-            tr = u.track(z)
-            for t in times:
-                worst = max(worst, distance(M, anchor, qfn(tr(float(t))), refinement=refinement))
-                count += 1
-    else:
-        for z in pts:
-            worst = max(worst, distance(M, pfn(z), qfn(u(z)), refinement=refinement))
-            count += 1
-    lip = getattr(u, "lipschitz", None) or 0.0
-    n = domain.dimension
-    spacing = math.sqrt(2.0) * (n / (n + 1.0)) ** subdivision_rounds
+    ``time_steps`` times per spatial sample (tracks reuse per-point setup),
+    with the witness (z, t) that attains it."""
+    M, tracks = control_tracks(u, p, q)
+    pts = sample_points(u.domain, samples, seed=seed, subdivision_rounds=subdivision_rounds)
+    times = np.linspace(0.0, 1.0, time_steps) if isinstance(u, Homotopy) else (0.0,)
+    sup, witness, count = sampled_sup(M, pts, times, tracks, refinement=refinement)
     return ControlReport(
         epsilon_target=epsilon_target,
-        measured_control=worst,
+        measured_control=sup,
         samples=count,
-        lipschitz_margin=lip * spacing,
+        witness=witness,
     )
 
 
@@ -401,12 +425,11 @@ def approximate_lift(
     from the sampled time modulus of H so both phases stay within eps."""
     delta = eps / 2.0
     pts = sample_points(H.domain, min(samples, 40), seed=seed, subdivision_rounds=0)
-    for z in pts[: min(len(pts), 25)]:
-        d0 = distance(f.target, evaluate_map(f, h(z)), H(z, 0.0))
-        if d0 > 1e-7:
-            raise LiftMismatchError(
-                f"f(h(z)) differs from H(z, 0) by {d0:.3e} at a sampled point"
-            )
+    d0, witness, _ = sampled_sup(
+        f.target, pts[:25], (0.0,), lambda z: (lambda t: evaluate_map(f, h(z)), lambda t: H(z, t))
+    )
+    if d0 > 1e-7:
+        raise LiftMismatchError(f"f(h(z)) differs from H(z, 0) by {d0:.3e} at z = {witness[0]}")
     # sampled time-Lipschitz bound of H
     lip = 1e-9
     times = np.linspace(0.0, 1.0, 17)
@@ -451,17 +474,12 @@ def lift_discrepancy(
 ) -> float:
     """sup over samples of d_Y(H(z,t), f(lifted(z,t)))."""
     pts = sample_points(H.domain, samples, seed=seed, subdivision_rounds=0)
-    worst = 0.0
-    times = np.linspace(0.0, 1.0, time_steps)
-    for z in pts:
-        trH = H.track(z)
-        trL = lifted.track(z)
-        for t in times:
-            worst = max(
-                worst,
-                distance(f.target, trH(float(t)), evaluate_map(f, trL(float(t)))),
-            )
-    return worst
+
+    def tracks(z: Point):
+        trH, trL = H.track(z), lifted.track(z)
+        return trH, (lambda t: evaluate_map(f, trL(t)))
+
+    return sampled_sup(f.target, pts, np.linspace(0.0, 1.0, time_steps), tracks)[0]
 
 
 # -- fiber contraction from the controlled family ------------------------------------

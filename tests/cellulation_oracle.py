@@ -118,7 +118,6 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
         codomain=f.source,
         fn=lambda x, t: hprime_track(x)(t),
         name=f"h1' eps={eps}",
-        lipschitz=2.0,
         track_factory=hprime_track,
     )
 
@@ -145,7 +144,6 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
         codomain=f.source,
         fn=lambda x, t: hsecond_track(x)(t),
         name=f"h1'' eps={eps}",
-        lipschitz=None,
         track_factory=hsecond_track,
     )
     return concatenate(hprime, hsecond, name=f"h1 eps={eps}")

@@ -141,6 +141,38 @@ def test_verify_decides_each_fiber_once(monkeypatch):
     assert len(calls) == len(f.target.simplices) == 3
 
 
+def test_verify_work_stays_within_its_counts(monkeypatch):
+    """Inversions, distance queries and sample draws of a default verify of
+    map_collapse stay at or under the counts of the per-sampler loops
+    (3188, 33704 and 39): the sampled-sup kernel rebuilds no h1 track per
+    identity and draws no sample set twice."""
+    from plcontrol import cellulation, homotopies, metrics
+
+    calls = {"invert": 0, "distance": 0, "sample_points": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_invert = cellulation.Cellulation.invert
+    monkeypatch.setattr(cellulation.Cellulation, "invert", counting("invert", real_invert))
+    for name, fn in (("distance", metrics.distance), ("sample_points", homotopies.sample_points)):
+        wrapped = counting(name, fn)
+        for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapped)
+    rep = run_verify(fixtures.map_collapse())
+    assert rep.overall == THEOREM_CONSISTENT
+    assert min(calls.values()) > 0
+    assert calls["invert"] <= 3188
+    assert calls["distance"] <= 33704
+    assert calls["sample_points"] <= 39
+
+
 def test_verify_report_deterministic():
     a = run_verify(fixtures.map_collapse(), samples=20, certificate_samples=10, seed=3)
     b = run_verify(fixtures.map_collapse(), samples=20, certificate_samples=10, seed=3)

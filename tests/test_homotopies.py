@@ -33,6 +33,7 @@ from plcontrol import (
 )
 from plcontrol import fixtures
 import cellulation_oracle
+import control_oracle
 
 
 def random_point(K, rng):
@@ -280,7 +281,7 @@ def test_lift_precondition_checked(MAP_COLLAPSE):
     H = _point_track(Y, [vertex_point(Y, "a"), vertex_point(Y, "b")])
     x_bad = vertex_point(f.source, "b")  # f(b) = b != H(z, 0) = a
     h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x_bad, name="bad")
-    with pytest.raises(LiftMismatchError):
+    with pytest.raises(LiftMismatchError, match=r"by 1\.414e\+00 at z = "):
         approximate_lift(f, fam, H, h, 0.1)
 
 
@@ -389,12 +390,11 @@ def test_proj_explicit_face_compatibility(rng):
                 assert distance(f.source, full, expect) < 1e-9
 
 
-def test_lift_with_edge_domain(MAP_COLLAPSE):
-    """Lifting a homotopy whose domain is a whole edge, not just a point."""
+def _edge_slide(f):
+    """A homotopy of a whole edge into the target and a start map over its
+    time-zero slice."""
     from plcontrol import combine_points
 
-    f = MAP_COLLAPSE
-    fam = build_family(f)
     Y, X = f.target, f.source
     Z = closure_complex([("p", "q")])
 
@@ -415,9 +415,15 @@ def test_lift_with_edge_domain(MAP_COLLAPSE):
             X, combine_points(X, [(1.0 - w, vertex_point(X, "a")), (w, vertex_point(X, "b"))])
         )
 
-    h = PLEvaluator(domain=Z, codomain=X, fn=h_fn, name="initial")
+    return H, PLEvaluator(domain=Z, codomain=X, fn=h_fn, name="initial")
+
+
+def test_lift_with_edge_domain(MAP_COLLAPSE):
+    """Lifting a homotopy whose domain is a whole edge, not just a point."""
+    f = MAP_COLLAPSE
+    H, h = _edge_slide(f)
     eps = 0.15
-    lifted = approximate_lift(f, fam, H, h, eps, samples=20)
+    lifted = approximate_lift(f, build_family(f), H, h, eps, samples=20)
     disc = lift_discrepancy(f, H, lifted, samples=20)
     assert disc < eps
 
@@ -485,3 +491,46 @@ def test_family_construction_on_random_maps(f):
     rep = measure_control(g, None, f, samples=25, seed=1, subdivision_rounds=0)
     assert rep.measured_control <= eps * (1.0 + 1e-4)
 
+
+
+# -- the sampled-sup kernel against the loops it replaced -----------------------------------
+
+def _witness_distance(u, p, q, witness):
+    """d_M(p(z), q(u(z, t))) recomputed from the public maps at a witness."""
+    z, t = witness
+    val = u(z, t) if isinstance(u, Homotopy) else u(z)
+    anchor = z if p is None else evaluate_map(p, z)
+    other = val if q is None else evaluate_map(q, val)
+    return distance(u.domain if p is None else p.target, anchor, other)
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
+def test_sampled_sup_matches_the_old_loops(name):
+    """Bit-identical sups at comesh/2 and at every eps of the assembly."""
+    from plcontrol import assemble_bounded_equivalence
+    from plcontrol.cone import _slice_controls
+    from plcontrol.verify import _identity_checks
+
+    f = getattr(fixtures, name)()
+    fam = build_family(f)
+    assert _identity_checks(f, fam, 20, 0) == control_oracle.identity_checks(f, fam, 20, 0)
+    data = assemble_bounded_equivalence(f, fam, samples=8, time_steps=9)
+    eps_values = {fam.effective_comesh / 2.0} | {data._eps_at(t) for t in data.t_grid if t > 0}
+    for eps in sorted(eps_values):
+        assert _slice_controls(fam, eps, 8, 0, 9) == control_oracle.slice_controls(fam, eps, 8, 0, 9)
+        g, h1, h2 = fam.at(eps)
+        for u, p, q in ((g, None, f), (h1, f, f), (h2, None, None)):
+            rep = measure_control(u, p, q, samples=8, seed=1, time_steps=9)
+            old = control_oracle.measure_control(u, p, q, samples=8, seed=1, time_steps=9)
+            assert (rep.measured_control, rep.samples) == old
+            assert _witness_distance(u, p, q, rep.witness) == rep.measured_control
+
+
+def test_lift_discrepancy_matches_the_old_loop(MAP_COLLAPSE):
+    f = MAP_COLLAPSE
+    H, h = _edge_slide(f)
+    lifted = approximate_lift(f, build_family(f), H, h, 0.15, samples=20)
+    for samples, steps in ((20, 33), (7, 65)):
+        new = lift_discrepancy(f, H, lifted, samples=samples, time_steps=steps)
+        assert new == control_oracle.lift_discrepancy(f, H, lifted, samples=samples, time_steps=steps)
+        assert new > 0.0

@@ -11,8 +11,8 @@ from plcontrol import (
     barycenter,
     build_star_retraction,
     canonical,
+    ProductDecompositionError,
     closure_complex,
-    complexes_isomorphic,
     distance,
     evaluate_map,
     fiber_join,
@@ -211,12 +211,23 @@ def test_product_decomposition_empty_fiber():
     assert cert.is_empty
 
 
-def test_complexes_isomorphic():
-    K1 = closure_complex([("a", "b"), ("b", "c")])
-    K2 = closure_complex([("x", "y"), ("y", "z")])
-    K3 = closure_complex([("x", "y"), ("x", "z"), ("y", "z")])
-    assert complexes_isomorphic(K1, K2)
-    assert not complexes_isomorphic(K1, K3)
+def test_product_certificate_catches_a_misweighted_join(MAP_COLLAPSE, monkeypatch):
+    """A join that puts too much weight on one vertex group fails the round trip."""
+    from plcontrol import maps
+
+    real = maps.fiber_join
+
+    def misweighted(f, z, y):
+        first = y.carrier.vertices[0]
+        yd = {w: c * (1.5 if w == first else 1.0) for w, c in y.as_dict().items()}
+        total = sum(yd.values())
+        return real(f, z, make_point(f.target, {w: c / total for w, c in yd.items()}))
+
+    monkeypatch.setattr(maps, "fiber_join", misweighted)
+    D1 = MAP_COLLAPSE.target
+    verify_product_decomposition(MAP_COLLAPSE, D1.simplex(["a"]), samples=20)  # one group: exact
+    with pytest.raises(ProductDecompositionError, match="round trip"):
+        verify_product_decomposition(MAP_COLLAPSE, D1.simplex(["a", "b"]), samples=20)
 
 
 # -- star retraction ----------------------------------------------------------------
