@@ -36,6 +36,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     canonical,
+    face_chains,
     vertex_point,
 )
 from .evaluators import Homotopy
@@ -84,22 +85,9 @@ class Flag:
 
 def enumerate_flags(K: SimplicialComplex) -> list[Flag]:
     """All flags, ordered by (base, chain) in the complex's vertex order."""
-    simps = K.sorted_simplices()
-    chains: list[tuple[Simplex, ...]] = []
-
-    def extend(chain: list[Simplex]):
-        chains.append(tuple(chain))
-        for t in simps:
-            if chain[-1] < t:
-                chain.append(t)
-                extend(chain)
-                chain.pop()
-
-    for s in simps:
-        extend([s])
     flags = [
         Flag(base=b, chain=c)
-        for c in chains
+        for c in face_chains(K)
         for b in sorted(c[0].faces(), key=K.sort_key)
     ]
     flags.sort(key=lambda fl: (K.sort_key(fl.base), tuple(K.sort_key(s) for s in fl.chain)))
@@ -376,6 +364,9 @@ class Cellulation:
 
 
 def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
+    # K and the cellulations cached on it (each naming K) form the one
+    # reference cycle kept by design: a cellulation dropped by its caller must
+    # still be a cache hit on the next call, so this entry is not weak.
     key = ("cellulation", round(eps, 15))
     if key not in K._cache:
         K._cache[key] = Cellulation(K, eps)

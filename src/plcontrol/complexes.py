@@ -9,6 +9,7 @@ All global metric questions live in :mod:`plcontrol.metrics`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -109,7 +110,9 @@ class SimplicialComplex:
         for s in sorted(self._simplices, key=self.sort_key):
             self._by_dim.setdefault(s.dim, ())
             self._by_dim[s.dim] += (s,)
+        # data derived from K only; a file's drawing layout lives in `positions`
         self._cache: dict = {}
+        self.positions: dict[str, tuple[float, float]] | None = None
         self._maximal: tuple[Simplex, ...] | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -294,6 +297,27 @@ def _sd_label(s: Simplex) -> str:
     return "{" + ",".join(s.vertices) + "}"
 
 
+def face_chains(K: SimplicialComplex):
+    """Every nonempty chain s_0 < ... < s_m of the face poset, depth first:
+    each chain is followed by its extensions, both in ``sort_key`` order.
+
+    The strict-coface table is built per call and nothing is kept on K.
+    """
+    simps = K.sorted_simplices()
+    index = {s.vertices: i for i, s in enumerate(simps)}
+    up: list[list[int]] = [[] for _ in simps]
+    for j, t in enumerate(simps):
+        for r in range(1, len(t.vertices)):
+            for face in itertools.combinations(t.vertices, r):
+                up[index[face]].append(j)
+    for i in range(len(simps)):
+        stack = [(i,)]
+        while stack:
+            chain = stack.pop()
+            yield tuple(simps[k] for k in chain)
+            stack.extend(chain + (j,) for j in reversed(up[chain[-1]]))
+
+
 def barycentric_subdivision(K: SimplicialComplex) -> tuple[SimplicialComplex, dict[str, Point]]:
     """Barycentric subdivision Sd K together with the vertex-to-point mapping.
 
@@ -301,66 +325,32 @@ def barycentric_subdivision(K: SimplicialComplex) -> tuple[SimplicialComplex, di
     Sd K are the chains in the face poset of K.
     """
     order = [_sd_label(s) for s in K.sorted_simplices()]
-    chains: list[tuple[str, ...]] = []
-
-    def extend(chain: list[Simplex]):
-        chains.append(tuple(_sd_label(s) for s in chain))
-        last = chain[-1]
-        for t in K.sorted_simplices():
-            if last < t:
-                chain.append(t)
-                extend(chain)
-                chain.pop()
-
-    for s in K.sorted_simplices():
-        extend([s])
+    chains = [tuple(_sd_label(s) for s in c) for c in face_chains(K)]
     sd = SimplicialComplex(chains, vertex_order=order)
     mapping = {_sd_label(s): barycenter(K, s) for s in K.sorted_simplices()}
     return sd, mapping
 
 
 def count_chains(K: SimplicialComplex) -> int:
-    """Number of nonempty chains in the face poset (brute-force oracle)."""
-    simps = K.sorted_simplices()
-    memo: dict[Simplex, int] = {}
-
-    def chains_from(s: Simplex) -> int:
-        if s in memo:
-            return memo[s]
-        total = 1  # the chain consisting of s alone
-        for t in simps:
-            if s < t:
-                total += chains_from(t)
-        memo[s] = total
-        return total
-
-    return sum(chains_from(s) for s in simps)
+    """Number of nonempty chains in the face poset, the simplex count of Sd K."""
+    return sum(1 for _ in face_chains(K))
 
 
 def subdivision_points(K: SimplicialComplex, rounds: int = 1) -> list[Point]:
-    """Vertices of the r-fold barycentric subdivision, as points of K."""
-    points = {v: vertex_point(K, v) for v in K.vertex_order}
+    """Vertices of the r-fold barycentric subdivision, as points of K.
+
+    Round r's points are the barycenters of the simplices of Sd^(r-1) K, each
+    the average of round r-1's points at its vertices, so the last round
+    builds no complex.
+    """
+    if rounds <= 0:
+        return [vertex_point(K, v) for v in K.vertex_order]
     current = K
-    mappings: list[dict[str, Point]] = []
-    for _ in range(rounds):
-        current, mapping = barycentric_subdivision(current)
-        mappings.append(mapping)
-    # push each Sd^r vertex down through the mapping chain
-    out: list[Point] = []
-    for v in current.vertex_order:
-        p = _push_down(v, mappings, K, points)
-        out.append(p)
-    return out
-
-
-def _push_down(label: str, mappings: list[dict[str, Point]], K: SimplicialComplex, base: dict[str, Point]) -> Point:
-    if not mappings:
-        return base[label]
-    p = mappings[-1][label]
-    if len(mappings) == 1:
-        return p
-    rest = mappings[:-1]
-    parts = []
-    for v, c in zip(p.carrier.vertices, p.coords):
-        parts.append((c, _push_down(v, rest, K, base)))
-    return combine_points(K, parts)
+    points = [barycenter(K, s) for s in K.sorted_simplices()]
+    for _ in range(rounds - 1):
+        current, _ = barycentric_subdivision(current)
+        points = [
+            combine_points(K, [(1.0 / len(c.vertices), points[current.vertex_index(v)]) for v in c.vertices])
+            for c in current.sorted_simplices()
+        ]
+    return points

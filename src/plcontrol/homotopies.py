@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cellulation import build_cellulation, comesh_of, straightline_homotopy
+from .cellulation import EpsilonRangeError, build_cellulation, comesh_of, straightline_homotopy
 from .complexes import (
     MalformedInputError,
     Point,
@@ -261,7 +261,7 @@ class ControlledFamily:
 
     def at(self, eps: float) -> tuple[PLEvaluator, Homotopy, Homotopy]:
         if not (0.0 < eps < self.comesh):
-            raise ValueError(f"eps={eps} outside (0, comesh={self.comesh})")
+            raise EpsilonRangeError(f"eps={eps} outside (0, comesh={self.comesh})")
         key = round(eps, 15)
         if key not in self._cache:
             self._cache[key] = (

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .complexes import (
     MalformedInputError,
+    NotFoundError,
     Point,
     SimplicialComplex,
     canonical,
@@ -60,7 +61,7 @@ def load_complex(path: str | Path) -> SimplicialComplex:
             stacklevel=2,
         )
     if "positions" in data:
-        K._cache["positions"] = {
+        K.positions = {
             str(v): (float(xy[0]), float(xy[1])) for v, xy in data["positions"].items()
         }
     return K
@@ -71,7 +72,7 @@ def save_complex(K: SimplicialComplex, path: str | Path, positions: dict | None 
         "vertices": list(K.vertex_order),
         "simplices": [list(s.vertices) for s in K.sorted_simplices()],
     }
-    positions = positions or K._cache.get("positions")
+    positions = positions or K.positions
     if positions:
         data["positions"] = {v: list(xy) for v, xy in positions.items()}
     Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
@@ -110,12 +111,18 @@ def parse_point(K: SimplicialComplex, data: dict | str) -> Point:
             raise FileFormatError(f"point literal: {e.msg}") from None
     if "simplex" not in data or "coords" not in data:
         raise FileFormatError("point needs 'simplex' and 'coords' fields")
-    s = K.simplex([str(v) for v in data["simplex"]])
-    order = [s.vertices.index(str(v)) for v in data["simplex"]]
-    coords = [0.0] * len(s.vertices)
-    for pos, c in zip(order, data["coords"]):
-        coords[pos] = float(c)
-    return canonical(K, Point(s, tuple(coords)))
+    try:
+        labels = [str(v) for v in data["simplex"]]
+        coords = [float(c) for c in data["coords"]]
+        if len(labels) != len(coords):
+            raise MalformedInputError(f"{len(labels)} vertices but {len(coords)} coords")
+        if len(set(labels)) != len(labels):
+            raise MalformedInputError("duplicate vertex")
+        s = K.simplex(labels)
+        weights = dict(zip(labels, coords))
+        return canonical(K, Point(s, tuple(weights[v] for v in s.vertices)))
+    except (NotFoundError, TypeError, ValueError) as e:
+        raise FileFormatError(f"point {data['simplex']}: {e.args[0]}") from None
 
 
 def load_track(path: str | Path, Y: SimplicialComplex) -> tuple[Homotopy, Point | None]:

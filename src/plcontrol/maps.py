@@ -121,28 +121,29 @@ class ProductCell:
 
 
 def _monotone_paths(shape: tuple[int, ...]):
-    """Vertex index tuples of the maximal staircase simplices of a grid."""
+    """Vertex index tuples of the maximal staircase simplices of a grid, in
+    lexicographic order of the axis stepped at each move."""
     top = tuple(n - 1 for n in shape)
-
-    def rec(pos: tuple[int, ...]):
+    stack = [(tuple(0 for _ in shape),)]
+    while stack:
+        path = stack.pop()
+        pos = path[-1]
         if pos == top:
-            yield (pos,)
-            return
-        for i in range(len(shape)):
+            yield path
+        for i in reversed(range(len(shape))):
             if pos[i] < top[i]:
-                nxt = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
-                for rest in rec(nxt):
-                    yield (pos,) + rest
-
-    yield from rec(tuple(0 for _ in shape))
+                stack.append(path + (pos[:i] + (pos[i] + 1,) + pos[i + 1 :],))
 
 
 @dataclass
 class FiberComplex:
     """f^{-1}(sigma-hat) as a union of product cells, with the staircase
-    triangulation and the affine embedding back into the source."""
+    triangulation and the affine embedding back into the source complex.
 
-    f: SimplicialMap
+    It keeps the source, not f, so ``f._fiber_cache`` points one way only.
+    """
+
+    source: SimplicialComplex
     sigma: Simplex
     cells: list[ProductCell]
     triangulation: SimplicialComplex | None
@@ -159,7 +160,7 @@ class FiberComplex:
 
     def embed(self, labels: tuple[str, ...], weights: tuple[float, ...]) -> Point:
         return combine_points(
-            self.f.source, [(w, self.embedding[v]) for v, w in zip(labels, weights)]
+            self.source, [(w, self.embedding[v]) for v, w in zip(labels, weights)]
         )
 
     def locate(self, x: Point, tol: float = 1e-7) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -243,7 +244,7 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
         )
         cells.append(ProductCell(tau=tau, factors=factors))
     if not cells:
-        fc = FiberComplex(f=f, sigma=sigma, cells=[], triangulation=None, embedding={})
+        fc = FiberComplex(source=f.source, sigma=sigma, cells=[], triangulation=None, embedding={})
         f._fiber_cache[sigma] = fc
         return fc
 
@@ -266,7 +267,7 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
     embedding = {
         _tuple_label(t): make_point(f.source, {v: 1.0 / m1 for v in t}) for t in order
     }
-    fc = FiberComplex(f=f, sigma=sigma, cells=cells, triangulation=tri, embedding=embedding)
+    fc = FiberComplex(source=f.source, sigma=sigma, cells=cells, triangulation=tri, embedding=embedding)
     f._fiber_cache[sigma] = fc
     return fc
 

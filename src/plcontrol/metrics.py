@@ -72,7 +72,6 @@ class _MetricGraph:
     maximal simplices weighted by exact within-simplex distance."""
 
     def __init__(self, K: SimplicialComplex, refinement: int):
-        self.K = K
         nodes: dict[tuple, Point] = {}
 
         def add(p: Point):
@@ -103,9 +102,8 @@ class _MetricGraph:
                     self.adj[idxs[a]].append((idxs[b], float(dist)))
                     self.adj[idxs[b]].append((idxs[a], float(dist)))
 
-    def query(self, p: Point, q: Point) -> float:
-        """Dijkstra from p to q through the static graph."""
-        K = self.K
+    def query(self, K: SimplicialComplex, p: Point, q: Point) -> float:
+        """Dijkstra from p to q through the static graph of K."""
         extra = [p, q]
         links: list[list[tuple[int, float]]] = [[], []]
         for e, x in enumerate(extra):
@@ -165,7 +163,7 @@ def distance(K: SimplicialComplex, p: Point, q: Point, refinement: int = 2) -> f
     comp = _components_by_vertex(K)
     if comp[p.carrier.vertices[0]] != comp[q.carrier.vertices[0]]:
         return INF
-    return _graph(K, refinement).query(p, q)
+    return _graph(K, refinement).query(K, p, q)
 
 
 def _components_by_vertex(K: SimplicialComplex) -> dict[str, int]:

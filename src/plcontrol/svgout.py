@@ -83,7 +83,7 @@ def render_cellulation_svg(cel: Cellulation, positions=None) -> str:
     K = cel.K
     if K.dimension > 2:
         raise UnsupportedDimensionError(f"complex has dimension {K.dimension} > 2")
-    positions = positions or K._cache.get("positions") or default_positions(K)
+    positions = positions or K.positions or default_positions(K)
     tr = _transform(positions)
     images: dict[tuple, tuple[float, float]] = {}
 
@@ -126,7 +126,7 @@ def render_cellulation_svg(cel: Cellulation, positions=None) -> str:
 def render_complex_svg(K: SimplicialComplex, positions=None) -> str:
     if K.dimension > 2:
         raise UnsupportedDimensionError(f"complex has dimension {K.dimension} > 2")
-    positions = positions or K._cache.get("positions") or default_positions(K)
+    positions = positions or K.positions or default_positions(K)
     tr = _transform(positions)
 
     def vxy(v: str):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poset_oracle as oracle
 from plcontrol import (
     MalformedInputError,
     NotFoundError,
@@ -10,10 +11,15 @@ from plcontrol import (
     barycentric_subdivision,
     canonical,
     closure_complex,
+    count_chains,
+    enumerate_flags,
+    fixtures,
     make_point,
     subdivision_points,
     vertex_point,
 )
+from plcontrol.complexes import face_chains
+from plcontrol.maps import _monotone_paths
 
 
 def brute_force_chain_count(K):
@@ -83,6 +89,57 @@ def test_face_closure_property(K):
 def test_subdivision_matches_chain_oracle(K):
     sd, _ = barycentric_subdivision(K)
     assert len(sd.simplices) == brute_force_chain_count(K)
+
+
+@given(small_complexes)
+@settings(max_examples=25, deadline=None)
+def test_count_chains_matches_chain_oracle(K):
+    assert count_chains(K) == brute_force_chain_count(K)
+
+
+@given(small_complexes)
+@settings(max_examples=25, deadline=None)
+def test_face_chains_are_strict_and_depth_first(K):
+    chains = list(face_chains(K))
+    assert all(a < b for c in chains for a, b in zip(c, c[1:]))
+    # depth first with sort_key-ordered extensions is lexicographic order, prefixes first
+    keys = [tuple(K.sort_key(s) for s in c) for c in chains]
+    assert keys == sorted(set(keys))
+
+
+def assert_poset_walks_match_oracle(K):
+    """Subdivision, flags and subdivision points from the face-chain walk are
+    bit-identical to the recursive enumerators they replaced."""
+    sd, mapping = barycentric_subdivision(K)
+    sd_old, mapping_old = oracle.barycentric_subdivision(K)
+    assert sd.vertex_order == sd_old.vertex_order
+    assert sd.sorted_simplices() == sd_old.sorted_simplices()
+    assert list(mapping) == list(mapping_old)
+    assert all(mapping[k] == mapping_old[k] for k in mapping)  # carriers and coords, exactly
+    assert [str(fl) for fl in enumerate_flags(K)] == [str(fl) for fl in oracle.enumerate_flags(K)]
+    for rounds in (0, 1, 2):
+        assert subdivision_points(K, rounds) == oracle.subdivision_points(K, rounds)
+
+
+@given(small_complexes)
+@settings(max_examples=12, deadline=None)  # the old two-round push-down takes ~0.4 s on a tetrahedron
+def test_poset_walks_match_oracle(K):
+    assert_poset_walks_match_oracle(K)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "bd2", "sphere2", "cone_bd2", "proj_X", "proj_Y", "sd_d2"])
+def test_poset_walks_match_oracle_on_fixtures(name):
+    if name == "sd_d2":
+        K = barycentric_subdivision(fixtures.d2())[0]
+    else:
+        K = getattr(fixtures, name)()
+    assert_poset_walks_match_oracle(K)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple))
+@settings(max_examples=40, deadline=None)
+def test_monotone_paths_match_oracle(shape):
+    assert list(_monotone_paths(shape)) == list(oracle._monotone_paths(shape))
 
 
 @given(small_complexes)

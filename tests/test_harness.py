@@ -1,26 +1,35 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plcontrol import (
+    FiberComplex,
     FileFormatError,
     MalformedInputError,
+    SimplicialComplex,
+    SimplicialMap,
     UnsupportedDimensionError,
+    barycentric_subdivision,
     build_cellulation,
     census_report,
     closure_complex,
+    distance,
     emit_svg,
+    fiber_over_barycenter,
     load_complex,
     load_map,
     parse_point,
     save_complex,
     save_map,
     run_verify,
+    vertex_point,
 )
 from plcontrol import fixtures
 from plcontrol.cli import main
@@ -86,6 +95,50 @@ def test_map_loader_rejects_nonsimplicial(tmp_path):
 def test_parse_point(D2):
     p = parse_point(D2, '{"simplex": ["b", "a"], "coords": [0.25, 0.75]}')
     assert p.coord_of("a") == 0.75 and p.coord_of("b") == 0.25
+
+
+@pytest.mark.parametrize("literal", [
+    '{"simplex": ["a"], "coords": [1, 5]}',
+    '{"simplex": ["a", "b"], "coords": [0.5, 0.5, 7]}',
+])
+def test_parse_point_rejects_length_mismatch(D2, literal):
+    with pytest.raises(FileFormatError, match="coords"):
+        parse_point(D2, literal)
+
+
+def test_parse_point_rejects_duplicate_labels(D2):
+    with pytest.raises(FileFormatError, match="duplicate"):
+        parse_point(D2, '{"simplex": ["a", "a"], "coords": [0.5, 0.5]}')
+
+
+def test_cli_reports_unknown_point_vertex(tmp_path, capsys):
+    write_fixture_files(tmp_path)
+    code = main(
+        [
+            "cone-distance", str(tmp_path / "d2.json"),
+            '{"simplex": ["zz"], "coords": [1.0]}', "1.0",
+            '{"simplex": ["a"], "coords": [1.0]}', "1.0",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_file_positions_round_trip_and_drive_the_svg(tmp_path, capsys):
+    write_fixture_files(tmp_path)
+    K = load_complex(tmp_path / "d2.json")
+    assert K.positions == fixtures.D2_POSITIONS
+    assert not K._cache  # the layout is file data, not derived from K
+    save_complex(K, tmp_path / "again.json")
+    assert load_complex(tmp_path / "again.json").positions == fixtures.D2_POSITIONS
+
+    svg = tmp_path / "cli.svg"
+    assert main(["cellulate", str(tmp_path / "again.json"), "--epsilon", "0.1", "--svg", str(svg)]) == 0
+    cel = build_cellulation(fixtures.d2(), 0.1)
+    emit_svg(cel, tmp_path / "layout.svg", positions=fixtures.D2_POSITIONS)
+    emit_svg(cel, tmp_path / "circle.svg")
+    assert svg.read_bytes() == (tmp_path / "layout.svg").read_bytes()
+    assert svg.read_bytes() != (tmp_path / "circle.svg").read_bytes()
 
 
 # -- run_verify --------------------------------------------------------------------
@@ -353,6 +406,70 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "check-fibers" in proc.stdout
+
+
+def test_readme_scripts_run(tmp_path):
+    import plcontrol
+
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(Path(plcontrol.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for script, cwd in [(["write_fixtures.py", "--out", str(tmp_path)], None), (["reproduce_worked_example.py"], tmp_path)]:
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / script[0]), *script[1:]],
+            capture_output=True, text=True, env=env, cwd=cwd,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "proj_cellulation.svg").exists()
+    assert main(["check-fibers", str(tmp_path / "proj_map.json")]) == 0
+
+
+def _cyclic_garbage() -> list[tuple[type, int]]:
+    """(type, id) of every object only reference cycles keep alive; the
+    objects themselves are then freed."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [(type(o), id(o)) for o in gc.garbage]
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+        gc.collect()
+
+
+def test_runs_leave_no_cyclic_garbage(tmp_path):
+    """Caches point one way: a finished run frees its complexes by reference
+    counting, except the target and the cellulations cached on it."""
+    write_fixture_files(tmp_path)
+    save_complex(fixtures.proj_X(), tmp_path / "proj_x.json")
+    save_complex(fixtures.proj_Y(), tmp_path / "proj_y.json")
+    save_map(fixtures.proj_map(), tmp_path / "proj.json", "proj_x.json", "proj_y.json")
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("proj.json", "collapse.json"):
+            f = load_map(tmp_path / name)
+            target = id(f.target)
+            report = run_verify(f, samples=30, certificate_samples=15)
+            del f, report
+            garbage = _cyclic_garbage()
+            assert [i for t, i in garbage if issubclass(t, SimplicialComplex)] == [target]
+            kinds = (types.FunctionType, types.CellType, SimplicialMap, FiberComplex)
+            assert not [t for t, _ in garbage if issubclass(t, kinds)]
+
+        f = load_map(tmp_path / "proj.json")
+        for sigma in f.target.sorted_simplices():
+            fiber_over_barycenter(f, sigma).verdict
+        del f
+        assert gc.collect() == 0
+
+        K = barycentric_subdivision(barycentric_subdivision(fixtures.d2())[0])[0]
+        p, q = vertex_point(K, "{{a}}"), vertex_point(K, "{{b}}")
+        assert 0.0 < distance(K, p, q) < float("inf")
+        del K, p, q
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- degenerate shapes through the pipeline ------------------------------------------

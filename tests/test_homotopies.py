@@ -534,3 +534,12 @@ def test_lift_discrepancy_matches_the_old_loop(MAP_COLLAPSE):
         new = lift_discrepancy(f, H, lifted, samples=samples, time_steps=steps)
         assert new == control_oracle.lift_discrepancy(f, H, lifted, samples=samples, time_steps=steps)
         assert new > 0.0
+
+
+def test_family_rejects_eps_outside_range_with_typed_error():
+    from plcontrol import EpsilonRangeError
+
+    fam = build_family(fixtures.map_collapse())
+    for eps in (0.0, -0.1, fam.comesh):
+        with pytest.raises(EpsilonRangeError):
+            fam.at(eps)
