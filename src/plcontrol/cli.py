@@ -51,12 +51,7 @@ def _cmd_cellulate(args) -> int:
 
 def _cmd_inverse(args) -> int:
     f = load_map(args.map)
-    try:
-        family = build_family(f)
-    except CannotConstructError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    g, _, _ = family.at(args.epsilon)
+    g, _, _ = build_family(f).at(args.epsilon)
     if args.point:
         y = parse_point(f.target, args.point)
         x = g(y)
@@ -74,12 +69,7 @@ def _cmd_inverse(args) -> int:
 
 def _cmd_measure_control(args) -> int:
     f = load_map(args.map)
-    try:
-        family = build_family(f)
-    except CannotConstructError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    g, h1, h2 = family.at(args.epsilon)
+    g, h1, h2 = build_family(f).at(args.epsilon)
     items = [
         ("g_eps (Y,id)->(X,f)", measure_control(g, None, f, samples=args.samples, seed=args.seed, epsilon_target=args.epsilon)),
         ("h1_eps through f", measure_control(h1, f, f, samples=args.samples, seed=args.seed, epsilon_target=args.epsilon)),
@@ -121,11 +111,7 @@ def _cmd_cone_distance(args) -> int:
 def _cmd_lift(args) -> int:
     f = load_map(args.map)
     H, start = load_track(args.homotopy, f.target)
-    try:
-        family = build_family(f)
-    except CannotConstructError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    family = build_family(f)
     from .evaluators import PLEvaluator
 
     z0 = sample_points(H.domain, 0)[0]
@@ -146,7 +132,7 @@ def _cmd_lift(args) -> int:
     return 0 if disc < args.epsilon else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="plcontrol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -197,11 +183,18 @@ def main(argv=None) -> int:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=9)
     p.set_defaults(fn=_cmd_lift)
+    return ap
 
-    args = ap.parse_args(argv)
+
+# built once: a parser is a web of reference cycles that only `gc` frees
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except FileFormatError as e:
+    except (FileFormatError, CannotConstructError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,15 @@ A complex carries the "standard" geometry: every n-simplex is identified with
 the convex hull of the unit basis vectors of R^{n+1}, so barycentric
 coordinates over a common carrier simplex double as Euclidean coordinates.
 All global metric questions live in :mod:`plcontrol.metrics`.
+
+Simplices are interned: ``SimplicialComplex.__init__`` builds one table per
+complex, the named attribute ``_by_labels`` (not a ``_cache`` entry), from
+the label set of each face to its one ``Simplex``.  ``simplex``,
+``make_point`` and ``metrics.shared_carrier`` find a carrier there with one
+lookup.  Points are validated where they are built: the public ``Point``
+constructor checks the coordinate count, signs and sum; ``make_point`` makes
+those checks itself and builds through the private ``Point._prechecked``,
+which nothing else calls.
 """
 
 from __future__ import annotations
@@ -101,11 +110,16 @@ class SimplicialComplex:
         self._order: tuple[str, ...] = tuple(order)
         self._index: dict[str, int] = {v: i for i, v in enumerate(order)}
 
-        simplices: set[Simplex] = set()
+        faces: set[tuple[str, ...]] = set()
         for g in gens:
-            top = self.simplex(g)
-            simplices.update(top.faces())
-        self._simplices = frozenset(simplices)
+            top = tuple(sorted(g, key=self._index.__getitem__))
+            if not top:
+                raise MalformedInputError("empty simplex")
+            for r in range(1, len(top) + 1):
+                faces.update(itertools.combinations(top, r))
+        # the interned simplices: one per face, found by its label set
+        self._by_labels: dict[frozenset[str], Simplex] = {frozenset(t): Simplex(t) for t in faces}
+        self._simplices = frozenset(self._by_labels.values())
         self._by_dim: dict[int, tuple[Simplex, ...]] = {}
         for s in sorted(self._simplices, key=self.sort_key):
             self._by_dim.setdefault(s.dim, ())
@@ -136,12 +150,13 @@ class SimplicialComplex:
             raise NotFoundError(f"vertex {label!r} not in complex") from None
 
     def simplex(self, labels: Iterable[str]) -> Simplex:
-        """Canonical simplex on the given labels (sorted by vertex order)."""
+        """Canonical simplex on the given labels (sorted by vertex order):
+        the interned one when the labels span a simplex of the complex."""
         labels = tuple(labels)
-        for v in labels:
-            if v not in self._index:
-                raise NotFoundError(f"vertex {v!r} not in complex")
-        return Simplex(tuple(sorted(labels, key=self._index.__getitem__)))
+        s = self._by_labels.get(frozenset(labels))
+        if s is not None and len(s.vertices) == len(labels):
+            return s
+        return Simplex(tuple(sorted(labels, key=self.vertex_index)))
 
     def sort_key(self, s: Simplex) -> tuple:
         return (s.dim, tuple(self._index[v] for v in s.vertices))
@@ -232,6 +247,14 @@ class Point:
         if abs(sum(self.coords) - 1.0) > 1e-7:
             raise MalformedInputError(f"coordinates sum to {sum(self.coords)}, not 1")
 
+    @classmethod
+    def _prechecked(cls, carrier: Simplex, coords: tuple[float, ...]) -> "Point":
+        """A point whose checks the caller has made; only `make_point` calls it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "carrier", carrier)
+        object.__setattr__(p, "coords", coords)
+        return p
+
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.carrier.vertices, self.coords))
 
@@ -243,18 +266,25 @@ class Point:
 
 
 def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = TOL) -> Point:
-    """Canonical point from a vertex-weight mapping (zeros dropped, renormalized)."""
-    items = [(v, w) for v, w in weights.items() if w > tol]
-    if not items:
+    """Canonical point from a vertex-weight mapping (zeros dropped, renormalized).
+
+    The carrier is the interned simplex on the support, and the weights are
+    summed in its vertex order.  With tol >= 0 every kept weight is positive
+    and the sum has just been checked, so the point skips ``Point``'s checks;
+    when the support spans no simplex, the checks only pick the error.
+    """
+    support = {v: w for v, w in weights.items() if w > tol}
+    carrier = K._by_labels.get(frozenset(support))
+    if carrier is None and not support:
         raise MalformedInputError("point with empty support")
-    items.sort(key=lambda kv: K.vertex_index(kv[0]))
-    total = sum(w for _, w in items)
+    span = carrier if carrier is not None else K.simplex(support)  # raises on an unknown vertex
+    ws = [support[v] for v in span.vertices]
+    total = sum(ws)
     if abs(total - 1.0) > 1e-7:
         raise MalformedInputError(f"weights sum to {total}, not 1")
-    carrier = K.simplex([v for v, _ in items])
-    if carrier not in K.simplices:
-        raise NotFoundError(f"support {carrier} spans no simplex of the complex")
-    return Point(carrier, tuple(w / total for _, w in items))
+    if carrier is None:
+        raise NotFoundError(f"support {span} spans no simplex of the complex")
+    return (Point._prechecked if tol >= 0 else Point)(carrier, tuple(w / total for w in ws))
 
 
 def canonical(K: SimplicialComplex, p: Point, tol: float = TOL) -> Point:

@@ -38,15 +38,18 @@ def _coords_over(p: Point, vertices: tuple[str, ...]) -> np.ndarray:
 
 
 def shared_carrier(K: SimplicialComplex, p: Point, q: Point) -> Simplex | None:
-    union = set(p.carrier.vertices) | set(q.carrier.vertices)
-    if not K.contains_labels(union):
-        return None
-    return K.simplex(union)
+    return K._by_labels.get(frozenset(p.carrier.vertices + q.carrier.vertices))
 
 
 def _l2_in_simplex(p: Point, q: Point, carrier: Simplex) -> float:
-    verts = carrier.vertices
-    return float(np.linalg.norm(_coords_over(p, verts) - _coords_over(q, verts)))
+    # math.sqrt(d.dot(d)) is what np.linalg.norm computes for a real 1-D array;
+    # points on the interned carrier itself are read as they are
+    if p.carrier is carrier and q.carrier is carrier:
+        d = np.subtract(p.coords, q.coords, dtype=float)
+    else:
+        verts = carrier.vertices
+        d = _coords_over(p, verts) - _coords_over(q, verts)
+    return math.sqrt(d.dot(d))
 
 
 def vertex_barycenter_distance(n: int) -> float:
@@ -104,22 +107,19 @@ class _MetricGraph:
 
     def query(self, K: SimplicialComplex, p: Point, q: Point) -> float:
         """Dijkstra from p to q through the static graph of K."""
-        extra = [p, q]
-        links: list[list[tuple[int, float]]] = [[], []]
-        for e, x in enumerate(extra):
-            for i, node in enumerate(self.points):
-                union = set(x.carrier.vertices) | set(node.carrier.vertices)
-                if K.contains_labels(union):
-                    c = K.simplex(union)
-                    links[e].append((i, _l2_in_simplex(x, node, c)))
-        direct = None
-        union = set(p.carrier.vertices) | set(q.carrier.vertices)
-        if K.contains_labels(union):
-            direct = _l2_in_simplex(p, q, K.simplex(union))
-
         n = len(self.points)
-        dist = [INF] * (n + 2)
         src, dst = n, n + 1
+        from_src: list[tuple[int, float]] = []
+        to_dst: dict[int, float] = {}
+        for i, node in enumerate(self.points):
+            if (c := shared_carrier(K, p, node)) is not None:
+                from_src.append((i, _l2_in_simplex(p, node, c)))
+            if (c := shared_carrier(K, q, node)) is not None:
+                to_dst[i] = _l2_in_simplex(q, node, c)
+        if (c := shared_carrier(K, p, q)) is not None:
+            from_src.append((dst, _l2_in_simplex(p, q, c)))
+
+        dist = [INF] * (n + 2)
         dist[src] = 0.0
         heap = [(0.0, src)]
         while heap:
@@ -129,14 +129,9 @@ class _MetricGraph:
             if u == dst:
                 return d
             if u == src:
-                edges = [(i, w) for i, w in links[0]]
-                if direct is not None:
-                    edges.append((dst, direct))
+                edges = from_src
             else:
-                edges = list(self.adj[u])
-                for i, w in links[1]:
-                    if i == u:
-                        edges.append((dst, w))
+                edges = self.adj[u] + ([(dst, to_dst[u])] if u in to_dst else [])
             for v, w in edges:
                 nd = d + w
                 if nd < dist[v] - 1e-15:

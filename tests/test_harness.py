@@ -124,6 +124,16 @@ def test_cli_reports_unknown_point_vertex(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["inverse", "measure-control", "lift"])
+def test_cli_reports_a_map_without_a_family(tmp_path, capsys, command):
+    write_fixture_files(tmp_path)
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps({"times": [0.0, 1.0], "points": [{"simplex": ["a"], "coords": [1.0]}] * 2}))
+    extra = [str(track)] if command == "lift" else ["--epsilon", "0.1"]
+    assert main([command, str(tmp_path / "bad.json"), *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_file_positions_round_trip_and_drive_the_svg(tmp_path, capsys):
     write_fixture_files(tmp_path)
     K = load_complex(tmp_path / "d2.json")
@@ -468,6 +478,15 @@ def test_runs_leave_no_cyclic_garbage(tmp_path):
         assert 0.0 < distance(K, p, q) < float("inf")
         del K, p, q
         assert gc.collect() == 0
+
+        # the CLI, as the benchmark calls it: the parser is built once
+        a, b = '{"simplex":["a"],"coords":[1.0]}', '{"simplex":["b","c"],"coords":[0.5,0.5]}'
+        for argv in (
+            ["check-fibers", str(tmp_path / "collapse.json")],
+            ["cone-distance", str(tmp_path / "d2.json"), a, "1.0", b, "2.0"],
+        ):
+            assert main(argv) == 0
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -1,0 +1,271 @@
+"""The interned point kernel against the sort-and-validate kernel it replaced
+(tests/point_oracle.py): bit-identical carriers and coordinates, the same
+distances, and the same exception type and message on every bad input."""
+
+import ast
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import point_oracle as oracle
+from plcontrol import (
+    MalformedInputError,
+    NotFoundError,
+    Point,
+    build_family,
+    canonical,
+    closure_complex,
+    distance,
+    epsilon_schedule,
+    fixtures,
+    make_point,
+    sample_points,
+)
+from plcontrol import metrics
+from plcontrol.cellulation import build_cellulation
+from plcontrol.metrics import _l2_in_simplex, shared_carrier
+from test_complexes import small_complexes
+from test_contract import sd, staircase_prism
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def bits(p: Point):
+    """Everything that must match bit for bit: carrier, coordinate types and
+    coordinate bit patterns."""
+    return p.carrier, [type(c) for c in p.coords], [float(c).hex() for c in p.coords]
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception type and message."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # noqa: BLE001 - the type is part of what is compared
+        return type(e), str(e)
+
+
+def same_point_outcome(new, old):
+    if new[0] == "ok" or old[0] == "ok":
+        assert new[0] == old[0] == "ok"
+        assert bits(new[1]) == bits(old[1])
+    else:
+        assert new == old
+
+
+def assert_point_kernel_matches(K, points):
+    """canonical, make_point, shared_carrier, _l2_in_simplex and distance
+    agree with the oracle on every point and every pair of neighbours."""
+    canon = []
+    for p in points:
+        same_point_outcome(outcome(canonical, K, p), outcome(oracle.canonical, K, p))
+        same_point_outcome(outcome(make_point, K, p.as_dict()), outcome(oracle.make_point, K, p.as_dict()))
+        canon.append(oracle.canonical(K, p))
+    for p, q in zip(canon, canon[1:] + canon[:1]):
+        c = shared_carrier(K, p, q)
+        assert c == oracle.shared_carrier(K, p, q)
+        if c is not None:
+            assert _l2_in_simplex(p, q, c) == oracle._l2_in_simplex(p, q, c)
+            assert type(_l2_in_simplex(p, q, c)) is float
+            assert distance(K, p, q) == oracle._l2_in_simplex(p, q, c)
+
+
+# -- labels and weights on hypothesis complexes ----------------------------------
+
+labels = st.lists(st.sampled_from("abcdefz"), max_size=5)
+weights = st.dictionaries(
+    st.sampled_from("abcdefz"),
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1e-10, 0.25, 0.5, 1.0])),
+    max_size=5,
+)
+
+
+@given(small_complexes, st.lists(labels, max_size=6), st.lists(weights, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_label_lookups_and_make_point_match_oracle(K, label_lists, weight_maps):
+    for ls in label_lists + [list(s.vertices)[::-1] for s in K.simplices]:
+        assert outcome(K.simplex, ls) == outcome(oracle.simplex, K, ls)
+        assert outcome(K.contains_labels, ls) == outcome(oracle.contains_labels, K, ls)
+    for w in weight_maps:
+        total = sum(v for v in w.values() if v > 0)
+        scaled = {k: v / total for k, v in w.items()} if total > 0 else w
+        for mapping in (w, scaled):
+            same_point_outcome(outcome(make_point, K, mapping), outcome(oracle.make_point, K, mapping))
+
+
+@given(small_complexes, st.data())
+@settings(max_examples=100, deadline=None)
+def test_point_kernel_matches_oracle_on_small_complexes(K, data):
+    seed = data.draw(st.integers(0, 2**16))
+    points = sample_points(K, 12, seed=seed, subdivision_rounds=data.draw(st.integers(0, 1)))
+    rng = np.random.default_rng(seed)
+    for s in K.simplices - set(K.simplices_of_dim(0)):  # points with coordinates at and near zero
+        w = rng.dirichlet(np.ones(len(s.vertices)))
+        w[0] = rng.choice([0.0, 1e-12, 1e-9, 2e-9])
+        points.append(Point(s, tuple(w / w.sum())))
+    assert_point_kernel_matches(K, points)
+
+
+# -- the benchmark's inputs ------------------------------------------------------
+
+def targets():
+    return {
+        "proj_Y": fixtures.proj_Y(),
+        "collapse_target": fixtures.map_collapse().target,
+        "bad_target": fixtures.map_bad().target,
+        "prism1_source": staircase_prism(sd(fixtures.d2())).source,
+        "prism1_target": staircase_prism(sd(fixtures.d2())).target,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(targets()))
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_point_kernel_matches_oracle_on_sample_sets(name, rounds):
+    K = targets()[name]
+    assert_point_kernel_matches(K, sample_points(K, 40, seed=rounds, subdivision_rounds=rounds))
+
+
+@pytest.mark.parametrize("f", [fixtures.proj_map, fixtures.map_collapse], ids=["proj_map", "map_collapse"])
+def test_h2_cell_values_match_oracle(f):
+    """canonical on the cell values of h2, and the distance each value moves."""
+    Y = f().target
+    pts = sample_points(Y, 10, seed=0)
+    for eps in epsilon_schedule(Y):
+        cel = build_cellulation(Y, eps)
+        for y in pts:
+            y = oracle.canonical(Y, y)
+            cell, (s, t) = cel.invert(y)
+            for time in (0.0, 0.25, 0.5, 1.0):
+                v = cell.evaluate(eps * (1.0 - time), s, t)
+                assert bits(canonical(Y, v)) == bits(oracle.canonical(Y, v))
+                w = oracle.canonical(Y, v)
+                c = oracle.shared_carrier(Y, y, w)
+                if c is not None:
+                    assert distance(Y, y, v) == oracle._l2_in_simplex(y, w, c)
+
+
+def test_family_values_match_with_the_oracle_kernel(monkeypatch):
+    """g, h1 and h2 values on proj_map, computed with the new kernel and with
+    the oracle kernel swapped in everywhere, are bit-identical."""
+    from plcontrol import cellulation, complexes, contract, homotopies, maps
+
+    def values():
+        f = fixtures.proj_map.__wrapped__()  # fresh, with nothing cached
+        eps = epsilon_schedule(f.target)[0]
+        g, h1, h2 = build_family(f).at(eps)
+        ys, xs = sample_points(f.target, 6, seed=3), sample_points(f.source, 6, seed=4)
+        out = [g(y) for y in ys] + [h2(y, t) for y in ys for t in (0.0, 0.5, 1.0)]
+        return out + [h1(x, t) for x in xs for t in (0.0, 0.5, 1.0)]
+
+    new = values()
+    for mod in (complexes, maps, homotopies, contract):
+        monkeypatch.setattr(mod, "make_point", oracle.make_point)
+    for mod in (complexes, cellulation, homotopies, metrics):
+        monkeypatch.setattr(mod, "canonical", oracle.canonical)
+    monkeypatch.setattr(metrics, "shared_carrier", oracle.shared_carrier)
+    monkeypatch.setattr(metrics, "_l2_in_simplex", oracle._l2_in_simplex)
+    monkeypatch.setattr(complexes.SimplicialComplex, "simplex", oracle.simplex)
+    monkeypatch.setattr(complexes.SimplicialComplex, "contains_labels", oracle.contains_labels)
+    old = values()
+    assert [bits(p) for p in new] == [bits(p) for p in old]
+
+
+@pytest.mark.parametrize("name", ["bd2", "sd2_d2"])
+def test_steiner_query_matches_oracle(name):
+    K = fixtures.bd2() if name == "bd2" else sd(sd(fixtures.d2()))
+    graph = metrics._graph(K, 2)
+    pts = [oracle.canonical(K, p) for p in sample_points(K, 6, seed=5, subdivision_rounds=0)]
+    pairs = [(p, q) for p in pts for q in pts]
+    assert any(oracle.shared_carrier(K, p, q) is None for p, q in pairs)
+    for p, q in pairs:
+        assert graph.query(K, p, q) == oracle.query(graph, K, p, q)
+
+
+# -- errors ------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {},  # empty support
+        {"a": 1e-12},  # empty support after dropping near-zero weights
+        {"a": 0.5, "zz": 0.5},  # unknown vertex
+        {"zz": 0.3, "a": 0.3, "yy": 0.2},  # the first unknown vertex is named; outranks a bad sum
+        {"zz": 0.0, "a": 1.0},  # an unknown vertex with zero weight is dropped
+        {"a": 0.5, "b": 0.4},  # bad sum on a simplex
+        {"a": 0.5, "b": 0.4, "d": 0.3},  # bad sum outranks "spans no simplex"
+        {"a": 0.5, "d": 0.5},  # spans no simplex
+        {"a": float("inf")},
+    ],
+)
+def test_make_point_errors_match_oracle(weights):
+    K = closure_complex([("a", "b", "c"), ("c", "d")])
+    new, old = outcome(make_point, K, weights), outcome(oracle.make_point, K, weights)
+    same_point_outcome(new, old)
+
+
+# ("a", "a") raises MalformedInputError in both, where a bare frozenset lookup says True
+@pytest.mark.parametrize(
+    "labels", [(), ("a", "a"), ("a", "b", "a"), ("zz",), ("a", "zz"), ("a", "d"), ("b", "a"), ("c", "d")]
+)
+def test_label_lookup_errors_match_oracle(labels):
+    K = closure_complex([("a", "b", "c"), ("c", "d")])
+    assert outcome(K.simplex, labels) == outcome(oracle.simplex, K, labels)
+    assert outcome(K.contains_labels, labels) == outcome(oracle.contains_labels, K, labels)
+
+
+def test_canonical_errors_match_oracle():
+    K = closure_complex([("a", "b", "c")])
+    other = closure_complex([("x", "y")])
+    for p in (Point(other.simplex(["x", "y"]), (0.5, 0.5)), Point(other.simplex(["x", "y"]), (1.0, 0.0))):
+        new, old = outcome(canonical, K, p), outcome(oracle.canonical, K, p)
+        assert new == old and new[0] is NotFoundError
+
+
+def test_make_point_with_a_negative_tol_still_validates():
+    K = closure_complex([("a", "b")])
+    for fn in (make_point, oracle.make_point):
+        with pytest.raises(MalformedInputError, match="negative barycentric"):
+            fn(K, {"a": 1.0 + 1e-8, "b": -1e-8}, -1.0)
+
+
+# -- the public constructor validates; the private one has one caller -----------------
+
+def test_public_point_validates_even_under_python_O():
+    code = """
+from plcontrol import MalformedInputError, Point, closure_complex
+s = closure_complex([("a", "b")]).simplex(["a", "b"])
+for coords in [(1.5, -0.5), (1.0,), (0.5, 0.5, 0.0), (0.5, 0.4)]:
+    try:
+        Point(s, coords)
+    except MalformedInputError:
+        continue
+    raise SystemExit(f"Point accepted {coords}")
+print("ok")
+"""
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+            check=False,
+        )
+        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+
+
+def test_prechecked_points_are_built_only_by_make_point():
+    """Every reference to the unchecked constructor in src/, by enclosing function."""
+    refs = []
+    for path in sorted(SRC.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and func.name != "_prechecked":
+                refs += [
+                    (path.name, func.name)
+                    for node in ast.walk(func)
+                    if getattr(node, "attr", getattr(node, "id", None)) == "_prechecked"
+                ]
+    assert refs == [("complexes.py", "make_point")]
