@@ -18,6 +18,14 @@ O(d log d) for the sort and, away from ties, O(dim) cell checks.  Unless y has
 a coordinate within 2 tol, a cell over a larger carrier reproduces y only with
 zero weight on top levels made of the extra vertices, and then its truncated
 flag, of lower index, reproduces y with the same s and nonzero t.
+
+What is kept, and for how long: the eps-free cells of every flag are built
+once per complex (``K._flag_cells``) and shared by its cellulations at every
+eps; ``build_cellulation`` keeps one cellulation per ``eps_key(eps)`` in
+``K._cellulations`` while K lives.  ``eps_key`` is the one per-eps key of
+the package: the controlled family keeps nothing per eps and builds its
+closures over these cellulations, and ``cone.BoundedEquivalenceData`` keys
+its control memo with it.
 """
 
 from __future__ import annotations
@@ -52,9 +60,15 @@ class InversionError(RuntimeError):
 
 
 def comesh_of(K: SimplicialComplex) -> float:
-    if "comesh" not in K._cache:
-        K._cache["comesh"] = mesh_comesh(K)[1]
-    return K._cache["comesh"]
+    if K._comesh is None:
+        K._comesh = mesh_comesh(K)[1]
+    return K._comesh
+
+
+def eps_key(eps: float) -> float:
+    """The one key of every per-eps cache: eps rounded to 15 digits, so an eps
+    recomputed along another path (cm / 2 against 2 / cm inverted) still hits."""
+    return round(eps, 15)
 
 
 @dataclass(frozen=True)
@@ -170,7 +184,7 @@ def _flag_cells(K: SimplicialComplex):
     """The eps-free cells of every flag of K and their index, carrier ->
     (base mask, chain masks) -> cell with masks over carrier positions; built
     once and shared by the cellulations of K at every eps."""
-    if "flag_cells" not in K._cache:
+    if K._flag_cells is None:
         cells: list[FlagCell] = []
         index: dict[Simplex, dict[tuple[int, tuple[int, ...]], FlagCell]] = {}
         for idx, fl in enumerate(enumerate_flags(K)):
@@ -193,8 +207,8 @@ def _flag_cells(K: SimplicialComplex):
             cells.append(cell)
             masks = tuple(sum(1 << pos[v] for v in s.vertices) for s in (fl.base, *fl.chain))
             index.setdefault(carrier, {})[masks[0], masks[1:]] = cell
-        K._cache["flag_cells"] = (cells, index)
-    return K._cache["flag_cells"]
+        K._flag_cells = (cells, index)
+    return K._flag_cells
 
 
 class Cellulation:
@@ -367,10 +381,10 @@ def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
     # K and the cellulations cached on it (each naming K) form the one
     # reference cycle kept by design: a cellulation dropped by its caller must
     # still be a cache hit on the next call, so this entry is not weak.
-    key = ("cellulation", round(eps, 15))
-    if key not in K._cache:
-        K._cache[key] = Cellulation(K, eps)
-    return K._cache[key]
+    key = eps_key(eps)
+    if key not in K._cellulations:
+        K._cellulations[key] = Cellulation(K, eps)
+    return K._cellulations[key]
 
 
 def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:

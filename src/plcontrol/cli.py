@@ -19,6 +19,7 @@ from .homotopies import (
     CannotConstructError,
     approximate_lift,
     build_family,
+    family_controls,
     lift_discrepancy,
     measure_control,
     sample_points,
@@ -67,17 +68,21 @@ def _cmd_inverse(args) -> int:
     return 0
 
 
+_CONTROL_LABELS = {"g": "g_eps (Y,id)->(X,f)", "h1": "h1_eps through f", "h2": "h2_eps in Y"}
+
+
 def _cmd_measure_control(args) -> int:
     f = load_map(args.map)
-    g, h1, h2 = build_family(f).at(args.epsilon)
-    items = [
-        ("g_eps (Y,id)->(X,f)", measure_control(g, None, f, samples=args.samples, seed=args.seed, epsilon_target=args.epsilon)),
-        ("h1_eps through f", measure_control(h1, f, f, samples=args.samples, seed=args.seed, epsilon_target=args.epsilon)),
-        ("h2_eps in Y", measure_control(h2, None, None, samples=args.samples, seed=args.seed, epsilon_target=args.epsilon)),
-    ]
+    reports = family_controls(
+        build_family(f),
+        args.epsilon,
+        sample_points(f.target, args.samples, seed=args.seed),
+        sample_points(f.source, args.samples, seed=args.seed),
+        np.linspace(0.0, 1.0, 33),
+    )
     ok = True
-    for name, rep in items:
-        print(f"{name:<24} {rep}")
+    for name, rep in reports.items():
+        print(f"{_CONTROL_LABELS[name]:<24} {rep}")
         ok = ok and rep.measured_control <= args.epsilon * (1.0 + 1e-4)
     return 0 if ok else 1
 

@@ -7,18 +7,24 @@ coordinates over a common carrier simplex double as Euclidean coordinates.
 All global metric questions live in :mod:`plcontrol.metrics`.
 
 Simplices are interned: ``SimplicialComplex.__init__`` builds one table per
-complex, the named attribute ``_by_labels`` (not a ``_cache`` entry), from
-the label set of each face to its one ``Simplex``.  ``simplex``,
-``make_point`` and ``metrics.shared_carrier`` find a carrier there with one
-lookup.  Points are validated where they are built: the public ``Point``
-constructor checks the coordinate count, signs and sum; ``make_point`` makes
-those checks itself and builds through the private ``Point._prechecked``,
-which nothing else calls.
+complex, ``_by_labels``, from the label set of each face to its one
+``Simplex``.  ``simplex``, ``make_point`` and ``metrics.shared_carrier`` find
+a carrier there with one lookup.  Points are validated where they are built:
+the public ``Point`` constructor checks the coordinate count, finiteness,
+signs and sum; ``make_point`` checks the weights it keeps itself and builds
+through the private ``Point._prechecked``, which nothing else calls.
+
+Everything derived from a complex and kept on it is a named attribute
+declared in ``__init__``, with its owner beside it: the maximal simplices,
+the comesh, the eps-free flag cells, one cellulation per ``eps_key(eps)``,
+one metric graph per refinement and the component of each vertex.  Each is
+filled on first use and lives as long as the complex.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -124,10 +130,18 @@ class SimplicialComplex:
         for s in sorted(self._simplices, key=self.sort_key):
             self._by_dim.setdefault(s.dim, ())
             self._by_dim[s.dim] += (s,)
-        # data derived from K only; a file's drawing layout lives in `positions`
-        self._cache: dict = {}
+        # a file's drawing layout: file data, not derived from K
         self.positions: dict[str, tuple[float, float]] | None = None
-        self._maximal: tuple[Simplex, ...] | None = None
+        # Data derived from K alone, each filled on first use by its owner and
+        # kept while K lives; nothing here points back at a map or family.
+        self._maximal: tuple[Simplex, ...] | None = None  # maximal_simplices
+        self._comesh: float | None = None  # cellulation.comesh_of
+        self._flag_cells: tuple | None = None  # cellulation._flag_cells: eps-free cells and index
+        # cellulation.build_cellulation, one per eps_key(eps); each names K, the
+        # one cycle kept by design, so a dropped cellulation is still a hit
+        self._cellulations: dict[float, object] = {}
+        self._metric_graphs: dict[int, object] = {}  # metrics._graph, one per refinement
+        self._component_of: dict[str, int] | None = None  # metrics._components_by_vertex
 
     # -- basic structure ----------------------------------------------------
 
@@ -242,10 +256,13 @@ class Point:
                 f"{len(self.coords)} coords for carrier {self.carrier} "
                 f"with {len(self.carrier.vertices)} vertices"
             )
+        total = sum(self.coords)
+        if not math.isfinite(total):  # comparisons with NaN are all false
+            raise MalformedInputError(f"non-finite barycentric coordinate in {self.coords}")
         if any(c < -TOL for c in self.coords):
             raise MalformedInputError(f"negative barycentric coordinate in {self.coords}")
-        if abs(sum(self.coords) - 1.0) > 1e-7:
-            raise MalformedInputError(f"coordinates sum to {sum(self.coords)}, not 1")
+        if abs(total - 1.0) > 1e-7:
+            raise MalformedInputError(f"coordinates sum to {total}, not 1")
 
     @classmethod
     def _prechecked(cls, carrier: Simplex, coords: tuple[float, ...]) -> "Point":

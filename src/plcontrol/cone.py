@@ -5,6 +5,12 @@ slice extraction back to controlled data.
 The height-t slice of the open cone carries t times the base metric (nothing
 for t <= 0), so a family of inverses with control 1/t at height t assembles
 into a bounded equivalence with bound sup_t t * alpha(t) = 1.
+
+The controls behind the measured bound are ``homotopies.family_controls`` at
+each grid height's eps, memoized by ``BoundedEquivalenceData.controls_at``
+under ``cellulation.eps_key`` on sample sets drawn once per data object;
+``slice_equivalence`` reads the same memo, so the bound dominates every slice
+by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 
 from .complexes import Point, SimplicialComplex
 from .evaluators import Homotopy, PLEvaluator
-from .homotopies import ControlledFamily, control_tracks, sample_points, sampled_sup
+from .cellulation import eps_key
+from .homotopies import ControlledFamily, family_controls, sample_points
 from .maps import SimplicialMap
 from .metrics import distance
 
@@ -68,35 +75,13 @@ def alpha_schedule(comesh: float, t: float) -> float:
 
 # -- assembly -------------------------------------------------------------------
 
-def _slice_controls(
-    family: ControlledFamily,
-    eps: float,
-    samples: int,
-    seed: int,
-    time_steps: int,
-) -> dict[str, float]:
-    """Measured controls of g, h1, h2 at one parameter value, shared between
-    the assembly bound and slice extraction so the bound dominates by
-    construction."""
-    f = family.f
-    g, h1, h2 = family.at(eps)
-    pts_y = sample_points(f.target, samples, seed=seed, subdivision_rounds=1)
-    pts_x = sample_points(f.source, samples, seed=seed + 1, subdivision_rounds=1)
-    times = np.linspace(0.0, 1.0, time_steps)
-    controls = {}
-    for name, u, p, q, pts, ts in (
-        ("g", g, None, f, pts_y, (0.0,)),
-        ("h1", h1, f, f, pts_x, times),
-        ("h2", h2, None, None, pts_y, times),
-    ):
-        M, tracks = control_tracks(u, p, q)
-        controls[name] = sampled_sup(M, pts, ts, tracks)[0]
-    return controls
-
-
 @dataclass
 class BoundedEquivalenceData:
-    """g, h1, h2 on the product with the height line, with the measured bound."""
+    """g, h1, h2 on the product with the height line, with the measured bound.
+
+    ``controls_at`` is the one memo of measured slice controls: it draws its
+    sample sets once per data object and keeps one entry per ``eps_key``, so
+    the assembly bound and every slice read the same numbers."""
 
     f: SimplicialMap
     family: ControlledFamily
@@ -107,6 +92,23 @@ class BoundedEquivalenceData:
     seed: int
     time_steps: int
     per_eps: dict[float, dict[str, float]] = field(default_factory=dict)
+    _samples: tuple[list[Point], list[Point]] | None = field(default=None, init=False, repr=False)
+
+    def controls_at(self, eps: float) -> dict[str, float]:
+        """Measured controls of g, h1, h2 at eps on Y (``samples`` points,
+        ``seed``) and X (``samples`` points, ``seed + 1``)."""
+        key = eps_key(eps)
+        if key not in self.per_eps:
+            if self._samples is None:
+                f = self.family.f
+                self._samples = (
+                    sample_points(f.target, self.samples, seed=self.seed),
+                    sample_points(f.source, self.samples, seed=self.seed + 1),
+                )
+            times = np.linspace(0.0, 1.0, self.time_steps)
+            reports = family_controls(self.family, eps, *self._samples, times)
+            self.per_eps[key] = {name: r.measured_control for name, r in reports.items()}
+        return self.per_eps[key]
 
     def alpha(self, t: float) -> float:
         return alpha_schedule(self.family.effective_comesh, t)
@@ -171,12 +173,7 @@ def assemble_bounded_equivalence(
     for t in t_grid:
         if t <= 0.0:
             continue
-        eps = data._eps_at(t)
-        key = round(eps, 15)
-        if key not in data.per_eps:
-            data.per_eps[key] = _slice_controls(family, eps, samples, seed, time_steps)
-        m = max(data.per_eps[key].values())
-        bound = max(bound, t * m)
+        bound = max(bound, t * max(data.controls_at(data._eps_at(t)).values()))
     data.bound = bound
     return data
 
@@ -198,11 +195,6 @@ def slice_equivalence(data: BoundedEquivalenceData, t: float) -> SliceEquivalenc
     if t <= 0.0:
         raise ValueError(f"slice height must be positive, got {t}")
     eps = data._eps_at(t)
-    key = round(eps, 15)
-    if key not in data.per_eps:
-        data.per_eps[key] = _slice_controls(
-            data.family, eps, data.samples, data.seed, data.time_steps
-        )
     g, h1, h2 = data.family.at(eps)
     return SliceEquivalence(
         height=t,
@@ -210,6 +202,6 @@ def slice_equivalence(data: BoundedEquivalenceData, t: float) -> SliceEquivalenc
         g=g,
         h1=h1,
         h2=h2,
-        controls=dict(data.per_eps[key]),
+        controls=dict(data.controls_at(eps)),
         control_estimate=data.bound / t,
     )

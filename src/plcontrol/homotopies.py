@@ -240,13 +240,22 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     )
 
 
+def effective_comesh(K: SimplicialComplex) -> float:
+    """The comesh, with the 0-dimensional case (no positive radius anywhere,
+    comesh infinite) capped at 1 so schedules stay finite."""
+    cm = comesh_of(K)
+    return cm if math.isfinite(cm) else 1.0
+
+
 @dataclass
 class ControlledFamily:
-    """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma."""
+    """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
+
+    Nothing is kept per eps: ``at`` builds three closures over the
+    cellulation that ``build_cellulation`` keeps on the target."""
 
     f: SimplicialMap
     gamma: FlagMap
-    _cache: dict = field(default_factory=dict)
 
     @property
     def comesh(self) -> float:
@@ -254,22 +263,16 @@ class ControlledFamily:
 
     @property
     def effective_comesh(self) -> float:
-        """The comesh, with the 0-dimensional-target case (no positive
-        radius anywhere, comesh infinite) capped at 1 so schedules stay finite."""
-        cm = self.comesh
-        return cm if math.isfinite(cm) else 1.0
+        return effective_comesh(self.f.target)
 
     def at(self, eps: float) -> tuple[PLEvaluator, Homotopy, Homotopy]:
         if not (0.0 < eps < self.comesh):
             raise EpsilonRangeError(f"eps={eps} outside (0, comesh={self.comesh})")
-        key = round(eps, 15)
-        if key not in self._cache:
-            self._cache[key] = (
-                build_inverse(self.f, eps, self.gamma),
-                build_h1(self.f, eps, self.gamma),
-                build_h2(self.f, eps),
-            )
-        return self._cache[key]
+        return (
+            build_inverse(self.f, eps, self.gamma),
+            build_h1(self.f, eps, self.gamma),
+            build_h2(self.f, eps),
+        )
 
 
 def build_family(f: SimplicialMap, **gamma_kwargs) -> ControlledFamily:
@@ -296,8 +299,7 @@ class TrivialFamily:
 
     @property
     def effective_comesh(self) -> float:
-        cm = self.comesh
-        return cm if math.isfinite(cm) else 1.0
+        return effective_comesh(self.K)
 
     def at(self, eps: float):
         ident = PLEvaluator(domain=self.K, codomain=self.K, fn=lambda p: p, name="id")
@@ -308,9 +310,7 @@ class TrivialFamily:
 def epsilon_schedule(K: SimplicialComplex, steps: int = 5) -> list[float]:
     """The geometric test grid comesh/2, comesh/4, ... (a unit base when the
     complex has no positive-dimensional simplices)."""
-    cm = comesh_of(K)
-    if not math.isfinite(cm):
-        cm = 1.0
+    cm = effective_comesh(K)
     return [cm / 2**i for i in range(1, steps + 1)]
 
 
@@ -380,6 +380,25 @@ def control_tracks(u, p: SimplicialMap | None, q: SimplicialMap | None):
     return M1, tracks
 
 
+def _control_report(u, p, q, points, times, eps: float | None, refinement: int = 2) -> ControlReport:
+    M, tracks = control_tracks(u, p, q)
+    sup, witness, count = sampled_sup(M, points, times, tracks, refinement=refinement)
+    return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
+
+
+def family_controls(family, eps: float, pts_y, pts_x, times) -> dict[str, ControlReport]:
+    """The controls of the family at eps, one row per map: g on ``pts_y`` at
+    time 0 measured through f, h1 on ``pts_x`` through f and f, and h2 on
+    ``pts_y`` in Y, each homotopy at ``times``."""
+    f = family.f
+    g, h1, h2 = family.at(eps)
+    return {
+        "g": _control_report(g, None, f, pts_y, (0.0,), eps),
+        "h1": _control_report(h1, f, f, pts_x, times, eps),
+        "h2": _control_report(h2, None, None, pts_y, times, eps),
+    }
+
+
 def measure_control(
     u,
     p: SimplicialMap | None = None,
@@ -395,16 +414,9 @@ def measure_control(
     """Sup over the sample set of d_M(p(z), q(u(z))), homotopies sampled at
     ``time_steps`` times per spatial sample (tracks reuse per-point setup),
     with the witness (z, t) that attains it."""
-    M, tracks = control_tracks(u, p, q)
     pts = sample_points(u.domain, samples, seed=seed, subdivision_rounds=subdivision_rounds)
     times = np.linspace(0.0, 1.0, time_steps) if isinstance(u, Homotopy) else (0.0,)
-    sup, witness, count = sampled_sup(M, pts, times, tracks, refinement=refinement)
-    return ControlReport(
-        epsilon_target=epsilon_target,
-        measured_control=sup,
-        samples=count,
-        witness=witness,
-    )
+    return _control_report(u, p, q, pts, times, epsilon_target, refinement)
 
 
 # -- approximate homotopy lifting ----------------------------------------------------

@@ -141,10 +141,9 @@ class _MetricGraph:
 
 
 def _graph(K: SimplicialComplex, refinement: int) -> _MetricGraph:
-    key = ("metric_graph", refinement)
-    if key not in K._cache:
-        K._cache[key] = _MetricGraph(K, refinement)
-    return K._cache[key]
+    if refinement not in K._metric_graphs:
+        K._metric_graphs[refinement] = _MetricGraph(K, refinement)
+    return K._metric_graphs[refinement]
 
 
 def distance(K: SimplicialComplex, p: Point, q: Point, refinement: int = 2) -> float:
@@ -162,14 +161,9 @@ def distance(K: SimplicialComplex, p: Point, q: Point, refinement: int = 2) -> f
 
 
 def _components_by_vertex(K: SimplicialComplex) -> dict[str, int]:
-    key = "components_by_vertex"
-    if key not in K._cache:
-        table: dict[str, int] = {}
-        for i, comp in enumerate(K.components()):
-            for v in comp:
-                table[v] = i
-        K._cache[key] = table
-    return K._cache[key]
+    if K._component_of is None:
+        K._component_of = {v: i for i, comp in enumerate(K.components()) for v in comp}
+    return K._component_of
 
 
 # -- point-to-simplex distance (exact, via face enumeration) -------------------

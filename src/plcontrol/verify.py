@@ -23,7 +23,7 @@ from .homotopies import (
     ControlledFamily,
     build_family,
     epsilon_schedule,
-    measure_control,
+    family_controls,
     sample_points,
     sampled_sup,
 )
@@ -199,20 +199,16 @@ def run_verify(
     report.identity_sups = _identity_checks(f, family, samples=samples, seed=seed)
 
     all_ok = all(v <= 1e-9 for v in report.identity_sups.values())
+    pts_y = sample_points(Y, samples, seed=seed)
+    pts_x = sample_points(f.source, max(20, samples // 3), seed=seed)
+    times = np.linspace(0.0, 1.0, time_steps)
     for eps in schedule:
-        g, h1, h2 = family.at(eps)
-        rg = measure_control(g, None, f, samples=samples, seed=seed, epsilon_target=eps)
-        rh1 = measure_control(
-            h1, f, f, samples=max(20, samples // 3), seed=seed, time_steps=time_steps, epsilon_target=eps
-        )
-        rh2 = measure_control(
-            h2, None, None, samples=samples, seed=seed, time_steps=time_steps, epsilon_target=eps
-        )
+        c = family_controls(family, eps, pts_y, pts_x, times)
         row = ControlRow(
             eps=eps,
-            g=rg.measured_control,
-            h1=rh1.measured_control,
-            h2=rh2.measured_control,
+            g=c["g"].measured_control,
+            h1=c["h1"].measured_control,
+            h2=c["h2"].measured_control,
             tolerance=tol,
         )
         report.control_rows.append(row)

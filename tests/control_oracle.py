@@ -1,8 +1,11 @@
-"""The four hand-written sampled-sup loops that `homotopies.sampled_sup`
-replaced, kept as oracles for differential tests: `measure_control` (as the
-bare sup and pair count), `cone._slice_controls`, `verify._identity_checks`
-and `lift_discrepancy`.  Loop bodies are unchanged; only the Lipschitz margin,
-which nothing read, is gone from the measure_control return."""
+"""The hand-written sampled-sup loops that `homotopies.sampled_sup` and
+`homotopies.family_controls` replaced, kept as oracles for differential
+tests: `measure_control` (as the bare sup and pair count), the old
+`cone._slice_controls`, `verify._identity_checks`, `lift_discrepancy`, the
+control-table loop of `verify.run_verify` and the three `measure_control`
+calls of the CLI's `measure-control`.  Loop bodies are unchanged; only the
+Lipschitz margin, which nothing read, is gone from the measure_control
+return, and the CLI calls print into a string."""
 
 from __future__ import annotations
 
@@ -123,3 +126,48 @@ def lift_discrepancy(f, H, lifted, *, samples: int = 60, seed: int = 0, time_ste
                 distance(f.target, trH(float(t)), evaluate_map(f, trL(float(t)))),
             )
     return worst
+
+
+def control_rows(f, family, schedule, samples: int, seed: int, time_steps: int, tol: float):
+    """The control table of `run_verify`, one public `measure_control` call
+    per (eps, map), each drawing its own sample set."""
+    from plcontrol.homotopies import measure_control
+    from plcontrol.verify import ControlRow
+
+    rows = []
+    for eps in schedule:
+        g, h1, h2 = family.at(eps)
+        rg = measure_control(g, None, f, samples=samples, seed=seed, epsilon_target=eps)
+        rh1 = measure_control(
+            h1, f, f, samples=max(20, samples // 3), seed=seed, time_steps=time_steps, epsilon_target=eps
+        )
+        rh2 = measure_control(
+            h2, None, None, samples=samples, seed=seed, time_steps=time_steps, epsilon_target=eps
+        )
+        row = ControlRow(
+            eps=eps,
+            g=rg.measured_control,
+            h1=rh1.measured_control,
+            h2=rh2.measured_control,
+            tolerance=tol,
+        )
+        rows.append(row)
+    return rows
+
+
+def measure_control_text(f, epsilon: float, samples: int, seed: int) -> tuple[str, int]:
+    """The stdout and exit code of `plcontrol measure-control`."""
+    from plcontrol.homotopies import build_family, measure_control
+
+    g, h1, h2 = build_family(f).at(epsilon)
+    items = [
+        ("g_eps (Y,id)->(X,f)", measure_control(g, None, f, samples=samples, seed=seed, epsilon_target=epsilon)),
+        ("h1_eps through f", measure_control(h1, f, f, samples=samples, seed=seed, epsilon_target=epsilon)),
+        ("h2_eps in Y", measure_control(h2, None, None, samples=samples, seed=seed, epsilon_target=epsilon)),
+    ]
+    ok = True
+    lines = []
+    for name, rep in items:
+        lines.append(f"{name:<24} {rep}\n")
+        ok = ok and rep.measured_control <= epsilon * (1.0 + 1e-4)
+    return "".join(lines), 0 if ok else 1

@@ -34,6 +34,7 @@ from plcontrol import (
 from plcontrol import fixtures
 from plcontrol.cli import main
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
+import control_oracle
 
 
 def write_fixture_files(tmp_path):
@@ -111,6 +112,26 @@ def test_parse_point_rejects_duplicate_labels(D2):
         parse_point(D2, '{"simplex": ["a", "a"], "coords": [0.5, 0.5]}')
 
 
+@pytest.mark.parametrize("coords", ["[NaN, 1.0]", "[1.0, NaN]", "[Infinity, 1.0]", "[-Infinity, 2.0]"])
+def test_parse_point_rejects_non_finite_coords(D2, coords):
+    with pytest.raises(FileFormatError, match="non-finite"):
+        parse_point(D2, '{"simplex": ["a", "b"], "coords": %s}' % coords)
+
+
+def test_cli_cone_distance_rejects_a_nan_point(tmp_path, capsys):
+    write_fixture_files(tmp_path)
+    code = main(
+        [
+            "cone-distance", str(tmp_path / "d2.json"),
+            '{"simplex": ["a", "b"], "coords": [NaN, 1.0]}', "1.0",
+            '{"simplex": ["a"], "coords": [1.0]}', "1.0",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+
 def test_cli_reports_unknown_point_vertex(tmp_path, capsys):
     write_fixture_files(tmp_path)
     code = main(
@@ -138,7 +159,9 @@ def test_file_positions_round_trip_and_drive_the_svg(tmp_path, capsys):
     write_fixture_files(tmp_path)
     K = load_complex(tmp_path / "d2.json")
     assert K.positions == fixtures.D2_POSITIONS
-    assert not K._cache  # the layout is file data, not derived from K
+    # the layout is file data: loading it derives nothing from K
+    assert (K._maximal, K._comesh, K._flag_cells, K._component_of) == (None,) * 4
+    assert not K._cellulations and not K._metric_graphs
     save_complex(K, tmp_path / "again.json")
     assert load_complex(tmp_path / "again.json").positions == fixtures.D2_POSITIONS
 
@@ -205,13 +228,14 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
-    """Inversions, distance queries and sample draws of a default verify of
-    map_collapse stay at or under the counts of the per-sampler loops
-    (3188, 33704 and 39): the sampled-sup kernel rebuilds no h1 track per
-    identity and draws no sample set twice."""
+    """Inversions, distance queries, sample draws and cold cellulation builds
+    of a default verify of map_collapse stay at or under 3188, 33704, 6 and
+    13: the sampled-sup kernel rebuilds no h1 track per identity, each of the
+    identities, the control table and the assembly draws its Y and X sample
+    sets once, and each distinct eps builds one cellulation of Y."""
     from plcontrol import cellulation, homotopies, metrics
 
-    calls = {"invert": 0, "distance": 0, "sample_points": 0}
+    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -222,18 +246,25 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
 
     real_invert = cellulation.Cellulation.invert
     monkeypatch.setattr(cellulation.Cellulation, "invert", counting("invert", real_invert))
+    real_init = cellulation.Cellulation.__init__
+    monkeypatch.setattr(cellulation.Cellulation, "__init__", counting("cold", real_init))
     for name, fn in (("distance", metrics.distance), ("sample_points", homotopies.sample_points)):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapped)
-    rep = run_verify(fixtures.map_collapse())
+    cached = fixtures.map_collapse()  # its complexes are shared across tests, so copy them
+    X, Y = (
+        closure_complex([s.vertices for s in K.maximal_simplices()]) for K in (cached.source, cached.target)
+    )
+    rep = run_verify(SimplicialMap(X, Y, dict(cached.vertex_map)))
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
     assert calls["invert"] <= 3188
     assert calls["distance"] <= 33704
-    assert calls["sample_points"] <= 39
+    assert calls["sample_points"] <= 6
+    assert calls["cold"] <= 13
 
 
 def test_verify_report_deterministic():
@@ -328,6 +359,16 @@ def test_cli_measure_control(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "g_eps" in out and "h1_eps" in out and "h2_eps" in out
+
+
+@pytest.mark.parametrize("args", [("0.1", "60", "0"), ("0.05", "30", "3")])
+def test_cli_measure_control_matches_three_measure_control_calls(tmp_path, capsys, args):
+    write_fixture_files(tmp_path)
+    eps, samples, seed = args
+    path = tmp_path / "collapse.json"
+    code = main(["measure-control", str(path), "--epsilon", eps, "--samples", samples, "--seed", seed])
+    old = control_oracle.measure_control_text(load_map(path), float(eps), int(samples), int(seed))
+    assert (capsys.readouterr().out, code) == old
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

@@ -508,7 +508,6 @@ def _witness_distance(u, p, q, witness):
 def test_sampled_sup_matches_the_old_loops(name):
     """Bit-identical sups at comesh/2 and at every eps of the assembly."""
     from plcontrol import assemble_bounded_equivalence
-    from plcontrol.cone import _slice_controls
     from plcontrol.verify import _identity_checks
 
     f = getattr(fixtures, name)()
@@ -517,13 +516,25 @@ def test_sampled_sup_matches_the_old_loops(name):
     data = assemble_bounded_equivalence(f, fam, samples=8, time_steps=9)
     eps_values = {fam.effective_comesh / 2.0} | {data._eps_at(t) for t in data.t_grid if t > 0}
     for eps in sorted(eps_values):
-        assert _slice_controls(fam, eps, 8, 0, 9) == control_oracle.slice_controls(fam, eps, 8, 0, 9)
+        assert data.controls_at(eps) == control_oracle.slice_controls(fam, eps, 8, 0, 9)
         g, h1, h2 = fam.at(eps)
         for u, p, q in ((g, None, f), (h1, f, f), (h2, None, None)):
             rep = measure_control(u, p, q, samples=8, seed=1, time_steps=9)
             old = control_oracle.measure_control(u, p, q, samples=8, seed=1, time_steps=9)
             assert (rep.measured_control, rep.samples) == old
             assert _witness_distance(u, p, q, rep.witness) == rep.measured_control
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
+def test_verify_control_rows_match_the_old_loop(name):
+    """The default verify's control table, from sample sets drawn once, is bit
+    for bit the table of one measure_control call per (eps, map)."""
+    from plcontrol import run_verify
+
+    f = getattr(fixtures, name)()
+    rows = run_verify(f).control_rows
+    old = control_oracle.control_rows(f, build_family(f), epsilon_schedule(f.target), 120, 0, 17, 1e-4)
+    assert len(rows) == 5 and rows == old
 
 
 def test_lift_discrepancy_matches_the_old_loop(MAP_COLLAPSE):

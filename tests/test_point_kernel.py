@@ -257,6 +257,42 @@ print("ok")
         assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
 
 
+def test_public_point_rejects_non_finite_coordinates_even_under_python_O():
+    code = """
+from plcontrol import MalformedInputError, Point, closure_complex
+inf, nan = float("inf"), float("nan")
+s = closure_complex([("a", "b")]).simplex(["a", "b"])
+for coords in [(nan, 1.0), (1.0, nan), (inf, 1.0), (-inf, 1.0), (inf, -inf)]:
+    try:
+        Point(s, coords)
+    except MalformedInputError as e:
+        if "non-finite" in str(e):
+            continue
+    raise SystemExit(f"Point accepted {coords} or named another fault")
+print("ok")
+"""
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+            check=False,
+        )
+        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+
+
+def test_the_package_has_no_assert_statement():
+    """Invariants raise typed errors, which `python -O` cannot strip."""
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_prechecked_points_are_built_only_by_make_point():
     """Every reference to the unchecked constructor in src/, by enclosing function."""
     refs = []
