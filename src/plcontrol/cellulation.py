@@ -403,7 +403,5 @@ def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
     return Homotopy(
         domain=K,
         codomain=K,
-        fn=lambda y, time: track_factory(y)(time),
-        name=f"straight-line homotopy eps={eps}",
         track_factory=track_factory,
     )

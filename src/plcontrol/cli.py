@@ -125,7 +125,7 @@ def _cmd_lift(args) -> int:
     else:
         g0, _, _ = family.at(args.epsilon / 2.0)
         x0 = g0(H(z0, 0.0))
-    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0, name="initial lift")
+    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0)
     lifted = approximate_lift(f, family, H, h, args.epsilon)
     disc = lift_discrepancy(f, H, lifted, samples=10)
     print(f"approximate lift with eps={args.epsilon}: max discrepancy {disc:.9f}")

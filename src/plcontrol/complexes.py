@@ -291,6 +291,9 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = 
     when the support spans no simplex, the checks only pick the error.
     """
     support = {v: w for v, w in weights.items() if w > tol}
+    if len(support) < len(weights) and not all(map(math.isfinite, weights.values())):
+        # NaN and -inf fail the filter; +inf is kept and fails the sum check
+        raise MalformedInputError(f"non-finite weight in {dict(weights)}")
     carrier = K._by_labels.get(frozenset(support))
     if carrier is None and not support:
         raise MalformedInputError("point with empty support")

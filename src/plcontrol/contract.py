@@ -319,27 +319,28 @@ def contraction_from_collapse(K: SimplicialComplex, seq: CollapseSequence) -> Ho
         raise NotContractibleError("collapse sequence is partial; no contraction")
     steps = seq.steps
     N = len(steps)
-    base = seq.basepoint
 
-    def fn(p: Point, t: float) -> Point:
-        if N == 0 or t <= 0.0:
-            return p
-        s = min(max(t, 0.0), 1.0) * N
-        k = min(int(s), N - 1)
-        frac = s - k
-        cur = p
-        for i in range(k):
-            cur = _squash(K, cur, *steps[i])
-        if frac <= 0.0:
-            return cur
-        nxt = _squash(K, cur, *steps[k])
-        if frac >= 1.0:
-            return nxt
-        return combine_points(K, [(1.0 - frac, cur), (frac, nxt)])
+    def track_factory(p: Point):
+        chain = [p]  # chain[i]: p after the first i squashes, extended on demand
+
+        def at(t: float) -> Point:
+            if N == 0 or t <= 0.0:
+                return p
+            s = min(t, 1.0) * N
+            k = min(int(s), N - 1)
+            frac = s - k
+            for i in range(len(chain) - 1, k + (frac > 0.0)):
+                chain.append(_squash(K, chain[i], *steps[i]))
+            if frac <= 0.0:
+                return chain[k]
+            if frac >= 1.0:
+                return chain[k + 1]
+            return combine_points(K, [(1.0 - frac, chain[k]), (frac, chain[k + 1])])
+
+        return at
 
     return Homotopy(
         domain=K,
         codomain=K,
-        fn=fn,
-        name=f"contraction to {base}",
+        track_factory=track_factory,
     )

@@ -90,16 +90,25 @@ class FlagMap:
         default_factory=dict
     )
 
-    def contract_in_fiber(self, sigma: Simplex, w: Point, time: float) -> Point:
-        """Evaluate the fiber contraction at an arbitrary fiber point."""
-        if time <= 0.0:
-            return w
+    def fiber_track(self, sigma: Simplex, w: Point) -> Callable[[float], Point]:
+        """The track of the fiber contraction over sigma at the fiber point w,
+        which is located in the fiber's triangulation once; w itself at
+        times <= 0."""
         fiber = self.fibers[sigma]
         labels, mu = fiber.locate(w)
-        tri = fiber.triangulation
-        p = make_point(tri, dict(zip(labels, mu)))
-        q = self.contractions[sigma](p, time)
-        return fiber.embed(q.carrier.vertices, q.coords)
+        tr = self.contractions[sigma].track(make_point(fiber.triangulation, dict(zip(labels, mu))))
+
+        def at(time: float) -> Point:
+            if time <= 0.0:
+                return w
+            q = tr(time)
+            return fiber.embed(q.carrier.vertices, q.coords)
+
+        return at
+
+    def contract_in_fiber(self, sigma: Simplex, w: Point, time: float) -> Point:
+        """Evaluate the fiber contraction at an arbitrary fiber point."""
+        return w if time <= 0.0 else self.fiber_track(sigma, w)(time)
 
     def gamma_chain(self, chain: tuple[Simplex, ...], t: np.ndarray) -> Point:
         """Value of gamma on the chain's barycenter simplex: a point of the
@@ -193,7 +202,6 @@ def build_inverse(f: SimplicialMap, eps: float, gamma: FlagMap) -> PLEvaluator:
         domain=f.target,
         codomain=f.source,
         fn=fn,
-        name=f"g_eps eps={eps}",
     )
 
 
@@ -202,7 +210,8 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     structure); the first half carries the control, the second has none.
 
     One track splits x and inverts f(x) once: h1' (the first half), the end
-    of h1' and g_eps(f(x)) (the second half's ends) all read that cell."""
+    of h1' and g_eps(f(x)) (the second half's ends) all read that cell, and
+    the second half locates those two ends in their fiber once."""
     Y = f.target
     cel = build_cellulation(Y, eps)
     triv = gamma.trivialization
@@ -223,19 +232,17 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
             if second is None:
                 a = hprime(1.0)
                 b = gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
-                second = (evaluate_map(f, a), triv.split(a)[0], triv.split(b)[0])
-            ybar, w_a, w_b = second
+                ybar = evaluate_map(f, a)
+                second = ybar, *(gamma.fiber_track(ybar.carrier, triv.split(q)[0]) for q in (a, b))
+            ybar, tr_a, tr_b = second
             u = 2.0 * time - 1.0
-            w, r = (w_a, 2.0 * u) if u <= 0.5 else (w_b, 2.0 - 2.0 * u)
-            return triv.join(gamma.contract_in_fiber(ybar.carrier, w, r), ybar)
+            return triv.join(tr_a(2.0 * u) if u <= 0.5 else tr_b(2.0 - 2.0 * u), ybar)
 
         return at
 
     return Homotopy(
         domain=f.source,
         codomain=f.source,
-        fn=lambda x, t: track_factory(x)(t),
-        name=f"h1 eps={eps}",
         track_factory=track_factory,
     )
 
@@ -302,8 +309,8 @@ class TrivialFamily:
         return effective_comesh(self.K)
 
     def at(self, eps: float):
-        ident = PLEvaluator(domain=self.K, codomain=self.K, fn=lambda p: p, name="id")
-        const = Homotopy(domain=self.K, codomain=self.K, fn=lambda p, t: p, name="constant")
+        ident = PLEvaluator(domain=self.K, codomain=self.K, fn=lambda p: p)
+        const = Homotopy(domain=self.K, codomain=self.K, track_factory=lambda p: lambda t: p)
         return ident, const, const
 
 
@@ -469,8 +476,6 @@ def approximate_lift(
     return Homotopy(
         domain=H.domain,
         codomain=f.source,
-        fn=lambda z, t: track_factory(z)(t),
-        name=f"approximate lift eps={eps}",
         track_factory=track_factory,
     )
 
@@ -541,14 +546,12 @@ def derive_contraction(f: SimplicialMap, y: Point, family: ControlledFamily) -> 
         tr = h1.track(x)
 
         def at(t: float) -> Point:
-            return project_to_slice(retraction.fn(tr(t), 1.0))
+            return project_to_slice(retraction(tr(t), 1.0))
 
         return at
 
     return Homotopy(
         domain=f.source,
         codomain=f.source,
-        fn=lambda x, t: track_factory(x)(t),
-        name=f"contraction of the fiber over {y}",
         track_factory=track_factory,
     )

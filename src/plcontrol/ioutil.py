@@ -140,7 +140,7 @@ def load_track(path: str | Path, Y: SimplicialComplex) -> tuple[Homotopy, Point 
 
     Z = closure_complex([("z",)])
 
-    def fn(_: Point, t: float) -> Point:
+    def at(t: float) -> Point:
         t = min(max(t, 0.0), 1.0)
         for (t1, p1), (t2, p2) in zip(zip(times, pts), zip(times[1:], pts[1:])):
             if t <= t2:
@@ -148,6 +148,6 @@ def load_track(path: str | Path, Y: SimplicialComplex) -> tuple[Homotopy, Point 
                 return combine_points(Y, [(1.0 - lam, p1), (lam, p2)])
         return pts[-1]
 
-    H = Homotopy(domain=Z, codomain=Y, fn=fn, name=f"track {Path(path).name}")
+    H = Homotopy(domain=Z, codomain=Y, track_factory=lambda _: at)
     start = data.get("start")
     return H, start

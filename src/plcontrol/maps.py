@@ -412,25 +412,28 @@ def build_star_retraction(f: SimplicialMap, sigma: Simplex) -> Homotopy:
         )
     sig = set(sigma.vertices)
 
-    def fn(x: Point, s: float) -> Point:
+    def track_factory(x: Point):
         t_out = sum(
             c for v, c in zip(x.carrier.vertices, x.coords) if f.vertex_map[v] not in sig
         )
         t_in = 1.0 - t_out
         if t_in <= TOL:
             raise NotFoundError(f"point {x} outside f^{{-1}}(st({sigma}))")
-        t_new = max(0.0, t_out - s)
-        out: dict[str, float] = {}
-        for v, c in zip(x.carrier.vertices, x.coords):
-            if f.vertex_map[v] in sig:
-                out[v] = c * (1.0 - t_new) / t_in
-            elif t_out > 0.0 and t_new > 0.0:
-                out[v] = c * t_new / t_out
-        return make_point(f.source, out)
+
+        def at(s: float) -> Point:
+            t_new = max(0.0, t_out - s)
+            out: dict[str, float] = {}
+            for v, c in zip(x.carrier.vertices, x.coords):
+                if f.vertex_map[v] in sig:
+                    out[v] = c * (1.0 - t_new) / t_in
+                elif t_out > 0.0 and t_new > 0.0:
+                    out[v] = c * t_new / t_out
+            return make_point(f.source, out)
+
+        return at
 
     return Homotopy(
         domain=f.source,
         codomain=f.source,
-        fn=fn,
-        name=f"star-retraction over {sigma}",
+        track_factory=track_factory,
     )

@@ -1,7 +1,8 @@
 """Reference kernels for the differential tests of ``plcontrol.cellulation``
 and ``plcontrol.homotopies``: the inversion that scans every cell whose
 carrier contains the point's carrier, and the h1 built as a concatenation of
-two homotopies that each invert the cellulation on their own."""
+two homotopies that each invert the cellulation on their own, whose second
+half locates its fiber points on every call."""
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from plcontrol import (
     concatenate,
     evaluate_map,
 )
+import homotopy_oracle
 
 
 def invert(cel: Cellulation, y: Point, tol: float = 1e-9):
@@ -116,8 +118,6 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     hprime = Homotopy(
         domain=f.source,
         codomain=f.source,
-        fn=lambda x, t: hprime_track(x)(t),
-        name=f"h1' eps={eps}",
         track_factory=hprime_track,
     )
 
@@ -132,9 +132,9 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
 
         def at(t: float) -> Point:
             if t <= 0.5:
-                w = gamma.contract_in_fiber(sigma, w_a, 2.0 * t)
+                w = homotopy_oracle.contract_in_fiber(gamma, sigma, w_a, 2.0 * t)
             else:
-                w = gamma.contract_in_fiber(sigma, w_b, 2.0 - 2.0 * t)
+                w = homotopy_oracle.contract_in_fiber(gamma, sigma, w_b, 2.0 - 2.0 * t)
             return triv.join(w, ybar)
 
         return at
@@ -142,8 +142,6 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     hsecond = Homotopy(
         domain=f.source,
         codomain=f.source,
-        fn=lambda x, t: hsecond_track(x)(t),
-        name=f"h1'' eps={eps}",
         track_factory=hsecond_track,
     )
-    return concatenate(hprime, hsecond, name=f"h1 eps={eps}")
+    return concatenate(hprime, hsecond)

@@ -228,14 +228,16 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
-    """Inversions, distance queries, sample draws and cold cellulation builds
-    of a default verify of map_collapse stay at or under 3188, 33704, 6 and
-    13: the sampled-sup kernel rebuilds no h1 track per identity, each of the
-    identities, the control table and the assembly draws its Y and X sample
-    sets once, and each distinct eps builds one cellulation of Y."""
-    from plcontrol import cellulation, homotopies, metrics
+    """Inversions, distance queries, sample draws, cold cellulation builds
+    and fiber locations of a default verify of map_collapse stay at or under
+    3188, 33704, 6, 13 and 2177: the sampled-sup kernel rebuilds no h1 track
+    per identity, each of the identities, the control table and the assembly
+    draws its Y and X sample sets once, each distinct eps builds one
+    cellulation of Y, and the second half of an h1 track locates its two
+    fiber points once."""
+    from plcontrol import cellulation, homotopies, maps, metrics
 
-    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0}
+    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -248,6 +250,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     monkeypatch.setattr(cellulation.Cellulation, "invert", counting("invert", real_invert))
     real_init = cellulation.Cellulation.__init__
     monkeypatch.setattr(cellulation.Cellulation, "__init__", counting("cold", real_init))
+    monkeypatch.setattr(maps.FiberComplex, "locate", counting("locate", maps.FiberComplex.locate))
     for name, fn in (("distance", metrics.distance), ("sample_points", homotopies.sample_points)):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
@@ -265,6 +268,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["distance"] <= 33704
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
+    assert calls["locate"] <= 2177
 
 
 def test_verify_report_deterministic():
@@ -338,6 +342,19 @@ def test_cli_cellulate(tmp_path, capsys):
     assert code == 0
     assert "cells: 43" in out
     assert svg.exists()
+
+
+def test_cli_inverse_text_is_pinned(tmp_path, capsys):
+    write_fixture_files(tmp_path)
+    code = main(["inverse", str(tmp_path / "collapse.json"), "--epsilon", "0.1"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "g_eps on the barycenters of the target (eps=0.1):\n"
+        "  {a}                      -> a:1.000000\n"
+        "  {b}                      -> c:1.000000\n"
+        "  {a,b}                    -> a:0.500000, c:0.500000\n"
+        "control 0.099667338 (target eps 0.100000000, 203 samples)\n"
+    )
 
 
 def test_cli_inverse(tmp_path, capsys):
@@ -436,6 +453,28 @@ def test_cli_lift(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "max discrepancy" in out
+
+
+def test_cli_lift_text_is_pinned(tmp_path, capsys):
+    """The two-point track of test_cli_lift, through load_track,
+    approximate_lift, h1 and g."""
+    write_fixture_files(tmp_path)
+    track = {"times": [0.0, 1.0], "points": [{"simplex": ["a"], "coords": [1.0]}, {"simplex": ["b"], "coords": [1.0]}]}
+    (tmp_path / "track.json").write_text(json.dumps(track))
+    code = main(["lift", str(tmp_path / "collapse.json"), str(tmp_path / "track.json"), "--epsilon", "0.2"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "approximate lift with eps=0.2: max discrepancy 0.138309986\n"
+        "  t=0.0000  a:1.000000\n"
+        "  t=0.1250  a:0.972800, c:0.027200\n"
+        "  t=0.2500  a:0.822063, c:0.177937\n"
+        "  t=0.3750  a:0.671326, c:0.328674\n"
+        "  t=0.5000  a:0.520589, c:0.479411\n"
+        "  t=0.6250  a:0.369853, c:0.630147\n"
+        "  t=0.7500  a:0.219116, c:0.780884\n"
+        "  t=0.8750  a:0.068379, c:0.931621\n"
+        "  t=1.0000  c:1.000000\n"
+    )
 
 
 def test_cli_missing_file(capsys):

@@ -197,7 +197,7 @@ def test_restriction_property(MAP_COLLAPSE, rng):
 
 def test_measure_control_identity(D2):
     f = identity_map(D2)
-    ev = PLEvaluator(domain=D2, codomain=D2, fn=lambda p: p, name="id")
+    ev = PLEvaluator(domain=D2, codomain=D2, fn=lambda p: p)
     rep = measure_control(ev, None, None, samples=60)
     assert rep.measured_control == 0.0
     assert rep.samples > 60
@@ -211,7 +211,7 @@ def test_measure_control_constant_shift(D1):
         b = min(1.0, p.coord_of("b") + shift)
         return make_point(D1, {"a": 1.0 - b, "b": b}, tol=-1.0) if b < 1.0 else vertex_point(D1, "b")
 
-    ev = PLEvaluator(domain=D1, codomain=D1, fn=fn, name="shift")
+    ev = PLEvaluator(domain=D1, codomain=D1, fn=fn)
     rep = measure_control(ev, None, None, samples=200, seed=1)
     assert rep.measured_control == pytest.approx(0.3, abs=1e-6)
 
@@ -241,7 +241,7 @@ def _point_track(Y, pts, times=None):
                 return combine_points(Y, [(1.0 - lam, p1), (lam, p2)])
         return pts[-1]
 
-    return Homotopy(domain=Z, codomain=Y, fn=fn, name="track")
+    return Homotopy(domain=Z, codomain=Y, track_factory=lambda z: lambda t: fn(z, t))
 
 
 def test_lift_constant_homotopy(MAP_COLLAPSE):
@@ -251,7 +251,7 @@ def test_lift_constant_homotopy(MAP_COLLAPSE):
     y0 = make_point(Y, {"a": 0.4, "b": 0.6})
     H = _point_track(Y, [y0, y0])
     x0 = make_point(f.source, {"a": 0.4, "b": 0.3, "c": 0.3})
-    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0, name="start")
+    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0)
     eps = 0.1
     lifted = approximate_lift(f, fam, H, h, eps)
     assert distance(f.source, lifted(vertex_point(H.domain, "z"), 0.0), x0) < 1e-12
@@ -265,7 +265,7 @@ def test_lift_linear_slide(MAP_COLLAPSE):
     Y = f.target
     H = _point_track(Y, [vertex_point(Y, "a"), vertex_point(Y, "b")])
     x0 = vertex_point(f.source, "a")
-    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0, name="start")
+    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0)
     for eps in (0.2, 0.1, 0.05):
         lifted = approximate_lift(f, fam, H, h, eps)
         disc = lift_discrepancy(f, H, lifted, samples=5, time_steps=65)
@@ -280,7 +280,7 @@ def test_lift_precondition_checked(MAP_COLLAPSE):
     Y = f.target
     H = _point_track(Y, [vertex_point(Y, "a"), vertex_point(Y, "b")])
     x_bad = vertex_point(f.source, "b")  # f(b) = b != H(z, 0) = a
-    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x_bad, name="bad")
+    h = PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x_bad)
     with pytest.raises(LiftMismatchError, match=r"by 1\.414e\+00 at z = "):
         approximate_lift(f, fam, H, h, 0.1)
 
@@ -407,7 +407,7 @@ def _edge_slide(f):
         start = combine_points(Y, [(1.0 - w, vertex_point(Y, "a")), (w, vertex_point(Y, "b"))])
         return combine_points(Y, [(1.0 - t, start), (t, target)])
 
-    H = Homotopy(domain=Z, codomain=Y, fn=H_fn, name="edge slide")
+    H = Homotopy(domain=Z, codomain=Y, track_factory=lambda z: lambda t: H_fn(z, t))
 
     def h_fn(z):
         w = z.coord_of("q")
@@ -415,7 +415,7 @@ def _edge_slide(f):
             X, combine_points(X, [(1.0 - w, vertex_point(X, "a")), (w, vertex_point(X, "b"))])
         )
 
-    return H, PLEvaluator(domain=Z, codomain=X, fn=h_fn, name="initial")
+    return H, PLEvaluator(domain=Z, codomain=X, fn=h_fn)
 
 
 def test_lift_with_edge_domain(MAP_COLLAPSE):

@@ -282,6 +282,35 @@ print("ok")
         assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
 
 
+def test_make_point_rejects_non_finite_weights_even_under_python_O():
+    """NaN and -inf fail the support filter, which once dropped them and
+    returned the vertex of the other weight; +inf fails the sum check."""
+    code = """
+from plcontrol import MalformedInputError, closure_complex, combine_points, make_point, vertex_point
+inf, nan = float("inf"), float("nan")
+K = closure_complex([("a", "b")])
+a, b = vertex_point(K, "a"), vertex_point(K, "b")
+for w in [nan, -inf, inf]:
+    for build in (lambda: make_point(K, {"a": w, "b": 1.0}), lambda: combine_points(K, [(w, a), (1.0, b)])):
+        try:
+            build()
+        except MalformedInputError as e:
+            if w == inf or "non-finite weight" in str(e):
+                continue
+        raise SystemExit(f"accepted the weight {w} or named another fault")
+print("ok")
+"""
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+            check=False,
+        )
+        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+
+
 def test_the_package_has_no_assert_statement():
     """Invariants raise typed errors, which `python -O` cannot strip."""
     found = [
