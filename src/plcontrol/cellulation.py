@@ -211,6 +211,13 @@ def _flag_cells(K: SimplicialComplex):
     return K._flag_cells
 
 
+def _check_eps(K: SimplicialComplex, eps: float) -> None:
+    """The range every cellulation of K needs: 0 < eps < comesh."""
+    cm = comesh_of(K)
+    if not (0.0 < eps < cm - 1e-12):
+        raise EpsilonRangeError(f"eps={eps} outside (0, comesh={cm})")
+
+
 class Cellulation:
     """The fundamental epsilon-subdivision cellulation of a complex.
 
@@ -219,9 +226,7 @@ class Cellulation:
     """
 
     def __init__(self, K: SimplicialComplex, eps: float):
-        cm = comesh_of(K)
-        if not (0.0 < eps < cm - 1e-12):
-            raise EpsilonRangeError(f"eps={eps} outside (0, comesh={cm})")
+        _check_eps(K, eps)
         self.K = K
         self.eps = eps
         self.cells, self._index = _flag_cells(K)
@@ -381,6 +386,9 @@ def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
     # K and the cellulations cached on it (each naming K) form the one
     # reference cycle kept by design: a cellulation dropped by its caller must
     # still be a cache hit on the next call, so this entry is not weak.
+    # The range is checked before the lookup: eps_key rounds, so an eps just
+    # outside the range can share a key with a cached one just inside it.
+    _check_eps(K, eps)
     key = eps_key(eps)
     if key not in K._cellulations:
         K._cellulations[key] = Cellulation(K, eps)

@@ -15,6 +15,7 @@ import numpy as np
 from .cellulation import build_cellulation
 from .complexes import barycenter
 from .cone import complex_metric, cone_distance, coning_map
+from .evaluators import PLEvaluator
 from .homotopies import (
     CannotConstructError,
     approximate_lift,
@@ -117,8 +118,6 @@ def _cmd_lift(args) -> int:
     f = load_map(args.map)
     H, start = load_track(args.homotopy, f.target)
     family = build_family(f)
-    from .evaluators import PLEvaluator
-
     z0 = sample_points(H.domain, 0)[0]
     if start is not None:
         x0 = parse_point(f.source, start)

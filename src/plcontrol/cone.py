@@ -7,7 +7,8 @@ for t <= 0), so a family of inverses with control 1/t at height t assembles
 into a bounded equivalence with bound sup_t t * alpha(t) = 1.
 
 The controls behind the measured bound are ``homotopies.family_controls`` at
-each grid height's eps, memoized by ``BoundedEquivalenceData.controls_at``
+the eps of each height of a fixed grid of positive heights around the
+schedule's knee 1/comesh, memoized by ``BoundedEquivalenceData.controls_at``
 under ``cellulation.eps_key`` on sample sets drawn once per data object;
 ``slice_equivalence`` reads the same memo, so the bound dominates every slice
 by construction.
@@ -87,7 +88,6 @@ class BoundedEquivalenceData:
     family: ControlledFamily
     bound: float
     t_grid: tuple[float, ...]
-    window: tuple[float, float]
     samples: int
     seed: int
     time_steps: int
@@ -110,15 +110,13 @@ class BoundedEquivalenceData:
             self.per_eps[key] = {name: r.measured_control for name, r in reports.items()}
         return self.per_eps[key]
 
-    def alpha(self, t: float) -> float:
-        return alpha_schedule(self.family.effective_comesh, t)
-
     def _eps_at(self, t: float) -> float:
         # The schedule attains comesh, but the cellulation is only defined
         # strictly below it (and degenerates numerically at the boundary when
         # an edge realizes the comesh), so evaluation backs off by 0.1%; the
         # assembled bound only improves from the backoff.
-        return min(self.alpha(t), self.family.effective_comesh * (1.0 - 1e-3))
+        cm = self.family.effective_comesh
+        return min(alpha_schedule(cm, t), cm * (1.0 - 1e-3))
 
     def g(self, y: Point, t: float) -> tuple[Point, float]:
         gmap, _, _ = self.family.at(self._eps_at(t))
@@ -137,42 +135,35 @@ def assemble_bounded_equivalence(
     f: SimplicialMap,
     family: ControlledFamily,
     *,
-    t_grid: tuple[float, ...] | None = None,
-    window: tuple[float, float] | None = None,
     samples: int = 60,
     seed: int = 0,
     time_steps: int = 17,
 ) -> BoundedEquivalenceData:
     """Slice-wise assembly along the control schedule; the measured bound is
-    sup over grid heights of height times the slice control (heights <= 0
-    contribute nothing since all maps preserve the height coordinate)."""
+    sup over grid heights of height times the slice control.  The grid is
+    half the knee 1/comesh, the knee, 2, 4 and 8 times it, and 8 geometric
+    steps from the knee to 10 times it; heights <= 0 contribute nothing,
+    since all maps preserve the height coordinate, so none is sampled."""
     cm = family.effective_comesh
-    if window is None:
-        window = (-5.0, 10.0 / cm)
-    if t_grid is None:
-        knee = 1.0 / cm
-        highs = list(np.geomspace(knee, window[1], 8))
-        t_grid = tuple(
-            sorted(
-                {window[0], -1.0, 0.0, 0.5 * knee, knee}
-                | {2.0 / cm, 4.0 / cm, 8.0 / cm}
-                | set(highs)
-            )
+    knee = 1.0 / cm
+    t_grid = tuple(
+        sorted(
+            {0.5 * knee, knee}
+            | {2.0 / cm, 4.0 / cm, 8.0 / cm}
+            | set(np.geomspace(knee, 10.0 / cm, 8))
         )
+    )
     data = BoundedEquivalenceData(
         f=f,
         family=family,
         bound=0.0,
-        t_grid=tuple(t_grid),
-        window=window,
+        t_grid=t_grid,
         samples=samples,
         seed=seed,
         time_steps=time_steps,
     )
     bound = 0.0
     for t in t_grid:
-        if t <= 0.0:
-            continue
         bound = max(bound, t * max(data.controls_at(data._eps_at(t)).values()))
     data.bound = bound
     return data

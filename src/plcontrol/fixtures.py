@@ -24,7 +24,8 @@ from .complexes import (
     closure_complex,
     combine_points,
 )
-from .maps import SimplicialMap, fiber_join, fiber_over_barycenter
+from .homotopies import build_family
+from .maps import SimplicialMap, evaluate_map, fiber_join, fiber_over_barycenter
 
 
 @functools.cache
@@ -146,8 +147,6 @@ class HeightTrivialization:
         return path[-1][1]
 
     def split(self, x: Point) -> tuple[Point, Point]:
-        from .maps import evaluate_map
-
         y = evaluate_map(self.f, x)
         hat = self._fiber_path(y.carrier, barycenter(self.f.target, y.carrier))
         return self._walk(hat, self.height(x)), y
@@ -210,8 +209,6 @@ def proj_chain_overrides():
 
 def proj_explicit_family():
     """The controlled family with the worked example's explicit choices."""
-    from .homotopies import build_family
-
     return build_family(
         proj_map(),
         base_choices=proj_base_choices(),

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cellulation import EpsilonRangeError, build_cellulation, comesh_of, straightline_homotopy
+from .cellulation import build_cellulation, comesh_of, straightline_homotopy
 from .complexes import (
     MalformedInputError,
     Point,
@@ -36,6 +36,7 @@ from .maps import (
     build_star_retraction,
     evaluate_map,
     fiber_over_barycenter,
+    identity_map,
 )
 from .metrics import distance, min_distance_to_simplex
 
@@ -259,7 +260,8 @@ class ControlledFamily:
     """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
 
     Nothing is kept per eps: ``at`` builds three closures over the
-    cellulation that ``build_cellulation`` keeps on the target."""
+    cellulation that ``build_cellulation`` keeps on the target, which also
+    rejects an eps outside (0, comesh)."""
 
     f: SimplicialMap
     gamma: FlagMap
@@ -273,8 +275,6 @@ class ControlledFamily:
         return effective_comesh(self.f.target)
 
     def at(self, eps: float) -> tuple[PLEvaluator, Homotopy, Homotopy]:
-        if not (0.0 < eps < self.comesh):
-            raise EpsilonRangeError(f"eps={eps} outside (0, comesh={self.comesh})")
         return (
             build_inverse(self.f, eps, self.gamma),
             build_h1(self.f, eps, self.gamma),
@@ -296,8 +296,6 @@ class TrivialFamily:
 
     @property
     def f(self) -> SimplicialMap:
-        from .maps import identity_map
-
         return identity_map(self.K)
 
     @property
@@ -349,8 +347,6 @@ def sampled_sup(
     points,
     times,
     tracks: Callable[[object], tuple[Callable[[float], Point], Callable[[float], Point]]],
-    *,
-    refinement: int = 2,
 ) -> tuple[float, tuple[object, float] | None, int]:
     """(sup, witness, pairs): the sup of d_M(a(t), b(t)) over each sample z,
     with (a, b) = tracks(z), and each t in ``times``; the first (z, t) in
@@ -362,20 +358,20 @@ def sampled_sup(
         a, b = tracks(z)
         for t in times:
             t = float(t)
-            d = distance(M, a(t), b(t), refinement=refinement)
+            d = distance(M, a(t), b(t))
             count += 1
             if witness is None or d > worst:
                 worst, witness = d, (z, t)
     return worst, witness, count
 
 
-def control_tracks(u, p: SimplicialMap | None, q: SimplicialMap | None):
-    """The metric complex M and z -> (the constant p(z), t -> q(u(z, t))),
-    whose sampled sup is the control of u measured through p and q (None is
-    the identity; a map counts as a homotopy constant in t)."""
-    pfn, M1 = _control_fn(p, u.domain)
+def _control_report(u, p, q, points, times, eps: float | None) -> ControlReport:
+    """The sampled sup of d_M(p(z), q(u(z, t))) over the points and times,
+    with p and q landing in one metric complex M (None is the identity; a
+    map counts as a homotopy constant in t)."""
+    pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
-    if M1 is not M2:
+    if M is not M2:
         raise MalformedInputError("control maps must land in one metric complex")
     track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
 
@@ -384,12 +380,7 @@ def control_tracks(u, p: SimplicialMap | None, q: SimplicialMap | None):
         tr = track(z)
         return (lambda t: anchor), (lambda t: qfn(tr(t)))
 
-    return M1, tracks
-
-
-def _control_report(u, p, q, points, times, eps: float | None, refinement: int = 2) -> ControlReport:
-    M, tracks = control_tracks(u, p, q)
-    sup, witness, count = sampled_sup(M, points, times, tracks, refinement=refinement)
+    sup, witness, count = sampled_sup(M, points, times, tracks)
     return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
 
 
@@ -415,7 +406,6 @@ def measure_control(
     seed: int = 0,
     subdivision_rounds: int = 1,
     time_steps: int = 33,
-    refinement: int = 2,
     epsilon_target: float | None = None,
 ) -> ControlReport:
     """Sup over the sample set of d_M(p(z), q(u(z))), homotopies sampled at
@@ -423,7 +413,7 @@ def measure_control(
     with the witness (z, t) that attains it."""
     pts = sample_points(u.domain, samples, seed=seed, subdivision_rounds=subdivision_rounds)
     times = np.linspace(0.0, 1.0, time_steps) if isinstance(u, Homotopy) else (0.0,)
-    return _control_report(u, p, q, pts, times, epsilon_target, refinement)
+    return _control_report(u, p, q, pts, times, epsilon_target)
 
 
 # -- approximate homotopy lifting ----------------------------------------------------

@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     canonical,
     closure_complex,
+    combine_points,
 )
 from .evaluators import Homotopy
 from .maps import SimplicialMap, validate_map
@@ -136,8 +137,6 @@ def load_track(path: str | Path, Y: SimplicialComplex) -> tuple[Homotopy, Point 
         raise FileFormatError(f"{path}: need matching 'times' and 'points' (at least two)")
     if times[0] != 0.0 or times[-1] != 1.0 or any(a >= b for a, b in zip(times, times[1:])):
         raise FileFormatError(f"{path}: times must increase from 0 to 1")
-    from .complexes import combine_points
-
     Z = closure_complex([("z",)])
 
     def at(t: float) -> Point:

@@ -24,6 +24,7 @@ from .complexes import (
     SimplicialComplex,
     barycenter,
     canonical,
+    vertex_point,
 )
 
 INF = math.inf
@@ -205,7 +206,7 @@ class MetricReport:
     rad: float
 
 
-def _control_image(control, K: SimplicialComplex, p: Point) -> Point:
+def _control_image(control, p: Point) -> Point:
     if control is None:
         return p
     return control(p)
@@ -222,9 +223,7 @@ def simplex_metrics(K: SimplicialComplex, s: Simplex, control=None, target: Simp
     if s not in K.simplices:
         raise NotFoundError(f"simplex {s} not in complex")
     M = target if target is not None else K
-    from .complexes import vertex_point  # local to avoid cycle at import time
-
-    images = [_control_image(control, K, vertex_point(K, v)) for v in s.vertices]
+    images = [_control_image(control, vertex_point(K, v)) for v in s.vertices]
     union = set()
     for im in images:
         union |= set(im.carrier.vertices)

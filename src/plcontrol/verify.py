@@ -140,7 +140,6 @@ def run_verify(
     tol: float = 1e-4,
     map_label: str = "map",
     certificate_samples: int = 100,
-    time_steps: int = 17,
 ) -> VerificationReport:
     report = VerificationReport(map_label=map_label)
     bad = validate_map(f)
@@ -201,7 +200,7 @@ def run_verify(
     all_ok = all(v <= 1e-9 for v in report.identity_sups.values())
     pts_y = sample_points(Y, samples, seed=seed)
     pts_x = sample_points(f.source, max(20, samples // 3), seed=seed)
-    times = np.linspace(0.0, 1.0, time_steps)
+    times = np.linspace(0.0, 1.0, 17)
     for eps in schedule:
         c = family_controls(family, eps, pts_y, pts_x, times)
         row = ControlRow(
@@ -215,7 +214,7 @@ def run_verify(
         all_ok = all_ok and row.ok
 
     data = assemble_bounded_equivalence(
-        f, family, samples=max(20, samples // 3), seed=seed, time_steps=time_steps
+        f, family, samples=max(20, samples // 3), seed=seed
     )
     report.bound = data.bound
     all_ok = all_ok and data.bound <= 1.0 + 1e-3

@@ -114,6 +114,15 @@ def test_build_cellulation_rejects_out_of_range(D2):
         build_cellulation(D2, 0.0)
 
 
+def test_build_cellulation_checks_the_range_on_a_cache_hit():
+    """eps_key rounds to 15 digits, so 0 and -1e-17 share the key of 1e-16."""
+    K = closure_complex([("a", "b", "c")])
+    build_cellulation(K, 1e-16)
+    for eps in (0.0, -1e-17):
+        with pytest.raises(EpsilonRangeError, match="outside"):
+            build_cellulation(K, eps)
+
+
 def test_cell_census(D2):
     cel = build_cellulation(D2, 0.1)
     assert cel.census() == {0: 12, 1: 21, 2: 10}

@@ -271,6 +271,16 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["locate"] <= 2177
 
 
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "map_bad"])
+def test_verify_text_matches_the_benchmark_reference(name):
+    """The default render, byte for byte, as perfbench/reference.json pins it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text())["verify_fixtures"][name]
+    rep = run_verify(getattr(fixtures, name)(), map_label=f"{name}.json")
+    assert rep.render() == ref["text"]
+    assert rep.exit_code == ref["exit_code"]
+
+
 def test_verify_report_deterministic():
     a = run_verify(fixtures.map_collapse(), samples=20, certificate_samples=10, seed=3)
     b = run_verify(fixtures.map_collapse(), samples=20, certificate_samples=10, seed=3)
@@ -512,6 +522,28 @@ def test_readme_scripts_run(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "proj_cellulation.svg").exists()
     assert main(["check-fibers", str(tmp_path / "proj_map.json")]) == 0
+
+
+def test_code_line_counter_skips_blanks_comments_and_docstrings():
+    import importlib.util
+
+    path = Path(__file__).parents[1] / "scripts" / "count_code_lines.py"
+    spec = importlib.util.spec_from_file_location("count_code_lines", path)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = (
+        '"""Module\ndocstring."""\n'
+        "# a comment\n"
+        "\n"
+        "def f(x):  # counted\n"
+        '    """Function docstring."""\n'
+        "    s = '''a string\n"
+        "    that is not a docstring'''\n"
+        "    return (x,\n"
+        "\n"
+        "            s)\n"
+    )
+    assert counter.code_lines(source) == 5
 
 
 def _cyclic_garbage() -> list[tuple[type, int]]:

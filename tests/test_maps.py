@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from plcontrol import (
     MalformedInputError,
@@ -29,6 +30,7 @@ from plcontrol import (
 )
 from plcontrol import fixtures
 from plcontrol.maps import _staircase_locate
+from test_homotopies import random_simplicial_maps
 
 
 def lattice_points(K, s, resolution):
@@ -209,6 +211,30 @@ def test_product_decomposition_empty_fiber():
     f = fixtures.inclusion_d1_d2()
     cert = verify_product_decomposition(f, f.target.simplex(["a", "b", "c"]), samples=5)
     assert cert.is_empty
+
+
+def assert_cells_are_products(f):
+    """Over every target simplex sigma: each product cell has dim + sigma.dim
+    == tau.dim, and tau_a <= tau_b exactly when every factor of a lies in the
+    matching factor of b."""
+    for sigma in f.target.sorted_simplices():
+        cells = fiber_over_barycenter(f, sigma).cells
+        for cell in cells:
+            assert cell.dim + sigma.dim == cell.tau.dim
+        for a, b in itertools.product(cells, repeat=2):
+            inside = all(set(fa) <= set(fb) for fa, fb in zip(a.factors, b.factors))
+            assert (a.tau <= b.tau) == inside
+
+
+@pytest.mark.parametrize("name", ["map_collapse", "map_bad", "inclusion_d1_d2", "proj_map"])
+def test_fixture_fibers_are_unions_of_product_cells(name):
+    assert_cells_are_products(getattr(fixtures, name)())
+
+
+@given(random_simplicial_maps())
+@settings(max_examples=30, deadline=None)
+def test_random_fibers_are_unions_of_product_cells(f):
+    assert_cells_are_products(f)
 
 
 def test_product_certificate_catches_a_misweighted_join(MAP_COLLAPSE, monkeypatch):
