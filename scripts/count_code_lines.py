@@ -3,10 +3,9 @@
 the lines that hold a token other than a comment, and that are not part of a
 module, class or function docstring.
 
-    python3 scripts/count_code_lines.py [package directory]
+    python3 scripts/count_code_lines.py
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -48,12 +47,9 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    root = Path(__file__).resolve().parent.parent
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("package", nargs="?", default=root / "src" / "plcontrol", type=Path)
-    args = ap.parse_args()
+    package = Path(__file__).resolve().parent.parent / "src" / "plcontrol"
     total = 0
-    for path in sorted(args.package.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         n = code_lines(path.read_text())
         total += n
         print(f"{path.name:<20} {n:>6}")

@@ -28,6 +28,10 @@ from .homotopies import ControlledFamily, family_controls, sample_points
 from .maps import SimplicialMap
 from .metrics import distance
 
+# Time samples per homotopy track in every control the assembly measures; the
+# control table of ``verify.run_verify`` samples the same grid.
+TIME_STEPS = 17
+
 
 @dataclass(frozen=True)
 class ConePoint:
@@ -137,7 +141,7 @@ def assemble_bounded_equivalence(
     *,
     samples: int = 60,
     seed: int = 0,
-    time_steps: int = 17,
+    time_steps: int = TIME_STEPS,
 ) -> BoundedEquivalenceData:
     """Slice-wise assembly along the control schedule; the measured bound is
     sup over grid heights of height times the slice control.  The grid is

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cellulation import comesh_of
 from .complexes import Simplex
-from .cone import assemble_bounded_equivalence, slice_equivalence
+from .cone import TIME_STEPS, assemble_bounded_equivalence, slice_equivalence
 from .contract import Verdict
 from .homotopies import (
     CannotConstructError,
@@ -200,7 +200,7 @@ def run_verify(
     all_ok = all(v <= 1e-9 for v in report.identity_sups.values())
     pts_y = sample_points(Y, samples, seed=seed)
     pts_x = sample_points(f.source, max(20, samples // 3), seed=seed)
-    times = np.linspace(0.0, 1.0, 17)
+    times = np.linspace(0.0, 1.0, TIME_STEPS)
     for eps in schedule:
         c = family_controls(family, eps, pts_y, pts_x, times)
         row = ControlRow(

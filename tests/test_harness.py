@@ -271,9 +271,10 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["locate"] <= 2177
 
 
-@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "map_bad"])
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_verify_text_matches_the_benchmark_reference(name):
-    """The default render, byte for byte, as perfbench/reference.json pins it."""
+    """The default render, byte for byte, as perfbench/reference.json pins it;
+    map_bad's render is pinned by perfbench's own recorded-reference test."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
     ref = json.loads(path.read_text())["verify_fixtures"][name]
     rep = run_verify(getattr(fixtures, name)(), map_label=f"{name}.json")
