@@ -23,9 +23,8 @@ What is kept, and for how long: the eps-free cells of every flag are built
 once per complex (``K._flag_cells``) and shared by its cellulations at every
 eps; ``build_cellulation`` keeps one cellulation per ``eps_key(eps)`` in
 ``K._cellulations`` while K lives.  ``eps_key`` is the one per-eps key of
-the package: the controlled family keeps nothing per eps and builds its
-closures over these cellulations, and ``cone.BoundedEquivalenceData`` keys
-its control memo with it.
+the package: the controlled family builds its closures over these
+cellulations, and keys its per-point control sups with it.
 """
 
 from __future__ import annotations
@@ -395,13 +394,24 @@ def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
     return K._cellulations[key]
 
 
-def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
-    """h(y, t) = Gamma_{eps(1-t)} applied to the eps-cell coordinates of y:
-    the straight-line homotopy from the cellulation back to the complex."""
-    cel = build_cellulation(K, eps)
+def _locator(cel: Cellulation):
+    """``cel.invert`` behind a memo: each distinct point is inverted once.
+    The memo lives in the returned closure, so it dies with the closures
+    that share it (one ``ControlledFamily.at`` call)."""
+    memo: dict[Point, tuple[FlagCell, tuple[np.ndarray, np.ndarray]]] = {}
 
+    def locate(y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
+        hit = memo.get(y)
+        if hit is None:
+            hit = memo[y] = cel.invert(y)
+        return hit
+
+    return locate
+
+
+def _straightline(K: SimplicialComplex, eps: float, locate) -> Homotopy:
     def track_factory(y: Point):
-        cell, (s, t) = cel.invert(y)
+        cell, (s, t) = locate(y)
 
         def tr(time: float) -> Point:
             return canonical(K, cell.evaluate(eps * (1.0 - time), s, t))
@@ -413,3 +423,9 @@ def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
         codomain=K,
         track_factory=track_factory,
     )
+
+
+def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
+    """h(y, t) = Gamma_{eps(1-t)} applied to the eps-cell coordinates of y:
+    the straight-line homotopy from the cellulation back to the complex."""
+    return _straightline(K, eps, build_cellulation(K, eps).invert)

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .cellulation import build_cellulation
-from .complexes import barycenter
+from .cellulation import EpsilonRangeError, build_cellulation
+from .complexes import MalformedInputError, barycenter
 from .cone import complex_metric, cone_distance, coning_map
 from .evaluators import PLEvaluator
 from .homotopies import (
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileFormatError, CannotConstructError) as e:
+    except (FileFormatError, MalformedInputError, EpsilonRangeError, CannotConstructError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

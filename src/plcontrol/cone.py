@@ -8,10 +8,12 @@ into a bounded equivalence with bound sup_t t * alpha(t) = 1.
 
 The controls behind the measured bound are ``homotopies.family_controls`` at
 the eps of each height of a fixed grid of positive heights around the
-schedule's knee 1/comesh, memoized by ``BoundedEquivalenceData.controls_at``
-under ``cellulation.eps_key`` on sample sets drawn once per data object;
-``slice_equivalence`` reads the same memo, so the bound dominates every slice
-by construction.
+schedule's knee 1/comesh, read by ``BoundedEquivalenceData.controls_at`` on
+sample sets drawn once per data object.  The family's one per-point memo,
+keyed by ``cellulation.eps_key``, serves them: points the control table
+already measured at an eps with the same key are not measured again, and
+``slice_equivalence`` reads the same numbers, so the bound dominates every
+slice by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .complexes import Point, SimplicialComplex
 from .evaluators import Homotopy, PLEvaluator
-from .cellulation import eps_key
 from .homotopies import ControlledFamily, family_controls, sample_points
 from .maps import SimplicialMap
 from .metrics import distance
@@ -84,9 +85,10 @@ def alpha_schedule(comesh: float, t: float) -> float:
 class BoundedEquivalenceData:
     """g, h1, h2 on the product with the height line, with the measured bound.
 
-    ``controls_at`` is the one memo of measured slice controls: it draws its
-    sample sets once per data object and keeps one entry per ``eps_key``, so
-    the assembly bound and every slice read the same numbers."""
+    ``controls_at`` draws its sample sets once per data object and reads
+    per-point sups from the family's memo (one entry per point, row and
+    ``eps_key``), so a repeated eps costs only lookups and the assembly bound
+    and every slice read the same numbers."""
 
     f: SimplicialMap
     family: ControlledFamily
@@ -95,24 +97,20 @@ class BoundedEquivalenceData:
     samples: int
     seed: int
     time_steps: int
-    per_eps: dict[float, dict[str, float]] = field(default_factory=dict)
     _samples: tuple[list[Point], list[Point]] | None = field(default=None, init=False, repr=False)
 
     def controls_at(self, eps: float) -> dict[str, float]:
         """Measured controls of g, h1, h2 at eps on Y (``samples`` points,
         ``seed``) and X (``samples`` points, ``seed + 1``)."""
-        key = eps_key(eps)
-        if key not in self.per_eps:
-            if self._samples is None:
-                f = self.family.f
-                self._samples = (
-                    sample_points(f.target, self.samples, seed=self.seed),
-                    sample_points(f.source, self.samples, seed=self.seed + 1),
-                )
-            times = np.linspace(0.0, 1.0, self.time_steps)
-            reports = family_controls(self.family, eps, *self._samples, times)
-            self.per_eps[key] = {name: r.measured_control for name, r in reports.items()}
-        return self.per_eps[key]
+        if self._samples is None:
+            f = self.family.f
+            self._samples = (
+                sample_points(f.target, self.samples, seed=self.seed),
+                sample_points(f.source, self.samples, seed=self.seed + 1),
+            )
+        times = np.linspace(0.0, 1.0, self.time_steps)
+        reports = family_controls(self.family, eps, *self._samples, times)
+        return {name: r.measured_control for name, r in reports.items()}
 
     def _eps_at(self, t: float) -> float:
         # The schedule attains comesh, but the cellulation is only defined

@@ -16,7 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cellulation import build_cellulation, comesh_of, straightline_homotopy
+from .cellulation import (
+    _locator,
+    _straightline,
+    build_cellulation,
+    comesh_of,
+    eps_key,
+    straightline_homotopy,
+)
 from .complexes import (
     MalformedInputError,
     Point,
@@ -193,10 +200,12 @@ def build_h2(f: SimplicialMap, eps: float) -> Homotopy:
 
 def build_inverse(f: SimplicialMap, eps: float, gamma: FlagMap) -> PLEvaluator:
     """g_eps = gamma after inverting the eps-subdivision cellulation of Y."""
-    cel = build_cellulation(f.target, eps)
+    return _inverse(f, gamma, build_cellulation(f.target, eps).invert)
 
+
+def _inverse(f: SimplicialMap, gamma: FlagMap, locate) -> PLEvaluator:
     def fn(y: Point) -> Point:
-        cell, (s, t) = cel.invert(y)
+        cell, (s, t) = locate(y)
         return gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
 
     return PLEvaluator(
@@ -213,13 +222,16 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     One track splits x and inverts f(x) once: h1' (the first half), the end
     of h1' and g_eps(f(x)) (the second half's ends) all read that cell, and
     the second half locates those two ends in their fiber once."""
+    return _h1(f, eps, gamma, build_cellulation(f.target, eps).invert)
+
+
+def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate) -> Homotopy:
     Y = f.target
-    cel = build_cellulation(Y, eps)
     triv = gamma.trivialization
 
     def track_factory(x: Point):
         z, y = triv.split(x)
-        cell, (s, t) = cel.invert(y)
+        cell, (s, t) = locate(y)
 
         def hprime(u: float) -> Point:
             return triv.join(z, canonical(Y, cell.evaluate(eps * (1.0 - u), s, t)))
@@ -259,12 +271,15 @@ def effective_comesh(K: SimplicialComplex) -> float:
 class ControlledFamily:
     """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
 
-    Nothing is kept per eps: ``at`` builds three closures over the
-    cellulation that ``build_cellulation`` keeps on the target, which also
-    rejects an eps outside (0, comesh)."""
+    ``at`` builds three closures over the cellulation that
+    ``build_cellulation`` keeps on the target (which also rejects an eps
+    outside (0, comesh)) and one locate memo they share, so one ``at`` call
+    inverts each distinct point once.  ``_sups`` is the one per-point memo of
+    ``family_controls``; it lives as long as the family."""
 
     f: SimplicialMap
     gamma: FlagMap
+    _sups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def comesh(self) -> float:
@@ -275,10 +290,11 @@ class ControlledFamily:
         return effective_comesh(self.f.target)
 
     def at(self, eps: float) -> tuple[PLEvaluator, Homotopy, Homotopy]:
+        locate = _locator(build_cellulation(self.f.target, eps))
         return (
-            build_inverse(self.f, eps, self.gamma),
-            build_h1(self.f, eps, self.gamma),
-            build_h2(self.f, eps),
+            _inverse(self.f, self.gamma, locate),
+            _h1(self.f, eps, self.gamma, locate),
+            _straightline(self.f.target, eps, locate),
         )
 
 
@@ -290,9 +306,10 @@ def build_family(f: SimplicialMap, **gamma_kwargs) -> ControlledFamily:
 class TrivialFamily:
     """The zero-control family of an identity map: inverse the identity,
     homotopies constant.  Interchangeable with a constructed family wherever
-    only (f, comesh, at) are consumed."""
+    only (f, comesh, at, _sups) are consumed."""
 
     K: SimplicialComplex
+    _sups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def f(self) -> SimplicialMap:
@@ -353,22 +370,39 @@ def sampled_sup(
     sample order that attains it (None when nothing is sampled); and the
     number of pairs evaluated.  ``tracks`` runs once per sample, so per-point
     setup such as a cellulation inversion belongs there."""
+    return _sampled_sup(M, points, times, tracks, None)
+
+
+def _sampled_sup(M, points, times, tracks, memo: dict | None):
+    """``sampled_sup`` over per-point sups: each z's (sup over t, first t
+    that attains it, pairs) is read from ``memo`` when present there and
+    stored in it otherwise (None keeps nothing)."""
     worst, witness, count = 0.0, None, 0
     for z in points:
-        a, b = tracks(z)
-        for t in times:
-            t = float(t)
-            d = distance(M, a(t), b(t))
-            count += 1
-            if witness is None or d > worst:
-                worst, witness = d, (z, t)
+        entry = None if memo is None else memo.get(z)
+        if entry is None:
+            a, b = tracks(z)
+            best, arg, n = 0.0, None, 0
+            for t in times:
+                t = float(t)
+                d = distance(M, a(t), b(t))
+                n += 1
+                if arg is None or d > best:
+                    best, arg = d, t
+            entry = (best, arg, n)
+            if memo is not None:
+                memo[z] = entry
+        best, arg, n = entry
+        count += n
+        if arg is not None and (witness is None or best > worst):
+            worst, witness = best, (z, arg)
     return worst, witness, count
 
 
-def _control_report(u, p, q, points, times, eps: float | None) -> ControlReport:
+def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None = None) -> ControlReport:
     """The sampled sup of d_M(p(z), q(u(z, t))) over the points and times,
     with p and q landing in one metric complex M (None is the identity; a
-    map counts as a homotopy constant in t)."""
+    map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``."""
     pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
     if M is not M2:
@@ -380,20 +414,29 @@ def _control_report(u, p, q, points, times, eps: float | None) -> ControlReport:
         tr = track(z)
         return (lambda t: anchor), (lambda t: qfn(tr(t)))
 
-    sup, witness, count = sampled_sup(M, points, times, tracks)
+    sup, witness, count = _sampled_sup(M, points, times, tracks, memo)
     return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
 
 
 def family_controls(family, eps: float, pts_y, pts_x, times) -> dict[str, ControlReport]:
     """The controls of the family at eps, one row per map: g on ``pts_y`` at
     time 0 measured through f, h1 on ``pts_x`` through f and f, and h2 on
-    ``pts_y`` in Y, each homotopy at ``times``."""
+    ``pts_y`` in Y, each homotopy at ``times``.
+
+    Each point's sup is measured once per (row, ``eps_key(eps)``, times) and
+    kept in ``family._sups``, so a later call at an eps with the same key
+    reads it: the assembly's slices reuse the control table's points."""
     f = family.f
     g, h1, h2 = family.at(eps)
+    key, times = eps_key(eps), tuple(map(float, times))
+
+    def row(name, u, p, q, pts, ts):
+        return _control_report(u, p, q, pts, ts, eps, family._sups.setdefault((name, key, ts), {}))
+
     return {
-        "g": _control_report(g, None, f, pts_y, (0.0,), eps),
-        "h1": _control_report(h1, f, f, pts_x, times, eps),
-        "h2": _control_report(h2, None, None, pts_y, times, eps),
+        "g": row("g", g, None, f, pts_y, (0.0,)),
+        "h1": row("h1", h1, f, f, pts_x, times),
+        "h2": row("h2", h2, None, None, pts_y, times),
     }
 
 

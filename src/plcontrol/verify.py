@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cellulation import comesh_of
-from .complexes import Simplex
+from .cellulation import _check_eps, comesh_of
+from .complexes import MalformedInputError, Simplex
 from .cone import TIME_STEPS, assemble_bounded_equivalence, slice_equivalence
 from .contract import Verdict
 from .homotopies import (
@@ -187,14 +187,18 @@ def run_verify(
         report.overall = UNKNOWN
         return report
 
-    for sigma in f.target.sorted_simplices():
+    Y = f.target
+    schedule = epsilon_schedule(Y) if schedule is None else list(schedule)
+    if not schedule:
+        raise MalformedInputError("empty eps schedule: the control table needs at least one eps")
+    for eps in schedule:
+        _check_eps(Y, eps)
+
+    for sigma in Y.sorted_simplices():
         cert = verify_product_decomposition(f, sigma, samples=certificate_samples, seed=seed)
         report.certificate_samples[sigma] = cert.samples_checked
 
     family = build_family(f)
-    Y = f.target
-    if schedule is None:
-        schedule = epsilon_schedule(Y)
     report.identity_sups = _identity_checks(f, family, samples=samples, seed=seed)
 
     all_ok = all(v <= 1e-9 for v in report.identity_sups.values())

@@ -1,9 +1,9 @@
 """The hand-written sampled-sup loops that `homotopies.sampled_sup` and
 `homotopies.family_controls` replaced, kept as oracles for differential
-tests: `measure_control` (as the bare sup and pair count), the old
-`cone._slice_controls`, `verify._identity_checks`, `lift_discrepancy`, the
-control-table loop of `verify.run_verify` and the three `measure_control`
-calls of the CLI's `measure-control`.  Loop bodies are unchanged; only the
+tests: the memo-free `sampled_sup` loop, `measure_control` (as the bare sup
+and pair count), the old `cone._slice_controls`, `verify._identity_checks`,
+`lift_discrepancy`, the control-table loop of `verify.run_verify` and the
+three `measure_control` calls of the CLI's `measure-control`.  Loop bodies are unchanged; only the
 Lipschitz margin, which nothing read, is gone from the measure_control
 return, and the CLI calls print into a string."""
 
@@ -16,6 +16,20 @@ from plcontrol.evaluators import Homotopy
 from plcontrol.homotopies import _control_fn, sample_points
 from plcontrol.maps import evaluate_map
 from plcontrol.metrics import distance
+
+
+def sampled_sup(M, points, times, tracks):
+    """(sup, witness, pairs) over every (z, t), each pair evaluated."""
+    worst, witness, count = 0.0, None, 0
+    for z in points:
+        a, b = tracks(z)
+        for t in times:
+            t = float(t)
+            d = distance(M, a(t), b(t))
+            count += 1
+            if witness is None or d > worst:
+                worst, witness = d, (z, t)
+    return worst, witness, count
 
 
 def measure_control(

@@ -230,11 +230,12 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds
     and fiber locations of a default verify of map_collapse stay at or under
-    3188, 33704, 6, 13 and 2177: the sampled-sup kernel rebuilds no h1 track
+    1736, 31025, 6, 13 and 2099: the sampled-sup kernel rebuilds no h1 track
     per identity, each of the identities, the control table and the assembly
     draws its Y and X sample sets once, each distinct eps builds one
-    cellulation of Y, and the second half of an h1 track locates its two
-    fiber points once."""
+    cellulation of Y, one ``family.at(eps)`` inverts each distinct point
+    once, the assembly reads the per-point sups the control table measured,
+    and the second half of an h1 track locates its two fiber points once."""
     from plcontrol import cellulation, homotopies, maps, metrics
 
     calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0}
@@ -264,11 +265,11 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     rep = run_verify(SimplicialMap(X, Y, dict(cached.vertex_map)))
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
-    assert calls["invert"] <= 3188
-    assert calls["distance"] <= 33704
+    assert calls["invert"] <= 1736
+    assert calls["distance"] <= 31025
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
-    assert calls["locate"] <= 2177
+    assert calls["locate"] <= 2099
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
@@ -419,6 +420,47 @@ def test_cli_verify_custom_schedule(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0.100000000" in out and "0.050000000" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cellulate", "d2.json", "--epsilon", "5"],
+        ["inverse", "collapse.json", "--epsilon", "5"],
+        ["measure-control", "collapse.json", "--epsilon", "nan"],
+        ["verify", "collapse.json", "--schedule", "5"],
+    ],
+)
+def test_cli_reports_an_eps_out_of_range(tmp_path, capsys, argv):
+    write_fixture_files(tmp_path)
+    code = main([argv[0], str(tmp_path / argv[1]), *argv[2:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: eps=") and "outside (0, comesh=" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_an_empty_or_out_of_range_schedule(tmp_path, capsys, monkeypatch):
+    """Before any product certificate: an empty schedule would leave the
+    control table empty, and an eps outside (0, comesh) has no cellulation."""
+    from plcontrol import EpsilonRangeError, maps, verify
+
+    certified = []
+    real = maps.verify_product_decomposition
+    monkeypatch.setattr(verify, "verify_product_decomposition", lambda *a, **k: certified.append(a) or real(*a, **k))
+    f = fixtures.map_collapse()
+    with pytest.raises(MalformedInputError, match="empty eps schedule"):
+        run_verify(f, schedule=[])
+    for schedule in ([0.1, float("nan")], [0.1, 5.0], [-0.1]):
+        with pytest.raises(EpsilonRangeError, match="outside"):
+            run_verify(f, schedule=schedule)
+    assert certified == []
+    assert run_verify(fixtures.map_bad(), schedule=[]).overall == COUNTEREXAMPLE
+
+    write_fixture_files(tmp_path)
+    assert main(["verify", str(tmp_path / "collapse.json"), "--schedule", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: empty eps schedule")
 
 
 def test_cli_cone_distance(tmp_path, capsys):

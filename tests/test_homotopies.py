@@ -34,6 +34,7 @@ from plcontrol import (
 from plcontrol import fixtures
 import cellulation_oracle
 import control_oracle
+import family_oracle
 
 
 def random_point(K, rng):
@@ -554,3 +555,150 @@ def test_family_rejects_eps_outside_range_with_typed_error():
     for eps in (0.0, -0.1, fam.comesh):
         with pytest.raises(EpsilonRangeError):
             fam.at(eps)
+
+
+# -- one inversion per point per at(eps), per-point sups shared across a run -----------
+
+def _bits(p):
+    return p.carrier, tuple(float(c).hex() for c in p.coords)
+
+
+def _assert_family_matches_oracle(f, fam, eps, pts_y, pts_x, times):
+    """g(y), h2.track(y)(t) and h1.track(x)(t) of one ``fam.at(eps)`` equal,
+    bit for bit, the closures that invert on every call."""
+    g, h1, h2 = fam.at(eps)
+    og, oh1, oh2 = family_oracle.family_at(fam, eps)
+    for y in pts_y:
+        assert _bits(g(y)) == _bits(og(y))
+        tr, otr = h2.track(y), oh2.track(y)
+        assert [_bits(tr(t)) for t in times] == [_bits(otr(t)) for t in times]
+    for x in pts_x:
+        tr, otr = h1.track(x), oh1.track(x)
+        assert [_bits(tr(t)) for t in times] == [_bits(otr(t)) for t in times]
+    # the other order: h1 locates first, then g and h2 read its points
+    g, h1, h2 = fam.at(eps)
+    for x in pts_x:
+        y = fam.gamma.trivialization.split(x)[1]
+        assert _bits(h1.track(x)(0.75)) == _bits(oh1.track(x)(0.75))
+        assert _bits(g(y)) == _bits(og(y)) and _bits(h2.track(y)(0.5)) == _bits(oh2.track(y)(0.5))
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
+def test_shared_inversion_matches_the_per_closure_oracle(name):
+    f = getattr(fixtures, name)()
+    fam = build_family(f)
+    pts_y = sample_points(f.target, 15, seed=3)
+    pts_x = sample_points(f.source, 6, seed=4)
+    times = [float(t) for t in np.linspace(0.0, 1.0, 9)]
+    for eps in epsilon_schedule(f.target)[::2]:
+        _assert_family_matches_oracle(f, fam, eps, pts_y, pts_x, times)
+
+
+@given(random_simplicial_maps())
+@settings(max_examples=10, deadline=None)
+def test_shared_inversion_matches_the_per_closure_oracle_on_random_maps(f):
+    try:
+        fam = build_family(f)
+    except CannotConstructError:
+        return
+    pts_y = sample_points(f.target, 6, seed=1)
+    pts_x = sample_points(f.source, 4, seed=2)
+    times = [0.0, 0.3, 0.5, 0.8, 1.0]
+    _assert_family_matches_oracle(f, fam, fam.effective_comesh / 3.0, pts_y, pts_x, times)
+
+
+def test_one_at_inverts_each_distinct_point_once(PROJ):
+    from plcontrol import build_cellulation
+
+    f = PROJ
+    fam = build_family(f)
+    eps = fam.effective_comesh / 4.0
+    cel = build_cellulation(f.target, eps)
+    pts_y = sample_points(f.target, 20, seed=0)
+    pts_x = sample_points(f.source, 10, seed=1)
+    before = cel.inversions
+    g, h1, h2 = fam.at(eps)
+    for y in pts_y + pts_y:
+        g(y)
+        h2.track(y)(0.5)
+    for x in pts_x:
+        h1.track(x)(0.9)
+    split = {fam.gamma.trivialization.split(x)[1] for x in pts_x}
+    assert cel.inversions - before == len(set(pts_y) | split)
+    assert split & set(pts_y)  # h1 read some of the points g and h2 located
+    fam.at(eps)[0](pts_y[0])
+    assert cel.inversions - before == len(set(pts_y) | split) + 1  # a new at() has a new memo
+
+
+def _tie_tracks(K):
+    """Tracks whose distance is the same at two times of each point and the
+    same at two points: every sup is attained more than once."""
+    a, b = vertex_point(K, "a"), vertex_point(K, "b")
+    mid = make_point(K, {"a": 0.5, "b": 0.5})
+    far = {0.0: a, 0.25: mid, 0.5: b, 0.75: mid, 1.0: b}
+
+    def tracks(z):
+        return (lambda t: a), (lambda t: far[t])
+
+    return tracks
+
+
+@pytest.mark.parametrize("case", ["family", "ties"])
+def test_sampled_sup_memo_empty_partial_and_full(case, D1):
+    """The memo-backed kernel returns the memo-free loop's (sup, witness,
+    pairs) whatever the memo already holds, and reads a held point without
+    calling its tracks."""
+    from plcontrol.homotopies import _sampled_sup, sampled_sup
+
+    if case == "family":
+        f = fixtures.map_collapse()
+        M = f.target
+        h2 = build_family(f).at(comesh_of(M) / 2.0)[2]
+        pts = sample_points(M, 12, seed=5)
+        times = np.linspace(0.0, 1.0, 9)
+
+        def tracks(z):
+            return (lambda t: z), h2.track(z)
+    else:
+        M = D1
+        pts = [vertex_point(D1, "a"), make_point(D1, {"a": 0.5, "b": 0.5}), vertex_point(D1, "b")] * 2
+        times = (0.0, 0.25, 0.5, 0.75, 1.0)
+        tracks = _tie_tracks(D1)
+    want = control_oracle.sampled_sup(M, pts, times, tracks)
+    assert sampled_sup(M, pts, times, tracks) == want
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return tracks(z)
+
+    for prefix in (0, len(pts) // 2, len(pts)):
+        memo = {}
+        _sampled_sup(M, pts[:prefix], times, tracks, memo)
+        calls.clear()
+        assert _sampled_sup(M, pts, times, counted, memo) == want
+        assert len(calls) == len(set(pts) - set(pts[:prefix]))
+    if case == "ties":
+        assert want[1] == (pts[0], 0.5) and want[2] == 5 * len(pts)
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
+def test_warm_family_controls_equal_a_cold_family(name):
+    """After a default verify's control table and assembly, family_controls
+    at every schedule eps and every assembly eps equals a fresh family's."""
+    from plcontrol import assemble_bounded_equivalence
+    from plcontrol.cone import TIME_STEPS
+    from plcontrol.homotopies import family_controls
+
+    f = getattr(fixtures, name)()
+    warm = build_family(f)
+    times = np.linspace(0.0, 1.0, TIME_STEPS)
+    table = (sample_points(f.target, 120, seed=0), sample_points(f.source, 40, seed=0))
+    schedule = epsilon_schedule(f.target)
+    for eps in schedule:
+        family_controls(warm, eps, *table, times)
+    data = assemble_bounded_equivalence(f, warm, samples=40, seed=0)
+    slices = (sample_points(f.target, 40, seed=0), sample_points(f.source, 40, seed=1))
+    cases = [(eps, table) for eps in schedule] + [(data._eps_at(t), slices) for t in data.t_grid]
+    for eps, pts in cases:
+        assert family_controls(warm, eps, *pts, times) == family_controls(build_family(f), eps, *pts, times)
