@@ -24,7 +24,13 @@ once per complex (``K._flag_cells``) and shared by its cellulations at every
 eps; ``build_cellulation`` keeps one cellulation per ``eps_key(eps)`` in
 ``K._cellulations`` while K lives.  ``eps_key`` is the one per-eps key of
 the package: the controlled family builds its closures over these
-cellulations, and keys its per-point control sups with it.
+cellulations, and keys its per-point control sups with it.  The straight-line
+homotopy evaluates each cell at eps' = eps (1 - t) for every sampled time t;
+its step kernel ``_step`` reads the cell's vertex images at eps' from a dict
+keyed by (cell index, eps').  One ``ControlledFamily.at(eps)`` call creates
+that dict beside its locate memo, its h1 and h2 share it, and it dies with
+them; ``straightline_homotopy`` and ``build_h1`` each own one.  Every reuse of
+an eps' happens inside one ``at(eps)``, so nothing longer-lived keeps images.
 """
 
 from __future__ import annotations
@@ -409,14 +415,21 @@ def _locator(cel: Cellulation):
     return locate
 
 
-def _straightline(K: SimplicialComplex, eps: float, locate) -> Homotopy:
+def _step(K: SimplicialComplex, images: dict, cell: FlagCell, s, t, eps: float) -> Point:
+    """``canonical(K, cell.evaluate(eps, s, t))``, with the cell's vertex
+    images at eps read from ``images``, keyed by (cell index, eps), and
+    computed only on a miss.  The dict's owner decides how long they live:
+    one ``ControlledFamily.at`` call keeps one for its h1 and h2."""
+    P = images.get((cell.index, eps))
+    if P is None:
+        P = images[cell.index, eps] = cell.vertex_images(eps)
+    return canonical(K, Point(cell.carrier, tuple(np.einsum("i,j,ijd->d", s, t, P).tolist())))
+
+
+def _straightline(K: SimplicialComplex, eps: float, locate, images: dict) -> Homotopy:
     def track_factory(y: Point):
         cell, (s, t) = locate(y)
-
-        def tr(time: float) -> Point:
-            return canonical(K, cell.evaluate(eps * (1.0 - time), s, t))
-
-        return tr
+        return lambda time: _step(K, images, cell, s, t, eps * (1.0 - time))
 
     return Homotopy(
         domain=K,
@@ -428,4 +441,4 @@ def _straightline(K: SimplicialComplex, eps: float, locate) -> Homotopy:
 def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
     """h(y, t) = Gamma_{eps(1-t)} applied to the eps-cell coordinates of y:
     the straight-line homotopy from the cellulation back to the complex."""
-    return _straightline(K, eps, build_cellulation(K, eps).invert)
+    return _straightline(K, eps, build_cellulation(K, eps).invert, {})

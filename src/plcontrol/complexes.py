@@ -12,7 +12,10 @@ complex, ``_by_labels``, from the label set of each face to its one
 a carrier there with one lookup.  Points are validated where they are built:
 the public ``Point`` constructor checks the coordinate count, finiteness,
 signs and sum; ``make_point`` checks the weights it keeps itself and builds
-through the private ``Point._prechecked``, which nothing else calls.
+through the private ``Point._prechecked``, which nothing else calls.  Each
+point's coordinates are checked canonical once: ``canonical`` flags a point
+whose coordinates pass (the flag is not part of its value and does not name
+a complex), and a later call on it only looks its carrier up.
 
 Everything derived from a complex and kept on it is a named attribute
 declared in ``__init__``, with its owner beside it: the maximal simplices,
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 TOL = 1e-9
@@ -244,11 +247,14 @@ class Point:
     """A location in a complex: carrier simplex plus barycentric coordinates.
 
     Canonical form has all coordinates strictly positive, so the carrier is
-    the unique simplex whose interior contains the point.
+    the unique simplex whose interior contains the point.  ``_canonical``
+    records that ``canonical`` found the coordinates canonical; it is not
+    part of the point's value.
     """
 
     carrier: Simplex
     coords: tuple[float, ...]
+    _canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coords) != len(self.carrier.vertices):
@@ -308,13 +314,22 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = 
 
 
 def canonical(K: SimplicialComplex, p: Point, tol: float = TOL) -> Point:
-    """Drop (near-)zero coordinates so the carrier is minimal."""
-    if all(c > tol for c in p.coords):
+    """Drop (near-)zero coordinates so the carrier is minimal.
+
+    A point whose coordinates pass (all > TOL, sum within 1e-12 of 1) is
+    returned as it is and flagged, so later calls with the default tol only
+    look its carrier up in K."""
+    flagged = p._canonical and tol == TOL
+    if flagged or all(c > tol for c in p.coords):
         if p.carrier not in K.simplices:
             raise NotFoundError(f"carrier {p.carrier} not in complex")
+        if flagged:
+            return p
         total = sum(p.coords)
         if abs(total - 1.0) > 1e-12:
             return Point(p.carrier, tuple(c / total for c in p.coords))
+        if tol == TOL:
+            object.__setattr__(p, "_canonical", True)
         return p
     return make_point(K, p.as_dict(), tol=tol)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cellulation import (
     _locator,
+    _step,
     _straightline,
     build_cellulation,
     comesh_of,
@@ -222,10 +223,10 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     One track splits x and inverts f(x) once: h1' (the first half), the end
     of h1' and g_eps(f(x)) (the second half's ends) all read that cell, and
     the second half locates those two ends in their fiber once."""
-    return _h1(f, eps, gamma, build_cellulation(f.target, eps).invert)
+    return _h1(f, eps, gamma, build_cellulation(f.target, eps).invert, {})
 
 
-def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate) -> Homotopy:
+def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict) -> Homotopy:
     Y = f.target
     triv = gamma.trivialization
 
@@ -234,7 +235,7 @@ def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate) -> Homotopy:
         cell, (s, t) = locate(y)
 
         def hprime(u: float) -> Point:
-            return triv.join(z, canonical(Y, cell.evaluate(eps * (1.0 - u), s, t)))
+            return triv.join(z, _step(Y, images, cell, s, t, eps * (1.0 - u)))
 
         second = None
 
@@ -273,8 +274,10 @@ class ControlledFamily:
 
     ``at`` builds three closures over the cellulation that
     ``build_cellulation`` keeps on the target (which also rejects an eps
-    outside (0, comesh)) and one locate memo they share, so one ``at`` call
-    inverts each distinct point once.  ``_sups`` is the one per-point memo of
+    outside (0, comesh)), one locate memo that they share and one dict of
+    cell vertex images that h1 and h2 share, so one ``at`` call inverts each
+    distinct point once and builds each (cell, eps') image array once.  Both
+    die with the closures.  ``_sups`` is the one per-point memo of
     ``family_controls``; it lives as long as the family."""
 
     f: SimplicialMap
@@ -291,10 +294,11 @@ class ControlledFamily:
 
     def at(self, eps: float) -> tuple[PLEvaluator, Homotopy, Homotopy]:
         locate = _locator(build_cellulation(self.f.target, eps))
+        images: dict = {}
         return (
             _inverse(self.f, self.gamma, locate),
-            _h1(self.f, eps, self.gamma, locate),
-            _straightline(self.f.target, eps, locate),
+            _h1(self.f, eps, self.gamma, locate, images),
+            _straightline(self.f.target, eps, locate, images),
         )
 
 
@@ -426,8 +430,14 @@ def family_controls(family, eps: float, pts_y, pts_x, times) -> dict[str, Contro
     Each point's sup is measured once per (row, ``eps_key(eps)``, times) and
     kept in ``family._sups``, so a later call at an eps with the same key
     reads it: the assembly's slices reuse the control table's points."""
+    return _family_controls(family, eps, family.at(eps), pts_y, pts_x, times)
+
+
+def _family_controls(family, eps: float, closures, pts_y, pts_x, times) -> dict[str, ControlReport]:
+    """``family_controls`` on closures (g, h1, h2) of ``family.at(eps)``
+    that the caller already holds."""
     f = family.f
-    g, h1, h2 = family.at(eps)
+    g, h1, h2 = closures
     key, times = eps_key(eps), tuple(map(float, times))
 
     def row(name, u, p, q, pts, ts):

@@ -84,14 +84,18 @@ def validate_map(f: SimplicialMap) -> list[Simplex]:
     return bad
 
 
-def evaluate_map(f: SimplicialMap, p: Point) -> Point:
-    """Affine extension of the vertex assignment (coordinates summed over
-    vertices sharing an image), canonicalized."""
+def _image_weights(f: SimplicialMap, p: Point) -> dict[str, float]:
+    """p's coordinates summed over the vertices sharing an image."""
     out: dict[str, float] = {}
     for v, c in zip(p.carrier.vertices, p.coords):
         w = f.vertex_map[v]
         out[w] = out.get(w, 0.0) + c
-    return make_point(f.target, out)
+    return out
+
+
+def evaluate_map(f: SimplicialMap, p: Point) -> Point:
+    """Affine extension of the vertex assignment, canonicalized."""
+    return make_point(f.target, _image_weights(f, p))
 
 
 def surjectivity_check(f: SimplicialMap) -> list[Simplex]:
@@ -292,8 +296,10 @@ def fiber_split(f: SimplicialMap, x: Point) -> tuple[Point, Point]:
 
 def fiber_join(f: SimplicialMap, z: Point, y: Point) -> Point:
     """Inverse of the split: distribute the fiber part's vertex groups with
-    the weights of y (groups over vertices outside supp(y) are dropped)."""
-    sigma_labels = set(evaluate_map(f, z).carrier.vertices)
+    the weights of y (groups over vertices outside supp(y) are dropped).
+    The fiber simplex is the support of f(z), read as ``make_point`` reads
+    it (image weights above TOL) without building the point."""
+    sigma_labels = {w for w, c in _image_weights(f, z).items() if c > TOL}
     yd = y.as_dict()
     if not set(yd) <= sigma_labels:
         raise MalformedInputError(

@@ -20,10 +20,9 @@ from .cone import TIME_STEPS, assemble_bounded_equivalence, slice_equivalence
 from .contract import Verdict
 from .homotopies import (
     CannotConstructError,
-    ControlledFamily,
+    _family_controls,
     build_family,
     epsilon_schedule,
-    family_controls,
     sample_points,
     sampled_sup,
 )
@@ -199,14 +198,17 @@ def run_verify(
         report.certificate_samples[sigma] = cert.samples_checked
 
     family = build_family(f)
-    report.identity_sups = _identity_checks(f, family, samples=samples, seed=seed)
+    # the identities and a schedule eps of comesh/2 share one family.at
+    half = family.effective_comesh / 2.0
+    at_half = family.at(half)
+    report.identity_sups = _identity_checks(f, at_half, samples=samples, seed=seed)
 
     all_ok = all(v <= 1e-9 for v in report.identity_sups.values())
     pts_y = sample_points(Y, samples, seed=seed)
     pts_x = sample_points(f.source, max(20, samples // 3), seed=seed)
     times = np.linspace(0.0, 1.0, TIME_STEPS)
     for eps in schedule:
-        c = family_controls(family, eps, pts_y, pts_x, times)
+        c = _family_controls(family, eps, at_half if eps == half else family.at(eps), pts_y, pts_x, times)
         row = ControlRow(
             eps=eps,
             g=c["g"].measured_control,
@@ -233,14 +235,12 @@ def run_verify(
     return report
 
 
-def _identity_checks(
-    f: SimplicialMap, family: ControlledFamily, samples: int, seed: int
-) -> dict[str, float]:
-    """Sampled sups of the identities the construction satisfies exactly.
-    Each sampled x's h1 track is built once and read by the three x-identities."""
+def _identity_checks(f: SimplicialMap, closures, samples: int, seed: int) -> dict[str, float]:
+    """Sampled sups of the identities the construction satisfies exactly,
+    on the closures (g, h1, h2) of one ``family.at(eps)``.  Each sampled x's
+    h1 track is built once and read by the three x-identities."""
     Y, X = f.target, f.source
-    eps = family.effective_comesh / 2.0
-    g, h1, h2 = family.at(eps)
+    g, h1, h2 = closures
 
     def projection(y):
         return (lambda t: f(g(y))), h2.track(y)

@@ -1,9 +1,38 @@
 """The closures of the controlled family as they were before one locate memo
 served them: g_eps, h1_eps and h2_eps each invert their point in the
-cellulation on every call or track, so g(y) and h2.track(y) invert y twice.
-Kept as the oracle of the shared-inversion differential tests."""
+cellulation on every call or track, so g(y) and h2.track(y) invert y twice,
+and each step evaluates its cell through ``FlagCell.evaluate``, which builds
+the cell's vertex images again.  Kept as the oracle of the shared-inversion
+and step-kernel differential tests, with ``fiber_join`` as it was when it
+read its fiber simplex off the point f(z)."""
 
-from plcontrol import Homotopy, PLEvaluator, build_cellulation, canonical, evaluate_map
+from plcontrol import (
+    Homotopy,
+    MalformedInputError,
+    PLEvaluator,
+    build_cellulation,
+    canonical,
+    evaluate_map,
+    make_point,
+)
+from plcontrol.complexes import TOL
+
+
+def fiber_join(f, z, y):
+    sigma_labels = set(evaluate_map(f, z).carrier.vertices)
+    yd = y.as_dict()
+    if not set(yd) <= sigma_labels:
+        raise MalformedInputError(
+            f"base point support {sorted(yd)} exceeds fiber simplex {sorted(sigma_labels)}"
+        )
+    m1 = len(sigma_labels)
+    out = {}
+    for v, c in zip(z.carrier.vertices, z.coords):
+        w = f.vertex_map[v]
+        lam = yd.get(w, 0.0)
+        if lam > TOL:
+            out[v] = c * m1 * lam
+    return make_point(f.source, out)
 
 
 def straightline_homotopy(K, eps):

@@ -228,17 +228,20 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
-    """Inversions, distance queries, sample draws, cold cellulation builds
-    and fiber locations of a default verify of map_collapse stay at or under
-    1736, 31025, 6, 13 and 2099: the sampled-sup kernel rebuilds no h1 track
-    per identity, each of the identities, the control table and the assembly
-    draws its Y and X sample sets once, each distinct eps builds one
-    cellulation of Y, one ``family.at(eps)`` inverts each distinct point
-    once, the assembly reads the per-point sups the control table measured,
-    and the second half of an h1 track locates its two fiber points once."""
+    """Inversions, distance queries, sample draws, cold cellulation builds,
+    fiber locations and cell vertex-image arrays of a default verify of
+    map_collapse stay at or under 1672, 31025, 6, 13, 2099 and 1259: the
+    sampled-sup kernel rebuilds no h1 track per identity, each of the
+    identities, the control table and the assembly draws its Y and X sample
+    sets once, each distinct eps builds one cellulation of Y, one
+    ``family.at(eps)`` inverts each distinct point once and is shared by the
+    identities and the table's comesh/2 row, the assembly reads the
+    per-point sups the control table measured, the second half of an h1
+    track locates its two fiber points once, and h1 and h2 of one
+    ``family.at(eps)`` build each (cell, eps') image array once."""
     from plcontrol import cellulation, homotopies, maps, metrics
 
-    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0}
+    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0, "images": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -251,6 +254,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     monkeypatch.setattr(cellulation.Cellulation, "invert", counting("invert", real_invert))
     real_init = cellulation.Cellulation.__init__
     monkeypatch.setattr(cellulation.Cellulation, "__init__", counting("cold", real_init))
+    monkeypatch.setattr(cellulation.FlagCell, "vertex_images", counting("images", cellulation.FlagCell.vertex_images))
     monkeypatch.setattr(maps.FiberComplex, "locate", counting("locate", maps.FiberComplex.locate))
     for name, fn in (("distance", metrics.distance), ("sample_points", homotopies.sample_points)):
         wrapped = counting(name, fn)
@@ -265,11 +269,12 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     rep = run_verify(SimplicialMap(X, Y, dict(cached.vertex_map)))
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
-    assert calls["invert"] <= 1736
+    assert calls["invert"] <= 1672
     assert calls["distance"] <= 31025
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
     assert calls["locate"] <= 2099
+    assert calls["images"] <= 1259
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
@@ -568,12 +573,7 @@ def test_readme_scripts_run(tmp_path):
 
 
 def test_code_line_counter_skips_blanks_comments_and_docstrings():
-    import importlib.util
-
-    path = Path(__file__).parents[1] / "scripts" / "count_code_lines.py"
-    spec = importlib.util.spec_from_file_location("count_code_lines", path)
-    counter = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(counter)
+    counter = _load_script("count_code_lines")
     source = (
         '"""Module\ndocstring."""\n'
         "# a comment\n"
@@ -587,6 +587,48 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings():
         "            s)\n"
     )
     assert counter.code_lines(source) == 5
+
+
+def _load_script(name: str):
+    import importlib.util
+
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(wall_s: float, rss: float, correct: bool = True) -> dict:
+    """A result line of perfbench/run.py, as json.loads returns it."""
+    return {
+        "correct": correct, "attempted": 9, "failed": 0 if correct else 1,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
+    }
+
+
+def test_ab_pairs_summary_on_canned_result_lines():
+    """Medians, quartiles and pairs won per metric, in the direction the
+    benchmark declares; no summary when any run is not correct."""
+    ab = _load_script("ab_pairs")
+    parent = [_result_line(w, 40.0) for w in (4.0, 4.4, 4.2, 4.6, 4.8)]
+    change = [_result_line(w, r) for w, r in ((3.0, 41.0), (3.4, 39.0), (4.3, 41.0), (3.2, 41.0), (3.6, 41.0))]
+    lines = ab.summarize(parent, change, {"wall_s": "lower", "peak_rss_mb": "lower"})
+    assert lines == [
+        "wall_s: parent median 4.4000 (q1 4.2000, q3 4.6000), change median 3.4000 "
+        "(q1 3.2000, q3 3.6000), -22.7 %, change better in 4/5 pairs (lower is better)",
+        "peak_rss_mb: parent median 40.0000 (q1 40.0000, q3 40.0000), change median 41.0000 "
+        "(q1 41.0000, q3 41.0000), +2.5 %, change better in 1/5 pairs (lower is better)",
+    ]
+    higher = ab.summarize(parent, change, {"wall_s": "higher"})
+    assert higher[0].endswith("change better in 1/5 pairs (higher is better)")
+    change[3] = _result_line(3.2, 41.0, correct=False)
+    with pytest.raises(ValueError, match="not correct: change run 3"):
+        ab.summarize(parent, change, {"wall_s": "lower"})
+    with pytest.raises(ValueError, match="same positive number"):
+        ab.summarize(parent, change[:4], {"wall_s": "lower"})
+    root = Path(__file__).parents[1]
+    assert set(ab.directions(root)) == {"wall_s", "setup_s", "peak_rss_mb"}
 
 
 def _cyclic_garbage() -> list[tuple[type, int]]:

@@ -513,7 +513,8 @@ def test_sampled_sup_matches_the_old_loops(name):
 
     f = getattr(fixtures, name)()
     fam = build_family(f)
-    assert _identity_checks(f, fam, 20, 0) == control_oracle.identity_checks(f, fam, 20, 0)
+    at_half = fam.at(fam.effective_comesh / 2.0)
+    assert _identity_checks(f, at_half, 20, 0) == control_oracle.identity_checks(f, fam, 20, 0)
     data = assemble_bounded_equivalence(f, fam, samples=8, time_steps=9)
     eps_values = {fam.effective_comesh / 2.0} | {data._eps_at(t) for t in data.t_grid if t > 0}
     for eps in sorted(eps_values):
@@ -607,6 +608,33 @@ def test_shared_inversion_matches_the_per_closure_oracle_on_random_maps(f):
     _assert_family_matches_oracle(f, fam, fam.effective_comesh / 3.0, pts_y, pts_x, times)
 
 
+@given(random_simplicial_maps())
+@settings(max_examples=10, deadline=None)
+def test_step_kernel_matches_the_oracle_over_the_time_grid(f):
+    """h1 and h2 of one ``fam.at(eps)``, which share one image dict, and the
+    public ``build_h1`` and ``straightline_homotopy``, which own one each,
+    equal the oracle's ``FlagCell.evaluate`` path bit for bit at every time
+    of ``cone.TIME_STEPS`` (so h1' runs at the times k/8)."""
+    from plcontrol import build_h1, straightline_homotopy
+    from plcontrol.cone import TIME_STEPS
+
+    try:
+        fam = build_family(f)
+    except CannotConstructError:
+        return
+    times = [float(t) for t in np.linspace(0.0, 1.0, TIME_STEPS)]
+    pts_y = sample_points(f.target, 6, seed=1)
+    pts_x = sample_points(f.source, 4, seed=2)
+    for eps in epsilon_schedule(f.target)[::2]:
+        _assert_family_matches_oracle(f, fam, eps, pts_y, pts_x, times)
+        _, oh1, oh2 = family_oracle.family_at(fam, eps)
+        h1, h2 = build_h1(f, eps, fam.gamma), straightline_homotopy(f.target, eps)
+        for u, ou, pts in ((h2, oh2, pts_y), (h1, oh1, pts_x)):
+            for z in pts:
+                tr, otr = u.track(z), ou.track(z)
+                assert [_bits(tr(t)) for t in times] == [_bits(otr(t)) for t in times]
+
+
 def test_one_at_inverts_each_distinct_point_once(PROJ):
     from plcontrol import build_cellulation
 
@@ -628,6 +656,40 @@ def test_one_at_inverts_each_distinct_point_once(PROJ):
     assert split & set(pts_y)  # h1 read some of the points g and h2 located
     fam.at(eps)[0](pts_y[0])
     assert cel.inversions - before == len(set(pts_y) | split) + 1  # a new at() has a new memo
+
+
+def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
+    """h1 and h2 of one ``at(eps)`` read one image dict: each (cell, eps')
+    array is built once, h1' at time u reads the array h2 built at u, and a
+    new ``at()`` has a new dict."""
+    from plcontrol import build_cellulation
+    from plcontrol.cellulation import FlagCell
+
+    f = PROJ
+    fam = build_family(f)
+    eps = fam.effective_comesh / 4.0
+    build_cellulation(f.target, eps)  # its own images are built here, uncounted
+    built = []
+    real = FlagCell.vertex_images
+
+    def counting(cell, e):
+        built.append((cell.index, e))
+        return real(cell, e)
+
+    monkeypatch.setattr(FlagCell, "vertex_images", counting)
+    pts_y = sample_points(f.target, 20, seed=0)
+    pts_x = sample_points(f.source, 10, seed=1)
+    g, h1, h2 = fam.at(eps)
+    for y in pts_y + pts_y:
+        tr = h2.track(y)
+        tr(0.25), tr(0.5)
+    from_h2 = len(built)
+    for x in pts_x:
+        h1.track(x)(0.25)  # h1'(x, 0.5): the step eps * (1 - 0.5) of h2 at 0.5
+    assert 0 < len(built) == len(set(built))
+    assert from_h2 < 2 * len(pts_y) and len(built) - from_h2 < len(pts_x)
+    fam.at(eps)[2].track(pts_y[0])(0.5)
+    assert len(built) == len(set(built)) + 1
 
 
 def _tie_tracks(K):

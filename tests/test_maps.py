@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcontrol import (
     MalformedInputError,
@@ -28,7 +29,9 @@ from plcontrol import (
     verify_product_decomposition,
     vertex_point,
 )
+import family_oracle
 from plcontrol import fixtures
+from plcontrol.complexes import TOL
 from plcontrol.maps import _staircase_locate
 from test_homotopies import random_simplicial_maps
 
@@ -254,6 +257,53 @@ def test_product_certificate_catches_a_misweighted_join(MAP_COLLAPSE, monkeypatc
     verify_product_decomposition(MAP_COLLAPSE, D1.simplex(["a"]), samples=20)  # one group: exact
     with pytest.raises(ProductDecompositionError, match="round trip"):
         verify_product_decomposition(MAP_COLLAPSE, D1.simplex(["a", "b"]), samples=20)
+
+
+# -- fiber_join reads the fiber simplex without building f(z) ------------------------
+
+def _join_outcome(f, z, y):
+    """fiber_join's and the oracle's result bits, or exception type and message."""
+    out = []
+    for join in (fiber_join, family_oracle.fiber_join):
+        try:
+            p = join(f, z, y)
+            out.append((p.carrier, tuple(float(c).hex() for c in p.coords)))
+        except Exception as e:  # noqa: BLE001 - the type is part of what is compared
+            out.append((type(e), str(e)))
+    return out
+
+
+def test_join_labels_drop_image_mass_at_or_under_tol():
+    """z is not canonical and its mass over the image vertex v is at most
+    TOL, so the fiber simplex is the carrier of f(z), {u}: a base point on u
+    joins, one on the edge uv exceeds the fiber simplex."""
+    X = closure_complex([("a", "b", "c")])
+    Y = closure_complex([("u", "v")])
+    f = SimplicialMap(X, Y, {"a": "u", "b": "u", "c": "v"})
+    for mass in (TOL, TOL / 2.0):
+        z = Point(X.simplex(["a", "b", "c"]), (0.5, 0.5 - mass, mass))
+        assert set(evaluate_map(f, z).carrier.vertices) == {"u"}
+        on_u = _join_outcome(f, z, vertex_point(Y, "u"))
+        assert on_u[0] == on_u[1] and on_u[0][0] == X.simplex(["a", "b"])
+        on_uv = _join_outcome(f, z, make_point(Y, {"u": 0.5, "v": 0.5}))
+        assert on_uv[0] == on_uv[1] and on_uv[0][0] is MalformedInputError
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_fiber_join_matches_the_oracle_on_random_maps(f, seed):
+    """For z in each source simplex, some with a coordinate at or near zero,
+    and y in each face of its image simplex: the same point or error."""
+    rng = np.random.default_rng(seed)
+    for tau in f.source.sorted_simplices():
+        w = rng.dirichlet(np.ones(len(tau.vertices)))
+        if len(w) > 1:
+            w[int(rng.integers(len(w)))] = rng.choice([0.0, 1e-12, 1e-9, 2e-9, 0.1])
+        z = Point(tau, tuple(w / w.sum()))
+        for face in f.image_simplex(tau).faces():
+            y = Point(face, tuple(rng.dirichlet(np.ones(len(face.vertices)))))
+            new, old = _join_outcome(f, z, y)
+            assert new == old
 
 
 # -- star retraction ----------------------------------------------------------------

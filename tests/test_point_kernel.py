@@ -3,6 +3,7 @@
 distances, and the same exception type and message on every bad input."""
 
 import ast
+import dataclasses
 import pathlib
 import subprocess
 import sys
@@ -223,6 +224,75 @@ def test_canonical_errors_match_oracle():
     for p in (Point(other.simplex(["x", "y"]), (0.5, 0.5)), Point(other.simplex(["x", "y"]), (1.0, 0.0))):
         new, old = outcome(canonical, K, p), outcome(oracle.canonical, K, p)
         assert new == old and new[0] is NotFoundError
+
+
+# -- the canonical flag: coordinates checked once per point ----------------------------
+
+def test_canonical_flag_is_not_part_of_the_point():
+    """The flag is kept out of ==, hash, repr and __init__, and a point
+    built by Point(...), dataclasses.replace or make_point starts unflagged."""
+    K = closure_complex([("a", "b", "c")])
+    p = Point(K.simplex(["a", "b"]), (0.25, 0.75))
+    twin = Point(K.simplex(["a", "b"]), (0.25, 0.75))
+    assert not p._canonical and not make_point(K, {"a": 0.25, "b": 0.75})._canonical
+    assert canonical(K, p) is p and p._canonical and not twin._canonical
+    assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+    assert "_canonical" not in repr(p)
+    flag = next(f for f in dataclasses.fields(Point) if f.name == "_canonical")
+    assert (flag.init, flag.compare, flag.repr) == (False, False, False)
+    with pytest.raises(TypeError):
+        Point(p.carrier, p.coords, True)
+    with pytest.raises(TypeError):
+        Point(p.carrier, p.coords, _canonical=True)
+    again = dataclasses.replace(p)
+    assert again == p and not again._canonical
+
+
+def test_a_flagged_point_still_needs_its_carrier_in_the_complex():
+    K = closure_complex([("a", "b", "c")])
+    apart = closure_complex([("a", "c"), ("b", "c")])  # no edge ab
+    p = canonical(K, Point(K.simplex(["a", "b"]), (0.5, 0.5)))
+    assert p._canonical
+    new, old = outcome(canonical, apart, p), outcome(oracle.canonical, apart, p)
+    assert new == old and new[0] is NotFoundError
+
+
+def test_canonical_flags_only_what_passed_at_the_default_tol():
+    """A non-default tol takes the full path, on flagged and unflagged points
+    alike, and flags nothing; a point that canonical renormalizes is left
+    unflagged and returned as a new point."""
+    K = closure_complex([("a", "b")])
+    ab = K.simplex(["a", "b"])
+    p = Point(ab, (1e-8, 1.0 - 1e-8))
+    loose = canonical(K, p, tol=1e-7)
+    assert not p._canonical and bits(loose) == bits(oracle.canonical(K, p, tol=1e-7))
+    assert loose.carrier == K.simplex(["b"])
+    assert canonical(K, p) is p and p._canonical
+    for tol in (1e-7, 0.0):
+        same_point_outcome(outcome(canonical, K, p, tol), outcome(oracle.canonical, K, p, tol))
+    off = Point(ab, (0.5, 0.5 + 1e-10))
+    q = canonical(K, off)
+    assert not off._canonical and q is not off and bits(q) == bits(oracle.canonical(K, off))
+    fresh = Point(ab, (0.5, 0.5))
+    assert canonical(K, fresh, tol=1e-3) is fresh and not fresh._canonical
+
+
+@given(small_complexes, st.data())
+@settings(max_examples=100, deadline=None)
+def test_canonical_twice_matches_oracle(K, data):
+    """The second call, on a flagged point, gives the oracle's bits too."""
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    points = sample_points(K, 6, seed=seed, subdivision_rounds=0)
+    for s in K.sorted_simplices()[len(K.vertex_order):]:  # coordinates at and near zero
+        w = rng.dirichlet(np.ones(len(s.vertices)))
+        w[0] = rng.choice([w[0], 0.0, 1e-12, 1e-9, 2e-9])
+        points.append(Point(s, tuple(w / w.sum())))
+    for p in points:
+        want = bits(oracle.canonical(K, p))
+        first = canonical(K, p)
+        assert bits(first) == want and bits(canonical(K, first)) == want
+        assert bits(canonical(K, p)) == want
 
 
 def test_make_point_with_a_negative_tol_still_validates():
