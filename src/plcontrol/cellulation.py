@@ -22,15 +22,20 @@ flag, of lower index, reproduces y with the same s and nonzero t.
 What is kept, and for how long: the eps-free cells of every flag are built
 once per complex (``K._flag_cells``) and shared by its cellulations at every
 eps; ``build_cellulation`` keeps one cellulation per ``eps_key(eps)`` in
-``K._cellulations`` while K lives.  ``eps_key`` is the one per-eps key of
-the package: the controlled family builds its closures over these
-cellulations, and keys its per-point control sups with it.  The straight-line
-homotopy evaluates each cell at eps' = eps (1 - t) for every sampled time t;
-its step kernel ``_step`` reads the cell's vertex images at eps' from a dict
-keyed by (cell index, eps').  One ``ControlledFamily.at(eps)`` call creates
-that dict beside its locate memo, its h1 and h2 share it, and it dies with
-them; ``straightline_homotopy`` and ``build_h1`` each own one.  Every reuse of
-an eps' happens inside one ``at(eps)``, so nothing longer-lived keeps images.
+``K._cellulations`` while K lives.  A cellulation builds a cell's
+``a_coeffs`` and ``vertex_images`` at its eps when an inversion first checks
+the cell, and keeps them (``Cellulation._arrays``) as long as it lives.
+``eps_key`` is the one per-eps key of the package: the controlled family
+builds its closures over these cellulations, and keys its per-point control
+sups with it.  The straight-line homotopy evaluates each cell at
+eps' = eps (1 - t) for every sampled time t; its step kernel ``_step_rows``
+(``_step`` is its one-row case) reads the cell's vertex images at eps' from
+a dict keyed by (cell index, eps').  One ``ControlledFamily.at(eps)`` call
+creates that dict beside its locate memo, its h1 and h2 share it, and it
+dies with them; ``straightline_homotopy`` and ``build_h1`` each own one.
+Every reuse of an eps' happens inside one ``at(eps)``, so nothing
+longer-lived keeps images.  The h2 control of a sampled point is measured
+over the whole time grid as one array of steps (``_StraightLine.sup_at``).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +54,13 @@ from .complexes import (
     Point,
     Simplex,
     SimplicialComplex,
+    TOL,
     canonical,
     face_chains,
     vertex_point,
 )
 from .evaluators import Homotopy
-from .metrics import mesh_comesh, vertex_barycenter_distance
+from .metrics import distance, mesh_comesh, vertex_barycenter_distance
 
 
 class EpsilonRangeError(ValueError):
@@ -239,9 +246,8 @@ class Cellulation:
             for s, ell in zip(cell.flag.chain, cell.lengths):
                 if ell > 0.0 and not eps < ell:
                     raise EpsilonRangeError(f"eps={eps}: the vertex sphere would swallow the barycenter of {s}")
-        # per cell, by index: a_coeffs and vertex_images at this eps
-        self._a = [cell.a_coeffs(eps) for cell in self.cells]
-        self._images = [cell.vertex_images(eps) for cell in self.cells]
+        # per cell index: (a_coeffs, vertex_images) at this eps, on first use
+        self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
         self._level_cap = eps / math.sqrt(2.0) + _SLACK
         self.inversions = 0
@@ -312,7 +318,10 @@ class Cellulation:
         slack = _SLACK
         yv = np.array(y.coords)
         m1 = len(cell.flag.chain)
-        a = self._a[cell.index]
+        arrays = self._arrays.get(cell.index)
+        if arrays is None:
+            arrays = self._arrays[cell.index] = (cell.a_coeffs(self.eps), cell.vertex_images(self.eps))
+        a, P = arrays
         sizes = cell.sizes
 
         mu = np.zeros(m1 + 1)
@@ -360,7 +369,7 @@ class Cellulation:
         s /= total
         t = np.clip(t, 0.0, None)
         t /= t.sum()
-        res = np.einsum("i,j,ijd->d", s, t, self._images[cell.index]) - yv
+        res = np.einsum("i,j,ijd->d", s, t, P) - yv
         if float(np.linalg.norm(res)) > tol:
             return None
         return s, t
@@ -415,26 +424,90 @@ def _locator(cel: Cellulation):
     return locate
 
 
+def _step_rows(images: dict, cell: FlagCell, s, t, epss) -> np.ndarray:
+    """The coordinates over ``cell.carrier`` of the cell point (s, t) at
+    each eps' of ``epss``, one row per eps' and one einsum per row (an
+    einsum batched over the rows rounds differently).  The cell's vertex
+    images at eps' are read from ``images``, keyed by (cell index, eps'),
+    and computed only on a miss; the dict's owner decides how long they
+    live: one ``ControlledFamily.at`` call keeps one for its h1 and h2."""
+    out = np.empty((len(epss), len(cell.carrier.vertices)))
+    for k, eps in enumerate(epss):
+        P = images.get((cell.index, eps))
+        if P is None:
+            P = images[cell.index, eps] = cell.vertex_images(eps)
+        out[k] = np.einsum("i,j,ijd->d", s, t, P)
+    return out
+
+
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether ``canonical`` leaves a point with these coordinates
+    as it is: every coordinate > TOL and the sum, accumulated column by
+    column as Python's ``sum`` adds a tuple, within 1e-12 of 1."""
+    total = rows[:, 0].copy()
+    for k in range(1, rows.shape[1]):
+        total += rows[:, k]
+    return (rows > TOL).all(axis=1) & (np.abs(total - 1.0) <= 1e-12)
+
+
 def _step(K: SimplicialComplex, images: dict, cell: FlagCell, s, t, eps: float) -> Point:
-    """``canonical(K, cell.evaluate(eps, s, t))``, with the cell's vertex
-    images at eps read from ``images``, keyed by (cell index, eps), and
-    computed only on a miss.  The dict's owner decides how long they live:
-    one ``ControlledFamily.at`` call keeps one for its h1 and h2."""
-    P = images.get((cell.index, eps))
-    if P is None:
-        P = images[cell.index, eps] = cell.vertex_images(eps)
-    return canonical(K, Point(cell.carrier, tuple(np.einsum("i,j,ijd->d", s, t, P).tolist())))
+    """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
+    ``_step_rows``, as a point."""
+    return canonical(K, Point(cell.carrier, tuple(_step_rows(images, cell, s, t, (eps,))[0].tolist())))
 
 
-def _straightline(K: SimplicialComplex, eps: float, locate, images: dict) -> Homotopy:
+@dataclass
+class _StraightLine(Homotopy):
+    """The straight-line homotopy of the eps-cellulation, with the locate
+    memo and the image dict its tracks read, so that ``sup_at`` can measure
+    a sampled point's control over a whole time grid as one array."""
+
+    eps: float
+    locate: Callable
+    images: dict
+
+    def sup_at(self, y: Point, times) -> tuple[float, float | None, int]:
+        """(sup over t in ``times`` of d(y, h(y, t)), the first t attaining
+        it, the pairs measured), equal to the pair loop of
+        ``homotopies._sampled_sup`` on the tracks (y, h(y, .)).
+
+        A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
+        point of y's carrier, so its distance to y is the l2 norm of their
+        difference there, as ``distance`` computes it.  Every other row, and
+        always the row at t = 1 (eps' = 0, where the step is the base
+        point), takes ``_step`` and ``distance``."""
+        K = self.domain
+        times = [float(time) for time in times]
+        cell, (s, t) = self.locate(y)
+        y = canonical(K, y)  # the inversion read the cells over y's carrier
+        epss = [self.eps * (1.0 - time) for time in times]
+        rows = _step_rows(self.images, cell, s, t, epss)
+        exact = _canonical_rows(rows)
+        yv = np.array(y.coords)
+        best, arg = 0.0, None
+        for time, eps, row, ok in zip(times, epss, rows, exact):
+            if ok and eps > 0.0:
+                d = yv - row
+                dist = math.sqrt(d.dot(d))
+            else:
+                dist = distance(K, y, _step(K, self.images, cell, s, t, eps))
+            if arg is None or dist > best:
+                best, arg = dist, time
+        return best, arg, len(times)
+
+
+def _straightline(K: SimplicialComplex, eps: float, locate, images: dict) -> _StraightLine:
     def track_factory(y: Point):
         cell, (s, t) = locate(y)
         return lambda time: _step(K, images, cell, s, t, eps * (1.0 - time))
 
-    return Homotopy(
+    return _StraightLine(
         domain=K,
         codomain=K,
         track_factory=track_factory,
+        eps=eps,
+        locate=locate,
+        images=images,
     )
 
 

@@ -6,10 +6,18 @@ gamma assigns to every chain sigma_0 < ... < sigma_m a map from the chain's
 barycenter simplex into the fiber over sigma_0-hat; flag-length-zero chains
 get base points, longer chains get the cone extension of their boundary
 assembly through the collapse-derived contraction of the fiber.
+
+What is kept, and for how long: a gamma map keeps one fiber-contraction
+track per (sigma, w), with its values per time (``FlagMap._tracks``), for
+as long as it lives, and every ``family.at(eps)`` reads them.  One
+``ControlledFamily.at(eps)`` call keeps a locate memo and a dict of cell
+vertex images that die with its closures, and a family keeps its per-point
+control sups (``_sups``) as long as it lives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .cellulation import (
+    _StraightLine,
     _locator,
     _step,
     _straightline,
@@ -88,7 +97,15 @@ class ControlReport:
 @dataclass
 class FlagMap:
     """gamma: chi(Y) -> X, stored per chain, plus the product structure used
-    to spread chain values over whole flag cells."""
+    to spread chain values over whole flag cells.
+
+    ``_tracks`` keeps one fiber-contraction track per (sigma, w), each with
+    its values per time; it is filled by ``fiber_track`` and lives as long
+    as the gamma map.  The fiber contractions do not depend on eps, so, like
+    ``K._flag_cells``, the tracks serve every ``family.at(eps)``: g, the
+    second half of h1 and ``contract_in_fiber`` all read them.  Points and
+    times that are equal but hold numpy floats where others hold Python
+    floats are kept apart, since a fresh track's values would differ in type."""
 
     f: SimplicialMap
     trivialization: object
@@ -98,20 +115,34 @@ class FlagMap:
     chain_overrides: dict[tuple[Simplex, ...], Callable[[np.ndarray], Point]] = field(
         default_factory=dict
     )
+    _tracks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fiber_track(self, sigma: Simplex, w: Point) -> Callable[[float], Point]:
-        """The track of the fiber contraction over sigma at the fiber point w,
-        which is located in the fiber's triangulation once; w itself at
-        times <= 0."""
+        """The track of the fiber contraction over sigma at the fiber point w:
+        w itself at times <= 0.  The first call for (sigma, w) locates w in
+        the fiber's triangulation; every later call returns that one track,
+        which computes each time's value once."""
+        key = (sigma, w, tuple(map(type, w.coords)))
+        track = self._tracks.get(key)
+        if track is None:
+            track = self._tracks[key] = self._new_track(sigma, w)
+        return track
+
+    def _new_track(self, sigma: Simplex, w: Point) -> Callable[[float], Point]:
         fiber = self.fibers[sigma]
         labels, mu = fiber.locate(w)
         tr = self.contractions[sigma].track(make_point(fiber.triangulation, dict(zip(labels, mu))))
+        values: dict[tuple[float, type], Point] = {}
 
         def at(time: float) -> Point:
             if time <= 0.0:
                 return w
-            q = tr(time)
-            return fiber.embed(q.carrier.vertices, q.coords)
+            key = (time, type(time))
+            p = values.get(key)
+            if p is None:
+                q = tr(time)
+                p = values[key] = fiber.embed(q.carrier.vertices, q.coords)
+            return p
 
         return at
 
@@ -353,6 +384,8 @@ def _control_fn(control, K: SimplicialComplex):
 def sample_points(K: SimplicialComplex, samples: int, seed: int = 0, subdivision_rounds: int = 1) -> list[Point]:
     """Vertices of the r-fold subdivision plus uniformly drawn points of
     maximal simplices."""
+    if samples < 0:
+        raise MalformedInputError(f"samples must be >= 0, got {samples}")
     pts = subdivision_points(K, subdivision_rounds)
     rng = np.random.default_rng(seed)
     maxs = K.maximal_simplices()
@@ -374,26 +407,37 @@ def sampled_sup(
     sample order that attains it (None when nothing is sampled); and the
     number of pairs evaluated.  ``tracks`` runs once per sample, so per-point
     setup such as a cellulation inversion belongs there."""
-    return _sampled_sup(M, points, times, tracks, None)
+    return _sampled_sup(points, _pair_sup(M, times, tracks), None)
 
 
-def _sampled_sup(M, points, times, tracks, memo: dict | None):
+def _pair_sup(M, times, tracks):
+    """z -> (sup over t of d_M(a(t), b(t)), first t attaining it, pairs),
+    with (a, b) = tracks(z): one ``distance`` per pair."""
+
+    def point_sup(z):
+        a, b = tracks(z)
+        best, arg, n = 0.0, None, 0
+        for t in times:
+            t = float(t)
+            d = distance(M, a(t), b(t))
+            n += 1
+            if arg is None or d > best:
+                best, arg = d, t
+        return best, arg, n
+
+    return point_sup
+
+
+def _sampled_sup(points, point_sup, memo: dict | None):
     """``sampled_sup`` over per-point sups: each z's (sup over t, first t
-    that attains it, pairs) is read from ``memo`` when present there and
-    stored in it otherwise (None keeps nothing)."""
+    that attains it, pairs) is read from ``memo`` when present there, and
+    otherwise computed by ``point_sup(z)`` and stored in it (None keeps
+    nothing)."""
     worst, witness, count = 0.0, None, 0
     for z in points:
         entry = None if memo is None else memo.get(z)
         if entry is None:
-            a, b = tracks(z)
-            best, arg, n = 0.0, None, 0
-            for t in times:
-                t = float(t)
-                d = distance(M, a(t), b(t))
-                n += 1
-                if arg is None or d > best:
-                    best, arg = d, t
-            entry = (best, arg, n)
+            entry = point_sup(z)
             if memo is not None:
                 memo[z] = entry
         best, arg, n = entry
@@ -406,19 +450,25 @@ def _sampled_sup(M, points, times, tracks, memo: dict | None):
 def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None = None) -> ControlReport:
     """The sampled sup of d_M(p(z), q(u(z, t))) over the points and times,
     with p and q landing in one metric complex M (None is the identity; a
-    map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``."""
+    map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``.
+    The straight-line homotopy against the identity is measured per point
+    over the whole time grid (``_StraightLine.sup_at``)."""
     pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
     if M is not M2:
         raise MalformedInputError("control maps must land in one metric complex")
-    track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
+    if isinstance(u, _StraightLine) and p is None and q is None:
+        point_sup = functools.partial(u.sup_at, times=times)
+    else:
+        track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
 
-    def tracks(z: Point):
-        anchor = pfn(z)
-        tr = track(z)
-        return (lambda t: anchor), (lambda t: qfn(tr(t)))
+        def tracks(z: Point):
+            anchor = pfn(z)
+            tr = track(z)
+            return (lambda t: anchor), (lambda t: qfn(tr(t)))
 
-    sup, witness, count = _sampled_sup(M, points, times, tracks, memo)
+        point_sup = _pair_sup(M, times, tracks)
+    sup, witness, count = _sampled_sup(points, point_sup, memo)
     return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
 
 

@@ -9,6 +9,11 @@ base part (f(x)).  All fiber operations below are instances of regrouping.
 The cell bijection of the product decomposition holds by construction of the
 fiber's cells, so its certificate samples only the join/split round trip,
 the one part of it that can fail.
+
+What is kept, and for how long: a map keeps, while it lives, the source
+simplices grouped by image simplex (``f._by_image``, built in one pass by
+``_source_by_image``), which the fibers and ``surjectivity_check`` read,
+and one fiber per target simplex (``f._fiber_cache``).
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class SimplicialMap:
                 raise MalformedInputError(
                     f"image {self.vertex_map[v]!r} of {v!r} is not a target vertex"
                 )
-        self._fiber_cache: dict = {}
+        # derived from f alone, filled on first use by the owner named and kept while f lives
+        self._fiber_cache: dict = {}  # fiber_over_barycenter, one per target simplex
+        self._by_image: dict[Simplex, list[Simplex]] | None = None  # _source_by_image
 
     def image_labels(self, s: Simplex) -> tuple[str, ...]:
         return tuple(sorted({self.vertex_map[v] for v in s.vertices}, key=self.target.vertex_index))
@@ -105,8 +112,20 @@ def surjectivity_check(f: SimplicialMap) -> list[Simplex]:
     returned list is exactly the open stars obstructing surjectivity (the
     inclusion-minimal ones are the minimal elements of this list).
     """
-    hit: set[Simplex] = {f.image_simplex(s) for s in f.source.simplices}
+    hit = _source_by_image(f)
     return [s for s in f.target.sorted_simplices() if s not in hit]
+
+
+def _source_by_image(f: SimplicialMap) -> dict[Simplex, list[Simplex]]:
+    """image simplex -> the source simplices mapping onto it, each group in
+    ``sorted_simplices`` order: one ``image_simplex`` call per source
+    simplex, made on first use and kept in ``f._by_image``."""
+    if f._by_image is None:
+        groups: dict[Simplex, list[Simplex]] = {}
+        for tau in f.source.sorted_simplices():
+            groups.setdefault(f.image_simplex(tau), []).append(tau)
+        f._by_image = groups
+    return f._by_image
 
 
 # -- fibers over barycenters ---------------------------------------------------
@@ -238,19 +257,19 @@ def _staircase_locate(lambdas: list[list[float]], tol: float = 1e-12):
 def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
     """Cells are the products of per-vertex preimage faces over every source
     simplex mapping onto sigma, glued along shared faces and triangulated by
-    the staircase triangulation."""
+    the staircase triangulation.  The simplices are read from sigma's group
+    of ``_source_by_image``, in ``sorted_simplices`` order."""
     if sigma not in f.target.simplices:
         raise NotFoundError(f"simplex {sigma} not in target")
     if sigma in f._fiber_cache:
         return f._fiber_cache[sigma]
-    cells = []
-    for tau in f.source.sorted_simplices():
-        if f.image_simplex(tau) != sigma:
-            continue
-        factors = tuple(
-            tuple(v for v in tau.vertices if f.vertex_map[v] == w) for w in sigma.vertices
+    cells = [
+        ProductCell(
+            tau=tau,
+            factors=tuple(tuple(v for v in tau.vertices if f.vertex_map[v] == w) for w in sigma.vertices),
         )
-        cells.append(ProductCell(tau=tau, factors=factors))
+        for tau in _source_by_image(f).get(sigma, ())
+    ]
     if not cells:
         fc = FiberComplex(source=f.source, sigma=sigma, cells=[], triangulation=None, embedding={})
         f._fiber_cache[sigma] = fc

@@ -140,6 +140,8 @@ def run_verify(
     map_label: str = "map",
     certificate_samples: int = 100,
 ) -> VerificationReport:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise MalformedInputError(f"tolerance must be finite and >= 0, got {tol}")
     report = VerificationReport(map_label=map_label)
     bad = validate_map(f)
     if bad:

@@ -4,8 +4,10 @@ cellulation on every call or track, so g(y) and h2.track(y) invert y twice,
 and each step evaluates its cell through ``FlagCell.evaluate``, which builds
 the cell's vertex images again.  Kept as the oracle of the shared-inversion
 and step-kernel differential tests, with ``fiber_join`` as it was when it
-read its fiber simplex off the point f(z)."""
+read its fiber simplex off the point f(z).  h1's second half reads the
+per-call fiber track of ``homotopy_oracle``, as before gamma kept its tracks."""
 
+import homotopy_oracle
 from plcontrol import (
     Homotopy,
     MalformedInputError,
@@ -81,7 +83,9 @@ def build_h1(f, eps, gamma):
                 a = hprime(1.0)
                 b = gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
                 ybar = evaluate_map(f, a)
-                second = ybar, *(gamma.fiber_track(ybar.carrier, triv.split(q)[0]) for q in (a, b))
+                second = ybar, *(
+                    homotopy_oracle.fiber_track(gamma, ybar.carrier, triv.split(q)[0]) for q in (a, b)
+                )
             ybar, tr_a, tr_b = second
             u = 2.0 * time - 1.0
             return triv.join(tr_a(2.0 * u) if u <= 0.5 else tr_b(2.0 - 2.0 * u), ybar)

@@ -2,7 +2,7 @@
 collapse contraction, the star retraction and the fiber contraction of gamma
 as functions of (point, time) that redo their per-point work on every call
 (replaying every squash from the start, summing the off-sigma mass, locating
-the point in its fiber)."""
+the point in its fiber), and the per-call fiber track of gamma."""
 
 from plcontrol import NotFoundError, Point, combine_points, make_point
 from plcontrol.complexes import TOL
@@ -56,6 +56,23 @@ def build_star_retraction(f, sigma):
         return make_point(f.source, out)
 
     return fn
+
+
+def fiber_track(gamma, sigma, w: Point):
+    """gamma's fiber track over sigma at w as it was before ``FlagMap``
+    kept its tracks: every call locates w in the fiber and builds a fresh
+    contraction track, and every read embeds its point again."""
+    fiber = gamma.fibers[sigma]
+    labels, mu = fiber.locate(w)
+    tr = gamma.contractions[sigma].track(make_point(fiber.triangulation, dict(zip(labels, mu))))
+
+    def at(time: float) -> Point:
+        if time <= 0.0:
+            return w
+        q = tr(time)
+        return fiber.embed(q.carrier.vertices, q.coords)
+
+    return at
 
 
 def contract_in_fiber(gamma, sigma, w: Point, time: float) -> Point:

@@ -29,6 +29,7 @@ from plcontrol import (
     save_complex,
     save_map,
     run_verify,
+    sample_points,
     vertex_point,
 )
 from plcontrol import fixtures
@@ -229,19 +230,22 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
-    fiber locations and cell vertex-image arrays of a default verify of
-    map_collapse stay at or under 1672, 31025, 6, 13, 2099 and 1259: the
-    sampled-sup kernel rebuilds no h1 track per identity, each of the
-    identities, the control table and the assembly draws its Y and X sample
-    sets once, each distinct eps builds one cellulation of Y, one
-    ``family.at(eps)`` inverts each distinct point once and is shared by the
-    identities and the table's comesh/2 row, the assembly reads the
-    per-point sups the control table measured, the second half of an h1
-    track locates its two fiber points once, and h1 and h2 of one
-    ``family.at(eps)`` build each (cell, eps') image array once."""
+    fiber locations, cell vertex-image arrays and fiber-contraction tracks
+    of a default verify of map_collapse stay at or under 1672, 15681, 6, 13,
+    299, 1233 and 299: the sampled-sup kernel rebuilds no h1 track per
+    identity, each of the identities, the control table and the assembly
+    draws its Y and X sample sets once, each distinct eps builds one
+    cellulation of Y, one ``family.at(eps)`` inverts each distinct point
+    once and is shared by the identities and the table's comesh/2 row, the
+    assembly reads the per-point sups the control table measured, the h2
+    row measures a point's canonical steps without ``distance``, gamma
+    keeps one fiber track per (sigma, w) for every eps, h1 and h2 of one
+    ``family.at(eps)`` build each (cell, eps') image array once, and a
+    cellulation builds a cell's arrays at its eps only when an inversion
+    first checks the cell."""
     from plcontrol import cellulation, homotopies, maps, metrics
 
-    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0, "images": 0}
+    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0, "images": 0, "tracks": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -256,6 +260,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     monkeypatch.setattr(cellulation.Cellulation, "__init__", counting("cold", real_init))
     monkeypatch.setattr(cellulation.FlagCell, "vertex_images", counting("images", cellulation.FlagCell.vertex_images))
     monkeypatch.setattr(maps.FiberComplex, "locate", counting("locate", maps.FiberComplex.locate))
+    monkeypatch.setattr(homotopies.FlagMap, "_new_track", counting("tracks", homotopies.FlagMap._new_track))
     for name, fn in (("distance", metrics.distance), ("sample_points", homotopies.sample_points)):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
@@ -270,11 +275,12 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
     assert calls["invert"] <= 1672
-    assert calls["distance"] <= 31025
+    assert calls["distance"] <= 15681
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
-    assert calls["locate"] <= 2099
-    assert calls["images"] <= 1259
+    assert calls["locate"] <= 299
+    assert calls["images"] <= 1233
+    assert calls["tracks"] <= 299
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
@@ -286,6 +292,48 @@ def test_verify_text_matches_the_benchmark_reference(name):
     rep = run_verify(getattr(fixtures, name)(), map_label=f"{name}.json")
     assert rep.render() == ref["text"]
     assert rep.exit_code == ref["exit_code"]
+
+
+def test_malformed_tolerance_and_sample_count_raise():
+    """A NaN, infinite or negative tolerance would turn every control row
+    into a refutation, and a negative sample count draws nothing."""
+    f = fixtures.map_collapse()
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(MalformedInputError, match="tolerance must be finite and >= 0"):
+            run_verify(f, tol=tol)
+    with pytest.raises(MalformedInputError, match="samples must be >= 0"):
+        sample_points(f.target, -5)
+    with pytest.raises(MalformedInputError, match="samples must be >= 0"):
+        run_verify(f, samples=-5, certificate_samples=5)
+    assert len(sample_points(f.target, 0)) == len(f.target.simplices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "collapse.json", "--tol", "nan"],
+        ["verify", "collapse.json", "--tol", "-1"],
+        ["verify", "collapse.json", "--tol", "inf"],
+        ["verify", "collapse.json", "--samples", "-5"],
+        ["measure-control", "collapse.json", "--epsilon", "0.1", "--samples", "-5"],
+        ["inverse", "collapse.json", "--epsilon", "0.1", "--samples", "-5"],
+    ],
+)
+def test_cli_reports_a_malformed_tolerance_or_sample_count(tmp_path, capsys, argv):
+    write_fixture_files(tmp_path)
+    code = main([argv[0], str(tmp_path / argv[1]), *argv[2:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and ("tolerance" in captured.err or "samples" in captured.err)
+    assert "overall:" not in captured.out and "Traceback" not in captured.err
+
+
+def test_prism1_render_is_pinned():
+    """The default verify of Prism(1), as scripts/ladder.py runs it, renders
+    the text whose sha256 was recorded before any sample-kernel change."""
+    r = _load_script("ladder").rung(1)
+    assert (r["source"], r["target"], r["overall"]) == (123, 25, THEOREM_CONSISTENT)
+    assert r["sha256"] == "47953f2c7372b9349f40efb38a1cb7ca17d1c5929b36db3e66e11efb96cafd3f"
 
 
 def test_verify_report_deterministic():

@@ -668,7 +668,7 @@ def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
     f = PROJ
     fam = build_family(f)
     eps = fam.effective_comesh / 4.0
-    build_cellulation(f.target, eps)  # its own images are built here, uncounted
+    build_cellulation(f.target, eps)  # it builds a cell's arrays at eps once, on first inversion
     built = []
     real = FlagCell.vertex_images
 
@@ -710,7 +710,7 @@ def test_sampled_sup_memo_empty_partial_and_full(case, D1):
     """The memo-backed kernel returns the memo-free loop's (sup, witness,
     pairs) whatever the memo already holds, and reads a held point without
     calling its tracks."""
-    from plcontrol.homotopies import _sampled_sup, sampled_sup
+    from plcontrol.homotopies import _pair_sup, _sampled_sup, sampled_sup
 
     if case == "family":
         f = fixtures.map_collapse()
@@ -736,9 +736,9 @@ def test_sampled_sup_memo_empty_partial_and_full(case, D1):
 
     for prefix in (0, len(pts) // 2, len(pts)):
         memo = {}
-        _sampled_sup(M, pts[:prefix], times, tracks, memo)
+        _sampled_sup(pts[:prefix], _pair_sup(M, times, tracks), memo)
         calls.clear()
-        assert _sampled_sup(M, pts, times, counted, memo) == want
+        assert _sampled_sup(pts, _pair_sup(M, times, counted), memo) == want
         assert len(calls) == len(set(pts) - set(pts[:prefix]))
     if case == "ties":
         assert want[1] == (pts[0], 0.5) and want[2] == 5 * len(pts)
@@ -764,3 +764,100 @@ def test_warm_family_controls_equal_a_cold_family(name):
     cases = [(eps, table) for eps in schedule] + [(data._eps_at(t), slices) for t in data.t_grid]
     for eps, pts in cases:
         assert family_controls(warm, eps, *pts, times) == family_controls(build_family(f), eps, *pts, times)
+
+
+# -- the h2 row as one array per sampled point ------------------------------------------
+
+def _near_boundary_points(Y):
+    """One point per positive-dimensional maximal simplex of Y with one
+    coordinate just above TOL: as eps' shrinks its steps drop that coordinate
+    to TOL or below, so ``canonical`` changes them and they take the scalar
+    branch before t = 1."""
+    pts = []
+    for s in Y.maximal_simplices():
+        if s.dim > 0:
+            n = len(s.vertices)
+            pts.append(make_point(Y, {v: 3e-9 if i == 0 else (1.0 - 3e-9) / (n - 1) for i, v in enumerate(s.vertices)}))
+    return pts
+
+
+def _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
+    """The h2 row of ``_family_controls`` equals the memo-free pair loop on
+    the straight-line tracks of ``family_oracle`` in sup, witness and pair
+    count; returns the eps' of the steps that took the scalar branch."""
+    from plcontrol import cellulation
+    from plcontrol.homotopies import _family_controls
+
+    scalar = []
+    real = cellulation._step
+
+    def spy(K, images, cell, s, t, e):
+        scalar.append(e)
+        return real(K, images, cell, s, t, e)
+
+    old_h2 = family_oracle.straightline_homotopy(f.target, eps)
+    want = control_oracle.sampled_sup(f.target, pts, times, lambda z: ((lambda t: z), old_h2.track(z)))
+    with monkeypatch.context() as m:
+        m.setattr(cellulation, "_step", spy)
+        rep = _family_controls(fam, eps, fam.at(eps), pts, [], times)["h2"]
+    assert (rep.measured_control, rep.witness, rep.samples) == want
+    return scalar
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
+def test_h2_rows_match_the_pair_loop(name, monkeypatch):
+    """At every schedule eps and every assembly eps of a default verify, on
+    its Y samples and on points whose steps leave Y's open carrier before
+    t = 1; every point takes the scalar branch at t = 1 (eps' = 0)."""
+    from plcontrol import assemble_bounded_equivalence
+    from plcontrol.cone import TIME_STEPS
+
+    f = getattr(fixtures, name)()
+    fam = build_family(f)
+    times = tuple(map(float, np.linspace(0.0, 1.0, TIME_STEPS)))
+    pts = sample_points(f.target, 120, seed=0) + _near_boundary_points(f.target)
+    data = assemble_bounded_equivalence(f, build_family(f), samples=40, seed=0)
+    early = 0
+    for eps in epsilon_schedule(f.target) + [data._eps_at(t) for t in data.t_grid]:
+        scalar = _assert_h2_rows_match_the_pair_loop(f, build_family(f), eps, pts, times, monkeypatch)
+        assert scalar.count(0.0) == len(set(pts))
+        early += sum(e > 0.0 for e in scalar)
+    assert early > 0
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_h2_rows_match_the_pair_loop_on_random_maps(f, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            fam = build_family(f)
+        except CannotConstructError:
+            return
+        times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
+        pts = sample_points(f.target, 20, seed=seed) + _near_boundary_points(f.target)
+        for eps in epsilon_schedule(f.target, steps=3):
+            scalar = _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch)
+            assert scalar.count(0.0) == len(set(pts))
+
+
+def test_canonical_rows_sum_in_pythons_order():
+    """Rows whose sum lies within rounding of the 1e-12 bound: the test
+    agrees with ``canonical`` on each, including rows on which a sum in
+    another order would land on the other side of the bound."""
+    from plcontrol.cellulation import _canonical_rows
+
+    K = closure_complex([("a", "b", "c", "d")])
+    top = K.maximal_simplices()[0]
+    rng = np.random.default_rng(3)
+    rows = []
+    while len(rows) < 40:
+        w = rng.dirichlet(np.ones(4))
+        total = 1.0 + rng.choice([-1.0, 1.0]) * (1e-12 + rng.uniform(-4e-16, 4e-16))
+        row = [float(c) for c in w / w.sum() * total]
+        if (abs(sum(row) - 1.0) <= 1e-12) != (abs(sum(row[::-1]) - 1.0) <= 1e-12):
+            rows.append(row)
+    rows += [[0.25] * 4, [0.5, 0.5, 1e-9, 0.0], [0.5, 0.5 - 2e-9, 2e-9, 0.0]]
+    got = _canonical_rows(np.array(rows))
+    for row, ok in zip(rows, got):
+        p = Point(top, tuple(row))
+        assert ok == (canonical(K, p) is p)

@@ -30,10 +30,12 @@ from plcontrol import (
     vertex_point,
 )
 import family_oracle
+import maps_oracle
 from plcontrol import fixtures
 from plcontrol.complexes import TOL
 from plcontrol.maps import _staircase_locate
 from test_homotopies import random_simplicial_maps
+from test_point_kernel import bits
 
 
 def lattice_points(K, s, resolution):
@@ -238,6 +240,63 @@ def test_fixture_fibers_are_unions_of_product_cells(name):
 @settings(max_examples=30, deadline=None)
 def test_random_fibers_are_unions_of_product_cells(f):
     assert_cells_are_products(f)
+
+
+def fresh(f):
+    """f as a new map over the same complexes, with nothing cached on it."""
+    return SimplicialMap(f.source, f.target, dict(f.vertex_map))
+
+
+def prism_map(k):
+    from test_harness import _load_script
+
+    return _load_script("ladder").inputs.prism_map(k)
+
+
+def assert_fibers_match_the_scan(f):
+    """Every fiber of f equals the scan oracle's in cells, triangulation
+    (vertex order and simplices) and embedding, and the open stars the image
+    misses are the oracle's."""
+    for sigma in f.target.sorted_simplices():
+        new, old = fiber_over_barycenter(f, sigma), maps_oracle.fiber_over_barycenter(f, sigma)
+        assert new.cells == old.cells
+        if old.triangulation is None:
+            assert new.triangulation is None
+        else:
+            assert new.triangulation.vertex_order == old.triangulation.vertex_order
+            assert new.triangulation.sorted_simplices() == old.triangulation.sorted_simplices()
+        assert [(v, bits(p)) for v, p in new.embedding.items()] == [(v, bits(p)) for v, p in old.embedding.items()]
+    assert surjectivity_check(f) == maps_oracle.surjectivity_check(f)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_prism_fibers_match_the_scan(k):
+    assert_fibers_match_the_scan(prism_map(k))
+
+
+@pytest.mark.parametrize("name", ["map_collapse", "map_bad", "inclusion_d1_d2", "proj_map"])
+def test_fixture_fibers_match_the_scan(name):
+    assert_fibers_match_the_scan(fresh(getattr(fixtures, name)()))
+
+
+@given(random_simplicial_maps())
+@settings(max_examples=30, deadline=None)
+def test_random_fibers_match_the_scan(f):
+    assert_fibers_match_the_scan(f)
+
+
+def test_fibers_take_one_image_per_source_simplex(monkeypatch):
+    """All fibers and the surjectivity check of a map compute the image of
+    each source simplex at most once."""
+    calls = []
+    real = SimplicialMap.image_simplex
+    monkeypatch.setattr(SimplicialMap, "image_simplex", lambda f, s: calls.append(s) or real(f, s))
+    for f in (prism_map(1), fresh(fixtures.proj_map()), fresh(fixtures.map_collapse())):
+        calls.clear()
+        surjectivity_check(f)
+        for sigma in f.target.sorted_simplices():
+            fiber_over_barycenter(f, sigma)
+        assert len(calls) == len(set(calls)) == len(f.source.simplices)
 
 
 def test_product_certificate_catches_a_misweighted_join(MAP_COLLAPSE, monkeypatch):

@@ -35,6 +35,7 @@ from plcontrol import (
 )
 from plcontrol import contract, homotopies
 from test_contract import shuffled_closures
+from test_homotopies import random_simplicial_maps
 from test_point_kernel import bits, outcome
 
 
@@ -149,6 +150,89 @@ def test_fiber_tracks_match_the_per_call_kernels(name):
             tr = gamma.fiber_track(sigma, w)
             assert [bits(tr(t)) for t in reversed(times)] == expected[::-1]
             assert [bits(gamma.contract_in_fiber(sigma, w, t)) for t in times] == expected
+
+
+def fiber_points(gamma, sigma, rng, count: int) -> list[Point]:
+    """Embedded vertices and random points of the fiber over sigma, each
+    also with its coordinates as numpy floats."""
+    fiber = gamma.fibers[sigma]
+    out = []
+    for p in points_of(fiber.triangulation, rng, count):
+        w = fiber.embed(p.carrier.vertices, p.coords)
+        out += [Point(w.carrier, tuple(map(float, w.coords))), Point(w.carrier, tuple(map(np.float64, w.coords)))]
+    return out
+
+
+def assert_kept_tracks_match(f, rng, count: int):
+    """Every fiber of f: the kept track of each (sigma, w), read forwards by
+    one caller, backwards by a second caller of an equal w, interleaved
+    between the two, and at numpy-float times, equals the per-call track bit
+    for bit; every fiber point asked over another target simplex raises
+    what the per-call track raises."""
+    gamma = build_gamma_map(f)
+    sigmas = f.target.sorted_simplices()
+    for sigma in sigmas:
+        steps = gamma.fibers[sigma].verdict.sequence.steps
+        times = step_times(len(steps))
+        for w in fiber_points(gamma, sigma, rng, count):
+            expected = [bits(oracle.fiber_track(gamma, sigma, w)(t)) for t in times]
+            twin = Point(w.carrier, w.coords)
+            a, b = gamma.fiber_track(sigma, w), gamma.fiber_track(sigma, twin)
+            assert a is b
+            got_a, got_b = [], []
+            for t, u in zip(times, reversed(times)):
+                got_a.append(bits(a(t)))
+                got_b.append(bits(b(u)))
+            assert got_a == expected and got_b == expected[::-1]
+            assert [bits(gamma.contract_in_fiber(sigma, w, t)) for t in reversed(times)] == expected[::-1]
+            np_times = [np.float64(t) for t in times]
+            assert [bits(a(t)) for t in np_times] == [bits(oracle.fiber_track(gamma, sigma, w)(t)) for t in np_times]
+            for tau in sigmas:
+                if tau != sigma:
+                    want = outcome(oracle.fiber_track, gamma, tau, w)
+                    got = outcome(gamma.fiber_track, tau, w)
+                    assert got[0] == want[0] and (want[0] == "ok" or got == want)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MAPS))
+def test_kept_fiber_tracks_match_the_per_call_track(name):
+    assert_kept_tracks_match(FIXTURE_MAPS[name](), np.random.default_rng(7), 3)
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_kept_fiber_tracks_match_the_per_call_track_on_random_maps(f, seed):
+    try:
+        assert_kept_tracks_match(f, np.random.default_rng(seed), 2)
+    except homotopies.CannotConstructError:
+        pass
+
+
+def test_gamma_locates_each_fiber_point_once(monkeypatch):
+    """g and h1 at two eps, each read twice, locate each fiber point once:
+    one track per (sigma, w, coordinate types) serves every ``at``."""
+    from plcontrol import maps
+
+    located = []
+    real = maps.FiberComplex.locate
+
+    def locate(fiber, w, *args):
+        located.append((fiber.sigma, w, tuple(map(type, w.coords))))
+        return real(fiber, w, *args)
+
+    monkeypatch.setattr(maps.FiberComplex, "locate", locate)
+    f = fixtures.map_collapse()
+    fam = build_family(f)
+    pts_y, pts_x = sample_points(f.target, 30, seed=2), sample_points(f.source, 10, seed=2)
+    for eps in (fam.effective_comesh / 2.0, fam.effective_comesh / 4.0) * 2:
+        g, h1, _ = fam.at(eps)
+        for y in pts_y:
+            g(y)
+        for x in pts_x:
+            tr = h1.track(x)
+            for t in np.linspace(0.0, 1.0, 9):
+                tr(float(t))
+    assert located and len(located) == len(set(located)) == len(fam.gamma._tracks)
 
 
 # -- the star retraction --------------------------------------------------------------
