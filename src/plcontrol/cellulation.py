@@ -55,6 +55,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     TOL,
+    _row_sums,
     canonical,
     face_chains,
     vertex_point,
@@ -224,7 +225,15 @@ def _flag_cells(K: SimplicialComplex):
 
 
 def _check_eps(K: SimplicialComplex, eps: float) -> None:
-    """The range every cellulation of K needs: 0 < eps < comesh."""
+    """The range every cellulation of K needs: 0 < eps < comesh.
+
+    It also keeps every vertex sphere short of the barycenters: the comesh
+    is the least radius of a positive-dimensional simplex, and the radius
+    of the standard n-simplex, sqrt(1/(n(n+1))), is at most its
+    vertex-to-barycenter distance sqrt(n/(n+1)) (equal for an edge), so
+    eps < comesh - 1e-12, whose margin covers the rounding of the computed
+    radii, puts eps below that distance for every chain simplex of every
+    cell."""
     cm = comesh_of(K)
     if not (0.0 < eps < cm - 1e-12):
         raise EpsilonRangeError(f"eps={eps} outside (0, comesh={cm})")
@@ -242,10 +251,6 @@ class Cellulation:
         self.K = K
         self.eps = eps
         self.cells, self._index = _flag_cells(K)
-        for cell in self.cells:
-            for s, ell in zip(cell.flag.chain, cell.lengths):
-                if ell > 0.0 and not eps < ell:
-                    raise EpsilonRangeError(f"eps={eps}: the vertex sphere would swallow the barycenter of {s}")
         # per cell index: (a_coeffs, vertex_images) at this eps, on first use
         self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
@@ -442,12 +447,9 @@ def _step_rows(images: dict, cell: FlagCell, s, t, epss) -> np.ndarray:
 
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Per row, whether ``canonical`` leaves a point with these coordinates
-    as it is: every coordinate > TOL and the sum, accumulated column by
-    column as Python's ``sum`` adds a tuple, within 1e-12 of 1."""
-    total = rows[:, 0].copy()
-    for k in range(1, rows.shape[1]):
-        total += rows[:, k]
-    return (rows > TOL).all(axis=1) & (np.abs(total - 1.0) <= 1e-12)
+    as it is: every coordinate > TOL and the sum (``_row_sums``) within
+    1e-12 of 1."""
+    return (rows > TOL).all(axis=1) & (np.abs(_row_sums(rows) - 1.0) <= 1e-12)
 
 
 def _step(K: SimplicialComplex, images: dict, cell: FlagCell, s, t, eps: float) -> Point:
@@ -473,9 +475,10 @@ class _StraightLine(Homotopy):
 
         A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
         point of y's carrier, so its distance to y is the l2 norm of their
-        difference there, as ``distance`` computes it.  Every other row, and
-        always the row at t = 1 (eps' = 0, where the step is the base
-        point), takes ``_step`` and ``distance``."""
+        difference there, as ``distance`` computes it.  Every other row
+        takes ``_step`` and ``distance``: at t = 1 (eps' = 0) the step is
+        the base point, whose row is canonical only when the cell's base is
+        its carrier."""
         K = self.domain
         times = [float(time) for time in times]
         cell, (s, t) = self.locate(y)
@@ -486,7 +489,7 @@ class _StraightLine(Homotopy):
         yv = np.array(y.coords)
         best, arg = 0.0, None
         for time, eps, row, ok in zip(times, epss, rows, exact):
-            if ok and eps > 0.0:
+            if ok:
                 d = yv - row
                 dist = math.sqrt(d.dot(d))
             else:

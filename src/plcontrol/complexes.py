@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 TOL = 1e-9
 
 
@@ -332,6 +334,16 @@ def canonical(K: SimplicialComplex, p: Point, tol: float = TOL) -> Point:
             object.__setattr__(p, "_canonical", True)
         return p
     return make_point(K, p.as_dict(), tol=tol)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum, accumulated column by column as Python's ``sum``
+    adds a tuple of coordinates (a numpy reduction may add in another
+    order); a column of zeros changes no sum."""
+    total = rows[:, 0].copy()
+    for k in range(1, rows.shape[1]):
+        total += rows[:, k]
+    return total
 
 
 def vertex_point(K: SimplicialComplex, label: str) -> Point:

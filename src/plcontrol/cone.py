@@ -18,12 +18,13 @@ slice by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .complexes import Point, SimplicialComplex
+from .complexes import MalformedInputError, Point, SimplicialComplex
 from .evaluators import Homotopy, PLEvaluator
 from .homotopies import ControlledFamily, family_controls, sample_points
 from .maps import SimplicialMap
@@ -48,6 +49,8 @@ class ConePoint:
 
 
 def coning_map(p: Point | None, t: float) -> ConePoint:
+    if not math.isfinite(t):
+        raise MalformedInputError(f"cone height must be finite, got {t}")
     if t <= 0.0:
         return ConePoint(base=None, height=t)
     return ConePoint(base=p, height=t)
@@ -66,6 +69,10 @@ def cone_distance(dM: Callable[[Point, Point], float], a: ConePoint, b: ConePoin
 
 
 def complex_metric(K: SimplicialComplex, refinement: int = 2) -> Callable[[Point, Point], float]:
+    """d_K with the Steiner graph of the given refinement (>= 0; a negative
+    one would build the graph with no lattice points)."""
+    if refinement < 0:
+        raise MalformedInputError(f"refinement must be >= 0, got {refinement}")
     return lambda p, q: distance(K, p, q, refinement=refinement)
 
 

@@ -11,8 +11,10 @@ What is kept, and for how long: a gamma map keeps one fiber-contraction
 track per (sigma, w), with its values per time (``FlagMap._tracks``), for
 as long as it lives, and every ``family.at(eps)`` reads them.  One
 ``ControlledFamily.at(eps)`` call keeps a locate memo and a dict of cell
-vertex images that die with its closures, and a family keeps its per-point
-control sups (``_sups``) as long as it lives.
+vertex images that die with its closures; its h1 (``_H1``) and h2
+(``cellulation._StraightLine``) hold both, so that each measures its
+control row per sampled point as arrays over the time grid (``sup_at``).
+A family keeps its per-point control sups (``_sups``) as long as it lives.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import numpy as np
 
 from .cellulation import (
     _StraightLine,
+    _canonical_rows,
     _locator,
     _step,
+    _step_rows,
     _straightline,
     build_cellulation,
     comesh_of,
@@ -50,6 +54,7 @@ from .maps import (
     FiberComplex,
     JoinTrivialization,
     SimplicialMap,
+    _joined_image_rows,
     build_star_retraction,
     evaluate_map,
     fiber_over_barycenter,
@@ -257,7 +262,90 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     return _h1(f, eps, gamma, build_cellulation(f.target, eps).invert, {})
 
 
-def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict) -> Homotopy:
+@dataclass
+class _H1(Homotopy):
+    """h1 of the eps-cellulation, with the map, gamma, the locate memo and
+    the image dict its tracks read, so that ``sup_at`` can measure a
+    sampled point's control through f over a whole time grid as arrays."""
+
+    f: SimplicialMap
+    eps: float
+    gamma: FlagMap
+    locate: Callable
+    images: dict
+
+    def measures(self, p, q) -> bool:
+        """Whether ``sup_at`` is the control through p and q: both are f,
+        and gamma joins in f's own join coordinates."""
+        triv = self.gamma.trivialization
+        return p is self.f and q is self.f and type(triv) is JoinTrivialization and triv.f is self.f
+
+    def sup_at(self, x: Point, times) -> tuple[float, float | None, int]:
+        """(sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the first t
+        attaining it, the pairs measured), equal to the pair loop of
+        ``_sampled_sup`` on the tracks (f(x), f(h1(x, .))).
+
+        x is split and f(x) located once.  The first half (t <= 1/2) joins
+        the fiber part z to the steps at eps' = eps (1 - 2t), one
+        ``_step_rows`` array; the second half joins the fiber-track points
+        of the public track to ybar = f(h1(x, 1/2)), built once.  A row
+        whose step ``canonical`` leaves as it is (``_canonical_rows``) and
+        whose join ``maps._joined_image_rows`` reproduces is f(h1(x, t))
+        on f(x)'s carrier, so its distance to f(x) is the l2 norm of their
+        difference there, as ``distance`` computes it.  Every other row
+        takes the join, ``evaluate_map`` and ``distance`` as points, and
+        the row at t = 1/2 then reads ybar."""
+        f, Y = self.f, self.f.target
+        triv, images = self.gamma.trivialization, self.images
+        times = [float(time) for time in times]
+        if not times:
+            return 0.0, None, 0
+        z, y = triv.split(x)
+        cell, (s, t) = self.locate(y)
+        y = canonical(Y, y)
+        early = [k for k, time in enumerate(times) if time <= 0.5]
+        late = [k for k, time in enumerate(times) if time > 0.5]
+        epss = [self.eps * (1.0 - 2.0 * times[k]) for k in early]
+        rows = _step_rows(images, cell, s, t, epss)  # over cell.carrier, which is y's carrier
+        ws = [z] * len(early)
+        ybar = None
+        if late:
+            w_a, ybar = triv.split(triv.join(z, _step(Y, images, cell, s, t, 0.0)))  # ybar = f(a)
+            w_b = triv.split(self.gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t))[0]
+            tr_a, tr_b = (self.gamma.fiber_track(ybar.carrier, w) for w in (w_a, w_b))
+            for k in late:
+                u = 2.0 * times[k] - 1.0
+                ws.append(tr_a(2.0 * u) if u <= 0.5 else tr_b(2.0 - 2.0 * u))
+            base = np.zeros((len(late), len(y.coords)))
+            base[:, [y.carrier.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
+            rows = np.vstack((rows, base))
+
+        def image(i: int) -> Point:
+            # row i's f(h1(x, t)) as a point
+            if i >= len(early):
+                return evaluate_map(f, triv.join(ws[i], ybar))
+            if epss[i] == 0.0 and ybar is not None:
+                return ybar
+            return evaluate_map(f, triv.join(z, _step(Y, images, cell, s, t, epss[i])))
+
+        F, joined = _joined_image_rows(f, y.carrier, ws, rows)
+        joined[: len(early)] &= _canonical_rows(rows[: len(early)])
+        yv = np.array(y.coords)
+        dists = [0.0] * len(times)
+        for i, (k, row, fast) in enumerate(zip(early + late, F, joined)):
+            if fast:
+                d = yv - row
+                dists[k] = math.sqrt(d.dot(d))
+            else:
+                dists[k] = distance(Y, y, image(i))
+        best, arg = 0.0, None
+        for time, dist in zip(times, dists):
+            if arg is None or dist > best:
+                best, arg = dist, time
+        return best, arg, len(times)
+
+
+def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict) -> _H1:
     Y = f.target
     triv = gamma.trivialization
 
@@ -285,10 +373,15 @@ def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict) -> H
 
         return at
 
-    return Homotopy(
+    return _H1(
         domain=f.source,
         codomain=f.source,
         track_factory=track_factory,
+        f=f,
+        eps=eps,
+        gamma=gamma,
+        locate=locate,
+        images=images,
     )
 
 
@@ -451,13 +544,13 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
     """The sampled sup of d_M(p(z), q(u(z, t))) over the points and times,
     with p and q landing in one metric complex M (None is the identity; a
     map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``.
-    The straight-line homotopy against the identity is measured per point
-    over the whole time grid (``_StraightLine.sup_at``)."""
+    The straight-line homotopy against the identity, and h1 through f, are
+    measured per point over the whole time grid (``sup_at``)."""
     pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
     if M is not M2:
         raise MalformedInputError("control maps must land in one metric complex")
-    if isinstance(u, _StraightLine) and p is None and q is None:
+    if (isinstance(u, _StraightLine) and p is None and q is None) or (isinstance(u, _H1) and u.measures(p, q)):
         point_sup = functools.partial(u.sup_at, times=times)
     else:
         track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))

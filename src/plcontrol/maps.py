@@ -31,6 +31,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     TOL,
+    _row_sums,
     barycenter,
     closure_complex,
     combine_points,
@@ -332,6 +333,57 @@ def fiber_join(f: SimplicialMap, z: Point, y: Point) -> Point:
         if lam > TOL:
             out[v] = c * m1 * lam
     return make_point(f.source, out)
+
+
+def _image_sums(rows: np.ndarray, img: list[int], n: int) -> np.ndarray:
+    """Per row, the columns summed into their image positions ``img``
+    (n of them), column by column as ``_image_weights`` adds them."""
+    out = np.zeros((rows.shape[0], n))
+    for k, j in enumerate(img):
+        out[:, j] += rows[:, k]
+    return out
+
+
+def _joined_image_rows(f: SimplicialMap, sigma: Simplex, ws: list[Point], L: np.ndarray):
+    """``evaluate_map(f, fiber_join(f, w, y))`` over sigma's vertices for
+    each fiber point w of ``ws`` and base point y, given as the matching
+    row of L over sigma (0 off y's carrier), and per row whether the
+    arrays reproduce it.
+
+    The points sit as rows over the vertices of their carriers' union, in
+    the source's vertex order.  Every sum adds one column at a time in
+    that order, as ``fiber_join``, ``make_point`` and ``_image_weights``
+    add in carrier order (a column off a carrier adds 0), so a reproduced
+    row is bit for bit the image point's coordinates.  A row is not
+    reproduced where y's support is not in w's fiber simplex, where a join
+    weight or a coordinate of the joined point or its image is at or
+    below TOL, or where a sum is off 1 by more than ``make_point`` allows
+    or, for the image, by more than ``canonical`` leaves as it is.  Every
+    vertex of the ws maps into sigma."""
+    distinct = {id(w): w for w in ws}
+    cols = sorted({v for w in distinct.values() for v in w.carrier.vertices}, key=f.source.vertex_index)
+    at = {v: k for k, v in enumerate(cols)}
+    dense = {}
+    for key, w in distinct.items():
+        row = dense[key] = [0.0] * len(cols)
+        for v, c in zip(w.carrier.vertices, w.coords):
+            row[at[v]] = c
+    C = np.array([dense[id(w)] for w in ws])
+    pos = {w: j for j, w in enumerate(sigma.vertices)}
+    img = [pos[f.vertex_map[v]] for v in cols]
+    n = len(pos)
+    labels = _image_sums(C, img, n) > TOL  # each w's fiber simplex, as fiber_join reads it
+    lam = L[:, img]
+    W = (C * labels.sum(axis=1)[:, None]) * lam
+    ok = (labels | (L == 0.0)).all(axis=1) & ((np.minimum(lam, W) > TOL) | (C == 0.0)).all(axis=1)
+    total = _row_sums(W)
+    ok &= np.abs(total - 1.0) <= 1e-7
+    S = _image_sums(W / np.where(ok, total, 1.0)[:, None], img, n)
+    total = _row_sums(S)
+    ok &= np.abs(total - 1.0) <= 1e-7
+    F = S / np.where(ok, total, 1.0)[:, None]
+    ok &= ((np.minimum(S, F) > TOL) | (S == 0.0)).all(axis=1) & (np.abs(_row_sums(F) - 1.0) <= 1e-12)
+    return F, ok
 
 
 def fiber_project(f: SimplicialMap, z: Point, tau: Simplex) -> Point:

@@ -423,9 +423,27 @@ def test_monotone_family(frac):
         assert distance(D2, y, z) <= eps - delta + 1e-6
 
 
-def test_cellulation_rejects_eps_past_a_barycenter(monkeypatch):
-    import plcontrol.cellulation as cellulation
+def _assert_builds_just_below_the_comesh(K):
+    """At eps = comesh - 2e-12 a fresh cellulation builds, and eps is below
+    the vertex-to-barycenter distance of every chain simplex of every cell:
+    the range argument of ``_check_eps``, which the cellulation no longer
+    checks itself."""
+    from plcontrol.cellulation import Cellulation
 
-    monkeypatch.setattr(cellulation, "comesh_of", lambda K: 10.0)  # let eps past the range guard
-    with pytest.raises(EpsilonRangeError, match="barycenter"):
-        cellulation.Cellulation(closure_complex([("a", "b", "c")]), 5.0)
+    cm = comesh_of(K)
+    if not math.isfinite(cm):  # no positive-dimensional simplex
+        return
+    eps = cm - 2e-12
+    cel = Cellulation(K, eps)
+    assert all(eps < ell for cell in cel.cells for ell in cell.lengths if ell > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_cellulation_builds_just_below_the_comesh(name):
+    _assert_builds_just_below_the_comesh(TARGETS[name]())
+
+
+@given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_cellulation_builds_just_below_the_comesh_on_random_complexes(gens):
+    _assert_builds_just_below_the_comesh(closure_complex([tuple(g) for g in gens]))

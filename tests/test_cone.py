@@ -50,6 +50,24 @@ def _pt():
     return vertex_point(D2, "a")
 
 
+@pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+def test_coning_map_rejects_a_non_finite_height(height):
+    from plcontrol import MalformedInputError
+
+    for base in (None, _pt()):
+        with pytest.raises(MalformedInputError, match="cone height must be finite"):
+            coning_map(base, height)
+
+
+def test_complex_metric_rejects_a_negative_refinement():
+    from plcontrol import MalformedInputError
+
+    for refinement in (-1, -5):
+        with pytest.raises(MalformedInputError, match="refinement must be >= 0"):
+            complex_metric(fixtures.d2(), refinement=refinement)
+    assert complex_metric(fixtures.d2(), refinement=0)(_pt(), _pt()) == 0.0
+
+
 def test_coning_identification():
     D2 = fixtures.d2()
     a = coning_map(vertex_point(D2, "a"), -2.0)

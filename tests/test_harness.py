@@ -133,6 +133,27 @@ def test_cli_cone_distance_rejects_a_nan_point(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "heights, extra, message",
+    [
+        (("nan", "1.0"), [], "cone height must be finite"),
+        (("1.0", "inf"), [], "cone height must be finite"),
+        (("inf", "2.0"), [], "cone height must be finite"),
+        (("1.0", "2.0"), ["--refinement", "-1"], "refinement must be >= 0"),
+    ],
+)
+def test_cli_cone_distance_rejects_unusable_heights_and_refinements(tmp_path, capsys, heights, extra, message):
+    """A NaN height used to end in a ValueError traceback, an infinite one
+    printed inf, and a negative refinement measured on a graph without
+    lattice points; each now exits 1 with an error line."""
+    write_fixture_files(tmp_path)
+    point = '{"simplex": ["a"], "coords": [1.0]}'
+    code = main(["cone-distance", str(tmp_path / "d2.json"), point, heights[0], point, heights[1], *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_cli_reports_unknown_point_vertex(tmp_path, capsys):
     write_fixture_files(tmp_path)
     code = main(
@@ -230,22 +251,26 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
-    fiber locations, cell vertex-image arrays and fiber-contraction tracks
-    of a default verify of map_collapse stay at or under 1672, 15681, 6, 13,
-    299, 1233 and 299: the sampled-sup kernel rebuilds no h1 track per
-    identity, each of the identities, the control table and the assembly
-    draws its Y and X sample sets once, each distinct eps builds one
-    cellulation of Y, one ``family.at(eps)`` inverts each distinct point
-    once and is shared by the identities and the table's comesh/2 row, the
-    assembly reads the per-point sups the control table measured, the h2
-    row measures a point's canonical steps without ``distance``, gamma
-    keeps one fiber track per (sigma, w) for every eps, h1 and h2 of one
-    ``family.at(eps)`` build each (cell, eps') image array once, and a
-    cellulation builds a cell's arrays at its eps only when an inversion
-    first checks the cell."""
-    from plcontrol import cellulation, homotopies, maps, metrics
+    fiber locations, cell vertex-image arrays, fiber-contraction tracks and
+    ``make_point`` calls of a default verify of map_collapse stay at or
+    under 1672, 2738, 6, 13, 299, 1233, 299 and 19016: the sampled-sup
+    kernel rebuilds no h1 track per identity, each of the identities, the
+    control table and the assembly draws its Y and X sample sets once, each
+    distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
+    each distinct point once and is shared by the identities and the
+    table's comesh/2 row, the assembly reads the per-point sups the control
+    table measured, the h2 row measures a point's canonical steps without
+    ``distance`` and the h1 row its reproduced rows without ``distance`` or
+    a point, gamma keeps one fiber track per (sigma, w) for every eps, h1
+    and h2 of one ``family.at(eps)`` build each (cell, eps') image array
+    once, and a cellulation builds a cell's arrays at its eps only when an
+    inversion first checks the cell."""
+    from plcontrol import cellulation, complexes, homotopies, maps, metrics
 
-    calls = {"invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0, "images": 0, "tracks": 0}
+    calls = {
+        "invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0, "images": 0, "tracks": 0,
+        "make_point": 0,
+    }
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -261,7 +286,9 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     monkeypatch.setattr(cellulation.FlagCell, "vertex_images", counting("images", cellulation.FlagCell.vertex_images))
     monkeypatch.setattr(maps.FiberComplex, "locate", counting("locate", maps.FiberComplex.locate))
     monkeypatch.setattr(homotopies.FlagMap, "_new_track", counting("tracks", homotopies.FlagMap._new_track))
-    for name, fn in (("distance", metrics.distance), ("sample_points", homotopies.sample_points)):
+    for name, fn in (
+        ("distance", metrics.distance), ("sample_points", homotopies.sample_points), ("make_point", complexes.make_point)
+    ):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
             for attr, value in list(vars(module).items()):
@@ -275,12 +302,13 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
     assert calls["invert"] <= 1672
-    assert calls["distance"] <= 15681
+    assert calls["distance"] <= 2738
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
     assert calls["locate"] <= 299
     assert calls["images"] <= 1233
     assert calls["tracks"] <= 299
+    assert calls["make_point"] <= 19016
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])

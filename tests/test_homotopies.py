@@ -781,6 +781,15 @@ def _near_boundary_points(Y):
     return pts
 
 
+def _based_off_carrier(Y, eps, pts):
+    """The distinct points whose cell's base is not its carrier: their
+    step at eps' = 0, the base point, is not canonical."""
+    from plcontrol import build_cellulation
+
+    cel = build_cellulation(Y, eps)
+    return sum(cell.flag.base != cell.carrier for cell, _ in map(cel.invert, set(pts)))
+
+
 def _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     """The h2 row of ``_family_controls`` equals the memo-free pair loop on
     the straight-line tracks of ``family_oracle`` in sup, witness and pair
@@ -808,7 +817,8 @@ def _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
 def test_h2_rows_match_the_pair_loop(name, monkeypatch):
     """At every schedule eps and every assembly eps of a default verify, on
     its Y samples and on points whose steps leave Y's open carrier before
-    t = 1; every point takes the scalar branch at t = 1 (eps' = 0)."""
+    t = 1; at t = 1 (eps' = 0) exactly the points whose cell's base is not
+    its carrier take the scalar branch."""
     from plcontrol import assemble_bounded_equivalence
     from plcontrol.cone import TIME_STEPS
 
@@ -820,7 +830,7 @@ def test_h2_rows_match_the_pair_loop(name, monkeypatch):
     early = 0
     for eps in epsilon_schedule(f.target) + [data._eps_at(t) for t in data.t_grid]:
         scalar = _assert_h2_rows_match_the_pair_loop(f, build_family(f), eps, pts, times, monkeypatch)
-        assert scalar.count(0.0) == len(set(pts))
+        assert 0 < scalar.count(0.0) == _based_off_carrier(f.target, eps, pts) < len(set(pts))
         early += sum(e > 0.0 for e in scalar)
     assert early > 0
 
@@ -837,7 +847,111 @@ def test_h2_rows_match_the_pair_loop_on_random_maps(f, seed):
         pts = sample_points(f.target, 20, seed=seed) + _near_boundary_points(f.target)
         for eps in epsilon_schedule(f.target, steps=3):
             scalar = _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch)
-            assert scalar.count(0.0) == len(set(pts))
+            assert scalar.count(0.0) == _based_off_carrier(f.target, eps, pts)
+
+
+# -- the h1 row as arrays per sampled point ---------------------------------------------
+
+def _oracle_h1_tracks(f, fam, eps):
+    """x -> (f(x), f(h1(x, .))) on the h1 tracks of ``family_oracle``."""
+    old_h1 = family_oracle.build_h1(f, eps, fam.gamma)
+
+    def tracks(x):
+        anchor, tr = evaluate_map(f, x), old_h1.track(x)
+        return (lambda t: anchor), (lambda t: evaluate_map(f, tr(t)))
+
+    return tracks
+
+
+def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
+    """The h1 row of ``_family_controls``, and each point's sup, witness time
+    and pair count in the family's memo, equal the memo-free pair loop on
+    the h1 tracks of ``family_oracle`` through f; returns the number of rows
+    that took the scalar branch (one ``distance`` each)."""
+    from plcontrol import homotopies
+    from plcontrol.cellulation import eps_key
+    from plcontrol.homotopies import _family_controls
+
+    tracks = _oracle_h1_tracks(f, fam, eps)
+    want = control_oracle.sampled_sup(f.target, pts, times, tracks)
+    scalar = []
+    real = homotopies.distance
+
+    def spy(*args):
+        scalar.append(args)
+        return real(*args)
+
+    closures = fam.at(eps)
+    assert isinstance(closures[1], homotopies._H1) and closures[1].measures(f, f)
+    with monkeypatch.context() as m:
+        m.setattr(homotopies, "distance", spy)
+        rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
+    assert (rep.measured_control, rep.witness, rep.samples) == want
+    for x, (best, arg, n) in fam._sups["h1", eps_key(eps), times].items():
+        assert (best, (x, arg), n) == control_oracle.sampled_sup(f.target, [x], times, tracks)
+    return len(scalar)
+
+
+def _tetrahedron_onto_edge():
+    """Three vertices of a tetrahedron onto one end of an edge: three source
+    coordinates add into one image coordinate, so the order of that sum
+    shows in the rounding."""
+    from plcontrol import SimplicialMap
+
+    T = closure_complex([("a", "b", "c", "d")])
+    E = closure_complex([("a", "b")])
+    return SimplicialMap(T, E, {"a": "a", "b": "b", "c": "b", "d": "b"})
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "tetrahedron_onto_edge"])
+def test_h1_rows_match_the_pair_loop(name, monkeypatch):
+    """At every schedule eps and every assembly eps of a default verify, on
+    its X samples and on points with one coordinate just above TOL, some of
+    whose rows take the scalar branch."""
+    from plcontrol import assemble_bounded_equivalence
+    from plcontrol.cone import TIME_STEPS
+
+    f = _tetrahedron_onto_edge() if name == "tetrahedron_onto_edge" else getattr(fixtures, name)()
+    times = tuple(map(float, np.linspace(0.0, 1.0, TIME_STEPS)))
+    pts = sample_points(f.source, 40, seed=0) + sample_points(f.source, 40, seed=1) + _near_boundary_points(f.source)
+    data = assemble_bounded_equivalence(f, build_family(f), samples=40, seed=0)
+    scalar = 0
+    for eps in epsilon_schedule(f.target) + [data._eps_at(t) for t in data.t_grid]:
+        n = _assert_h1_rows_match_the_pair_loop(f, build_family(f), eps, pts, times, monkeypatch)
+        assert n < len(set(pts)) * len(times)
+        scalar += n
+    assert scalar > 0
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_h1_rows_match_the_pair_loop_on_random_maps(f, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            fam = build_family(f)
+        except CannotConstructError:
+            return
+        times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
+        pts = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
+        for eps in epsilon_schedule(f.target, steps=3):
+            _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch)
+
+
+def test_h1_row_of_another_trivialization_takes_the_pair_loop():
+    """``sup_at`` joins in f's own join coordinates, so a family whose gamma
+    uses another product structure is measured by the pair loop."""
+    from plcontrol.homotopies import _family_controls
+
+    fam = fixtures.proj_explicit_family()
+    f = fam.f
+    eps = fam.effective_comesh / 2.0
+    closures = fam.at(eps)
+    assert not closures[1].measures(f, f)
+    pts = sample_points(f.source, 10, seed=0)
+    times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
+    want = control_oracle.sampled_sup(f.target, pts, times, _oracle_h1_tracks(f, fam, eps))
+    rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
+    assert (rep.measured_control, rep.witness, rep.samples) == want
 
 
 def test_canonical_rows_sum_in_pythons_order():
