@@ -36,6 +36,9 @@ dies with them; ``straightline_homotopy`` and ``build_h1`` each own one.
 Every reuse of an eps' happens inside one ``at(eps)``, so nothing
 longer-lived keeps images.  The h2 control of a sampled point is measured
 over the whole time grid as one array of steps (``_StraightLine.sup_at``).
+``_row_sup`` is the one row loop of the h1 and h2 control rows, and
+``_first_max`` the one first-maximum reduction of every sampled control;
+neither keeps anything.
 """
 
 from __future__ import annotations
@@ -362,14 +365,18 @@ class Cellulation:
         if cell.own[0] and abs(mu0 - mu[0]) > slack:
             return None
         beta = 1.0 - float((t * a).sum())
-        if beta <= slack:
+        if beta <= 0.0:
             return None
+        # s's rounding grows as 1 / beta.  At or below the slack, which only
+        # the cells of a 1-dimensional complex reach, near eps = comesh, s
+        # moves the point by at most beta * sqrt(2): the residual test decides.
+        stable = beta > slack
         s = (yv[cell.base_pos] - mu0) / beta
-        if np.any(s < -slack):
+        if stable and np.any(s < -slack):
             return None
         s = np.clip(s, 0.0, None)
         total = s.sum()
-        if abs(total - 1.0) > 1e-6:
+        if (stable and abs(total - 1.0) > 1e-6) or total <= 0.0:
             return None
         s /= total
         t = np.clip(t, 0.0, None)
@@ -452,6 +459,33 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     return (rows > TOL).all(axis=1) & (np.abs(_row_sums(rows) - 1.0) <= 1e-12)
 
 
+def _first_max(times, dists) -> tuple[float, float | None, int]:
+    """(the largest of ``dists``, the first of ``times`` paired with it, the
+    number of pairs) over the pairs of the two; (0.0, None, 0) for none."""
+    best, arg, n = 0.0, None, 0
+    for time, dist in zip(times, dists):
+        n += 1
+        if arg is None or dist > best:
+            best, arg = dist, time
+    return best, arg, n
+
+
+def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, point) -> tuple[float, float | None, int]:
+    """``_first_max`` of d_K(y, p_k) over ``times``, for the point p_k of
+    each row k: a row marked ``fast`` holds p_k's coordinates over y's
+    carrier, so its distance to y is the l2 norm of their difference there,
+    as ``distance`` computes it; any other p_k is ``point(k)``."""
+    yv = np.array(y.coords)
+    dists = []
+    for k, (row, ok) in enumerate(zip(rows, fast)):
+        if ok:
+            d = yv - row
+            dists.append(math.sqrt(d.dot(d)))
+        else:
+            dists.append(distance(K, y, point(k)))
+    return _first_max(times, dists)
+
+
 def _step(K: SimplicialComplex, images: dict, cell: FlagCell, s, t, eps: float) -> Point:
     """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
     ``_step_rows``, as a point."""
@@ -474,29 +508,15 @@ class _StraightLine(Homotopy):
         ``homotopies._sampled_sup`` on the tracks (y, h(y, .)).
 
         A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
-        point of y's carrier, so its distance to y is the l2 norm of their
-        difference there, as ``distance`` computes it.  Every other row
-        takes ``_step`` and ``distance``: at t = 1 (eps' = 0) the step is
-        the base point, whose row is canonical only when the cell's base is
-        its carrier."""
-        K = self.domain
-        times = [float(time) for time in times]
+        point of y's carrier, measured as such by ``_row_sup``.  Every other
+        row takes ``_step``: at t = 1 (eps' = 0) the step is the base point,
+        whose row is canonical only when the cell's base is its carrier."""
+        K, images = self.domain, self.images
         cell, (s, t) = self.locate(y)
         y = canonical(K, y)  # the inversion read the cells over y's carrier
         epss = [self.eps * (1.0 - time) for time in times]
-        rows = _step_rows(self.images, cell, s, t, epss)
-        exact = _canonical_rows(rows)
-        yv = np.array(y.coords)
-        best, arg = 0.0, None
-        for time, eps, row, ok in zip(times, epss, rows, exact):
-            if ok:
-                d = yv - row
-                dist = math.sqrt(d.dot(d))
-            else:
-                dist = distance(K, y, _step(K, self.images, cell, s, t, eps))
-            if arg is None or dist > best:
-                best, arg = dist, time
-        return best, arg, len(times)
+        rows = _step_rows(images, cell, s, t, epss)
+        return _row_sup(K, y, times, rows, _canonical_rows(rows), lambda k: _step(K, images, cell, s, t, epss[k]))
 
 
 def _straightline(K: SimplicialComplex, eps: float, locate, images: dict) -> _StraightLine:

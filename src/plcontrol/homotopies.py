@@ -11,10 +11,14 @@ What is kept, and for how long: a gamma map keeps one fiber-contraction
 track per (sigma, w), with its values per time (``FlagMap._tracks``), for
 as long as it lives, and every ``family.at(eps)`` reads them.  One
 ``ControlledFamily.at(eps)`` call keeps a locate memo and a dict of cell
-vertex images that die with its closures; its h1 (``_H1``) and h2
-(``cellulation._StraightLine``) hold both, so that each measures its
-control row per sampled point as arrays over the time grid (``sup_at``).
-A family keeps its per-point control sups (``_sups``) as long as it lives.
+vertex images that die with its closures; its h2
+(``cellulation._StraightLine``) and each track of its h1 (``_H1Track``)
+hold both, so that each measures its control row per sampled point as
+arrays over the time grid (``sup_at``).  An h1 track keeps its point's
+split, cell and second-half start-up as long as the track lives, and
+``_H1.sup_at`` reads them off the track it builds for the point.  Both
+rows go through ``cellulation._row_sup``.  A family keeps its per-point
+control sups (``_sups``) as long as it lives.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import numpy as np
 from .cellulation import (
     _StraightLine,
     _canonical_rows,
+    _first_max,
     _locator,
+    _row_sup,
     _step,
     _step_rows,
     _straightline,
@@ -183,7 +189,7 @@ class FlagMap:
     def eval_cell(self, chain: tuple[Simplex, ...], base: Simplex, s: np.ndarray, t: np.ndarray) -> Point:
         """Full gamma on the flag cell: spread the chain value over the base
         point with weights s through the product structure."""
-        y = make_point(self.f.target, dict(zip(base.vertices, np.asarray(s, dtype=float))))
+        y = make_point(self.f.target, dict(zip(base.vertices, np.asarray(s, dtype=float).tolist())))
         z0 = self.gamma_chain(chain, t)
         return self.trivialization.join(z0, y)
 
@@ -262,17 +268,52 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     return _h1(f, eps, gamma, build_cellulation(f.target, eps).invert, {})
 
 
+class _H1Track:
+    """The track t -> h1(x, t) of one eps-cellulation.  x is split and f(x)
+    located once: the fiber part ``z``, f(x) as ``y`` and its ``cell`` and
+    cell coordinates (s, t).  The second half's start-up, ybar = f(h1(x,
+    1/2)) and the fiber tracks from the ends of h1' and of g_eps(f(x))
+    (``second``), is made once, on first use.  The track holds no reference
+    to its homotopy, so no h1 sits in a reference cycle."""
+
+    def __init__(self, f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict, x: Point):
+        self.f, self.eps, self.gamma, self.images = f, eps, gamma, images
+        self.z, self.y = gamma.trivialization.split(x)
+        self.cell, (self.s, self.t) = locate(self.y)
+
+    def step(self, eps: float) -> Point:
+        """h1' at eps': the cell point at eps' joined to z."""
+        return self.gamma.trivialization.join(self.z, _step(self.f.target, self.images, self.cell, self.s, self.t, eps))
+
+    @functools.cached_property
+    def second(self) -> tuple[Point, Callable[[float], Point], Callable[[float], Point]]:
+        """(ybar, the fiber track from h1(x, 1/2), the fiber track from
+        g_eps(f(x))), both over ybar's carrier."""
+        triv, cell = self.gamma.trivialization, self.cell
+        w_a, ybar = triv.split(self.step(0.0))
+        w_b = triv.split(self.gamma.eval_cell(cell.flag.chain, cell.flag.base, self.s, self.t))[0]
+        return ybar, *(self.gamma.fiber_track(ybar.carrier, w) for w in (w_a, w_b))
+
+    def fiber_at(self, time: float) -> Point:
+        """The fiber part of h1(x, time), time > 1/2."""
+        _, tr_a, tr_b = self.second
+        u = 2.0 * time - 1.0
+        return tr_a(2.0 * u) if u <= 0.5 else tr_b(2.0 - 2.0 * u)
+
+    def __call__(self, time: float) -> Point:
+        if time <= 0.5:
+            return self.step(self.eps * (1.0 - 2.0 * time))
+        return self.gamma.trivialization.join(self.fiber_at(time), self.second[0])
+
+
 @dataclass
 class _H1(Homotopy):
-    """h1 of the eps-cellulation, with the map, gamma, the locate memo and
-    the image dict its tracks read, so that ``sup_at`` can measure a
-    sampled point's control through f over a whole time grid as arrays."""
+    """h1 of the eps-cellulation, whose tracks are ``_H1Track``s, with the
+    map and gamma, so that ``sup_at`` can measure a sampled point's control
+    through f over a whole time grid as arrays read off its track."""
 
     f: SimplicialMap
-    eps: float
     gamma: FlagMap
-    locate: Callable
-    images: dict
 
     def measures(self, p, q) -> bool:
         """Whether ``sup_at`` is the control through p and q: both are f,
@@ -285,103 +326,46 @@ class _H1(Homotopy):
         attaining it, the pairs measured), equal to the pair loop of
         ``_sampled_sup`` on the tracks (f(x), f(h1(x, .))).
 
-        x is split and f(x) located once.  The first half (t <= 1/2) joins
+        The rows are read off x's track: the first half (t <= 1/2) joins
         the fiber part z to the steps at eps' = eps (1 - 2t), one
-        ``_step_rows`` array; the second half joins the fiber-track points
-        of the public track to ybar = f(h1(x, 1/2)), built once.  A row
-        whose step ``canonical`` leaves as it is (``_canonical_rows``) and
-        whose join ``maps._joined_image_rows`` reproduces is f(h1(x, t))
-        on f(x)'s carrier, so its distance to f(x) is the l2 norm of their
-        difference there, as ``distance`` computes it.  Every other row
-        takes the join, ``evaluate_map`` and ``distance`` as points, and
-        the row at t = 1/2 then reads ybar."""
-        f, Y = self.f, self.f.target
-        triv, images = self.gamma.trivialization, self.images
-        times = [float(time) for time in times]
+        ``_step_rows`` array, and the second half joins the track's fiber
+        points to ybar.  A row whose step ``canonical`` leaves as it is
+        (``_canonical_rows``) and whose join ``maps._joined_image_rows``
+        reproduces is f(h1(x, t)) on f(x)'s carrier, measured as such by
+        ``_row_sup``.  Every other row evaluates f on the track, except that
+        the row at t = 1/2 reads ybar when the track has made it."""
         if not times:
             return 0.0, None, 0
-        z, y = triv.split(x)
-        cell, (s, t) = self.locate(y)
-        y = canonical(Y, y)
-        early = [k for k, time in enumerate(times) if time <= 0.5]
-        late = [k for k, time in enumerate(times) if time > 0.5]
-        epss = [self.eps * (1.0 - 2.0 * times[k]) for k in early]
-        rows = _step_rows(images, cell, s, t, epss)  # over cell.carrier, which is y's carrier
-        ws = [z] * len(early)
+        # the factory, not ``track``, whose result a wrapper (such as the
+        # tracer of perfbench/tracing.py) may hide: the rows read the track's state
+        f, tr = self.f, self.track_factory(x)
+        y = canonical(f.target, tr.y)  # the inversion read the cells over y's carrier
+        late = np.array([time > 0.5 for time in times])
+        rows = np.zeros((len(times), len(y.coords)))
+        epss = [tr.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
+        rows[~late] = _step_rows(tr.images, tr.cell, tr.s, tr.t, epss)
         ybar = None
-        if late:
-            w_a, ybar = triv.split(triv.join(z, _step(Y, images, cell, s, t, 0.0)))  # ybar = f(a)
-            w_b = triv.split(self.gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t))[0]
-            tr_a, tr_b = (self.gamma.fiber_track(ybar.carrier, w) for w in (w_a, w_b))
-            for k in late:
-                u = 2.0 * times[k] - 1.0
-                ws.append(tr_a(2.0 * u) if u <= 0.5 else tr_b(2.0 - 2.0 * u))
-            base = np.zeros((len(late), len(y.coords)))
-            base[:, [y.carrier.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
-            rows = np.vstack((rows, base))
+        if late.any():
+            ybar = tr.second[0]
+            base = np.zeros(len(y.coords))
+            base[[y.carrier.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
+            rows[late] = base
+        F, fast = _joined_image_rows(f, y.carrier, [tr.fiber_at(time) if time > 0.5 else tr.z for time in times], rows)
+        fast &= late | _canonical_rows(rows)
 
-        def image(i: int) -> Point:
-            # row i's f(h1(x, t)) as a point
-            if i >= len(early):
-                return evaluate_map(f, triv.join(ws[i], ybar))
-            if epss[i] == 0.0 and ybar is not None:
-                return ybar
-            return evaluate_map(f, triv.join(z, _step(Y, images, cell, s, t, epss[i])))
+        def point(k: int) -> Point:
+            return ybar if times[k] == 0.5 and ybar is not None else evaluate_map(f, tr(times[k]))
 
-        F, joined = _joined_image_rows(f, y.carrier, ws, rows)
-        joined[: len(early)] &= _canonical_rows(rows[: len(early)])
-        yv = np.array(y.coords)
-        dists = [0.0] * len(times)
-        for i, (k, row, fast) in enumerate(zip(early + late, F, joined)):
-            if fast:
-                d = yv - row
-                dists[k] = math.sqrt(d.dot(d))
-            else:
-                dists[k] = distance(Y, y, image(i))
-        best, arg = 0.0, None
-        for time, dist in zip(times, dists):
-            if arg is None or dist > best:
-                best, arg = dist, time
-        return best, arg, len(times)
+        return _row_sup(f.target, y, times, F, fast, point)
 
 
 def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict) -> _H1:
-    Y = f.target
-    triv = gamma.trivialization
-
-    def track_factory(x: Point):
-        z, y = triv.split(x)
-        cell, (s, t) = locate(y)
-
-        def hprime(u: float) -> Point:
-            return triv.join(z, _step(Y, images, cell, s, t, eps * (1.0 - u)))
-
-        second = None
-
-        def at(time: float) -> Point:
-            nonlocal second
-            if time <= 0.5:
-                return hprime(2.0 * time)
-            if second is None:
-                a = hprime(1.0)
-                b = gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
-                ybar = evaluate_map(f, a)
-                second = ybar, *(gamma.fiber_track(ybar.carrier, triv.split(q)[0]) for q in (a, b))
-            ybar, tr_a, tr_b = second
-            u = 2.0 * time - 1.0
-            return triv.join(tr_a(2.0 * u) if u <= 0.5 else tr_b(2.0 - 2.0 * u), ybar)
-
-        return at
-
     return _H1(
         domain=f.source,
         codomain=f.source,
-        track_factory=track_factory,
+        track_factory=functools.partial(_H1Track, f, eps, gamma, locate, images),
         f=f,
-        eps=eps,
         gamma=gamma,
-        locate=locate,
-        images=images,
     )
 
 
@@ -500,7 +484,7 @@ def sampled_sup(
     sample order that attains it (None when nothing is sampled); and the
     number of pairs evaluated.  ``tracks`` runs once per sample, so per-point
     setup such as a cellulation inversion belongs there."""
-    return _sampled_sup(points, _pair_sup(M, times, tracks), None)
+    return _sampled_sup(points, _pair_sup(M, tuple(map(float, times)), tracks), None)
 
 
 def _pair_sup(M, times, tracks):
@@ -509,14 +493,7 @@ def _pair_sup(M, times, tracks):
 
     def point_sup(z):
         a, b = tracks(z)
-        best, arg, n = 0.0, None, 0
-        for t in times:
-            t = float(t)
-            d = distance(M, a(t), b(t))
-            n += 1
-            if arg is None or d > best:
-                best, arg = d, t
-        return best, arg, n
+        return _first_max(times, [distance(M, a(t), b(t)) for t in times])
 
     return point_sup
 
@@ -545,7 +522,9 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
     with p and q landing in one metric complex M (None is the identity; a
     map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``.
     The straight-line homotopy against the identity, and h1 through f, are
-    measured per point over the whole time grid (``sup_at``)."""
+    measured per point over the whole time grid (``sup_at``).  The times are
+    Python floats: each measurement converts its grid once, where it enters
+    (``sampled_sup``, ``measure_control``, ``_family_controls``)."""
     pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
     if M is not M2:
@@ -608,7 +587,7 @@ def measure_control(
     ``time_steps`` times per spatial sample (tracks reuse per-point setup),
     with the witness (z, t) that attains it."""
     pts = sample_points(u.domain, samples, seed=seed, subdivision_rounds=subdivision_rounds)
-    times = np.linspace(0.0, 1.0, time_steps) if isinstance(u, Homotopy) else (0.0,)
+    times = np.linspace(0.0, 1.0, time_steps).tolist() if isinstance(u, Homotopy) else (0.0,)
     return _control_report(u, p, q, pts, times, epsilon_target)
 
 

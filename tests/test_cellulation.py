@@ -447,3 +447,40 @@ def test_cellulation_builds_just_below_the_comesh(name):
 @settings(max_examples=40, deadline=None)
 def test_cellulation_builds_just_below_the_comesh_on_random_complexes(gens):
     _assert_builds_just_below_the_comesh(closure_complex([tuple(g) for g in gens]))
+
+
+def _assert_inverts_just_below_the_comesh(K, delta):
+    """At eps = comesh - delta every simplex's barycenter, and points up to
+    1e-7 off it along an edge of its simplex, invert, and the cell point
+    reproduces them to the inversion's tolerance."""
+    cm = comesh_of(K)
+    if not math.isfinite(cm):
+        return
+    cel = build_cellulation(K, cm - delta)
+    pts = [barycenter(K, s) for s in K.sorted_simplices()]
+    for s in K.sorted_simplices():
+        if s.dim > 0:
+            b = barycenter(K, s).coords
+            for off in (1e-13, -1e-12, 1e-10, -1e-8, 1e-7):
+                pts.append(canonical(K, Point(s, (b[0] + off, *b[1:-1], b[-1] - off))))
+    for y in pts:
+        cell, (s, t) = cel.invert(y)
+        assert distance(K, canonical(K, cel.evaluate(cell, s, t)), y) <= 1e-9
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 2e-12])
+@pytest.mark.parametrize("gens", [[("a", "b")], [("a", "b"), ("b", "c")]])
+def test_every_eps_the_range_accepts_inverts_near_the_comesh(gens, delta):
+    """On a 1-dimensional complex the comesh is the edge's vertex-to-barycenter
+    distance, so near it the cells around the barycenter have a base weight
+    below the inversion's slack; every eps that ``_check_eps`` accepts still
+    inverts."""
+    _assert_inverts_just_below_the_comesh(closure_complex(gens), delta)
+
+
+@given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_every_eps_the_range_accepts_inverts_near_the_comesh_on_random_complexes(gens):
+    K = closure_complex([tuple(g) for g in gens])
+    for delta in (1e-8, 2e-12):
+        _assert_inverts_just_below_the_comesh(K, delta)

@@ -868,14 +868,14 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     and pair count in the family's memo, equal the memo-free pair loop on
     the h1 tracks of ``family_oracle`` through f; returns the number of rows
     that took the scalar branch (one ``distance`` each)."""
-    from plcontrol import homotopies
+    from plcontrol import cellulation, homotopies
     from plcontrol.cellulation import eps_key
     from plcontrol.homotopies import _family_controls
 
     tracks = _oracle_h1_tracks(f, fam, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, tracks)
     scalar = []
-    real = homotopies.distance
+    real = cellulation.distance
 
     def spy(*args):
         scalar.append(args)
@@ -884,7 +884,7 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     closures = fam.at(eps)
     assert isinstance(closures[1], homotopies._H1) and closures[1].measures(f, f)
     with monkeypatch.context() as m:
-        m.setattr(homotopies, "distance", spy)
+        m.setattr(cellulation, "distance", spy)
         rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
     for x, (best, arg, n) in fam._sups["h1", eps_key(eps), times].items():
@@ -935,6 +935,55 @@ def test_h1_rows_match_the_pair_loop_on_random_maps(f, seed):
         pts = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
         for eps in epsilon_schedule(f.target, steps=3):
             _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
+def test_h1_and_h2_rows_on_degenerate_time_grids(name):
+    """An empty grid, a single time, and an unsorted grid with a repeat: the
+    array rows of h1 through f and of h2 give the pair loop's sup, witness
+    and pair count, through ``measure_control`` and ``_control_report``."""
+    from plcontrol.homotopies import _control_report
+
+    f = getattr(fixtures, name)()
+    fam = build_family(f)
+    eps = fam.effective_comesh / 2.0
+    _, h1, h2 = fam.at(eps)
+    old_h2 = family_oracle.straightline_homotopy(f.target, eps)
+    rows = (
+        (h1, f, _oracle_h1_tracks(f, fam, eps)),
+        (h2, None, lambda z: ((lambda t: z), old_h2.track(z))),
+    )
+    for u, p, tracks in rows:
+        for steps in (0, 1):
+            rep = measure_control(u, p, p, samples=8, time_steps=steps)
+            pts = sample_points(u.domain, 8)
+            want = control_oracle.sampled_sup(f.target, pts, np.linspace(0.0, 1.0, steps), tracks)
+            assert (rep.measured_control, rep.witness, rep.samples) == want
+        pts = sample_points(u.domain, 8) + _near_boundary_points(u.domain)
+        times = [1.0, 0.25, 0.75, 0.5, 0.0, 0.75]
+        rep = _control_report(u, p, p, pts, times, eps)
+        assert (rep.measured_control, rep.witness, rep.samples) == control_oracle.sampled_sup(
+            f.target, pts, times, tracks
+        )
+
+
+def test_h1_row_reads_its_track_when_track_is_wrapped(monkeypatch):
+    """``Homotopy.track``'s result may be wrapped into a plain callable, as a
+    tracer that times track evaluations does; the h1 row reads the state of
+    the track its factory builds, so its sup, witness and pair count stay
+    the pair loop's."""
+    from plcontrol.homotopies import _family_controls
+
+    f = fixtures.map_collapse()
+    fam = build_family(f)
+    eps = fam.effective_comesh / 2.0
+    pts = sample_points(f.source, 10, seed=0) + _near_boundary_points(f.source)
+    times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
+    want = control_oracle.sampled_sup(f.target, pts, times, _oracle_h1_tracks(f, fam, eps))
+    real = Homotopy.track
+    monkeypatch.setattr(Homotopy, "track", lambda self, p: (lambda t, tr=real(self, p): tr(t)))
+    rep = _family_controls(fam, eps, fam.at(eps), [], pts, times)["h1"]
+    assert (rep.measured_control, rep.witness, rep.samples) == want
 
 
 def test_h1_row_of_another_trivialization_takes_the_pair_loop():
