@@ -27,18 +27,17 @@ eps; ``build_cellulation`` keeps one cellulation per ``eps_key(eps)`` in
 the cell, and keeps them (``Cellulation._arrays``) as long as it lives.
 ``eps_key`` is the one per-eps key of the package: the controlled family
 builds its closures over these cellulations, and keys its per-point control
-sups with it.  The straight-line homotopy evaluates each cell at
-eps' = eps (1 - t) for every sampled time t; its step kernel ``_step_rows``
-(``_step`` is its one-row case) reads the cell's vertex images at eps' from
-a dict keyed by (cell index, eps').  One ``ControlledFamily.at(eps)`` call
-creates that dict beside its locate memo, its h1 and h2 share it, and it
-dies with them; ``straightline_homotopy`` and ``build_h1`` each own one.
-Every reuse of an eps' happens inside one ``at(eps)``, so nothing
-longer-lived keeps images.  The h2 control of a sampled point is measured
-over the whole time grid as one array of steps (``_StraightLine.sup_at``).
-``_row_sup`` is the one row loop of the h1 and h2 control rows, and
-``_first_max`` the one first-maximum reduction of every sampled control;
-neither keeps anything.
+sups with it.  What one ``ControlledFamily.at(eps)`` shares among its g, h1
+and h2 has one owner, an ``_EpsView``: the cellulation, a locate memo and
+the cell vertex images at each eps' = eps (1 - t) that the steps read
+(``_EpsView.rows``, ``step`` is its one-row case).  It dies with the
+closures built over it; ``straightline_homotopy``, ``build_inverse`` and
+``build_h1`` each build their own.  Every reuse of an eps' happens inside
+one ``at(eps)``, so nothing longer-lived keeps images.  The h2 control of
+a sampled point is measured over the whole time grid as one array of steps
+(``_StraightLine.sup_at``).  ``_row_sup`` is the one row loop of the h1 and
+h2 control rows, and ``_first_max`` the one first-maximum reduction of
+every sampled control; neither keeps anything.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -421,35 +419,40 @@ def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
     return K._cellulations[key]
 
 
-def _locator(cel: Cellulation):
-    """``cel.invert`` behind a memo: each distinct point is inverted once.
-    The memo lives in the returned closure, so it dies with the closures
-    that share it (one ``ControlledFamily.at`` call)."""
-    memo: dict[Point, tuple[FlagCell, tuple[np.ndarray, np.ndarray]]] = {}
+class _EpsView:
+    """What one ``ControlledFamily.at(eps)`` shares among its g, h1 and h2:
+    the cellulation of K that ``build_cellulation`` keeps at eps, eps itself,
+    a locate memo (a miss calls ``cel.invert``, so each distinct point is
+    inverted once) and the cell vertex images that the steps read, keyed by
+    (cell index, eps').  Nothing else holds the memo or the images: they die
+    with the object, which only the closures built over it hold."""
 
-    def locate(y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
-        hit = memo.get(y)
+    def __init__(self, K: SimplicialComplex, eps: float):
+        self.cel, self.K, self.eps = build_cellulation(K, eps), K, eps
+        self._located, self._images = {}, {}  # point -> invert(point), (cell index, eps') -> images
+
+    def locate(self, y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
+        hit = self._located.get(y)
         if hit is None:
-            hit = memo[y] = cel.invert(y)
+            hit = self._located[y] = self.cel.invert(y)
         return hit
 
-    return locate
+    def rows(self, cell: FlagCell, s, t, epss) -> np.ndarray:
+        """The coordinates over ``cell.carrier`` of the cell point (s, t) at
+        each eps' of ``epss``, one row per eps' and one einsum per row (an
+        einsum batched over the rows rounds differently)."""
+        out = np.empty((len(epss), len(cell.carrier.vertices)))
+        for k, eps in enumerate(epss):
+            P = self._images.get((cell.index, eps))
+            if P is None:
+                P = self._images[cell.index, eps] = cell.vertex_images(eps)
+            out[k] = np.einsum("i,j,ijd->d", s, t, P)
+        return out
 
-
-def _step_rows(images: dict, cell: FlagCell, s, t, epss) -> np.ndarray:
-    """The coordinates over ``cell.carrier`` of the cell point (s, t) at
-    each eps' of ``epss``, one row per eps' and one einsum per row (an
-    einsum batched over the rows rounds differently).  The cell's vertex
-    images at eps' are read from ``images``, keyed by (cell index, eps'),
-    and computed only on a miss; the dict's owner decides how long they
-    live: one ``ControlledFamily.at`` call keeps one for its h1 and h2."""
-    out = np.empty((len(epss), len(cell.carrier.vertices)))
-    for k, eps in enumerate(epss):
-        P = images.get((cell.index, eps))
-        if P is None:
-            P = images[cell.index, eps] = cell.vertex_images(eps)
-        out[k] = np.einsum("i,j,ijd->d", s, t, P)
-    return out
+    def step(self, cell: FlagCell, s, t, eps: float) -> Point:
+        """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
+        ``rows``, as a point."""
+        return canonical(self.K, Point(cell.carrier, tuple(self.rows(cell, s, t, (eps,))[0].tolist())))
 
 
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
@@ -486,21 +489,13 @@ def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, poin
     return _first_max(times, dists)
 
 
-def _step(K: SimplicialComplex, images: dict, cell: FlagCell, s, t, eps: float) -> Point:
-    """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
-    ``_step_rows``, as a point."""
-    return canonical(K, Point(cell.carrier, tuple(_step_rows(images, cell, s, t, (eps,))[0].tolist())))
-
-
 @dataclass
 class _StraightLine(Homotopy):
-    """The straight-line homotopy of the eps-cellulation, with the locate
-    memo and the image dict its tracks read, so that ``sup_at`` can measure
-    a sampled point's control over a whole time grid as one array."""
+    """The straight-line homotopy of the eps-cellulation, with the
+    ``_EpsView`` its tracks read, so that ``sup_at`` can measure a sampled
+    point's control over a whole time grid as one array."""
 
-    eps: float
-    locate: Callable
-    images: dict
+    view: _EpsView
 
     def sup_at(self, y: Point, times) -> tuple[float, float | None, int]:
         """(sup over t in ``times`` of d(y, h(y, t)), the first t attaining
@@ -509,32 +504,25 @@ class _StraightLine(Homotopy):
 
         A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
         point of y's carrier, measured as such by ``_row_sup``.  Every other
-        row takes ``_step``: at t = 1 (eps' = 0) the step is the base point,
+        row takes ``step``: at t = 1 (eps' = 0) the step is the base point,
         whose row is canonical only when the cell's base is its carrier."""
-        K, images = self.domain, self.images
-        cell, (s, t) = self.locate(y)
-        y = canonical(K, y)  # the inversion read the cells over y's carrier
-        epss = [self.eps * (1.0 - time) for time in times]
-        rows = _step_rows(images, cell, s, t, epss)
-        return _row_sup(K, y, times, rows, _canonical_rows(rows), lambda k: _step(K, images, cell, s, t, epss[k]))
+        view = self.view
+        cell, (s, t) = view.locate(y)
+        y = canonical(view.K, y)  # the inversion read the cells over y's carrier
+        epss = [view.eps * (1.0 - time) for time in times]
+        rows = view.rows(cell, s, t, epss)
+        return _row_sup(view.K, y, times, rows, _canonical_rows(rows), lambda k: view.step(cell, s, t, epss[k]))
 
 
-def _straightline(K: SimplicialComplex, eps: float, locate, images: dict) -> _StraightLine:
+def _straightline(view: _EpsView) -> _StraightLine:
     def track_factory(y: Point):
-        cell, (s, t) = locate(y)
-        return lambda time: _step(K, images, cell, s, t, eps * (1.0 - time))
+        cell, (s, t) = view.locate(y)
+        return lambda time: view.step(cell, s, t, view.eps * (1.0 - time))
 
-    return _StraightLine(
-        domain=K,
-        codomain=K,
-        track_factory=track_factory,
-        eps=eps,
-        locate=locate,
-        images=images,
-    )
+    return _StraightLine(domain=view.K, codomain=view.K, track_factory=track_factory, view=view)
 
 
 def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
     """h(y, t) = Gamma_{eps(1-t)} applied to the eps-cell coordinates of y:
     the straight-line homotopy from the cellulation back to the complex."""
-    return _straightline(K, eps, build_cellulation(K, eps).invert, {})
+    return _straightline(_EpsView(K, eps))

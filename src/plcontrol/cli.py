@@ -115,6 +115,8 @@ def _cmd_cone_distance(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    if args.steps < 0:
+        raise MalformedInputError(f"steps must be >= 0, got {args.steps}")
     f = load_map(args.map)
     H, start = load_track(args.homotopy, f.target)
     family = build_family(f)
@@ -136,8 +138,21 @@ def _cmd_lift(args) -> int:
     return 0 if disc < args.epsilon else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every float literal as a value:
+    argparse takes ``-1`` for a negative number but ``-inf``, ``-nan`` and
+    ``-1e-3`` for options."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="plcontrol", description=__doc__)
+    ap = _Parser(prog="plcontrol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-fibers", help="contractibility verdicts of all barycenter fibers")

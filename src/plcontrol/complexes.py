@@ -249,7 +249,9 @@ class Point:
     """A location in a complex: carrier simplex plus barycentric coordinates.
 
     Canonical form has all coordinates strictly positive, so the carrier is
-    the unique simplex whose interior contains the point.  ``_canonical``
+    the unique simplex whose interior contains the point.  The coordinates
+    are held as Python floats, so equal points hold equal values whatever
+    numeric type they were built from.  ``_canonical``
     records that ``canonical`` found the coordinates canonical; it is not
     part of the point's value.
     """
@@ -259,6 +261,7 @@ class Point:
     _canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(map(float, self.coords)))
         if len(self.coords) != len(self.carrier.vertices):
             raise MalformedInputError(
                 f"{len(self.coords)} coords for carrier {self.carrier} "
@@ -294,7 +297,7 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = 
     """Canonical point from a vertex-weight mapping (zeros dropped, renormalized).
 
     The carrier is the interned simplex on the support, and the weights are
-    summed in its vertex order.  With tol >= 0 every kept weight is positive
+    summed, as Python floats, in its vertex order.  With tol >= 0 every kept weight is positive
     and the sum has just been checked, so the point skips ``Point``'s checks;
     when the support spans no simplex, the checks only pick the error.
     """
@@ -306,7 +309,7 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = 
     if carrier is None and not support:
         raise MalformedInputError("point with empty support")
     span = carrier if carrier is not None else K.simplex(support)  # raises on an unknown vertex
-    ws = [support[v] for v in span.vertices]
+    ws = [float(support[v]) for v in span.vertices]
     total = sum(ws)
     if abs(total - 1.0) > 1e-7:
         raise MalformedInputError(f"weights sum to {total}, not 1")

@@ -10,15 +10,16 @@ assembly through the collapse-derived contraction of the fiber.
 What is kept, and for how long: a gamma map keeps one fiber-contraction
 track per (sigma, w), with its values per time (``FlagMap._tracks``), for
 as long as it lives, and every ``family.at(eps)`` reads them.  One
-``ControlledFamily.at(eps)`` call keeps a locate memo and a dict of cell
-vertex images that die with its closures; its h2
+``ControlledFamily.at(eps)`` call builds one ``cellulation._EpsView``, the
+owner of its cellulation, locate memo and cell vertex images, and its g, h1
+and h2 over it, so the view dies with them; its h2
 (``cellulation._StraightLine``) and each track of its h1 (``_H1Track``)
-hold both, so that each measures its control row per sampled point as
-arrays over the time grid (``sup_at``).  An h1 track keeps its point's
-split, cell and second-half start-up as long as the track lives, and
-``_H1.sup_at`` reads them off the track it builds for the point.  Both
-rows go through ``cellulation._row_sup``.  A family keeps its per-point
-control sups (``_sups``) as long as it lives.
+read it to measure their control rows per sampled point as arrays over the
+time grid (``sup_at``).  An h1 track keeps its point's split, cell and
+second-half start-up as long as the track lives, and ``_H1.sup_at`` reads
+them off the track it builds for the point.  Both rows go through
+``cellulation._row_sup``.  A family keeps its per-point control sups
+(``_sups``) as long as it lives.
 """
 
 from __future__ import annotations
@@ -33,13 +34,10 @@ import numpy as np
 from .cellulation import (
     _StraightLine,
     _canonical_rows,
+    _EpsView,
     _first_max,
-    _locator,
     _row_sup,
-    _step,
-    _step_rows,
     _straightline,
-    build_cellulation,
     comesh_of,
     eps_key,
     straightline_homotopy,
@@ -114,9 +112,7 @@ class FlagMap:
     its values per time; it is filled by ``fiber_track`` and lives as long
     as the gamma map.  The fiber contractions do not depend on eps, so, like
     ``K._flag_cells``, the tracks serve every ``family.at(eps)``: g, the
-    second half of h1 and ``contract_in_fiber`` all read them.  Points and
-    times that are equal but hold numpy floats where others hold Python
-    floats are kept apart, since a fresh track's values would differ in type."""
+    second half of h1 and ``contract_in_fiber`` all read them."""
 
     f: SimplicialMap
     trivialization: object
@@ -133,26 +129,24 @@ class FlagMap:
         w itself at times <= 0.  The first call for (sigma, w) locates w in
         the fiber's triangulation; every later call returns that one track,
         which computes each time's value once."""
-        key = (sigma, w, tuple(map(type, w.coords)))
-        track = self._tracks.get(key)
+        track = self._tracks.get((sigma, w))
         if track is None:
-            track = self._tracks[key] = self._new_track(sigma, w)
+            track = self._tracks[sigma, w] = self._new_track(sigma, w)
         return track
 
     def _new_track(self, sigma: Simplex, w: Point) -> Callable[[float], Point]:
         fiber = self.fibers[sigma]
         labels, mu = fiber.locate(w)
         tr = self.contractions[sigma].track(make_point(fiber.triangulation, dict(zip(labels, mu))))
-        values: dict[tuple[float, type], Point] = {}
+        values: dict[float, Point] = {}
 
         def at(time: float) -> Point:
             if time <= 0.0:
                 return w
-            key = (time, type(time))
-            p = values.get(key)
+            p = values.get(time)
             if p is None:
                 q = tr(time)
-                p = values[key] = fiber.embed(q.carrier.vertices, q.coords)
+                p = values[time] = fiber.embed(q.carrier.vertices, q.coords)
             return p
 
         return at
@@ -189,7 +183,7 @@ class FlagMap:
     def eval_cell(self, chain: tuple[Simplex, ...], base: Simplex, s: np.ndarray, t: np.ndarray) -> Point:
         """Full gamma on the flag cell: spread the chain value over the base
         point with weights s through the product structure."""
-        y = make_point(self.f.target, dict(zip(base.vertices, np.asarray(s, dtype=float).tolist())))
+        y = make_point(self.f.target, dict(zip(base.vertices, s)))
         z0 = self.gamma_chain(chain, t)
         return self.trivialization.join(z0, y)
 
@@ -243,19 +237,15 @@ def build_h2(f: SimplicialMap, eps: float) -> Homotopy:
 
 def build_inverse(f: SimplicialMap, eps: float, gamma: FlagMap) -> PLEvaluator:
     """g_eps = gamma after inverting the eps-subdivision cellulation of Y."""
-    return _inverse(f, gamma, build_cellulation(f.target, eps).invert)
+    return _inverse(f, gamma, _EpsView(f.target, eps))
 
 
-def _inverse(f: SimplicialMap, gamma: FlagMap, locate) -> PLEvaluator:
+def _inverse(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> PLEvaluator:
     def fn(y: Point) -> Point:
-        cell, (s, t) = locate(y)
+        cell, (s, t) = view.locate(y)
         return gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
 
-    return PLEvaluator(
-        domain=f.target,
-        codomain=f.source,
-        fn=fn,
-    )
+    return PLEvaluator(domain=f.target, codomain=f.source, fn=fn)
 
 
 def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
@@ -265,7 +255,7 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     One track splits x and inverts f(x) once: h1' (the first half), the end
     of h1' and g_eps(f(x)) (the second half's ends) all read that cell, and
     the second half locates those two ends in their fiber once."""
-    return _h1(f, eps, gamma, build_cellulation(f.target, eps).invert, {})
+    return _h1(f, gamma, _EpsView(f.target, eps))
 
 
 class _H1Track:
@@ -276,14 +266,14 @@ class _H1Track:
     (``second``), is made once, on first use.  The track holds no reference
     to its homotopy, so no h1 sits in a reference cycle."""
 
-    def __init__(self, f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict, x: Point):
-        self.f, self.eps, self.gamma, self.images = f, eps, gamma, images
+    def __init__(self, gamma: FlagMap, view: _EpsView, x: Point):
+        self.gamma, self.view = gamma, view
         self.z, self.y = gamma.trivialization.split(x)
-        self.cell, (self.s, self.t) = locate(self.y)
+        self.cell, (self.s, self.t) = view.locate(self.y)
 
     def step(self, eps: float) -> Point:
         """h1' at eps': the cell point at eps' joined to z."""
-        return self.gamma.trivialization.join(self.z, _step(self.f.target, self.images, self.cell, self.s, self.t, eps))
+        return self.gamma.trivialization.join(self.z, self.view.step(self.cell, self.s, self.t, eps))
 
     @functools.cached_property
     def second(self) -> tuple[Point, Callable[[float], Point], Callable[[float], Point]]:
@@ -302,7 +292,7 @@ class _H1Track:
 
     def __call__(self, time: float) -> Point:
         if time <= 0.5:
-            return self.step(self.eps * (1.0 - 2.0 * time))
+            return self.step(self.view.eps * (1.0 - 2.0 * time))
         return self.gamma.trivialization.join(self.fiber_at(time), self.second[0])
 
 
@@ -328,7 +318,7 @@ class _H1(Homotopy):
 
         The rows are read off x's track: the first half (t <= 1/2) joins
         the fiber part z to the steps at eps' = eps (1 - 2t), one
-        ``_step_rows`` array, and the second half joins the track's fiber
+        ``_EpsView.rows`` array, and the second half joins the track's fiber
         points to ybar.  A row whose step ``canonical`` leaves as it is
         (``_canonical_rows``) and whose join ``maps._joined_image_rows``
         reproduces is f(h1(x, t)) on f(x)'s carrier, measured as such by
@@ -342,8 +332,8 @@ class _H1(Homotopy):
         y = canonical(f.target, tr.y)  # the inversion read the cells over y's carrier
         late = np.array([time > 0.5 for time in times])
         rows = np.zeros((len(times), len(y.coords)))
-        epss = [tr.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
-        rows[~late] = _step_rows(tr.images, tr.cell, tr.s, tr.t, epss)
+        epss = [tr.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
+        rows[~late] = tr.view.rows(tr.cell, tr.s, tr.t, epss)
         ybar = None
         if late.any():
             ybar = tr.second[0]
@@ -359,14 +349,9 @@ class _H1(Homotopy):
         return _row_sup(f.target, y, times, F, fast, point)
 
 
-def _h1(f: SimplicialMap, eps: float, gamma: FlagMap, locate, images: dict) -> _H1:
-    return _H1(
-        domain=f.source,
-        codomain=f.source,
-        track_factory=functools.partial(_H1Track, f, eps, gamma, locate, images),
-        f=f,
-        gamma=gamma,
-    )
+def _h1(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> _H1:
+    track_factory = functools.partial(_H1Track, gamma, view)
+    return _H1(domain=f.source, codomain=f.source, track_factory=track_factory, f=f, gamma=gamma)
 
 
 def effective_comesh(K: SimplicialComplex) -> float:
@@ -380,13 +365,12 @@ def effective_comesh(K: SimplicialComplex) -> float:
 class ControlledFamily:
     """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
 
-    ``at`` builds three closures over the cellulation that
-    ``build_cellulation`` keeps on the target (which also rejects an eps
-    outside (0, comesh)), one locate memo that they share and one dict of
-    cell vertex images that h1 and h2 share, so one ``at`` call inverts each
-    distinct point once and builds each (cell, eps') image array once.  Both
-    die with the closures.  ``_sups`` is the one per-point memo of
-    ``family_controls``; it lives as long as the family."""
+    ``at`` builds one ``cellulation._EpsView`` of the target at eps, which
+    reads the cellulation that ``build_cellulation`` keeps (and rejects an
+    eps outside (0, comesh)), and its three closures over it, so one ``at``
+    call inverts each distinct point once and builds each (cell, eps') image
+    array once.  The view dies with the closures.  ``_sups`` is the one
+    per-point memo of ``family_controls``; it lives as long as the family."""
 
     f: SimplicialMap
     gamma: FlagMap
@@ -401,13 +385,8 @@ class ControlledFamily:
         return effective_comesh(self.f.target)
 
     def at(self, eps: float) -> tuple[PLEvaluator, Homotopy, Homotopy]:
-        locate = _locator(build_cellulation(self.f.target, eps))
-        images: dict = {}
-        return (
-            _inverse(self.f, self.gamma, locate),
-            _h1(self.f, eps, self.gamma, locate, images),
-            _straightline(self.f.target, eps, locate, images),
-        )
+        view = _EpsView(self.f.target, eps)
+        return _inverse(self.f, self.gamma, view), _h1(self.f, self.gamma, view), _straightline(view)
 
 
 def build_family(f: SimplicialMap, **gamma_kwargs) -> ControlledFamily:

@@ -140,12 +140,15 @@ def test_cli_cone_distance_rejects_a_nan_point(tmp_path, capsys):
         (("1.0", "inf"), [], "cone height must be finite"),
         (("inf", "2.0"), [], "cone height must be finite"),
         (("1.0", "2.0"), ["--refinement", "-1"], "refinement must be >= 0"),
+        (("-inf", "1.0"), [], "cone height must be finite"),
+        (("1.0", "-nan"), [], "cone height must be finite"),
     ],
 )
 def test_cli_cone_distance_rejects_unusable_heights_and_refinements(tmp_path, capsys, heights, extra, message):
     """A NaN height used to end in a ValueError traceback, an infinite one
-    printed inf, and a negative refinement measured on a graph without
-    lattice points; each now exits 1 with an error line."""
+    printed inf, argparse took ``-inf`` and ``-nan`` for options, and a
+    negative refinement measured on a graph without lattice points; each
+    now exits 1 with an error line."""
     write_fixture_files(tmp_path)
     point = '{"simplex": ["a"], "coords": [1.0]}'
     code = main(["cone-distance", str(tmp_path / "d2.json"), point, heights[0], point, heights[1], *extra])
@@ -253,7 +256,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image arrays, fiber-contraction tracks and
     ``make_point`` calls of a default verify of map_collapse stay at or
-    under 1672, 2738, 6, 13, 297, 1233, 297 and 18935: the sampled-sup
+    under 1672, 2738, 6, 13, 296, 1233, 296 and 18930: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -262,10 +265,9 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     table measured, the h2 row measures a point's canonical steps without
     ``distance`` and the h1 row its reproduced rows without ``distance`` or
     a point, the h1 track reads ybar off its split of h1(x, 1/2), gamma
-    keeps one fiber track per (sigma, w) for every eps and builds a flag
-    cell's base point from plain floats, so that equal fiber points share
-    one track, h1
-    and h2 of one ``family.at(eps)`` build each (cell, eps') image array
+    keeps one fiber track per (sigma, w) for every eps, every point holds
+    Python floats, so that equal fiber points share one track, h1 and h2
+    of one ``family.at(eps)`` build each (cell, eps') image array
     once, and a cellulation builds a cell's arrays at its eps only when an
     inversion first checks the cell."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
@@ -308,10 +310,10 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["distance"] <= 2738
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
-    assert calls["locate"] <= 297
+    assert calls["locate"] <= 296
     assert calls["images"] <= 1233
-    assert calls["tracks"] <= 297
-    assert calls["make_point"] <= 18935
+    assert calls["tracks"] <= 296
+    assert calls["make_point"] <= 18930
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
@@ -348,6 +350,8 @@ def test_malformed_tolerance_and_sample_count_raise():
         ["verify", "collapse.json", "--samples", "-5"],
         ["measure-control", "collapse.json", "--epsilon", "0.1", "--samples", "-5"],
         ["inverse", "collapse.json", "--epsilon", "0.1", "--samples", "-5"],
+        ["verify", "collapse.json", "--tol", "-inf"],
+        ["verify", "collapse.json", "--tol", "-nan"],
     ],
 )
 def test_cli_reports_a_malformed_tolerance_or_sample_count(tmp_path, capsys, argv):
@@ -516,6 +520,8 @@ def test_cli_verify_custom_schedule(tmp_path, capsys):
         ["inverse", "collapse.json", "--epsilon", "5"],
         ["measure-control", "collapse.json", "--epsilon", "nan"],
         ["verify", "collapse.json", "--schedule", "5"],
+        ["cellulate", "d2.json", "--epsilon", "-inf"],
+        ["measure-control", "collapse.json", "--epsilon", "-1e-3"],
     ],
 )
 def test_cli_reports_an_eps_out_of_range(tmp_path, capsys, argv):
@@ -593,6 +599,17 @@ def test_cli_lift(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "max discrepancy" in out
+
+
+def test_cli_lift_rejects_negative_steps(tmp_path, capsys):
+    """``--steps -1`` ended in numpy's ValueError traceback."""
+    write_fixture_files(tmp_path)
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps({"times": [0.0, 1.0], "points": [{"simplex": ["a"], "coords": [1.0]}] * 2}))
+    code = main(["lift", str(tmp_path / "collapse.json"), str(track), "--steps", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: steps must be >= 0")
 
 
 def test_cli_lift_text_is_pinned(tmp_path, capsys):

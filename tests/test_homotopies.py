@@ -59,6 +59,37 @@ def test_gamma_identity_map_is_projection(D2, rng):
         assert distance(D2, g(y), h2.track(y)(1.0)) < 1e-9
 
 
+def test_points_hold_python_floats_and_equal_fiber_points_share_one_track():
+    """A point built from numpy floats, by ``Point`` or ``make_point``,
+    holds Python floats, so gamma keeps one fiber track, and one value per
+    time, for a fiber point whatever type its coordinates were built from."""
+    f = fixtures.map_collapse()
+    gamma = build_gamma_map(f)
+    sigma = max(f.target.sorted_simplices(), key=lambda s: s.dim)
+    w = gamma.basepoints[sigma]
+    np_coords = tuple(np.float64(c) for c in w.coords)
+    numpy_copies = [Point(w.carrier, np_coords), make_point(f.source, dict(zip(w.carrier.vertices, np_coords)))]
+    python_copy = Point(w.carrier, tuple(map(float, w.coords)))
+    for p in numpy_copies:
+        assert p == python_copy and all(type(c) is float for c in p.coords)
+        assert gamma.fiber_track(sigma, p) is gamma.fiber_track(sigma, python_copy)
+    track = gamma.fiber_track(sigma, python_copy)
+    assert track(np.float64(0.5)) is track(0.5)
+
+
+def test_build_inverse_inverts_each_point_once(monkeypatch):
+    from plcontrol import build_inverse, cellulation
+
+    f = fixtures.map_collapse()
+    inverted = []
+    real = cellulation.Cellulation.invert
+    monkeypatch.setattr(cellulation.Cellulation, "invert", lambda cel, y, *a, **k: inverted.append(y) or real(cel, y, *a, **k))
+    g = build_inverse(f, comesh_of(f.target) / 2.0, build_gamma_map(f))
+    y = barycenter(f.target, max(f.target.sorted_simplices(), key=lambda s: s.dim))
+    assert g(y) == g(y)
+    assert inverted == [y]
+
+
 def test_f_gamma_is_projection_on_cells(MAP_COLLAPSE, rng):
     """f after gamma equals projection onto the base coordinates, exactly."""
     gm = build_gamma_map(MAP_COLLAPSE)
@@ -798,16 +829,16 @@ def _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     from plcontrol.homotopies import _family_controls
 
     scalar = []
-    real = cellulation._step
+    real = cellulation._EpsView.step
 
-    def spy(K, images, cell, s, t, e):
+    def spy(view, cell, s, t, e):
         scalar.append(e)
-        return real(K, images, cell, s, t, e)
+        return real(view, cell, s, t, e)
 
     old_h2 = family_oracle.straightline_homotopy(f.target, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, lambda z: ((lambda t: z), old_h2.track(z)))
     with monkeypatch.context() as m:
-        m.setattr(cellulation, "_step", spy)
+        m.setattr(cellulation._EpsView, "step", spy)
         rep = _family_controls(fam, eps, fam.at(eps), pts, [], times)["h2"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
     return scalar
