@@ -54,17 +54,17 @@ def _cmd_cellulate(args) -> int:
 def _cmd_inverse(args) -> int:
     f = load_map(args.map)
     g, _, _ = build_family(f).at(args.epsilon)
-    if args.point:
-        y = parse_point(f.target, args.point)
-        x = g(y)
-        print(f"g_eps({args.point}) = {dict(x.as_dict())}")
+    y = parse_point(f.target, args.point) if args.point else None
+    # measured before anything is printed, so that a bad --samples prints nothing
+    rep = measure_control(g, None, f, samples=args.samples, epsilon_target=args.epsilon)
+    if y is not None:
+        print(f"g_eps({args.point}) = {dict(g(y).as_dict())}")
     else:
         print(f"g_eps on the barycenters of the target (eps={args.epsilon}):")
         for sigma in f.target.sorted_simplices():
             x = g(barycenter(f.target, sigma))
             coords = ", ".join(f"{v}:{c:.6f}" for v, c in x.as_dict().items())
             print(f"  {str(sigma):<24} -> {coords}")
-    rep = measure_control(g, None, f, samples=args.samples, epsilon_target=args.epsilon)
     print(rep)
     return 0
 
@@ -92,7 +92,10 @@ def _cmd_verify(args) -> int:
     f = load_map(args.map)
     schedule = None
     if args.schedule:
-        schedule = [float(tok) for tok in args.schedule.split(",") if tok]
+        try:
+            schedule = [float(tok) for tok in args.schedule.split(",") if tok]
+        except ValueError:
+            raise MalformedInputError(f"--schedule takes comma-separated numbers, got {args.schedule!r}") from None
     report = run_verify(
         f,
         schedule=schedule,
@@ -213,7 +216,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileFormatError, MalformedInputError, EpsilonRangeError, CannotConstructError) as e:
+    except (FileFormatError, MalformedInputError, EpsilonRangeError, CannotConstructError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

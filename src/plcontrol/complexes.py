@@ -17,11 +17,16 @@ point's coordinates are checked canonical once: ``canonical`` flags a point
 whose coordinates pass (the flag is not part of its value and does not name
 a complex), and a later call on it only looks its carrier up.
 
+``__init__`` also sorts the faces once, in ``sort_key`` order; the
+positions in that tuple, ``_sorted``, index the face poset.
+
 Everything derived from a complex and kept on it is a named attribute
-declared in ``__init__``, with its owner beside it: the maximal simplices,
-the comesh, the eps-free flag cells, one cellulation per ``eps_key(eps)``,
-one metric graph per refinement and the component of each vertex.  Each is
-filled on first use and lives as long as the complex.
+declared in ``__init__``, with its owner beside it: the face poset (the
+facets and cofacets of each simplex by position, which homology, collapse,
+``face_chains`` and ``maximal_simplices`` read), the comesh, the eps-free
+flag cells, one cellulation per ``eps_key(eps)``, one metric graph per
+refinement and the component of each vertex.  Each is filled on first use
+and lives as long as the complex.
 """
 
 from __future__ import annotations
@@ -131,15 +136,14 @@ class SimplicialComplex:
         # the interned simplices: one per face, found by its label set
         self._by_labels: dict[frozenset[str], Simplex] = {frozenset(t): Simplex(t) for t in faces}
         self._simplices = frozenset(self._by_labels.values())
-        self._by_dim: dict[int, tuple[Simplex, ...]] = {}
-        for s in sorted(self._simplices, key=self.sort_key):
-            self._by_dim.setdefault(s.dim, ())
-            self._by_dim[s.dim] += (s,)
+        # every face once, in sort_key order: positions index the face poset
+        self._sorted: tuple[Simplex, ...] = tuple(sorted(self._simplices, key=self.sort_key))
+        self._by_dim = {d: tuple(group) for d, group in itertools.groupby(self._sorted, lambda s: s.dim)}
         # a file's drawing layout: file data, not derived from K
         self.positions: dict[str, tuple[float, float]] | None = None
         # Data derived from K alone, each filled on first use by its owner and
         # kept while K lives; nothing here points back at a map or family.
-        self._maximal: tuple[Simplex, ...] | None = None  # maximal_simplices
+        self._poset: tuple | None = None  # _face_poset: facets and cofacets by position
         self._comesh: float | None = None  # cellulation.comesh_of
         self._flag_cells: tuple | None = None  # cellulation._flag_cells: eps-free cells and index
         # cellulation.build_cellulation, one per eps_key(eps); each names K, the
@@ -160,7 +164,7 @@ class SimplicialComplex:
 
     @property
     def dimension(self) -> int:
-        return max(self._by_dim)
+        return self._sorted[-1].dim
 
     def vertex_index(self, label: str) -> int:
         try:
@@ -181,20 +185,14 @@ class SimplicialComplex:
         return (s.dim, tuple(self._index[v] for v in s.vertices))
 
     def sorted_simplices(self) -> list[Simplex]:
-        out: list[Simplex] = []
-        for d in sorted(self._by_dim):
-            out.extend(self._by_dim[d])
-        return out
+        return list(self._sorted)
 
     def simplices_of_dim(self, d: int) -> tuple[Simplex, ...]:
         return self._by_dim.get(d, ())
 
     def maximal_simplices(self) -> list[Simplex]:
-        """Simplices that are no facet of another, sorted; kept after the first call."""
-        if self._maximal is None:
-            covered = {f for s in self._simplices for f in s.facets()}
-            self._maximal = tuple(s for s in self.sorted_simplices() if s not in covered)
-        return list(self._maximal)
+        """Simplices that are no facet of another (those with no cofacet), sorted."""
+        return [s for s, up in zip(self._sorted, _face_poset(self)[1]) if not up]
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self._simplices
@@ -377,19 +375,34 @@ def _sd_label(s: Simplex) -> str:
     return "{" + ",".join(s.vertices) + "}"
 
 
+def _face_poset(K: SimplicialComplex) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The face poset of K by ``sort_key`` position, built on first use and
+    kept on K: the facets of each simplex, the facet missing vertex k in
+    slot k, and the cofacets of each simplex in ascending order.  Readers
+    share the lists and must not change them."""
+    if K._poset is None:
+        index = {s.vertices: i for i, s in enumerate(K._sorted)}
+        facets = [tuple(index[vs[:k] + vs[k + 1 :]] for k in range(len(vs)) if len(vs) > 1) for vs in index]
+        cofacets: list[list[int]] = [[] for _ in facets]
+        for i, fs in enumerate(facets):
+            for f in fs:
+                cofacets[f].append(i)
+        K._poset = (facets, cofacets)
+    return K._poset
+
+
 def face_chains(K: SimplicialComplex):
     """Every nonempty chain s_0 < ... < s_m of the face poset, depth first:
     each chain is followed by its extensions, both in ``sort_key`` order.
 
-    The strict-coface table is built per call and nothing is kept on K.
+    The strict cofaces of a simplex are its cofacets and their strict
+    cofaces; that table is built per call from ``_face_poset``.
     """
-    simps = K.sorted_simplices()
-    index = {s.vertices: i for i, s in enumerate(simps)}
-    up: list[list[int]] = [[] for _ in simps]
-    for j, t in enumerate(simps):
-        for r in range(1, len(t.vertices)):
-            for face in itertools.combinations(t.vertices, r):
-                up[index[face]].append(j)
+    simps = K._sorted
+    _, cofacets = _face_poset(K)
+    up: list[list[int]] = [[]] * len(simps)
+    for i in reversed(range(len(simps))):  # cofaces sit at higher positions
+        up[i] = sorted({j for c in cofacets[i] for j in (c, *up[c])})
     for i in range(len(simps)):
         stack = [(i,)]
         while stack:

@@ -44,7 +44,7 @@ class ConePoint:
     height: float
 
     def __post_init__(self):
-        if self.height > 0 and self.base is None:
+        if not self.height <= 0 and self.base is None:  # NaN needs a base too
             raise ValueError("positive-height cone point needs a base point")
 
 
@@ -63,8 +63,6 @@ def cone_distance(dM: Callable[[Point, Point], float], a: ConePoint, b: ConePoin
     gap = abs(a.height - b.height)
     if scale == 0.0:
         return gap
-    if a.base is None or b.base is None:
-        raise ValueError("positive-height cone point without a base")
     return scale * dM(a.base, b.base) + gap
 
 

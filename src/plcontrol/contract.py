@@ -2,8 +2,9 @@
 greedy elementary collapse, and explicit contraction homotopies replayed from
 collapse sequences.
 
-Both kernels work on a local integer-indexed face table and are near-linear
-on the fibers this package builds:
+Both kernels read the complex's face poset by sort position
+(``complexes._face_poset``, built once per complex) and are near-linear on
+the fibers this package builds:
 
 - ``homology`` eliminates the +-1 pivots of each sparse boundary matrix first
   (the reduce-then-SNF strategy of Kaczynski-Mischaikow-Mrozek, *Computational
@@ -28,6 +29,7 @@ from .complexes import (
     Point,
     Simplex,
     SimplicialComplex,
+    _face_poset,
     combine_points,
     make_point,
 )
@@ -180,15 +182,15 @@ class HomologyProfile:
 def homology(K: SimplicialComplex) -> HomologyProfile:
     """Reduced integral simplicial homology via Smith normal form."""
     dim = K.dimension
+    facets, _ = _face_poset(K)
     # degree 0 maps onto Z by the augmentation, which makes the homology reduced
     diags: dict[int, list[int]] = {0: sparse_smith_diagonal([{0: 1}] * len(K.simplices_of_dim(0)))}
+    start = 0  # sort position of the first simplex of dimension d - 1
     for d in range(1, dim + 1):
-        index = {s.vertices: i for i, s in enumerate(K.simplices_of_dim(d - 1))}
-        columns = []
-        for s in K.simplices_of_dim(d):
-            vs = s.vertices
-            columns.append({index[vs[:i] + vs[i + 1 :]]: (-1) ** i for i in range(len(vs))})
-        diags[d] = sparse_smith_diagonal(columns)
+        first = start + len(K.simplices_of_dim(d - 1))  # and of dimension d
+        columns = range(first, first + len(K.simplices_of_dim(d)))
+        diags[d] = sparse_smith_diagonal([{f - start: (-1) ** k for k, f in enumerate(facets[i])} for i in columns])
+        start = first
     betti = []
     torsion = []
     for d in range(dim + 1):
@@ -214,15 +216,7 @@ def greedy_collapse(K: SimplicialComplex) -> CollapseSequence:
     """Repeatedly remove the smallest free face (order: dimension, then vertex
     indices); terminates at a single vertex or at a stuck core."""
     order = K.sorted_simplices()  # position = rank under K.sort_key = heap key
-    index = {s.vertices: i for i, s in enumerate(order)}
-    facets = []
-    for s in order:
-        vs = s.vertices
-        facets.append([index[vs[:k] + vs[k + 1 :]] for k in range(len(vs))] if len(vs) > 1 else [])
-    cofacets: list[list[int]] = [[] for _ in order]
-    for i, fs in enumerate(facets):
-        for f in fs:
-            cofacets[f].append(i)
+    facets, cofacets = _face_poset(K)
     # The alive set stays closed under faces, so a simplex has exactly one
     # alive proper coface iff it has exactly one alive cofacet (a coface of
     # codimension >= 2 contains two cofacets); counting cofacets suffices.

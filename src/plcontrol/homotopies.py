@@ -170,7 +170,6 @@ class FlagMap:
         if lam <= 1e-12:
             return self.contract_in_fiber(chain[0], self.basepoints[chain[0]], 1.0)
         u = (t - tmin) / lam
-        u = np.clip(u, 0.0, None)
         u /= u.sum()
         j0 = int(np.argmin(u))
         if j0 == 0:

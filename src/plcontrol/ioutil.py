@@ -34,17 +34,26 @@ def _load_json(path: str | Path) -> dict:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise FileFormatError(f"{path}: file not found") from None
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: top level must be a JSON object")
+    return data
+
+
+def _is_list(value, of=object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, of) for item in value)
 
 
 def load_complex(path: str | Path) -> SimplicialComplex:
     data = _load_json(path)
     if "simplices" not in data or not data["simplices"]:
         raise FileFormatError(f"{path}: missing or empty 'simplices' field")
+    if not (_is_list(data["simplices"], list) and _is_list(data.get("vertices", []))):
+        raise FileFormatError(f"{path}: 'simplices' must be a list of vertex lists and 'vertices' a list")
     gens = [tuple(str(v) for v in s) for s in data["simplices"]]
     for g in gens:
         if len(set(g)) != len(g):
@@ -62,9 +71,11 @@ def load_complex(path: str | Path) -> SimplicialComplex:
             stacklevel=2,
         )
     if "positions" in data:
-        K.positions = {
-            str(v): (float(xy[0]), float(xy[1])) for v, xy in data["positions"].items()
-        }
+        pos = data["positions"]
+        xys = isinstance(pos, dict) and all(_is_list(xy, (int, float)) and len(xy) == 2 for xy in pos.values())
+        if not (xys and set(K.vertex_order) <= set(pos)):
+            raise FileFormatError(f"{path}: 'positions' must map every vertex to [x, y]")
+        K.positions = {v: (float(x), float(y)) for v, (x, y) in pos.items()}
     return K
 
 
@@ -82,9 +93,9 @@ def save_complex(K: SimplicialComplex, path: str | Path, positions: dict | None 
 def load_map(path: str | Path) -> SimplicialMap:
     path = Path(path)
     data = _load_json(path)
-    for k in ("source", "target", "vertex_map"):
-        if k not in data:
-            raise FileFormatError(f"{path}: missing '{k}' field")
+    for k, kind in (("source", str), ("target", str), ("vertex_map", dict)):
+        if not isinstance(data.get(k), kind):
+            raise FileFormatError(f"{path}: missing or malformed '{k}' field")
     src = load_complex(path.parent / data["source"])
     tgt = load_complex(path.parent / data["target"])
     try:
@@ -110,7 +121,7 @@ def parse_point(K: SimplicialComplex, data: dict | str) -> Point:
             data = json.loads(data)
         except json.JSONDecodeError as e:
             raise FileFormatError(f"point literal: {e.msg}") from None
-    if "simplex" not in data or "coords" not in data:
+    if not isinstance(data, dict) or "simplex" not in data or "coords" not in data:
         raise FileFormatError("point needs 'simplex' and 'coords' fields")
     try:
         labels = [str(v) for v in data["simplex"]]
@@ -131,8 +142,11 @@ def load_track(path: str | Path, Y: SimplicialComplex) -> tuple[Homotopy, Point 
     interpolated piecewise linearly; optional "start" is a point of the
     lifting problem's source complex."""
     data = _load_json(path)
-    times = [float(t) for t in data.get("times", [])]
-    pts = [parse_point(Y, p) for p in data.get("points", [])]
+    times, pts = data.get("times", []), data.get("points", [])
+    if not (_is_list(times, (int, float)) and _is_list(pts)):
+        raise FileFormatError(f"{path}: 'times' must be a list of numbers and 'points' a list")
+    times = [float(t) for t in times]
+    pts = [parse_point(Y, p) for p in pts]
     if len(times) != len(pts) or len(pts) < 2:
         raise FileFormatError(f"{path}: need matching 'times' and 'points' (at least two)")
     if times[0] != 0.0 or times[-1] != 1.0 or any(a >= b for a, b in zip(times, times[1:])):

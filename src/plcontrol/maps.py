@@ -438,8 +438,6 @@ def verify_product_decomposition(
     each cell's product dimension plus sigma.dim is tau.dim, and tau_a <=
     tau_b exactly when each factor of the one lies in the matching factor
     of the other."""
-    if sigma not in f.target.simplices:
-        raise NotFoundError(f"simplex {sigma} not in target")
     fiber = fiber_over_barycenter(f, sigma)
     bijection = {cell.tau: cell for cell in fiber.cells}
     if fiber.is_empty:
@@ -476,8 +474,6 @@ def build_star_retraction(f: SimplicialMap, sigma: Simplex) -> Homotopy:
     """Strong deformation retraction of f^{-1}(st(sigma)) onto
     f^{-1}(interior sigma): the join parameter off sigma goes to zero at unit
     speed and stays there."""
-    if sigma not in f.target.simplices:
-        raise NotFoundError(f"simplex {sigma} not in target")
     if fiber_over_barycenter(f, sigma).is_empty:
         raise VacuousRetractionError(
             f"f^{{-1}} of the open cell of {sigma} is empty; retraction is vacuous"

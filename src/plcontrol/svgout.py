@@ -61,22 +61,13 @@ def _fmt(x: float) -> str:
 
 def _cell_cycle(cell) -> list[tuple[str, int]]:
     """Boundary vertex cycle of the cell's product polytope as (vertex label,
-    chain level) pairs; only products of total dimension <= 2 occur here."""
+    chain level) pairs.  In a complex of dimension <= 2 every cell is the
+    square or a simplex in one factor, the other being a point."""
     base = cell.flag.base.vertices
     m = len(cell.flag.chain)
-    if len(base) == 1 and m == 1:
-        return [(base[0], 0)]
-    if len(base) == 2 and m == 1:
-        return [(base[0], 0), (base[1], 0)]
-    if len(base) == 1 and m == 2:
-        return [(base[0], 0), (base[0], 1)]
-    if len(base) == 3 and m == 1:
-        return [(base[0], 0), (base[1], 0), (base[2], 0)]
     if len(base) == 2 and m == 2:
         return [(base[0], 0), (base[1], 0), (base[1], 1), (base[0], 1)]
-    if len(base) == 1 and m == 3:
-        return [(base[0], 0), (base[0], 1), (base[0], 2)]
-    raise UnsupportedDimensionError(f"cell {cell.flag} has dimension above two")
+    return [(v, level) for v in base for level in range(m)]
 
 
 def render_cellulation_svg(cel: Cellulation, positions=None) -> str:

@@ -18,7 +18,8 @@ from plcontrol import (
     subdivision_points,
     vertex_point,
 )
-from plcontrol.complexes import face_chains
+from plcontrol import complexes, contract
+from plcontrol.complexes import Simplex, _face_poset, face_chains
 from plcontrol.maps import _monotone_paths
 
 
@@ -144,8 +145,54 @@ def test_monotone_paths_match_oracle(shape):
 
 @given(small_complexes)
 @settings(max_examples=60, deadline=None)
+def test_sorted_faces_and_face_poset_match_a_scan(K):
+    """The one sorted face tuple is the face set in ``sort_key`` order, and
+    the face poset's facets (the one missing vertex k in slot k) and
+    ascending cofacets are those of a brute-force incidence scan."""
+    simps = sorted(K.simplices, key=K.sort_key)
+    assert K.sorted_simplices() == simps
+    assert K.dimension == max(s.dim for s in simps)
+    for d in range(K.dimension + 2):
+        assert K.simplices_of_dim(d) == tuple(s for s in simps if s.dim == d)
+    facets, cofacets = _face_poset(K)
+    assert facets == [
+        tuple(simps.index(Simplex(s.vertices[:k] + s.vertices[k + 1 :])) for k in range(len(s.vertices))) if s.dim else ()
+        for s in simps
+    ]
+    assert cofacets == [[j for j, t in enumerate(simps) if s < t and t.dim == s.dim + 1] for s in simps]
+
+
+def test_poset_readers_build_the_face_poset_once(monkeypatch):
+    """homology, greedy_collapse, maximal_simplices and face_chains each read
+    the face poset, and on a fresh complex the four build it once."""
+    real = complexes._face_poset
+    builds = []
+
+    def spy(K):
+        builds.append(K._poset is None)
+        return real(K)
+
+    for module in (complexes, contract):
+        monkeypatch.setattr(module, "_face_poset", spy)
+    K = barycentric_subdivision(fixtures.d2())[0]
+    assert K._poset is None
+    reads = {
+        "homology": lambda: contract.homology(K),
+        "greedy_collapse": lambda: contract.greedy_collapse(K),
+        "maximal_simplices": K.maximal_simplices,
+        "face_chains": lambda: list(face_chains(K)),
+    }
+    for name, read in reads.items():
+        calls = len(builds)
+        read()
+        assert len(builds) > calls, name
+    assert builds.count(True) == 1
+
+
+@given(small_complexes)
+@settings(max_examples=60, deadline=None)
 def test_maximal_simplices_match_quadratic_oracle(K):
-    assert K._maximal is None  # computed on first call, never at construction
+    assert K._poset is None  # the face poset is built on first use, never at construction
     want = [s for s in K.sorted_simplices() if not any(s < t for t in K.simplices)]
     assert K.maximal_simplices() == want
     assert K.maximal_simplices() == want  # the kept result, unchanged by callers

@@ -50,6 +50,14 @@ def _pt():
     return vertex_point(D2, "a")
 
 
+@pytest.mark.parametrize("height", [1.0, float("inf"), float("nan")])
+def test_cone_point_off_the_ray_needs_a_base(height):
+    """Only heights <= 0 form the baseless ray; a NaN height used to pass
+    without a base and reach ``cone_distance``."""
+    with pytest.raises(ValueError, match="needs a base point"):
+        ConePoint(base=None, height=height)
+
+
 @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
 def test_coning_map_rejects_a_non_finite_height(height):
     from plcontrol import MalformedInputError

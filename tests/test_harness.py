@@ -185,7 +185,7 @@ def test_file_positions_round_trip_and_drive_the_svg(tmp_path, capsys):
     K = load_complex(tmp_path / "d2.json")
     assert K.positions == fixtures.D2_POSITIONS
     # the layout is file data: loading it derives nothing from K
-    assert (K._maximal, K._comesh, K._flag_cells, K._component_of) == (None,) * 4
+    assert (K._poset, K._comesh, K._flag_cells, K._component_of) == (None,) * 4
     assert not K._cellulations and not K._metric_graphs
     save_complex(K, tmp_path / "again.json")
     assert load_complex(tmp_path / "again.json").positions == fixtures.D2_POSITIONS
@@ -252,6 +252,55 @@ def test_verify_decides_each_fiber_once(monkeypatch):
     assert len(calls) == len(f.target.simplices) == 3
 
 
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count, from here on, the calls of the work a verify does: inversions,
+    cells tried, distance queries, sample draws, cold cellulation builds,
+    fiber locations, cell vertex-image arrays, fiber-contraction tracks,
+    ``make_point`` and ``image_simplex``.  The returned dict is live."""
+    from plcontrol import cellulation, complexes, homotopies, maps, metrics
+
+    calls: dict[str, int] = {}
+
+    def counting(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr, name in (
+        (cellulation.Cellulation, "invert", "invert"),
+        (cellulation.Cellulation, "_try_cell", "tried"),
+        (cellulation.Cellulation, "__init__", "cold"),
+        (cellulation.FlagCell, "vertex_images", "images"),
+        (maps.FiberComplex, "locate", "locate"),
+        (homotopies.FlagMap, "_new_track", "tracks"),
+        (maps.SimplicialMap, "image_simplex", "image_simplex"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    for name, fn in (
+        ("distance", metrics.distance), ("sample_points", homotopies.sample_points), ("make_point", complexes.make_point)
+    ):
+        wrapped = counting(name, fn)
+        for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapped)
+    return calls
+
+
+def _fresh(f: SimplicialMap) -> SimplicialMap:
+    """f over new copies of its complexes, which may be shared fixtures
+    holding caches from other tests."""
+    X, Y = (
+        closure_complex([s.vertices for s in K.maximal_simplices()], vertex_order=K.vertex_order)
+        for K in (f.source, f.target)
+    )
+    return SimplicialMap(X, Y, dict(f.vertex_map))
+
+
 def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image arrays, fiber-contraction tracks and
@@ -270,40 +319,8 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     of one ``family.at(eps)`` build each (cell, eps') image array
     once, and a cellulation builds a cell's arrays at its eps only when an
     inversion first checks the cell."""
-    from plcontrol import cellulation, complexes, homotopies, maps, metrics
-
-    calls = {
-        "invert": 0, "distance": 0, "sample_points": 0, "cold": 0, "locate": 0, "images": 0, "tracks": 0,
-        "make_point": 0,
-    }
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    real_invert = cellulation.Cellulation.invert
-    monkeypatch.setattr(cellulation.Cellulation, "invert", counting("invert", real_invert))
-    real_init = cellulation.Cellulation.__init__
-    monkeypatch.setattr(cellulation.Cellulation, "__init__", counting("cold", real_init))
-    monkeypatch.setattr(cellulation.FlagCell, "vertex_images", counting("images", cellulation.FlagCell.vertex_images))
-    monkeypatch.setattr(maps.FiberComplex, "locate", counting("locate", maps.FiberComplex.locate))
-    monkeypatch.setattr(homotopies.FlagMap, "_new_track", counting("tracks", homotopies.FlagMap._new_track))
-    for name, fn in (
-        ("distance", metrics.distance), ("sample_points", homotopies.sample_points), ("make_point", complexes.make_point)
-    ):
-        wrapped = counting(name, fn)
-        for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapped)
-    cached = fixtures.map_collapse()  # its complexes are shared across tests, so copy them
-    X, Y = (
-        closure_complex([s.vertices for s in K.maximal_simplices()]) for K in (cached.source, cached.target)
-    )
-    rep = run_verify(SimplicialMap(X, Y, dict(cached.vertex_map)))
+    calls = _count_work(monkeypatch)
+    rep = run_verify(_fresh(fixtures.map_collapse()))
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
     assert calls["invert"] <= 1672
@@ -314,6 +331,24 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["images"] <= 1233
     assert calls["tracks"] <= 296
     assert calls["make_point"] <= 18930
+
+
+def test_verify_work_per_source_simplex_does_not_grow_with_the_map(monkeypatch):
+    """A default verify of Prism(1) does no more inversions, cells tried,
+    ``make_point`` or ``distance`` calls, fiber tracks or ``image_simplex``
+    calls per source simplex than one of Prism(0), so work that grows as
+    |X| * |Y|, like a per-simplex fiber scan, fails here."""
+    ladder = _load_script("ladder")
+    calls = _count_work(monkeypatch)
+    per_simplex = []
+    for k in (0, 1):
+        f = _fresh(ladder.inputs.prism_map(k))
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_verify(f).overall == THEOREM_CONSISTENT
+        per_simplex.append({name: n / len(f.source.simplices) for name, n in calls.items()})
+    small, large = per_simplex
+    for name in ("invert", "tried", "make_point", "distance", "tracks", "image_simplex"):
+        assert 0 < large[name] <= small[name], name
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
@@ -638,6 +673,59 @@ def test_cli_missing_file(capsys):
     code = main(["check-fibers", "/nonexistent/map.json"])
     assert code == 1
     assert "file not found" in capsys.readouterr().err
+
+
+_POINT = '{"simplex": ["a"], "coords": [1.0]}'
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({}, ["verify", "collapse.json", "--schedule", "abc"], "--schedule takes comma-separated numbers"),
+        ({"track.json": [0.0, 1.0]}, ["lift", "collapse.json", "track.json"], "top level must be a JSON object"),
+        ({"k.json": {"simplices": [5]}}, ["cellulate", "k.json", "--epsilon", "0.1"], "'simplices' must be a list"),
+        ({"k.json": {"simplices": "abc"}}, ["cellulate", "k.json", "--epsilon", "0.1"], "'simplices' must be a list"),
+        (
+            {"m.json": {"source": "d2.json", "target": "d1.json", "vertex_map": ["a"]}},
+            ["check-fibers", "m.json"],
+            "malformed 'vertex_map'",
+        ),
+        (
+            {"k.json": {"simplices": [["a"]], "positions": {"a": [0]}}},
+            ["cellulate", "k.json", "--epsilon", "0.1"],
+            "'positions' must map every vertex",
+        ),
+        (
+            {"k.json": {"simplices": [["a", "b"], ["a"], ["b"]], "positions": {"a": [0, 0]}}},
+            ["cellulate", "k.json", "--epsilon", "0.1", "--svg", "k.svg"],
+            "'positions' must map every vertex",
+        ),
+        ({}, ["inverse", "collapse.json", "--epsilon", "0.1", "--samples", "-3"], "samples must be >= 0"),
+        ({}, ["cone-distance", "d2.json", "5", "1.0", _POINT, "1.0"], "point needs 'simplex' and 'coords'"),
+    ],
+)
+def test_cli_reports_malformed_input_without_output(tmp_path, capsys, monkeypatch, files, argv, message):
+    """Each of these ended in a traceback (ValueError, AttributeError,
+    TypeError, IndexError or KeyError), was read silently (a string of
+    simplices as one-vertex simplices), or printed the g_eps table before
+    its error; each now exits 1 with an error line and prints nothing."""
+    write_fixture_files(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_cli_reports_an_unwritable_svg_path(tmp_path, capsys):
+    """A FileNotFoundError traceback at the parent."""
+    write_fixture_files(tmp_path)
+    code = main(["cellulate", str(tmp_path / "d2.json"), "--epsilon", "0.1", "--svg", str(tmp_path / "no" / "x.svg")])
+    captured = capsys.readouterr()
+    assert code == 1 and "wrote" not in captured.out
+    assert captured.err.startswith("error: ") and "x.svg" in captured.err
 
 
 def test_console_entrypoint_runs():

@@ -4,13 +4,14 @@ distances, and the same exception type and message on every bad input."""
 
 import ast
 import dataclasses
+import math
 import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import point_oracle as oracle
@@ -86,8 +87,12 @@ weights = st.dictionaries(
 
 
 @given(small_complexes, st.lists(labels, max_size=6), st.lists(weights, max_size=6))
+@example(closure_complex([("a",)]), [], [{"a": -0.5, "b": 2.225073858507e-311}])
 @settings(max_examples=200, deadline=None)
 def test_label_lookups_and_make_point_match_oracle(K, label_lists, weight_maps):
+    """When the positive weights sum to a subnormal number, rescaling turns
+    a negative weight into -inf, which ``make_point`` rejects and the oracle
+    drops; only all-finite maps are compared with the oracle."""
     for ls in label_lists + [list(s.vertices)[::-1] for s in K.simplices]:
         assert outcome(K.simplex, ls) == outcome(oracle.simplex, K, ls)
         assert outcome(K.contains_labels, ls) == outcome(oracle.contains_labels, K, ls)
@@ -95,7 +100,11 @@ def test_label_lookups_and_make_point_match_oracle(K, label_lists, weight_maps):
         total = sum(v for v in w.values() if v > 0)
         scaled = {k: v / total for k, v in w.items()} if total > 0 else w
         for mapping in (w, scaled):
-            same_point_outcome(outcome(make_point, K, mapping), outcome(oracle.make_point, K, mapping))
+            if all(map(math.isfinite, mapping.values())):
+                same_point_outcome(outcome(make_point, K, mapping), outcome(oracle.make_point, K, mapping))
+            else:
+                with pytest.raises(MalformedInputError, match="non-finite weight"):
+                    make_point(K, mapping)
 
 
 @given(small_complexes, st.data())
