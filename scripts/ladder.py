@@ -3,14 +3,16 @@
 source and target simplex counts, the CPU seconds of the verify, the
 verdict, the bound B and the sha256 of the rendered report.
 
-    python3 scripts/ladder.py
+    python3 scripts/ladder.py [K ...]
 
 Prism(k) is `perfbench/inputs.prism_map(k)`, the projection
-Sd^k(D2) x [0,1] -> Sd^k(D2); the rungs are k = 0, 1, 2.  The report is
-rendered with the default map label, so a hash equal to an earlier one means
-the report text is byte-identical.
+Sd^k(D2) x [0,1] -> Sd^k(D2); the rungs are the given k, by default
+k = 0, 1, 2 (`python3 scripts/ladder.py 3` times Prism(3) alone).  The
+report is rendered with the default map label, so a hash equal to an
+earlier one means the report text is byte-identical.
 """
 
+import argparse
 import hashlib
 import importlib.util
 import sys
@@ -54,7 +56,9 @@ def rung(k: int) -> dict:
 
 
 def main() -> None:
-    for k in RUNGS:
+    parser = argparse.ArgumentParser(description="Time the default verify on the Prism ladder.")
+    parser.add_argument("rungs", nargs="*", type=int, default=RUNGS, metavar="K", help="rung numbers (default 0 1 2)")
+    for k in parser.parse_args().rungs:
         r = rung(k)
         bound = "-" if r["bound"] is None else f"{r['bound']:.9f}"
         print(

@@ -35,9 +35,11 @@ closures built over it; ``straightline_homotopy``, ``build_inverse`` and
 ``build_h1`` each build their own.  Every reuse of an eps' happens inside
 one ``at(eps)``, so nothing longer-lived keeps images.  The h2 control of
 a sampled point is measured over the whole time grid as one array of steps
-(``_StraightLine.sup_at``).  ``_row_sup`` is the one row loop of the h1 and
-h2 control rows, and ``_first_max`` the one first-maximum reduction of
-every sampled control; neither keeps anything.
+(``_StraightLine.sup_at``): ``rows`` builds the images its memo lacks in
+one ``vertex_images`` call and forms every row in one ``_contract``, the
+one contraction of a cell point.  ``_row_sup`` measures the h1 and h2
+control rows, every fast row with one norm, and ``_first_max`` is the one
+first-maximum reduction of every sampled control; neither keeps anything.
 """
 
 from __future__ import annotations
@@ -142,6 +144,12 @@ def gamma_vertex(K: SimplicialComplex, eps: float, v: str, tau: Simplex) -> Poin
     return Point(tau, tuple(coords))
 
 
+def _contract(s, t, P) -> np.ndarray:
+    """The cell point sum_ij s_i t_j P[..., i, j, :] of vertex images P, for
+    one image array or a stack of them."""
+    return np.einsum("i,j,...ijd->...d", s, t, P)
+
+
 @dataclass
 class FlagCell:
     """One cell of the cellulation, with the numeric kernel of its bilinear map.
@@ -164,20 +172,24 @@ class FlagCell:
     def dim(self) -> int:
         return self.flag.dim
 
-    def a_coeffs(self, eps: float) -> np.ndarray:
-        a = np.zeros(len(self.lengths))
+    def a_coeffs(self, eps) -> np.ndarray:
+        """a[..., j] = eps / |v - sigma_j-hat| (0 where sigma_j is a vertex),
+        for one eps or a sequence of them."""
+        eps = np.asarray(eps, dtype=float)
+        a = np.zeros((*eps.shape, len(self.lengths)))
         nz = self.lengths > 0.0
-        a[nz] = eps / self.lengths[nz]
+        a[..., nz] = eps[..., None] / self.lengths[nz]
         return a
 
-    def vertex_images(self, eps: float) -> np.ndarray:
-        """P[i, j] = image of (v_i, sigma_j-hat) in carrier coordinates."""
-        a = self.a_coeffs(eps)
-        return self.E[:, None, :] * (1.0 - a)[None, :, None] + a[None, :, None] * self.chat[None, :, :]
+    def vertex_images(self, eps) -> np.ndarray:
+        """P[..., i, j] = image of (v_i, sigma_j-hat) in carrier coordinates,
+        for one eps or a sequence of them.  The work is elementwise, so each
+        eps gets the bits it gets alone."""
+        a = self.a_coeffs(eps)[..., None, :, None]
+        return self.E[:, None, :] * (1.0 - a) + a * self.chat[None, :, :]
 
     def evaluate(self, eps: float, s: np.ndarray, t: np.ndarray) -> Point:
-        coords = np.einsum("i,j,ijd->d", s, t, self.vertex_images(eps))
-        return Point(self.carrier, tuple(coords))
+        return Point(self.carrier, tuple(_contract(s, t, self.vertex_images(eps))))
 
 
 _SLACK = 1e-7
@@ -379,7 +391,7 @@ class Cellulation:
         s /= total
         t = np.clip(t, 0.0, None)
         t /= t.sum()
-        res = np.einsum("i,j,ijd->d", s, t, P) - yv
+        res = _contract(s, t, P) - yv
         if float(np.linalg.norm(res)) > tol:
             return None
         return s, t
@@ -439,15 +451,15 @@ class _EpsView:
 
     def rows(self, cell: FlagCell, s, t, epss) -> np.ndarray:
         """The coordinates over ``cell.carrier`` of the cell point (s, t) at
-        each eps' of ``epss``, one row per eps' and one einsum per row (an
-        einsum batched over the rows rounds differently)."""
-        out = np.empty((len(epss), len(cell.carrier.vertices)))
-        for k, eps in enumerate(epss):
-            P = self._images.get((cell.index, eps))
-            if P is None:
-                P = self._images[cell.index, eps] = cell.vertex_images(eps)
-            out[k] = np.einsum("i,j,ijd->d", s, t, P)
-        return out
+        each eps' of ``epss``, one row per eps': the images the memo lacks
+        are built in one ``vertex_images`` call, and the rows are one
+        contraction."""
+        if not epss:
+            return np.empty((0, len(cell.carrier.vertices)))
+        images, i = self._images, cell.index
+        if new := list(dict.fromkeys(eps for eps in epss if (i, eps) not in images)):
+            images.update(((i, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
+        return _contract(s, t, np.stack([images[i, eps] for eps in epss]))
 
     def step(self, cell: FlagCell, s, t, eps: float) -> Point:
         """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
@@ -477,16 +489,15 @@ def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, poin
     """``_first_max`` of d_K(y, p_k) over ``times``, for the point p_k of
     each row k: a row marked ``fast`` holds p_k's coordinates over y's
     carrier, so its distance to y is the l2 norm of their difference there,
-    as ``distance`` computes it; any other p_k is ``point(k)``."""
-    yv = np.array(y.coords)
-    dists = []
-    for k, (row, ok) in enumerate(zip(rows, fast)):
-        if ok:
-            d = yv - row
-            dists.append(math.sqrt(d.dot(d)))
-        else:
-            dists.append(distance(K, y, point(k)))
-    return _first_max(times, dists)
+    which ``distance`` computes as ``math.sqrt(d.dot(d))``; the per-row dot
+    products of one ``matmul`` have the same bits.  Any other p_k is
+    ``point(k)``."""
+    dists = np.empty(len(fast))
+    d = np.array(y.coords) - rows[fast]
+    dists[fast] = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    for k in np.flatnonzero(~fast).tolist():
+        dists[k] = distance(K, y, point(k))
+    return _first_max(times, dists.tolist())
 
 
 @dataclass

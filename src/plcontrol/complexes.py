@@ -100,7 +100,8 @@ class Simplex:
 class SimplicialComplex:
     """A finite complex closed under taking faces.
 
-    Vertex order is fixed at construction (first appearance in the generator
+    Vertex order is fixed at construction (``vertex_order``, each of whose
+    labels must lie in a generator, then first appearance in the generator
     list) and is the total order used everywhere determinism matters.
     """
 
@@ -139,6 +140,9 @@ class SimplicialComplex:
         # every face once, in sort_key order: positions index the face poset
         self._sorted: tuple[Simplex, ...] = tuple(sorted(self._simplices, key=self.sort_key))
         self._by_dim = {d: tuple(group) for d, group in itertools.groupby(self._sorted, lambda s: s.dim)}
+        if len(self._by_dim[0]) < len(order):  # a label of vertex_order that no generator uses
+            stray = next(v for v in order if frozenset((v,)) not in self._by_labels)
+            raise MalformedInputError(f"vertex label {stray!r} lies in no simplex")
         # a file's drawing layout: file data, not derived from K
         self.positions: dict[str, tuple[float, float]] | None = None
         # Data derived from K alone, each filled on first use by its owner and

@@ -439,8 +439,9 @@ def _control_fn(control, K: SimplicialComplex):
 def sample_points(K: SimplicialComplex, samples: int, seed: int = 0, subdivision_rounds: int = 1) -> list[Point]:
     """Vertices of the r-fold subdivision plus uniformly drawn points of
     maximal simplices."""
-    if samples < 0:
-        raise MalformedInputError(f"samples must be >= 0, got {samples}")
+    for name, value in (("samples", samples), ("seed", seed)):
+        if value < 0:
+            raise MalformedInputError(f"{name} must be >= 0, got {value}")
     pts = subdivision_points(K, subdivision_rounds)
     rng = np.random.default_rng(seed)
     maxs = K.maximal_simplices()

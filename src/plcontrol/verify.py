@@ -142,6 +142,8 @@ def run_verify(
 ) -> VerificationReport:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise MalformedInputError(f"tolerance must be finite and >= 0, got {tol}")
+    if seed < 0:
+        raise MalformedInputError(f"seed must be >= 0, got {seed}")
     report = VerificationReport(map_label=map_label)
     bad = validate_map(f)
     if bad:
@@ -166,18 +168,14 @@ def run_verify(
             if not math.isfinite(rad):
                 rad = comesh_of(f.target)
             report.obstructions[s] = rad
-        try:
-            build_family(f)
-            report.messages.append(
-                "UNEXPECTED: family construction succeeded despite refuted fibers"
-            )
-            report.overall = COUNTEREXAMPLE
-        except CannotConstructError as e:
-            report.messages.append(
-                f"controlled-family construction refuses: {e} "
-                f"(expected: contrapositive of the equivalence)"
-            )
-            report.overall = COUNTEREXAMPLE
+        # build_family refuses at the first fiber, in this order, that is not
+        # contractible: a refuted one or an unknown one before it
+        sigma, verdict = next((s, v) for s, v in report.fiber_verdicts.items() if not v.is_contractible)
+        report.messages.append(
+            f"controlled-family construction refuses: {CannotConstructError(sigma, verdict)} "
+            f"(expected: contrapositive of the equivalence)"
+        )
+        report.overall = COUNTEREXAMPLE
         return report
     if unknown:
         report.messages.append(

@@ -1,8 +1,12 @@
 """Reference kernels for the differential tests of ``plcontrol.cellulation``
 and ``plcontrol.homotopies``: the inversion that scans every cell whose
-carrier contains the point's carrier, and the h1 built as a concatenation of
-two homotopies that each invert the cellulation on their own, whose second
-half locates its fiber points on every call."""
+carrier contains the point's carrier, the per-row loops that formed a cell
+point's rows one eps' at a time and measured each fast row on its own, and
+the h1 built as a concatenation of two homotopies that each invert the
+cellulation on their own, whose second half locates its fiber points on
+every call."""
+
+import math
 
 import numpy as np
 
@@ -18,8 +22,10 @@ from plcontrol import (
     build_inverse,
     canonical,
     concatenate,
+    distance,
     evaluate_map,
 )
+from plcontrol.cellulation import _first_max
 import homotopy_oracle
 
 
@@ -96,6 +102,37 @@ def _try_cell(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
     if float(np.linalg.norm(res)) > tol:
         return None
     return s, t
+
+
+def vertex_images(cell: FlagCell, eps: float) -> np.ndarray:
+    """P[i, j] = image of (v_i, sigma_j-hat) at one eps."""
+    a = np.zeros(len(cell.lengths))
+    nz = cell.lengths > 0.0
+    a[nz] = eps / cell.lengths[nz]
+    return cell.E[:, None, :] * (1.0 - a)[None, :, None] + a[None, :, None] * cell.chat[None, :, :]
+
+
+def rows(cell: FlagCell, s, t, epss) -> np.ndarray:
+    """The cell point (s, t) at each eps' of ``epss``, one einsum per row."""
+    out = np.empty((len(epss), len(cell.carrier.vertices)))
+    for k, eps in enumerate(epss):
+        out[k] = np.einsum("i,j,ijd->d", s, t, vertex_images(cell, eps))
+    return out
+
+
+def row_sup(K, y: Point, times, rows, fast, point):
+    """The first max of d_K(y, p_k) over ``times``, one row at a time: a fast
+    row's distance is ``math.sqrt(d.dot(d))`` of its difference from y, any
+    other row's is ``distance`` to ``point(k)``."""
+    yv = np.array(y.coords)
+    dists = []
+    for k, (row, ok) in enumerate(zip(rows, fast)):
+        if ok:
+            d = yv - row
+            dists.append(math.sqrt(d.dot(d)))
+        else:
+            dists.append(distance(K, y, point(k)))
+    return _first_max(times, dists)
 
 
 def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:

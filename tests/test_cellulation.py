@@ -484,3 +484,56 @@ def test_every_eps_the_range_accepts_inverts_near_the_comesh_on_random_complexes
     K = closure_complex([tuple(g) for g in gens])
     for delta in (1e-8, 2e-12):
         _assert_inverts_just_below_the_comesh(K, delta)
+
+
+# -- the cell-point kernel against the per-row loops -------------------------------
+
+_GENS = st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True), min_size=1, max_size=4)
+_FRACTIONS = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), max_size=8)
+
+
+@given(_GENS, st.floats(0.01, 0.99), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rows_match_the_per_row_loop(gens, frac, data):
+    """Every row of a cell point, over eps' grids with repeats, with 0.0 and
+    empty, is the per-row einsum's to the bit, on a new view and on one
+    whose image memo holds some of the grid's eps'."""
+    from plcontrol.cellulation import _EpsView
+
+    K = closure_complex([tuple(g) for g in gens])
+    view = _EpsView(K, min(comesh_of(K), 1.0) * frac)
+    cell = data.draw(st.sampled_from(view.cel.cells))
+    s = _weights(data.draw, len(cell.flag.base.vertices))
+    t = _weights(data.draw, len(cell.flag.chain))
+    for fracs in (data.draw(_FRACTIONS), data.draw(_FRACTIONS)):
+        fracs += fracs[: data.draw(st.integers(0, len(fracs)))]
+        epss = [view.eps * u for u in fracs]
+        got = view.rows(cell, s, t, epss)
+        assert got.shape == (len(epss), len(cell.carrier.vertices))
+        assert got.tobytes() == oracle.rows(cell, s, t, epss).tobytes(), epss
+
+
+@functools.cache
+def _simplex_complex(d):
+    return closure_complex([tuple(f"v{i}" for i in range(d))])
+
+
+@given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_row_sup_matches_the_per_row_loop(d, n, seed):
+    """Random rows with random fast masks and repeated rows: the sup, its
+    first time and the pair count are the per-row loop's, to the bit."""
+    from plcontrol.cellulation import _row_sup
+
+    rng = np.random.default_rng(seed)
+    K = _simplex_complex(d)
+    top = K.maximal_simplices()[0]
+    y = Point(top, tuple(rng.dirichlet(np.ones(d))))
+    rows = rng.uniform(-1.0, 2.0, (n, d)) * 10.0 ** rng.uniform(-8.0, 1.0, (n, 1))
+    if n > 1:
+        rows[rng.integers(n, size=n // 2)] = rows[0]
+    fast = rng.random(n) < 0.8
+    others = [canonical(K, Point(top, tuple(rng.dirichlet(np.ones(d))))) for _ in range(n)]
+    times = np.linspace(0.0, 1.0, n).tolist()
+    got = _row_sup(K, y, times, rows, fast, others.__getitem__)
+    assert repr(got) == repr(oracle.row_sup(K, y, times, rows, fast, others.__getitem__))

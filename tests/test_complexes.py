@@ -63,6 +63,11 @@ def test_closure_rejects_duplicate_vertex():
         closure_complex([("a", "a", "b")])
 
 
+def test_closure_rejects_a_listed_vertex_in_no_simplex():
+    with pytest.raises(MalformedInputError, match="'b' lies in no simplex"):
+        closure_complex([("a",)], vertex_order=["a", "b"])
+
+
 def test_vertex_order_is_first_appearance():
     K = closure_complex([("c", "a"), ("b", "a")])
     assert K.vertex_order == ("c", "a", "b")

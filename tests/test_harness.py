@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from plcontrol import (
+    CannotConstructError,
     FiberComplex,
     FileFormatError,
     MalformedInputError,
@@ -18,6 +19,7 @@ from plcontrol import (
     UnsupportedDimensionError,
     barycentric_subdivision,
     build_cellulation,
+    build_family,
     census_report,
     closure_complex,
     distance,
@@ -220,6 +222,46 @@ def test_verify_bad_map_names_simplex():
     assert "{a,b}" in text and "b~0=1" in text
 
 
+@pytest.mark.parametrize("unknown_arcs", [False, True])
+def test_verify_refusal_is_the_error_build_family_raises(monkeypatch, unknown_arcs):
+    """The refuted route names the fiber that ``build_family`` refuses: the
+    first one that is not contractible, an unknown one before the refuted
+    one when there is such."""
+    from plcontrol import maps as maps_mod
+    from plcontrol.contract import Verdict
+
+    real = maps_mod.contractibility_verdict
+
+    def fake(K):
+        v = real(K)
+        if unknown_arcs and v.is_contractible:
+            return Verdict(kind="unknown", reason="forced for test")
+        return v
+
+    monkeypatch.setattr(maps_mod, "contractibility_verdict", fake)
+    f = fixtures.map_bad.__wrapped__()
+    with pytest.raises(CannotConstructError) as refusal:
+        build_family(f)
+    assert (refusal.value.sigma.vertices == ("a",)) == unknown_arcs
+    rep = run_verify(f)
+    assert rep.overall == COUNTEREXAMPLE
+    assert rep.messages == [
+        f"controlled-family construction refuses: {refusal.value} (expected: contrapositive of the equivalence)"
+    ]
+
+
+def test_verify_refusal_builds_no_contraction(monkeypatch):
+    """The refuted route constructs nothing of the family: no fiber
+    contraction is built."""
+    from plcontrol import homotopies
+
+    calls = []
+    real = homotopies.contraction_from_collapse
+    monkeypatch.setattr(homotopies, "contraction_from_collapse", lambda *a: calls.append(a) or real(*a))
+    assert run_verify(fixtures.map_bad.__wrapped__()).overall == COUNTEREXAMPLE
+    assert calls == []
+
+
 def test_verify_unknown_propagates(monkeypatch):
     from plcontrol import maps as maps_mod
     from plcontrol.contract import Verdict
@@ -255,8 +297,8 @@ def test_verify_decides_each_fiber_once(monkeypatch):
 def _count_work(monkeypatch) -> dict[str, int]:
     """Count, from here on, the calls of the work a verify does: inversions,
     cells tried, distance queries, sample draws, cold cellulation builds,
-    fiber locations, cell vertex-image arrays, fiber-contraction tracks,
-    ``make_point`` and ``image_simplex``.  The returned dict is live."""
+    fiber locations, cell vertex-image builds (calls of ``vertex_images``),
+    fiber-contraction tracks, ``make_point`` and ``image_simplex``.  The returned dict is live."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
 
     calls: dict[str, int] = {}
@@ -303,9 +345,9 @@ def _fresh(f: SimplicialMap) -> SimplicialMap:
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
-    fiber locations, cell vertex-image arrays, fiber-contraction tracks and
+    fiber locations, cell vertex-image builds, fiber-contraction tracks and
     ``make_point`` calls of a default verify of map_collapse stay at or
-    under 1672, 2738, 6, 13, 296, 1233, 296 and 18930: the sampled-sup
+    under 1672, 2738, 6, 13, 296, 233, 296 and 18930: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -317,7 +359,8 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     keeps one fiber track per (sigma, w) for every eps, every point holds
     Python floats, so that equal fiber points share one track, h1 and h2
     of one ``family.at(eps)`` build each (cell, eps') image array
-    once, and a cellulation builds a cell's arrays at its eps only when an
+    once, a cell point's rows build the images their memo lacks in one
+    call, and a cellulation builds a cell's arrays at its eps only when an
     inversion first checks the cell."""
     calls = _count_work(monkeypatch)
     rep = run_verify(_fresh(fixtures.map_collapse()))
@@ -328,7 +371,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
     assert calls["locate"] <= 296
-    assert calls["images"] <= 1233
+    assert calls["images"] <= 233
     assert calls["tracks"] <= 296
     assert calls["make_point"] <= 18930
 
@@ -676,6 +719,11 @@ def test_cli_missing_file(capsys):
 
 
 _POINT = '{"simplex": ["a"], "coords": [1.0]}'
+# a listed vertex in no simplex, and a map on that complex
+_STRAY = {
+    "k.json": {"vertices": ["a", "b"], "simplices": [["a"]]},
+    "m.json": {"source": "k.json", "target": "k.json", "vertex_map": {"a": "a", "b": "b"}},
+}
 
 
 @pytest.mark.parametrize(
@@ -702,13 +750,19 @@ _POINT = '{"simplex": ["a"], "coords": [1.0]}'
         ),
         ({}, ["inverse", "collapse.json", "--epsilon", "0.1", "--samples", "-3"], "samples must be >= 0"),
         ({}, ["cone-distance", "d2.json", "5", "1.0", _POINT, "1.0"], "point needs 'simplex' and 'coords'"),
+        ({}, ["verify", "collapse.json", "--seed", "-1"], "seed must be >= 0"),
+        ({}, ["measure-control", "collapse.json", "--epsilon", "0.1", "--seed", "-1"], "seed must be >= 0"),
+        (_STRAY, ["cellulate", "k.json", "--epsilon", "0.1"], "'b' lies in no simplex"),
+        (_STRAY, ["check-fibers", "m.json"], "'b' lies in no simplex"),
+        (_STRAY, ["verify", "m.json"], "'b' lies in no simplex"),
     ],
 )
 def test_cli_reports_malformed_input_without_output(tmp_path, capsys, monkeypatch, files, argv, message):
     """Each of these ended in a traceback (ValueError, AttributeError,
     TypeError, IndexError or KeyError), was read silently (a string of
-    simplices as one-vertex simplices), or printed the g_eps table before
-    its error; each now exits 1 with an error line and prints nothing."""
+    simplices as one-vertex simplices, a listed vertex in no simplex), or
+    printed the g_eps table before its error; each now exits 1 with an
+    error line and prints nothing."""
     write_fixture_files(tmp_path)
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))

@@ -703,8 +703,8 @@ def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
     built = []
     real = FlagCell.vertex_images
 
-    def counting(cell, e):
-        built.append((cell.index, e))
+    def counting(cell, e):  # e is one eps' or a sequence of them
+        built.extend((cell.index, x) for x in np.ravel(e).tolist())
         return real(cell, e)
 
     monkeypatch.setattr(FlagCell, "vertex_images", counting)
