@@ -21,25 +21,25 @@ flag, of lower index, reproduces y with the same s and nonzero t.
 
 What is kept, and for how long: the eps-free cells of every flag are built
 once per complex (``K._flag_cells``) and shared by its cellulations at every
-eps; ``build_cellulation`` keeps one cellulation per ``eps_key(eps)`` in
-``K._cellulations`` while K lives.  A cellulation builds a cell's
-``a_coeffs`` and ``vertex_images`` at its eps when an inversion first checks
-the cell, and keeps them (``Cellulation._arrays``) as long as it lives.
-``eps_key`` is the one per-eps key of the package: the controlled family
-builds its closures over these cellulations, and keys its per-point control
-sups with it.  What one ``ControlledFamily.at(eps)`` shares among its g, h1
-and h2 has one owner, an ``_EpsView``: the cellulation, a locate memo and
-the cell vertex images at each eps' = eps (1 - t) that the steps read
+eps; ``build_cellulation`` keeps one cellulation per exact eps in
+``K._cellulations`` while K lives, so a cellulation is a value of (K, eps)
+and holds no arrays: an inversion reads a cell's level coefficients
+a_j = eps / len_j and checks its residual in closed form.  What one
+``ControlledFamily.at(eps)`` shares among its g, h1 and h2 has one owner,
+an ``_EpsView``: the cellulation at that eps, a locate memo and the cell
+vertex images at each eps' = eps (1 - t) that the steps read
 (``_EpsView.rows``, ``step`` is its one-row case).  It dies with the
 closures built over it; ``straightline_homotopy``, ``build_inverse`` and
-``build_h1`` each build their own.  Every reuse of an eps' happens inside
-one ``at(eps)``, so nothing longer-lived keeps images.  The h2 control of
-a sampled point is measured over the whole time grid as one array of steps
-(``_StraightLine.sup_at``): ``rows`` builds the images its memo lacks in
-one ``vertex_images`` call and forms every row in one ``_contract``, the
-one contraction of a cell point.  ``_row_sup`` measures the h1 and h2
-control rows, every fast row with one norm, and ``_first_max`` is the one
-first-maximum reduction of every sampled control; neither keeps anything.
+``build_h1`` each build their own.  Vertex images are built only by a
+view's ``rows`` and by ``FlagCell.evaluate``, so nothing longer-lived
+keeps them.  The h2
+control of a sampled point is measured over the whole time grid as one
+array of steps (``_StraightLine.sup_at``): ``rows`` builds the images its
+memo lacks in one ``vertex_images`` call and forms every row in one
+``_contract``, the one contraction of a cell point.  ``_row_sup`` measures
+the h1 and h2 control rows, every fast row with one norm, and
+``_first_max`` is the one first-maximum reduction of every sampled
+control; neither keeps anything.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ def comesh_of(K: SimplicialComplex) -> float:
     if K._comesh is None:
         K._comesh = mesh_comesh(K)[1]
     return K._comesh
-
-
-def eps_key(eps: float) -> float:
-    """The one key of every per-eps cache: eps rounded to 15 digits, so an eps
-    recomputed along another path (cm / 2 against 2 / cm inverted) still hits."""
-    return round(eps, 15)
 
 
 @dataclass(frozen=True)
@@ -264,8 +258,6 @@ class Cellulation:
         self.K = K
         self.eps = eps
         self.cells, self._index = _flag_cells(K)
-        # per cell index: (a_coeffs, vertex_images) at this eps, on first use
-        self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
         self._level_cap = eps / math.sqrt(2.0) + _SLACK
         self.inversions = 0
@@ -336,10 +328,8 @@ class Cellulation:
         slack = _SLACK
         yv = np.array(y.coords)
         m1 = len(cell.flag.chain)
-        arrays = self._arrays.get(cell.index)
-        if arrays is None:
-            arrays = self._arrays[cell.index] = (cell.a_coeffs(self.eps), cell.vertex_images(self.eps))
-        a, P = arrays
+        # the bits of cell.a_coeffs(eps), at a fraction of its cost
+        a = np.array([self.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()])
         sizes = cell.sizes
 
         mu = np.zeros(m1 + 1)
@@ -391,8 +381,12 @@ class Cellulation:
         s /= total
         t = np.clip(t, 0.0, None)
         t /= t.sum()
-        res = _contract(s, t, P) - yv
-        if float(np.linalg.norm(res)) > tol:
+        # the cell point (s, t) is (1 - sum_j t_j a_j) s E + sum_j t_j a_j
+        # chat_j, the form the solve above inverts; the norm has the bits of
+        # np.linalg.norm at a fraction of its cost
+        ta = t * a
+        res = ta @ cell.chat + (1.0 - ta.sum()) * (s @ cell.E) - yv
+        if math.sqrt(res.dot(res)) > tol:
             return None
         return s, t
 
@@ -422,13 +416,9 @@ def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:
     # K and the cellulations cached on it (each naming K) form the one
     # reference cycle kept by design: a cellulation dropped by its caller must
     # still be a cache hit on the next call, so this entry is not weak.
-    # The range is checked before the lookup: eps_key rounds, so an eps just
-    # outside the range can share a key with a cached one just inside it.
-    _check_eps(K, eps)
-    key = eps_key(eps)
-    if key not in K._cellulations:
-        K._cellulations[key] = Cellulation(K, eps)
-    return K._cellulations[key]
+    if eps not in K._cellulations:
+        K._cellulations[eps] = Cellulation(K, eps)
+    return K._cellulations[eps]
 
 
 class _EpsView:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .cellulation import EpsilonRangeError, build_cellulation
-from .complexes import MalformedInputError, barycenter
+from .complexes import MalformedInputError, _check_nonnegative, barycenter
 from .cone import complex_metric, cone_distance, coning_map
 from .evaluators import PLEvaluator
 from .homotopies import (
@@ -118,8 +118,7 @@ def _cmd_cone_distance(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    if args.steps < 0:
-        raise MalformedInputError(f"steps must be >= 0, got {args.steps}")
+    _check_nonnegative(steps=args.steps)
     f = load_map(args.map)
     H, start = load_track(args.homotopy, f.target)
     family = build_family(f)

@@ -24,9 +24,9 @@ Everything derived from a complex and kept on it is a named attribute
 declared in ``__init__``, with its owner beside it: the face poset (the
 facets and cofacets of each simplex by position, which homology, collapse,
 ``face_chains`` and ``maximal_simplices`` read), the comesh, the eps-free
-flag cells, one cellulation per ``eps_key(eps)``, one metric graph per
-refinement and the component of each vertex.  Each is filled on first use
-and lives as long as the complex.
+flag cells, one cellulation per exact eps (which holds no arrays), one
+metric graph per refinement and the component of each vertex.  Each is
+filled on first use and lives as long as the complex.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ TOL = 1e-9
 
 class MalformedInputError(ValueError):
     """Raised for inputs violating structural preconditions."""
+
+
+def _check_nonnegative(**counts) -> None:
+    """Raise MalformedInputError for the first of ``counts`` below 0."""
+    for name, value in counts.items():
+        if value < 0:
+            raise MalformedInputError(f"{name} must be >= 0, got {value}")
 
 
 class NotFoundError(KeyError):
@@ -150,7 +157,7 @@ class SimplicialComplex:
         self._poset: tuple | None = None  # _face_poset: facets and cofacets by position
         self._comesh: float | None = None  # cellulation.comesh_of
         self._flag_cells: tuple | None = None  # cellulation._flag_cells: eps-free cells and index
-        # cellulation.build_cellulation, one per eps_key(eps); each names K, the
+        # cellulation.build_cellulation, one per exact eps; each names K, the
         # one cycle kept by design, so a dropped cellulation is still a hit
         self._cellulations: dict[float, object] = {}
         self._metric_graphs: dict[int, object] = {}  # metrics._graph, one per refinement

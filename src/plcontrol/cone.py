@@ -10,8 +10,9 @@ The controls behind the measured bound are ``homotopies.family_controls`` at
 the eps of each height of a fixed grid of positive heights around the
 schedule's knee 1/comesh, read by ``BoundedEquivalenceData.controls_at`` on
 sample sets drawn once per data object.  The family's one per-point memo,
-keyed by ``cellulation.eps_key``, serves them: points the control table
-already measured at an eps with the same key are not measured again, and
+keyed by ``homotopies.eps_key``, serves them: points the control table
+already measured at an eps with the same key (2/cm and cm/2, say, which
+differ in the last bits) are not measured again, and
 ``slice_equivalence`` reads the same numbers, so the bound dominates every
 slice by construction.
 """
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .complexes import MalformedInputError, Point, SimplicialComplex
+from .complexes import MalformedInputError, Point, SimplicialComplex, _check_nonnegative
 from .evaluators import Homotopy, PLEvaluator
 from .homotopies import ControlledFamily, family_controls, sample_points
 from .maps import SimplicialMap
@@ -69,8 +70,7 @@ def cone_distance(dM: Callable[[Point, Point], float], a: ConePoint, b: ConePoin
 def complex_metric(K: SimplicialComplex, refinement: int = 2) -> Callable[[Point, Point], float]:
     """d_K with the Steiner graph of the given refinement (>= 0; a negative
     one would build the graph with no lattice points)."""
-    if refinement < 0:
-        raise MalformedInputError(f"refinement must be >= 0, got {refinement}")
+    _check_nonnegative(refinement=refinement)
     return lambda p, q: distance(K, p, q, refinement=refinement)
 
 

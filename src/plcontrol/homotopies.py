@@ -11,15 +11,17 @@ What is kept, and for how long: a gamma map keeps one fiber-contraction
 track per (sigma, w), with its values per time (``FlagMap._tracks``), for
 as long as it lives, and every ``family.at(eps)`` reads them.  One
 ``ControlledFamily.at(eps)`` call builds one ``cellulation._EpsView``, the
-owner of its cellulation, locate memo and cell vertex images, and its g, h1
-and h2 over it, so the view dies with them; its h2
+owner of the cellulation at exactly that eps, a locate memo and the cell
+vertex images, and its g, h1 and h2 over it, so the view dies with them
+and the images with it; its h2
 (``cellulation._StraightLine``) and each track of its h1 (``_H1Track``)
 read it to measure their control rows per sampled point as arrays over the
 time grid (``sup_at``).  An h1 track keeps its point's split, cell and
 second-half start-up as long as the track lives, and ``_H1.sup_at`` reads
 them off the track it builds for the point.  Both rows go through
 ``cellulation._row_sup``.  A family keeps its per-point control sups
-(``_sups``) as long as it lives.
+(``_sups``) as long as it lives, keyed by ``eps_key`` (eps rounded to 15
+digits), the one cache whose eps key is rounded.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .cellulation import (
     _row_sup,
     _straightline,
     comesh_of,
-    eps_key,
     straightline_homotopy,
 )
 from .complexes import (
@@ -47,6 +48,7 @@ from .complexes import (
     Point,
     Simplex,
     SimplicialComplex,
+    _check_nonnegative,
     barycenter,
     canonical,
     make_point,
@@ -365,10 +367,10 @@ class ControlledFamily:
     """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
 
     ``at`` builds one ``cellulation._EpsView`` of the target at eps, which
-    reads the cellulation that ``build_cellulation`` keeps (and rejects an
-    eps outside (0, comesh)), and its three closures over it, so one ``at``
-    call inverts each distinct point once and builds each (cell, eps') image
-    array once.  The view dies with the closures.  ``_sups`` is the one
+    reads the cellulation that ``build_cellulation`` keeps at exactly eps
+    (and rejects an eps outside (0, comesh)), and its three closures over
+    it, so one ``at`` call inverts each distinct point once and builds each
+    (cell, eps') image array once.  The view dies with the closures.  ``_sups`` is the one
     per-point memo of ``family_controls``; it lives as long as the family."""
 
     f: SimplicialMap
@@ -396,12 +398,13 @@ def build_family(f: SimplicialMap, **gamma_kwargs) -> ControlledFamily:
 class TrivialFamily:
     """The zero-control family of an identity map: inverse the identity,
     homotopies constant.  Interchangeable with a constructed family wherever
-    only (f, comesh, at, _sups) are consumed."""
+    only (f, comesh, at, _sups) are consumed; ``f`` is one identity map,
+    built on first read."""
 
     K: SimplicialComplex
     _sups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def f(self) -> SimplicialMap:
         return identity_map(self.K)
 
@@ -439,9 +442,7 @@ def _control_fn(control, K: SimplicialComplex):
 def sample_points(K: SimplicialComplex, samples: int, seed: int = 0, subdivision_rounds: int = 1) -> list[Point]:
     """Vertices of the r-fold subdivision plus uniformly drawn points of
     maximal simplices."""
-    for name, value in (("samples", samples), ("seed", seed)):
-        if value < 0:
-            raise MalformedInputError(f"{name} must be >= 0, got {value}")
+    _check_nonnegative(samples=samples, seed=seed)
     pts = subdivision_points(K, subdivision_rounds)
     rng = np.random.default_rng(seed)
     maxs = K.maximal_simplices()
@@ -521,6 +522,14 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
         point_sup = _pair_sup(M, times, tracks)
     sup, witness, count = _sampled_sup(points, point_sup, memo)
     return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
+
+
+def eps_key(eps: float) -> float:
+    """The key of ``family._sups``: eps rounded to 15 digits, so the assembly's
+    height 2/cm reads the sups measured at the control table's cm/2 (2/cm
+    inverted), even where the two differ in the last bits.  The first eps
+    to measure a point under a key wins."""
+    return round(eps, 15)
 
 
 def family_controls(family, eps: float, pts_y, pts_x, times) -> dict[str, ControlReport]:

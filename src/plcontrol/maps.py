@@ -31,6 +31,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     TOL,
+    _check_nonnegative,
     _row_sums,
     barycenter,
     closure_complex,
@@ -438,6 +439,7 @@ def verify_product_decomposition(
     each cell's product dimension plus sigma.dim is tau.dim, and tau_a <=
     tau_b exactly when each factor of the one lies in the matching factor
     of the other."""
+    _check_nonnegative(samples=samples, seed=seed)
     fiber = fiber_over_barycenter(f, sigma)
     bijection = {cell.tau: cell for cell in fiber.cells}
     if fiber.is_empty:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellulation import _check_eps, comesh_of
-from .complexes import MalformedInputError, Simplex
+from .complexes import MalformedInputError, Simplex, _check_nonnegative
 from .cone import TIME_STEPS, assemble_bounded_equivalence, slice_equivalence
 from .contract import Verdict
 from .homotopies import (
@@ -142,8 +142,7 @@ def run_verify(
 ) -> VerificationReport:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise MalformedInputError(f"tolerance must be finite and >= 0, got {tol}")
-    if seed < 0:
-        raise MalformedInputError(f"seed must be >= 0, got {seed}")
+    _check_nonnegative(samples=samples, seed=seed, certificate_samples=certificate_samples)
     report = VerificationReport(map_label=map_label)
     bad = validate_map(f)
     if bad:

@@ -114,8 +114,21 @@ def test_build_cellulation_rejects_out_of_range(D2):
         build_cellulation(D2, 0.0)
 
 
+def test_build_cellulation_keeps_one_cellulation_per_exact_eps():
+    """An eps one ulp above another is another cellulation, at the eps it
+    was asked for; the same eps is the same cellulation."""
+    K = closure_complex([("a", "b", "c")])
+    e = comesh_of(K) / 2.0
+    near = float(np.nextafter(e, 1.0))
+    cel, other = build_cellulation(K, e), build_cellulation(K, near)
+    assert cel is not other and (cel.eps, other.eps) == (e, near)
+    assert build_cellulation(K, e) is cel
+
+
 def test_build_cellulation_checks_the_range_on_a_cache_hit():
-    """eps_key rounds to 15 digits, so 0 and -1e-17 share the key of 1e-16."""
+    """An eps out of range never hits a cached one in range: the cache is
+    keyed by the exact eps, so 0 and -1e-17 miss the entry of 1e-16 and the
+    constructor rejects them."""
     K = closure_complex([("a", "b", "c")])
     build_cellulation(K, 1e-16)
     for eps in (0.0, -1e-17):

@@ -347,7 +347,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image builds, fiber-contraction tracks and
     ``make_point`` calls of a default verify of map_collapse stay at or
-    under 1672, 2738, 6, 13, 296, 233, 296 and 18930: the sampled-sup
+    under 1672, 2738, 6, 13, 296, 168, 296 and 18930: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -360,8 +360,8 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     Python floats, so that equal fiber points share one track, h1 and h2
     of one ``family.at(eps)`` build each (cell, eps') image array
     once, a cell point's rows build the images their memo lacks in one
-    call, and a cellulation builds a cell's arrays at its eps only when an
-    inversion first checks the cell."""
+    call, and an inversion builds no images: a cellulation holds no
+    arrays."""
     calls = _count_work(monkeypatch)
     rep = run_verify(_fresh(fixtures.map_collapse()))
     assert rep.overall == THEOREM_CONSISTENT
@@ -371,7 +371,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
     assert calls["locate"] <= 296
-    assert calls["images"] <= 233
+    assert calls["images"] <= 168
     assert calls["tracks"] <= 296
     assert calls["make_point"] <= 18930
 
@@ -403,6 +403,20 @@ def test_verify_text_matches_the_benchmark_reference(name):
     rep = run_verify(getattr(fixtures, name)(), map_label=f"{name}.json")
     assert rep.render() == ref["text"]
     assert rep.exit_code == ref["exit_code"]
+
+
+@pytest.mark.parametrize("count", ["samples", "certificate_samples"])
+@pytest.mark.parametrize("name", ["map_collapse", "map_bad"])
+def test_verify_refuses_a_negative_sample_count(name, count, monkeypatch):
+    """A negative certificate count would check no round trip and still
+    render "0 sampled fibers isomorphic" under TheoremConsistent, and the
+    refuted route draws no samples at all: either count is refused before
+    any fiber is built."""
+    from plcontrol import verify
+
+    monkeypatch.setattr(verify, "fiber_over_barycenter", lambda *args: pytest.fail("built a fiber"))
+    with pytest.raises(MalformedInputError, match=f"^{count} must be >= 0, got -3"):
+        run_verify(getattr(fixtures, name)(), **{count: -3})
 
 
 def test_malformed_tolerance_and_sample_count_raise():

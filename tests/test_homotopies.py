@@ -538,8 +538,13 @@ def _witness_distance(u, p, q, witness):
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_sampled_sup_matches_the_old_loops(name):
-    """Bit-identical sups at comesh/2 and at every eps of the assembly."""
+    """Bit-identical sups at comesh/2 and at every eps of the assembly.  The
+    family's memo answers an ``eps_key`` with the sups of the eps that first
+    filled it, so comesh/2 is compared only where no assembly eps shares its
+    key: on proj_map the height 2/cm gives 1/(2/cm), which shares the key of
+    cm/2 but not its bits."""
     from plcontrol import assemble_bounded_equivalence
+    from plcontrol.homotopies import eps_key
     from plcontrol.verify import _identity_checks
 
     f = getattr(fixtures, name)()
@@ -547,8 +552,10 @@ def test_sampled_sup_matches_the_old_loops(name):
     at_half = fam.at(fam.effective_comesh / 2.0)
     assert _identity_checks(f, at_half, 20, 0) == control_oracle.identity_checks(f, fam, 20, 0)
     data = assemble_bounded_equivalence(f, fam, samples=8, time_steps=9)
-    eps_values = {fam.effective_comesh / 2.0} | {data._eps_at(t) for t in data.t_grid if t > 0}
-    for eps in sorted(eps_values):
+    first = {}  # eps_key -> the eps that first filled the memo under it
+    for eps in [data._eps_at(t) for t in data.t_grid if t > 0] + [fam.effective_comesh / 2.0]:
+        first.setdefault(eps_key(eps), eps)
+    for eps in sorted(first.values()):
         assert data.controls_at(eps) == control_oracle.slice_controls(fam, eps, 8, 0, 9)
         g, h1, h2 = fam.at(eps)
         for u, p, q in ((g, None, f), (h1, f, f), (h2, None, None)):
@@ -692,14 +699,13 @@ def test_one_at_inverts_each_distinct_point_once(PROJ):
 def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
     """h1 and h2 of one ``at(eps)`` read one image dict: each (cell, eps')
     array is built once, h1' at time u reads the array h2 built at u, and a
-    new ``at()`` has a new dict."""
-    from plcontrol import build_cellulation
+    new ``at()`` has a new dict.  The inversions build no images: the
+    cellulation holds no arrays."""
     from plcontrol.cellulation import FlagCell
 
     f = PROJ
     fam = build_family(f)
     eps = fam.effective_comesh / 4.0
-    build_cellulation(f.target, eps)  # it builds a cell's arrays at eps once, on first inversion
     built = []
     real = FlagCell.vertex_images
 
@@ -711,6 +717,9 @@ def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
     pts_y = sample_points(f.target, 20, seed=0)
     pts_x = sample_points(f.source, 10, seed=1)
     g, h1, h2 = fam.at(eps)
+    for y in pts_y:
+        g(y)
+    assert not built  # g located every y
     for y in pts_y + pts_y:
         tr = h2.track(y)
         tr(0.25), tr(0.5)
@@ -775,13 +784,54 @@ def test_sampled_sup_memo_empty_partial_and_full(case, D1):
         assert want[1] == (pts[0], 0.5) and want[2] == 5 * len(pts)
 
 
+def test_trivial_family_keeps_one_identity_map(D2):
+    from plcontrol.homotopies import TrivialFamily
+
+    fam = TrivialFamily(D2)
+    assert fam.f is fam.f and fam.f.source is fam.f.target is D2
+
+
+def _fresh_proj_map():
+    """proj_map over new copies of its complexes: the fixture's complexes
+    keep the cellulations that other tests built on them."""
+    from plcontrol import SimplicialMap
+
+    X, Y = fixtures.proj_X.__wrapped__(), fixtures.proj_Y.__wrapped__()
+    return SimplicialMap(X, Y, dict(fixtures.proj_map().vertex_map))
+
+
+def test_an_eps_reads_its_own_cellulation_after_a_nearby_one():
+    """On proj_map's target, 1/(2/cm) (the assembly's height 2/cm) and cm/2
+    differ in the last bits.  A family that has read ``at(cm/2)`` gives at
+    1/(2/cm) the g values and controls of a family that has not."""
+    from plcontrol.homotopies import family_controls
+
+    warm, cold = build_family(_fresh_proj_map()), build_family(_fresh_proj_map())
+    cm = warm.effective_comesh
+    eps = 1.0 / (2.0 / cm)
+    assert eps != cm / 2.0
+    warm.at(cm / 2.0)
+    times = np.linspace(0.0, 1.0, 9)
+    values = []
+    for fam in (warm, cold):
+        Y, X = fam.f.target, fam.f.source
+        pts_y, pts_x = sample_points(Y, 30, seed=0), sample_points(X, 20, seed=1)
+        g = fam.at(eps)[0]
+        values.append(([g(y) for y in pts_y], family_controls(fam, eps, pts_y, pts_x, times)))
+    assert values[0] == values[1]
+
+
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_warm_family_controls_equal_a_cold_family(name):
     """After a default verify's control table and assembly, family_controls
-    at every schedule eps and every assembly eps equals a fresh family's."""
+    at every schedule eps and every assembly eps equals a fresh family's.
+    The warm family's memo answers an ``eps_key`` with the sups of the eps
+    that first filled it, so each key is compared only at that eps: an
+    assembly eps whose key a schedule eps filled first (on proj_map, 1/(2/cm)
+    against cm/2, which differ in the last bits) is not compared."""
     from plcontrol import assemble_bounded_equivalence
     from plcontrol.cone import TIME_STEPS
-    from plcontrol.homotopies import family_controls
+    from plcontrol.homotopies import eps_key, family_controls
 
     f = getattr(fixtures, name)()
     warm = build_family(f)
@@ -792,8 +842,10 @@ def test_warm_family_controls_equal_a_cold_family(name):
         family_controls(warm, eps, *table, times)
     data = assemble_bounded_equivalence(f, warm, samples=40, seed=0)
     slices = (sample_points(f.target, 40, seed=0), sample_points(f.source, 40, seed=1))
-    cases = [(eps, table) for eps in schedule] + [(data._eps_at(t), slices) for t in data.t_grid]
-    for eps, pts in cases:
+    cases = {eps_key(eps): (eps, table) for eps in schedule}
+    for t in data.t_grid:
+        cases.setdefault(eps_key(data._eps_at(t)), (data._eps_at(t), slices))
+    for eps, pts in cases.values():
         assert family_controls(warm, eps, *pts, times) == family_controls(build_family(f), eps, *pts, times)
 
 
@@ -900,8 +952,7 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     the h1 tracks of ``family_oracle`` through f; returns the number of rows
     that took the scalar branch (one ``distance`` each)."""
     from plcontrol import cellulation, homotopies
-    from plcontrol.cellulation import eps_key
-    from plcontrol.homotopies import _family_controls
+    from plcontrol.homotopies import _family_controls, eps_key
 
     tracks = _oracle_h1_tracks(f, fam, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, tracks)

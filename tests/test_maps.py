@@ -212,6 +212,18 @@ def test_product_decomposition_identity(D2):
         assert all(c.dim == 0 for c in cert.cell_bijection.values())
 
 
+@pytest.mark.parametrize("kwargs", [{"samples": -3}, {"seed": -1}])
+def test_product_decomposition_rejects_negative_counts(MAP_COLLAPSE, monkeypatch, kwargs):
+    """A negative sample count would check nothing and a negative seed end
+    in numpy's error: both are refused before the fiber is built."""
+    from plcontrol import maps
+
+    monkeypatch.setattr(maps, "fiber_over_barycenter", lambda *args: pytest.fail("built a fiber"))
+    (name, value), = kwargs.items()
+    with pytest.raises(MalformedInputError, match=f"{name} must be >= 0, got {value}"):
+        verify_product_decomposition(MAP_COLLAPSE, MAP_COLLAPSE.target.simplex(["a", "b"]), **kwargs)
+
+
 def test_product_decomposition_empty_fiber():
     f = fixtures.inclusion_d1_d2()
     cert = verify_product_decomposition(f, f.target.simplex(["a", "b", "c"]), samples=5)
