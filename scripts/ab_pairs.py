@@ -11,12 +11,18 @@ number of pairs in which the change is better.  It is printed only when
 every run is `correct`: timings of a run with a failed operation measure
 other work.  Nothing under `perfbench/` is written to but its `work/`
 directory, which the runs themselves use.
+
+Bytecode left in a checkout speeds up the imports that `setup_s` times, so
+the script refuses to start when either checkout holds
+`src/plcontrol/__pycache__`, and runs each benchmark with
+`PYTHONDONTWRITEBYTECODE=1`, so that no run writes any.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -29,6 +35,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -83,6 +90,10 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0)
     args = ap.parse_args(argv)
+    cached = [str(c) for c in (args.parent, args.change) if (c / "src" / "plcontrol" / "__pycache__").exists()]
+    if cached:
+        print(f"error: remove src/plcontrol/__pycache__ from {', '.join(cached)}: it speeds up timed imports", file=sys.stderr)
+        return 1
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

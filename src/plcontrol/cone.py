@@ -9,10 +9,12 @@ into a bounded equivalence with bound sup_t t * alpha(t) = 1.
 The controls behind the measured bound are ``homotopies.family_controls`` at
 the eps of each height of a fixed grid of positive heights around the
 schedule's knee 1/comesh, read by ``BoundedEquivalenceData.controls_at`` on
-sample sets drawn once per data object.  The family's one per-point memo,
-keyed by ``homotopies.eps_key``, serves them: points the control table
-already measured at an eps with the same key (2/cm and cm/2, say, which
-differ in the last bits) are not measured again, and
+sample sets drawn once per data object.  The grid holds the heights
+``SLICE_MULTIPLES`` times the knee, where ``verify.run_verify`` takes its
+slices, and the schedule gives them exactly the control table's comesh/2,
+comesh/4 and comesh/8.  The family's one per-point memo, keyed by the exact
+eps like every cache of the package, serves them: points the control table
+already measured at an eps are not measured again, and
 ``slice_equivalence`` reads the same numbers, so the bound dominates every
 slice by construction.
 """
@@ -34,6 +36,10 @@ from .metrics import distance
 # Time samples per homotopy track in every control the assembly measures; the
 # control table of ``verify.run_verify`` samples the same grid.
 TIME_STEPS = 17
+
+# The slice heights, as multiples of the knee 1/comesh, that the assembly grid
+# holds and ``verify.run_verify`` checks.
+SLICE_MULTIPLES = (2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -76,12 +82,16 @@ def complex_metric(K: SimplicialComplex, refinement: int = 2) -> Callable[[Point
 
 def alpha_schedule(comesh: float, t: float) -> float:
     """Control available at cone height t: the full comesh below the knee at
-    1/comesh, then 1/t."""
+    1/comesh, then 1/t, computed as comesh over t's ratio to the knee.  At
+    a power-of-two multiple k of the knee (t = k / comesh) that ratio is
+    exactly k, so the control is exactly comesh / k: at the slice heights,
+    the control table's own eps."""
     if comesh <= 0.0:
         raise ValueError("comesh must be positive")
-    if t <= 1.0 / comesh:
+    knee = 1.0 / comesh
+    if t <= knee:
         return comesh
-    return 1.0 / t
+    return comesh / (t / knee)
 
 
 # -- assembly -------------------------------------------------------------------
@@ -92,7 +102,7 @@ class BoundedEquivalenceData:
 
     ``controls_at`` draws its sample sets once per data object and reads
     per-point sups from the family's memo (one entry per point, row and
-    ``eps_key``), so a repeated eps costs only lookups and the assembly bound
+    exact eps), so a repeated eps costs only lookups and the assembly bound
     and every slice read the same numbers."""
 
     f: SimplicialMap
@@ -148,18 +158,14 @@ def assemble_bounded_equivalence(
 ) -> BoundedEquivalenceData:
     """Slice-wise assembly along the control schedule; the measured bound is
     sup over grid heights of height times the slice control.  The grid is
-    half the knee 1/comesh, the knee, 2, 4 and 8 times it, and 8 geometric
-    steps from the knee to 10 times it; heights <= 0 contribute nothing,
-    since all maps preserve the height coordinate, so none is sampled."""
+    half the knee 1/comesh, the knee, ``SLICE_MULTIPLES`` times it, and 8
+    geometric steps from the knee to 10 times it; heights <= 0 contribute
+    nothing, since all maps preserve the height coordinate, so none is
+    sampled."""
     cm = family.effective_comesh
     knee = 1.0 / cm
-    t_grid = tuple(
-        sorted(
-            {0.5 * knee, knee}
-            | {2.0 / cm, 4.0 / cm, 8.0 / cm}
-            | set(np.geomspace(knee, 10.0 / cm, 8))
-        )
-    )
+    slices = {k / cm for k in SLICE_MULTIPLES}
+    t_grid = tuple(sorted({0.5 * knee, knee} | slices | set(np.geomspace(knee, 10.0 / cm, 8))))
     data = BoundedEquivalenceData(
         f=f,
         family=family,
@@ -190,8 +196,8 @@ class SliceEquivalence:
 def slice_equivalence(data: BoundedEquivalenceData, t: float) -> SliceEquivalence:
     """Project the assembled equivalence to one positive height; controls are
     measured in the unscaled target and compared against bound/height."""
-    if t <= 0.0:
-        raise ValueError(f"slice height must be positive, got {t}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"slice height must be positive and finite, got {t}")
     eps = data._eps_at(t)
     g, h1, h2 = data.family.at(eps)
     return SliceEquivalence(

@@ -20,8 +20,8 @@ time grid (``sup_at``).  An h1 track keeps its point's split, cell and
 second-half start-up as long as the track lives, and ``_H1.sup_at`` reads
 them off the track it builds for the point.  Both rows go through
 ``cellulation._row_sup``.  A family keeps its per-point control sups
-(``_sups``) as long as it lives, keyed by ``eps_key`` (eps rounded to 15
-digits), the one cache whose eps key is rounded.
+(``_sups``) as long as it lives, keyed by the exact eps like every cache
+that depends on eps: none rounds its eps.
 """
 
 from __future__ import annotations
@@ -371,7 +371,8 @@ class ControlledFamily:
     (and rejects an eps outside (0, comesh)), and its three closures over
     it, so one ``at`` call inverts each distinct point once and builds each
     (cell, eps') image array once.  The view dies with the closures.  ``_sups`` is the one
-    per-point memo of ``family_controls``; it lives as long as the family."""
+    per-point memo of ``family_controls``, keyed by the exact eps; it lives
+    as long as the family."""
 
     f: SimplicialMap
     gamma: FlagMap
@@ -524,22 +525,15 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
     return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
 
 
-def eps_key(eps: float) -> float:
-    """The key of ``family._sups``: eps rounded to 15 digits, so the assembly's
-    height 2/cm reads the sups measured at the control table's cm/2 (2/cm
-    inverted), even where the two differ in the last bits.  The first eps
-    to measure a point under a key wins."""
-    return round(eps, 15)
-
-
 def family_controls(family, eps: float, pts_y, pts_x, times) -> dict[str, ControlReport]:
     """The controls of the family at eps, one row per map: g on ``pts_y`` at
     time 0 measured through f, h1 on ``pts_x`` through f and f, and h2 on
     ``pts_y`` in Y, each homotopy at ``times``.
 
-    Each point's sup is measured once per (row, ``eps_key(eps)``, times) and
-    kept in ``family._sups``, so a later call at an eps with the same key
-    reads it: the assembly's slices reuse the control table's points."""
+    Each point's sup is measured once per (row, eps, times) and kept in
+    ``family._sups``, so a later call at the same eps reads it: the
+    assembly's slice heights, whose eps are exactly the control table's
+    comesh/2, comesh/4 and comesh/8, reuse the table's points."""
     return _family_controls(family, eps, family.at(eps), pts_y, pts_x, times)
 
 
@@ -548,10 +542,10 @@ def _family_controls(family, eps: float, closures, pts_y, pts_x, times) -> dict[
     that the caller already holds."""
     f = family.f
     g, h1, h2 = closures
-    key, times = eps_key(eps), tuple(map(float, times))
+    times = tuple(map(float, times))
 
     def row(name, u, p, q, pts, ts):
-        return _control_report(u, p, q, pts, ts, eps, family._sups.setdefault((name, key, ts), {}))
+        return _control_report(u, p, q, pts, ts, eps, family._sups.setdefault((name, eps, ts), {}))
 
     return {
         "g": row("g", g, None, f, pts_y, (0.0,)),

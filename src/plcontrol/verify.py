@@ -16,7 +16,7 @@ import numpy as np
 
 from .cellulation import _check_eps, comesh_of
 from .complexes import MalformedInputError, Simplex, _check_nonnegative
-from .cone import TIME_STEPS, assemble_bounded_equivalence, slice_equivalence
+from .cone import SLICE_MULTIPLES, TIME_STEPS, assemble_bounded_equivalence, slice_equivalence
 from .contract import Verdict
 from .homotopies import (
     CannotConstructError,
@@ -224,7 +224,7 @@ def run_verify(
     report.bound = data.bound
     all_ok = all_ok and data.bound <= 1.0 + 1e-3
     cm = family.effective_comesh
-    for t in (2.0 / cm, 4.0 / cm, 8.0 / cm):
+    for t in (k / cm for k in SLICE_MULTIPLES):
         sl = slice_equivalence(data, t)
         row = SliceRow(height=t, control=max(sl.controls.values()), estimate=data.bound / t)
         report.slice_rows.append(row)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcontrol import (
@@ -17,6 +17,7 @@ from plcontrol import (
     cone_distance,
     coning_map,
     distance,
+    epsilon_schedule,
     identity_map,
     slice_equivalence,
     vertex_point,
@@ -140,6 +141,26 @@ def test_alpha_schedule_values():
     assert alpha_schedule(cm, knee) == alpha_schedule(cm, knee - 1e-12) == pytest.approx(cm)
 
 
+@given(st.floats(1e-6, 10.0), st.sampled_from((2, 4, 8, 16, 1024)))
+@example(0.408248290463863, 2)  # proj_map's comesh, where 1.0 / (2 / cm) != cm / 2
+def test_alpha_schedule_is_exact_at_power_of_two_multiples_of_the_knee(cm, k):
+    assert alpha_schedule(cm, k / cm) == cm / k
+
+
+def test_slice_heights_read_the_control_tables_eps():
+    """The heights SLICE_MULTIPLES / cm are on the assembly grid, and their
+    eps are exactly the control table's cm/2, cm/4 and cm/8."""
+    from plcontrol.cone import SLICE_MULTIPLES
+
+    f = fixtures.proj_map()
+    data = assemble_bounded_equivalence(f, build_family(f), samples=5, time_steps=5)
+    cm = data.family.effective_comesh
+    schedule = epsilon_schedule(f.target)
+    for k in SLICE_MULTIPLES:
+        assert k / cm in data.t_grid
+        assert data._eps_at(k / cm) == cm / k and cm / k in schedule
+
+
 def test_alpha_requires_positive_comesh():
     with pytest.raises(ValueError):
         alpha_schedule(0.0, 1.0)
@@ -185,6 +206,15 @@ def test_slice_rejects_nonpositive_height(MAP_COLLAPSE):
     data = assemble_bounded_equivalence(MAP_COLLAPSE, fam, samples=5, time_steps=5)
     with pytest.raises(ValueError):
         slice_equivalence(data, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_slice_rejects_a_non_finite_height(MAP_COLLAPSE, t):
+    """Named by slice_equivalence itself, not by the eps range check of
+    family.at (eps=nan, or eps=0.0 for an infinite height)."""
+    data = assemble_bounded_equivalence(MAP_COLLAPSE, build_family(MAP_COLLAPSE), samples=5, time_steps=5)
+    with pytest.raises(ValueError, match=f"^slice height must be positive and finite, got {t}$"):
+        slice_equivalence(data, t)
 
 
 def test_slice_control_decays_on_identity():

@@ -376,6 +376,17 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["make_point"] <= 18930
 
 
+def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
+    """A default verify of proj_map builds 13 cellulations of Y: the five of
+    the control table and the eight the assembly grid adds (one for the
+    knee and half of it, seven geometric steps above it).  Its slice
+    heights 2/cm, 4/cm and 8/cm read the control table's cm/2, cm/4 and
+    cm/8 themselves, not eps that differ from them in the last bits."""
+    calls = _count_work(monkeypatch)
+    assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
+    assert calls["cold"] == 13
+
+
 def test_verify_work_per_source_simplex_does_not_grow_with_the_map(monkeypatch):
     """A default verify of Prism(1) does no more inversions, cells tried,
     ``make_point`` or ``distance`` calls, fiber tracks or ``image_simplex``
@@ -884,6 +895,20 @@ def test_ab_pairs_summary_on_canned_result_lines():
         ab.summarize(parent, change[:4], {"wall_s": "lower"})
     root = Path(__file__).parents[1]
     assert set(ab.directions(root)) == {"wall_s", "setup_s", "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("cached", ["parent", "change"])
+def test_ab_pairs_refuses_a_checkout_that_holds_bytecode(cached, tmp_path, monkeypatch, capsys):
+    """Bytecode in one checkout only would speed up that side's timed
+    imports, so the script stops before any run."""
+    ab = _load_script("ab_pairs")
+    monkeypatch.setattr(ab, "run_once", lambda *args: pytest.fail("ran a benchmark"))
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "plcontrol").mkdir(parents=True)
+    (tmp_path / cached / "src" / "plcontrol" / "__pycache__").mkdir()
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "verify_fixtures"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / cached) in err
 
 
 def _cyclic_garbage() -> list[tuple[type, int]]:

@@ -538,13 +538,10 @@ def _witness_distance(u, p, q, witness):
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_sampled_sup_matches_the_old_loops(name):
-    """Bit-identical sups at comesh/2 and at every eps of the assembly.  The
-    family's memo answers an ``eps_key`` with the sups of the eps that first
-    filled it, so comesh/2 is compared only where no assembly eps shares its
-    key: on proj_map the height 2/cm gives 1/(2/cm), which shares the key of
-    cm/2 but not its bits."""
+    """Bit-identical sups at comesh/2 and at every eps of the assembly, all
+    read through one family's memo (the assembly's height 2/cm has the eps
+    comesh/2 itself)."""
     from plcontrol import assemble_bounded_equivalence
-    from plcontrol.homotopies import eps_key
     from plcontrol.verify import _identity_checks
 
     f = getattr(fixtures, name)()
@@ -552,10 +549,7 @@ def test_sampled_sup_matches_the_old_loops(name):
     at_half = fam.at(fam.effective_comesh / 2.0)
     assert _identity_checks(f, at_half, 20, 0) == control_oracle.identity_checks(f, fam, 20, 0)
     data = assemble_bounded_equivalence(f, fam, samples=8, time_steps=9)
-    first = {}  # eps_key -> the eps that first filled the memo under it
-    for eps in [data._eps_at(t) for t in data.t_grid if t > 0] + [fam.effective_comesh / 2.0]:
-        first.setdefault(eps_key(eps), eps)
-    for eps in sorted(first.values()):
+    for eps in sorted({data._eps_at(t) for t in data.t_grid} | {fam.effective_comesh / 2.0}):
         assert data.controls_at(eps) == control_oracle.slice_controls(fam, eps, 8, 0, 9)
         g, h1, h2 = fam.at(eps)
         for u, p, q in ((g, None, f), (h1, f, f), (h2, None, None)):
@@ -821,17 +815,34 @@ def test_an_eps_reads_its_own_cellulation_after_a_nearby_one():
     assert values[0] == values[1]
 
 
+def test_controls_at_an_eps_read_no_sups_of_a_nearby_eps():
+    """On proj_map's target, 1/(2/cm) and cm/2 differ in the last bits.  A
+    family that has measured its controls at cm/2 measures them at 1/(2/cm)
+    as a family that has not: the sups memo is keyed by the exact eps."""
+    from plcontrol.homotopies import family_controls
+
+    warm, cold = build_family(_fresh_proj_map()), build_family(_fresh_proj_map())
+    cm = warm.effective_comesh
+    eps = 1.0 / (2.0 / cm)
+    assert eps != cm / 2.0
+    times = np.linspace(0.0, 1.0, 9)
+
+    def controls(fam, e):
+        pts_y, pts_x = sample_points(fam.f.target, 30, seed=0), sample_points(fam.f.source, 20, seed=1)
+        return family_controls(fam, e, pts_y, pts_x, times)
+
+    controls(warm, cm / 2.0)
+    assert controls(warm, eps) == controls(cold, eps)
+
+
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_warm_family_controls_equal_a_cold_family(name):
     """After a default verify's control table and assembly, family_controls
-    at every schedule eps and every assembly eps equals a fresh family's.
-    The warm family's memo answers an ``eps_key`` with the sups of the eps
-    that first filled it, so each key is compared only at that eps: an
-    assembly eps whose key a schedule eps filled first (on proj_map, 1/(2/cm)
-    against cm/2, which differ in the last bits) is not compared."""
+    at every schedule eps and every assembly eps equals a fresh family's,
+    on the control table's and on the slices' sample sets."""
     from plcontrol import assemble_bounded_equivalence
     from plcontrol.cone import TIME_STEPS
-    from plcontrol.homotopies import eps_key, family_controls
+    from plcontrol.homotopies import family_controls
 
     f = getattr(fixtures, name)()
     warm = build_family(f)
@@ -842,10 +853,8 @@ def test_warm_family_controls_equal_a_cold_family(name):
         family_controls(warm, eps, *table, times)
     data = assemble_bounded_equivalence(f, warm, samples=40, seed=0)
     slices = (sample_points(f.target, 40, seed=0), sample_points(f.source, 40, seed=1))
-    cases = {eps_key(eps): (eps, table) for eps in schedule}
-    for t in data.t_grid:
-        cases.setdefault(eps_key(data._eps_at(t)), (data._eps_at(t), slices))
-    for eps, pts in cases.values():
+    cases = [(eps, table) for eps in schedule] + [(data._eps_at(t), slices) for t in data.t_grid]
+    for eps, pts in cases:
         assert family_controls(warm, eps, *pts, times) == family_controls(build_family(f), eps, *pts, times)
 
 
@@ -952,7 +961,7 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     the h1 tracks of ``family_oracle`` through f; returns the number of rows
     that took the scalar branch (one ``distance`` each)."""
     from plcontrol import cellulation, homotopies
-    from plcontrol.homotopies import _family_controls, eps_key
+    from plcontrol.homotopies import _family_controls
 
     tracks = _oracle_h1_tracks(f, fam, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, tracks)
@@ -969,7 +978,7 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
         m.setattr(cellulation, "distance", spy)
         rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
-    for x, (best, arg, n) in fam._sups["h1", eps_key(eps), times].items():
+    for x, (best, arg, n) in fam._sups["h1", eps, times].items():
         assert (best, (x, arg), n) == control_oracle.sampled_sup(f.target, [x], times, tracks)
     return len(scalar)
 

@@ -5,6 +5,7 @@ distances, and the same exception type and message on every bad input."""
 import ast
 import dataclasses
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -313,6 +314,21 @@ def test_make_point_with_a_negative_tol_still_validates():
 
 # -- the public constructor validates; the private one has one caller -----------------
 
+def _assert_prints_ok_with_and_without_O(code: str) -> None:
+    """Runs code in a child interpreter on these sources, with and without
+    ``-O``; the child keeps this environment (a PYTHONDONTWRITEBYTECODE=1
+    too, so it leaves no bytecode in the sources)."""
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=False,
+        )
+        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+
+
 def test_public_point_validates_even_under_python_O():
     code = """
 from plcontrol import MalformedInputError, Point, closure_complex
@@ -325,15 +341,7 @@ for coords in [(1.5, -0.5), (1.0,), (0.5, 0.5, 0.0), (0.5, 0.4)]:
     raise SystemExit(f"Point accepted {coords}")
 print("ok")
 """
-    for flags in ([], ["-O"]):
-        out = subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(SRC)},
-            check=False,
-        )
-        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+    _assert_prints_ok_with_and_without_O(code)
 
 
 def test_public_point_rejects_non_finite_coordinates_even_under_python_O():
@@ -350,15 +358,7 @@ for coords in [(nan, 1.0), (1.0, nan), (inf, 1.0), (-inf, 1.0), (inf, -inf)]:
     raise SystemExit(f"Point accepted {coords} or named another fault")
 print("ok")
 """
-    for flags in ([], ["-O"]):
-        out = subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(SRC)},
-            check=False,
-        )
-        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+    _assert_prints_ok_with_and_without_O(code)
 
 
 def test_make_point_rejects_non_finite_weights_even_under_python_O():
@@ -379,15 +379,7 @@ for w in [nan, -inf, inf]:
         raise SystemExit(f"accepted the weight {w} or named another fault")
 print("ok")
 """
-    for flags in ([], ["-O"]):
-        out = subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(SRC)},
-            check=False,
-        )
-        assert out.returncode == 0 and out.stdout == "ok\n", (flags, out.stdout, out.stderr)
+    _assert_prints_ok_with_and_without_O(code)
 
 
 def test_the_package_has_no_assert_statement():
