@@ -19,6 +19,13 @@ a coordinate within 2 tol, a cell over a larger carrier reproduces y only with
 zero weight on top levels made of the extra vertices, and then its truncated
 flag, of lower index, reproduces y with the same s and nonzero t.
 
+A cell check (``Cellulation._try_cell``) runs on Python floats: y's
+coordinates, the cell's positions and sizes, and a_j = eps / len_j.  Its
+sums add left to right (``_add``), the order in which numpy reduces fewer
+than 8 elements, and no cell has 8 levels or base vertices, so its (s, t)
+has the bits of the same check on numpy arrays.  The residual is read
+only against tol.
+
 What is kept, and for how long: the eps-free cells of every flag are built
 once per complex (``K._flag_cells``) and shared by its cellulations at every
 eps; ``build_cellulation`` keeps one cellulation per exact eps in
@@ -44,6 +51,7 @@ control; neither keeps anything.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -160,7 +168,7 @@ class FlagCell:
     lengths: np.ndarray    # (m+1,) vertex-to-barycenter distance per level
     own: list[list[int]]   # per level, carrier coord positions new at that level
     base_pos: list[int]    # carrier coord positions of the base vertices
-    sizes: np.ndarray      # (m+1,) vertex count per chain simplex
+    sizes: tuple[float, ...]  # (m+1,) vertex count per chain simplex
 
     @property
     def dim(self) -> int:
@@ -187,6 +195,12 @@ class FlagCell:
 
 
 _SLACK = 1e-7
+
+
+def _add(xs: list[float]) -> float:
+    """The sum of xs, added left to right from 0.0 (Python >= 3.12 ``sum``
+    compensates, so it may differ in the last bits)."""
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 def _ordered_partitions(items: list[int]):
@@ -222,7 +236,7 @@ def _flag_cells(K: SimplicialComplex):
                 index=idx, flag=fl, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
                 lengths=np.array([vertex_barycenter_distance(s.dim) for s in fl.chain]),
                 own=own, base_pos=base_pos,
-                sizes=np.array([len(s.vertices) for s in fl.chain], dtype=float),
+                sizes=tuple(float(len(s.vertices)) for s in fl.chain),
             )
             cells.append(cell)
             masks = tuple(sum(1 << pos[v] for v in s.vertices) for s in (fl.base, *fl.chain))
@@ -260,14 +274,12 @@ class Cellulation:
         self.cells, self._index = _flag_cells(K)
         # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
         self._level_cap = eps / math.sqrt(2.0) + _SLACK
-        self.inversions = 0
-        self.cells_tried = 0
+        self.inversions = self.cells_tried = 0
 
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, cell: FlagCell, s, t, eps: float | None = None) -> Point:
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         if s.shape != (len(cell.flag.base.vertices),) or t.shape != (len(cell.flag.chain),):
             raise MalformedInputError(
                 f"coordinate lengths {s.shape}/{t.shape} do not match cell {cell.flag}"
@@ -288,8 +300,7 @@ class Cellulation:
         fitting = self._fitting_cells(y, tol)
         for cell in fitting:
             self.cells_tried += 1
-            out = self._try_cell(cell, y, tol)
-            if out is not None:
+            if (out := self._try_cell(cell, y, tol)) is not None:
                 return cell, out
         raise InversionError(
             f"no cell of the eps={self.eps} cellulation reproduces {y} "
@@ -325,70 +336,79 @@ class Cellulation:
         return sorted(found, key=lambda cell: cell.index)
 
     def _try_cell(self, cell: FlagCell, y: Point, tol: float):
-        slack = _SLACK
-        yv = np.array(y.coords)
-        m1 = len(cell.flag.chain)
-        # the bits of cell.a_coeffs(eps), at a fraction of its cost
-        a = np.array([self.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()])
-        sizes = cell.sizes
+        # On Python floats: y's coordinates are its carrier's, which is the
+        # cell's.  Each sum is an explicit left-to-right add (``_add``), the
+        # order in which numpy reduces fewer than 8 elements; no cell has 8
+        # levels or base vertices, so s and t have the bits that the array
+        # form of this check (``tests/cellulation_oracle.try_cell_arrays``)
+        # gives them, and ``x if x > 0.0 else 0.0`` is np.clip's value.
+        yv, own, sizes = y.coords, cell.own, cell.sizes
+        m1 = len(sizes)
+        a = [self.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()]
 
-        mu = np.zeros(m1 + 1)
+        mu = [0.0] * (m1 + 1)  # level averages; level 0's is read only if it owns vertices
         for j in range(m1 - 1, -1, -1):
-            ownj = cell.own[j]
-            if ownj:
-                vals = yv[ownj]
-                if np.ptp(vals) > slack:
+            if own[j]:
+                vals = [yv[p] for p in own[j]]
+                if max(vals) - min(vals) > _SLACK:
                     return None
-                mu[j] = float(vals.mean())
-            else:
-                mu[j] = -1.0  # filled below (only possible at level 0)
-        t = np.zeros(m1)
+                mu[j] = _add(vals) / len(vals)
+        t = [0.0] * m1
         for j in range(m1 - 1, 0, -1):
             ta = (mu[j] - mu[j + 1]) * sizes[j]
-            if ta < -slack:
+            if ta < -_SLACK:
                 return None
             t[j] = ta / a[j]
-        if cell.own[0]:
-            ta0 = (mu[0] - mu[1]) * sizes[0]
-            if a[0] <= 0.0:
-                if abs(ta0) > slack:
-                    return None
-                t[0] = 1.0 - t[1:].sum()
-            else:
-                t[0] = ta0 / a[0]
+        # level 0's weight: read off its own vertices or, when it has none or
+        # sigma_0 is a vertex (a_0 = 0, its average then level 1's), what the
+        # levels above leave
+        if own[0] and a[0] > 0.0:
+            t[0] = (mu[0] - mu[1]) * sizes[0] / a[0]
+        elif own[0] and abs((mu[0] - mu[1]) * sizes[0]) > _SLACK:
+            return None
         else:
-            t[0] = 1.0 - t[1:].sum()
-            mu[0] = mu[1] + t[0] * a[0] / sizes[0]
-        if np.any(t < -slack) or abs(t.sum() - 1.0) > 1e-6:
+            t[0] = 1.0 - _add(t[1:])
+        if min(t) < -_SLACK or abs(_add(t) - 1.0) > 1e-6:
             return None
-        mu0 = float((t * a / sizes).sum())
-        if cell.own[0] and abs(mu0 - mu[0]) > slack:
+        ta = [tj * aj for tj, aj in zip(t, a)]
+        mu0 = _add([x / n for x, n in zip(ta, sizes)])
+        if own[0] and abs(mu0 - mu[0]) > _SLACK:
             return None
-        beta = 1.0 - float((t * a).sum())
+        beta = 1.0 - _add(ta)
         if beta <= 0.0:
             return None
         # s's rounding grows as 1 / beta.  At or below the slack, which only
         # the cells of a 1-dimensional complex reach, near eps = comesh, s
         # moves the point by at most beta * sqrt(2): the residual test decides.
-        stable = beta > slack
-        s = (yv[cell.base_pos] - mu0) / beta
-        if stable and np.any(s < -slack):
+        stable = beta > _SLACK
+        s = [(yv[p] - mu0) / beta for p in cell.base_pos]
+        if stable and min(s) < -_SLACK:
             return None
-        s = np.clip(s, 0.0, None)
-        total = s.sum()
+        s = [x if x > 0.0 else 0.0 for x in s]
+        total = _add(s)
         if (stable and abs(total - 1.0) > 1e-6) or total <= 0.0:
             return None
-        s /= total
-        t = np.clip(t, 0.0, None)
-        t /= t.sum()
-        # the cell point (s, t) is (1 - sum_j t_j a_j) s E + sum_j t_j a_j
-        # chat_j, the form the solve above inverts; the norm has the bits of
-        # np.linalg.norm at a fraction of its cost
-        ta = t * a
-        res = ta @ cell.chat + (1.0 - ta.sum()) * (s @ cell.E) - yv
-        if math.sqrt(res.dot(res)) > tol:
+        s = [x / total for x in s]
+        t = [x if x > 0.0 else 0.0 for x in t]
+        total = _add(t)
+        t = [x / total for x in t]
+        # the cell point (s, t) is sum_j t_j a_j chat_j + (1 - sum_j t_j a_j)
+        # s E, the form the solve above inverts: chat_j holds 1 / |sigma_j|
+        # on sigma_j's vertices (the base's and those new at levels <= j),
+        # and row i of E is base vertex i.  Its distance to y is read only
+        # against tol, so that a matmul adding in another order would move a
+        # verdict only at a tie with tol.
+        ta = [tj * aj for tj, aj in zip(t, a)]
+        point = [0.0] * len(yv)
+        for j, x in enumerate(ta):
+            for p in itertools.chain(cell.base_pos, *own[: j + 1]):
+                point[p] += x * (1.0 / sizes[j])
+        w = 1.0 - _add(ta)
+        for p, x in zip(cell.base_pos, s):
+            point[p] += w * x
+        if math.sqrt(_add([(q - c) * (q - c) for q, c in zip(point, yv)])) > tol:
             return None
-        return s, t
+        return np.array(s), np.array(t)
 
     # -- reporting ----------------------------------------------------------------
 

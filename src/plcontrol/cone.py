@@ -131,7 +131,11 @@ class BoundedEquivalenceData:
         # The schedule attains comesh, but the cellulation is only defined
         # strictly below it (and degenerates numerically at the boundary when
         # an edge realizes the comesh), so evaluation backs off by 0.1%; the
-        # assembled bound only improves from the backoff.
+        # assembled bound only improves from the backoff.  A height that is
+        # not finite has no eps: the schedule would read NaN as an eps, +inf
+        # as eps 0 and -inf as a height below the knee.
+        if not math.isfinite(t):
+            raise ValueError(f"cone height must be finite, got {t}")
         cm = self.family.effective_comesh
         return min(alpha_schedule(cm, t), cm * (1.0 - 1e-3))
 

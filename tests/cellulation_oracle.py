@@ -1,10 +1,11 @@
 """Reference kernels for the differential tests of ``plcontrol.cellulation``
 and ``plcontrol.homotopies``: the inversion that scans every cell whose
-carrier contains the point's carrier, the per-row loops that formed a cell
-point's rows one eps' at a time and measured each fast row on its own, and
-the h1 built as a concatenation of two homotopies that each invert the
-cellulation on their own, whose second half locates its fiber points on
-every call."""
+carrier contains the point's carrier, the cell check on numpy arrays that
+the float kernel of ``Cellulation._try_cell`` replaced, the per-row loops
+that formed a cell point's rows one eps' at a time and measured each fast
+row on its own, and the h1 built as a concatenation of two homotopies that
+each invert the cellulation on their own, whose second half locates its
+fiber points on every call."""
 
 import math
 
@@ -100,6 +101,76 @@ def _try_cell(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
     t /= t.sum()
     res = np.einsum("i,j,ijd->d", s, t, cell.vertex_images(cel.eps)) - yv
     if float(np.linalg.norm(res)) > tol:
+        return None
+    return s, t
+
+
+def try_cell_arrays(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
+    """``Cellulation._try_cell`` as numpy arrays: the same checks, slacks and
+    sums, with a cell point's residual formed through ``cell.E`` and
+    ``cell.chat``.  y is canonical and ``cell.carrier`` is its carrier."""
+    slack = 1e-7
+    yv = np.array(y.coords)
+    m1 = len(cell.flag.chain)
+    # the bits of cell.a_coeffs(eps), at a fraction of its cost
+    a = np.array([cel.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()])
+    sizes = cell.sizes
+
+    mu = np.zeros(m1 + 1)
+    for j in range(m1 - 1, -1, -1):
+        ownj = cell.own[j]
+        if ownj:
+            vals = yv[ownj]
+            if np.ptp(vals) > slack:
+                return None
+            mu[j] = float(vals.mean())
+        else:
+            mu[j] = -1.0  # filled below (only possible at level 0)
+    t = np.zeros(m1)
+    for j in range(m1 - 1, 0, -1):
+        ta = (mu[j] - mu[j + 1]) * sizes[j]
+        if ta < -slack:
+            return None
+        t[j] = ta / a[j]
+    if cell.own[0]:
+        ta0 = (mu[0] - mu[1]) * sizes[0]
+        if a[0] <= 0.0:
+            if abs(ta0) > slack:
+                return None
+            t[0] = 1.0 - t[1:].sum()
+        else:
+            t[0] = ta0 / a[0]
+    else:
+        t[0] = 1.0 - t[1:].sum()
+        mu[0] = mu[1] + t[0] * a[0] / sizes[0]
+    if np.any(t < -slack) or abs(t.sum() - 1.0) > 1e-6:
+        return None
+    mu0 = float((t * a / sizes).sum())
+    if cell.own[0] and abs(mu0 - mu[0]) > slack:
+        return None
+    beta = 1.0 - float((t * a).sum())
+    if beta <= 0.0:
+        return None
+    # s's rounding grows as 1 / beta.  At or below the slack, which only
+    # the cells of a 1-dimensional complex reach, near eps = comesh, s
+    # moves the point by at most beta * sqrt(2): the residual test decides.
+    stable = beta > slack
+    s = (yv[cell.base_pos] - mu0) / beta
+    if stable and np.any(s < -slack):
+        return None
+    s = np.clip(s, 0.0, None)
+    total = s.sum()
+    if (stable and abs(total - 1.0) > 1e-6) or total <= 0.0:
+        return None
+    s /= total
+    t = np.clip(t, 0.0, None)
+    t /= t.sum()
+    # the cell point (s, t) is (1 - sum_j t_j a_j) s E + sum_j t_j a_j
+    # chat_j, the form the solve above inverts; the norm has the bits of
+    # np.linalg.norm at a fraction of its cost
+    ta = t * a
+    res = ta @ cell.chat + (1.0 - ta.sum()) * (s @ cell.E) - yv
+    if math.sqrt(res.dot(res)) > tol:
         return None
     return s, t
 

@@ -345,6 +345,27 @@ def test_invert_matches_scan_oracle(case):
     assert_inverts_like_oracle(cel, y)
 
 
+def assert_tries_like_arrays(cel, y, tol=1e-9):
+    """On every cell that fits y, the float kernel and the array oracle
+    both reject y, or both accept it with the same s and t bytes."""
+    y = canonical(cel.K, y)
+    for cell in cel._fitting_cells(y, tol):
+        got, want = cel._try_cell(cell, y, tol), oracle.try_cell_arrays(cel, cell, y, tol)
+        assert (got is None) == (want is None), (y, cell.flag)
+        if got is not None:
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (y, cell.flag)
+
+
+@given(inversion_cases())
+@settings(max_examples=400, deadline=None)
+def test_try_cell_matches_the_array_kernel(case):
+    """Every fitting cell of interior, face, near-face, barycenter,
+    subdivision and jittered points; the points near the comesh, where a
+    cell's base weight falls to the slack, are checked in
+    ``_assert_inverts_just_below_the_comesh``."""
+    assert_tries_like_arrays(*case)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("name", sorted(TARGETS))
 def test_invert_matches_scan_oracle_on_schedule(name, k):
@@ -464,8 +485,9 @@ def test_cellulation_builds_just_below_the_comesh_on_random_complexes(gens):
 
 def _assert_inverts_just_below_the_comesh(K, delta):
     """At eps = comesh - delta every simplex's barycenter, and points up to
-    1e-7 off it along an edge of its simplex, invert, and the cell point
-    reproduces them to the inversion's tolerance."""
+    1e-7 off it along an edge of its simplex, invert, the cell point
+    reproduces them to the inversion's tolerance, and every fitting cell
+    checks them as the array kernel does."""
     cm = comesh_of(K)
     if not math.isfinite(cm):
         return
@@ -479,6 +501,7 @@ def _assert_inverts_just_below_the_comesh(K, delta):
     for y in pts:
         cell, (s, t) = cel.invert(y)
         assert distance(K, canonical(K, cel.evaluate(cell, s, t)), y) <= 1e-9
+        assert_tries_like_arrays(cel, y)
 
 
 @pytest.mark.parametrize("delta", [1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 2e-12])

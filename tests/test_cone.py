@@ -217,6 +217,28 @@ def test_slice_rejects_a_non_finite_height(MAP_COLLAPSE, t):
         slice_equivalence(data, t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["g", "h1", "h2"])
+def test_equivalence_data_rejects_a_non_finite_height(MAP_COLLAPSE, method, t):
+    """g, h1 and h2 name the height themselves: without their check, the
+    eps range check of family.at names eps=nan at NaN and eps=0.0 at +inf,
+    and -inf evaluates at the eps below the knee."""
+    data = assemble_bounded_equivalence(MAP_COLLAPSE, build_family(MAP_COLLAPSE), samples=5, time_steps=5)
+    y = canonical(MAP_COLLAPSE.target, Point(MAP_COLLAPSE.target.simplex(["a", "b"]), (0.3, 0.7)))
+    args = {"g": (y, t), "h1": (data.g(y, 1.0)[0], t, 0.5), "h2": (y, t, 0.5)}[method]
+    with pytest.raises(ValueError, match=f"^cone height must be finite, got {t}$"):
+        getattr(data, method)(*args)
+
+
+def test_equivalence_data_takes_finite_heights_at_or_below_zero(MAP_COLLAPSE):
+    data = assemble_bounded_equivalence(MAP_COLLAPSE, build_family(MAP_COLLAPSE), samples=5, time_steps=5)
+    y = canonical(MAP_COLLAPSE.target, Point(MAP_COLLAPSE.target.simplex(["a", "b"]), (0.3, 0.7)))
+    for t in (0.0, -2.5):
+        x, height = data.g(y, t)
+        assert height == t
+        assert data.h1(x, t, 0.5)[1] == data.h2(y, t, 0.5)[1] == t
+
+
 def test_slice_control_decays_on_identity():
     D2 = fixtures.d2()
     f = identity_map(D2)

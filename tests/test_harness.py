@@ -37,6 +37,7 @@ from plcontrol import (
 from plcontrol import fixtures
 from plcontrol.cli import main
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
+import cellulation_oracle
 import control_oracle
 
 
@@ -385,6 +386,32 @@ def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
     calls = _count_work(monkeypatch)
     assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
     assert calls["cold"] == 13
+
+
+def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
+    """Every cell that the default seed-0 verifies of proj_map and
+    map_collapse try (3 809 tries) is checked by the float kernel and by the
+    array oracle alike: both reject it, or both accept it with the same s
+    and t bytes."""
+    from plcontrol import cellulation
+
+    real = cellulation.Cellulation._try_cell
+    tries, differ = [], []
+
+    def both(cel, cell, y, tol):
+        got, want = real(cel, cell, y, tol), cellulation_oracle.try_cell_arrays(cel, cell, y, tol)
+        tries.append(cell.index)
+        same = (got is None) == (want is None)
+        if same and got is not None:
+            same = [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        if not same:
+            differ.append((cel.eps, cell.flag, y))
+        return got
+
+    monkeypatch.setattr(cellulation.Cellulation, "_try_cell", both)
+    for name in ("proj_map", "map_collapse"):
+        assert run_verify(_fresh(getattr(fixtures, name)())).overall == THEOREM_CONSISTENT
+    assert tries and not differ, differ[:3]
 
 
 def test_verify_work_per_source_simplex_does_not_grow_with_the_map(monkeypatch):
