@@ -1,25 +1,33 @@
 #!/usr/bin/env python3
-"""Run the default `run_verify` on the Prism ladder and print, per rung, the
-source and target simplex counts, the CPU seconds of the verify, the
-verdict, the bound B and the sha256 of the rendered report, then the CPU
-seconds of each stage of the verify (`STAGES`).
+"""Run the default `run_verify` on the ladder and print, per rung, the
+source and target simplex counts, the CPU and reference seconds of the
+verify, the verdict, the bound B and the sha256 of the rendered report,
+then the CPU and reference seconds of each stage of the verify (`STAGES`).
 
-    python3 scripts/ladder.py [K ...]
+    python3 scripts/ladder.py [RUNG ...]
 
-Prism(k) is `perfbench/inputs.prism_map(k)`, the projection
-Sd^k(D2) x [0,1] -> Sd^k(D2); the rungs are the given k, by default
-k = 0, 1, 2 (`python3 scripts/ladder.py 3` times Prism(3) alone).  The
-report is rendered with the default map label, so a hash equal to an
-earlier one means the report text is byte-identical.  A stage's seconds are
-those of the calls `run_verify` makes to its functions, which are wrapped in
-the namespace of `plcontrol.verify` while the rung runs; what no stage
-holds (the family's construction, the sample draws) is in the total only.
+A rung is an integer k or `d` followed by a dimension.  Prism(k) is
+`perfbench/inputs.prism_map(k)`, the projection Sd^k(D2) x [0,1] -> Sd^k(D2);
+D_d is `simplex_prism(d)`, the projection Δ^d x [0,1] -> Δ^d.  The default
+rungs are k = 0, 1, 2 (`python3 scripts/ladder.py 3 d3 d4` times Prism(3),
+D_3 and D_4).  The report is rendered with the default map label, so a hash
+equal to an earlier one means the report text is byte-identical.  A stage's
+seconds are those of the calls `run_verify` makes to its functions, which
+are wrapped in the namespace of `plcontrol.verify` while the rung runs; what
+no stage holds (the family's construction, the sample draws) is in the total
+only.
+
+Reference seconds are wall seconds at a fixed machine speed, read off the
+`SpeedClock` of `perfbench/speed.py`, which probes the speed every 20 ms of
+CPU time; they move less than CPU seconds when other load on the machine
+changes its speed.  The CPU seconds include the probes, about 2.5 %.
 """
 
 import argparse
 import contextlib
 import hashlib
 import importlib.util
+import string
 import sys
 import time
 from pathlib import Path
@@ -27,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from plcontrol import verify  # noqa: E402
+from plcontrol import SimplicialMap, closure_complex, verify  # noqa: E402
 
 RUNGS = (0, 1, 2)
 
@@ -41,30 +49,56 @@ STAGES = {
 }
 
 
-def _load_inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-inputs = _load_inputs()
+inputs = _load("inputs")
+speed = _load("speed")
+
+
+def simplex_prism(d: int) -> SimplicialMap:
+    """D_d, the projection Δ^d x [0,1] -> Δ^d of the staircase product, on
+    the vertices a, b, c, ... of Δ^d; D_2 is Prism(0)."""
+    Y = closure_complex([tuple(string.ascii_lowercase[: d + 1])])
+    X = inputs.staircase_product(Y)
+    return SimplicialMap(X, Y, {v: v.rsplit("@", 1)[0] for v in X.vertex_order})
+
+
+def _rung_map(k) -> tuple[str, SimplicialMap]:
+    if isinstance(k, str):
+        return f"D_{k[1:]}", simplex_prism(int(k[1:]))
+    return f"Prism({k})", inputs.prism_map(k)
+
+
+def _parse_rung(text: str):
+    if text.startswith("d") and text[1:].isdigit():
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a rung is an integer or d<dimension>, got {text!r}") from None
 
 
 @contextlib.contextmanager
-def _stage_clock():
+def _stage_clock(clock):
     """While open, each function of `STAGES` adds the CPU seconds of its
-    calls to its stage in the yielded dict."""
-    cpu = dict.fromkeys(STAGES, 0.0)
+    calls to its stage in the first yielded dict, and the reference seconds
+    of `clock` to the second."""
+    cpu, ref = dict.fromkeys(STAGES, 0.0), dict.fromkeys(STAGES, 0.0)
     saved = {name: getattr(verify, name) for names in STAGES.values() for name in names}
 
     def clocked(stage, fn):
         def wrapper(*args, **kwargs):
-            start = time.process_time()
+            start, ref_start = time.process_time(), clock.now()
             try:
                 return fn(*args, **kwargs)
             finally:
                 cpu[stage] += time.process_time() - start
+                ref[stage] += clock.now() - ref_start
 
         return wrapper
 
@@ -72,43 +106,59 @@ def _stage_clock():
         for name in names:
             setattr(verify, name, clocked(stage, saved[name]))
     try:
-        yield cpu
+        yield cpu, ref
     finally:
         for name, fn in saved.items():
             setattr(verify, name, fn)
 
 
-def rung(k: int) -> dict:
-    """The default verify of Prism(k): sizes, CPU seconds, verdict, B, the
-    sha256 of the render and the CPU seconds of each stage."""
-    f = inputs.prism_map(k)
-    with _stage_clock() as stages:
-        start = time.process_time()
-        report = verify.run_verify(f)
-        cpu_s = time.process_time() - start
+def rung(k) -> dict:
+    """The default verify of the rung k (Prism(k), or D_d for k = "d<d>"):
+    sizes, CPU and reference seconds, verdict, B, the sha256 of the render
+    and the CPU and reference seconds of each stage."""
+    name, f = _rung_map(k)
+    clock = speed.SpeedClock()
+    clock.start()
+    try:
+        with _stage_clock(clock) as (stages, ref_stages):
+            start, ref_start = time.process_time(), clock.now()
+            report = verify.run_verify(f)
+            cpu_s, ref_s = time.process_time() - start, clock.now() - ref_start
+    finally:
+        clock.stop()
     return {
         "k": k,
+        "name": name,
         "source": len(f.source.simplices),
         "target": len(f.target.simplices),
         "cpu_s": cpu_s,
+        "ref_s": ref_s,
         "overall": report.overall,
         "bound": report.bound,
         "sha256": hashlib.sha256(report.render().encode()).hexdigest(),
         "stages": stages,
+        "ref_stages": ref_stages,
     }
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description="Time the default verify on the Prism ladder.")
-    parser.add_argument("rungs", nargs="*", type=int, default=RUNGS, metavar="K", help="rung numbers (default 0 1 2)")
+    parser = argparse.ArgumentParser(description="Time the default verify on the ladder.")
+    parser.add_argument(
+        "rungs", nargs="*", type=_parse_rung, default=RUNGS, metavar="RUNG",
+        help="rung numbers k, or d<dimension> (default 0 1 2)",
+    )
     for k in parser.parse_args().rungs:
         r = rung(k)
         bound = "-" if r["bound"] is None else f"{r['bound']:.9f}"
         print(
-            f"Prism({r['k']}) {r['source']}/{r['target']} simplices  {r['cpu_s']:.2f} CPU s  "
+            f"{r['name']} {r['source']}/{r['target']} simplices  {r['cpu_s']:.2f} CPU s  {r['ref_s']:.2f} ref s  "
             f"{r['overall']}  B = {bound}  sha256 {r['sha256']}"
         )
-        print("  stages, CPU s: " + "  ".join(f"{name} {s:.2f}" for name, s in r["stages"].items()), flush=True)
+        print(
+            "  stages, CPU s / ref s: "
+            + "  ".join(f"{stage} {s:.2f}/{r['ref_stages'][stage]:.2f}" for stage, s in r["stages"].items()),
+            flush=True,
+        )
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from .cellulation import (
     comesh_of,
     enumerate_flags,
     gamma_vertex,
-    straightline_homotopy,
 )
 from .complexes import (
     MalformedInputError,
@@ -71,6 +70,7 @@ from .homotopies import (
     measure_control,
     sample_points,
     star_clearance,
+    straightline_homotopy,
 )
 from .ioutil import FileFormatError, load_complex, load_map, load_track, parse_point, save_complex, save_map
 from .maps import (

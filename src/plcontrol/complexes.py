@@ -358,6 +358,13 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether ``canonical`` leaves a point with these coordinates
+    as it is: every coordinate > TOL and the sum (``_row_sums``) within
+    1e-12 of 1."""
+    return (rows > TOL).all(axis=1) & (np.abs(_row_sums(rows) - 1.0) <= 1e-12)
+
+
 def vertex_point(K: SimplicialComplex, label: str) -> Point:
     return Point(K.simplex([label]), (1.0,))
 

@@ -9,19 +9,25 @@ assembly through the collapse-derived contraction of the fiber.
 
 What is kept, and for how long: a gamma map keeps one fiber-contraction
 track per (sigma, w), with its values per time (``FlagMap._tracks``), for
-as long as it lives, and every ``family.at(eps)`` reads them.  One
-``ControlledFamily.at(eps)`` call builds one ``cellulation._EpsView``, the
-owner of the cellulation at exactly that eps, a locate memo and the cell
-vertex images, and its g, h1 and h2 over it, so the view dies with them
-and the images with it; its h2
-(``cellulation._StraightLine``) and each track of its h1 (``_H1Track``)
-read it to measure their control rows per sampled point as arrays over the
-time grid (``sup_at``).  An h1 track keeps its point's split, cell and
+as long as it lives, and every ``family.at(eps)`` reads them.  What one
+``ControlledFamily.at(eps)`` shares among its g, h1 and h2 has one owner,
+an ``_EpsView``: the cellulation that ``build_cellulation`` keeps at
+exactly that eps, a locate memo and the cell vertex images at each
+eps' = eps (1 - t) that the steps read (``_EpsView.rows``, ``step`` is its
+one-row case).  It dies with the closures built over it;
+``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each build
+their own.  Its h2 (``_StraightLine``) and each track of its h1
+(``_H1Track``) read it to measure their control rows per sampled point as
+arrays over the time grid (``sup_at``): ``rows`` builds the images its
+memo lacks in one ``vertex_images`` call and forms every row in one
+``cellulation._contract``.  An h1 track keeps its point's split, cell and
 second-half start-up as long as the track lives, and ``_H1.sup_at`` reads
-them off the track it builds for the point.  Both rows go through
-``cellulation._row_sup``.  A family keeps its per-point control sups
-(``_sups``) as long as it lives, keyed by the exact eps like every cache
-that depends on eps: none rounds its eps.
+them off the track it builds for the point.  ``_row_sup`` measures both
+rows, every fast row with one norm, and ``_first_max`` is the one
+first-maximum reduction of every sampled control; neither keeps anything.
+A family keeps its per-point control sups (``_sups``) as long as it lives,
+keyed by the exact eps like every cache that depends on eps: none rounds
+its eps.
 """
 
 from __future__ import annotations
@@ -33,21 +39,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cellulation import (
-    _StraightLine,
-    _canonical_rows,
-    _EpsView,
-    _first_max,
-    _row_sup,
-    _straightline,
-    comesh_of,
-    straightline_homotopy,
-)
+from .cellulation import FlagCell, _contract, build_cellulation, comesh_of
 from .complexes import (
     MalformedInputError,
     Point,
     Simplex,
     SimplicialComplex,
+    _canonical_rows,
     _check_nonnegative,
     barycenter,
     canonical,
@@ -232,6 +230,81 @@ def build_gamma_map(
 
 # -- the controlled family -------------------------------------------------------
 
+class _EpsView:
+    """What one ``ControlledFamily.at(eps)`` shares among its g, h1 and h2:
+    the cellulation of K that ``build_cellulation`` keeps at eps, eps itself,
+    a locate memo (a miss calls ``cel.invert``, so each distinct point is
+    inverted once) and the cell vertex images that the steps read, keyed by
+    (cell index, eps').  Nothing else holds the memo or the images: they die
+    with the object, which only the closures built over it hold."""
+
+    def __init__(self, K: SimplicialComplex, eps: float):
+        self.cel, self.K, self.eps = build_cellulation(K, eps), K, eps
+        self._located, self._images = {}, {}  # point -> invert(point), (cell index, eps') -> images
+
+    def locate(self, y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
+        hit = self._located.get(y)
+        if hit is None:
+            hit = self._located[y] = self.cel.invert(y)
+        return hit
+
+    def rows(self, cell: FlagCell, s, t, epss) -> np.ndarray:
+        """The coordinates over ``cell.carrier`` of the cell point (s, t) at
+        each eps' of ``epss``, one row per eps': the images the memo lacks
+        are built in one ``vertex_images`` call, and the rows are one
+        contraction."""
+        if not epss:
+            return np.empty((0, len(cell.carrier.vertices)))
+        images, i = self._images, cell.index
+        if new := list(dict.fromkeys(eps for eps in epss if (i, eps) not in images)):
+            images.update(((i, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
+        return _contract(s, t, np.stack([images[i, eps] for eps in epss]))
+
+    def step(self, cell: FlagCell, s, t, eps: float) -> Point:
+        """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
+        ``rows``, as a point."""
+        return canonical(self.K, Point(cell.carrier, tuple(self.rows(cell, s, t, (eps,))[0].tolist())))
+
+
+@dataclass
+class _StraightLine(Homotopy):
+    """The straight-line homotopy of the eps-cellulation, with the
+    ``_EpsView`` its tracks read, so that ``sup_at`` can measure a sampled
+    point's control over a whole time grid as one array."""
+
+    view: _EpsView
+
+    def sup_at(self, y: Point, times) -> tuple[float, float | None, int]:
+        """(sup over t in ``times`` of d(y, h(y, t)), the first t attaining
+        it, the pairs measured), equal to the pair loop of
+        ``_sampled_sup`` on the tracks (y, h(y, .)).
+
+        A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
+        point of y's carrier, measured as such by ``_row_sup``.  Every other
+        row takes ``step``: at t = 1 (eps' = 0) the step is the base point,
+        whose row is canonical only when the cell's base is its carrier."""
+        view = self.view
+        cell, (s, t) = view.locate(y)
+        y = canonical(view.K, y)  # the inversion read the cells over y's carrier
+        epss = [view.eps * (1.0 - time) for time in times]
+        rows = view.rows(cell, s, t, epss)
+        return _row_sup(view.K, y, times, rows, _canonical_rows(rows), lambda k: view.step(cell, s, t, epss[k]))
+
+
+def _straightline(view: _EpsView) -> _StraightLine:
+    def track_factory(y: Point):
+        cell, (s, t) = view.locate(y)
+        return lambda time: view.step(cell, s, t, view.eps * (1.0 - time))
+
+    return _StraightLine(domain=view.K, codomain=view.K, track_factory=track_factory, view=view)
+
+
+def straightline_homotopy(K: SimplicialComplex, eps: float) -> Homotopy:
+    """h(y, t) = Gamma_{eps(1-t)} applied to the eps-cell coordinates of y:
+    the straight-line homotopy from the cellulation back to the complex."""
+    return _straightline(_EpsView(K, eps))
+
+
 def build_h2(f: SimplicialMap, eps: float) -> Homotopy:
     return straightline_homotopy(f.target, eps)
 
@@ -366,7 +439,7 @@ def effective_comesh(K: SimplicialComplex) -> float:
 class ControlledFamily:
     """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
 
-    ``at`` builds one ``cellulation._EpsView`` of the target at eps, which
+    ``at`` builds one ``_EpsView`` of the target at eps, which
     reads the cellulation that ``build_cellulation`` keeps at exactly eps
     (and rejects an eps outside (0, comesh)), and its three closures over
     it, so one ``at`` call inverts each distinct point once and builds each
@@ -466,6 +539,32 @@ def sampled_sup(
     number of pairs evaluated.  ``tracks`` runs once per sample, so per-point
     setup such as a cellulation inversion belongs there."""
     return _sampled_sup(points, _pair_sup(M, tuple(map(float, times)), tracks), None)
+
+
+def _first_max(times, dists) -> tuple[float, float | None, int]:
+    """(the largest of ``dists``, the first of ``times`` paired with it, the
+    number of pairs) over the pairs of the two; (0.0, None, 0) for none."""
+    best, arg, n = 0.0, None, 0
+    for time, dist in zip(times, dists):
+        n += 1
+        if arg is None or dist > best:
+            best, arg = dist, time
+    return best, arg, n
+
+
+def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, point) -> tuple[float, float | None, int]:
+    """``_first_max`` of d_K(y, p_k) over ``times``, for the point p_k of
+    each row k: a row marked ``fast`` holds p_k's coordinates over y's
+    carrier, so its distance to y is the l2 norm of their difference there,
+    which ``distance`` computes as ``math.sqrt(d.dot(d))``; the per-row dot
+    products of one ``matmul`` have the same bits.  Any other p_k is
+    ``point(k)``."""
+    dists = np.empty(len(fast))
+    d = np.array(y.coords) - rows[fast]
+    dists[fast] = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    for k in np.flatnonzero(~fast).tolist():
+        dists[k] = distance(K, y, point(k))
+    return _first_max(times, dists.tolist())
 
 
 def _pair_sup(M, times, tracks):

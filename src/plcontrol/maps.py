@@ -65,6 +65,9 @@ class SimplicialMap:
                 raise MalformedInputError(
                     f"image {self.vertex_map[v]!r} of {v!r} is not a target vertex"
                 )
+        if len(self.vertex_map) != len(self.source.vertex_order):  # every source vertex is a key
+            stray = next(v for v in self.vertex_map if v not in self.source._index)
+            raise MalformedInputError(f"vertex map names {stray!r}, which is not a source vertex")
         # derived from f alone, filled on first use by the owner named and kept while f lives
         self._fiber_cache: dict = {}  # fiber_over_barycenter, one per target simplex
         self._by_image: dict[Simplex, list[Simplex]] | None = None  # _source_by_image

@@ -26,7 +26,7 @@ from plcontrol import (
     distance,
     evaluate_map,
 )
-from plcontrol.cellulation import _first_max
+from plcontrol.homotopies import _first_max
 import homotopy_oracle
 
 

@@ -534,7 +534,7 @@ def test_rows_match_the_per_row_loop(gens, frac, data):
     """Every row of a cell point, over eps' grids with repeats, with 0.0 and
     empty, is the per-row einsum's to the bit, on a new view and on one
     whose image memo holds some of the grid's eps'."""
-    from plcontrol.cellulation import _EpsView
+    from plcontrol.homotopies import _EpsView
 
     K = closure_complex([tuple(g) for g in gens])
     view = _EpsView(K, min(comesh_of(K), 1.0) * frac)
@@ -559,7 +559,7 @@ def _simplex_complex(d):
 def test_row_sup_matches_the_per_row_loop(d, n, seed):
     """Random rows with random fast masks and repeated rows: the sup, its
     first time and the pair count are the per-row loop's, to the bit."""
-    from plcontrol.cellulation import _row_sup
+    from plcontrol.homotopies import _row_sup
 
     rng = np.random.default_rng(seed)
     K = _simplex_complex(d)

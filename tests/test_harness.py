@@ -807,12 +807,18 @@ _STRAY = {
         (_STRAY, ["cellulate", "k.json", "--epsilon", "0.1"], "'b' lies in no simplex"),
         (_STRAY, ["check-fibers", "m.json"], "'b' lies in no simplex"),
         (_STRAY, ["verify", "m.json"], "'b' lies in no simplex"),
+        (
+            {"m.json": {"source": "d1.json", "target": "d1.json", "vertex_map": {"a": "a", "b": "b", "zz": "b"}}},
+            ["verify", "m.json"],
+            "m.json: vertex map names 'zz', which is not a source vertex",
+        ),
     ],
 )
 def test_cli_reports_malformed_input_without_output(tmp_path, capsys, monkeypatch, files, argv, message):
     """Each of these ended in a traceback (ValueError, AttributeError,
     TypeError, IndexError or KeyError), was read silently (a string of
-    simplices as one-vertex simplices, a listed vertex in no simplex), or
+    simplices as one-vertex simplices, a listed vertex in no simplex, a
+    vertex-map entry for no source vertex), or
     printed the g_eps table before its error; each now exits 1 with an
     error line and prints nothing."""
     write_fixture_files(tmp_path)

@@ -886,11 +886,11 @@ def _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     """The h2 row of ``_family_controls`` equals the memo-free pair loop on
     the straight-line tracks of ``family_oracle`` in sup, witness and pair
     count; returns the eps' of the steps that took the scalar branch."""
-    from plcontrol import cellulation
+    from plcontrol import homotopies
     from plcontrol.homotopies import _family_controls
 
     scalar = []
-    real = cellulation._EpsView.step
+    real = homotopies._EpsView.step
 
     def spy(view, cell, s, t, e):
         scalar.append(e)
@@ -899,7 +899,7 @@ def _assert_h2_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     old_h2 = family_oracle.straightline_homotopy(f.target, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, lambda z: ((lambda t: z), old_h2.track(z)))
     with monkeypatch.context() as m:
-        m.setattr(cellulation._EpsView, "step", spy)
+        m.setattr(homotopies._EpsView, "step", spy)
         rep = _family_controls(fam, eps, fam.at(eps), pts, [], times)["h2"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
     return scalar
@@ -960,13 +960,13 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     and pair count in the family's memo, equal the memo-free pair loop on
     the h1 tracks of ``family_oracle`` through f; returns the number of rows
     that took the scalar branch (one ``distance`` each)."""
-    from plcontrol import cellulation, homotopies
+    from plcontrol import homotopies
     from plcontrol.homotopies import _family_controls
 
     tracks = _oracle_h1_tracks(f, fam, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, tracks)
     scalar = []
-    real = cellulation.distance
+    real = homotopies.distance
 
     def spy(*args):
         scalar.append(args)
@@ -975,7 +975,7 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     closures = fam.at(eps)
     assert isinstance(closures[1], homotopies._H1) and closures[1].measures(f, f)
     with monkeypatch.context() as m:
-        m.setattr(cellulation, "distance", spy)
+        m.setattr(homotopies, "distance", spy)
         rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
     for x, (best, arg, n) in fam._sups["h1", eps, times].items():
@@ -1098,7 +1098,7 @@ def test_canonical_rows_sum_in_pythons_order():
     """Rows whose sum lies within rounding of the 1e-12 bound: the test
     agrees with ``canonical`` on each, including rows on which a sum in
     another order would land on the other side of the bound."""
-    from plcontrol.cellulation import _canonical_rows
+    from plcontrol.complexes import _canonical_rows
 
     K = closure_complex([("a", "b", "c", "d")])
     top = K.maximal_simplices()[0]

@@ -62,6 +62,14 @@ def test_validate_catches_nonadjacent_image():
     assert [s.vertices for s in validate_map(f)] == [("a", "b")]
 
 
+def test_vertex_map_rejects_a_label_that_is_not_a_source_vertex():
+    """A stray entry would otherwise build a map that verifies and that
+    ``save_map`` writes back with the entry."""
+    D1 = fixtures.d1()
+    with pytest.raises(MalformedInputError, match="vertex map names 'zz', which is not a source vertex"):
+        SimplicialMap(D1, D1, {"a": "a", "b": "b", "zz": "nowhere"})
+
+
 def test_evaluate_vertex(MAP_COLLAPSE):
     v = evaluate_map(MAP_COLLAPSE, vertex_point(MAP_COLLAPSE.source, "c"))
     assert v.carrier.vertices == ("b",)

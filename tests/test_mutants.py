@@ -1,0 +1,151 @@
+"""A mutation matrix: each row breaks one kernel of a default verify, runs
+it on one map and states what the report then reads, or the typed error
+that escapes ``run_verify``.
+
+A row that passes under a real defect is a blind spot of today's verify.
+It is asserted as passing and names the ROADMAP item that should turn it:
+item 6 (the cellulation's corners as control samples) for the collar rows
+on D_3 and D_4, item 4 (slices with their own samples) for the slice rows.
+A row that raises names item 10's open decision: a ``NO`` row that names
+the error, instead of an error that escapes ``run_verify``.  The change
+that closes an item flips its rows and says so.
+"""
+
+import hashlib
+import types
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from plcontrol import InversionError, ProductDecompositionError, comesh_of, make_point, run_verify
+from plcontrol import cellulation, fixtures, maps
+from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT
+from test_harness import _fresh, _load_script
+
+ladder = _load_script("ladder")
+
+MAPS = {
+    "proj_map": lambda: _fresh(fixtures.proj_map()),
+    "map_collapse": lambda: _fresh(fixtures.map_collapse()),
+    "D_3": lambda: ladder.simplex_prism(3),
+    "D_4": lambda: ladder.simplex_prism(4),
+}
+
+
+def collar(k: float):
+    """The cellulation at k eps that claims to be at eps: the level
+    coefficients a_j = eps / len_j of the vertex images and of the inversion
+    are both read at k eps (``_try_cell`` reads nothing of its cellulation
+    but ``eps``).  k = 1.0 changes no bit."""
+
+    def patch(monkeypatch):
+        a_coeffs, try_cell = cellulation.FlagCell.a_coeffs, cellulation.Cellulation._try_cell
+        monkeypatch.setattr(
+            cellulation.FlagCell, "a_coeffs", lambda cell, eps: a_coeffs(cell, k * np.asarray(eps, dtype=float))
+        )
+        monkeypatch.setattr(
+            cellulation.Cellulation,
+            "_try_cell",
+            lambda cel, cell, y, tol: try_cell(types.SimpleNamespace(eps=k * cel.eps), cell, y, tol),
+        )
+
+    return patch
+
+
+def misweighted_join(monkeypatch):
+    """The join of ``test_product_certificate_catches_a_misweighted_join``:
+    half as much weight again on the first vertex of the base point."""
+    real = maps.fiber_join
+
+    def misweighted(f, z, y):
+        first = y.carrier.vertices[0]
+        yd = {w: c * (1.5 if w == first else 1.0) for w, c in y.as_dict().items()}
+        total = sum(yd.values())
+        return real(f, z, make_point(f.target, {w: c / total for w, c in yd.items()}))
+
+    monkeypatch.setattr(maps, "fiber_join", misweighted)
+
+
+MUTANTS = {
+    "collar(1.0)": collar(1.0),
+    "collar(1.01)": collar(1.01),
+    "collar(1.05)": collar(1.05),
+    "misweighted join": misweighted_join,
+}
+
+
+@dataclass(frozen=True)
+class Passes:
+    """TheoremConsistent, with B to 4 places and the render's sha256 where
+    pinned; ``item`` is the open item that should turn a defect's row."""
+
+    bound: float | None = None
+    sha256: str | None = None
+    item: str | None = None
+
+
+@dataclass(frozen=True)
+class Refutes:
+    """CounterexampleToImplementation, with exactly the control rows at
+    comesh / d, for d in ``no_rows``, reading ``NO``."""
+
+    no_rows: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Raises:
+    """``error`` escapes ``run_verify``; ``item`` is the open item that
+    should turn it into a report line."""
+
+    error: type
+    item: str | None = "item 10"
+
+
+D3_SHA = "60bcb28504ca7d6ef030cc5705248cae0ffce1e8d117f1224bc64be2cf887523"
+D4_SHA = "28a6214f6e9c442aeb06a6ba7e3d0ad6f377d19d2d1208706c5cb51bf7006cd2"
+
+ROWS = [
+    ("collar(1.0)", "proj_map", Passes()),
+    ("collar(1.0)", "map_collapse", Passes()),
+    ("collar(1.0)", "D_3", Passes(0.9652, D3_SHA)),
+    ("collar(1.0)", "D_4", Passes(0.7963, D4_SHA)),
+    ("collar(1.01)", "proj_map", Refutes((16, 32))),
+    ("collar(1.01)", "map_collapse", Raises(InversionError)),
+    ("collar(1.01)", "D_3", Passes(0.9787, item="item 6")),
+    ("collar(1.01)", "D_4", Passes(0.8070, item="item 6")),
+    ("collar(1.05)", "proj_map", Raises(InversionError)),
+    ("collar(1.05)", "map_collapse", Raises(InversionError)),
+    ("collar(1.05)", "D_3", Refutes((2,))),
+    ("collar(1.05)", "D_4", Passes(0.8498, item="item 6")),
+    ("misweighted join", "proj_map", Raises(ProductDecompositionError, item=None)),
+    ("misweighted join", "map_collapse", Raises(ProductDecompositionError, item=None)),
+]
+
+
+def _row_id(mutant, name, outcome):
+    item = getattr(outcome, "item", None)
+    return f"{mutant}-{name}" + (f"-{item}" if item else "")
+
+
+@pytest.mark.parametrize("mutant, name, outcome", ROWS, ids=[_row_id(*row) for row in ROWS])
+def test_mutant(mutant, name, outcome, monkeypatch):
+    f = MAPS[name]()
+    MUTANTS[mutant](monkeypatch)
+    if isinstance(outcome, Raises):
+        with pytest.raises(outcome.error):
+            run_verify(f)
+        return
+    report = run_verify(f)
+    # item 4: the slice rows read yes under every mutant of this table
+    assert [row.ok for row in report.slice_rows] == [True] * 3
+    if isinstance(outcome, Passes):
+        assert report.overall == THEOREM_CONSISTENT, outcome.item
+        if outcome.bound is not None:
+            assert round(report.bound, 4) == outcome.bound, outcome.item
+        if outcome.sha256 is not None:
+            assert hashlib.sha256(report.render().encode()).hexdigest() == outcome.sha256
+        return
+    assert report.overall == COUNTEREXAMPLE
+    comesh = comesh_of(f.target)
+    assert [round(comesh / row.eps) for row in report.control_rows if not row.ok] == list(outcome.no_rows)
