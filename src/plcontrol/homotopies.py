@@ -439,13 +439,13 @@ def effective_comesh(K: SimplicialComplex) -> float:
 class ControlledFamily:
     """The one-parameter family {g_eps, h1_eps, h2_eps} for a fixed gamma.
 
-    ``at`` builds one ``_EpsView`` of the target at eps, which
-    reads the cellulation that ``build_cellulation`` keeps at exactly eps
-    (and rejects an eps outside (0, comesh)), and its three closures over
-    it, so one ``at`` call inverts each distinct point once and builds each
-    (cell, eps') image array once.  The view dies with the closures.  ``_sups`` is the one
-    per-point memo of ``family_controls``, keyed by the exact eps; it lives
-    as long as the family."""
+    ``at`` builds one ``_EpsView`` of the target at eps, which reads the
+    cellulation that ``build_cellulation`` keeps at exactly eps (and
+    rejects an eps outside (0, comesh)), and its three closures over it, so
+    one ``at`` call inverts each distinct point once and builds each
+    (cell, eps') image array once.  The view dies with the closures.
+    ``_sups`` is the one per-point memo of ``family_controls``, keyed by the
+    exact eps; it lives as long as the family."""
 
     f: SimplicialMap
     gamma: FlagMap
