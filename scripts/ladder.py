@@ -2,7 +2,9 @@
 """Run the default `run_verify` on the ladder and print, per rung, the
 source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
-then the CPU and reference seconds of each stage of the verify (`STAGES`).
+then the CPU and reference seconds of each stage of the verify (`STAGES`)
+and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
+calls and the h1 row's joined passes (`maps._joined_image_rows`).
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -15,7 +17,8 @@ equal to an earlier one means the report text is byte-identical.  A stage's
 seconds are those of the calls `run_verify` makes to its functions, which
 are wrapped in the namespace of `plcontrol.verify` while the rung runs; what
 no stage holds (the family's construction, the sample draws) is in the total
-only.
+only.  The counts are read the same way, by wrapping each counted function
+where its callers look it up while the rung runs.
 
 Reference seconds are wall seconds at a fixed machine speed, read off the
 `SpeedClock` of `perfbench/speed.py`, which probes the speed every 20 ms of
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from plcontrol import SimplicialMap, closure_complex, verify  # noqa: E402
+from plcontrol import SimplicialMap, cellulation, closure_complex, homotopies, maps, verify  # noqa: E402
 
 RUNGS = (0, 1, 2)
 
@@ -46,6 +49,13 @@ STAGES = {
     "identities": ("_identity_checks",),
     "control table": ("_family_controls",),
     "assembly": ("assemble_bounded_equivalence", "slice_equivalence"),
+}
+
+# work count -> the (owner, attribute) whose calls it counts
+COUNTS = {
+    "inversions": (cellulation.Cellulation, "invert"),
+    "fiber_split": (maps, "fiber_split"),
+    "h1 joined passes": (homotopies, "_joined_image_rows"),
 }
 
 
@@ -112,6 +122,29 @@ def _stage_clock(clock):
             setattr(verify, name, fn)
 
 
+@contextlib.contextmanager
+def _work_counts():
+    """While open, the yielded dict counts the calls of each function of
+    `COUNTS`."""
+    counts = dict.fromkeys(COUNTS, 0)
+    saved = {name: getattr(owner, attr) for name, (owner, attr) in COUNTS.items()}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, (owner, attr) in COUNTS.items():
+        setattr(owner, attr, counted(name, saved[name]))
+    try:
+        yield counts
+    finally:
+        for name, (owner, attr) in COUNTS.items():
+            setattr(owner, attr, saved[name])
+
+
 def rung(k) -> dict:
     """The default verify of the rung k (Prism(k), or D_d for k = "d<d>"):
     sizes, CPU and reference seconds, verdict, B, the sha256 of the render
@@ -120,7 +153,7 @@ def rung(k) -> dict:
     clock = speed.SpeedClock()
     clock.start()
     try:
-        with _stage_clock(clock) as (stages, ref_stages):
+        with _stage_clock(clock) as (stages, ref_stages), _work_counts() as counts:
             start, ref_start = time.process_time(), clock.now()
             report = verify.run_verify(f)
             cpu_s, ref_s = time.process_time() - start, clock.now() - ref_start
@@ -138,6 +171,7 @@ def rung(k) -> dict:
         "sha256": hashlib.sha256(report.render().encode()).hexdigest(),
         "stages": stages,
         "ref_stages": ref_stages,
+        "counts": counts,
     }
 
 
@@ -156,9 +190,9 @@ def main() -> None:
         )
         print(
             "  stages, CPU s / ref s: "
-            + "  ".join(f"{stage} {s:.2f}/{r['ref_stages'][stage]:.2f}" for stage, s in r["stages"].items()),
-            flush=True,
+            + "  ".join(f"{stage} {s:.2f}/{r['ref_stages'][stage]:.2f}" for stage, s in r["stages"].items())
         )
+        print("  work: " + "  ".join(f"{name} {n}" for name, n in r["counts"].items()), flush=True)
 
 
 if __name__ == "__main__":

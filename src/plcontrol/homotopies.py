@@ -7,24 +7,29 @@ barycenter simplex into the fiber over sigma_0-hat; flag-length-zero chains
 get base points, longer chains get the cone extension of their boundary
 assembly through the collapse-derived contraction of the fiber.
 
-What is kept, and for how long: a gamma map keeps one fiber-contraction
-track per (sigma, w), with its values per time (``FlagMap._tracks``), for
-as long as it lives, and every ``family.at(eps)`` reads them.  What one
-``ControlledFamily.at(eps)`` shares among its g, h1 and h2 has one owner,
-an ``_EpsView``: the cellulation that ``build_cellulation`` keeps at
-exactly that eps, a locate memo and the cell vertex images at each
-eps' = eps (1 - t) that the steps read (``_EpsView.rows``, ``step`` is its
-one-row case).  It dies with the closures built over it;
-``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each build
-their own.  Its h2 (``_StraightLine``) and each track of its h1
-(``_H1Track``) read it to measure their control rows per sampled point as
-arrays over the time grid (``sup_at``): ``rows`` builds the images its
-memo lacks in one ``vertex_images`` call and forms every row in one
-``cellulation._contract``.  An h1 track keeps its point's split, cell and
-second-half start-up as long as the track lives, and ``_H1.sup_at`` reads
-them off the track it builds for the point.  ``_row_sup`` measures both
-rows, every fast row with one norm, and ``_first_max`` is the one
-first-maximum reduction of every sampled control; neither keeps anything.
+What is kept, and for how long: a gamma map keeps, for as long as it
+lives, one fiber-contraction track per (sigma, w), with its values per
+time (``FlagMap._tracks``), and the split (z, f(x)) of each point that an
+h1 track starts from (``FlagMap._splits``).  Neither depends on eps, so
+every ``family.at(eps)`` reads them, and one ``run_verify`` splits each
+sampled x once.  What one ``ControlledFamily.at(eps)`` shares among its
+g, h1 and h2 has one owner, an ``_EpsView``: the cellulation that
+``build_cellulation`` keeps at exactly that eps, a locate memo and the
+cell vertex images at each eps' = eps (1 - t) that the steps read
+(``_EpsView.rows``, ``step`` is its one-row case).  It dies with the
+closures built over it; ``straightline_homotopy``, ``build_inverse`` and
+``build_h1`` each build their own.  Its h2 (``_StraightLine``) and each
+track of its h1 (``_H1Track``) read it to measure their control rows as
+arrays over the time grid, h2 per sampled point (``sup_at``) and h1 per
+carrier of f(x) (``sup_ats``): ``rows`` builds the images its memo lacks
+in one ``vertex_images`` call and forms every row in one
+``cellulation._contract``.  An h1 track keeps its point's cell and
+second-half start-up as long as the track lives.  ``_H1.sup_ats`` builds
+the tracks of the points over one carrier, joins all their rows in one
+``maps._joined_image_rows`` pass and drops them before the next carrier.
+``_row_sup`` measures both rows, every fast row with one norm, and
+``_first_max`` is the one first-maximum reduction of every sampled
+control; neither keeps anything.
 A family keeps its per-point control sups (``_sups``) as long as it lives,
 keyed by the exact eps like every cache that depends on eps: none rounds
 its eps.
@@ -112,7 +117,9 @@ class FlagMap:
     its values per time; it is filled by ``fiber_track`` and lives as long
     as the gamma map.  The fiber contractions do not depend on eps, so, like
     ``K._flag_cells``, the tracks serve every ``family.at(eps)``: g, the
-    second half of h1 and ``contract_in_fiber`` all read them."""
+    second half of h1 and ``contract_in_fiber`` all read them.  ``_splits``
+    keeps, as long, the split of each point ``split`` was asked for: the
+    start of every h1 track at every eps."""
 
     f: SimplicialMap
     trivialization: object
@@ -123,6 +130,15 @@ class FlagMap:
         default_factory=dict
     )
     _tracks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def split(self, x: Point) -> tuple[Point, Point]:
+        """``trivialization.split(x)``, made once per x: the split does not
+        depend on eps, so the h1 tracks of every ``family.at(eps)`` read it."""
+        hit = self._splits.get(x)
+        if hit is None:
+            hit = self._splits[x] = self.trivialization.split(x)
+        return hit
 
     def fiber_track(self, sigma: Simplex, w: Point) -> Callable[[float], Point]:
         """The track of the fiber contraction over sigma at the fiber point w:
@@ -326,23 +342,25 @@ def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
     """h1 = (fiber-direction correction) after (id x h2 through the product
     structure); the first half carries the control, the second has none.
 
-    One track splits x and inverts f(x) once: h1' (the first half), the end
-    of h1' and g_eps(f(x)) (the second half's ends) all read that cell, and
-    the second half locates those two ends in their fiber once."""
+    One track reads x's split off gamma and inverts f(x) once: h1' (the
+    first half), the end of h1' and g_eps(f(x)) (the second half's ends)
+    all read that cell, and the second half locates those two ends in their
+    fiber once."""
     return _h1(f, gamma, _EpsView(f.target, eps))
 
 
 class _H1Track:
-    """The track t -> h1(x, t) of one eps-cellulation.  x is split and f(x)
-    located once: the fiber part ``z``, f(x) as ``y`` and its ``cell`` and
-    cell coordinates (s, t).  The second half's start-up, ybar = f(h1(x,
+    """The track t -> h1(x, t) of one eps-cellulation.  x's split is read
+    off gamma, which makes it once for every eps, and f(x) is located once:
+    the fiber part ``z``, f(x) as ``y`` and its ``cell`` and cell
+    coordinates (s, t).  The second half's start-up, ybar = f(h1(x,
     1/2)) and the fiber tracks from the ends of h1' and of g_eps(f(x))
     (``second``), is made once, on first use.  The track holds no reference
     to its homotopy, so no h1 sits in a reference cycle."""
 
     def __init__(self, gamma: FlagMap, view: _EpsView, x: Point):
         self.gamma, self.view = gamma, view
-        self.z, self.y = gamma.trivialization.split(x)
+        self.z, self.y = gamma.split(x)
         self.cell, (self.s, self.t) = view.locate(self.y)
 
     def step(self, eps: float) -> Point:
@@ -372,60 +390,76 @@ class _H1Track:
 
 @dataclass
 class _H1(Homotopy):
-    """h1 of the eps-cellulation, whose tracks are ``_H1Track``s, with the
-    map and gamma, so that ``sup_at`` can measure a sampled point's control
-    through f over a whole time grid as arrays read off its track."""
+    """h1 of the eps-cellulation, whose tracks are ``_H1Track``s over
+    ``view``, with the map and gamma, so that ``sup_ats`` can measure
+    sampled points' controls through f over a whole time grid as arrays
+    read off their tracks."""
 
     f: SimplicialMap
     gamma: FlagMap
+    view: _EpsView
 
     def measures(self, p, q) -> bool:
-        """Whether ``sup_at`` is the control through p and q: both are f,
+        """Whether ``sup_ats`` is the control through p and q: both are f,
         and gamma joins in f's own join coordinates."""
         triv = self.gamma.trivialization
         return p is self.f and q is self.f and type(triv) is JoinTrivialization and triv.f is self.f
 
-    def sup_at(self, x: Point, times) -> tuple[float, float | None, int]:
-        """(sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the first t
-        attaining it, the pairs measured), equal to the pair loop of
-        ``_sampled_sup`` on the tracks (f(x), f(h1(x, .))).
+    def sup_ats(self, xs, times) -> dict[Point, tuple[float, float | None, int]]:
+        """x -> (sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the
+        first t attaining it, the pairs measured) for each x of ``xs``,
+        equal to the pair loop of ``_sampled_sup`` on the tracks (f(x),
+        f(h1(x, .))).
 
-        The rows are read off x's track: the first half (t <= 1/2) joins
-        the fiber part z to the steps at eps' = eps (1 - 2t), one
-        ``_EpsView.rows`` array, and the second half joins the track's fiber
-        points to ybar.  A row whose step ``canonical`` leaves as it is
-        (``_canonical_rows``) and whose join ``maps._joined_image_rows``
-        reproduces is f(h1(x, t)) on f(x)'s carrier, measured as such by
-        ``_row_sup``.  Every other row evaluates f on the track, except that
-        the row at t = 1/2 reads ybar when the track has made it."""
+        The points are measured per carrier of f(x), read off gamma's split
+        memo, one carrier's tracks at a time.  Each x's rows are read off
+        its track: the first half (t <= 1/2) is the steps at eps' = eps (1 -
+        2t), one ``_EpsView.rows`` array joined to the fiber part z, and the
+        second half joins the track's fiber points to ybar.  All rows of a
+        carrier take one ``maps._joined_image_rows``, whose every sum adds a
+        column off a row's carrier as 0, so a row's bits do not depend on
+        the rows beside it.  A row whose step ``canonical`` leaves as it is
+        (``_canonical_rows``) and whose join the pass reproduces is f(h1(x,
+        t)) on f(x)'s carrier, measured as such by ``_row_sup``, one call
+        per x.  Every other row evaluates f on the track, except that the
+        row at t = 1/2 reads ybar when the track has made it."""
         if not times:
-            return 0.0, None, 0
-        # the factory, not ``track``, whose result a wrapper (such as the
-        # tracer of perfbench/tracing.py) may hide: the rows read the track's state
-        f, tr = self.f, self.track_factory(x)
-        y = canonical(f.target, tr.y)  # the inversion read the cells over y's carrier
+            return dict.fromkeys(xs, (0.0, None, 0))
+        f, Y, n = self.f, self.f.target, len(times)
+        groups: dict[Simplex, list[Point]] = {}
+        for x in xs:
+            groups.setdefault(canonical(Y, self.gamma.split(x)[1]).carrier, []).append(x)
         late = np.array([time > 0.5 for time in times])
-        rows = np.zeros((len(times), len(y.coords)))
-        epss = [tr.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
-        rows[~late] = tr.view.rows(tr.cell, tr.s, tr.t, epss)
-        ybar = None
-        if late.any():
-            ybar = tr.second[0]
-            base = np.zeros(len(y.coords))
-            base[[y.carrier.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
-            rows[late] = base
-        F, fast = _joined_image_rows(f, y.carrier, [tr.fiber_at(time) if time > 0.5 else tr.z for time in times], rows)
-        fast &= late | _canonical_rows(rows)
+        late_rows = np.flatnonzero(late)[:, None]
+        epss = [self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
+        out = {}
+        for sigma, group in groups.items():
+            # the factory, not ``track``, whose result a wrapper (such as the
+            # tracer of perfbench/tracing.py) may hide: the rows read the track's state
+            tracks = [self.track_factory(x) for x in group]
+            rows = np.zeros((len(group) * n, len(sigma.vertices)))
+            for block, tr in zip(rows.reshape(len(group), n, -1), tracks):
+                block[~late] = self.view.rows(tr.cell, tr.s, tr.t, epss)  # before ``second`` reads its eps' = 0
+                if late_rows.size:
+                    ybar = tr.second[0]
+                    block[late_rows, [sigma.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
+            ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
+            F, fast = _joined_image_rows(f, sigma, ws, rows)
+            fast &= np.tile(late, len(group)) | _canonical_rows(rows)
+            for x, tr, F_x, fast_x in zip(group, tracks, np.split(F, len(group)), np.split(fast, len(group))):
+                ybar = tr.second[0] if late_rows.size else None
 
-        def point(k: int) -> Point:
-            return ybar if times[k] == 0.5 and ybar is not None else evaluate_map(f, tr(times[k]))
+                def point(j: int, tr=tr, ybar=ybar) -> Point:
+                    return ybar if times[j] == 0.5 and ybar is not None else evaluate_map(f, tr(times[j]))
 
-        return _row_sup(f.target, y, times, F, fast, point)
+                # y canonical: the inversion read the cells over y's carrier
+                out[x] = _row_sup(Y, canonical(Y, tr.y), times, F_x, fast_x, point)
+        return out
 
 
 def _h1(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> _H1:
     track_factory = functools.partial(_H1Track, gamma, view)
-    return _H1(domain=f.source, codomain=f.source, track_factory=track_factory, f=f, gamma=gamma)
+    return _H1(domain=f.source, codomain=f.source, track_factory=track_factory, f=f, gamma=gamma, view=view)
 
 
 def effective_comesh(K: SimplicialComplex) -> float:
@@ -516,7 +550,7 @@ def _control_fn(control, K: SimplicialComplex):
 def sample_points(K: SimplicialComplex, samples: int, seed: int = 0, subdivision_rounds: int = 1) -> list[Point]:
     """Vertices of the r-fold subdivision plus uniformly drawn points of
     maximal simplices."""
-    _check_nonnegative(samples=samples, seed=seed)
+    _check_nonnegative(samples=samples, seed=seed, subdivision_rounds=subdivision_rounds)
     pts = subdivision_points(K, subdivision_rounds)
     rng = np.random.default_rng(seed)
     maxs = K.maximal_simplices()
@@ -601,16 +635,22 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
     """The sampled sup of d_M(p(z), q(u(z, t))) over the points and times,
     with p and q landing in one metric complex M (None is the identity; a
     map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``.
-    The straight-line homotopy against the identity, and h1 through f, are
-    measured per point over the whole time grid (``sup_at``).  The times are
+    The straight-line homotopy against the identity is measured per point
+    over the whole time grid (``sup_at``), and h1 through f in one
+    ``sup_ats`` call over all the points ``memo`` lacks, whose results fill
+    it (a memo of the call's own when none is given).  The times are
     Python floats: each measurement converts its grid once, where it enters
     (``sampled_sup``, ``measure_control``, ``_family_controls``)."""
     pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
     if M is not M2:
         raise MalformedInputError("control maps must land in one metric complex")
-    if (isinstance(u, _StraightLine) and p is None and q is None) or (isinstance(u, _H1) and u.measures(p, q)):
+    if isinstance(u, _StraightLine) and p is None and q is None:
         point_sup = functools.partial(u.sup_at, times=times)
+    elif isinstance(u, _H1) and u.measures(p, q):
+        memo = {} if memo is None else memo
+        memo.update(u.sup_ats([z for z in dict.fromkeys(points) if z not in memo], times))
+        point_sup = memo.__getitem__
     else:
         track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
 
@@ -667,6 +707,7 @@ def measure_control(
     """Sup over the sample set of d_M(p(z), q(u(z))), homotopies sampled at
     ``time_steps`` times per spatial sample (tracks reuse per-point setup),
     with the witness (z, t) that attains it."""
+    _check_nonnegative(time_steps=time_steps)
     pts = sample_points(u.domain, samples, seed=seed, subdivision_rounds=subdivision_rounds)
     times = np.linspace(0.0, 1.0, time_steps).tolist() if isinstance(u, Homotopy) else (0.0,)
     return _control_report(u, p, q, pts, times, epsilon_target)

@@ -299,7 +299,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     """Count, from here on, the calls of the work a verify does: inversions,
     cells tried, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image builds (calls of ``vertex_images``),
-    fiber-contraction tracks, ``make_point`` and ``image_simplex``.  The returned dict is live."""
+    fiber-contraction tracks, ``make_point``, ``image_simplex``,
+    ``fiber_split`` and the h1 row's joined passes
+    (``_joined_image_rows``).  The returned dict is live."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
 
     calls: dict[str, int] = {}
@@ -324,7 +326,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     ):
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     for name, fn in (
-        ("distance", metrics.distance), ("sample_points", homotopies.sample_points), ("make_point", complexes.make_point)
+        ("distance", metrics.distance), ("sample_points", homotopies.sample_points),
+        ("make_point", complexes.make_point), ("fiber_split", maps.fiber_split),
+        ("joined", maps._joined_image_rows),
     ):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
@@ -386,6 +390,19 @@ def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
     calls = _count_work(monkeypatch)
     assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
     assert calls["cold"] == 13
+
+
+def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkeypatch):
+    """A default verify of proj_map makes at most 3372 ``fiber_split`` calls
+    and 152 joined passes of the h1 row (4219 and 887 when every h1 track
+    split its x again at every eps and every point had a pass of its own):
+    gamma keeps each sampled x's split for every eps, and the h1 row of one
+    eps joins the rows of all points whose f(x) lies on one carrier in one
+    ``_joined_image_rows``."""
+    calls = _count_work(monkeypatch)
+    assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
+    assert calls["fiber_split"] <= 3372
+    assert calls["joined"] <= 152
 
 
 def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):

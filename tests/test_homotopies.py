@@ -35,6 +35,7 @@ from plcontrol import fixtures
 import cellulation_oracle
 import control_oracle
 import family_oracle
+import h1_row_oracle
 
 
 def random_point(K, rng):
@@ -1092,6 +1093,102 @@ def test_h1_row_of_another_trivialization_takes_the_pair_loop():
     want = control_oracle.sampled_sup(f.target, pts, times, _oracle_h1_tracks(f, fam, eps))
     rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
+
+
+# -- the h1 row per carrier of f(x) against the per-point oracle ----------------------
+
+# no time, time 0 alone, a grid with 1/2 and one without it
+H1_GRIDS = ((), (0.0,), tuple(map(float, np.linspace(0.0, 1.0, 9))), tuple(map(float, np.linspace(0.0, 1.0, 8))))
+
+
+def _assert_sup_ats_match_the_per_point_oracle(h1, xs, times):
+    """``h1.sup_ats`` on all of xs, and on each x alone (a one-point group),
+    gives the per-point oracle's (sup, t, pairs) for every x, and the row
+    its (sup, witness, pairs), byte for byte: ``repr`` writes a float
+    exactly, with its sign."""
+    from plcontrol.homotopies import _control_report, _sampled_sup
+
+    got = h1.sup_ats(xs, times)
+    assert set(got) == set(xs)
+    want = {x: h1_row_oracle.sup_at(h1, x, times) for x in xs}
+    for x in xs:
+        assert repr(got[x]) == repr(h1.sup_ats([x], times)[x]) == repr(want[x])
+    rep = _control_report(h1, h1.f, h1.f, xs, times, None)
+    assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(_sampled_sup(xs, want.__getitem__, None))
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "tetrahedron_onto_edge"])
+def test_h1_row_per_carrier_matches_the_per_point_oracle(name, monkeypatch):
+    """At every schedule eps, on X samples and on points with one
+    coordinate just above TOL, some of whose rows take the scalar
+    ``point(k)`` path (one ``distance`` each)."""
+    from plcontrol import homotopies
+
+    f = _tetrahedron_onto_edge() if name == "tetrahedron_onto_edge" else getattr(fixtures, name)()
+    fam = build_family(f)
+    pts = sample_points(f.source, 40, seed=0) + _near_boundary_points(f.source)
+    scalar = []
+    real = homotopies.distance
+    monkeypatch.setattr(homotopies, "distance", lambda *args: scalar.append(args) or real(*args))
+    for eps in epsilon_schedule(f.target):
+        for times in H1_GRIDS:
+            _assert_sup_ats_match_the_per_point_oracle(fam.at(eps)[1], pts, times)
+    assert scalar
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_h1_row_per_carrier_matches_the_per_point_oracle_on_random_maps(f, seed):
+    try:
+        fam = build_family(f)
+    except CannotConstructError:
+        return
+    pts = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
+    for eps in epsilon_schedule(f.target, steps=3):
+        for times in H1_GRIDS:
+            _assert_sup_ats_match_the_per_point_oracle(fam.at(eps)[1], pts, times)
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)"])
+def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(name, monkeypatch):
+    """Every h1 row of a default seed-0 verify, at each of its 13 eps: each
+    point's (sup, t, pairs) in the family's memo and the row's (sup,
+    witness, pairs) are the per-point oracle's, byte for byte."""
+    from plcontrol import homotopies, run_verify
+    from plcontrol.verify import THEOREM_CONSISTENT
+    from test_harness import _fresh, _load_script
+
+    f = _load_script("ladder").inputs.prism_map(1) if name == "Prism(1)" else _fresh(getattr(fixtures, name)())
+    real = homotopies._control_report
+    measured = []
+
+    def both(u, p, q, points, times, eps, memo=None):
+        rep = real(u, p, q, points, times, eps, memo)
+        if isinstance(u, homotopies._H1) and u.measures(p, q):
+            want = {x: h1_row_oracle.sup_at(u, x, times) for x in points}
+            assert all(repr(memo[x]) == repr(want[x]) for x in points)
+            fold = homotopies._sampled_sup(points, want.__getitem__, None)
+            assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(fold)
+            measured.append(eps)
+        return rep
+
+    monkeypatch.setattr(homotopies, "_control_report", both)
+    assert run_verify(f).overall == THEOREM_CONSISTENT
+    assert len(set(measured)) == 13
+
+
+def test_sampling_counts_below_zero_raise_typed_errors():
+    """A negative subdivision round count sampled as if it were 0, and a
+    negative time step count escaped as numpy's untyped ``ValueError``:
+    both are refused as malformed input."""
+    from plcontrol import MalformedInputError, straightline_homotopy
+    from plcontrol.homotopies import effective_comesh
+
+    D2 = fixtures.d2()
+    with pytest.raises(MalformedInputError, match="^subdivision_rounds must be >= 0, got -3$"):
+        sample_points(D2, 0, subdivision_rounds=-3)
+    with pytest.raises(MalformedInputError, match="^time_steps must be >= 0, got -1$"):
+        measure_control(straightline_homotopy(D2, effective_comesh(D2) / 2.0), time_steps=-1)
 
 
 def test_canonical_rows_sum_in_pythons_order():

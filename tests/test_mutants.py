@@ -5,7 +5,9 @@ that escapes ``run_verify``.
 A row that passes under a real defect is a blind spot of today's verify.
 It is asserted as passing and names the ROADMAP item that should turn it:
 item 6 (the cellulation's corners as control samples) for the collar rows
-on D_3 and D_4, item 4 (slices with their own samples) for the slice rows.
+on D_3 and D_4, item 5 (the exact control and its cross-check of the
+sampled columns) for the carrier-metric row on proj_map, item 4 (slices
+with their own samples) for the slice rows.
 A row that raises names item 10's open decision: a ``NO`` row that names
 the error, instead of an error that escapes ``run_verify``.  The change
 that closes an item flips its rows and says so.
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from plcontrol import InversionError, ProductDecompositionError, comesh_of, make_point, run_verify
-from plcontrol import cellulation, fixtures, maps
+from plcontrol import cellulation, cone, fixtures, maps, metrics
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT
 from test_harness import _fresh, _load_script
 
@@ -39,7 +41,7 @@ def collar(k: float):
     are both read at k eps (``_try_cell`` reads nothing of its cellulation
     but ``eps``).  k = 1.0 changes no bit."""
 
-    def patch(monkeypatch):
+    def patch(monkeypatch, f):
         a_coeffs, try_cell = cellulation.FlagCell.a_coeffs, cellulation.Cellulation._try_cell
         monkeypatch.setattr(
             cellulation.FlagCell, "a_coeffs", lambda cell, eps: a_coeffs(cell, k * np.asarray(eps, dtype=float))
@@ -53,7 +55,7 @@ def collar(k: float):
     return patch
 
 
-def misweighted_join(monkeypatch):
+def misweighted_join(monkeypatch, f):
     """The join of ``test_product_certificate_catches_a_misweighted_join``:
     half as much weight again on the first vertex of the base point."""
     real = maps.fiber_join
@@ -67,11 +69,39 @@ def misweighted_join(monkeypatch):
     monkeypatch.setattr(maps, "fiber_join", misweighted)
 
 
+def alpha_schedule(k: float):
+    """The cone's control schedule off by the factor k: the assembly reads
+    every height's eps at k times the schedule's."""
+
+    def patch(monkeypatch, f):
+        real = cone.alpha_schedule
+        monkeypatch.setattr(cone, "alpha_schedule", lambda comesh, t: k * real(comesh, t))
+
+    return patch
+
+
+def carrier_metric(k: float):
+    """The l2 metric of one carrier of the target, its first maximal
+    simplex, scaled by k wherever ``distance`` measures in it.  The array
+    rows of h1 and h2 measure their norms without ``distance``, so they do
+    not see it."""
+
+    def patch(monkeypatch, f):
+        top, real = f.target.maximal_simplices()[0], metrics._l2_in_simplex
+        monkeypatch.setattr(
+            metrics, "_l2_in_simplex", lambda p, q, carrier: real(p, q, carrier) * (k if carrier is top else 1.0)
+        )
+
+    return patch
+
+
 MUTANTS = {
     "collar(1.0)": collar(1.0),
     "collar(1.01)": collar(1.01),
     "collar(1.05)": collar(1.05),
     "misweighted join": misweighted_join,
+    "alpha_schedule(1.01)": alpha_schedule(1.01),
+    "carrier metric(1.01)": carrier_metric(1.01),
 }
 
 
@@ -88,9 +118,11 @@ class Passes:
 @dataclass(frozen=True)
 class Refutes:
     """CounterexampleToImplementation, with exactly the control rows at
-    comesh / d, for d in ``no_rows``, reading ``NO``."""
+    comesh / d, for d in ``no_rows``, reading ``NO``, and B to 4 places
+    where pinned."""
 
     no_rows: tuple[int, ...]
+    bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -104,6 +136,8 @@ class Raises:
 
 D3_SHA = "60bcb28504ca7d6ef030cc5705248cae0ffce1e8d117f1224bc64be2cf887523"
 D4_SHA = "28a6214f6e9c442aeb06a6ba7e3d0ad6f377d19d2d1208706c5cb51bf7006cd2"
+# proj_map's render with the carrier metric scaled: its B is the healthy one
+CARRIER_PROJ_SHA = "e706c05834ce7e328be7fd4cf1b2ae4501c706374c8ac935b41477a835f02fac"
 
 ROWS = [
     ("collar(1.0)", "proj_map", Passes()),
@@ -120,6 +154,10 @@ ROWS = [
     ("collar(1.05)", "D_4", Passes(0.8498, item="item 6")),
     ("misweighted join", "proj_map", Raises(ProductDecompositionError, item=None)),
     ("misweighted join", "map_collapse", Raises(ProductDecompositionError, item=None)),
+    ("alpha_schedule(1.01)", "proj_map", Refutes((), bound=1.0051)),
+    ("alpha_schedule(1.01)", "map_collapse", Refutes((), bound=1.0097)),
+    ("carrier metric(1.01)", "proj_map", Passes(0.9943, CARRIER_PROJ_SHA, item="item 5")),
+    ("carrier metric(1.01)", "map_collapse", Refutes((2, 4, 16, 32), bound=1.0074)),
 ]
 
 
@@ -131,7 +169,7 @@ def _row_id(mutant, name, outcome):
 @pytest.mark.parametrize("mutant, name, outcome", ROWS, ids=[_row_id(*row) for row in ROWS])
 def test_mutant(mutant, name, outcome, monkeypatch):
     f = MAPS[name]()
-    MUTANTS[mutant](monkeypatch)
+    MUTANTS[mutant](monkeypatch, f)
     if isinstance(outcome, Raises):
         with pytest.raises(outcome.error):
             run_verify(f)
@@ -149,3 +187,5 @@ def test_mutant(mutant, name, outcome, monkeypatch):
     assert report.overall == COUNTEREXAMPLE
     comesh = comesh_of(f.target)
     assert [round(comesh / row.eps) for row in report.control_rows if not row.ok] == list(outcome.no_rows)
+    if outcome.bound is not None:
+        assert round(report.bound, 4) == outcome.bound
