@@ -7,10 +7,12 @@ PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 `perfbench/run.py --trace 0` once in each of them, one after the other,
 and the side that runs first alternates from pair to pair.  The summary
 gives, per end-to-end metric, each side's median and quartiles and the
-number of pairs in which the change is better.  It is printed only when
-every run is `correct`: timings of a run with a failed operation measure
-other work.  Nothing under `perfbench/` is written to but its `work/`
-directory, which the runs themselves use.
+number of pairs in which the change is better, then one no-regression
+verdict per metric against the `bound` that BENCHMARK.json gives it (see
+`verdicts`).  Both are printed only when every run is `correct`: timings of
+a run with a failed operation measure other work.  Nothing under
+`perfbench/` is written to but its `work/` directory, which the runs
+themselves use.
 
 Bytecode left in a checkout speeds up the imports that `setup_s` times, so
 the script refuses to start when either checkout holds
@@ -43,10 +45,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def end_to_end(checkout: Path) -> list[dict]:
+    """The end-to-end metrics of the checkout's BENCHMARK.json, each with its
+    name, direction ("better") and bound."""
+    return json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
+
+
 def directions(checkout: Path) -> dict[str, str]:
     """metric -> "lower" or "higher", from the checkout's BENCHMARK.json."""
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in end_to_end(checkout)}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -81,6 +88,36 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     return out
 
 
+def verdicts(parent: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
+    """One verdict per metric of correct, paired result lines; ``bound`` is
+    the largest relative worsening of the median that the metric allows.
+
+    - "unresolved" when the parent's runs spread wider than the bound,
+      (q3 - q1) / median > bound, unless every change run beats every
+      parent run: pairs that noisy cannot show a worsening within it;
+    - else "worse beyond bound" when the change's median is worse than the
+      parent's by more than the bound;
+    - else "within bound".
+    """
+    out = []
+    for m in metrics:
+        name, bound = m["name"], m["bound"]
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        p1, pm, p3 = _quartiles(p)
+        worse = (sign * statistics.median(c) - sign * pm) / pm
+        spread = (p3 - p1) / pm
+        if spread > bound and max(sign * v for v in c) >= min(sign * v for v in p):
+            verdict = "unresolved"
+        elif worse > bound:
+            verdict = "worse beyond bound"
+        else:
+            verdict = "within bound"
+        out.append(f"{name}: {verdict} (median {worse:+.2%} worse, parent spread {spread:.2%}, bound {bound:.2%})")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
@@ -103,6 +140,7 @@ def main(argv=None) -> int:
             print(f"pair {i} {side}: {json.dumps(result)}", flush=True)
     try:
         lines = summarize(runs["parent"], runs["change"], directions(args.change))
+        lines += verdicts(runs["parent"], runs["change"], end_to_end(args.change))
     except ValueError as err:
         print(f"error: {err}; no summary", file=sys.stderr)
         return 1

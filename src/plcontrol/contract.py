@@ -6,12 +6,14 @@ Both kernels read the complex's face poset by sort position
 (``complexes._face_poset``, built once per complex) and are near-linear on
 the fibers this package builds:
 
-- ``homology`` eliminates the +-1 pivots of each sparse boundary matrix first
-  (the reduce-then-SNF strategy of Kaczynski-Mischaikow-Mrozek, *Computational
-  Homology*, 2004).  Each pivot costs one column operation per nonzero of its
-  row, so the elimination is linear in the entries plus fill-in; only the
-  residual block, where the torsion lives, reaches the dense
-  ``smith_diagonal``.
+- ``homology`` reads the Smith normal form of each sparse boundary matrix
+  off one elimination, ``sparse_smith_diagonal``, which removes the +-1
+  pivots first (the reduce-then-SNF strategy of Kaczynski-Mischaikow-Mrozek,
+  *Computational Homology*, 2004).  Each such pivot costs one column
+  operation per nonzero of its row, so that phase is linear in the entries
+  plus fill-in; the same elimination then reduces the residual, where the
+  torsion lives, by least-entry pivots.  ``smith_diagonal`` is its front end
+  for dense matrices.
 - ``greedy_collapse`` keeps the free faces in a heap keyed on the complex's
   sort order and updates cofacet counts only on the faces of each removed
   pair: O(n log n) for n simplices of bounded dimension.
@@ -23,6 +25,7 @@ and must be propagated by callers rather than guessed away.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .complexes import (
@@ -48,76 +51,42 @@ class CertificateMismatchError(RuntimeError):
 # -- Smith normal form over exact integers --------------------------------------
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (nonnegative, divisibility chain).
+    """Diagonal of the Smith normal form (nonnegative, divisibility chain) of
+    a dense matrix: ``sparse_smith_diagonal`` of its columns."""
+    n = len(matrix[0]) if matrix else 0
+    return sparse_smith_diagonal([{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(n)])
 
-    Arbitrary-precision integers throughout, so torsion cannot overflow.
-    """
-    A = [row[:] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            reduced = True
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    for j in range(t, n):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t] != 0:  # remainder becomes the new, smaller pivot
-                        A[t], A[i] = A[i], A[t]
-                        reduced = False
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j] != 0:
-                        for i in range(t, m):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
-                        reduced = False
-            if reduced:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        p = A[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % p != 0:
-                    for jj in range(t, n):
-                        A[t][jj] += A[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        t += 1
-    return [abs(A[i][i]) for i in range(min(m, n)) if A[i][i] != 0]
+
+def _subtract(cols: dict[int, dict[int, int]], rows: dict[int, set[int]], k: int, q: int, pivot: dict[int, int]) -> None:
+    """Column k minus q times the pivot column; the row index follows, and
+    a column that empties is dropped."""
+    col = cols[k]
+    for r, v in pivot.items():
+        w = col.get(r, 0) - q * v
+        if w:
+            if r not in col:
+                rows[r].add(k)
+            col[r] = w
+        elif r in col:
+            del col[r]
+            rows[r].discard(k)
+    if not col:
+        del cols[k]
 
 
 def sparse_smith_diagonal(columns: list[dict[int, int]]) -> list[int]:
-    """Smith normal form diagonal of a matrix given as sparse columns
-    (row -> nonzero entry); equal to ``smith_diagonal`` of the dense matrix.
+    """Smith normal form diagonal (nonnegative, divisibility chain) of a
+    matrix given as sparse columns (row -> nonzero entry), by one elimination
+    over exact integers.
 
-    A +-1 entry a_ij splits the matrix as [a_ij] (+) A', where A' is A without
-    row i and column j after column operations clear row i.  Pivots are taken
-    from the row with the fewest nonzeros, in its shortest unit column, which
-    keeps fill-in low; the non-unit residual goes to ``smith_diagonal``.
+    Units first: a +-1 entry a_ij splits the matrix as [a_ij] (+) A', where A'
+    is A without row i and column j after column operations clear row i.
+    Pivots are taken from the row with the fewest nonzeros, in its shortest
+    unit column, which keeps fill-in low.  Then the residual, where the
+    torsion lives: its entry of least absolute value is the pivot, column
+    operations reduce its row and row operations its column, and a nonzero
+    remainder is a smaller pivot for the next round (Euclid).  The pivots
+    found are brought into a divisibility chain by pairwise gcd and lcm.
     """
     cols = {j: dict(c) for j, c in enumerate(columns) if c}
     rows: dict[int, set[int]] = {}
@@ -143,28 +112,35 @@ def sparse_smith_diagonal(columns: list[dict[int, int]]) -> list[int]:
         for r in pivot:
             rows[r].discard(j)
         for k in list(row):
-            col = cols[k]
-            q = col[i] * a  # a is its own inverse
-            for r, v in pivot.items():
-                w = col.get(r, 0) - q * v
-                if w:
-                    if r not in col:
-                        rows[r].add(k)
-                    col[r] = w
-                elif r in col:
-                    del col[r]
-                    rows[r].discard(k)
-            if not col:
-                del cols[k]
+            _subtract(cols, rows, k, cols[k][i] * a, pivot)  # a is its own inverse
         del rows[i]
         for r in pivot:
             if r != i and rows[r]:
                 heapq.heappush(heap, (len(rows[r]), r))
         units += 1
-    live_rows = sorted(r for r, js in rows.items() if js)
-    live_cols = sorted(cols)
-    residual = [[cols[j].get(r, 0) for j in live_cols] for r in live_rows]
-    return [1] * units + smith_diagonal(residual)
+    diagonal = []
+    while cols:
+        _, i, j = min((abs(v), r, k) for k, col in cols.items() for r, v in col.items())
+        pivot = cols[j]
+        a = pivot[i]
+        for k in rows[i] - {j}:
+            _subtract(cols, rows, k, cols[k][i] // a, pivot)
+        if rows[i] != {j}:
+            continue  # a remainder in row i
+        # row i is a's alone, so a row operation changes column j only
+        for r in [r for r in pivot if r != i]:
+            pivot[r] %= a
+            if not pivot[r]:
+                del pivot[r]
+                rows[r].discard(j)
+        if len(pivot) == 1:
+            del cols[j], rows[i]
+            diagonal.append(abs(a))
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            x, y = diagonal[a], diagonal[b]
+            diagonal[a], diagonal[b] = math.gcd(x, y), math.lcm(x, y)
+    return [1] * units + diagonal
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,9 @@ def load_track(path: str | Path, Y: SimplicialComplex) -> tuple[Homotopy, Point 
     pts = [parse_point(Y, p) for p in pts]
     if len(times) != len(pts) or len(pts) < 2:
         raise FileFormatError(f"{path}: need matching 'times' and 'points' (at least two)")
-    if times[0] != 0.0 or times[-1] != 1.0 or any(a >= b for a, b in zip(times, times[1:])):
-        raise FileFormatError(f"{path}: times must increase from 0 to 1")
+    # every comparison with NaN is false, so a NaN time fails `a < b`
+    if times[0] != 0.0 or times[-1] != 1.0 or not all(a < b for a, b in zip(times, times[1:])):
+        raise FileFormatError(f"{path}: times must be numbers increasing from 0 to 1")
     Z = closure_complex([("z",)])
 
     def at(t: float) -> Point:

@@ -1,9 +1,125 @@
 """Reference kernels for the differential tests of ``plcontrol.contract``:
-the quadratic-scan greedy collapse and the dense boundary-matrix homology
-that the heap collapse and the sparse unit-pivot elimination replaced."""
+the quadratic-scan greedy collapse, the dense boundary-matrix homology and
+the dense Smith normal form pivot loop that the heap collapse and the sparse
+elimination replaced, and the Smith normal form diagonal from determinantal
+divisors.
+
+The dense pivot loop never reduces the rest of its block, so its entries
+can grow without bound: on the 6 x 5 matrix of
+``test_smith_diagonal_of_a_matrix_the_dense_loop_blows_up`` they reach
+millions of bits.  Run it only on small matrices with small entries."""
+
+import math
+from itertools import combinations
 
 from plcontrol import Simplex, SimplicialComplex
-from plcontrol.contract import CollapseSequence, HomologyProfile, smith_diagonal
+from plcontrol.contract import CollapseSequence, HomologyProfile
+
+
+def smith_diagonal(matrix: list[list[int]]) -> list[int]:
+    """Diagonal of the Smith normal form (nonnegative, divisibility chain).
+
+    Arbitrary-precision integers throughout, so torsion cannot overflow.
+    """
+    A = [row[:] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        A[t], A[pi] = A[pi], A[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            reduced = True
+            for i in range(t + 1, m):
+                if A[i][t] != 0:
+                    q = A[i][t] // A[t][t]
+                    for j in range(t, n):
+                        A[i][j] -= q * A[t][j]
+                    if A[i][t] != 0:  # remainder becomes the new, smaller pivot
+                        A[t], A[i] = A[i], A[t]
+                        reduced = False
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    q = A[t][j] // A[t][t]
+                    for i in range(t, m):
+                        A[i][j] -= q * A[i][t]
+                    if A[t][j] != 0:
+                        for i in range(t, m):
+                            A[i][t], A[i][j] = A[i][j], A[i][t]
+                        reduced = False
+            if reduced:
+                break
+        # enforce divisibility of the remaining block by the pivot
+        p = A[t][t]
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % p != 0:
+                    for jj in range(t, n):
+                        A[t][jj] += A[i][jj]
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        t += 1
+    return [abs(A[i][i]) for i in range(min(m, n)) if A[i][i] != 0]
+
+
+def determinant(M: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    A = [row[:] for row in M]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1]
+
+
+def determinantal_diagonal(M: list[list[int]]) -> list[int]:
+    """Smith normal form diagonal as s_k = d_k / d_(k-1), where d_k is the
+    gcd of the k x k minors of M (d_0 = 1); it ends at the rank, the first k
+    whose minors all vanish."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    out: list[int] = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                d = math.gcd(d, determinant([[M[r][c] for c in cs] for r in rs]))
+                if d == prev:  # d_k is a multiple of d_(k-1), so it is final
+                    break
+            if d == prev:
+                break
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
 
 
 def boundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:

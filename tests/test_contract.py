@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -108,17 +109,50 @@ def sparse_columns(M):
 
 def test_smith_diagonal_divisibility():
     M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    d = smith_diagonal(M)
+    d = oracle.smith_diagonal(M)
     assert len(d) == 3
     for a, b in zip(d, d[1:]):
         assert b % a == 0
-    assert sparse_smith_diagonal(sparse_columns(M)) == d
+    assert smith_diagonal(M) == sparse_smith_diagonal(sparse_columns(M)) == d
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_sparse_smith_matches_dense(M):
-    assert sparse_smith_diagonal(sparse_columns(M)) == smith_diagonal(M)
+    """The one elimination, through either entry point, against the dense
+    pivot loop it replaced."""
+    assert smith_diagonal(M) == sparse_smith_diagonal(sparse_columns(M)) == oracle.smith_diagonal(M)
+
+
+@st.composite
+def integer_matrices(draw):
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return draw(st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_smith_diagonal_matches_determinantal_divisors(M):
+    """Entries where the dense pivot loop can run for minutes; the invariant
+    factors d_k / d_(k-1) are unique, so they decide."""
+    assert smith_diagonal(M) == oracle.determinantal_diagonal(M)
+
+
+def test_smith_diagonal_of_a_matrix_the_dense_loop_blows_up():
+    """The dense pivot loop took 13.9 s here, its entries growing to about
+    five million bits."""
+    M = [[4, 9, 0, -8, -2], [-2, 4, 0, -9, -4], [-8, 0, 0, 7, 0], [-7, -2, 0, -5, -11], [0, 0, 6, 8, -9], [0, -2, 0, 7, 8]]
+    start = time.perf_counter()
+    assert smith_diagonal(M) == [1, 1, 1, 1, 84]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_determinantal_oracle_on_a_known_diagonal():
+    """diag(2, 6, 0) disguised by unimodular row and column operations."""
+    M = [[2, 0, 0], [0, 6, 0], [0, 0, 0]]
+    M = [[r0, r1 + 3 * r0, r2 - r1] for r0, r1, r2 in M]  # column operations
+    M = [M[0], [a + 5 * b for a, b in zip(M[1], M[0])], M[2]]  # a row operation
+    assert oracle.determinantal_diagonal(M) == [2, 6]
 
 
 def test_greedy_collapse_disc(D2):

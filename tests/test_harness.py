@@ -829,13 +829,19 @@ _STRAY = {
             ["verify", "m.json"],
             "m.json: vertex map names 'zz', which is not a source vertex",
         ),
+        (
+            {"track.json": {"times": [0.0, float("nan"), 1.0], "points": [json.loads(_POINT)] * 3}},
+            ["lift", "collapse.json", "track.json"],
+            "track.json: times must be numbers increasing from 0 to 1",
+        ),
     ],
 )
 def test_cli_reports_malformed_input_without_output(tmp_path, capsys, monkeypatch, files, argv, message):
     """Each of these ended in a traceback (ValueError, AttributeError,
     TypeError, IndexError or KeyError), was read silently (a string of
     simplices as one-vertex simplices, a listed vertex in no simplex, a
-    vertex-map entry for no source vertex), or
+    vertex-map entry for no source vertex, a NaN track time, which then
+    failed as a non-finite weight naming neither file nor field), or
     printed the g_eps table before its error; each now exits 1 with an
     error line and prints nothing."""
     write_fixture_files(tmp_path)
@@ -945,6 +951,35 @@ def test_ab_pairs_summary_on_canned_result_lines():
         ab.summarize(parent, change[:4], {"wall_s": "lower"})
     root = Path(__file__).parents[1]
     assert set(ab.directions(root)) == {"wall_s", "setup_s", "peak_rss_mb"}
+
+
+def test_ab_pairs_verdicts_on_canned_result_lines():
+    """Within bound, worse beyond it, and unresolved when the parent's runs
+    spread wider than the bound, unless every change run beats every parent
+    run."""
+    ab = _load_script("ab_pairs")
+    parent = [_result_line(w, 40.0) for w in (4.0, 4.4, 4.2, 4.6, 4.8)]  # wall_s spread 0.4 / 4.4
+    change = [_result_line(w, r) for w, r in ((3.0, 41.0), (3.4, 39.0), (4.3, 41.0), (3.2, 41.0), (3.6, 41.0))]
+
+    def spec(wall_bound, rss_bound=0.01):
+        return [
+            {"name": "wall_s", "better": "lower", "bound": wall_bound},
+            {"name": "peak_rss_mb", "better": "lower", "bound": rss_bound},
+        ]
+
+    assert ab.verdicts(parent, change, spec(0.2)) == [
+        "wall_s: within bound (median -22.73% worse, parent spread 9.09%, bound 20.00%)",
+        "peak_rss_mb: worse beyond bound (median +2.50% worse, parent spread 0.00%, bound 1.00%)",
+    ]
+    assert ab.verdicts(parent, change, spec(0.2, rss_bound=0.1))[1].startswith("peak_rss_mb: within bound")
+    # 4.3 does not beat the parent's 4.0, so a 5 % bound is not resolved
+    assert ab.verdicts(parent, change, spec(0.05))[0].startswith("wall_s: unresolved")
+    change[2] = _result_line(3.9, 41.0)
+    assert ab.verdicts(parent, change, spec(0.05))[0].startswith("wall_s: within bound")
+    slower = [_result_line(w, 40.0) for w in (4.0, 4.4, 4.2, 4.6, 4.8)]
+    assert ab.verdicts(parent, slower, [{"name": "wall_s", "better": "higher", "bound": 0.05}]) == [
+        "wall_s: unresolved (median +0.00% worse, parent spread 9.09%, bound 5.00%)"
+    ]
 
 
 @pytest.mark.parametrize("cached", ["parent", "change"])

@@ -7,7 +7,8 @@ It is asserted as passing and names the ROADMAP item that should turn it:
 item 6 (the cellulation's corners as control samples) for the collar rows
 on D_3 and D_4, item 5 (the exact control and its cross-check of the
 sampled columns) for the carrier-metric row on proj_map, item 4 (slices
-with their own samples) for the slice rows.
+with their own samples) for the slice rows.  The short-contraction rows
+name no item: no report line reads where a fiber contraction ends.
 A row that raises names item 10's open decision: a ``NO`` row that names
 the error, instead of an error that escapes ``run_verify``.  The change
 that closes an item flips its rows and says so.
@@ -15,14 +16,22 @@ that closes an item flips its rows and says so.
 
 import hashlib
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from plcontrol import InversionError, ProductDecompositionError, comesh_of, make_point, run_verify
-from plcontrol import cellulation, cone, fixtures, maps, metrics
-from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT
+from plcontrol import (
+    CertificateMismatchError,
+    HomologyProfile,
+    InversionError,
+    ProductDecompositionError,
+    comesh_of,
+    make_point,
+    run_verify,
+)
+from plcontrol import cellulation, cone, contract, fixtures, homotopies, maps, metrics
+from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
 from test_harness import _fresh, _load_script
 
 ladder = _load_script("ladder")
@@ -30,6 +39,7 @@ ladder = _load_script("ladder")
 MAPS = {
     "proj_map": lambda: _fresh(fixtures.proj_map()),
     "map_collapse": lambda: _fresh(fixtures.map_collapse()),
+    "map_bad": lambda: _fresh(fixtures.map_bad()),
     "D_3": lambda: ladder.simplex_prism(3),
     "D_4": lambda: ladder.simplex_prism(4),
 }
@@ -95,6 +105,46 @@ def carrier_metric(k: float):
     return patch
 
 
+def trivial_homology(monkeypatch, f):
+    """Homology that reads every complex as acyclic, so only the collapse
+    can refute a fiber."""
+    monkeypatch.setattr(
+        contract, "homology", lambda K: HomologyProfile(betti=(0,) * (K.dimension + 1), torsion=((),) * (K.dimension + 1))
+    )
+
+
+def false_collapse(monkeypatch, f):
+    """A greedy collapse that claims a full collapse where it sticks."""
+    real = contract.greedy_collapse
+
+    def claims(K):
+        seq = real(K)
+        return replace(seq, complete=True, basepoint=seq.remaining[0].vertices[0])
+
+    monkeypatch.setattr(contract, "greedy_collapse", claims)
+
+
+def short_contraction(k: float):
+    """Every fiber contraction of the family read at k t, so its tracks
+    stop short of the collapse's basepoint."""
+
+    def patch(monkeypatch, f):
+        real = homotopies.contraction_from_collapse
+
+        def contraction(K, seq):
+            H = real(K, seq)
+
+            def track_factory(p):
+                at = H.track_factory(p)
+                return lambda t: at(k * t)
+
+            return replace(H, track_factory=track_factory)
+
+        monkeypatch.setattr(homotopies, "contraction_from_collapse", contraction)
+
+    return patch
+
+
 MUTANTS = {
     "collar(1.0)": collar(1.0),
     "collar(1.01)": collar(1.01),
@@ -102,6 +152,9 @@ MUTANTS = {
     "misweighted join": misweighted_join,
     "alpha_schedule(1.01)": alpha_schedule(1.01),
     "carrier metric(1.01)": carrier_metric(1.01),
+    "trivial homology": trivial_homology,
+    "false collapse": false_collapse,
+    "short contraction(0.9)": short_contraction(0.9),
 }
 
 
@@ -126,6 +179,14 @@ class Refutes:
 
 
 @dataclass(frozen=True)
+class Undecided:
+    """Unknown (exit 2), with exactly the fibers over ``fibers`` read as
+    ``unknown``."""
+
+    fibers: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class Raises:
     """``error`` escapes ``run_verify``; ``item`` is the open item that
     should turn it into a report line."""
@@ -138,6 +199,10 @@ D3_SHA = "60bcb28504ca7d6ef030cc5705248cae0ffce1e8d117f1224bc64be2cf887523"
 D4_SHA = "28a6214f6e9c442aeb06a6ba7e3d0ad6f377d19d2d1208706c5cb51bf7006cd2"
 # proj_map's render with the carrier metric scaled: its B is the healthy one
 CARRIER_PROJ_SHA = "e706c05834ce7e328be7fd4cf1b2ae4501c706374c8ac935b41477a835f02fac"
+# the short contraction moves only proj_map's f(h1''(x,t)) identity, from
+# 1.144e-16 to 1.241e-16; map_collapse's render is its healthy one
+SHORT_PROJ_SHA = "2163584116d2a242981966ca432c8967344715e035c33623bbcca6df2f95a91a"
+SHORT_COLLAPSE_SHA = "ff0aca772348098c8ddf1cc3b16ef37cb28853164e90aa80e1b74bf0693f3f34"
 
 ROWS = [
     ("collar(1.0)", "proj_map", Passes()),
@@ -158,6 +223,10 @@ ROWS = [
     ("alpha_schedule(1.01)", "map_collapse", Refutes((), bound=1.0097)),
     ("carrier metric(1.01)", "proj_map", Passes(0.9943, CARRIER_PROJ_SHA, item="item 5")),
     ("carrier metric(1.01)", "map_collapse", Refutes((2, 4, 16, 32), bound=1.0074)),
+    ("trivial homology", "map_bad", Undecided(("{a,b}",))),
+    ("false collapse", "map_bad", Raises(CertificateMismatchError)),
+    ("short contraction(0.9)", "proj_map", Passes(sha256=SHORT_PROJ_SHA)),
+    ("short contraction(0.9)", "map_collapse", Passes(sha256=SHORT_COLLAPSE_SHA)),
 ]
 
 
@@ -175,6 +244,10 @@ def test_mutant(mutant, name, outcome, monkeypatch):
             run_verify(f)
         return
     report = run_verify(f)
+    if isinstance(outcome, Undecided):
+        assert (report.overall, report.exit_code) == (UNKNOWN, 2)
+        assert tuple(str(s) for s, v in report.fiber_verdicts.items() if v.kind == "unknown") == outcome.fibers
+        return
     # item 4: the slice rows read yes under every mutant of this table
     assert [row.ok for row in report.slice_rows] == [True] * 3
     if isinstance(outcome, Passes):
