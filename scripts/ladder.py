@@ -4,7 +4,9 @@ source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
 then the CPU and reference seconds of each stage of the verify (`STAGES`)
 and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
-calls and the h1 row's joined passes (`maps._joined_image_rows`).
+calls, the h1 row's joined passes (`maps._joined_image_rows`) and the
+pairs that the sampled-control kernel measures with `distance` (the g
+row, the identities and every array row it does not reproduce).
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -56,6 +58,7 @@ COUNTS = {
     "inversions": (cellulation.Cellulation, "invert"),
     "fiber_split": (maps, "fiber_split"),
     "h1 joined passes": (homotopies, "_joined_image_rows"),
+    "control distances": (homotopies, "distance"),
 }
 
 

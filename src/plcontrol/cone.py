@@ -85,9 +85,13 @@ def alpha_schedule(comesh: float, t: float) -> float:
     1/comesh, then 1/t, computed as comesh over t's ratio to the knee.  At
     a power-of-two multiple k of the knee (t = k / comesh) that ratio is
     exactly k, so the control is exactly comesh / k: at the slice heights,
-    the control table's own eps."""
-    if comesh <= 0.0:
-        raise ValueError("comesh must be positive")
+    the control table's own eps.  A height that is not finite has no
+    control: NaN would read as an eps, +inf as eps 0 and -inf as a height
+    below the knee."""
+    if not (comesh > 0.0 and math.isfinite(comesh)):
+        raise MalformedInputError(f"comesh must be positive and finite, got {comesh}")
+    if not math.isfinite(t):
+        raise MalformedInputError(f"cone height must be finite, got {t}")
     knee = 1.0 / comesh
     if t <= knee:
         return comesh
@@ -131,11 +135,7 @@ class BoundedEquivalenceData:
         # The schedule attains comesh, but the cellulation is only defined
         # strictly below it (and degenerates numerically at the boundary when
         # an edge realizes the comesh), so evaluation backs off by 0.1%; the
-        # assembled bound only improves from the backoff.  A height that is
-        # not finite has no eps: the schedule would read NaN as an eps, +inf
-        # as eps 0 and -inf as a height below the knee.
-        if not math.isfinite(t):
-            raise ValueError(f"cone height must be finite, got {t}")
+        # assembled bound only improves from the backoff.
         cm = self.family.effective_comesh
         return min(alpha_schedule(cm, t), cm * (1.0 - 1e-3))
 
@@ -166,6 +166,7 @@ def assemble_bounded_equivalence(
     geometric steps from the knee to 10 times it; heights <= 0 contribute
     nothing, since all maps preserve the height coordinate, so none is
     sampled."""
+    _check_nonnegative(time_steps=time_steps)
     cm = family.effective_comesh
     knee = 1.0 / cm
     slices = {k / cm for k in SLICE_MULTIPLES}

@@ -20,9 +20,9 @@ cell vertex images at each eps' = eps (1 - t) that the steps read
 closures built over it; ``straightline_homotopy``, ``build_inverse`` and
 ``build_h1`` each build their own.  Its h2 (``_StraightLine``) and each
 track of its h1 (``_H1Track``) read it to measure their control rows as
-arrays over the time grid, h2 per sampled point (``sup_at``) and h1 per
-carrier of f(x) (``sup_ats``): ``rows`` builds the images its memo lacks
-in one ``vertex_images`` call and forms every row in one
+arrays over the time grid, h2 per sampled point and h1 per carrier of
+f(x) (each ``sup_ats``): ``rows`` builds the images its memo lacks in one
+``vertex_images`` call and forms every row in one
 ``cellulation._contract``.  An h1 track keeps its point's cell and
 second-half start-up as long as the track lives.  ``_H1.sup_ats`` builds
 the tracks of the points over one carrier, joins all their rows in one
@@ -30,9 +30,12 @@ the tracks of the points over one carrier, joins all their rows in one
 ``_row_sup`` measures both rows, every fast row with one norm, and
 ``_first_max`` is the one first-maximum reduction of every sampled
 control; neither keeps anything.
-A family keeps its per-point control sups (``_sups``) as long as it lives,
-keyed by the exact eps like every cache that depends on eps: none rounds
-its eps.
+Every sampled control is one per-point table, z -> (sup over t, first t
+attaining it, pairs): one call fills it for the distinct points it lacks
+(a ``sup_ats``, or ``_pair_sups`` with one ``distance`` per pair), and
+``_fold`` reduces it in sample order.  A family keeps its tables
+(``_sups``) as long as it lives, keyed by the exact eps like every cache
+that depends on eps: none rounds its eps.
 """
 
 from __future__ import annotations
@@ -285,26 +288,35 @@ class _EpsView:
 @dataclass
 class _StraightLine(Homotopy):
     """The straight-line homotopy of the eps-cellulation, with the
-    ``_EpsView`` its tracks read, so that ``sup_at`` can measure a sampled
-    point's control over a whole time grid as one array."""
+    ``_EpsView`` its tracks read, so that ``sup_ats`` can measure each
+    sampled point's control over a whole time grid as one array."""
 
     view: _EpsView
 
-    def sup_at(self, y: Point, times) -> tuple[float, float | None, int]:
-        """(sup over t in ``times`` of d(y, h(y, t)), the first t attaining
-        it, the pairs measured), equal to the pair loop of
-        ``_sampled_sup`` on the tracks (y, h(y, .)).
+    def measures(self, p, q) -> bool:
+        """Whether ``sup_ats`` is the control through p and q: both are the
+        identity."""
+        return p is None and q is None
+
+    def sup_ats(self, ys, times) -> dict[Point, tuple[float, float | None, int]]:
+        """y -> (sup over t in ``times`` of d(y, h(y, t)), the first t
+        attaining it, the pairs measured) for each y of ``ys``, equal to
+        ``_pair_sups`` on the tracks (y, h(y, .)).
 
         A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
         point of y's carrier, measured as such by ``_row_sup``.  Every other
         row takes ``step``: at t = 1 (eps' = 0) the step is the base point,
         whose row is canonical only when the cell's base is its carrier."""
         view = self.view
-        cell, (s, t) = view.locate(y)
-        y = canonical(view.K, y)  # the inversion read the cells over y's carrier
         epss = [view.eps * (1.0 - time) for time in times]
-        rows = view.rows(cell, s, t, epss)
-        return _row_sup(view.K, y, times, rows, _canonical_rows(rows), lambda k: view.step(cell, s, t, epss[k]))
+        out = {}
+        for y in ys:
+            cell, (s, t) = view.locate(y)
+            rows = view.rows(cell, s, t, epss)
+            fast = _canonical_rows(rows)
+            # y canonical: the inversion read the cells over y's carrier
+            out[y] = _row_sup(view.K, canonical(view.K, y), times, rows, fast, lambda k: view.step(cell, s, t, epss[k]))
+        return out
 
 
 def _straightline(view: _EpsView) -> _StraightLine:
@@ -408,8 +420,7 @@ class _H1(Homotopy):
     def sup_ats(self, xs, times) -> dict[Point, tuple[float, float | None, int]]:
         """x -> (sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the
         first t attaining it, the pairs measured) for each x of ``xs``,
-        equal to the pair loop of ``_sampled_sup`` on the tracks (f(x),
-        f(h1(x, .))).
+        equal to ``_pair_sups`` on the tracks (f(x), f(h1(x, .))).
 
         The points are measured per carrier of f(x), read off gamma's split
         memo, one carrier's tracks at a time.  Each x's rows are read off
@@ -570,9 +581,9 @@ def sampled_sup(
     """(sup, witness, pairs): the sup of d_M(a(t), b(t)) over each sample z,
     with (a, b) = tracks(z), and each t in ``times``; the first (z, t) in
     sample order that attains it (None when nothing is sampled); and the
-    number of pairs evaluated.  ``tracks`` runs once per sample, so per-point
-    setup such as a cellulation inversion belongs there."""
-    return _sampled_sup(points, _pair_sup(M, tuple(map(float, times)), tracks), None)
+    number of pairs evaluated.  ``tracks`` runs once per distinct sample, so
+    per-point setup such as a cellulation inversion belongs there."""
+    return _fold(points, _pair_sups(M, points, tuple(map(float, times)), tracks))
 
 
 def _first_max(times, dists) -> tuple[float, float | None, int]:
@@ -601,30 +612,23 @@ def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, poin
     return _first_max(times, dists.tolist())
 
 
-def _pair_sup(M, times, tracks):
-    """z -> (sup over t of d_M(a(t), b(t)), first t attaining it, pairs),
-    with (a, b) = tracks(z): one ``distance`` per pair."""
-
-    def point_sup(z):
+def _pair_sups(M, points, times, tracks) -> dict:
+    """z -> (sup over t of d_M(a(t), b(t)), first t attaining it, pairs)
+    for each distinct z of ``points``, with (a, b) = tracks(z): one
+    ``distance`` per pair."""
+    sups = {}
+    for z in dict.fromkeys(points):
         a, b = tracks(z)
-        return _first_max(times, [distance(M, a(t), b(t)) for t in times])
+        sups[z] = _first_max(times, [distance(M, a(t), b(t)) for t in times])
+    return sups
 
-    return point_sup
 
-
-def _sampled_sup(points, point_sup, memo: dict | None):
-    """``sampled_sup`` over per-point sups: each z's (sup over t, first t
-    that attains it, pairs) is read from ``memo`` when present there, and
-    otherwise computed by ``point_sup(z)`` and stored in it (None keeps
-    nothing)."""
+def _fold(points, sups) -> tuple[float, tuple[object, float] | None, int]:
+    """``sampled_sup`` over the per-point table ``sups`` (z -> (sup over t,
+    first t that attains it, pairs)), read in sample order."""
     worst, witness, count = 0.0, None, 0
     for z in points:
-        entry = None if memo is None else memo.get(z)
-        if entry is None:
-            entry = point_sup(z)
-            if memo is not None:
-                memo[z] = entry
-        best, arg, n = entry
+        best, arg, n = sups[z]
         count += n
         if arg is not None and (witness is None or best > worst):
             worst, witness = best, (z, arg)
@@ -634,23 +638,21 @@ def _sampled_sup(points, point_sup, memo: dict | None):
 def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None = None) -> ControlReport:
     """The sampled sup of d_M(p(z), q(u(z, t))) over the points and times,
     with p and q landing in one metric complex M (None is the identity; a
-    map counts as a homotopy constant in t); ``memo`` as in ``_sampled_sup``.
-    The straight-line homotopy against the identity is measured per point
-    over the whole time grid (``sup_at``), and h1 through f in one
-    ``sup_ats`` call over all the points ``memo`` lacks, whose results fill
-    it (a memo of the call's own when none is given).  The times are
-    Python floats: each measurement converts its grid once, where it enters
-    (``sampled_sup``, ``measure_control``, ``_family_controls``)."""
+    map counts as a homotopy constant in t).  ``memo`` is a per-point table
+    as ``_fold`` reads it (None keeps nothing): the points it lacks are
+    measured in one call, by h2's or h1's ``sup_ats`` over the whole time
+    grid when it ``measures`` the control through p and q, and otherwise by
+    ``_pair_sups``, and fill it.  The times are Python floats: each
+    measurement converts its grid once, where it enters (``sampled_sup``,
+    ``measure_control``, ``_family_controls``)."""
     pfn, M = _control_fn(p, u.domain)
     qfn, M2 = _control_fn(q, u.codomain)
     if M is not M2:
         raise MalformedInputError("control maps must land in one metric complex")
-    if isinstance(u, _StraightLine) and p is None and q is None:
-        point_sup = functools.partial(u.sup_at, times=times)
-    elif isinstance(u, _H1) and u.measures(p, q):
-        memo = {} if memo is None else memo
-        memo.update(u.sup_ats([z for z in dict.fromkeys(points) if z not in memo], times))
-        point_sup = memo.__getitem__
+    sups = {} if memo is None else memo
+    missing = [z for z in dict.fromkeys(points) if z not in sups]
+    if isinstance(u, (_StraightLine, _H1)) and u.measures(p, q):
+        sups.update(u.sup_ats(missing, times))
     else:
         track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
 
@@ -659,8 +661,8 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
             tr = track(z)
             return (lambda t: anchor), (lambda t: qfn(tr(t)))
 
-        point_sup = _pair_sup(M, times, tracks)
-    sup, witness, count = _sampled_sup(points, point_sup, memo)
+        sups.update(_pair_sups(M, missing, times, tracks))
+    sup, witness, count = _fold(points, sups)
     return ControlReport(epsilon_target=eps, measured_control=sup, samples=count, witness=witness)
 
 
@@ -736,14 +738,13 @@ def approximate_lift(
     )
     if d0 > 1e-7:
         raise LiftMismatchError(f"f(h(z)) differs from H(z, 0) by {d0:.3e} at z = {witness[0]}")
-    # sampled time-Lipschitz bound of H
-    lip = 1e-9
-    times = np.linspace(0.0, 1.0, 17)
-    for z in pts:
+    # sampled time-Lipschitz bound of H over steps of 1/16 (a power of two,
+    # so dividing by it is exact)
+    def steps(z: Point):
         tr = H.track(z)
-        vals = [tr(float(t)) for t in times]
-        for a, b, dt in zip(vals, vals[1:], np.diff(times)):
-            lip = max(lip, distance(f.target, a, b) / float(dt))
+        return tr, (lambda t: tr(t + 0.0625))
+
+    lip = max(1e-9, sampled_sup(f.target, pts, [k / 16 for k in range(16)], steps)[0] / 0.0625)
     r = 0.5 * (eps - delta) / lip
     eta = min(0.5, r / (1.0 + r))
     g, h1, _ = family.at(delta)
@@ -777,6 +778,7 @@ def lift_discrepancy(
     time_steps: int = 33,
 ) -> float:
     """sup over samples of d_Y(H(z,t), f(lifted(z,t)))."""
+    _check_nonnegative(time_steps=time_steps)
     pts = sample_points(H.domain, samples, seed=seed, subdivision_rounds=0)
 
     def tracks(z: Point):
@@ -818,7 +820,7 @@ def derive_contraction(f: SimplicialMap, y: Point, family: ControlledFamily) -> 
     y = canonical(Y, y)
     sigma = y.carrier
     clearance = star_clearance(Y, y)
-    eps_used = min(0.9 * clearance, 0.9 * family.comesh)
+    eps_used = min(0.9 * clearance, 0.9 * family.effective_comesh)
     if not (eps_used > 0.0 and math.isfinite(eps_used)):
         raise ValueError(f"no valid control radius at {y} (clearance {clearance})")
     g, h1, _ = family.at(eps_used)

@@ -5,7 +5,14 @@ and pair count), the old `cone._slice_controls`, `verify._identity_checks`,
 `lift_discrepancy`, the control-table loop of `verify.run_verify` and the
 three `measure_control` calls of the CLI's `measure-control`.  Loop bodies are unchanged; only the
 Lipschitz margin, which nothing read, is gone from the measure_control
-return, and the CLI calls print into a string."""
+return, and the CLI calls print into a string.
+
+Beside them, the per-point kernel that the one per-point table of
+`homotopies._pair_sups` and `homotopies._fold` replaced: the pair-loop
+factory `pair_sup` and the callable-or-memo fold `fold_sup` (formerly
+`homotopies._pair_sup` and `homotopies._sampled_sup`), and the
+time-modulus loop of `approximate_lift` (`lift_eta`).  Their bodies are
+unchanged."""
 
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ import numpy as np
 
 from plcontrol.complexes import MalformedInputError
 from plcontrol.evaluators import Homotopy
-from plcontrol.homotopies import _control_fn, sample_points
+from plcontrol.homotopies import _control_fn, _first_max, sample_points
 from plcontrol.maps import evaluate_map
 from plcontrol.metrics import distance
 
@@ -185,3 +192,49 @@ def measure_control_text(f, epsilon: float, samples: int, seed: int) -> tuple[st
         lines.append(f"{name:<24} {rep}\n")
         ok = ok and rep.measured_control <= epsilon * (1.0 + 1e-4)
     return "".join(lines), 0 if ok else 1
+
+
+def pair_sup(M, times, tracks):
+    """z -> (sup over t of d_M(a(t), b(t)), first t attaining it, pairs),
+    with (a, b) = tracks(z): one ``distance`` per pair."""
+
+    def point_sup(z):
+        a, b = tracks(z)
+        return _first_max(times, [distance(M, a(t), b(t)) for t in times])
+
+    return point_sup
+
+
+def fold_sup(points, point_sup, memo):
+    """``sampled_sup`` over per-point sups: each z's (sup over t, first t
+    that attains it, pairs) is read from ``memo`` when present there, and
+    otherwise computed by ``point_sup(z)`` and stored in it (None keeps
+    nothing)."""
+    worst, witness, count = 0.0, None, 0
+    for z in points:
+        entry = None if memo is None else memo.get(z)
+        if entry is None:
+            entry = point_sup(z)
+            if memo is not None:
+                memo[z] = entry
+        best, arg, n = entry
+        count += n
+        if arg is not None and (witness is None or best > worst):
+            worst, witness = best, (z, arg)
+    return worst, witness, count
+
+
+def lift_eta(f, H, eps, *, samples=60, seed=0):
+    """The length of `approximate_lift`'s initial interval, from the sampled
+    time-Lipschitz bound of H: one distance per step of the 17-time grid."""
+    delta = eps / 2.0
+    pts = sample_points(H.domain, min(samples, 40), seed=seed, subdivision_rounds=0)
+    lip = 1e-9
+    times = np.linspace(0.0, 1.0, 17)
+    for z in pts:
+        tr = H.track(z)
+        vals = [tr(float(t)) for t in times]
+        for a, b, dt in zip(vals, vals[1:], np.diff(times)):
+            lip = max(lip, distance(f.target, a, b) / float(dt))
+    r = 0.5 * (eps - delta) / lip
+    return min(0.5, r / (1.0 + r))

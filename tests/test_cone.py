@@ -166,6 +166,26 @@ def test_alpha_requires_positive_comesh():
         alpha_schedule(0.0, 1.0)
 
 
+@pytest.mark.parametrize("comesh", [math.inf, math.nan, -math.inf, -1.0])
+def test_alpha_schedule_rejects_a_comesh_that_is_not_positive_and_finite(comesh):
+    """An infinite comesh divided by zero at its knee 0, and a NaN one
+    returned NaN."""
+    from plcontrol import MalformedInputError
+
+    with pytest.raises(MalformedInputError, match=f"^comesh must be positive and finite, got {comesh}$"):
+        alpha_schedule(comesh, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_alpha_schedule_rejects_a_non_finite_height(t):
+    """The one finite-height check of the assembly: a NaN height returned
+    NaN, +inf the eps 0 and -inf the full comesh."""
+    from plcontrol import MalformedInputError
+
+    with pytest.raises(MalformedInputError, match=f"^cone height must be finite, got {t}$"):
+        alpha_schedule(1.0, t)
+
+
 def test_assembly_identity_map():
     D2 = fixtures.d2()
     f = identity_map(D2)

@@ -12,6 +12,7 @@ from plcontrol import (
     Homotopy,
     PLEvaluator,
     Point,
+    SimplicialMap,
     approximate_lift,
     barycenter,
     build_family,
@@ -352,6 +353,21 @@ def test_derive_contraction_collapse_midpoint(MAP_COLLAPSE):
             assert distance(Y, evaluate_map(f, tr(float(t))), y) < 1e-9  # stays in the fiber
         ends.append(tr(1.0))
     assert max(distance(X, ends[0], e) for e in ends) <= 1e-6
+
+
+def test_derive_contraction_onto_a_point():
+    """A 0-dimensional target has an infinite comesh: the control radius is
+    read off the effective comesh, as every other eps is, so D2 -> pt
+    contracts instead of refusing every radius."""
+    D2 = fixtures.d2()
+    pt = closure_complex([("p",)])
+    f = SimplicialMap(D2, pt, {v: "p" for v in D2.vertex_order})
+    C = derive_contraction(f, vertex_point(pt, "p"), build_family(f))
+    pts = sample_points(D2, 20, seed=0, subdivision_rounds=0)
+    for x in pts:
+        assert distance(D2, C(x, 0.0), x) < 1e-9
+    ends = [C(x, 1.0) for x in pts]
+    assert max(distance(D2, ends[0], e) for e in ends) <= 1e-6
 
 
 def test_derive_contraction_proj_shared_edge(PROJ):
@@ -742,10 +758,10 @@ def _tie_tracks(K):
 
 @pytest.mark.parametrize("case", ["family", "ties"])
 def test_sampled_sup_memo_empty_partial_and_full(case, D1):
-    """The memo-backed kernel returns the memo-free loop's (sup, witness,
-    pairs) whatever the memo already holds, and reads a held point without
-    calling its tracks."""
-    from plcontrol.homotopies import _pair_sup, _sampled_sup, sampled_sup
+    """A per-point table folded by ``_fold`` gives the memo-free loop's
+    (sup, witness, pairs) whatever the table already holds, and
+    ``_pair_sups`` calls the tracks of each distinct point it lacks once."""
+    from plcontrol.homotopies import _fold, _pair_sups, sampled_sup
 
     if case == "family":
         f = fixtures.map_collapse()
@@ -770,13 +786,74 @@ def test_sampled_sup_memo_empty_partial_and_full(case, D1):
         return tracks(z)
 
     for prefix in (0, len(pts) // 2, len(pts)):
-        memo = {}
-        _sampled_sup(pts[:prefix], _pair_sup(M, times, tracks), memo)
+        memo = _pair_sups(M, pts[:prefix], times, tracks)
         calls.clear()
-        assert _sampled_sup(pts, _pair_sup(M, times, counted), memo) == want
+        memo.update(_pair_sups(M, [z for z in pts if z not in memo], times, counted))
+        assert _fold(pts, memo) == want
         assert len(calls) == len(set(pts) - set(pts[:prefix]))
     if case == "ties":
         assert want[1] == (pts[0], 0.5) and want[2] == 5 * len(pts)
+
+
+def _closure_value(fn, name):
+    """The value of the free variable ``name`` of the closure ``fn``."""
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))[name]
+
+
+def test_sampled_control_kernel_matches_the_moved_oracles(D1, MAP_COLLAPSE):
+    """``sampled_sup``, ``_control_report`` with its table empty, partly
+    filled and full, and ``approximate_lift``'s initial interval eta give
+    the moved kernels' results, by ``repr``: the pair-loop factory with the
+    callable-or-memo fold, and the 17-time loop of the lift, on point
+    tracks of one and three segments and on the edge slide."""
+    from plcontrol.homotopies import _control_report, sampled_sup
+
+    f = MAP_COLLAPSE
+    Y = f.target
+    fam = build_family(f)
+    eps = fam.effective_comesh / 2.0
+    g, h1, h2 = fam.at(eps)
+    a, b = vertex_point(Y, "a"), vertex_point(Y, "b")
+    mid = make_point(Y, {"a": 0.5, "b": 0.5})
+    three = _point_track(Y, [a, mid, b, make_point(Y, {"a": 0.25, "b": 0.75})])
+    times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
+    z = vertex_point(three.domain, "z")
+    pts_y = sample_points(Y, 10, seed=3)
+    for M, pts, ts, tracks in (
+        (Y, [z, z], times, lambda w: (three.track(w), lambda t: a)),
+        (Y, pts_y + pts_y[:4], times, lambda y: ((lambda t: y), h2.track(y))),
+        (D1, [vertex_point(D1, "a"), vertex_point(D1, "b")] * 2, (0.0, 0.25, 0.5, 0.75, 1.0), _tie_tracks(D1)),
+    ):
+        want = control_oracle.fold_sup(pts, control_oracle.pair_sup(M, ts, tracks), None)
+        assert repr(sampled_sup(M, pts, ts, tracks)) == repr(want)
+
+    pts_x = sample_points(f.source, 10, seed=4)
+    rows = (
+        (g, None, f, pts_y, (0.0,), control_oracle.pair_sup(Y, (0.0,), lambda y: ((lambda t: y), lambda t: evaluate_map(f, g(y))))),
+        (h1, f, f, pts_x, times, lambda x: h1_row_oracle.sup_at(h1, x, times)),
+        (h2, None, None, pts_y, times, control_oracle.pair_sup(Y, times, lambda y: ((lambda t: y), h2.track(y)))),
+        (h1, None, None, pts_x[:5], times, control_oracle.pair_sup(f.source, times, lambda x: ((lambda t: x), h1.track(x)))),
+    )
+    for u, p, q, pts, ts, point_sup in rows:
+        pts = pts + pts[:3]
+        rep = _control_report(u, p, q, pts, ts, eps)
+        assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(control_oracle.fold_sup(pts, point_sup, None))
+        for prefix in (0, len(pts) // 2, len(pts)):
+            memo, old = {}, {}
+            _control_report(u, p, q, pts[:prefix], ts, eps, memo)
+            control_oracle.fold_sup(pts[:prefix], point_sup, old)
+            rep = _control_report(u, p, q, pts, ts, eps, memo)
+            want = control_oracle.fold_sup(pts, point_sup, old)
+            assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(want)
+            assert {z: repr(v) for z, v in memo.items()} == {z: repr(v) for z, v in old.items()}
+
+    x0 = vertex_point(f.source, "a")
+    h = PLEvaluator(domain=three.domain, codomain=f.source, fn=lambda _: x0)
+    edge, h_edge = _edge_slide(f)
+    for H, start in ((_point_track(Y, [a, a]), h), (_point_track(Y, [a, b]), h), (three, h), (edge, h_edge)):
+        for eps in (0.2, 0.05):
+            lifted = approximate_lift(f, fam, H, start, eps)
+            assert repr(_closure_value(lifted.track_factory, "eta")) == repr(control_oracle.lift_eta(f, H, eps))
 
 
 def test_trivial_family_keeps_one_identity_map(D2):
@@ -1106,7 +1183,7 @@ def _assert_sup_ats_match_the_per_point_oracle(h1, xs, times):
     gives the per-point oracle's (sup, t, pairs) for every x, and the row
     its (sup, witness, pairs), byte for byte: ``repr`` writes a float
     exactly, with its sign."""
-    from plcontrol.homotopies import _control_report, _sampled_sup
+    from plcontrol.homotopies import _control_report
 
     got = h1.sup_ats(xs, times)
     assert set(got) == set(xs)
@@ -1114,7 +1191,7 @@ def _assert_sup_ats_match_the_per_point_oracle(h1, xs, times):
     for x in xs:
         assert repr(got[x]) == repr(h1.sup_ats([x], times)[x]) == repr(want[x])
     rep = _control_report(h1, h1.f, h1.f, xs, times, None)
-    assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(_sampled_sup(xs, want.__getitem__, None))
+    assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(control_oracle.fold_sup(xs, want.__getitem__, None))
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse", "tetrahedron_onto_edge"])
@@ -1167,7 +1244,7 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
         if isinstance(u, homotopies._H1) and u.measures(p, q):
             want = {x: h1_row_oracle.sup_at(u, x, times) for x in points}
             assert all(repr(memo[x]) == repr(want[x]) for x in points)
-            fold = homotopies._sampled_sup(points, want.__getitem__, None)
+            fold = control_oracle.fold_sup(points, want.__getitem__, None)
             assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(fold)
             measured.append(eps)
         return rep
@@ -1179,9 +1256,10 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
 
 def test_sampling_counts_below_zero_raise_typed_errors():
     """A negative subdivision round count sampled as if it were 0, and a
-    negative time step count escaped as numpy's untyped ``ValueError``:
-    both are refused as malformed input."""
-    from plcontrol import MalformedInputError, straightline_homotopy
+    negative time step count escaped as numpy's untyped ``ValueError``
+    (from ``measure_control``, ``lift_discrepancy`` and the assembly): all
+    are refused as malformed input."""
+    from plcontrol import MalformedInputError, assemble_bounded_equivalence, straightline_homotopy
     from plcontrol.homotopies import effective_comesh
 
     D2 = fixtures.d2()
@@ -1189,6 +1267,15 @@ def test_sampling_counts_below_zero_raise_typed_errors():
         sample_points(D2, 0, subdivision_rounds=-3)
     with pytest.raises(MalformedInputError, match="^time_steps must be >= 0, got -1$"):
         measure_control(straightline_homotopy(D2, effective_comesh(D2) / 2.0), time_steps=-1)
+    f = fixtures.map_collapse()
+    fam = build_family(f)
+    H = _point_track(f.target, [vertex_point(f.target, "a"), vertex_point(f.target, "b")])
+    x0 = vertex_point(f.source, "a")
+    lifted = approximate_lift(f, fam, H, PLEvaluator(domain=H.domain, codomain=f.source, fn=lambda _: x0), 0.1)
+    with pytest.raises(MalformedInputError, match="^time_steps must be >= 0, got -1$"):
+        lift_discrepancy(f, H, lifted, time_steps=-1)
+    with pytest.raises(MalformedInputError, match="^time_steps must be >= 0, got -1$"):
+        assemble_bounded_equivalence(f, fam, time_steps=-1)
 
 
 def test_canonical_rows_sum_in_pythons_order():

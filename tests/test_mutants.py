@@ -65,6 +65,36 @@ def collar(k: float):
     return patch
 
 
+def collar_images(k: float):
+    """The vertex images of every flag cell at k eps, while the inversion
+    still reads eps: the cellulation that h1 and h2 step through is not the
+    one that located their points."""
+
+    def patch(monkeypatch, f):
+        real = cellulation.FlagCell.vertex_images
+        monkeypatch.setattr(
+            cellulation.FlagCell, "vertex_images", lambda cell, eps: real(cell, k * np.asarray(eps, dtype=float))
+        )
+
+    return patch
+
+
+def tilted_g(monkeypatch, f):
+    """g's base weights tilted by 1e-6 from the first vertex of the base to
+    the second (a vertex base keeps its weight), so g_eps(y) lies over a
+    point 1e-6 off y."""
+    real = homotopies.FlagMap.eval_cell
+
+    def tilted(gamma, chain, base, s, t):
+        s = np.array(s, dtype=float)
+        if len(s) > 1:
+            s[0] += 1e-6
+            s[1] -= 1e-6
+        return real(gamma, chain, base, s, t)
+
+    monkeypatch.setattr(homotopies.FlagMap, "eval_cell", tilted)
+
+
 def misweighted_join(monkeypatch, f):
     """The join of ``test_product_certificate_catches_a_misweighted_join``:
     half as much weight again on the first vertex of the base point."""
@@ -149,6 +179,8 @@ MUTANTS = {
     "collar(1.0)": collar(1.0),
     "collar(1.01)": collar(1.01),
     "collar(1.05)": collar(1.05),
+    "collar images(1.01)": collar_images(1.01),
+    "tilted g(1e-6)": tilted_g,
     "misweighted join": misweighted_join,
     "alpha_schedule(1.01)": alpha_schedule(1.01),
     "carrier metric(1.01)": carrier_metric(1.01),
@@ -171,11 +203,13 @@ class Passes:
 @dataclass(frozen=True)
 class Refutes:
     """CounterexampleToImplementation, with exactly the control rows at
-    comesh / d, for d in ``no_rows``, reading ``NO``, and B to 4 places
-    where pinned."""
+    comesh / d, for d in ``no_rows``, reading ``NO``, B to 4 places where
+    pinned, and, where pinned, exactly the identity lines of
+    ``identities`` above 1e-9, each with its rendered value."""
 
     no_rows: tuple[int, ...]
     bound: float | None = None
+    identities: tuple[tuple[str, str], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -217,6 +251,10 @@ ROWS = [
     ("collar(1.05)", "map_collapse", Raises(InversionError)),
     ("collar(1.05)", "D_3", Refutes((2,))),
     ("collar(1.05)", "D_4", Passes(0.8498, item="item 6")),
+    ("collar images(1.01)", "proj_map", Refutes((), bound=0.9943, identities=(("h1(x,0) = x", "1.892e-03"),))),
+    ("collar images(1.01)", "map_collapse", Refutes((), bound=0.9974, identities=(("h1(x,0) = x", "3.387e-03"),))),
+    ("tilted g(1e-6)", "proj_map", Refutes((), bound=0.9943, identities=(("f(g_eps(y)) = h2(y,1)", "1.414e-06"),))),
+    ("tilted g(1e-6)", "map_collapse", Refutes((), bound=0.9974, identities=(("f(g_eps(y)) = h2(y,1)", "1.414e-06"),))),
     ("misweighted join", "proj_map", Raises(ProductDecompositionError, item=None)),
     ("misweighted join", "map_collapse", Raises(ProductDecompositionError, item=None)),
     ("alpha_schedule(1.01)", "proj_map", Refutes((), bound=1.0051)),
@@ -262,3 +300,6 @@ def test_mutant(mutant, name, outcome, monkeypatch):
     assert [round(comesh / row.eps) for row in report.control_rows if not row.ok] == list(outcome.no_rows)
     if outcome.bound is not None:
         assert round(report.bound, 4) == outcome.bound
+    if outcome.identities is not None:
+        turned = tuple((k, f"{v:.3e}") for k, v in report.identity_sups.items() if v > 1e-9)
+        assert turned == outcome.identities
