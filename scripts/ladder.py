@@ -4,9 +4,12 @@ source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
 then the CPU and reference seconds of each stage of the verify (`STAGES`)
 and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
-calls, the h1 row's joined passes (`maps._joined_image_rows`) and the
-pairs that the sampled-control kernel measures with `distance` (the g
-row, the identities and every array row it does not reproduce).
+calls, the h1 joined passes (`maps._joined_image_rows`), the pairs that
+the sampled-control kernel measures with `distance` (the g row, the
+identities `f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of
+the h1 and h2 rows and of the two h1 identities that the arrays do not
+reproduce) and the h1 second-half start-ups (the calls of
+`_H1Track.second`'s function, one per track that reads ybar).
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -59,6 +62,7 @@ COUNTS = {
     "fiber_split": (maps, "fiber_split"),
     "h1 joined passes": (homotopies, "_joined_image_rows"),
     "control distances": (homotopies, "distance"),
+    "h1 second-half start-ups": (homotopies._H1Track.second, "func"),
 }
 
 

@@ -20,26 +20,31 @@ cell vertex images at each eps' = eps (1 - t) that the steps read
 closures built over it; ``straightline_homotopy``, ``build_inverse`` and
 ``build_h1`` each build their own.  Its h2 (``_StraightLine``) and each
 track of its h1 (``_H1Track``) read it to measure their control rows as
-arrays over the time grid, h2 per sampled point and h1 per carrier of
-f(x) (each ``sup_ats``): ``rows`` builds the images its memo lacks in one
-``vertex_images`` call and forms every row in one
-``cellulation._contract``.  An h1 track keeps its point's cell and
-second-half start-up as long as the track lives.  ``_H1.sup_ats`` builds
-the tracks of the points over one carrier, joins all their rows in one
-``maps._joined_image_rows`` pass and drops them before the next carrier.
-``_row_sup`` measures both rows, every fast row with one norm, and
-``_first_max`` is the one first-maximum reduction of every sampled
-control; neither keeps anything.
+arrays over the time grid, h2 per sampled point and h1 per maximal
+simplex of Y over the carrier of f(x) (each ``sup_ats``): ``rows`` builds
+the images its memo lacks in one ``vertex_images`` call and forms every
+row in one ``cellulation._contract``.  An h1 track keeps its point's cell
+and second-half start-up as long as the track lives.  ``_H1._passes``,
+the one group pass that the h1 row (``sup_ats``) and the two h1
+identities of ``verify`` (``identity_sups``) read, builds the tracks of
+the points over one maximal simplex, joins all their rows in one
+``maps._joined_image_rows`` pass and drops them before the next group;
+the maximal simplex over each distinct carrier is one walk up the
+``_face_poset`` cofacets per call.  ``_diff_sup`` measures every fast row
+of the rows and the identities with one norm (``_row_sup`` is its case
+of one point y against every row), and ``_first_max`` is the one
+first-maximum reduction of every sampled control; none keeps anything.
 Every sampled control is one per-point table, z -> (sup over t, first t
 attaining it, pairs): one call fills it for the distinct points it lacks
-(a ``sup_ats``, or ``_pair_sups`` with one ``distance`` per pair), and
-``_fold`` reduces it in sample order.  A family keeps its tables
-(``_sups``) as long as it lives, keyed by the exact eps like every cache
-that depends on eps: none rounds its eps.
+(a ``sup_ats`` or ``identity_sups``, or ``_pair_sups`` with one
+``distance`` per pair), and ``_fold`` reduces it in sample order.  A
+family keeps its tables (``_sups``) as long as it lives, keyed by the
+exact eps like every cache that depends on eps: none rounds its eps.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -55,6 +60,7 @@ from .complexes import (
     SimplicialComplex,
     _canonical_rows,
     _check_nonnegative,
+    _face_poset,
     barycenter,
     canonical,
     make_point,
@@ -404,8 +410,9 @@ class _H1Track:
 class _H1(Homotopy):
     """h1 of the eps-cellulation, whose tracks are ``_H1Track``s over
     ``view``, with the map and gamma, so that ``sup_ats`` can measure
-    sampled points' controls through f over a whole time grid as arrays
-    read off their tracks."""
+    sampled points' controls through f, and ``identity_sups`` the two
+    identities of h1's halves, over a whole time grid as arrays read off
+    their tracks, one group pass (``_passes``) per maximal simplex of Y."""
 
     f: SimplicialMap
     gamma: FlagMap
@@ -422,50 +429,99 @@ class _H1(Homotopy):
         first t attaining it, the pairs measured) for each x of ``xs``,
         equal to ``_pair_sups`` on the tracks (f(x), f(h1(x, .))).
 
-        The points are measured per carrier of f(x), read off gamma's split
-        memo, one carrier's tracks at a time.  Each x's rows are read off
-        its track: the first half (t <= 1/2) is the steps at eps' = eps (1 -
-        2t), one ``_EpsView.rows`` array joined to the fiber part z, and the
-        second half joins the track's fiber points to ybar.  All rows of a
-        carrier take one ``maps._joined_image_rows``, whose every sum adds a
-        column off a row's carrier as 0, so a row's bits do not depend on
-        the rows beside it.  A row whose step ``canonical`` leaves as it is
-        (``_canonical_rows``) and whose join the pass reproduces is f(h1(x,
-        t)) on f(x)'s carrier, measured as such by ``_row_sup``, one call
-        per x.  Every other row evaluates f on the track, except that the
-        row at t = 1/2 reads ybar when the track has made it."""
+        The rows come off ``_passes``.  A row that the pass marks fast is
+        f(h1(x, t)) on f(x)'s carrier, measured as such by ``_row_sup``, one
+        call per x.  Every other row evaluates f on the track, except that
+        the row at t = 1/2 reads ybar when the track has made it."""
         if not times:
             return dict.fromkeys(xs, (0.0, None, 0))
+        Y, out = self.f.target, {}
+        for x, tr, _, F, fast in self._passes(xs, times):
+            ybar = tr.second[0] if max(times) > 0.5 else None
+            # y canonical: the inversion read the cells over y's carrier
+            out[x] = _row_sup(Y, canonical(Y, tr.y), times, F, fast, lambda j: (
+                ybar if times[j] == 0.5 and ybar is not None else evaluate_map(self.f, tr(times[j]))))
+        return out
+
+    def identity_sups(self, xs, times) -> tuple[dict, dict]:
+        """The per-point tables x -> (sup over t in ``times``, first t
+        attaining it, pairs) of the identities f(h1'(x, t)) = h2(f(x), t),
+        that is d_Y(f(h1(x, t/2)), h2(f(x), t)), and f(h1''(x, t)) constant
+        in t, d_Y(f(h1(x, 1/2 + t/2)), f(h1(x, 1/2))), with h2 the straight
+        line of ``view``: each equal to ``_pair_sups`` on those tracks.
+        ``times`` is not empty (``verify`` reads the grid k/8).
+
+        One ``_passes`` over the h1 times t/2 and 1/2 + t/2 gives the rows
+        of both.  h2 locates f(x), the split's y, in the memo, and 2 (t/2)
+        is t, so h2's step row at t is h1's at t/2: a fast first-half row
+        is measured against it over f(x)'s carrier.  ybar has the bits of
+        f(h1(x, 1/2)), so a fast second-half row is measured against it over
+        ybar's carrier, and the pair at t = 0 is ybar against itself.  Every
+        other pair takes ``distance``."""
+        f, Y, view, n = self.f, self.f.target, self.view, len(times)
+        halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times]
+        at0, first, second = np.array(times) == 0.0, {}, {}
+        for x, tr, L, F, fast in self._passes(xs, halves):
+            first[x] = _diff_sup(times, L[:n] - F[:n], fast[:n], lambda k: distance(
+                Y, evaluate_map(f, tr(halves[k])), view.step(tr.cell, tr.s, tr.t, view.eps * (1.0 - times[k]))))
+            anchor = canonical(Y, ybar := tr.second[0])
+            diffs = np.array(anchor.coords) - F[n:, [tr.cell.carrier.vertices.index(v) for v in anchor.carrier.vertices]]
+            keep = fast[n:] & (anchor.carrier == ybar.carrier)
+            diffs[at0], keep[at0] = 0.0, True  # 1/2 + t/2 = 1/2: the anchor against itself
+            second[x] = _diff_sup(times, diffs, keep, lambda k: distance(Y, evaluate_map(f, tr(halves[n + k])), ybar))
+        return first, second
+
+    def _passes(self, xs, times):
+        """The one group pass of ``sup_ats`` and ``identity_sups``: per x of
+        ``xs``, (x, its track, the rows L of its base points, the joined
+        rows F, fast), L and F over the carrier of f(x), one row per time.
+
+        The points are grouped by a maximal simplex tau of Y over the
+        carrier of f(x), read off gamma's split memo, one group's tracks at
+        a time.  Each x's rows are read off its track: the first half (t <=
+        1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows``
+        array joined to the fiber part z, and the second half joins the
+        track's fiber points to ybar.  All rows of a group take one
+        ``maps._joined_image_rows`` over tau, whose every sum adds a column
+        off a row's carrier as 0, so a row's bits depend neither on the
+        rows beside it nor on tau.  A row is fast where the pass reproduces
+        it and ``canonical`` leaves its step as it is (``_canonical_rows``)."""
         f, Y, n = self.f, self.f.target, len(times)
-        groups: dict[Simplex, list[Point]] = {}
+        groups, tops = {}, {}  # tau -> its points, carrier -> its tau (one walk each)
         for x in xs:
-            groups.setdefault(canonical(Y, self.gamma.split(x)[1]).carrier, []).append(x)
+            sigma = canonical(Y, self.gamma.split(x)[1]).carrier
+            tau = tops[sigma] if sigma in tops else tops.setdefault(sigma, _maximal_over(Y, sigma))
+            groups.setdefault(tau, []).append(x)
         late = np.array([time > 0.5 for time in times])
-        late_rows = np.flatnonzero(late)[:, None]
+        early, late_rows = np.flatnonzero(~late)[:, None], np.flatnonzero(late)[:, None]
         epss = [self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
-        out = {}
-        for sigma, group in groups.items():
+        for tau, group in groups.items():
             # the factory, not ``track``, whose result a wrapper (such as the
             # tracer of perfbench/tracing.py) may hide: the rows read the track's state
             tracks = [self.track_factory(x) for x in group]
-            rows = np.zeros((len(group) * n, len(sigma.vertices)))
-            for block, tr in zip(rows.reshape(len(group), n, -1), tracks):
-                block[~late] = self.view.rows(tr.cell, tr.s, tr.t, epss)  # before ``second`` reads its eps' = 0
+            rows = np.zeros((len(group), n, len(tau.vertices)))
+            canon = np.tile(late, (len(group), 1))
+            cols = [[tau.vertices.index(v) for v in tr.cell.carrier.vertices] for tr in tracks]
+            for block, can, tr, at in zip(rows, canon, tracks, cols):
+                block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)  # before ``second`` reads its eps' = 0
+                can[~late] = _canonical_rows(steps)
                 if late_rows.size:
                     ybar = tr.second[0]
-                    block[late_rows, [sigma.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
+                    block[late_rows, [tau.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
             ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
-            F, fast = _joined_image_rows(f, sigma, ws, rows)
-            fast &= np.tile(late, len(group)) | _canonical_rows(rows)
-            for x, tr, F_x, fast_x in zip(group, tracks, np.split(F, len(group)), np.split(fast, len(group))):
-                ybar = tr.second[0] if late_rows.size else None
+            F, fast = _joined_image_rows(f, tau, ws, rows.reshape(len(group) * n, -1))
+            fast = (fast & canon.ravel()).reshape(len(group), n)
+            for x, tr, at, L, F_x, fast_x in zip(group, tracks, cols, rows, F.reshape(rows.shape), fast):
+                yield x, tr, L[:, at], F_x[:, at], fast_x
 
-                def point(j: int, tr=tr, ybar=ybar) -> Point:
-                    return ybar if times[j] == 0.5 and ybar is not None else evaluate_map(f, tr(times[j]))
 
-                # y canonical: the inversion read the cells over y's carrier
-                out[x] = _row_sup(Y, canonical(Y, tr.y), times, F_x, fast_x, point)
-        return out
+def _maximal_over(K: SimplicialComplex, sigma: Simplex) -> Simplex:
+    """A maximal simplex of K over sigma: the end of the walk up the first
+    cofacets of ``_face_poset``, from sigma's position in ``K._sorted``."""
+    cofacets, i = _face_poset(K)[1], bisect.bisect_left(K._sorted, K.sort_key(sigma), key=K.sort_key)
+    while cofacets[i]:
+        i = cofacets[i][0]
+    return K._sorted[i]
 
 
 def _h1(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> _H1:
@@ -567,8 +623,8 @@ def sample_points(K: SimplicialComplex, samples: int, seed: int = 0, subdivision
     maxs = K.maximal_simplices()
     for _ in range(samples):
         s = maxs[int(rng.integers(len(maxs)))]
-        w = rng.dirichlet(np.ones(len(s.vertices)))
-        pts.append(canonical(K, Point(s, tuple(w))))
+        w = rng.dirichlet(np.ones(len(s.vertices)))  # may read 1 - 2**-53 on a vertex
+        pts.append(canonical(K, Point(s, tuple(w) if s.dim else (1.0,))))
     return pts
 
 
@@ -600,15 +656,21 @@ def _first_max(times, dists) -> tuple[float, float | None, int]:
 def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, point) -> tuple[float, float | None, int]:
     """``_first_max`` of d_K(y, p_k) over ``times``, for the point p_k of
     each row k: a row marked ``fast`` holds p_k's coordinates over y's
-    carrier, so its distance to y is the l2 norm of their difference there,
-    which ``distance`` computes as ``math.sqrt(d.dot(d))``; the per-row dot
-    products of one ``matmul`` have the same bits.  Any other p_k is
-    ``point(k)``."""
+    carrier, so its distance to y is the l2 norm of their difference there
+    (``_diff_sup``).  Any other p_k is ``point(k)``."""
+    return _diff_sup(times, np.array(y.coords) - rows, fast, lambda k: distance(K, y, point(k)))
+
+
+def _diff_sup(times, diffs: np.ndarray, fast, pair) -> tuple[float, float | None, int]:
+    """``_first_max`` over ``times`` of one distance per row k: for a row
+    marked ``fast``, the l2 norm of row k of ``diffs``, which ``distance``
+    computes as ``math.sqrt(d.dot(d))`` (the per-row dot products of one
+    ``matmul`` have the same bits); for any other row, ``pair(k)``."""
     dists = np.empty(len(fast))
-    d = np.array(y.coords) - rows[fast]
+    d = diffs[fast]
     dists[fast] = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     for k in np.flatnonzero(~fast).tolist():
-        dists[k] = distance(K, y, point(k))
+        dists[k] = pair(k)
     return _first_max(times, dists.tolist())
 
 

@@ -21,6 +21,7 @@ from .contract import Verdict
 from .homotopies import (
     CannotConstructError,
     _family_controls,
+    _fold,
     build_family,
     epsilon_schedule,
     sample_points,
@@ -236,33 +237,27 @@ def run_verify(
 
 def _identity_checks(f: SimplicialMap, closures, samples: int, seed: int) -> dict[str, float]:
     """Sampled sups of the identities the construction satisfies exactly,
-    on the closures (g, h1, h2) of one ``family.at(eps)``.  Each sampled x's
-    h1 track is built once and read by the three x-identities."""
+    on the closures (g, h1, h2) of one ``family.at(eps)``.  The two h1
+    identities are the two per-point tables of ``h1.identity_sups``, read
+    off the group pass of the h1 row (one per maximal simplex of Y over
+    f(x)'s carrier) and folded by ``_fold``; the other two are
+    ``sampled_sup``s, with one ``distance`` per pair."""
     Y, X = f.target, f.source
     g, h1, h2 = closures
 
     def projection(y):
         return (lambda t: f(g(y))), h2.track(y)
 
-    def first_half(xt):
-        x, tr = xt
-        return (lambda t: f(tr(t / 2.0))), h2.track(f(x))
-
-    def second_half(xt):
-        _, tr = xt
-        anchor = f(tr(0.5))
-        return (lambda t: f(tr(0.5 + t / 2.0))), (lambda t: anchor)
-
-    def start(xt):
-        x, tr = xt
-        return tr, (lambda t: x)
+    def start(x):
+        return h1.track(x), (lambda t: x)
 
     pts_y = sample_points(Y, min(samples, 60), seed=seed)
-    x_tracks = [(x, h1.track(x)) for x in sample_points(X, min(samples, 60), seed=seed + 1)]
-    times = np.linspace(0.0, 1.0, 9)
+    pts_x = sample_points(X, min(samples, 60), seed=seed + 1)
+    times = tuple(np.linspace(0.0, 1.0, 9).tolist())
+    first, second = h1.identity_sups(pts_x, times)
     return {
         "f(g_eps(y)) = h2(y,1)": sampled_sup(Y, pts_y, (1.0,), projection)[0],
-        "f(h1'(x,t)) = h2(f(x),t)": sampled_sup(Y, x_tracks, times, first_half)[0],
-        "f(h1''(x,t)) constant in t": sampled_sup(Y, x_tracks, times, second_half)[0],
-        "h1(x,0) = x": sampled_sup(X, x_tracks, (0.0,), start)[0],
+        "f(h1'(x,t)) = h2(f(x),t)": _fold(pts_x, first)[0],
+        "f(h1''(x,t)) constant in t": _fold(pts_x, second)[0],
+        "h1(x,0) = x": sampled_sup(X, pts_x, (0.0,), start)[0],
     }

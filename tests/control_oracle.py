@@ -12,7 +12,13 @@ Beside them, the per-point kernel that the one per-point table of
 factory `pair_sup` and the callable-or-memo fold `fold_sup` (formerly
 `homotopies._pair_sup` and `homotopies._sampled_sup`), and the
 time-modulus loop of `approximate_lift` (`lift_eta`).  Their bodies are
-unchanged."""
+unchanged.
+
+Last, the scalar track pairs of the two h1 identities that
+`homotopies._H1.identity_sups` replaced, `first_half` and `second_half`
+(`h1_identity_tracks`), and `verify._identity_checks` as it read them
+(`identity_checks_on`), one ``distance`` per pair: the closures are
+unchanged, and only take f and h2 as arguments."""
 
 from __future__ import annotations
 
@@ -238,3 +244,46 @@ def lift_eta(f, H, eps, *, samples=60, seed=0):
             lip = max(lip, distance(f.target, a, b) / float(dt))
     r = 0.5 * (eps - delta) / lip
     return min(0.5, r / (1.0 + r))
+
+
+def h1_identity_tracks(f, h2):
+    """(first_half, second_half): for a sample (x, h1 track of x), the
+    track pairs of f(h1'(x,t)) = h2(f(x),t) and f(h1''(x,t)) constant in t."""
+
+    def first_half(xt):
+        x, tr = xt
+        return (lambda t: f(tr(t / 2.0))), h2.track(f(x))
+
+    def second_half(xt):
+        _, tr = xt
+        anchor = f(tr(0.5))
+        return (lambda t: f(tr(0.5 + t / 2.0))), (lambda t: anchor)
+
+    return first_half, second_half
+
+
+def identity_checks_on(f, closures, samples: int, seed: int) -> dict[str, float]:
+    """``verify._identity_checks`` with every identity a scalar sampled
+    sup (the pair loop ``sampled_sup`` above): each sampled x's h1 track is
+    built once and read by the three x-identities."""
+    Y, X = f.target, f.source
+    g, h1, h2 = closures
+
+    def projection(y):
+        return (lambda t: f(g(y))), h2.track(y)
+
+    first_half, second_half = h1_identity_tracks(f, h2)
+
+    def start(xt):
+        x, tr = xt
+        return tr, (lambda t: x)
+
+    pts_y = sample_points(Y, min(samples, 60), seed=seed)
+    x_tracks = [(x, h1.track(x)) for x in sample_points(X, min(samples, 60), seed=seed + 1)]
+    times = np.linspace(0.0, 1.0, 9)
+    return {
+        "f(g_eps(y)) = h2(y,1)": sampled_sup(Y, pts_y, (1.0,), projection)[0],
+        "f(h1'(x,t)) = h2(f(x),t)": sampled_sup(Y, x_tracks, times, first_half)[0],
+        "f(h1''(x,t)) constant in t": sampled_sup(Y, x_tracks, times, second_half)[0],
+        "h1(x,0) = x": sampled_sup(X, x_tracks, (0.0,), start)[0],
+    }

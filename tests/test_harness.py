@@ -352,15 +352,15 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image builds, fiber-contraction tracks and
     ``make_point`` calls of a default verify of map_collapse stay at or
-    under 1672, 2738, 6, 13, 296, 168, 296 and 18930: the sampled-sup
+    under 1672, 1560, 6, 13, 296, 168, 296 and 14935: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
     each distinct point once and is shared by the identities and the
     table's comesh/2 row, the assembly reads the per-point sups the control
     table measured, the h2 row measures a point's canonical steps without
-    ``distance`` and the h1 row its reproduced rows without ``distance`` or
-    a point, the h1 track reads ybar off its split of h1(x, 1/2), gamma
+    ``distance``, the h1 row and the two h1 identities their reproduced
+    rows without ``distance`` or a point, the h1 track reads ybar off its split of h1(x, 1/2), gamma
     keeps one fiber track per (sigma, w) for every eps, every point holds
     Python floats, so that equal fiber points share one track, h1 and h2
     of one ``family.at(eps)`` build each (cell, eps') image array
@@ -372,13 +372,13 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert rep.overall == THEOREM_CONSISTENT
     assert min(calls.values()) > 0
     assert calls["invert"] <= 1672
-    assert calls["distance"] <= 2738
+    assert calls["distance"] <= 1560
     assert calls["sample_points"] <= 6
     assert calls["cold"] <= 13
     assert calls["locate"] <= 296
     assert calls["images"] <= 168
     assert calls["tracks"] <= 296
-    assert calls["make_point"] <= 18930
+    assert calls["make_point"] <= 14935
 
 
 def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
@@ -394,15 +394,17 @@ def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
 
 def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkeypatch):
     """A default verify of proj_map makes at most 3372 ``fiber_split`` calls
-    and 152 joined passes of the h1 row (4219 and 887 when every h1 track
-    split its x again at every eps and every point had a pass of its own):
-    gamma keeps each sampled x's split for every eps, and the h1 row of one
-    eps joins the rows of all points whose f(x) lies on one carrier in one
-    ``_joined_image_rows``."""
+    and 34 joined passes of the h1 row and the two h1 identities (4219 and
+    887 when every h1 track split its x again at every eps and every point
+    had a pass of its own, 3372 and 152 with one pass per carrier of f(x)):
+    gamma keeps each sampled x's split for every eps, and one pass of h1 at
+    one eps joins the rows of all points whose f(x) lies on one maximal
+    simplex of Y in one ``_joined_image_rows``, read by the h1 row and by
+    both h1 identities."""
     calls = _count_work(monkeypatch)
     assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
     assert calls["fiber_split"] <= 3372
-    assert calls["joined"] <= 152
+    assert calls["joined"] <= 34
 
 
 def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):

@@ -1198,19 +1198,27 @@ def _assert_sup_ats_match_the_per_point_oracle(h1, xs, times):
 def test_h1_row_per_carrier_matches_the_per_point_oracle(name, monkeypatch):
     """At every schedule eps, on X samples and on points with one
     coordinate just above TOL, some of whose rows take the scalar
-    ``point(k)`` path (one ``distance`` each)."""
+    ``point(k)`` path (one ``distance`` each).  The pass groups the points
+    by a maximal simplex of Y over f(x)'s carrier, and some asserted group
+    spans two or more carriers."""
     from plcontrol import homotopies
 
     f = _tetrahedron_onto_edge() if name == "tetrahedron_onto_edge" else getattr(fixtures, name)()
     fam = build_family(f)
     pts = sample_points(f.source, 40, seed=0) + _near_boundary_points(f.source)
-    scalar = []
-    real = homotopies.distance
+    scalar, walks = [], []
+    real, real_walk = homotopies.distance, homotopies._maximal_over
     monkeypatch.setattr(homotopies, "distance", lambda *args: scalar.append(args) or real(*args))
+    monkeypatch.setattr(homotopies, "_maximal_over", lambda K, sigma: walks.append((sigma, real_walk(K, sigma))) or walks[-1][1])
     for eps in epsilon_schedule(f.target):
         for times in H1_GRIDS:
             _assert_sup_ats_match_the_per_point_oracle(fam.at(eps)[1], pts, times)
     assert scalar
+    spans = {}
+    for sigma, tau in walks:
+        assert sigma <= tau and tau in f.target.maximal_simplices()
+        spans.setdefault(tau, set()).add(sigma)
+    assert max(map(len, spans.values())) >= 2
 
 
 @given(random_simplicial_maps(), st.integers(0, 2**16))
@@ -1252,6 +1260,106 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
     monkeypatch.setattr(homotopies, "_control_report", both)
     assert run_verify(f).overall == THEOREM_CONSISTENT
     assert len(set(measured)) == 13
+
+
+# -- the two h1 identities off the h1 pass against the scalar pair loop ---------------
+
+IDENTITY_TIMES = tuple(np.linspace(0.0, 1.0, 9).tolist())
+
+
+def _assert_identity_tables_match_the_pair_loop(f, closures, xs):
+    """``h1.identity_sups`` gives, for every x, the (sup, t, pairs) of the
+    scalar pair loop over the moved ``first_half`` and ``second_half``
+    tracks, byte for byte (``repr`` writes a float exactly)."""
+    from plcontrol.homotopies import _pair_sups
+
+    _, h1, h2 = closures
+    got = h1.identity_sups(xs, IDENTITY_TIMES)
+    x_tracks = [(x, h1.track(x)) for x in dict.fromkeys(xs)]
+    for table, tracks in zip(got, control_oracle.h1_identity_tracks(f, h2)):
+        want = _pair_sups(f.target, x_tracks, IDENTITY_TIMES, tracks)
+        assert set(table) == set(xs)
+        for x, tr in x_tracks:
+            assert repr(table[x]) == repr(want[x, tr])
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)", "D_3"])
+def test_h1_identity_tables_match_the_pair_loop(name, monkeypatch):
+    """At comesh/2 and every schedule eps, on two sample sets and on points
+    with one coordinate just above TOL; some pairs take ``distance``."""
+    from plcontrol import homotopies
+    from test_harness import _load_script
+
+    ladder = _load_script("ladder")
+    makers = {"Prism(1)": lambda: ladder.inputs.prism_map(1), "D_3": lambda: ladder.simplex_prism(3)}
+    f = makers[name]() if name in makers else getattr(fixtures, name)()
+    fam = build_family(f)
+    scalar = []
+    real = homotopies.distance
+    monkeypatch.setattr(homotopies, "distance", lambda *args: scalar.append(args) or real(*args))
+    for eps in [fam.effective_comesh / 2.0, *epsilon_schedule(f.target)]:
+        closures = fam.at(eps)
+        for seed in (0, 1):
+            xs = sample_points(f.source, 30, seed=seed) + _near_boundary_points(f.source)
+            _assert_identity_tables_match_the_pair_loop(f, closures, xs)
+    assert scalar
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_h1_identity_tables_match_the_pair_loop_on_random_maps(f, seed):
+    try:
+        fam = build_family(f)
+    except CannotConstructError:
+        return
+    xs = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
+    for eps in epsilon_schedule(f.target, steps=3):
+        _assert_identity_tables_match_the_pair_loop(f, fam.at(eps), xs)
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)"])
+def test_identity_checks_match_the_scalar_oracle_on_default_verifies(name, monkeypatch):
+    """The identity lines of a default seed-0 verify are the scalar
+    ``_identity_checks``'s, value for value."""
+    from plcontrol import run_verify, verify
+    from plcontrol.verify import THEOREM_CONSISTENT
+    from test_harness import _fresh, _load_script
+
+    f = _load_script("ladder").inputs.prism_map(1) if name == "Prism(1)" else _fresh(getattr(fixtures, name)())
+    real, seen = verify._identity_checks, []
+
+    def both(f, closures, samples, seed):
+        got = real(f, closures, samples, seed)
+        want = control_oracle.identity_checks_on(f, closures, samples, seed)
+        assert repr(got) == repr(want)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "_identity_checks", both)
+    assert run_verify(f).overall == THEOREM_CONSISTENT
+    assert len(seen) == 1
+
+
+def test_sample_points_drawn_in_a_vertex_are_its_point():
+    """A point drawn in a 0-dimensional maximal simplex is that vertex's
+    point (the Dirichlet draw over one weight may read 1 - 2**-53), alone
+    and beside an edge; every draw keeps its place in the random stream,
+    so the edge's draws keep their bits."""
+    K = closure_complex([("z",)])
+    z = vertex_point(K, "z")
+    pts = sample_points(K, 40, subdivision_rounds=0)
+    assert len(pts) == 41 and all(p == z and p.coords == (1.0,) for p in pts)
+    K = closure_complex([("a", "b"), ("z",)])
+    z = vertex_point(K, "z")
+    pts = sample_points(K, 60, seed=1, subdivision_rounds=0)
+    rng, maxs = np.random.default_rng(1), K.maximal_simplices()
+    drawn = []
+    for p in pts[3:]:
+        s = maxs[int(rng.integers(len(maxs)))]
+        w = tuple(rng.dirichlet(np.ones(len(s.vertices))))
+        drawn.append(s.dim)
+        assert p == (z if s.dim == 0 else canonical(K, Point(s, w)))
+    assert len(pts) == 63 and 0 in drawn and 1 in drawn
 
 
 def test_sampling_counts_below_zero_raise_typed_errors():
