@@ -8,8 +8,10 @@ calls, the h1 joined passes (`maps._joined_image_rows`), the pairs that
 the sampled-control kernel measures with `distance` (the g row, the
 identities `f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of
 the h1 and h2 rows and of the two h1 identities that the arrays do not
-reproduce) and the h1 second-half start-ups (the calls of
-`_H1Track.second`'s function, one per track that reads ybar).
+reproduce), the h1 second-half start-ups (the calls of
+`_H1Track.second`'s function, one per track that reads ybar) and the flag
+cells built (`cellulation._flag_cell`, called once per cell of the target
+that an inversion names for the first time).
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -63,6 +65,7 @@ COUNTS = {
     "h1 joined passes": (homotopies, "_joined_image_rows"),
     "control distances": (homotopies, "distance"),
     "h1 second-half start-ups": (homotopies._H1Track.second, "func"),
+    "flag cells built": (cellulation, "_flag_cell"),
 }
 
 

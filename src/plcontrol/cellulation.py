@@ -12,12 +12,13 @@ entering at one chain level share one value (at most eps/sqrt(2)), these level
 values do not increase up the chain, and base values sit at or above them.  A
 cell that reproduces y to tol keeps that pattern in y's sorted coordinates up
 to 2 tol, so each level lies in one run of coordinates whose neighbours differ
-by at most the slack plus 2 tol.  Inversion reads the flags that fit the runs
-from a (base, chain) index over y's carrier and checks them in index order:
+by at most the slack plus 2 tol.  Inversion names the flags over y's carrier
+that fit the runs by their (base, chain) vertex masks, builds the cells it has
+not met before, and checks them in flag order (``enumerate_flags``' order):
 O(d log d) for the sort and, away from ties, O(dim) cell checks.  Unless y has
 a coordinate within 2 tol, a cell over a larger carrier reproduces y only with
 zero weight on top levels made of the extra vertices, and then its truncated
-flag, of lower index, reproduces y with the same s and nonzero t.
+flag, earlier in flag order, reproduces y with the same s and nonzero t.
 
 A cell check (``Cellulation._try_cell``) runs on Python floats: y's
 coordinates, the cell's positions and sizes, and a_j = eps / len_j.  Its
@@ -26,9 +27,11 @@ than 8 elements, and no cell has 8 levels or base vertices, so its (s, t)
 has the bits of the same check on numpy arrays.  The residual is read
 only against tol.
 
-What is kept, and for how long: the eps-free cells of every flag are built
-once per complex (``K._flag_cells``) and shared by its cellulations at every
-eps; ``build_cellulation`` keeps one cellulation per exact eps in
+What is kept, and for how long: the eps-free cell of a flag is built the
+first time an inversion names it (or ``Cellulation.cells`` lists every flag)
+and kept per complex (``K._flag_cells``), shared by its cellulations at every
+eps, so a verify builds only the cells over the carriers its points have;
+``build_cellulation`` keeps one cellulation per exact eps in
 ``K._cellulations`` while K lives, so a cellulation is a value of (K, eps)
 and holds no arrays: an inversion reads a cell's level coefficients
 a_j = eps / len_j and checks its residual in closed form.  Vertex images
@@ -100,6 +103,10 @@ class Flag:
         return f"{self.base} x <{' < '.join(str(s) for s in self.chain)}>"
 
 
+def _flag_key(K: SimplicialComplex, base: Simplex, chain: tuple[Simplex, ...]) -> tuple:
+    return (K.sort_key(base), tuple(K.sort_key(s) for s in chain))
+
+
 def enumerate_flags(K: SimplicialComplex) -> list[Flag]:
     """All flags, ordered by (base, chain) in the complex's vertex order."""
     flags = [
@@ -107,7 +114,7 @@ def enumerate_flags(K: SimplicialComplex) -> list[Flag]:
         for c in face_chains(K)
         for b in sorted(c[0].faces(), key=K.sort_key)
     ]
-    flags.sort(key=lambda fl: (K.sort_key(fl.base), tuple(K.sort_key(s) for s in fl.chain)))
+    flags.sort(key=lambda fl: _flag_key(K, fl.base, fl.chain))
     return flags
 
 
@@ -137,16 +144,18 @@ def _contract(s, t, P) -> np.ndarray:
     return np.einsum("i,j,...ijd->...d", s, t, P)
 
 
-@dataclass
+@dataclass(eq=False)
 class FlagCell:
     """One cell of the cellulation, with the numeric kernel of its bilinear map.
 
+    key is the flag's place in flag order, the sort key of ``enumerate_flags``;
     carrier is the top chain simplex; E holds the base-vertex coordinate rows,
-    chat the chain barycenter rows, both over the carrier's vertices.
+    chat the chain barycenter rows, both over the carrier's vertices.  K keeps
+    one cell per flag, so a cell compares and hashes by identity.
     """
 
-    index: int
     flag: Flag
+    key: tuple
     carrier: Simplex
     E: np.ndarray          # (n+1, d)
     chat: np.ndarray       # (m+1, d)
@@ -199,35 +208,28 @@ def _ordered_partitions(items: list[int]):
             yield (block, *tail)
 
 
-def _flag_cells(K: SimplicialComplex):
-    """The eps-free cells of every flag of K and their index, carrier ->
-    (base mask, chain masks) -> cell with masks over carrier positions; built
-    once and shared by the cellulations of K at every eps."""
-    if K._flag_cells is None:
-        cells: list[FlagCell] = []
-        index: dict[Simplex, dict[tuple[int, tuple[int, ...]], FlagCell]] = {}
-        for idx, fl in enumerate(enumerate_flags(K)):
-            carrier = fl.chain[-1]
-            pos = {v: i for i, v in enumerate(carrier.vertices)}
-            base_pos = [pos[v] for v in fl.base.vertices]
-            chat = np.zeros((len(fl.chain), len(pos)))
-            own: list[list[int]] = []
-            prev: set[str] = set(fl.base.vertices)
-            for j, s in enumerate(fl.chain):
-                chat[j, [pos[v] for v in s.vertices]] = 1.0 / len(s.vertices)
-                own.append([pos[v] for v in s.vertices if v not in prev])
-                prev |= set(s.vertices)
-            cell = FlagCell(
-                index=idx, flag=fl, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
-                lengths=np.array([vertex_barycenter_distance(s.dim) for s in fl.chain]),
-                own=own, base_pos=base_pos,
-                sizes=tuple(float(len(s.vertices)) for s in fl.chain),
-            )
-            cells.append(cell)
-            masks = tuple(sum(1 << pos[v] for v in s.vertices) for s in (fl.base, *fl.chain))
-            index.setdefault(carrier, {})[masks[0], masks[1:]] = cell
-        K._flag_cells = (cells, index)
-    return K._flag_cells
+def _flag_cell(K: SimplicialComplex, carrier: Simplex, masks: tuple[int, ...]) -> FlagCell:
+    """Build the eps-free cell of the flag over carrier whose base and chain
+    simplices have the vertex masks (base, *chain), bit p standing for
+    carrier.vertices[p], and keep it in ``K._flag_cells``, carrier -> masks
+    -> cell, where the cellulations of K at every eps look it up first."""
+    base, *chain = (K.simplex([v for p, v in enumerate(carrier.vertices) if m >> p & 1]) for m in masks)
+    fl = Flag(base=base, chain=tuple(chain))
+    pos = {v: i for i, v in enumerate(carrier.vertices)}
+    base_pos = [pos[v] for v in base.vertices]
+    chat = np.zeros((len(chain), len(pos)))
+    own: list[list[int]] = []
+    prev: set[str] = set(base.vertices)
+    for j, s in enumerate(chain):
+        chat[j, [pos[v] for v in s.vertices]] = 1.0 / len(s.vertices)
+        own.append([pos[v] for v in s.vertices if v not in prev])
+        prev |= set(s.vertices)
+    cell = K._flag_cells.setdefault(carrier, {})[masks] = FlagCell(
+        flag=fl, key=_flag_key(K, base, fl.chain), carrier=carrier, E=np.eye(len(pos))[base_pos],
+        chat=chat, lengths=np.array([vertex_barycenter_distance(s.dim) for s in chain]),
+        own=own, base_pos=base_pos, sizes=tuple(float(len(s.vertices)) for s in chain),
+    )
+    return cell
 
 
 def _check_eps(K: SimplicialComplex, eps: float) -> None:
@@ -256,10 +258,20 @@ class Cellulation:
         _check_eps(K, eps)
         self.K = K
         self.eps = eps
-        self.cells, self._index = _flag_cells(K)
         # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
         self._level_cap = eps / math.sqrt(2.0) + _SLACK
         self.inversions = self.cells_tried = 0
+
+    @functools.cached_property
+    def cells(self) -> list[FlagCell]:
+        """Every cell of the cellulation, in flag order; no inversion reads it."""
+        out = []
+        for fl in enumerate_flags(self.K):
+            carrier = fl.chain[-1]
+            bit = {v: 1 << p for p, v in enumerate(carrier.vertices)}
+            masks = tuple(sum(bit[v] for v in s.vertices) for s in (fl.base, *fl.chain))
+            out.append(self.K._flag_cells.get(carrier, {}).get(masks) or _flag_cell(self.K, carrier, masks))
+        return out
 
     # -- evaluation -------------------------------------------------------------
 
@@ -278,7 +290,8 @@ class Cellulation:
 
         Exact per-cell linear recovery: level averages of y's coordinates on
         the vertices entering at each chain level determine t, then the base
-        part determines s.  On cell boundaries the lowest-index cell wins.
+        part determines s.  On cell boundaries the first cell in flag order
+        wins.
         """
         y = canonical(self.K, y)
         self.inversions += 1
@@ -294,8 +307,8 @@ class Cellulation:
 
     def _fitting_cells(self, y: Point, tol: float) -> list[FlagCell]:
         """The cells over y's carrier whose flag fits y's sorted coordinates
-        (see the module docstring), in ascending index."""
-        index = self._index[y.carrier]
+        (see the module docstring), in flag order."""
+        kept = self.K._flag_cells.setdefault(y.carrier, {})
         vals = y.coords
         order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
         runs = [[order[0]]]
@@ -315,10 +328,10 @@ class Cellulation:
                 for parts in itertools.product(*map(_ordered_partitions, levels)):
                     flat = (block for part in parts for block in part)
                     chain = tuple(itertools.accumulate(flat, operator.or_, initial=base))
-                    found.append(index[base, chain])  # level 0 adds no vertex
-                    if len(chain) > 1:
-                        found.append(index[base, chain[1:]])
-        return sorted(found, key=lambda cell: cell.index)
+                    # sigma_0 is the base (level 0 adds no vertex) or the first level, if any
+                    for masks in ((base, *chain), chain)[: len(chain)]:
+                        found.append(kept.get(masks) or _flag_cell(self.K, y.carrier, masks))
+        return sorted(found, key=operator.attrgetter("key"))
 
     def _try_cell(self, cell: FlagCell, y: Point, tol: float):
         # On Python floats: y's coordinates are its carrier's, which is the
@@ -405,16 +418,15 @@ class Cellulation:
 
     def proper_vertex_images(self) -> list[tuple[str, Simplex, Point]]:
         """All (v, tau, image) with v a proper face of tau: the cellulation
-        vertices that actually moved distance eps away from v."""
-        out = []
-        seen = set()
-        for c in self.cells:
-            for v in c.flag.base.vertices:
-                for s in c.flag.chain:
-                    if s.dim > 0 and (v, s) not in seen:
-                        seen.add((v, s))
-                        out.append((v, s, gamma_vertex(self.K, self.eps, v, s)))
-        return out
+        vertices that actually moved distance eps away from v, one per
+        vertex of each positive-dimensional simplex (base {v}, chain (tau)
+        is a flag)."""
+        return [
+            (v, tau, gamma_vertex(self.K, self.eps, v, tau))
+            for tau in self.K.sorted_simplices()
+            if tau.dim > 0
+            for v in tau.vertices
+        ]
 
 
 def build_cellulation(K: SimplicialComplex, eps: float) -> Cellulation:

@@ -24,9 +24,10 @@ Everything derived from a complex and kept on it is a named attribute
 declared in ``__init__``, with its owner beside it: the face poset (the
 facets and cofacets of each simplex by position, which homology, collapse,
 ``face_chains`` and ``maximal_simplices`` read), the comesh, the eps-free
-flag cells, one cellulation per exact eps (which holds no arrays), one
-metric graph per refinement and the component of each vertex.  Each is
-filled on first use and lives as long as the complex.
+cells of the flags that inversions have named, one cellulation per exact
+eps (which holds no arrays), one metric graph per refinement and the
+component of each vertex.  Each is filled on first use and lives as long as
+the complex.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ class SimplicialComplex:
         # kept while K lives; nothing here points back at a map or family.
         self._poset: tuple | None = None  # _face_poset: facets and cofacets by position
         self._comesh: float | None = None  # cellulation.comesh_of
-        self._flag_cells: tuple | None = None  # cellulation._flag_cells: eps-free cells and index
+        # cellulation._flag_cell: the eps-free cell of each flag an inversion
+        # (or Cellulation.cells) has named, carrier -> vertex masks -> cell
+        self._flag_cells: dict[Simplex, dict[tuple[int, ...], object]] = {}
         # cellulation.build_cellulation, one per exact eps; each names K, the
         # one cycle kept by design, so a dropped cellulation is still a hit
         self._cellulations: dict[float, object] = {}

@@ -125,8 +125,9 @@ class FlagMap:
     ``_tracks`` keeps one fiber-contraction track per (sigma, w), each with
     its values per time; it is filled by ``fiber_track`` and lives as long
     as the gamma map.  The fiber contractions do not depend on eps, so, like
-    ``K._flag_cells``, the tracks serve every ``family.at(eps)``: g, the
-    second half of h1 and ``contract_in_fiber`` all read them.  ``_splits``
+    the flag cells that ``K._flag_cells`` keeps as inversions name them, the
+    tracks serve every ``family.at(eps)``: g, the second half of h1 and
+    ``contract_in_fiber`` all read them.  ``_splits``
     keeps, as long, the split of each point ``split`` was asked for: the
     start of every h1 track at every eps."""
 
@@ -260,12 +261,12 @@ class _EpsView:
     the cellulation of K that ``build_cellulation`` keeps at eps, eps itself,
     a locate memo (a miss calls ``cel.invert``, so each distinct point is
     inverted once) and the cell vertex images that the steps read, keyed by
-    (cell index, eps').  Nothing else holds the memo or the images: they die
+    (cell, eps').  Nothing else holds the memo or the images: they die
     with the object, which only the closures built over it hold."""
 
     def __init__(self, K: SimplicialComplex, eps: float):
         self.cel, self.K, self.eps = build_cellulation(K, eps), K, eps
-        self._located, self._images = {}, {}  # point -> invert(point), (cell index, eps') -> images
+        self._located, self._images = {}, {}  # point -> invert(point), (cell, eps') -> images
 
     def locate(self, y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
         hit = self._located.get(y)
@@ -280,10 +281,10 @@ class _EpsView:
         contraction."""
         if not epss:
             return np.empty((0, len(cell.carrier.vertices)))
-        images, i = self._images, cell.index
-        if new := list(dict.fromkeys(eps for eps in epss if (i, eps) not in images)):
-            images.update(((i, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
-        return _contract(s, t, np.stack([images[i, eps] for eps in epss]))
+        images = self._images
+        if new := list(dict.fromkeys(eps for eps in epss if (cell, eps) not in images)):
+            images.update(((cell, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
+        return _contract(s, t, np.stack([images[cell, eps] for eps in epss]))
 
     def step(self, cell: FlagCell, s, t, eps: float) -> Point:
         """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of

@@ -1,13 +1,19 @@
 """Reference kernels for the differential tests of ``plcontrol.cellulation``
 and ``plcontrol.homotopies``: the inversion that scans every cell whose
-carrier contains the point's carrier, the cell check on numpy arrays that
+carrier contains the point's carrier, the eager build of every flag cell
+with its global (base, chain) index and the candidate lookup through it,
+which the cells built on demand replaced, the cell check on numpy arrays that
 the float kernel of ``Cellulation._try_cell`` replaced, the per-row loops
 that formed a cell point's rows one eps' at a time and measured each fast
 row on its own, and the h1 built as a concatenation of two homotopies that
 each invert the cellulation on their own, whose second half locates its
 fiber points on every call."""
 
+import itertools
 import math
+import operator
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +32,14 @@ from plcontrol import (
     distance,
     evaluate_map,
 )
+from plcontrol.cellulation import _SLACK, _ordered_partitions, enumerate_flags
 from plcontrol.homotopies import _first_max
+from plcontrol.metrics import vertex_barycenter_distance
 import homotopy_oracle
 
 
 def invert(cel: Cellulation, y: Point, tol: float = 1e-9):
-    """The lowest-index cell, in the order of ``cel.cells``, whose carrier
+    """The first cell, in the order of ``cel.cells`` (flag order), whose carrier
     contains y's carrier and which reproduces y, with its (s, t)."""
     y = canonical(cel.K, y)
     for cell in cel.cells:
@@ -41,6 +49,100 @@ def invert(cel: Cellulation, y: Point, tol: float = 1e-9):
         if out is not None:
             return cell, out
     raise InversionError(f"no cell of the eps={cel.eps} cellulation reproduces {y}")
+
+
+@dataclass(eq=False)
+class IndexedCell(FlagCell):
+    """A cell of the eager build, numbered by its place in ``enumerate_flags``
+    (its ``key`` is unused: the eager lookup orders by ``index``)."""
+
+    index: int = -1
+
+
+_EAGER: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def flag_cells(K):
+    """The eps-free cells of every flag of K and their index, carrier ->
+    (base mask, chain masks) -> cell with masks over carrier positions; built
+    once per K, apart from the cells that K keeps."""
+    if K not in _EAGER:
+        cells: list[IndexedCell] = []
+        index: dict = {}
+        for idx, fl in enumerate(enumerate_flags(K)):
+            carrier = fl.chain[-1]
+            pos = {v: i for i, v in enumerate(carrier.vertices)}
+            base_pos = [pos[v] for v in fl.base.vertices]
+            chat = np.zeros((len(fl.chain), len(pos)))
+            own: list[list[int]] = []
+            prev: set[str] = set(fl.base.vertices)
+            for j, s in enumerate(fl.chain):
+                chat[j, [pos[v] for v in s.vertices]] = 1.0 / len(s.vertices)
+                own.append([pos[v] for v in s.vertices if v not in prev])
+                prev |= set(s.vertices)
+            cell = IndexedCell(
+                index=idx, flag=fl, key=None, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
+                lengths=np.array([vertex_barycenter_distance(s.dim) for s in fl.chain]),
+                own=own, base_pos=base_pos,
+                sizes=tuple(float(len(s.vertices)) for s in fl.chain),
+            )
+            cells.append(cell)
+            masks = tuple(sum(1 << pos[v] for v in s.vertices) for s in (fl.base, *fl.chain))
+            index.setdefault(carrier, {})[masks[0], masks[1:]] = cell
+        _EAGER[K] = (cells, index)
+    return _EAGER[K]
+
+
+def fitting_cells(cel: Cellulation, y: Point, tol: float) -> list[IndexedCell]:
+    """The eager cells over y's carrier whose flag fits y's sorted
+    coordinates, in ascending index: the lookup of every candidate in the
+    eager index.  y is canonical."""
+    index = flag_cells(cel.K)[1][y.carrier]
+    vals = y.coords
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    runs = [[order[0]]]
+    for i, j in zip(order, order[1:]):
+        if vals[i] - vals[j] > _SLACK + 2.0 * tol:
+            runs.append([])
+        runs[-1].append(j)
+    cap = cel._level_cap + tol
+    found = []
+    for r, run in enumerate(runs):
+        head = sum(1 << p for above in runs[:r] for p in above)
+        for pick in range(1, 1 << len(run)):
+            base = head | sum(1 << p for i, p in enumerate(run) if pick >> i & 1)
+            levels = [[p for i, p in enumerate(run) if not pick >> i & 1], *runs[r + 1 :]]
+            if any(vals[p] > cap for part in levels for p in part):
+                continue
+            for parts in itertools.product(*map(_ordered_partitions, levels)):
+                flat = (block for part in parts for block in part)
+                chain = tuple(itertools.accumulate(flat, operator.or_, initial=base))
+                found.append(index[base, chain])  # level 0 adds no vertex
+                if len(chain) > 1:
+                    found.append(index[base, chain[1:]])
+    return sorted(found, key=lambda cell: cell.index)
+
+
+def indexed_invert(cel: Cellulation, y: Point, tol: float = 1e-9):
+    """``Cellulation.invert`` over the eager index: the first fitting cell,
+    in index order, that ``Cellulation._try_cell`` accepts, with its (s, t)."""
+    y = canonical(cel.K, y)
+    for cell in fitting_cells(cel, y, tol):
+        if (out := Cellulation._try_cell(cel, cell, y, tol)) is not None:
+            return cell, out
+    raise InversionError(f"no cell of the eps={cel.eps} cellulation reproduces {y}")
+
+
+def proper_vertex_pairs(K) -> set:
+    """The (v, tau) pairs with v a base vertex and tau a positive-dimensional
+    chain simplex of some flag cell of K."""
+    return {
+        (v, s)
+        for c in flag_cells(K)[0]
+        for v in c.flag.base.vertices
+        for s in c.flag.chain
+        if s.dim > 0
+    }
 
 
 def _try_cell(cel: Cellulation, cell: FlagCell, y: Point, tol: float):

@@ -224,7 +224,7 @@ def test_invert_roundtrip_interior(D2, rng):
         yd, y2d = y.as_dict(), y2.as_dict()
         assert max(abs(yd.get(v, 0) - y2d.get(v, 0)) for v in cell.carrier.vertices) < 1e-9
         if cell.dim == cell.carrier.dim:
-            assert c2.index == cell.index
+            assert c2.flag == cell.flag
             assert np.abs(s2 - s).max() < 1e-8 and np.abs(t2 - t).max() < 1e-8
         n += 1
 
@@ -243,7 +243,7 @@ def test_boundary_values_agree_between_incident_cells(D2, rng):
             t = t / t.sum()
             y = cel.evaluate(cell, s, t)
             c2, (s2, t2) = cel.invert(y)
-            assert c2.index == oracle.invert(cel, y)[0].index
+            assert c2.flag == oracle.invert(cel, y)[0].flag
             y2 = cel.evaluate(c2, s2, t2)
             yd, y2d = y.as_dict(), y2.as_dict()
             labels = set(yd) | set(y2d)
@@ -278,8 +278,9 @@ def _subdivision_vertices(name):
 def assert_inverts_like_oracle(cel, y):
     cell, (s, t) = cel.invert(y)
     ocell, (os_, ot) = oracle.invert(cel, y)
-    assert cell.index == ocell.index, (y, cell.flag, ocell.flag)
+    assert cell.flag == ocell.flag, (y, cell.flag, ocell.flag)
     assert s.tobytes() == os_.tobytes() and t.tobytes() == ot.tobytes(), y
+    assert_locates_like_the_eager_index(cel, y)
 
 
 def _weights(draw, n):
@@ -573,3 +574,106 @@ def test_row_sup_matches_the_per_row_loop(d, n, seed):
     times = np.linspace(0.0, 1.0, n).tolist()
     got = _row_sup(K, y, times, rows, fast, others.__getitem__)
     assert repr(got) == repr(oracle.row_sup(K, y, times, rows, fast, others.__getitem__))
+
+
+# -- cells built on demand against the eager index ----------------------------------
+
+def assert_locates_like_the_eager_index(cel, y, tol=1e-9):
+    """y's candidate cells, by flag and in order, and its inversion (the
+    cell's flag, then s and t bytes) are those of the eager index."""
+    y = canonical(cel.K, y)
+    got, want = cel._fitting_cells(y, tol), oracle.fitting_cells(cel, y, tol)
+    assert [c.flag for c in got] == [c.flag for c in want], y
+    cell, (s, t) = cel.invert(y, tol)
+    ocell, (os_, ot) = oracle.indexed_invert(cel, y, tol)
+    assert cell.flag == ocell.flag, (y, cell.flag, ocell.flag)
+    assert s.tobytes() == os_.tobytes() and t.tobytes() == ot.tobytes(), y
+
+
+def assert_kept_cells_are_the_eager_cells(K):
+    """Every cell K keeps has the eager cell's carrier, positions and array
+    bytes, and the cells' flag order is the eager index order."""
+    eager = {c.flag: c for c in oracle.flag_cells(K)[0]}
+    kept = [c for cells in K._flag_cells.values() for c in cells.values()]
+    for c in kept:
+        e = eager[c.flag]
+        assert (c.carrier, c.own, c.base_pos, c.sizes) == (e.carrier, e.own, e.base_pos, e.sizes)
+        assert all(getattr(c, n).tobytes() == getattr(e, n).tobytes() for n in ("E", "chat", "lengths"))
+    by_key = [c.flag for c in sorted(kept, key=lambda c: c.key)]
+    assert by_key == [c.flag for c in sorted((eager[c.flag] for c in kept), key=lambda c: c.index)]
+
+
+@given(_GENS, st.sampled_from([2, 8]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cells_on_demand_match_the_eager_index_on_random_complexes(gens, k, data):
+    """Interior, face, near-face and jittered points of the eager cells of a
+    random complex, inverted on a fresh K at comesh/2 or comesh/8, so that
+    the inversions build every cell K keeps; then ``cells`` lists every flag
+    in the eager order."""
+    K = closure_complex([tuple(g) for g in gens])
+    cm = comesh_of(K)
+    if not math.isfinite(cm):
+        return
+    cel = build_cellulation(K, cm / k)
+    eager = oracle.flag_cells(K)[0]
+    for _ in range(data.draw(st.integers(1, 6))):
+        cell = data.draw(st.sampled_from(eager))
+        s = _weights(data.draw, len(cell.flag.base.vertices))
+        t = _weights(data.draw, len(cell.flag.chain))
+        kind = data.draw(st.sampled_from(["interior", "face", "near_face", "jittered"]))
+        w = t if len(t) > 1 and data.draw(st.booleans()) else s
+        if kind == "face" and len(w) > 1:
+            w[data.draw(st.integers(0, len(w) - 1))] = 0.0
+            w /= w.sum()
+        elif kind == "near_face" and len(w) > 1:
+            w[:] = _near_face(data.draw, w)
+        y = canonical(K, cel.evaluate(cell, s, t))
+        if kind == "jittered":
+            y = _jittered(y, 1e-12)
+        assert_locates_like_the_eager_index(cel, y)
+    assert_kept_cells_are_the_eager_cells(K)
+    assert [c.flag for c in cel.cells] == [c.flag for c in eager]
+    assert_kept_cells_are_the_eager_cells(K)
+
+
+def _ladder_map(name):
+    from test_harness import _fresh, _load_script
+
+    ladder = _load_script("ladder")
+    return {
+        "proj_map": lambda: _fresh(fixtures.proj_map()),
+        "Prism(1)": lambda: ladder.inputs.prism_map(1),
+        "D_3": lambda: ladder.simplex_prism(3),
+        "D_4": lambda: ladder.simplex_prism(4),
+    }[name]()
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("name", ["proj_map", "Prism(1)", "D_3", "D_4"])
+def test_cells_on_demand_match_the_eager_index_on_ladder_samples(name, k):
+    """The Y sample points of a default verify and the images of its X
+    sample points, and the moved vertex images, at comesh/k on a fresh Y."""
+    from plcontrol import evaluate_map, sample_points
+
+    f = _ladder_map(name)
+    Y = f.target
+    cel = build_cellulation(Y, comesh_of(Y) / k)
+    points = sample_points(Y, 120, seed=0) + [evaluate_map(f, x) for x in sample_points(f.source, 60, seed=0)]
+    points.extend(img for _, _, img in cel.proper_vertex_images())
+    for y in points:
+        assert_locates_like_the_eager_index(cel, y)
+    assert_kept_cells_are_the_eager_cells(Y)
+
+
+@given(_GENS, st.floats(0.01, 0.99))
+@settings(max_examples=100, deadline=None)
+def test_proper_vertex_images_are_the_flag_cells_pairs(gens, frac):
+    """(v, tau) for each vertex v of each positive-dimensional tau: the pairs
+    that the eager cells' (base vertex, chain simplex) yield, each once."""
+    K = closure_complex([tuple(g) for g in gens])
+    cm = comesh_of(K)
+    if not math.isfinite(cm):
+        return
+    pairs = [(v, tau) for v, tau, _ in build_cellulation(K, cm * frac).proper_vertex_images()]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == oracle.proper_vertex_pairs(K)

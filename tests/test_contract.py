@@ -228,9 +228,9 @@ def dunce_hat_with_flap():
 
 def staircase_prism(Y):
     """The projection Y x [0,1] -> Y, triangulated by the staircase
-    construction on Y's vertex order."""
+    construction on Y's vertex order over each maximal simplex of Y."""
     facets = []
-    for m in Y.simplices_of_dim(Y.dimension):
+    for m in Y.maximal_simplices():
         vs = m.vertices
         for i in range(len(vs)):
             facets.append(tuple(f"{v}@0" for v in vs[: i + 1]) + tuple(f"{v}@1" for v in vs[i:]))

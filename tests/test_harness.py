@@ -188,8 +188,8 @@ def test_file_positions_round_trip_and_drive_the_svg(tmp_path, capsys):
     K = load_complex(tmp_path / "d2.json")
     assert K.positions == fixtures.D2_POSITIONS
     # the layout is file data: loading it derives nothing from K
-    assert (K._poset, K._comesh, K._flag_cells, K._component_of) == (None,) * 4
-    assert not K._cellulations and not K._metric_graphs
+    assert (K._poset, K._comesh, K._component_of) == (None,) * 3
+    assert not K._flag_cells and not K._cellulations and not K._metric_graphs
     save_complex(K, tmp_path / "again.json")
     assert load_complex(tmp_path / "again.json").positions == fixtures.D2_POSITIONS
 
@@ -407,6 +407,32 @@ def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkey
     assert calls["joined"] <= 34
 
 
+def test_verify_builds_only_the_flag_cells_its_points_name(monkeypatch):
+    """A default verify of D_4 builds at most 171 flag cells of its target,
+    the distinct cells its inversions name (2 131 when every flag cell of
+    the target was built before the first inversion), and D_5, whose
+    target has 18 667 flag cells, renders its report to the byte."""
+    import hashlib
+
+    from plcontrol import cellulation
+
+    ladder = _load_script("ladder")
+    built = []
+    real = cellulation.FlagCell.__init__
+
+    def counting(cell, *args, **kwargs):
+        real(cell, *args, **kwargs)
+        built.append(cell.flag)
+
+    monkeypatch.setattr(cellulation.FlagCell, "__init__", counting)
+    assert run_verify(ladder.simplex_prism(4)).overall == THEOREM_CONSISTENT
+    assert 0 < len(built) == len(set(built)) <= 171
+    text = run_verify(ladder.simplex_prism(5)).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "be022d28af0b73952ebff0572b0d46aa24c53871bb8de0e64c716db99a5b8940"
+    )
+
+
 def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
     """Every cell that the default seed-0 verifies of proj_map and
     map_collapse try (3 809 tries) is checked by the float kernel and by the
@@ -419,7 +445,7 @@ def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
 
     def both(cel, cell, y, tol):
         got, want = real(cel, cell, y, tol), cellulation_oracle.try_cell_arrays(cel, cell, y, tol)
-        tries.append(cell.index)
+        tries.append(cell.flag)
         same = (got is None) == (want is None)
         if same and got is not None:
             same = [v.tobytes() for v in got] == [v.tobytes() for v in want]

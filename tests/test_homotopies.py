@@ -491,22 +491,21 @@ def test_family_law_three_dimensional_source():
 
 
 @st.composite
-def random_simplicial_maps(draw):
+def random_simplicial_maps(draw, labels="abcdef", max_size=3, targets="uvw"):
     """Random source complex with a random vertex identification; the target
     is the image complex, so the map is simplicial and surjective by
-    construction."""
+    construction.  The generators of the source have at most ``max_size``
+    of the ``labels``."""
     from plcontrol import SimplicialMap
 
-    labels = "abcdef"
     gens = draw(
         st.lists(
-            st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True),
+            st.lists(st.sampled_from(labels), min_size=1, max_size=max_size, unique=True),
             min_size=1,
             max_size=4,
         )
     )
     src = closure_complex([tuple(g) for g in gens])
-    targets = ["u", "v", "w"]
     vmap = {v: draw(st.sampled_from(targets)) for v in src.vertex_order}
     images = [sorted(set(vmap[v] for v in s.vertices)) for s in src.maximal_simplices()]
     tgt = closure_complex(images)
@@ -721,7 +720,7 @@ def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
     real = FlagCell.vertex_images
 
     def counting(cell, e):  # e is one eps' or a sequence of them
-        built.extend((cell.index, x) for x in np.ravel(e).tolist())
+        built.extend((cell.flag, x) for x in np.ravel(e).tolist())
         return real(cell, e)
 
     monkeypatch.setattr(FlagCell, "vertex_images", counting)
