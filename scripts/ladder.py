@@ -9,9 +9,13 @@ the sampled-control kernel measures with `distance` (the g row, the
 identities `f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of
 the h1 and h2 rows and of the two h1 identities that the arrays do not
 reproduce), the h1 second-half start-ups (the calls of
-`_H1Track.second`'s function, one per track that reads ybar) and the flag
+`_H1Track.second`'s function, one per track that reads ybar), the flag
 cells built (`cellulation._flag_cell`, called once per cell of the target
-that an inversion names for the first time).
+that an inversion names for the first time), the fitting lists built
+(`cellulation._fits`, called once per distinct point inverted, whatever
+the number of eps it is inverted at) and the image stacks built
+(`homotopies._EpsView._stack`, called once per cell and time grid of one
+`family.at(eps)`).
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -66,6 +70,8 @@ COUNTS = {
     "control distances": (homotopies, "distance"),
     "h1 second-half start-ups": (homotopies._H1Track.second, "func"),
     "flag cells built": (cellulation, "_flag_cell"),
+    "fitting lists built": (cellulation, "_fits"),
+    "image stacks built": (homotopies._EpsView, "_stack"),
 }
 
 

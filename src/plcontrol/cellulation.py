@@ -30,7 +30,11 @@ only against tol.
 What is kept, and for how long: the eps-free cell of a flag is built the
 first time an inversion names it (or ``Cellulation.cells`` lists every flag)
 and kept per complex (``K._flag_cells``), shared by its cellulations at every
-eps, so a verify builds only the cells over the carriers its points have;
+eps, so a verify builds only the cells over the carriers its points have.
+So is each inverted point's fitting list (``K._fits``, per (point, tol)):
+the flags that fit it at some eps, in flag order, each with the largest
+coordinate it puts on a chain level, so that an inversion at any eps keeps
+the entries under its level cap and enumerates nothing;
 ``build_cellulation`` keeps one cellulation per exact eps in
 ``K._cellulations`` while K lives, so a cellulation is a value of (K, eps)
 and holds no arrays: an inversion reads a cell's level coefficients
@@ -103,10 +107,6 @@ class Flag:
         return f"{self.base} x <{' < '.join(str(s) for s in self.chain)}>"
 
 
-def _flag_key(K: SimplicialComplex, base: Simplex, chain: tuple[Simplex, ...]) -> tuple:
-    return (K.sort_key(base), tuple(K.sort_key(s) for s in chain))
-
-
 def enumerate_flags(K: SimplicialComplex) -> list[Flag]:
     """All flags, ordered by (base, chain) in the complex's vertex order."""
     flags = [
@@ -114,7 +114,7 @@ def enumerate_flags(K: SimplicialComplex) -> list[Flag]:
         for c in face_chains(K)
         for b in sorted(c[0].faces(), key=K.sort_key)
     ]
-    flags.sort(key=lambda fl: _flag_key(K, fl.base, fl.chain))
+    flags.sort(key=lambda fl: (K.sort_key(fl.base), tuple(map(K.sort_key, fl.chain))))
     return flags
 
 
@@ -148,14 +148,12 @@ def _contract(s, t, P) -> np.ndarray:
 class FlagCell:
     """One cell of the cellulation, with the numeric kernel of its bilinear map.
 
-    key is the flag's place in flag order, the sort key of ``enumerate_flags``;
     carrier is the top chain simplex; E holds the base-vertex coordinate rows,
     chat the chain barycenter rows, both over the carrier's vertices.  K keeps
     one cell per flag, so a cell compares and hashes by identity.
     """
 
     flag: Flag
-    key: tuple
     carrier: Simplex
     E: np.ndarray          # (n+1, d)
     chat: np.ndarray       # (m+1, d)
@@ -225,11 +223,51 @@ def _flag_cell(K: SimplicialComplex, carrier: Simplex, masks: tuple[int, ...]) -
         own.append([pos[v] for v in s.vertices if v not in prev])
         prev |= set(s.vertices)
     cell = K._flag_cells.setdefault(carrier, {})[masks] = FlagCell(
-        flag=fl, key=_flag_key(K, base, fl.chain), carrier=carrier, E=np.eye(len(pos))[base_pos],
-        chat=chat, lengths=np.array([vertex_barycenter_distance(s.dim) for s in chain]),
+        flag=fl, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
+        lengths=np.array([vertex_barycenter_distance(s.dim) for s in chain]),
         own=own, base_pos=base_pos, sizes=tuple(float(len(s.vertices)) for s in chain),
     )
     return cell
+
+
+def _fits(K: SimplicialComplex, y: Point, tol: float) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """The flags over canonical y's carrier that fit y's sorted coordinates
+    (see the module docstring) at some eps, in flag order, each as (its
+    vertex masks (base, *chain), bit p standing for y.carrier.vertices[p],
+    the largest coordinate of y that the flag puts on a chain level, 0.0
+    if none).  Only the level cap eps / sqrt(2) + slack + tol of
+    ``Cellulation._fitting_cells`` depends on eps, so the list drops only
+    the flags above the cap of every eps < comesh."""
+    vals = y.coords
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    runs = [[order[0]]]
+    for i, j in zip(order, order[1:]):
+        if vals[i] - vals[j] > _SLACK + 2.0 * tol:
+            runs.append([])
+        runs[-1].append(j)
+    ceiling = comesh_of(K) / math.sqrt(2.0) + _SLACK + tol
+    found = []
+    for r, run in enumerate(runs):
+        head = sum(1 << p for above in runs[:r] for p in above)
+        for pick in range(1, 1 << len(run)):
+            base = head | sum(1 << p for i, p in enumerate(run) if pick >> i & 1)
+            levels = [[p for i, p in enumerate(run) if not pick >> i & 1], *runs[r + 1 :]]
+            top = max((vals[p] for part in levels for p in part), default=0.0)
+            if top > ceiling:
+                continue
+            for parts in itertools.product(*map(_ordered_partitions, levels)):
+                flat = (block for part in parts for block in part)
+                chain = tuple(itertools.accumulate(flat, operator.or_, initial=base))
+                # sigma_0 is the base (level 0 adds no vertex) or the first level, if any
+                found.extend((masks, top) for masks in ((base, *chain), chain)[: len(chain)])
+    index = [K.vertex_index(v) for v in y.carrier.vertices]
+
+    def key(mask):  # K.sort_key of the face with this vertex mask
+        face = tuple(i for p, i in enumerate(index) if mask >> p & 1)
+        return (len(face) - 1, face)
+
+    # flag order: the sort keys of the base and of each chain simplex, in turn
+    return tuple(sorted(found, key=lambda fit: tuple(map(key, fit[0]))))
 
 
 def _check_eps(K: SimplicialComplex, eps: float) -> None:
@@ -307,31 +345,15 @@ class Cellulation:
 
     def _fitting_cells(self, y: Point, tol: float) -> list[FlagCell]:
         """The cells over y's carrier whose flag fits y's sorted coordinates
-        (see the module docstring), in flag order."""
-        kept = self.K._flag_cells.setdefault(y.carrier, {})
-        vals = y.coords
-        order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
-        runs = [[order[0]]]
-        for i, j in zip(order, order[1:]):
-            if vals[i] - vals[j] > _SLACK + 2.0 * tol:
-                runs.append([])
-            runs[-1].append(j)
-        cap = self._level_cap + tol
-        found = []
-        for r, run in enumerate(runs):
-            head = sum(1 << p for above in runs[:r] for p in above)
-            for pick in range(1, 1 << len(run)):
-                base = head | sum(1 << p for i, p in enumerate(run) if pick >> i & 1)
-                levels = [[p for i, p in enumerate(run) if not pick >> i & 1], *runs[r + 1 :]]
-                if any(vals[p] > cap for part in levels for p in part):
-                    continue
-                for parts in itertools.product(*map(_ordered_partitions, levels)):
-                    flat = (block for part in parts for block in part)
-                    chain = tuple(itertools.accumulate(flat, operator.or_, initial=base))
-                    # sigma_0 is the base (level 0 adds no vertex) or the first level, if any
-                    for masks in ((base, *chain), chain)[: len(chain)]:
-                        found.append(kept.get(masks) or _flag_cell(self.K, y.carrier, masks))
-        return sorted(found, key=operator.attrgetter("key"))
+        at this eps (see the module docstring), in flag order: the entries
+        of y's fitting list (``_fits``) at or under this eps' level cap, each
+        cell looked up in ``K._flag_cells`` and built on a miss."""
+        K = self.K
+        fits = K._fits.get((y, tol))
+        if fits is None:
+            fits = K._fits[y, tol] = _fits(K, y, tol)
+        kept, cap = K._flag_cells.setdefault(y.carrier, {}), self._level_cap + tol
+        return [kept.get(masks) or _flag_cell(K, y.carrier, masks) for masks, top in fits if top <= cap]
 
     def _try_cell(self, cell: FlagCell, y: Point, tol: float):
         # On Python floats: y's coordinates are its carrier's, which is the

@@ -160,6 +160,9 @@ class SimplicialComplex:
         # cellulation._flag_cell: the eps-free cell of each flag an inversion
         # (or Cellulation.cells) has named, carrier -> vertex masks -> cell
         self._flag_cells: dict[Simplex, dict[tuple[int, ...], object]] = {}
+        # cellulation._fits: per (point, tol) an inversion has read, the flags
+        # that fit the point at some eps, in flag order, with the level each needs
+        self._fits: dict[tuple, tuple] = {}
         # cellulation.build_cellulation, one per exact eps; each names K, the
         # one cycle kept by design, so a dropped cellulation is still a hit
         self._cellulations: dict[float, object] = {}

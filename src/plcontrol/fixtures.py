@@ -6,6 +6,13 @@ The projection fixture also carries a geometric product structure: its fibers
 are monotone segments in the third coordinate, so constant-height sections
 trivialize every fiber.  The explicit section values from the worked example
 are stated in those height coordinates.
+
+Each fixture map and complex is built once per process (``functools.cache``),
+so what its complexes keep lives for the life of the process too: the flag
+cells, the cellulations, the metric graphs and each inverted point's
+fitting list (``K._fits``).  Work counted on a fixture therefore depends on
+what ran before it, so a test that counts work runs on fresh copies of the
+fixture's complexes.
 """
 
 from __future__ import annotations

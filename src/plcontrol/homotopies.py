@@ -14,21 +14,23 @@ h1 track starts from (``FlagMap._splits``).  Neither depends on eps, so
 every ``family.at(eps)`` reads them, and one ``run_verify`` splits each
 sampled x once.  What one ``ControlledFamily.at(eps)`` shares among its
 g, h1 and h2 has one owner, an ``_EpsView``: the cellulation that
-``build_cellulation`` keeps at exactly that eps, a locate memo and the
-cell vertex images at each eps' = eps (1 - t) that the steps read
-(``_EpsView.rows``, ``step`` is its one-row case).  It dies with the
-closures built over it; ``straightline_homotopy``, ``build_inverse`` and
-``build_h1`` each build their own.  Its h2 (``_StraightLine``) and each
-track of its h1 (``_H1Track``) read it to measure their control rows as
-arrays over the time grid, h2 per sampled point and h1 per maximal
-simplex of Y over the carrier of f(x) (each ``sup_ats``): ``rows`` builds
-the images its memo lacks in one ``vertex_images`` call and forms every
-row in one ``cellulation._contract``.  An h1 track keeps its point's cell
-and second-half start-up as long as the track lives.  ``_H1._passes``,
-the one group pass that the h1 row (``sup_ats``) and the two h1
-identities of ``verify`` (``identity_sups``) read, builds the tracks of
-the points over one maximal simplex, joins all their rows in one
-``maps._joined_image_rows`` pass and drops them before the next group;
+``build_cellulation`` keeps at exactly that eps, a locate memo, the cell
+vertex images at each eps' = eps (1 - t) that the steps read and their
+stacks per (cell, time grid) (``_EpsView.rows``, ``step`` is its one-row
+case).  It dies with the closures built over it;
+``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each build
+their own.  Its h2 (``_StraightLine``) and each track of its h1
+(``_H1Track``) read it to measure their control rows as arrays over the
+time grid, h2 per sampled point and h1 per maximal simplex of Y over the
+carrier of f(x) (each ``sup_ats``): the first point of a cell that asks
+for a grid stacks the cell's images over it, building those its memo
+lacks in one ``vertex_images`` call, and ``rows`` forms every row of a
+point in one ``cellulation._contract`` of that stack.  An h1 track keeps
+its point's cell and second-half start-up as long as the track lives.
+``_H1._passes``, the one group pass that the h1 row (``sup_ats``) and the
+two h1 identities of ``verify`` (``identity_sups``) read, builds the
+tracks of the points over one maximal simplex, joins all their rows in
+one ``maps._joined_image_rows`` pass and drops them before the next group;
 the maximal simplex over each distinct carrier is one walk up the
 ``_face_poset`` cofacets per call.  ``_diff_sup`` measures every fast row
 of the rows and the identities with one norm (``_row_sup`` is its case
@@ -260,13 +262,15 @@ class _EpsView:
     """What one ``ControlledFamily.at(eps)`` shares among its g, h1 and h2:
     the cellulation of K that ``build_cellulation`` keeps at eps, eps itself,
     a locate memo (a miss calls ``cel.invert``, so each distinct point is
-    inverted once) and the cell vertex images that the steps read, keyed by
-    (cell, eps').  Nothing else holds the memo or the images: they die
-    with the object, which only the closures built over it hold."""
+    inverted once), the cell vertex images that the steps read, keyed by
+    (cell, eps'), and their stacks, keyed by (cell, the exact eps' grid).
+    Nothing else holds the memos: they die with the object, which only the
+    closures built over it hold."""
 
     def __init__(self, K: SimplicialComplex, eps: float):
         self.cel, self.K, self.eps = build_cellulation(K, eps), K, eps
-        self._located, self._images = {}, {}  # point -> invert(point), (cell, eps') -> images
+        # point -> invert(point), (cell, eps') -> images, (cell, eps' tuple) -> stacked images
+        self._located, self._images, self._stacks = {}, {}, {}
 
     def locate(self, y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
         hit = self._located.get(y)
@@ -276,15 +280,23 @@ class _EpsView:
 
     def rows(self, cell: FlagCell, s, t, epss) -> np.ndarray:
         """The coordinates over ``cell.carrier`` of the cell point (s, t) at
-        each eps' of ``epss``, one row per eps': the images the memo lacks
-        are built in one ``vertex_images`` call, and the rows are one
-        contraction."""
+        each eps' of ``epss``, one row per eps': one contraction of the
+        cell's image stack over that grid (``_stack``), which every point of
+        the cell that asks for the grid reads."""
         if not epss:
             return np.empty((0, len(cell.carrier.vertices)))
+        if (key := (cell, tuple(epss))) not in self._stacks:
+            self._stacks[key] = self._stack(*key)
+        return _contract(s, t, self._stacks[key])
+
+    def _stack(self, cell: FlagCell, epss: tuple[float, ...]) -> np.ndarray:
+        """The cell's vertex images at each eps' of ``epss``, stacked: the
+        images the per-eps' memo lacks are built in one ``vertex_images``
+        call."""
         images = self._images
         if new := list(dict.fromkeys(eps for eps in epss if (cell, eps) not in images)):
             images.update(((cell, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
-        return _contract(s, t, np.stack([images[cell, eps] for eps in epss]))
+        return np.stack([images[cell, eps] for eps in epss])
 
     def step(self, cell: FlagCell, s, t, eps: float) -> Point:
         """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
@@ -315,7 +327,7 @@ class _StraightLine(Homotopy):
         row takes ``step``: at t = 1 (eps' = 0) the step is the base point,
         whose row is canonical only when the cell's base is its carrier."""
         view = self.view
-        epss = [view.eps * (1.0 - time) for time in times]
+        epss = tuple(view.eps * (1.0 - time) for time in times)
         out = {}
         for y in ys:
             cell, (s, t) = view.locate(y)
@@ -495,7 +507,7 @@ class _H1(Homotopy):
             groups.setdefault(tau, []).append(x)
         late = np.array([time > 0.5 for time in times])
         early, late_rows = np.flatnonzero(~late)[:, None], np.flatnonzero(late)[:, None]
-        epss = [self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5]
+        epss = tuple(self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5)
         for tau, group in groups.items():
             # the factory, not ``track``, whose result a wrapper (such as the
             # tracer of perfbench/tracing.py) may hide: the rows read the track's state

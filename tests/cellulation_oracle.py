@@ -2,12 +2,15 @@
 and ``plcontrol.homotopies``: the inversion that scans every cell whose
 carrier contains the point's carrier, the eager build of every flag cell
 with its global (base, chain) index and the candidate lookup through it,
-which the cells built on demand replaced, the cell check on numpy arrays that
+which the cells built on demand replaced, the enumeration of a point's
+fitting flags at each eps and the inversion through it, which the
+per-point fitting lists replaced, the cell check on numpy arrays that
 the float kernel of ``Cellulation._try_cell`` replaced, the per-row loops
 that formed a cell point's rows one eps' at a time and measured each fast
-row on its own, and the h1 built as a concatenation of two homotopies that
-each invert the cellulation on their own, whose second half locates its
-fiber points on every call."""
+row on its own, the rows that gathered and stacked a cell's images on
+every call, which the per-grid image stacks replaced, and the h1 built
+as a concatenation of two homotopies that each invert the cellulation on
+their own, whose second half locates its fiber points on every call."""
 
 import itertools
 import math
@@ -32,7 +35,7 @@ from plcontrol import (
     distance,
     evaluate_map,
 )
-from plcontrol.cellulation import _SLACK, _ordered_partitions, enumerate_flags
+from plcontrol.cellulation import _SLACK, _contract, _flag_cell, _ordered_partitions, enumerate_flags
 from plcontrol.homotopies import _first_max
 from plcontrol.metrics import vertex_barycenter_distance
 import homotopy_oracle
@@ -53,8 +56,7 @@ def invert(cel: Cellulation, y: Point, tol: float = 1e-9):
 
 @dataclass(eq=False)
 class IndexedCell(FlagCell):
-    """A cell of the eager build, numbered by its place in ``enumerate_flags``
-    (its ``key`` is unused: the eager lookup orders by ``index``)."""
+    """A cell of the eager build, numbered by its place in ``enumerate_flags``."""
 
     index: int = -1
 
@@ -81,7 +83,7 @@ def flag_cells(K):
                 own.append([pos[v] for v in s.vertices if v not in prev])
                 prev |= set(s.vertices)
             cell = IndexedCell(
-                index=idx, flag=fl, key=None, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
+                index=idx, flag=fl, carrier=carrier, E=np.eye(len(pos))[base_pos], chat=chat,
                 lengths=np.array([vertex_barycenter_distance(s.dim) for s in fl.chain]),
                 own=own, base_pos=base_pos,
                 sizes=tuple(float(len(s.vertices)) for s in fl.chain),
@@ -128,6 +130,49 @@ def indexed_invert(cel: Cellulation, y: Point, tol: float = 1e-9):
     in index order, that ``Cellulation._try_cell`` accepts, with its (s, t)."""
     y = canonical(cel.K, y)
     for cell in fitting_cells(cel, y, tol):
+        if (out := Cellulation._try_cell(cel, cell, y, tol)) is not None:
+            return cell, out
+    raise InversionError(f"no cell of the eps={cel.eps} cellulation reproduces {y}")
+
+
+def fitting_cells_per_eps(cel: Cellulation, y: Point, tol: float) -> list[FlagCell]:
+    """The cells over y's carrier whose flag fits y's sorted coordinates at
+    the eps of ``cel``, in flag order, enumerated afresh at this eps: y's
+    runs, every (base, chain) mask pick under the level cap, each cell
+    looked up in ``K._flag_cells`` and built on a miss, then sorted by
+    its flag's key.  y is canonical."""
+    K = cel.K
+    kept = K._flag_cells.setdefault(y.carrier, {})
+    vals = y.coords
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    runs = [[order[0]]]
+    for i, j in zip(order, order[1:]):
+        if vals[i] - vals[j] > _SLACK + 2.0 * tol:
+            runs.append([])
+        runs[-1].append(j)
+    cap = cel._level_cap + tol
+    found = []
+    for r, run in enumerate(runs):
+        head = sum(1 << p for above in runs[:r] for p in above)
+        for pick in range(1, 1 << len(run)):
+            base = head | sum(1 << p for i, p in enumerate(run) if pick >> i & 1)
+            levels = [[p for i, p in enumerate(run) if not pick >> i & 1], *runs[r + 1 :]]
+            if any(vals[p] > cap for part in levels for p in part):
+                continue
+            for parts in itertools.product(*map(_ordered_partitions, levels)):
+                flat = (block for part in parts for block in part)
+                chain = tuple(itertools.accumulate(flat, operator.or_, initial=base))
+                for masks in ((base, *chain), chain)[: len(chain)]:
+                    found.append(kept.get(masks) or _flag_cell(K, y.carrier, masks))
+    return sorted(found, key=lambda c: (K.sort_key(c.flag.base), tuple(map(K.sort_key, c.flag.chain))))
+
+
+def invert_per_eps(cel: Cellulation, y: Point, tol: float = 1e-9):
+    """``Cellulation.invert`` over ``fitting_cells_per_eps``: the first
+    fitting cell, in flag order, that ``Cellulation._try_cell`` accepts,
+    with its (s, t)."""
+    y = canonical(cel.K, y)
+    for cell in fitting_cells_per_eps(cel, y, tol):
         if (out := Cellulation._try_cell(cel, cell, y, tol)) is not None:
             return cell, out
     raise InversionError(f"no cell of the eps={cel.eps} cellulation reproduces {y}")
@@ -291,6 +336,18 @@ def rows(cell: FlagCell, s, t, epss) -> np.ndarray:
     for k, eps in enumerate(epss):
         out[k] = np.einsum("i,j,ijd->d", s, t, vertex_images(cell, eps))
     return out
+
+
+def gathered_rows(view, cell: FlagCell, s, t, epss) -> np.ndarray:
+    """``_EpsView.rows`` without its stack memo: the images the view's
+    per-eps' memo lacks are built in one ``vertex_images`` call, then the
+    images of the grid are gathered and stacked on every call."""
+    if not epss:
+        return np.empty((0, len(cell.carrier.vertices)))
+    images = view._images
+    if new := list(dict.fromkeys(eps for eps in epss if (cell, eps) not in images)):
+        images.update(((cell, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
+    return _contract(s, t, np.stack([images[cell, eps] for eps in epss]))
 
 
 def row_sup(K, y: Point, times, rows, fast, point):

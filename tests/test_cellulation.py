@@ -550,6 +550,30 @@ def test_rows_match_the_per_row_loop(gens, frac, data):
         assert got.tobytes() == oracle.rows(cell, s, t, epss).tobytes(), epss
 
 
+@pytest.mark.parametrize("name", ["proj_map", "D_4"])
+def test_rows_match_the_gathered_stack_on_verify_traffic(name, monkeypatch):
+    """Every row array of a default verify (3 411 ``rows`` calls on proj_map)
+    has the bytes of the images gathered from the view's per-eps' memo and
+    stacked on that call, and some stacks serve more than one call."""
+    from plcontrol import run_verify
+    from plcontrol.homotopies import _EpsView
+    from plcontrol.verify import THEOREM_CONSISTENT
+
+    real, grids, differ = _EpsView.rows, [], []
+
+    def both(view, cell, s, t, epss):
+        got, want = real(view, cell, s, t, epss), oracle.gathered_rows(view, cell, s, t, epss)
+        grids.append((view, cell, tuple(epss)))
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            differ.append((cell.flag, epss))
+        return got
+
+    monkeypatch.setattr(_EpsView, "rows", both)
+    assert run_verify(_ladder_map(name)).overall == THEOREM_CONSISTENT
+    assert grids and not differ
+    assert len({(id(v), c, e) for v, c, e in grids}) < len(grids)
+
+
 @functools.cache
 def _simplex_complex(d):
     return closure_complex([tuple(f"v{i}" for i in range(d))])
@@ -592,15 +616,31 @@ def assert_locates_like_the_eager_index(cel, y, tol=1e-9):
 
 def assert_kept_cells_are_the_eager_cells(K):
     """Every cell K keeps has the eager cell's carrier, positions and array
-    bytes, and the cells' flag order is the eager index order."""
+    bytes (the order of a point's candidates is checked against the eager
+    index by ``assert_locates_like_the_eager_index``)."""
     eager = {c.flag: c for c in oracle.flag_cells(K)[0]}
     kept = [c for cells in K._flag_cells.values() for c in cells.values()]
     for c in kept:
         e = eager[c.flag]
         assert (c.carrier, c.own, c.base_pos, c.sizes) == (e.carrier, e.own, e.base_pos, e.sizes)
         assert all(getattr(c, n).tobytes() == getattr(e, n).tobytes() for n in ("E", "chat", "lengths"))
-    by_key = [c.flag for c in sorted(kept, key=lambda c: c.key)]
-    assert by_key == [c.flag for c in sorted((eager[c.flag] for c in kept), key=lambda c: c.index)]
+
+
+def _drawn_cell_point(draw, K, cells, eps):
+    """A point of one of ``cells`` at eps, canonical: interior, on a face of
+    the cell, near one, or jittered."""
+    cell = draw(st.sampled_from(cells))
+    s = _weights(draw, len(cell.flag.base.vertices))
+    t = _weights(draw, len(cell.flag.chain))
+    kind = draw(st.sampled_from(["interior", "face", "near_face", "jittered"]))
+    w = t if len(t) > 1 and draw(st.booleans()) else s
+    if kind == "face" and len(w) > 1:
+        w[draw(st.integers(0, len(w) - 1))] = 0.0
+        w /= w.sum()
+    elif kind == "near_face" and len(w) > 1:
+        w[:] = _near_face(draw, w)
+    y = canonical(K, cell.evaluate(eps, s, t))
+    return _jittered(y, 1e-12) if kind == "jittered" else y
 
 
 @given(_GENS, st.sampled_from([2, 8]), st.data())
@@ -617,20 +657,7 @@ def test_cells_on_demand_match_the_eager_index_on_random_complexes(gens, k, data
     cel = build_cellulation(K, cm / k)
     eager = oracle.flag_cells(K)[0]
     for _ in range(data.draw(st.integers(1, 6))):
-        cell = data.draw(st.sampled_from(eager))
-        s = _weights(data.draw, len(cell.flag.base.vertices))
-        t = _weights(data.draw, len(cell.flag.chain))
-        kind = data.draw(st.sampled_from(["interior", "face", "near_face", "jittered"]))
-        w = t if len(t) > 1 and data.draw(st.booleans()) else s
-        if kind == "face" and len(w) > 1:
-            w[data.draw(st.integers(0, len(w) - 1))] = 0.0
-            w /= w.sum()
-        elif kind == "near_face" and len(w) > 1:
-            w[:] = _near_face(data.draw, w)
-        y = canonical(K, cel.evaluate(cell, s, t))
-        if kind == "jittered":
-            y = _jittered(y, 1e-12)
-        assert_locates_like_the_eager_index(cel, y)
+        assert_locates_like_the_eager_index(cel, _drawn_cell_point(data.draw, K, eager, cel.eps))
     assert_kept_cells_are_the_eager_cells(K)
     assert [c.flag for c in cel.cells] == [c.flag for c in eager]
     assert_kept_cells_are_the_eager_cells(K)
@@ -663,6 +690,45 @@ def test_cells_on_demand_match_the_eager_index_on_ladder_samples(name, k):
     for y in points:
         assert_locates_like_the_eager_index(cel, y)
     assert_kept_cells_are_the_eager_cells(Y)
+
+
+# -- per-point fitting lists against the per-eps enumeration ------------------------
+
+def assert_fits_like_the_per_eps_enumeration(cel, y, tol):
+    """y's candidate cells at the eps of ``cel``, as objects and in order,
+    are those enumerated afresh at that eps, and its inversion (the cell,
+    then s and t bytes) is the one through them, or both raise."""
+    y = canonical(cel.K, y)
+    assert cel._fitting_cells(y, tol) == oracle.fitting_cells_per_eps(cel, y, tol), (cel.eps, y)
+    try:
+        want, (ws, wt) = oracle.invert_per_eps(cel, y, tol)
+    except InversionError:
+        with pytest.raises(InversionError):
+            cel.invert(y, tol)
+        return
+    cell, (s, t) = cel.invert(y, tol)
+    assert cell is want and s.tobytes() == ws.tobytes() and t.tobytes() == wt.tobytes(), (cel.eps, y)
+
+
+@given(_GENS, st.sampled_from([1e-9, 1e-6]), st.permutations(range(4)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fitting_lists_match_the_per_eps_enumeration_on_random_complexes(gens, tol, order, data):
+    """Points of a random complex, drawn in its cells at one eps of comesh/2,
+    /8, /32 and comesh (1 - 1e-3), each inverted at all four in a drawn
+    order on a fresh K, so that its fitting list is built at any of them
+    and read at the others; K keeps one list per point and tol."""
+    K = closure_complex([tuple(g) for g in gens])
+    cm = comesh_of(K)
+    if not math.isfinite(cm):
+        return
+    epss = [(cm / 2.0, cm / 8.0, cm / 32.0, cm * (1.0 - 1e-3))[i] for i in order]
+    eager, points = oracle.flag_cells(K)[0], set()
+    for _ in range(data.draw(st.integers(1, 4))):
+        y = _drawn_cell_point(data.draw, K, eager, data.draw(st.sampled_from(epss)))
+        points.add(y)
+        for eps in epss:
+            assert_fits_like_the_per_eps_enumeration(build_cellulation(K, eps), y, tol)
+    assert set(K._fits) == {(y, tol) for y in points}
 
 
 @given(_GENS, st.floats(0.01, 0.99))

@@ -189,7 +189,7 @@ def test_file_positions_round_trip_and_drive_the_svg(tmp_path, capsys):
     assert K.positions == fixtures.D2_POSITIONS
     # the layout is file data: loading it derives nothing from K
     assert (K._poset, K._comesh, K._component_of) == (None,) * 3
-    assert not K._flag_cells and not K._cellulations and not K._metric_graphs
+    assert not K._flag_cells and not K._fits and not K._cellulations and not K._metric_graphs
     save_complex(K, tmp_path / "again.json")
     assert load_complex(tmp_path / "again.json").positions == fixtures.D2_POSITIONS
 
@@ -300,8 +300,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     cells tried, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image builds (calls of ``vertex_images``),
     fiber-contraction tracks, ``make_point``, ``image_simplex``,
-    ``fiber_split`` and the h1 row's joined passes
-    (``_joined_image_rows``).  The returned dict is live."""
+    ``fiber_split``, the h1 row's joined passes (``_joined_image_rows``)
+    and the fitting lists built (``cellulation._fits``).  The returned dict
+    is live."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
 
     calls: dict[str, int] = {}
@@ -328,7 +329,7 @@ def _count_work(monkeypatch) -> dict[str, int]:
     for name, fn in (
         ("distance", metrics.distance), ("sample_points", homotopies.sample_points),
         ("make_point", complexes.make_point), ("fiber_split", maps.fiber_split),
-        ("joined", maps._joined_image_rows),
+        ("joined", maps._joined_image_rows), ("fits", cellulation._fits),
     ):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
@@ -350,9 +351,10 @@ def _fresh(f: SimplicialMap) -> SimplicialMap:
 
 def test_verify_work_stays_within_its_counts(monkeypatch):
     """Inversions, distance queries, sample draws, cold cellulation builds,
-    fiber locations, cell vertex-image builds, fiber-contraction tracks and
-    ``make_point`` calls of a default verify of map_collapse stay at or
-    under 1672, 1560, 6, 13, 296, 168, 296 and 14935: the sampled-sup
+    fiber locations, cell vertex-image builds, fiber-contraction tracks,
+    ``make_point`` calls and fitting lists built of a default verify of
+    map_collapse stay at or under 1672, 1560, 6, 13, 296, 168, 296, 14935
+    and 224: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -365,8 +367,10 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     Python floats, so that equal fiber points share one track, h1 and h2
     of one ``family.at(eps)`` build each (cell, eps') image array
     once, a cell point's rows build the images their memo lacks in one
-    call, and an inversion builds no images: a cellulation holds no
-    arrays."""
+    call (the stack of a (cell, time grid) is built from that memo, so
+    the stacks add no image build), an inversion builds no images: a
+    cellulation holds no arrays, and each of the 224 distinct points
+    inverted at the 13 eps has its fitting list built once, on K."""
     calls = _count_work(monkeypatch)
     rep = run_verify(_fresh(fixtures.map_collapse()))
     assert rep.overall == THEOREM_CONSISTENT
@@ -379,6 +383,7 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["images"] <= 168
     assert calls["tracks"] <= 296
     assert calls["make_point"] <= 14935
+    assert calls["fits"] <= 224
 
 
 def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):

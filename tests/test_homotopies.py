@@ -709,8 +709,10 @@ def test_one_at_inverts_each_distinct_point_once(PROJ):
 def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
     """h1 and h2 of one ``at(eps)`` read one image dict: each (cell, eps')
     array is built once, h1' at time u reads the array h2 built at u, and a
-    new ``at()`` has a new dict.  The inversions build no images: the
-    cellulation holds no arrays."""
+    new ``at()`` has a new dict.  The view's stack memo, one stacked array
+    per (cell, eps' grid), is filled from that dict, so it builds no image
+    again.  The inversions build no images: the cellulation holds no
+    arrays."""
     from plcontrol.cellulation import FlagCell
 
     f = PROJ

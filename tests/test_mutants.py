@@ -8,7 +8,11 @@ item 6 (the cellulation's corners as control samples) for the collar rows
 on D_3 and D_4, item 5 (the exact control and its cross-check of the
 sampled columns) for the carrier-metric row on proj_map, item 4 (slices
 with their own samples) for the slice rows.  The short-contraction rows
-name no item: no report line reads where a fiber contraction ends.
+name no item: no report line reads where a fiber contraction ends.  The
+short h1 second-half fiber-track rows name item 10, whose open rows they
+are: h1's two fiber tracks then miss each other at the basepoint, but
+every line that reads h1's second half reads it through f, which a fiber
+track leaves where it is.
 A row that raises names item 10's open decision: a ``NO`` row that names
 the error, instead of an error that escapes ``run_verify``.  The change
 that closes an item flips its rows and says so.
@@ -175,6 +179,23 @@ def short_contraction(k: float):
     return patch
 
 
+def short_fiber_track(k: float):
+    """h1's second half read off its two fiber tracks at k of their time
+    (``_H1Track.fiber_at``): the track from h1(x, 1/2) stops short of the
+    fiber's basepoint, and the one to g_eps(f(x)) starts short of it.
+    k = 1.0 changes no bit."""
+
+    def patch(monkeypatch, f):
+        def fiber_at(track, time):
+            _, tr_a, tr_b = track.second
+            u = 2.0 * time - 1.0
+            return tr_a(k * (2.0 * u)) if u <= 0.5 else tr_b(k * (2.0 - 2.0 * u))
+
+        monkeypatch.setattr(homotopies._H1Track, "fiber_at", fiber_at)
+
+    return patch
+
+
 MUTANTS = {
     "collar(1.0)": collar(1.0),
     "collar(1.01)": collar(1.01),
@@ -187,6 +208,7 @@ MUTANTS = {
     "trivial homology": trivial_homology,
     "false collapse": false_collapse,
     "short contraction(0.9)": short_contraction(0.9),
+    "short h1 second-half fiber track(0.9)": short_fiber_track(0.9),
 }
 
 
@@ -233,8 +255,9 @@ D3_SHA = "60bcb28504ca7d6ef030cc5705248cae0ffce1e8d117f1224bc64be2cf887523"
 D4_SHA = "28a6214f6e9c442aeb06a6ba7e3d0ad6f377d19d2d1208706c5cb51bf7006cd2"
 # proj_map's render with the carrier metric scaled: its B is the healthy one
 CARRIER_PROJ_SHA = "e706c05834ce7e328be7fd4cf1b2ae4501c706374c8ac935b41477a835f02fac"
-# the short contraction moves only proj_map's f(h1''(x,t)) identity, from
-# 1.144e-16 to 1.241e-16; map_collapse's render is its healthy one
+# the short contraction, and the short h1 second-half fiber track alike,
+# move only proj_map's f(h1''(x,t)) identity, from 1.144e-16 to 1.241e-16;
+# map_collapse's render is its healthy one
 SHORT_PROJ_SHA = "2163584116d2a242981966ca432c8967344715e035c33623bbcca6df2f95a91a"
 SHORT_COLLAPSE_SHA = "ff0aca772348098c8ddf1cc3b16ef37cb28853164e90aa80e1b74bf0693f3f34"
 
@@ -265,6 +288,8 @@ ROWS = [
     ("false collapse", "map_bad", Raises(CertificateMismatchError)),
     ("short contraction(0.9)", "proj_map", Passes(sha256=SHORT_PROJ_SHA)),
     ("short contraction(0.9)", "map_collapse", Passes(sha256=SHORT_COLLAPSE_SHA)),
+    ("short h1 second-half fiber track(0.9)", "proj_map", Passes(sha256=SHORT_PROJ_SHA, item="item 10")),
+    ("short h1 second-half fiber track(0.9)", "map_collapse", Passes(sha256=SHORT_COLLAPSE_SHA, item="item 10")),
 ]
 
 
