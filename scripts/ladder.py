@@ -4,14 +4,17 @@ source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
 then the CPU and reference seconds of each stage of the verify (`STAGES`)
 and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
-calls, the h1 joined passes (`maps._joined_image_rows`), the pairs that
-the sampled-control kernel measures with `distance` (the g row, the
-identities `f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of
-the h1 and h2 rows and of the two h1 identities that the arrays do not
-reproduce), the h1 second-half start-ups (the calls of
-`_H1Track.second`'s function, one per track that reads ybar), the flag
-cells built (`cellulation._flag_cell`, called once per cell of the target
-that an inversion names for the first time), the fitting lists built
+calls, the h1 joined passes (`maps._joined_image_rows`), the calls of
+the join/split row kernel (`maps._join_split_rows`, one per group of h1
+second-half start-ups and one per maximal simplex of the target in each
+fill of a g table) and the rows they hold, the pairs that the
+sampled-control kernel measures with `distance` (the identities
+`f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of the g, h1 and
+h2 rows and of the two h1 identities that the arrays do not reproduce),
+the g evaluations (top-level `FlagMap.gamma_chain` calls, one per
+distinct point a g table holds), the flag cells built
+(`cellulation._flag_cell`, called once per cell of the target that an
+inversion names for the first time), the fitting lists built
 (`cellulation._fits`, called once per distinct point inverted, whatever
 the number of eps it is inverted at) and the image stacks built
 (`homotopies._EpsView._stack`, called once per cell and time grid of one
@@ -29,7 +32,9 @@ seconds are those of the calls `run_verify` makes to its functions, which
 are wrapped in the namespace of `plcontrol.verify` while the rung runs; what
 no stage holds (the family's construction, the sample draws) is in the total
 only.  The counts are read the same way, by wrapping each counted function
-where its callers look it up while the rung runs.
+where its callers look it up while the rung runs; a count with a weight
+adds the weight of each call (a row count, or 1 for a call that no counted
+call of the same function encloses) instead of 1.
 
 Reference seconds are wall seconds at a fixed machine speed, read off the
 `SpeedClock` of `perfbench/speed.py`, which probes the speed every 20 ms of
@@ -62,16 +67,20 @@ STAGES = {
     "assembly": ("assemble_bounded_equivalence", "slice_equivalence"),
 }
 
-# work count -> the (owner, attribute) whose calls it counts
+# work count -> the (owner, attribute) whose calls it counts, and the weight
+# of a call, weight(depth, *args), depth the number of counted calls of the
+# attribute that enclose it (None: each call counts 1)
 COUNTS = {
-    "inversions": (cellulation.Cellulation, "invert"),
-    "fiber_split": (maps, "fiber_split"),
-    "h1 joined passes": (homotopies, "_joined_image_rows"),
-    "control distances": (homotopies, "distance"),
-    "h1 second-half start-ups": (homotopies._H1Track.second, "func"),
-    "flag cells built": (cellulation, "_flag_cell"),
-    "fitting lists built": (cellulation, "_fits"),
-    "image stacks built": (homotopies._EpsView, "_stack"),
+    "inversions": (cellulation.Cellulation, "invert", None),
+    "fiber_split": (maps, "fiber_split", None),
+    "h1 joined passes": (homotopies, "_joined_image_rows", None),
+    "join/split kernel calls": (homotopies, "_join_split_rows", None),
+    "join/split kernel rows": (homotopies, "_join_split_rows", lambda depth, f, sigma, ws, L: len(ws)),
+    "control distances": (homotopies, "distance", None),
+    "g evaluations": (homotopies.FlagMap, "gamma_chain", lambda depth, *args: depth == 0),
+    "flag cells built": (cellulation, "_flag_cell", None),
+    "fitting lists built": (cellulation, "_fits", None),
+    "image stacks built": (homotopies._EpsView, "_stack", None),
 }
 
 
@@ -141,24 +150,35 @@ def _stage_clock(clock):
 @contextlib.contextmanager
 def _work_counts():
     """While open, the yielded dict counts the calls of each function of
-    `COUNTS`."""
+    `COUNTS`, by their weights."""
     counts = dict.fromkeys(COUNTS, 0)
-    saved = {name: getattr(owner, attr) for name, (owner, attr) in COUNTS.items()}
+    targets: dict[tuple, list] = {}
+    for name, (owner, attr, weight) in COUNTS.items():
+        targets.setdefault((owner, attr), []).append((name, weight))
+    saved = {key: getattr(*key) for key in targets}
 
-    def counted(name, fn):
+    def counted(fn, counters):
+        depth = 0
+
         def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+            nonlocal depth
+            for name, weight in counters:
+                counts[name] += 1 if weight is None else weight(depth, *args)
+            depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
 
         return wrapper
 
-    for name, (owner, attr) in COUNTS.items():
-        setattr(owner, attr, counted(name, saved[name]))
+    for (owner, attr), counters in targets.items():
+        setattr(owner, attr, counted(saved[owner, attr], counters))
     try:
         yield counts
     finally:
-        for name, (owner, attr) in COUNTS.items():
-            setattr(owner, attr, saved[name])
+        for (owner, attr), fn in saved.items():
+            setattr(owner, attr, fn)
 
 
 def rung(k) -> dict:

@@ -333,6 +333,15 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = 
     return (Point._prechecked if tol >= 0 else Point)(carrier, tuple(w / total for w in ws))
 
 
+def _row_point(K: SimplicialComplex, vertices, row: np.ndarray) -> Point:
+    """The point of K on the entries of ``row`` above 0 over ``vertices``
+    (in K's vertex order), with those entries as its coordinates: the
+    point ``make_point`` returns when an array kernel has reproduced its
+    coordinates."""
+    kept = [(v, c) for v, c in zip(vertices, row.tolist()) if c > 0.0]
+    return Point(K._by_labels[frozenset(v for v, _ in kept)], tuple(c for _, c in kept))
+
+
 def canonical(K: SimplicialComplex, p: Point, tol: float = TOL) -> Point:
     """Drop (near-)zero coordinates so the carrier is minimal.
 

@@ -4,7 +4,7 @@ Maps built by the controlled constructions are not kept simplicial (cone
 extensions would force unbounded subdivision); they are point evaluators, and
 all control claims are certified by sampled sups: a table of per-point sups
 over a time grid, filled once per distinct point and folded in sample order
-(`homotopies.sampled_sup`, and the array rows of h1 and h2).
+(`homotopies.sampled_sup`, and the array rows of g, h1 and h2).
 
 A homotopy is its tracks: ``track_factory(z)`` does the per-point setup
 (a cellulation inversion, a fiber location, a chain of collapse squashes)

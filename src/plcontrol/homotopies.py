@@ -17,29 +17,36 @@ g, h1 and h2 has one owner, an ``_EpsView``: the cellulation that
 ``build_cellulation`` keeps at exactly that eps, a locate memo, the cell
 vertex images at each eps' = eps (1 - t) that the steps read and their
 stacks per (cell, time grid) (``_EpsView.rows``, ``step`` is its one-row
-case).  It dies with the closures built over it;
-``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each build
-their own.  Its h2 (``_StraightLine``) and each track of its h1
-(``_H1Track``) read it to measure their control rows as arrays over the
-time grid, h2 per sampled point and h1 per maximal simplex of Y over the
-carrier of f(x) (each ``sup_ats``): the first point of a cell that asks
-for a grid stacks the cell's images over it, building those its memo
-lacks in one ``vertex_images`` call, and ``rows`` forms every row of a
-point in one ``cellulation._contract`` of that stack.  An h1 track keeps
-its point's cell and second-half start-up as long as the track lives.
+case), and the g table (``_EpsView.g_table``): per distinct point it
+locates for g, gamma on its cell evaluated once, with the join, image
+and split of g_eps there read off one ``maps._join_split_rows`` per
+maximal simplex of Y in each fill.  It dies with the closures built over
+it; ``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each
+build their own.  Its g (``_GInverse``), its h2 (``_StraightLine``) and
+each track of its h1 (``_H1Track``) read it to measure their control
+rows as arrays: g off its table, h2 per sampled point and h1 per maximal
+simplex of Y over the carrier of f(x) over the time grid (each
+``sup_ats``): the first point of a cell that asks for a grid stacks the
+cell's images over it, building those its memo lacks in one
+``vertex_images`` call, and ``rows`` forms every row of a point in one
+``cellulation._contract`` of that stack.  An h1 track keeps its point's
+cell and second-half start-up as long as the track lives.
 ``_H1._passes``, the one group pass that the h1 row (``sup_ats``) and the
 two h1 identities of ``verify`` (``identity_sups``) read, builds the
-tracks of the points over one maximal simplex, joins all their rows in
-one ``maps._joined_image_rows`` pass and drops them before the next group;
-the maximal simplex over each distinct carrier is one walk up the
-``_face_poset`` cofacets per call.  ``_diff_sup`` measures every fast row
-of the rows and the identities with one norm (``_row_sup`` is its case
-of one point y against every row), and ``_first_max`` is the one
-first-maximum reduction of every sampled control; none keeps anything.
-Every sampled control is one per-point table, z -> (sup over t, first t
-attaining it, pairs): one call fills it for the distinct points it lacks
-(a ``sup_ats`` or ``identity_sups``, or ``_pair_sups`` with one
-``distance`` per pair), and ``_fold`` reduces it in sample order.  A
+tracks of the points over one maximal simplex, starts their second
+halves up together (``_start``: ybar and w_a off the pass's own row at
+eps' = 0 and one ``maps._join_split_rows``, w_b off the g table), joins
+all their rows in one ``maps._joined_image_rows`` pass and drops them
+before the next group; the maximal simplex over each distinct carrier is
+one walk up the ``_face_poset`` cofacets per call (``_by_top``).
+``_diff_sup`` measures every fast row of the rows and the identities with
+one norm (``_norms``; ``_row_sup`` is its case of one point y against
+every row), and ``_first_max`` is the one first-maximum reduction of
+every sampled control; none keeps anything.  Every sampled control is
+one per-point table, z -> (sup over t, first t attaining it, pairs): one
+call fills it for the distinct points it lacks (a ``sup_ats`` or
+``identity_sups``, or ``_pair_sups`` with one ``distance`` per pair),
+and ``_fold`` reduces it in sample order.  A
 family keeps its tables (``_sups``) as long as it lives, keyed by the
 exact eps like every cache that depends on eps: none rounds its eps.
 """
@@ -62,7 +69,10 @@ from .complexes import (
     SimplicialComplex,
     _canonical_rows,
     _check_nonnegative,
+    TOL,
     _face_poset,
+    _row_point,
+    _row_sums,
     barycenter,
     canonical,
     make_point,
@@ -74,6 +84,7 @@ from .maps import (
     FiberComplex,
     JoinTrivialization,
     SimplicialMap,
+    _join_split_rows,
     _joined_image_rows,
     build_star_retraction,
     evaluate_map,
@@ -207,12 +218,15 @@ class FlagMap:
             w = self.gamma_chain(sub, np.delete(u, j0))
         return self.contract_in_fiber(chain[0], w, 1.0 - lam)
 
+    def cell_parts(self, chain: tuple[Simplex, ...], base: Simplex, s: np.ndarray, t: np.ndarray) -> tuple[Point, Point]:
+        """(the chain value, the base point with weights s): full gamma on
+        the flag cell is their join."""
+        return self.gamma_chain(chain, t), make_point(self.f.target, dict(zip(base.vertices, s)))
+
     def eval_cell(self, chain: tuple[Simplex, ...], base: Simplex, s: np.ndarray, t: np.ndarray) -> Point:
         """Full gamma on the flag cell: spread the chain value over the base
         point with weights s through the product structure."""
-        y = make_point(self.f.target, dict(zip(base.vertices, s)))
-        z0 = self.gamma_chain(chain, t)
-        return self.trivialization.join(z0, y)
+        return self.trivialization.join(*self.cell_parts(chain, base, s, t))
 
 
 def build_gamma_map(
@@ -263,14 +277,16 @@ class _EpsView:
     the cellulation of K that ``build_cellulation`` keeps at eps, eps itself,
     a locate memo (a miss calls ``cel.invert``, so each distinct point is
     inverted once), the cell vertex images that the steps read, keyed by
-    (cell, eps'), and their stacks, keyed by (cell, the exact eps' grid).
-    Nothing else holds the memos: they die with the object, which only the
-    closures built over it hold."""
+    (cell, eps'), their stacks, keyed by (cell, the exact eps' grid), and
+    the g table (``g_table``), keyed by located point.  Nothing else holds
+    the memos: they die with the object, which only the closures built
+    over it hold."""
 
     def __init__(self, K: SimplicialComplex, eps: float):
         self.cel, self.K, self.eps = build_cellulation(K, eps), K, eps
-        # point -> invert(point), (cell, eps') -> images, (cell, eps' tuple) -> stacked images
-        self._located, self._images, self._stacks = {}, {}, {}
+        # point -> invert(point), (cell, eps') -> images, (cell, eps' tuple) -> stacked images,
+        # located point -> its g_eps entry (``g_table``)
+        self._located, self._images, self._stacks, self._g = {}, {}, {}, {}
 
     def locate(self, y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
         hit = self._located.get(y)
@@ -302,6 +318,43 @@ class _EpsView:
         """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
         ``rows``, as a point."""
         return canonical(self.K, Point(cell.carrier, tuple(self.rows(cell, s, t, (eps,))[0].tolist())))
+
+    def g_table(self, gamma: FlagMap, ys) -> dict:
+        """The g table: located point y -> (the chain value w and base point
+        b of g_eps(y) = join(w, b) (``FlagMap.cell_parts``), then, each made
+        on call, f(g_eps(y)) and the fiber part w_b of g_eps(y), then
+        d_Y(y, f(g_eps(y))) or None), filled for the ys it lacks, so gamma
+        is evaluated once per distinct point.  The ys are grouped by a
+        maximal simplex tau of Y over their carrier (``_by_top``): the
+        joins, their images and their splits are one
+        ``maps._join_split_rows`` over tau, and the distances one array per
+        carrier.  A row it does not reproduce, and every row of another
+        trivialization, takes the scalar join and split, with no distance."""
+        f, triv, new = gamma.f, gamma.trivialization, []
+        for y in dict.fromkeys(ys):
+            if y not in self._g:
+                cell, (s, t) = self.locate(y)
+                new.append((cell.carrier, (y, *gamma.cell_parts(cell.flag.chain, cell.flag.base, s, t))))
+        for tau, by_carrier in _by_top(self.K, new).items():
+            group = [entry for entries in by_carrier.values() for entry in entries]
+            ys_, ws, bases = zip(*group)
+            ok = [False] * len(group)
+            if _joins(gamma):
+                F, ok, Z, cols = _join_split_rows(f, tau, ws, _rows_over(tau, bases))
+                # y canonical: the inversion read the cells over y's carrier
+                D, dists = _rows_over(tau, [canonical(self.K, y) for y in ys_]) - F, []
+                for sigma, entries in by_carrier.items():
+                    k = len(dists)
+                    dists += _norms(D[k : k + len(entries)][:, [tau.vertices.index(v) for v in sigma.vertices]])
+            for k, (y, w, b) in enumerate(group):
+                if ok[k]:
+                    image = functools.partial(_row_point, self.K, tau.vertices, F[k])
+                    fiber = functools.partial(_row_point, f.source, cols, Z[k])
+                    self._g[y] = (w, b, image, fiber, dists[k])
+                else:
+                    x = triv.join(w, b)
+                    self._g[y] = (w, b, functools.partial(evaluate_map, f, x), lambda x=x: triv.split(x)[0], None)
+        return self._g
 
 
 @dataclass
@@ -361,12 +414,43 @@ def build_inverse(f: SimplicialMap, eps: float, gamma: FlagMap) -> PLEvaluator:
     return _inverse(f, gamma, _EpsView(f.target, eps))
 
 
+@dataclass
+class _GInverse(PLEvaluator):
+    """g_eps of the eps-cellulation, whose values ``fn`` reads off the g
+    table of ``view`` (``_EpsView.g_table``), with gamma, so that
+    ``sup_ats`` can measure sampled points' controls through f, and
+    ``identity_sups`` the identity f(g_eps(y)) = h2(y, 1), off that table."""
+
+    gamma: FlagMap
+    view: _EpsView
+
+    def measures(self, p, q) -> bool:
+        """Whether ``sup_ats`` is the control through p and q: p is the
+        identity and q is gamma's map, whose images the table holds."""
+        return p is None and q is self.gamma.f
+
+    def sup_ats(self, ys, times) -> dict[Point, tuple[float, float | None, int]]:
+        """y -> (d_Y(y, f(g_eps(y))), the first t of ``times``, the pairs),
+        (0.0, None, 0) for no time: ``_pair_sups`` on the tracks (y,
+        f(g_eps(y))), constant in t.  The distance is the table's, or
+        ``distance`` where the table has none."""
+        table = self.view.g_table(self.gamma, ys)
+        return {y: _first_max(times, [distance(self.view.K, y, fg()) if d is None else d] * len(times))
+                for y in ys for _, _, fg, _, d in [table[y]]}
+
+    def identity_sups(self, ys) -> dict[Point, tuple[float, float | None, int]]:
+        """y -> (d_Y(f(g_eps(y)), h2(y, 1)), 1.0, 1): ``_pair_sups`` on those
+        tracks at t = 1, with f(g_eps(y)) read off the table."""
+        table, view = self.view.g_table(self.gamma, ys), self.view
+        return {y: _first_max((1.0,), [distance(view.K, table[y][2](), view.step(cell, s, t, 0.0))])
+                for y in ys for cell, (s, t) in [view.locate(y)]}
+
+
 def _inverse(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> PLEvaluator:
     def fn(y: Point) -> Point:
-        cell, (s, t) = view.locate(y)
-        return gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
+        return gamma.trivialization.join(*view.g_table(gamma, (y,))[y][:2])
 
-    return PLEvaluator(domain=f.target, codomain=f.source, fn=fn)
+    return _GInverse(domain=f.target, codomain=f.source, fn=fn, gamma=gamma, view=view)
 
 
 def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
@@ -386,11 +470,13 @@ class _H1Track:
     the fiber part ``z``, f(x) as ``y`` and its ``cell`` and cell
     coordinates (s, t).  The second half's start-up, ybar = f(h1(x,
     1/2)) and the fiber tracks from the ends of h1' and of g_eps(f(x))
-    (``second``), is made once, on first use.  The track holds no reference
-    to its homotopy, so no h1 sits in a reference cycle."""
+    (``second``), is made once: by the group pass that measures the track,
+    with the tracks beside it, or on first use by one of its own
+    (``_start``).  The track holds no reference to its homotopy, so no h1
+    sits in a reference cycle."""
 
     def __init__(self, gamma: FlagMap, view: _EpsView, x: Point):
-        self.gamma, self.view = gamma, view
+        self.gamma, self.view, self._second = gamma, view, None
         self.z, self.y = gamma.split(x)
         self.cell, (self.s, self.t) = view.locate(self.y)
 
@@ -398,14 +484,15 @@ class _H1Track:
         """h1' at eps': the cell point at eps' joined to z."""
         return self.gamma.trivialization.join(self.z, self.view.step(self.cell, self.s, self.t, eps))
 
-    @functools.cached_property
+    @property
     def second(self) -> tuple[Point, Callable[[float], Point], Callable[[float], Point]]:
         """(ybar, the fiber track from h1(x, 1/2), the fiber track from
-        g_eps(f(x))), both over ybar's carrier."""
-        triv, cell = self.gamma.trivialization, self.cell
-        w_a, ybar = triv.split(self.step(0.0))
-        w_b = triv.split(self.gamma.eval_cell(cell.flag.chain, cell.flag.base, self.s, self.t))[0]
-        return ybar, *(self.gamma.fiber_track(ybar.carrier, w) for w in (w_a, w_b))
+        g_eps(f(x))), both over ybar's carrier: made by the group pass that
+        measures the track (``_H1._passes``), or on first use by a
+        start-up of its own (``_start``)."""
+        if self._second is None:
+            _start(self.gamma, self.view, self.cell.carrier, [self])
+        return self._second
 
     def fiber_at(self, time: float) -> Point:
         """The fiber part of h1(x, time), time > 1/2."""
@@ -417,6 +504,39 @@ class _H1Track:
         if time <= 0.5:
             return self.step(self.view.eps * (1.0 - 2.0 * time))
         return self.gamma.trivialization.join(self.fiber_at(time), self.second[0])
+
+
+def _start(gamma: FlagMap, view: _EpsView, sigma: Simplex, tracks, R=None) -> None:
+    """The second-half start-up of each h1 track of ``tracks``, whose f(x)
+    lies on sigma.  h1(x, 1/2) joins z to the cell point at eps' = 0, whose
+    coordinates over sigma are the matching row of R (where None, each
+    track's one-row ``_EpsView.rows``), read through ``canonical`` as
+    arrays: a row it leaves as it is stays, any other loses its coordinates
+    at or below TOL and is divided by its sum (``_row_sums``).  One
+    ``maps._join_split_rows`` then gives ybar = f(h1(x, 1/2)) and the fiber
+    part w_a of h1(x, 1/2), and the g table the fiber part w_b of
+    g_eps(f(x)).  A row the arrays do not reproduce, and every row of
+    another trivialization, takes the scalar step, join and split."""
+    triv, at = gamma.trivialization, [[sigma.vertices.index(v) for v in tr.cell.carrier.vertices] for tr in tracks]
+    if R is None:
+        R = np.zeros((len(tracks), len(sigma.vertices)))
+        for row, tr, cols in zip(R, tracks, at):
+            row[cols] = view.rows(tr.cell, tr.s, tr.t, (0.0,))[0]
+    keep = R > TOL
+    total = _row_sums(np.where(keep, R, 0.0))
+    ok = (np.abs(total - 1.0) <= 1e-7) & _joins(gamma)
+    as_is = (keep.sum(axis=1) == [len(cols) for cols in at]) & (np.abs(total - 1.0) <= 1e-12)
+    B = np.where(as_is[:, None], R, np.where(keep, R, 0.0) / np.where(ok, total, 1.0)[:, None])
+    if ok.any():
+        F, fast, Z, cols = _join_split_rows(gamma.f, sigma, [tr.z for tr in tracks], B)
+        ok &= fast
+    table = view.g_table(gamma, [tr.y for tr in tracks])
+    for k, tr in enumerate(tracks):
+        if ok[k]:
+            ybar, w_a = _row_point(view.K, sigma.vertices, F[k]), _row_point(gamma.f.source, cols, Z[k])
+        else:
+            w_a, ybar = triv.split(triv.join(tr.z, canonical(view.K, Point(tr.cell.carrier, tuple(R[k, at[k]].tolist())))))
+        tr._second = ybar, gamma.fiber_track(ybar.carrier, w_a), gamma.fiber_track(ybar.carrier, table[tr.y][3]())
 
 
 @dataclass
@@ -434,8 +554,7 @@ class _H1(Homotopy):
     def measures(self, p, q) -> bool:
         """Whether ``sup_ats`` is the control through p and q: both are f,
         and gamma joins in f's own join coordinates."""
-        triv = self.gamma.trivialization
-        return p is self.f and q is self.f and type(triv) is JoinTrivialization and triv.f is self.f
+        return p is self.f and q is self.f and _joins(self.gamma)
 
     def sup_ats(self, xs, times) -> dict[Point, tuple[float, float | None, int]]:
         """x -> (sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the
@@ -494,21 +613,21 @@ class _H1(Homotopy):
         a time.  Each x's rows are read off its track: the first half (t <=
         1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows``
         array joined to the fiber part z, and the second half joins the
-        track's fiber points to ybar.  All rows of a group take one
+        track's fiber points to ybar.  When the grid reaches past 1/2, the
+        group's tracks start up together (``_start``), from their rows at
+        t = 1/2 (eps' = 0) where the grid holds it.  All rows of a group take one
         ``maps._joined_image_rows`` over tau, whose every sum adds a column
         off a row's carrier as 0, so a row's bits depend neither on the
         rows beside it nor on tau.  A row is fast where the pass reproduces
         it and ``canonical`` leaves its step as it is (``_canonical_rows``)."""
         f, Y, n = self.f, self.f.target, len(times)
-        groups, tops = {}, {}  # tau -> its points, carrier -> its tau (one walk each)
-        for x in xs:
-            sigma = canonical(Y, self.gamma.split(x)[1]).carrier
-            tau = tops[sigma] if sigma in tops else tops.setdefault(sigma, _maximal_over(Y, sigma))
-            groups.setdefault(tau, []).append(x)
+        groups = _by_top(Y, [(canonical(Y, self.gamma.split(x)[1]).carrier, x) for x in xs])
         late = np.array([time > 0.5 for time in times])
-        early, late_rows = np.flatnonzero(~late)[:, None], np.flatnonzero(late)[:, None]
+        early = np.flatnonzero(~late)[:, None]
         epss = tuple(self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5)
-        for tau, group in groups.items():
+        zero = early[epss.index(0.0), 0] if 0.0 in epss else None  # the time of the start-up's eps' = 0
+        for tau, by_carrier in groups.items():
+            group = [x for xs_ in by_carrier.values() for x in xs_]
             # the factory, not ``track``, whose result a wrapper (such as the
             # tracer of perfbench/tracing.py) may hide: the rows read the track's state
             tracks = [self.track_factory(x) for x in group]
@@ -516,16 +635,27 @@ class _H1(Homotopy):
             canon = np.tile(late, (len(group), 1))
             cols = [[tau.vertices.index(v) for v in tr.cell.carrier.vertices] for tr in tracks]
             for block, can, tr, at in zip(rows, canon, tracks, cols):
-                block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)  # before ``second`` reads its eps' = 0
+                block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)
                 can[~late] = _canonical_rows(steps)
-                if late_rows.size:
-                    ybar = tr.second[0]
-                    block[late_rows, [tau.vertices.index(v) for v in ybar.carrier.vertices]] = ybar.coords
+            if late.any():
+                _start(self.gamma, self.view, tau, tracks, None if zero is None else rows[:, zero])
+                rows[:, late] = _rows_over(tau, [tr.second[0] for tr in tracks])[:, None]
             ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
             F, fast = _joined_image_rows(f, tau, ws, rows.reshape(len(group) * n, -1))
             fast = (fast & canon.ravel()).reshape(len(group), n)
             for x, tr, at, L, F_x, fast_x in zip(group, tracks, cols, rows, F.reshape(rows.shape), fast):
                 yield x, tr, L[:, at], F_x[:, at], fast_x
+
+
+def _by_top(K: SimplicialComplex, items) -> dict:
+    """tau -> carrier -> the items of ``items``, (carrier, item) pairs, on
+    that carrier, with tau a maximal simplex of K over it: one walk
+    (``_maximal_over``) per distinct carrier."""
+    groups, tops = {}, {}
+    for sigma, item in items:
+        tau = tops[sigma] if sigma in tops else tops.setdefault(sigma, _maximal_over(K, sigma))
+        groups.setdefault(tau, {}).setdefault(sigma, []).append(item)
+    return groups
 
 
 def _maximal_over(K: SimplicialComplex, sigma: Simplex) -> Simplex:
@@ -676,15 +806,38 @@ def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, poin
 
 def _diff_sup(times, diffs: np.ndarray, fast, pair) -> tuple[float, float | None, int]:
     """``_first_max`` over ``times`` of one distance per row k: for a row
-    marked ``fast``, the l2 norm of row k of ``diffs``, which ``distance``
-    computes as ``math.sqrt(d.dot(d))`` (the per-row dot products of one
-    ``matmul`` have the same bits); for any other row, ``pair(k)``."""
+    marked ``fast``, the l2 norm of row k of ``diffs`` (``_norms``); for
+    any other row, ``pair(k)``."""
     dists = np.empty(len(fast))
-    d = diffs[fast]
-    dists[fast] = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    dists[fast] = _norms(diffs[fast])
     for k in np.flatnonzero(~fast).tolist():
         dists[k] = pair(k)
     return _first_max(times, dists.tolist())
+
+
+def _norms(d: np.ndarray) -> list[float]:
+    """The l2 norm of each row of d, which ``distance`` computes as
+    ``math.sqrt(d.dot(d))``: the per-row dot products of one ``matmul`` of
+    C-ordered rows have the same bits (on rows of another layout it may
+    add in another order)."""
+    d = np.ascontiguousarray(d)
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).tolist()
+
+
+def _rows_over(sigma: Simplex, points) -> np.ndarray:
+    """The coordinates of each point over sigma's vertices, one row per
+    point (0 off its carrier, which lies in sigma)."""
+    rows = np.zeros((len(points), len(sigma.vertices)))
+    for row, p in zip(rows, points):
+        row[[sigma.vertices.index(v) for v in p.carrier.vertices]] = p.coords
+    return rows
+
+
+def _joins(gamma: FlagMap) -> bool:
+    """Whether gamma joins in its map's own join coordinates, the ones that
+    ``maps._join_split_rows`` reproduces."""
+    triv = gamma.trivialization
+    return type(triv) is JoinTrivialization and triv.f is gamma.f
 
 
 def _pair_sups(M, points, times, tracks) -> dict:
@@ -715,8 +868,8 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
     with p and q landing in one metric complex M (None is the identity; a
     map counts as a homotopy constant in t).  ``memo`` is a per-point table
     as ``_fold`` reads it (None keeps nothing): the points it lacks are
-    measured in one call, by h2's or h1's ``sup_ats`` over the whole time
-    grid when it ``measures`` the control through p and q, and otherwise by
+    measured in one call, by g's, h2's or h1's ``sup_ats`` over the whole
+    time grid when it ``measures`` the control through p and q, and otherwise by
     ``_pair_sups``, and fill it.  The times are Python floats: each
     measurement converts its grid once, where it enters (``sampled_sup``,
     ``measure_control``, ``_family_controls``)."""
@@ -726,7 +879,7 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
         raise MalformedInputError("control maps must land in one metric complex")
     sups = {} if memo is None else memo
     missing = [z for z in dict.fromkeys(points) if z not in sups]
-    if isinstance(u, (_StraightLine, _H1)) and u.measures(p, q):
+    if isinstance(u, (_StraightLine, _H1, _GInverse)) and u.measures(p, q):
         sups.update(u.sup_ats(missing, times))
     else:
         track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))

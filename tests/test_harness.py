@@ -14,6 +14,7 @@ from plcontrol import (
     FiberComplex,
     FileFormatError,
     MalformedInputError,
+    Point,
     SimplicialComplex,
     SimplicialMap,
     UnsupportedDimensionError,
@@ -35,6 +36,7 @@ from plcontrol import (
     vertex_point,
 )
 from plcontrol import fixtures
+from plcontrol.cellulation import FlagCell
 from plcontrol.cli import main
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
 import cellulation_oracle
@@ -300,9 +302,10 @@ def _count_work(monkeypatch) -> dict[str, int]:
     cells tried, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image builds (calls of ``vertex_images``),
     fiber-contraction tracks, ``make_point``, ``image_simplex``,
-    ``fiber_split``, the h1 row's joined passes (``_joined_image_rows``)
-    and the fitting lists built (``cellulation._fits``).  The returned dict
-    is live."""
+    ``fiber_split``, the h1 row's joined passes (``_joined_image_rows``),
+    the fitting lists built (``cellulation._fits``) and the g evaluations
+    (``FlagMap.gamma_chain`` calls that no other call of it encloses).  The
+    returned dict is live."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
 
     calls: dict[str, int] = {}
@@ -336,6 +339,18 @@ def _count_work(monkeypatch) -> dict[str, int]:
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapped)
+    real_chain, depth = homotopies.FlagMap.gamma_chain, [0]
+    calls["g"] = 0
+
+    def gamma_chain(gamma, chain, t):
+        calls["g"] += not depth[0]
+        depth[0] += 1
+        try:
+            return real_chain(gamma, chain, t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(homotopies.FlagMap, "gamma_chain", gamma_chain)
     return calls
 
 
@@ -384,6 +399,17 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["tracks"] <= 296
     assert calls["make_point"] <= 14935
     assert calls["fits"] <= 224
+
+
+def test_a_verify_keeps_the_cellulations_built_before_it():
+    """A verify drops only the cellulations it built on the target: one the
+    caller built before the run is still the target's after it."""
+    from plcontrol import comesh_of
+
+    f = _fresh(fixtures.map_collapse())
+    cel = build_cellulation(f.target, comesh_of(f.target) / 3.0)
+    assert run_verify(f).overall == THEOREM_CONSISTENT
+    assert list(f.target._cellulations.values()) == [cel]
 
 
 def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
@@ -466,9 +492,9 @@ def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
 
 def test_verify_work_per_source_simplex_does_not_grow_with_the_map(monkeypatch):
     """A default verify of Prism(1) does no more inversions, cells tried,
-    ``make_point`` or ``distance`` calls, fiber tracks or ``image_simplex``
-    calls per source simplex than one of Prism(0), so work that grows as
-    |X| * |Y|, like a per-simplex fiber scan, fails here."""
+    ``make_point`` or ``distance`` calls, fiber tracks, ``image_simplex``
+    calls or g evaluations per source simplex than one of Prism(0), so work
+    that grows as |X| * |Y|, like a per-simplex fiber scan, fails here."""
     ladder = _load_script("ladder")
     calls = _count_work(monkeypatch)
     per_simplex = []
@@ -478,7 +504,7 @@ def test_verify_work_per_source_simplex_does_not_grow_with_the_map(monkeypatch):
         assert run_verify(f).overall == THEOREM_CONSISTENT
         per_simplex.append({name: n / len(f.source.simplices) for name, n in calls.items()})
     small, large = per_simplex
-    for name in ("invert", "tried", "make_point", "distance", "tracks", "image_simplex"):
+    for name in ("invert", "tried", "make_point", "distance", "tracks", "image_simplex", "g"):
         assert 0 < large[name] <= small[name], name
 
 
@@ -1044,7 +1070,9 @@ def _cyclic_garbage() -> list[tuple[type, int]]:
 
 def test_runs_leave_no_cyclic_garbage(tmp_path):
     """Caches point one way: a finished run frees its complexes by reference
-    counting, except the target and the cellulations cached on it."""
+    counting, the target with the cellulations the run built on it (each
+    names the target, which names it) included, and with them every point
+    and flag cell they hold."""
     write_fixture_files(tmp_path)
     save_complex(fixtures.proj_X(), tmp_path / "proj_x.json")
     save_complex(fixtures.proj_Y(), tmp_path / "proj_y.json")
@@ -1054,13 +1082,10 @@ def test_runs_leave_no_cyclic_garbage(tmp_path):
     try:
         for name in ("proj.json", "collapse.json"):
             f = load_map(tmp_path / name)
-            target = id(f.target)
             report = run_verify(f, samples=30, certificate_samples=15)
             del f, report
-            garbage = _cyclic_garbage()
-            assert [i for t, i in garbage if issubclass(t, SimplicialComplex)] == [target]
-            kinds = (types.FunctionType, types.CellType, SimplicialMap, FiberComplex)
-            assert not [t for t, _ in garbage if issubclass(t, kinds)]
+            kinds = (types.FunctionType, types.CellType, SimplicialMap, FiberComplex, SimplicialComplex, Point, FlagCell)
+            assert not [t for t, _ in _cyclic_garbage() if issubclass(t, kinds)]
 
         f = load_map(tmp_path / "proj.json")
         for sigma in f.target.sorted_simplices():

@@ -37,6 +37,7 @@ import cellulation_oracle
 import control_oracle
 import family_oracle
 import h1_row_oracle
+import start_oracle
 
 
 def random_point(K, rng):
@@ -1339,6 +1340,156 @@ def test_identity_checks_match_the_scalar_oracle_on_default_verifies(name, monke
     monkeypatch.setattr(verify, "_identity_checks", both)
     assert run_verify(f).overall == THEOREM_CONSISTENT
     assert len(seen) == 1
+
+
+# -- h1's start-ups and g's table against the per-point oracles -------------------------
+
+def _late_reads(second, late):
+    """The points h1's second half reads off a start-up (ybar, its two fiber
+    tracks) at the times ``late`` > 1/2, with the tracks' start points
+    w_a and w_b, as one ``repr``, which writes a float exactly."""
+    ybar, tr_a, tr_b = second
+    reads = [tr_a(2.0 * (2.0 * time - 1.0)) if time <= 0.75 else tr_b(2.0 - 2.0 * (2.0 * time - 1.0)) for time in late]
+    return repr((ybar, tr_a(0.0), tr_b(0.0), reads))
+
+
+def _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys):
+    """At one ``fam.at(eps)``: the start-up of every track of h1's group
+    pass, and of a lone track, reads what the per-track oracle reads; the
+    g row's per-point table is the oracle pair loop's; and the g table's
+    f(g_eps(y)), w_b and g_eps(y) itself are the scalar ones, all byte for
+    byte.  Returns the number of tracks and of g table entries checked."""
+    g, h1, _ = fam.at(eps)
+    times = tuple(np.linspace(0.0, 1.0, 17).tolist())
+    late = [time for time in times if time > 0.5]
+    tracks = {x: tr for x, tr, *_ in h1._passes(xs, times)}
+    for x, tr in tracks.items():
+        want = _late_reads(start_oracle.second(h1.track_factory(x)), late)
+        assert _late_reads(tr.second, late) == _late_reads(h1.track_factory(x).second, late) == want
+    got = g.sup_ats(ys, (0.0,))
+    assert repr(got) == repr(start_oracle.g_sups(f, fam.gamma, g.view, ys, (0.0,)))
+    table, triv = g.view.g_table(fam.gamma, ys), fam.gamma.trivialization
+    for y, entry in table.items():
+        cell, (s, t) = g.view.locate(y)
+        x = fam.gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
+        assert repr((entry[2](), entry[3](), g(y))) == repr((evaluate_map(f, x), triv.split(x)[0], x))
+    return len(tracks), len(table)
+
+
+def _start_maps():
+    from test_harness import _fresh, _load_script
+
+    ladder = _load_script("ladder")
+    return {
+        "proj_map": lambda: _fresh(fixtures.proj_map()),
+        "map_collapse": lambda: _fresh(fixtures.map_collapse()),
+        "Prism(1)": lambda: ladder.inputs.prism_map(1),
+        "D_3": lambda: ladder.simplex_prism(3),
+        "D_4": lambda: ladder.simplex_prism(4),
+    }
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)", "D_3", "D_4"])
+def test_start_ups_and_g_table_match_the_per_point_oracles(name, monkeypatch):
+    """At comesh/2 and comesh/8, on X and Y samples and on points with one
+    coordinate just above TOL; every call of the join/split kernel
+    reproduces rows, and the g table holds every point h1 started up
+    from."""
+    from plcontrol import homotopies
+
+    f = _start_maps()[name]()
+    fam = build_family(f)
+    rows = []
+    real = homotopies._join_split_rows
+    monkeypatch.setattr(homotopies, "_join_split_rows", lambda *args: rows.append(out := real(*args)) or out)
+    for eps in (fam.effective_comesh / 2.0, fam.effective_comesh / 8.0):
+        xs = sample_points(f.source, 30, seed=0) + _near_boundary_points(f.source)
+        ys = sample_points(f.target, 60, seed=0) + _near_boundary_points(f.target)
+        n_tracks, n_table = _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys)
+        assert n_tracks == len(set(xs)) and n_table >= len(set(ys))
+    assert rows and all(row[1].any() for row in rows)
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_start_ups_and_g_table_match_the_per_point_oracles_on_random_maps(f, seed):
+    try:
+        fam = build_family(f)
+    except CannotConstructError:
+        return
+    xs = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
+    ys = sample_points(f.target, 12, seed=seed) + _near_boundary_points(f.target)
+    for eps in epsilon_schedule(f.target, steps=3):
+        _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys)
+
+
+@pytest.mark.parametrize("name", ["map_collapse", "D_3"])
+def test_start_ups_and_g_table_rows_the_kernel_does_not_reproduce_take_the_scalar_path(name, monkeypatch):
+    """With every row of the join/split kernel unmasked, each start-up and
+    g table entry takes the scalar join and split (and the g row
+    ``distance``), and reads what the oracles read."""
+    from plcontrol import homotopies
+
+    real = homotopies._join_split_rows
+
+    def unmasked(*args):
+        F, ok, Z, cols = real(*args)
+        return F, np.zeros_like(ok), Z, cols
+
+    monkeypatch.setattr(homotopies, "_join_split_rows", unmasked)
+    f = _start_maps()[name]()
+    fam = build_family(f)
+    xs = sample_points(f.source, 20, seed=0) + _near_boundary_points(f.source)
+    ys = sample_points(f.target, 20, seed=0) + _near_boundary_points(f.target)
+    assert _assert_start_ups_and_g_table_match_the_oracles(f, fam, fam.effective_comesh / 4.0, xs, ys)[0] > 0
+
+
+def test_start_ups_and_g_table_of_another_trivialization_take_the_scalar_path(monkeypatch):
+    """gamma of the worked example joins by heights, not in f's join
+    coordinates: no start-up and no g table entry reads the kernel, and
+    both read what the oracles read."""
+    from plcontrol import homotopies
+
+    monkeypatch.setattr(homotopies, "_join_split_rows", lambda *args: pytest.fail("read the kernel"))
+    fam = fixtures.proj_explicit_family()
+    f = fam.f
+    xs, ys = sample_points(f.source, 10, seed=0), sample_points(f.target, 10, seed=0)
+    assert _assert_start_ups_and_g_table_match_the_oracles(f, fam, fam.effective_comesh / 2.0, xs, ys)[0] > 0
+
+
+def test_one_at_evaluates_gamma_once_per_located_point(PROJ, monkeypatch):
+    """One ``family.at(eps)`` of proj_map evaluates gamma (a top-level
+    ``FlagMap.gamma_chain`` call) once per distinct point it locates for
+    g: the g row's samples, the g identity's and the y = f(x) of every h1
+    track whose second half starts up, for the control row and the h1
+    identities alike."""
+    from plcontrol import homotopies, verify
+    from plcontrol.homotopies import FlagMap, _family_controls
+
+    f = PROJ
+    fam = build_family(f)
+    eps = fam.effective_comesh / 2.0
+    calls, depth = [], [0]
+    real = FlagMap.gamma_chain
+
+    def gamma_chain(gamma, chain, t):
+        if not depth[0]:
+            calls.append(chain)
+        depth[0] += 1
+        try:
+            return real(gamma, chain, t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FlagMap, "gamma_chain", gamma_chain)
+    closures = fam.at(eps)
+    pts_y, pts_x = sample_points(f.target, 120, seed=0), sample_points(f.source, 40, seed=0)
+    _family_controls(fam, eps, closures, pts_y, pts_x, np.linspace(0.0, 1.0, 17))
+    verify._identity_checks(f, closures, samples=120, seed=0)
+    located = set(pts_y) | set(sample_points(f.target, 60, seed=0))
+    located |= {fam.gamma.split(x)[1] for x in pts_x + sample_points(f.source, 60, seed=1)}
+    assert isinstance(closures[0], homotopies._GInverse)
+    assert len(calls) == len(located) == len(closures[0].view._g)
 
 
 def test_sample_points_drawn_in_a_vertex_are_its_point():
