@@ -11,6 +11,11 @@ fill of a g table) and the rows they hold, the pairs that the
 sampled-control kernel measures with `distance` (the identities
 `f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of the g, h1 and
 h2 rows and of the two h1 identities that the arrays do not reproduce),
+the row norms (`metrics._norms` calls made by `metrics._row_sups`: per
+width of the rows the arrays reproduce, one per h2 row and one per h1
+group pass of the h1 row and of each h1 identity) and the g table norms
+(the calls `homotopies` makes itself, one per carrier of the points of
+each g table fill),
 the g evaluations (top-level `FlagMap.gamma_chain` calls, one per
 distinct point a g table holds), the flag cells built
 (`cellulation._flag_cell`, called once per cell of the target that an
@@ -54,7 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from plcontrol import SimplicialMap, cellulation, closure_complex, homotopies, maps, verify  # noqa: E402
+from plcontrol import SimplicialMap, cellulation, closure_complex, homotopies, maps, metrics, verify  # noqa: E402
 
 RUNGS = (0, 1, 2)
 
@@ -77,6 +82,8 @@ COUNTS = {
     "join/split kernel calls": (homotopies, "_join_split_rows", None),
     "join/split kernel rows": (homotopies, "_join_split_rows", lambda depth, f, sigma, ws, L: len(ws)),
     "control distances": (homotopies, "distance", None),
+    "row norms": (metrics, "_norms", None),
+    "g table norms": (homotopies, "_norms", None),
     "g evaluations": (homotopies.FlagMap, "gamma_chain", lambda depth, *args: depth == 0),
     "flag cells built": (cellulation, "_flag_cell", None),
     "fitting lists built": (cellulation, "_fits", None),

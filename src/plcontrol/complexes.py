@@ -15,7 +15,8 @@ signs and sum; ``make_point`` checks the weights it keeps itself and builds
 through the private ``Point._prechecked``, which nothing else calls.  Each
 point's coordinates are checked canonical once: ``canonical`` flags a point
 whose coordinates pass (the flag is not part of its value and does not name
-a complex), and a later call on it only looks its carrier up.
+a complex), and a later call on it only looks its carrier up.  Likewise a
+point hashes its carrier and coordinates once and keeps the hash.
 
 ``__init__`` also sorts the faces once, in ``sort_key`` order; the
 positions in that tuple, ``_sorted``, index the face poset.
@@ -259,7 +260,7 @@ def closure_complex(generators: Iterable[Iterable[str]], vertex_order: Iterable[
 
 # -- points ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A location in a complex: carrier simplex plus barycentric coordinates.
 
@@ -267,13 +268,17 @@ class Point:
     the unique simplex whose interior contains the point.  The coordinates
     are held as Python floats, so equal points hold equal values whatever
     numeric type they were built from.  ``_canonical``
-    records that ``canonical`` found the coordinates canonical; it is not
-    part of the point's value.
+    records that ``canonical`` found the coordinates canonical, and
+    ``_hash`` keeps ``hash((carrier, coords))`` from the first ``hash``
+    on; neither is part of the point's value, and a pickle or copy
+    rebuilds the point from its value alone, so no kept hash reaches a
+    process whose string hashes differ.
     """
 
     carrier: Simplex
     coords: tuple[float, ...]
     _canonical: bool = field(default=False, init=False, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(map(float, self.coords)))
@@ -296,7 +301,17 @@ class Point:
         p = object.__new__(cls)
         object.__setattr__(p, "carrier", carrier)
         object.__setattr__(p, "coords", coords)
+        object.__setattr__(p, "_canonical", False)
+        object.__setattr__(p, "_hash", None)
         return p
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.carrier, self.coords)))
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.carrier, self.coords)
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.carrier.vertices, self.coords))

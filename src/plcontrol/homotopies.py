@@ -39,10 +39,13 @@ eps' = 0 and one ``maps._join_split_rows``, w_b off the g table), joins
 all their rows in one ``maps._joined_image_rows`` pass and drops them
 before the next group; the maximal simplex over each distinct carrier is
 one walk up the ``_face_poset`` cofacets per call (``_by_top``).
-``_diff_sup`` measures every fast row of the rows and the identities with
-one norm (``_norms``; ``_row_sup`` is its case of one point y against
-every row), and ``_first_max`` is the one first-maximum reduction of
-every sampled control; none keeps anything.  Every sampled control is
+``metrics._row_sups`` reduces the rows of many points at once: the fast
+rows of one width take one norm (``metrics._norms``), every other row its
+own distance, and each point's first maximum is one row of
+``metrics._first_maxes``, one ``argmax``, which reduces the g row and the
+pair loop too.  The h2 row calls it once, and the h1 row and each h1
+identity once per group pass, before the next group starts; none keeps
+anything.  Every sampled control is
 one per-point table, z -> (sup over t, first t attaining it, pairs): one
 call fills it for the distinct points it lacks (a ``sup_ats`` or
 ``identity_sups``, or ``_pair_sups`` with one ``distance`` per pair),
@@ -91,7 +94,7 @@ from .maps import (
     fiber_over_barycenter,
     identity_map,
 )
-from .metrics import distance, min_distance_to_simplex
+from .metrics import _first_maxes, _norms, _row_sups, distance, min_distance_to_simplex
 
 
 class CannotConstructError(RuntimeError):
@@ -376,19 +379,18 @@ class _StraightLine(Homotopy):
         ``_pair_sups`` on the tracks (y, h(y, .)).
 
         A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
-        point of y's carrier, measured as such by ``_row_sup``.  Every other
-        row takes ``step``: at t = 1 (eps' = 0) the step is the base point,
-        whose row is canonical only when the cell's base is its carrier."""
+        point of y's carrier, whose distance to y is the norm of their
+        difference there.  Every other row takes ``step``: at t = 1 (eps' =
+        0) the step is the base point, whose row is canonical only when the
+        cell's base is its carrier.  One ``_row_sups`` measures every y."""
         view = self.view
         epss = tuple(view.eps * (1.0 - time) for time in times)
-        out = {}
-        for y in ys:
-            cell, (s, t) = view.locate(y)
-            rows = view.rows(cell, s, t, epss)
-            fast = _canonical_rows(rows)
-            # y canonical: the inversion read the cells over y's carrier
-            out[y] = _row_sup(view.K, canonical(view.K, y), times, rows, fast, lambda k: view.step(cell, s, t, epss[k]))
-        return out
+        cells = [view.locate(y) for y in ys]
+        rows = [view.rows(cell, s, t, epss) for cell, (s, t) in cells]
+        # y canonical: the inversion read the cells over y's carrier
+        anchors = [canonical(view.K, y) for y in ys]
+        return dict(zip(ys, _row_sups(times, [np.array(y.coords) - R for y, R in zip(anchors, rows)], list(map(_canonical_rows, rows)),
+                                  lambda p, k: distance(view.K, anchors[p], view.step(cells[p][0], *cells[p][1], epss[k])))))
 
 
 def _straightline(view: _EpsView) -> _StraightLine:
@@ -435,14 +437,14 @@ class _GInverse(PLEvaluator):
         f(g_eps(y))), constant in t.  The distance is the table's, or
         ``distance`` where the table has none."""
         table = self.view.g_table(self.gamma, ys)
-        return {y: _first_max(times, [distance(self.view.K, y, fg()) if d is None else d] * len(times))
-                for y in ys for _, _, fg, _, d in [table[y]]}
+        dists = [distance(self.view.K, y, fg()) if d is None else d for y in ys for _, _, fg, _, d in [table[y]]]
+        return dict(zip(ys, _first_maxes(times, np.repeat(np.reshape(dists, (-1, 1)), len(times), axis=1))))
 
     def identity_sups(self, ys) -> dict[Point, tuple[float, float | None, int]]:
         """y -> (d_Y(f(g_eps(y)), h2(y, 1)), 1.0, 1): ``_pair_sups`` on those
         tracks at t = 1, with f(g_eps(y)) read off the table."""
         table, view = self.view.g_table(self.gamma, ys), self.view
-        return {y: _first_max((1.0,), [distance(view.K, table[y][2](), view.step(cell, s, t, 0.0))])
+        return {y: (distance(view.K, table[y][2](), view.step(cell, s, t, 0.0)), 1.0, 1)
                 for y in ys for cell, (s, t) in [view.locate(y)]}
 
 
@@ -561,18 +563,19 @@ class _H1(Homotopy):
         first t attaining it, the pairs measured) for each x of ``xs``,
         equal to ``_pair_sups`` on the tracks (f(x), f(h1(x, .))).
 
-        The rows come off ``_passes``.  A row that the pass marks fast is
-        f(h1(x, t)) on f(x)'s carrier, measured as such by ``_row_sup``, one
-        call per x.  Every other row evaluates f on the track, except that
-        the row at t = 1/2 reads ybar when the track has made it."""
+        The rows come off ``_passes``, one ``_row_sups`` per group before the
+        next group starts.  A row that the pass marks fast is f(h1(x, t)) on
+        f(x)'s carrier, whose distance to f(x) is the norm of their
+        difference there.  Every other row evaluates f on the track, except
+        that the row at t = 1/2 reads ybar when the track has made it."""
         if not times:
             return dict.fromkeys(xs, (0.0, None, 0))
-        Y, out = self.f.target, {}
-        for x, tr, _, F, fast in self._passes(xs, times):
-            ybar = tr.second[0] if max(times) > 0.5 else None
+        f, Y, late, out = self.f, self.f.target, max(times) > 0.5, {}
+        for group, tracks, _, F, fast in self._passes(xs, times):
             # y canonical: the inversion read the cells over y's carrier
-            out[x] = _row_sup(Y, canonical(Y, tr.y), times, F, fast, lambda j: (
-                ybar if times[j] == 0.5 and ybar is not None else evaluate_map(self.f, tr(times[j]))))
+            ys = [canonical(Y, tr.y) for tr in tracks]
+            out.update(zip(group, _row_sups(times, [np.array(y.coords) - F_x for y, F_x in zip(ys, F)], fast, lambda p, k: distance(
+                Y, ys[p], tracks[p].second[0] if times[k] == 0.5 and late else evaluate_map(f, tracks[p](times[k]))))))
         return out
 
     def identity_sups(self, xs, times) -> tuple[dict, dict]:
@@ -589,24 +592,28 @@ class _H1(Homotopy):
         is measured against it over f(x)'s carrier.  ybar has the bits of
         f(h1(x, 1/2)), so a fast second-half row is measured against it over
         ybar's carrier, and the pair at t = 0 is ybar against itself.  Every
-        other pair takes ``distance``."""
+        other pair takes ``distance``.  Each table takes one ``_row_sups`` per
+        group, before the next group starts."""
         f, Y, view, n = self.f, self.f.target, self.view, len(times)
         halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times]
         at0, first, second = np.array(times) == 0.0, {}, {}
-        for x, tr, L, F, fast in self._passes(xs, halves):
-            first[x] = _diff_sup(times, L[:n] - F[:n], fast[:n], lambda k: distance(
-                Y, evaluate_map(f, tr(halves[k])), view.step(tr.cell, tr.s, tr.t, view.eps * (1.0 - times[k]))))
-            anchor = canonical(Y, ybar := tr.second[0])
-            diffs = np.array(anchor.coords) - F[n:, [tr.cell.carrier.vertices.index(v) for v in anchor.carrier.vertices]]
-            keep = fast[n:] & (anchor.carrier == ybar.carrier)
-            diffs[at0], keep[at0] = 0.0, True  # 1/2 + t/2 = 1/2: the anchor against itself
-            second[x] = _diff_sup(times, diffs, keep, lambda k: distance(Y, evaluate_map(f, tr(halves[n + k])), ybar))
+        for group, tracks, L, F, fast in self._passes(xs, halves):
+            first.update(zip(group, _row_sups(times, [L_x[:n] - F_x[:n] for L_x, F_x in zip(L, F)], fast[:, :n], lambda p, k: distance(
+                Y, evaluate_map(f, tracks[p](halves[k])), view.step(tracks[p].cell, tracks[p].s, tracks[p].t, view.eps * (1.0 - times[k]))))))
+            anchors = [canonical(Y, tr.second[0]) for tr in tracks]
+            # 1/2 + t/2 = 1/2 at t = 0: the anchor against itself
+            diffs = [np.where(at0[:, None], 0.0, np.array(a.coords) - F_x[n:, [tr.cell.carrier.vertices.index(v) for v in a.carrier.vertices]])
+                     for a, tr, F_x in zip(anchors, tracks, F)]
+            keep = fast[:, n:] & [[a.carrier == tr.second[0].carrier] for a, tr in zip(anchors, tracks)] | at0
+            second.update(zip(group, _row_sups(times, diffs, keep, lambda p, k: distance(
+                Y, evaluate_map(f, tracks[p](halves[n + k])), tracks[p].second[0]))))
         return first, second
 
     def _passes(self, xs, times):
-        """The one group pass of ``sup_ats`` and ``identity_sups``: per x of
-        ``xs``, (x, its track, the rows L of its base points, the joined
-        rows F, fast), L and F over the carrier of f(x), one row per time.
+        """The one group pass of ``sup_ats`` and ``identity_sups``: per group
+        of ``xs``, (its points, their tracks, per point the rows L of its
+        base points and the joined rows F, fast), L and F over the carrier
+        of f(x), one row per time, and fast one row per point.
 
         The points are grouped by a maximal simplex tau of Y over the
         carrier of f(x), read off gamma's split memo, one group's tracks at
@@ -643,8 +650,7 @@ class _H1(Homotopy):
             ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
             F, fast = _joined_image_rows(f, tau, ws, rows.reshape(len(group) * n, -1))
             fast = (fast & canon.ravel()).reshape(len(group), n)
-            for x, tr, at, L, F_x, fast_x in zip(group, tracks, cols, rows, F.reshape(rows.shape), fast):
-                yield x, tr, L[:, at], F_x[:, at], fast_x
+            yield group, tracks, [L[:, at] for L, at in zip(rows, cols)], [F_x[:, at] for F_x, at in zip(F.reshape(rows.shape), cols)], fast
 
 
 def _by_top(K: SimplicialComplex, items) -> dict:
@@ -785,45 +791,6 @@ def sampled_sup(
     return _fold(points, _pair_sups(M, points, tuple(map(float, times)), tracks))
 
 
-def _first_max(times, dists) -> tuple[float, float | None, int]:
-    """(the largest of ``dists``, the first of ``times`` paired with it, the
-    number of pairs) over the pairs of the two; (0.0, None, 0) for none."""
-    best, arg, n = 0.0, None, 0
-    for time, dist in zip(times, dists):
-        n += 1
-        if arg is None or dist > best:
-            best, arg = dist, time
-    return best, arg, n
-
-
-def _row_sup(K: SimplicialComplex, y: Point, times, rows: np.ndarray, fast, point) -> tuple[float, float | None, int]:
-    """``_first_max`` of d_K(y, p_k) over ``times``, for the point p_k of
-    each row k: a row marked ``fast`` holds p_k's coordinates over y's
-    carrier, so its distance to y is the l2 norm of their difference there
-    (``_diff_sup``).  Any other p_k is ``point(k)``."""
-    return _diff_sup(times, np.array(y.coords) - rows, fast, lambda k: distance(K, y, point(k)))
-
-
-def _diff_sup(times, diffs: np.ndarray, fast, pair) -> tuple[float, float | None, int]:
-    """``_first_max`` over ``times`` of one distance per row k: for a row
-    marked ``fast``, the l2 norm of row k of ``diffs`` (``_norms``); for
-    any other row, ``pair(k)``."""
-    dists = np.empty(len(fast))
-    dists[fast] = _norms(diffs[fast])
-    for k in np.flatnonzero(~fast).tolist():
-        dists[k] = pair(k)
-    return _first_max(times, dists.tolist())
-
-
-def _norms(d: np.ndarray) -> list[float]:
-    """The l2 norm of each row of d, which ``distance`` computes as
-    ``math.sqrt(d.dot(d))``: the per-row dot products of one ``matmul`` of
-    C-ordered rows have the same bits (on rows of another layout it may
-    add in another order)."""
-    d = np.ascontiguousarray(d)
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).tolist()
-
-
 def _rows_over(sigma: Simplex, points) -> np.ndarray:
     """The coordinates of each point over sigma's vertices, one row per
     point (0 off its carrier, which lies in sigma)."""
@@ -844,11 +811,9 @@ def _pair_sups(M, points, times, tracks) -> dict:
     """z -> (sup over t of d_M(a(t), b(t)), first t attaining it, pairs)
     for each distinct z of ``points``, with (a, b) = tracks(z): one
     ``distance`` per pair."""
-    sups = {}
-    for z in dict.fromkeys(points):
-        a, b = tracks(z)
-        sups[z] = _first_max(times, [distance(M, a(t), b(t)) for t in times])
-    return sups
+    zs = list(dict.fromkeys(points))
+    dists = [[distance(M, a(t), b(t)) for t in times] for a, b in map(tracks, zs)]
+    return dict(zip(zs, _first_maxes(times, np.reshape(dists, (len(zs), len(times))))))
 
 
 def _fold(points, sups) -> tuple[float, tuple[object, float] | None, int]:

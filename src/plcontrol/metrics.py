@@ -6,6 +6,12 @@ are at exactly the l2 distance of their coordinate vectors.  Across simplices
 the path metric is bounded from above by Dijkstra over a Steiner-point graph;
 the bound is one-sided in the safe direction for control measurement and
 converges as the refinement parameter grows.
+
+The control tables of ``homotopies`` measure many such distances at once as
+rows of coordinate differences over one carrier: ``_norms`` norms the rows
+with the bits of ``_l2_in_simplex``, and ``_row_sups`` reduces each point's
+rows over a time grid to (sup, first time attaining it, pairs), the
+first-maximum reduction that ``_first_maxes`` is.
 """
 
 from __future__ import annotations
@@ -51,6 +57,43 @@ def _l2_in_simplex(p: Point, q: Point, carrier: Simplex) -> float:
         verts = carrier.vertices
         d = _coords_over(p, verts) - _coords_over(q, verts)
     return math.sqrt(d.dot(d))
+
+
+def _norms(d: np.ndarray) -> list[float]:
+    """The l2 norm of each row of d, which ``distance`` computes as
+    ``math.sqrt(d.dot(d))`` (``_l2_in_simplex``): the per-row dot products
+    of one ``matmul`` of C-ordered rows have the same bits (on rows of
+    another layout it may add in another order)."""
+    d = np.ascontiguousarray(d)
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).tolist()
+
+
+def _first_maxes(times, dists: np.ndarray) -> list[tuple[float, float | None, int]]:
+    """Per row of ``dists``, one distance per time of ``times``: (its
+    largest distance, the first time attaining it, the number of pairs),
+    (0.0, None, 0) for no time.  One ``argmax`` per row, which returns the
+    first of equal maxima."""
+    if not len(times):
+        return [(0.0, None, 0)] * len(dists)
+    first = dists.argmax(axis=1)
+    return [(best, times[k], len(times)) for best, k in zip(dists[np.arange(len(dists)), first].tolist(), first.tolist())]
+
+
+def _row_sups(times, diffs, fast, pair) -> list[tuple[float, float | None, int]]:
+    """Per point p, ``_first_maxes`` over ``times`` of one distance per row
+    k of ``diffs[p]``, the point's coordinate differences from another
+    point over one carrier: for a row marked ``fast[p][k]``, the l2 norm
+    of the row, for any other row, ``pair(p, k)``.  The fast rows of one
+    width take one ``_norms`` call, whose bits per row do not depend on
+    the rows beside it."""
+    fast = np.array(fast, dtype=bool).reshape(len(diffs), len(times))
+    dists = np.zeros(fast.shape)
+    for width in {d.shape[1] for d in diffs}:
+        of = np.array([d.shape[1] == width for d in diffs])
+        dists[fast & of[:, None]] = _norms(np.stack([d for d, ok in zip(diffs, of) if ok])[fast[of]])
+    for p, k in np.argwhere(~fast).tolist():
+        dists[p, k] = pair(p, k)
+    return _first_maxes(times, dists)
 
 
 def vertex_barycenter_distance(n: int) -> float:

@@ -36,9 +36,9 @@ from plcontrol import (
     evaluate_map,
 )
 from plcontrol.cellulation import _SLACK, _contract, _flag_cell, _ordered_partitions, enumerate_flags
-from plcontrol.homotopies import _first_max
 from plcontrol.metrics import vertex_barycenter_distance
 import homotopy_oracle
+from reduction_oracle import _first_max
 
 
 def invert(cel: Cellulation, y: Point, tol: float = 1e-9):

@@ -26,9 +26,10 @@ import numpy as np
 
 from plcontrol.complexes import MalformedInputError
 from plcontrol.evaluators import Homotopy
-from plcontrol.homotopies import _control_fn, _first_max, sample_points
+from plcontrol.homotopies import _control_fn, sample_points
 from plcontrol.maps import evaluate_map
 from plcontrol.metrics import distance
+from reduction_oracle import _first_max
 
 
 def sampled_sup(M, points, times, tracks):

@@ -7,8 +7,8 @@ is the oracle of its differential tests.  The body is unchanged."""
 import numpy as np
 
 from plcontrol.complexes import _canonical_rows, canonical
-from plcontrol.homotopies import _row_sup
 from plcontrol.maps import _joined_image_rows, evaluate_map
+from reduction_oracle import _row_sup
 
 
 def sup_at(h1, x, times):

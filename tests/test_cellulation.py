@@ -584,7 +584,7 @@ def _simplex_complex(d):
 def test_row_sup_matches_the_per_row_loop(d, n, seed):
     """Random rows with random fast masks and repeated rows: the sup, its
     first time and the pair count are the per-row loop's, to the bit."""
-    from plcontrol.homotopies import _row_sup
+    from reduction_oracle import _row_sup
 
     rng = np.random.default_rng(seed)
     K = _simplex_complex(d)

@@ -303,7 +303,8 @@ def _count_work(monkeypatch) -> dict[str, int]:
     fiber locations, cell vertex-image builds (calls of ``vertex_images``),
     fiber-contraction tracks, ``make_point``, ``image_simplex``,
     ``fiber_split``, the h1 row's joined passes (``_joined_image_rows``),
-    the fitting lists built (``cellulation._fits``) and the g evaluations
+    the fitting lists built (``cellulation._fits``), the row norms of the
+    control tables and the g table (``metrics._norms``) and the g evaluations
     (``FlagMap.gamma_chain`` calls that no other call of it encloses).  The
     returned dict is live."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
@@ -332,7 +333,7 @@ def _count_work(monkeypatch) -> dict[str, int]:
     for name, fn in (
         ("distance", metrics.distance), ("sample_points", homotopies.sample_points),
         ("make_point", complexes.make_point), ("fiber_split", maps.fiber_split),
-        ("joined", maps._joined_image_rows), ("fits", cellulation._fits),
+        ("joined", maps._joined_image_rows), ("fits", cellulation._fits), ("norms", metrics._norms),
     ):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
@@ -385,7 +386,12 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     call (the stack of a (cell, time grid) is built from that memo, so
     the stacks add no image build), an inversion builds no images: a
     cellulation holds no arrays, and each of the 224 distinct points
-    inverted at the 13 eps has its fitting list built once, on K."""
+    inverted at the 13 eps has its fitting list built once, on K.  A
+    default verify of proj_map makes at most 333 ``_norms`` calls (2 303
+    with one per sampled point and table): the h2 row measures every point
+    with one call per row width, the h1 row and each h1 identity one per
+    width in each group pass, and the g table one per carrier in each
+    fill."""
     calls = _count_work(monkeypatch)
     rep = run_verify(_fresh(fixtures.map_collapse()))
     assert rep.overall == THEOREM_CONSISTENT
@@ -399,6 +405,9 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     assert calls["tracks"] <= 296
     assert calls["make_point"] <= 14935
     assert calls["fits"] <= 224
+    calls.update(dict.fromkeys(calls, 0))
+    assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
+    assert calls["norms"] <= 333
 
 
 def test_a_verify_keeps_the_cellulations_built_before_it():

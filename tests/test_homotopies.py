@@ -37,6 +37,7 @@ import cellulation_oracle
 import control_oracle
 import family_oracle
 import h1_row_oracle
+import reduction_oracle
 import start_oracle
 
 
@@ -1342,6 +1343,114 @@ def test_identity_checks_match_the_scalar_oracle_on_default_verifies(name, monke
     assert len(seen) == 1
 
 
+# -- one reduction per group pass against the per-point reductions ---------------------
+
+def _check_tables_against_the_per_point_oracle(monkeypatch, checked):
+    """From here on, every per-point table of h2's and h1's ``sup_ats`` and
+    both of h1's ``identity_sups`` is compared by ``repr`` (which writes a
+    float exactly) with ``reduction_oracle``'s on the same points and
+    times; ``checked`` collects the name of each table compared."""
+    from plcontrol import homotopies
+
+    for cls, name, oracle in (
+        (homotopies._StraightLine, "sup_ats", reduction_oracle.h2_sups),
+        (homotopies._H1, "sup_ats", reduction_oracle.h1_sups),
+        (homotopies._H1, "identity_sups", reduction_oracle.identity_sups),
+    ):
+        def both(u, points, times, real=getattr(cls, name), oracle=oracle, name=f"{cls.__name__}.{name}"):
+            got = real(u, points, times)
+            assert repr(got) == repr(oracle(u, points, times)), name
+            checked.append(name)
+            return got
+
+        monkeypatch.setattr(cls, name, both)
+
+
+def _force_fast_off(monkeypatch):
+    """Mark no row fast: every distance of the tables takes its pair, but
+    for the second h1 identity's row at t = 0, its anchor against itself."""
+    from plcontrol import homotopies
+
+    real = homotopies._joined_image_rows
+    monkeypatch.setattr(homotopies, "_canonical_rows", lambda rows: np.zeros(len(rows), dtype=bool))
+    monkeypatch.setattr(homotopies, "_joined_image_rows", lambda *args: (real(*args)[0], np.zeros(len(args[2]), dtype=bool)))
+
+
+@pytest.mark.parametrize("name, fast", [
+    ("proj_map", True), ("map_collapse", True), ("Prism(1)", True), ("D_3", True), ("D_4", True), ("map_collapse", False),
+])
+def test_group_reduction_matches_the_per_point_oracle_on_default_verifies(name, fast, monkeypatch):
+    """Every table of the h2 row, the h1 row and the two h1 identities of a
+    default seed-0 verify is the per-point reductions', byte for byte; with
+    ``fast`` off, no row is marked fast (``_force_fast_off``)."""
+    from plcontrol import run_verify
+    from plcontrol.verify import THEOREM_CONSISTENT
+    from test_harness import _fresh, _load_script
+
+    ladder = _load_script("ladder")
+    makers = {"Prism(1)": lambda: ladder.inputs.prism_map(1), "D_3": lambda: ladder.simplex_prism(3),
+              "D_4": lambda: ladder.simplex_prism(4)}
+    f = makers[name]() if name in makers else _fresh(getattr(fixtures, name)())
+    checked = []
+    if not fast:
+        _force_fast_off(monkeypatch)
+    _check_tables_against_the_per_point_oracle(monkeypatch, checked)
+    assert run_verify(f).overall == THEOREM_CONSISTENT
+    assert set(checked) == {"_StraightLine.sup_ats", "_H1.sup_ats", "_H1.identity_sups"}
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_group_reduction_matches_the_per_point_oracle_on_random_maps(f, seed, fast):
+    try:
+        fam = build_family(f)
+    except CannotConstructError:
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if not fast:
+            _force_fast_off(monkeypatch)
+        _check_tables_against_the_per_point_oracle(monkeypatch, [])
+        xs = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
+        ys = sample_points(f.target, 12, seed=seed) + _near_boundary_points(f.target)
+        for eps in epsilon_schedule(f.target, steps=3):
+            _, h1, h2 = fam.at(eps)
+            for times in H1_GRIDS:
+                h1.sup_ats(xs, times)
+                h2.sup_ats(ys, times)
+            h1.identity_sups(xs, IDENTITY_TIMES)
+
+
+@given(st.lists(st.integers(1, 5), max_size=6), st.integers(0, 9), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_group_reduction_matches_the_per_point_one_on_edge_groups(widths, n, seed):
+    """Points of mixed widths, with repeated rows, all-zero rows and points,
+    pairs that equal a fast row's norm, and empty grids: each point's (sup,
+    first t, pairs) is ``_diff_sup``'s alone, byte for byte, an exact tie
+    goes to the first t, and an empty grid gives (0.0, None, 0)."""
+    from plcontrol.metrics import _row_sups
+
+    rng = np.random.default_rng(seed)
+    times = tuple(np.linspace(0.0, 1.0, n).tolist())
+    diffs, fast, pairs = [], [], []
+    for w in widths:
+        d = rng.uniform(-1.0, 1.0, (n, w)) * 10.0 ** rng.uniform(-8.0, 1.0, (n, 1))
+        if n:
+            d[rng.integers(n, size=n // 2)] = d[rng.integers(n)]
+            d[rng.integers(n)] = 0.0
+        if rng.random() < 0.2:
+            d[:] = 0.0
+        norms = [math.sqrt(row.dot(row)) for row in d]
+        diffs.append(d)
+        fast.append(rng.random(n) < 0.7)
+        pairs.append([norm if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0)) for norm in norms])
+    got = _row_sups(times, diffs, fast, lambda p, k: pairs[p][k])
+    want = [reduction_oracle._diff_sup(times, d, m, pr.__getitem__) for d, m, pr in zip(diffs, fast, pairs)]
+    assert repr(got) == repr(want)
+    for (best, arg, count), d, m, pr in zip(got, diffs, fast, pairs):
+        dists = [math.sqrt(row.dot(row)) if ok else pair for row, ok, pair in zip(d, m, pr)]
+        assert (best, arg, count) == ((max(dists), times[dists.index(max(dists))], n) if n else (0.0, None, 0))
+
+
 # -- h1's start-ups and g's table against the per-point oracles -------------------------
 
 def _late_reads(second, late):
@@ -1362,7 +1471,7 @@ def _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys):
     g, h1, _ = fam.at(eps)
     times = tuple(np.linspace(0.0, 1.0, 17).tolist())
     late = [time for time in times if time > 0.5]
-    tracks = {x: tr for x, tr, *_ in h1._passes(xs, times)}
+    tracks = {x: tr for group, trs, *_ in h1._passes(xs, times) for x, tr in zip(group, trs)}
     for x, tr in tracks.items():
         want = _late_reads(start_oracle.second(h1.track_factory(x)), late)
         assert _late_reads(tr.second, late) == _late_reads(h1.track_factory(x).second, late) == want

@@ -258,6 +258,67 @@ def test_canonical_flag_is_not_part_of_the_point():
     assert again == p and not again._canonical
 
 
+def test_equal_points_hash_alike_whatever_builds_them():
+    """Equal points built by Point(...), make_point, _row_point,
+    Point._prechecked and canonical compare and hash equal, each hash is
+    hash((carrier, coords)), and the kept hash is kept out of ==, repr and
+    __init__."""
+    from plcontrol.complexes import _row_point
+
+    K = closure_complex([("a", "b", "c")])
+    ab, abc = K.simplex(["a", "b"]), K.simplex(["a", "b", "c"])
+    built = [
+        Point(ab, (0.25, 0.75)),
+        make_point(K, {"a": 0.25, "b": 0.75}),
+        _row_point(K, abc.vertices, np.array([0.25, 0.75, 0.0])),
+        Point._prechecked(ab, (0.25, 0.75)),
+        canonical(K, Point(ab, (0.25, 0.75))),
+        canonical(K, Point(abc, (0.25, 0.75, 0.0))),
+    ]
+    unhashed = Point(ab, (0.25, 0.75))
+    for p in built:
+        assert p._hash is None and not p._canonical or p is built[4]
+        assert hash(p) == hash((p.carrier, p.coords)) == p._hash == hash(built[0])
+        assert p == unhashed and unhashed._hash is None and repr(p) == repr(unhashed)
+    assert len(set(built)) == 1 and "_hash" not in repr(built[0])
+    kept = next(f for f in dataclasses.fields(Point) if f.name == "_hash")
+    assert (kept.init, kept.compare, kept.repr) == (False, False, False)
+    with pytest.raises(TypeError):
+        Point(ab, (0.25, 0.75), _hash=0)
+
+
+def test_pickle_and_copy_rebuild_a_point_without_its_kept_hash():
+    """A pickled or copied point is rebuilt from its carrier and coordinates:
+    no kept hash or canonical flag comes along, and a process whose string
+    hashes differ hashes the unpickled point as it hashes an equal new one."""
+    import copy
+    import pickle
+
+    K = closure_complex([("a", "b", "c")])
+    p = canonical(K, Point(K.simplex(["a", "b"]), (0.25, 0.75)))
+    hash(p)
+    assert p._hash is not None and p._canonical
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert q == p and q is not p and q._hash is None and not q._canonical
+    code = f"""
+import pickle
+from plcontrol import Point
+q = pickle.loads({pickle.dumps(p)!r})
+assert q._hash is None and hash(q) == hash((q.carrier, q.coords))
+assert q in {{Point(q.carrier, q.coords)}}
+print("ok")
+"""
+    for seed in ("1", "2"):  # at most one of them can share this process's string hashes
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            check=False,
+        )
+        assert out.returncode == 0 and out.stdout == "ok\n", (seed, out.stdout, out.stderr)
+
+
 def test_a_flagged_point_still_needs_its_carrier_in_the_complex():
     K = closure_complex([("a", "b", "c")])
     apart = closure_complex([("a", "c"), ("b", "c")])  # no edge ab
