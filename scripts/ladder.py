@@ -21,9 +21,10 @@ distinct point a g table holds), the flag cells built
 (`cellulation._flag_cell`, called once per cell of the target that an
 inversion names for the first time), the fitting lists built
 (`cellulation._fits`, called once per distinct point inverted, whatever
-the number of eps it is inverted at) and the image stacks built
+the number of eps it is inverted at), the image stacks built
 (`homotopies._EpsView._stack`, called once per cell and time grid of one
-`family.at(eps)`).
+`family.at(eps)`) and the fiber generators (the staircase simplices that
+`fiber_over_barycenter` hands `closure_complex`, summed over the fibers).
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -88,6 +89,7 @@ COUNTS = {
     "flag cells built": (cellulation, "_flag_cell", None),
     "fitting lists built": (cellulation, "_fits", None),
     "image stacks built": (homotopies._EpsView, "_stack", None),
+    "fiber generators": (maps, "closure_complex", lambda depth, generators: len(generators)),
 }
 
 

@@ -18,8 +18,11 @@ whose coordinates pass (the flag is not part of its value and does not name
 a complex), and a later call on it only looks its carrier up.  Likewise a
 point hashes its carrier and coordinates once and keeps the hash.
 
-``__init__`` also sorts the faces once, in ``sort_key`` order; the
-positions in that tuple, ``_sorted``, index the face poset.
+``__init__`` enumerates the faces in one pass, as sorted vertex index
+tuples, skipping a generator that is a face of a longer one, and builds each
+face's ``Simplex`` without checking it again (its generator was checked).  It
+sorts the faces once, in ``sort_key`` order; the positions in that tuple,
+``_sorted``, index the face poset.
 
 Everything derived from a complex and kept on it is a named attribute
 declared in ``__init__``, with its owner beside it: the face poset (the
@@ -73,6 +76,14 @@ class Simplex:
             raise MalformedInputError("empty simplex")
         if len(set(self.vertices)) != len(self.vertices):
             raise MalformedInputError(f"duplicate vertex in simplex {self.vertices}")
+
+    @classmethod
+    def _unchecked(cls, vertices: tuple[str, ...]) -> "Simplex":
+        """A simplex whose vertices the caller has checked; only
+        ``SimplicialComplex.__init__`` calls it, on faces of checked generators."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vertices)
+        return s
 
     @property
     def dim(self) -> int:
@@ -136,19 +147,24 @@ class SimplicialComplex:
         self._order: tuple[str, ...] = tuple(order)
         self._index: dict[str, int] = {v: i for i, v in enumerate(order)}
 
-        faces: set[tuple[str, ...]] = set()
-        for g in gens:
-            top = tuple(sorted(g, key=self._index.__getitem__))
-            if not top:
-                raise MalformedInputError("empty simplex")
-            for r in range(1, len(top) + 1):
-                faces.update(itertools.combinations(top, r))
-        # the interned simplices: one per face, found by its label set
-        self._by_labels: dict[frozenset[str], Simplex] = {frozenset(t): Simplex(t) for t in faces}
-        self._simplices = frozenset(self._by_labels.values())
-        # every face once, in sort_key order: positions index the face poset
-        self._sorted: tuple[Simplex, ...] = tuple(sorted(self._simplices, key=self.sort_key))
-        self._by_dim = {d: tuple(group) for d, group in itertools.groupby(self._sorted, lambda s: s.dim)}
+        if not all(gens):
+            raise MalformedInputError("empty simplex")
+        # every face once, as its sorted vertex index tuple, by dimension; a
+        # generator taken after every longer one is skipped if it is a face
+        faces: list[set[tuple[int, ...]]] = [set() for _ in range(max(map(len, gens)))]
+        for top in sorted({tuple(sorted(map(self._index.__getitem__, g))) for g in gens}, key=len, reverse=True):
+            if top not in faces[len(top) - 1]:
+                for r in range(1, len(top) + 1):
+                    faces[r - 1].update(itertools.combinations(top, r))
+        # the interned simplices, checked with their generators, in sort_key
+        # order (positions index the face poset) and found by their label sets
+        unchecked, label = Simplex._unchecked, self._order.__getitem__
+        self._by_dim = {
+            d: tuple(unchecked(tuple(map(label, t))) for t in sorted(group)) for d, group in enumerate(faces)
+        }
+        self._sorted: tuple[Simplex, ...] = tuple(itertools.chain.from_iterable(self._by_dim.values()))
+        self._by_labels: dict[frozenset[str], Simplex] = {frozenset(s.vertices): s for s in self._sorted}
+        self._simplices = frozenset(self._sorted)
         if len(self._by_dim[0]) < len(order):  # a label of vertex_order that no generator uses
             stray = next(v for v in order if frozenset((v,)) not in self._by_labels)
             raise MalformedInputError(f"vertex label {stray!r} lies in no simplex")

@@ -63,8 +63,7 @@ def load_complex(path: str | Path) -> SimplicialComplex:
         K = closure_complex(gens, vertex_order=order or None)
     except MalformedInputError as e:
         raise FileFormatError(f"{path}: {e}") from None
-    listed = {tuple(sorted(g)) for g in gens}
-    closure_added = sum(1 for s in K.simplices if tuple(sorted(s.vertices)) not in listed)
+    closure_added = len(K.simplices) - len({frozenset(g) for g in gens})  # every generator is a simplex of K
     if closure_added:
         warnings.warn(
             f"{path}: face closure added {closure_added} simplices not listed in the file",

@@ -12,14 +12,14 @@ the one part of it that can fail.
 
 What is kept, and for how long: a map keeps, while it lives, the source
 simplices grouped by image simplex (``f._by_image``, built in one pass by
-``_source_by_image``), which the fibers and ``surjectivity_check`` read,
-and one fiber per target simplex (``f._fiber_cache``).
+``_source_by_image``), which ``validate_map``, the fibers and
+``surjectivity_check`` read, so a loaded map computes each source
+simplex's image once, and one fiber per target simplex (``f._fiber_cache``).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +88,12 @@ def identity_map(K: SimplicialComplex) -> SimplicialMap:
 
 def validate_map(f: SimplicialMap) -> list[Simplex]:
     """Empty list if simplicial; otherwise every source simplex whose vertex
-    image spans no target simplex."""
-    bad = []
-    for s in f.source.sorted_simplices():
-        if not f.target.contains_labels(f.image_labels(s)):
-            bad.append(s)
-    return bad
+    image spans no target simplex, in ``sorted_simplices`` order.  The
+    images are those of ``_source_by_image``, which the fibers and
+    ``surjectivity_check`` read afterwards."""
+    target = f.target.simplices
+    bad = [tau for image, group in _source_by_image(f).items() if image not in target for tau in group]
+    return sorted(bad, key=f.source.sort_key)
 
 
 def _image_weights(f: SimplicialMap, p: Point) -> dict[str, float]:
@@ -263,7 +263,19 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
     """Cells are the products of per-vertex preimage faces over every source
     simplex mapping onto sigma, glued along shared faces and triangulated by
     the staircase triangulation.  The simplices are read from sigma's group
-    of ``_source_by_image``, in ``sorted_simplices`` order."""
+    of ``_source_by_image``, in ``sorted_simplices`` order.
+
+    Only the maximal cells hand their staircase simplices to
+    ``closure_complex``: a cell that is a face of another is a product of
+    subchains of that cell's factors, so each of its staircase simplices is
+    a chain in the larger cell's grid, and a chain in a product of chains
+    extends to a maximal one, a staircase simplex of the larger cell.  A
+    cell below another is a facet of a cell of the group, since every face
+    between them maps onto sigma too.  So a cell is maximal when no cell of
+    the group gives its simplex by dropping one vertex; only a vertex of a
+    factor with two or more vertices can be dropped within the group.
+    Every grid tuple lies on a maximal chain, so the paths name every
+    vertex of the triangulation."""
     if sigma not in f.target.simplices:
         raise NotFoundError(f"simplex {sigma} not in target")
     if sigma in f._fiber_cache:
@@ -281,24 +293,24 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
         return fc
 
     m1 = len(sigma.vertices)
-    src_idx = f.source.vertex_index
-    all_tuples: set[tuple[str, ...]] = set()
+    facets = {vs[:k] + vs[k + 1 :] for vs in (cell.tau.vertices for cell in cells) for k in range(len(vs))}
+    paths: dict[tuple[int, ...], list] = {}  # shape -> its staircase paths
+    labels: dict[tuple[str, ...], str] = {}  # grid tuple -> its vertex label
     generators: list[tuple[str, ...]] = []
     for cell in cells:
+        if cell.tau.vertices in facets:
+            continue
         shape = tuple(len(fac) for fac in cell.factors)
-        for path in _monotone_paths(shape):
-            labels = tuple(
-                _tuple_label(tuple(cell.factors[i][idx[i]] for i in range(len(shape))))
-                for idx in path
-            )
-            generators.append(labels)
-        for idx in itertools.product(*(range(n) for n in shape)):
-            all_tuples.add(tuple(cell.factors[i][idx[i]] for i in range(len(shape))))
-    order = sorted(all_tuples, key=lambda tup: tuple(src_idx(v) for v in tup))
-    tri = closure_complex(generators, vertex_order=[_tuple_label(t) for t in order])
-    embedding = {
-        _tuple_label(t): make_point(f.source, {v: 1.0 / m1 for v in t}) for t in order
-    }
+        for path in paths.get(shape) or paths.setdefault(shape, list(_monotone_paths(shape))):
+            gen = []
+            for idx in path:
+                t = tuple(fac[i] for fac, i in zip(cell.factors, idx))
+                gen.append(labels.get(t) or labels.setdefault(t, _tuple_label(t)))
+            generators.append(tuple(gen))
+    src_idx = f.source.vertex_index
+    order = sorted(labels, key=lambda tup: tuple(src_idx(v) for v in tup))
+    tri = closure_complex(generators, vertex_order=[labels[t] for t in order])
+    embedding = {labels[t]: make_point(f.source, {v: 1.0 / m1 for v in t}) for t in order}
     fc = FiberComplex(source=f.source, sigma=sigma, cells=cells, triangulation=tri, embedding=embedding)
     f._fiber_cache[sigma] = fc
     return fc

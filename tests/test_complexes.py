@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import complex_oracle
 import poset_oracle as oracle
 from plcontrol import (
     MalformedInputError,
     NotFoundError,
     Point,
+    SimplicialComplex,
     barycenter,
     barycentric_subdivision,
     canonical,
@@ -73,6 +75,54 @@ def test_vertex_order_is_first_appearance():
     assert K.vertex_order == ("c", "a", "b")
     # simplices are canonicalized in that order
     assert K.simplex(["a", "c"]).vertices == ("c", "a")
+
+
+@st.composite
+def generator_lists(draw):
+    """A shuffled generator list on the labels a..g, with some faces of its
+    simplices listed too and perhaps one simplex listed again in another
+    vertex order, a vertex order or none, and up to two flaws: a duplicate
+    vertex, an empty simplex, a vertex-order label that is doubled or one
+    in no simplex."""
+    gens = draw(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True), min_size=1, max_size=6))
+    gens += [draw(st.lists(st.sampled_from(g), min_size=1, unique=True)) for g in draw(st.lists(st.sampled_from(gens), max_size=3))]
+    if draw(st.booleans()):
+        gens.append(draw(st.permutations(draw(st.sampled_from(gens)))))
+    gens = draw(st.permutations(gens))
+    used = sorted({v for g in gens for v in g})
+    order = draw(st.none() | st.lists(st.sampled_from(used), unique=True).flatmap(st.permutations))
+    for flaw in draw(st.lists(st.sampled_from(["duplicate", "empty", "stray", "doubled"]), max_size=2, unique=True)):
+        if flaw in ("duplicate", "empty"):
+            k = draw(st.integers(0, len(gens) - 1))
+            gens[k] = gens[k] + gens[k][:1] if flaw == "duplicate" else []
+        else:
+            order = list(order or used[:1]) + (["z"] if flaw == "stray" else used[:1])
+    return [tuple(g) for g in gens], order
+
+
+def construction(build, gens, order):
+    """The vertex order, sorted faces, label-set keys and faces by dimension
+    that ``build`` makes, or the type and message of the error it raises."""
+    try:
+        K = build(gens, order)
+    except MalformedInputError as e:
+        return type(e), str(e)
+    return K.vertex_order, K._sorted, set(K._by_labels), K._by_dim
+
+
+@given(generator_lists())
+@settings(max_examples=300, deadline=None)
+def test_complex_construction_matches_the_oracle(case):
+    """The one-pass construction builds the faces, vertex order and tables
+    of the per-generator one, or raises its error, and interns each face."""
+    gens, order = case
+    assert construction(SimplicialComplex, gens, order) == construction(complex_oracle.construct, gens, order)
+    try:
+        K = SimplicialComplex(gens, order)
+    except MalformedInputError:
+        return
+    assert all(K._by_labels[frozenset(s.vertices)] is s for s in K._sorted)
+    assert K.simplices == frozenset(K._sorted)
 
 
 small_complexes = st.lists(

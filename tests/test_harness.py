@@ -64,9 +64,23 @@ def test_complex_roundtrip(tmp_path, D2):
 def test_loader_closes_and_warns(tmp_path):
     p = tmp_path / "open.json"
     p.write_text(json.dumps({"vertices": ["a", "b", "c"], "simplices": [["a", "b", "c"]]}))
-    with pytest.warns(UserWarning, match="closure added"):
+    with pytest.warns(UserWarning, match="closure added 6 simplices"):
         K = load_complex(p)
     assert len(K.simplices) == 7
+
+
+def test_loader_counts_a_face_listed_twice_once(tmp_path):
+    """A face listed twice, in two vertex orders, counts once, and the
+    warning's count is the number of faces no listed simplex names."""
+    p = tmp_path / "twice.json"
+    listed = [["a", "b", "c"], ["c", "d"], ["b", "a"], ["a", "b"]]
+    p.write_text(json.dumps({"simplices": listed}))
+    K = closure_complex([tuple(g) for g in listed])
+    names = {tuple(sorted(g)) for g in listed}
+    added = sum(1 for s in K.simplices if tuple(sorted(s.vertices)) not in names)
+    assert added == 6
+    with pytest.warns(UserWarning, match=f"closure added {added} simplices"):
+        load_complex(p)
 
 
 def test_loader_rejects_duplicate_vertex(tmp_path):

@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcontrol import (
@@ -22,8 +23,11 @@ from plcontrol import (
     fiber_project,
     fiber_split,
     identity_map,
+    load_map,
     make_point,
     min_distance_to_simplex,
+    save_complex,
+    save_map,
     surjectivity_check,
     validate_map,
     verify_product_decomposition,
@@ -60,6 +64,15 @@ def test_validate_catches_nonadjacent_image():
     tgt = closure_complex([("x",), ("y",)])
     f = SimplicialMap(src, tgt, {"a": "x", "b": "y"})
     assert [s.vertices for s in validate_map(f)] == [("a", "b")]
+
+
+def test_validate_lists_bad_simplices_in_sorted_order():
+    """Bad simplices with images X, Y, X in ``sorted_simplices`` order come
+    out in that order, not grouped by image."""
+    src = closure_complex([("a", "b"), ("a", "c"), ("a", "d")])
+    tgt = closure_complex([("u", "v"), ("v", "w"), ("w", "x")])
+    f = SimplicialMap(src, tgt, {"a": "u", "b": "w", "c": "x", "d": "w"})
+    assert [s.vertices for s in validate_map(f)] == [("a", "b"), ("a", "c"), ("a", "d")]
 
 
 def test_vertex_map_rejects_a_label_that_is_not_a_source_vertex():
@@ -299,24 +312,66 @@ def test_fixture_fibers_match_the_scan(name):
     assert_fibers_match_the_scan(fresh(getattr(fixtures, name)()))
 
 
-@given(random_simplicial_maps())
-@settings(max_examples=30, deadline=None)
+def slab_maps():
+    """The two maps of the benchmark's fibers_slab batch, seed 0, as new
+    maps with nothing cached on them."""
+    from test_harness import _load_script
+
+    return [fresh(f) for f in _load_script("ladder").inputs.workload_inputs("fibers_slab", 0)]
+
+
+SLAB, RP2 = slab_maps()
+
+
+@given(random_simplicial_maps() | random_simplicial_maps(labels="abcdefgh", max_size=5, targets="uvwx"))
+@example(SLAB)
+@example(RP2)
+@settings(max_examples=60, deadline=None)
 def test_random_fibers_match_the_scan(f):
     assert_fibers_match_the_scan(f)
 
 
-def test_fibers_take_one_image_per_source_simplex(monkeypatch):
-    """All fibers and the surjectivity check of a map compute the image of
-    each source simplex at most once."""
-    calls = []
-    real = SimplicialMap.image_simplex
-    monkeypatch.setattr(SimplicialMap, "image_simplex", lambda f, s: calls.append(s) or real(f, s))
-    for f in (prism_map(1), fresh(fixtures.proj_map()), fresh(fixtures.map_collapse())):
-        calls.clear()
+@pytest.mark.parametrize("which", ["Prism(2)", "slab", "rp2"])
+def test_fibers_hand_closure_only_their_maximal_simplices(which, monkeypatch):
+    """The staircase simplices a fiber hands ``closure_complex`` are its
+    triangulation's maximal simplices, each once: no face cell's paths."""
+    from plcontrol import maps
+
+    f = prism_map(2) if which == "Prism(2)" else fresh({"slab": SLAB, "rp2": RP2}[which])
+    handed = []
+    real = maps.closure_complex
+    monkeypatch.setattr(maps, "closure_complex", lambda gens, **kw: handed.append(gens) or real(gens, **kw))
+    for sigma in f.target.sorted_simplices():
+        handed.clear()
+        fiber = fiber_over_barycenter(f, sigma)
+        (gens,) = handed
+        maximal = fiber.triangulation.maximal_simplices()
+        assert Counter(frozenset(g) for g in gens) == Counter(frozenset(s.vertices) for s in maximal)
+
+
+def test_fibers_take_one_image_per_source_simplex(monkeypatch, tmp_path):
+    """From load on, a map's validation, all its fibers and its
+    surjectivity check compute the image of each source simplex once: one
+    ``image_simplex`` call, and no image labels read apart from it."""
+    written = prism_map(1)
+    save_complex(written.source, tmp_path / "x.json")
+    save_complex(written.target, tmp_path / "y.json")
+    save_map(written, tmp_path / "f.json", "x.json", "y.json")
+    calls = {"image_simplex": [], "image_labels": []}
+    for name, seen in calls.items():
+        real = getattr(SimplicialMap, name)
+        monkeypatch.setattr(SimplicialMap, name, lambda f, s, real=real, seen=seen: seen.append(s) or real(f, s))
+    makers = (lambda: load_map(tmp_path / "f.json"), lambda: prism_map(1), lambda: fresh(fixtures.proj_map()),
+              lambda: fresh(fixtures.map_collapse()))
+    for make in makers:
+        for seen in calls.values():
+            seen.clear()
+        f = make()
         surjectivity_check(f)
         for sigma in f.target.sorted_simplices():
             fiber_over_barycenter(f, sigma)
-        assert len(calls) == len(set(calls)) == len(f.source.simplices)
+        for seen in calls.values():
+            assert len(seen) == len(set(seen)) == len(f.source.simplices)
 
 
 def test_product_certificate_catches_a_misweighted_join(MAP_COLLAPSE, monkeypatch):
