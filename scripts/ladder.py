@@ -4,16 +4,18 @@ source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
 then the CPU and reference seconds of each stage of the verify (`STAGES`)
 and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
-calls, the h1 joined passes (`maps._joined_image_rows`), the calls of
-the join/split row kernel (`maps._join_split_rows`, one per group of h1
-second-half start-ups and one per maximal simplex of the target in each
-fill of a g table) and the rows they hold, the pairs that the
-sampled-control kernel measures with `distance` (the identities
-`f(g_eps(y)) = h2(y,1)` and `h1(x,0) = x`, and every row of the g, h1 and
-h2 rows and of the two h1 identities that the arrays do not reproduce),
+calls, the h1 joined passes (`maps._joined_image_rows`, one per group
+pass of the two h1 identities; the h1 row is h2's read over f(x) and
+makes none), the calls of the join/split row kernel
+(`maps._join_split_rows`, one per group of h1 second-half start-ups of
+the identities and one per maximal simplex of the target in each fill of
+a g table) and the rows they hold, the pairs that the sampled-control
+kernel measures with `distance` (the identities `f(g_eps(y)) = h2(y,1)`
+and `h1(x,0) = x`, and every row of the g and h2 rows, the h1 row read
+off h2's and the two h1 identities that the arrays do not reproduce),
 the row norms (`metrics._norms` calls made by `metrics._row_sups`: per
-width of the rows the arrays reproduce, one per h2 row and one per h1
-group pass of the h1 row and of each h1 identity) and the g table norms
+width of the rows the arrays reproduce, one per h2 row, the h1 row's
+included, and one per group pass of each h1 identity) and the g table norms
 (the calls `homotopies` makes itself, one per carrier of the points of
 each g table fill),
 the g evaluations (top-level `FlagMap.gamma_chain` calls, one per

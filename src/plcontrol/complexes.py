@@ -231,12 +231,6 @@ class SimplicialComplex:
     def __contains__(self, s: Simplex) -> bool:
         return s in self._simplices
 
-    def contains_labels(self, labels: Iterable[str]) -> bool:
-        labels = tuple(labels)
-        if any(v not in self._index for v in labels):
-            return False
-        return self.simplex(labels) in self._simplices
-
     def star(self, s: Simplex) -> set[Simplex]:
         """Open star: all cofaces of ``s`` (each standing for its open cell)."""
         if s not in self._simplices:
@@ -261,9 +255,6 @@ class SimplicialComplex:
         for v in self._order:
             groups.setdefault(find(v), set()).add(v)
         return [frozenset(g) for g in groups.values()]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(self._by_dim[d]) for d in self._by_dim)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(dim={self.dimension}, simplices={len(self._simplices)})"
@@ -331,12 +322,6 @@ class Point:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.carrier.vertices, self.coords))
-
-    def coord_of(self, label: str) -> float:
-        try:
-            return self.coords[self.carrier.vertices.index(label)]
-        except ValueError:
-            return 0.0
 
 
 def make_point(K: SimplicialComplex, weights: Mapping[str, float], tol: float = TOL) -> Point:

@@ -22,32 +22,31 @@ locates for g, gamma on its cell evaluated once, with the join, image
 and split of g_eps there read off one ``maps._join_split_rows`` per
 maximal simplex of Y in each fill.  It dies with the closures built over
 it; ``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each
-build their own.  Its g (``_GInverse``), its h2 (``_StraightLine``) and
-each track of its h1 (``_H1Track``) read it to measure their control
-rows as arrays: g off its table, h2 per sampled point and h1 per maximal
-simplex of Y over the carrier of f(x) over the time grid (each
-``sup_ats``): the first point of a cell that asks for a grid stacks the
-cell's images over it, building those its memo lacks in one
-``vertex_images`` call, and ``rows`` forms every row of a point in one
-``cellulation._contract`` of that stack.  An h1 track keeps its point's
-cell and second-half start-up as long as the track lives.
-``_H1._passes``, the one group pass that the h1 row (``sup_ats``) and the
-two h1 identities of ``verify`` (``identity_sups``) read, builds the
-tracks of the points over one maximal simplex, starts their second
-halves up together (``_start``: ybar and w_a off the pass's own row at
-eps' = 0 and one ``maps._join_split_rows``, w_b off the g table), joins
-all their rows in one ``maps._joined_image_rows`` pass and drops them
-before the next group; the maximal simplex over each distinct carrier is
-one walk up the ``_face_poset`` cofacets per call (``_by_top``).
-``metrics._row_sups`` reduces the rows of many points at once: the fast
-rows of one width take one norm (``metrics._norms``), every other row its
-own distance, and each point's first maximum is one row of
-``metrics._first_maxes``, one ``argmax``, which reduces the g row and the
-pair loop too.  The h2 row calls it once, and the h1 row and each h1
-identity once per group pass, before the next group starts; none keeps
-anything.  Every sampled control is
-one per-point table, z -> (sup over t, first t attaining it, pairs): one
-call fills it for the distinct points it lacks (a ``sup_ats`` or
+build their own.  Its g (``_GInverse``) and its h2 (``_StraightLine``)
+read it to measure their control rows as arrays (each ``sup_ats``): g off
+its table, h2 per sampled point over the time grid, where the first point
+of a cell that asks for a grid stacks the cell's images over it, building
+those its memo lacks in one ``vertex_images`` call, and ``rows`` forms
+every row of a point in one ``cellulation._contract`` of that stack.  The
+h1 row through f is h2's row over the points f(x) at the times min(2t, 1)
+(``_h1_column``), which the two h1 identities of ``verify`` make sound.
+An h1 track (``_H1Track``) keeps its point's cell and second-half
+start-up as long as the track lives.  ``_H1._passes``, the group pass of
+the two h1 identities (``identity_sups``), builds the tracks of the points
+over one maximal simplex, starts their second halves up together
+(``_start``: ybar and w_a off the pass's own row at eps' = 0 and one
+``maps._join_split_rows``, w_b off the g table), joins all their rows in
+one ``maps._joined_image_rows`` pass and drops them before the next
+group; the maximal simplex over each distinct carrier is one walk up the
+``_face_poset`` cofacets per call (``_by_top``).  ``metrics._row_sups``
+reduces the rows of many points at once: the fast rows of one width take
+one norm (``metrics._norms``), every other row its own distance, and each
+point's first maximum is one row of ``metrics._first_maxes``, one
+``argmax``, which reduces the g row and the pair loop too.  The h2 row
+calls it once, and each h1 identity once per group pass, before the next
+group starts; none keeps anything.  Every sampled control is one per-point
+table, z -> (sup over t, first t attaining it, pairs): one call fills it
+for the distinct points it lacks (a ``sup_ats``, ``_h1_column`` or
 ``identity_sups``, or ``_pair_sups`` with one ``distance`` per pair),
 and ``_fold`` reduces it in sample order.  A
 family keeps its tables (``_sups``) as long as it lives, keyed by the
@@ -160,7 +159,8 @@ class FlagMap:
 
     def split(self, x: Point) -> tuple[Point, Point]:
         """``trivialization.split(x)``, made once per x: the split does not
-        depend on eps, so the h1 tracks of every ``family.at(eps)`` read it."""
+        depend on eps, so the h1 tracks and the h1 row of every
+        ``family.at(eps)`` read it."""
         hit = self._splits.get(x)
         if hit is None:
             hit = self._splits[x] = self.trivialization.split(x)
@@ -472,7 +472,7 @@ class _H1Track:
     the fiber part ``z``, f(x) as ``y`` and its ``cell`` and cell
     coordinates (s, t).  The second half's start-up, ybar = f(h1(x,
     1/2)) and the fiber tracks from the ends of h1' and of g_eps(f(x))
-    (``second``), is made once: by the group pass that measures the track,
+    (``second``), is made once: by the group pass that reads the track,
     with the tracks beside it, or on first use by one of its own
     (``_start``).  The track holds no reference to its homotopy, so no h1
     sits in a reference cycle."""
@@ -490,7 +490,7 @@ class _H1Track:
     def second(self) -> tuple[Point, Callable[[float], Point], Callable[[float], Point]]:
         """(ybar, the fiber track from h1(x, 1/2), the fiber track from
         g_eps(f(x))), both over ybar's carrier: made by the group pass that
-        measures the track (``_H1._passes``), or on first use by a
+        reads the track (``_H1._passes``), or on first use by a
         start-up of its own (``_start``)."""
         if self._second is None:
             _start(self.gamma, self.view, self.cell.carrier, [self])
@@ -544,39 +544,14 @@ def _start(gamma: FlagMap, view: _EpsView, sigma: Simplex, tracks, R=None) -> No
 @dataclass
 class _H1(Homotopy):
     """h1 of the eps-cellulation, whose tracks are ``_H1Track``s over
-    ``view``, with the map and gamma, so that ``sup_ats`` can measure
-    sampled points' controls through f, and ``identity_sups`` the two
-    identities of h1's halves, over a whole time grid as arrays read off
-    their tracks, one group pass (``_passes``) per maximal simplex of Y."""
+    ``view``, with the map and gamma, so that ``identity_sups`` can measure
+    the two identities of h1's halves over a whole time grid as arrays read
+    off their tracks, one group pass (``_passes``) per maximal simplex of Y.
+    Its control row through f is h2's, read over f(x) (``_h1_column``)."""
 
     f: SimplicialMap
     gamma: FlagMap
     view: _EpsView
-
-    def measures(self, p, q) -> bool:
-        """Whether ``sup_ats`` is the control through p and q: both are f,
-        and gamma joins in f's own join coordinates."""
-        return p is self.f and q is self.f and _joins(self.gamma)
-
-    def sup_ats(self, xs, times) -> dict[Point, tuple[float, float | None, int]]:
-        """x -> (sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the
-        first t attaining it, the pairs measured) for each x of ``xs``,
-        equal to ``_pair_sups`` on the tracks (f(x), f(h1(x, .))).
-
-        The rows come off ``_passes``, one ``_row_sups`` per group before the
-        next group starts.  A row that the pass marks fast is f(h1(x, t)) on
-        f(x)'s carrier, whose distance to f(x) is the norm of their
-        difference there.  Every other row evaluates f on the track, except
-        that the row at t = 1/2 reads ybar when the track has made it."""
-        if not times:
-            return dict.fromkeys(xs, (0.0, None, 0))
-        f, Y, late, out = self.f, self.f.target, max(times) > 0.5, {}
-        for group, tracks, _, F, fast in self._passes(xs, times):
-            # y canonical: the inversion read the cells over y's carrier
-            ys = [canonical(Y, tr.y) for tr in tracks]
-            out.update(zip(group, _row_sups(times, [np.array(y.coords) - F_x for y, F_x in zip(ys, F)], fast, lambda p, k: distance(
-                Y, ys[p], tracks[p].second[0] if times[k] == 0.5 and late else evaluate_map(f, tracks[p](times[k]))))))
-        return out
 
     def identity_sups(self, xs, times) -> tuple[dict, dict]:
         """The per-point tables x -> (sup over t in ``times``, first t
@@ -584,55 +559,54 @@ class _H1(Homotopy):
         that is d_Y(f(h1(x, t/2)), h2(f(x), t)), and f(h1''(x, t)) constant
         in t, d_Y(f(h1(x, 1/2 + t/2)), f(h1(x, 1/2))), with h2 the straight
         line of ``view``: each equal to ``_pair_sups`` on those tracks.
-        ``times`` is not empty (``verify`` reads the grid k/8).
 
-        One ``_passes`` over the h1 times t/2 and 1/2 + t/2 gives the rows
-        of both.  h2 locates f(x), the split's y, in the memo, and 2 (t/2)
-        is t, so h2's step row at t is h1's at t/2: a fast first-half row
-        is measured against it over f(x)'s carrier.  ybar has the bits of
-        f(h1(x, 1/2)), so a fast second-half row is measured against it over
-        ybar's carrier, and the pair at t = 0 is ybar against itself.  Every
-        other pair takes ``distance``.  Each table takes one ``_row_sups`` per
-        group, before the next group starts."""
+        One ``_passes`` over the h1 times t/2, 1/2 + t/2 and 1/2 gives h1's
+        own rows of both.  The first is measured against h2's own rows of
+        f(x): h2 locates the split's y in the view's memo, not through the
+        track, and steps at eps' = eps (1 - t), and 2 (t/2) is t, so a
+        healthy track's first half has h2's bits.  The second is measured
+        against the pass's own row at 1/2, f(h1(x, 1/2)), so a second half
+        that leaves the level where the first half ended shows, whatever
+        ybar the start-up made.  A fast row is measured with one norm over
+        the carrier of f(x), and every other pair with ``distance``.  Each
+        table takes one ``_row_sups`` per group, before the next group
+        starts."""
         f, Y, view, n = self.f, self.f.target, self.view, len(times)
-        halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times]
-        at0, first, second = np.array(times) == 0.0, {}, {}
-        for group, tracks, L, F, fast in self._passes(xs, halves):
-            first.update(zip(group, _row_sups(times, [L_x[:n] - F_x[:n] for L_x, F_x in zip(L, F)], fast[:, :n], lambda p, k: distance(
-                Y, evaluate_map(f, tracks[p](halves[k])), view.step(tracks[p].cell, tracks[p].s, tracks[p].t, view.eps * (1.0 - times[k]))))))
-            anchors = [canonical(Y, tr.second[0]) for tr in tracks]
-            # 1/2 + t/2 = 1/2 at t = 0: the anchor against itself
-            diffs = [np.where(at0[:, None], 0.0, np.array(a.coords) - F_x[n:, [tr.cell.carrier.vertices.index(v) for v in a.carrier.vertices]])
-                     for a, tr, F_x in zip(anchors, tracks, F)]
-            keep = fast[:, n:] & [[a.carrier == tr.second[0].carrier] for a, tr in zip(anchors, tracks)] | at0
-            second.update(zip(group, _row_sups(times, diffs, keep, lambda p, k: distance(
-                Y, evaluate_map(f, tracks[p](halves[n + k])), tracks[p].second[0]))))
+        halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times] + [0.5]
+        epss = tuple(view.eps * (1.0 - time) for time in times)
+        first, second = {}, {}
+        for group, tracks, F, fast in self._passes(xs, halves):
+            h2 = [view.locate(tr.y) for tr in tracks]
+            first.update(zip(group, _row_sups(times, [view.rows(cell, s, t, epss) - F_x[:n] for (cell, (s, t)), F_x in zip(h2, F)], fast[:, :n], lambda p, k: distance(
+                Y, evaluate_map(f, tracks[p](halves[k])), view.step(h2[p][0], *h2[p][1], epss[k])))))
+            second.update(zip(group, _row_sups(times, [F_x[n:-1] - F_x[-1] for F_x in F], fast[:, n:-1] & fast[:, -1:], lambda p, k: distance(
+                Y, evaluate_map(f, tracks[p](halves[n + k])), evaluate_map(f, tracks[p](0.5))))))
         return first, second
 
     def _passes(self, xs, times):
-        """The one group pass of ``sup_ats`` and ``identity_sups``: per group
-        of ``xs``, (its points, their tracks, per point the rows L of its
-        base points and the joined rows F, fast), L and F over the carrier
-        of f(x), one row per time, and fast one row per point.
+        """The group pass of ``identity_sups``: per group of ``xs``, (its
+        points, their tracks, per point the joined rows F, over the carrier
+        of f(x) one row per time, and fast, one row per point).  ``times``
+        holds 1/2.
 
         The points are grouped by a maximal simplex tau of Y over the
         carrier of f(x), read off gamma's split memo, one group's tracks at
         a time.  Each x's rows are read off its track: the first half (t <=
         1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows``
         array joined to the fiber part z, and the second half joins the
-        track's fiber points to ybar.  When the grid reaches past 1/2, the
-        group's tracks start up together (``_start``), from their rows at
-        t = 1/2 (eps' = 0) where the grid holds it.  All rows of a group take one
-        ``maps._joined_image_rows`` over tau, whose every sum adds a column
-        off a row's carrier as 0, so a row's bits depend neither on the
-        rows beside it nor on tau.  A row is fast where the pass reproduces
-        it and ``canonical`` leaves its step as it is (``_canonical_rows``)."""
+        track's fiber points to ybar.  The group's tracks start up together
+        (``_start``), from their rows at t = 1/2 (eps' = 0).  All rows of a
+        group take one ``maps._joined_image_rows`` over tau, whose every sum
+        adds a column off a row's carrier as 0, so a row's bits depend
+        neither on the rows beside it nor on tau.  A row is fast where the
+        pass reproduces it and ``canonical`` leaves its step as it is
+        (``_canonical_rows``)."""
         f, Y, n = self.f, self.f.target, len(times)
         groups = _by_top(Y, [(canonical(Y, self.gamma.split(x)[1]).carrier, x) for x in xs])
         late = np.array([time > 0.5 for time in times])
         early = np.flatnonzero(~late)[:, None]
         epss = tuple(self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5)
-        zero = early[epss.index(0.0), 0] if 0.0 in epss else None  # the time of the start-up's eps' = 0
+        zero = early[epss.index(0.0), 0]  # the time 1/2, whose eps' = 0 the start-up reads
         for tau, by_carrier in groups.items():
             group = [x for xs_ in by_carrier.values() for x in xs_]
             # the factory, not ``track``, whose result a wrapper (such as the
@@ -644,13 +618,12 @@ class _H1(Homotopy):
             for block, can, tr, at in zip(rows, canon, tracks, cols):
                 block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)
                 can[~late] = _canonical_rows(steps)
-            if late.any():
-                _start(self.gamma, self.view, tau, tracks, None if zero is None else rows[:, zero])
-                rows[:, late] = _rows_over(tau, [tr.second[0] for tr in tracks])[:, None]
+            _start(self.gamma, self.view, tau, tracks, rows[:, zero])
+            rows[:, late] = _rows_over(tau, [tr.second[0] for tr in tracks])[:, None]
             ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
             F, fast = _joined_image_rows(f, tau, ws, rows.reshape(len(group) * n, -1))
             fast = (fast & canon.ravel()).reshape(len(group), n)
-            yield group, tracks, [L[:, at] for L, at in zip(rows, cols)], [F_x[:, at] for F_x, at in zip(F.reshape(rows.shape), cols)], fast
+            yield group, tracks, [F_x[:, at] for F_x, at in zip(F.reshape(rows.shape), cols)], fast
 
 
 def _by_top(K: SimplicialComplex, items) -> dict:
@@ -833,8 +806,8 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
     with p and q landing in one metric complex M (None is the identity; a
     map counts as a homotopy constant in t).  ``memo`` is a per-point table
     as ``_fold`` reads it (None keeps nothing): the points it lacks are
-    measured in one call, by g's, h2's or h1's ``sup_ats`` over the whole
-    time grid when it ``measures`` the control through p and q, and otherwise by
+    measured in one call, by g's or h2's ``sup_ats`` over the whole time
+    grid when it ``measures`` the control through p and q, and otherwise by
     ``_pair_sups``, and fill it.  The times are Python floats: each
     measurement converts its grid once, where it enters (``sampled_sup``,
     ``measure_control``, ``_family_controls``)."""
@@ -844,7 +817,7 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
         raise MalformedInputError("control maps must land in one metric complex")
     sups = {} if memo is None else memo
     missing = [z for z in dict.fromkeys(points) if z not in sups]
-    if isinstance(u, (_StraightLine, _H1, _GInverse)) and u.measures(p, q):
+    if isinstance(u, (_StraightLine, _GInverse)) and u.measures(p, q):
         sups.update(u.sup_ats(missing, times))
     else:
         track = u.track if isinstance(u, Homotopy) else (lambda z: lambda t: u(z))
@@ -861,8 +834,9 @@ def _control_report(u, p, q, points, times, eps: float | None, memo: dict | None
 
 def family_controls(family, eps: float, pts_y, pts_x, times) -> dict[str, ControlReport]:
     """The controls of the family at eps, one row per map: g on ``pts_y`` at
-    time 0 measured through f, h1 on ``pts_x`` through f and f, and h2 on
-    ``pts_y`` in Y, each homotopy at ``times``.
+    time 0 measured through f, h1 on ``pts_x`` through f and f (read off
+    h2's row over f(x), ``_h1_column``, when gamma joins in f's own join
+    coordinates), and h2 on ``pts_y`` in Y, each homotopy at ``times``.
 
     Each point's sup is measured once per (row, eps, times) and kept in
     ``family._sups``, so a later call at the same eps reads it: the
@@ -881,11 +855,38 @@ def _family_controls(family, eps: float, closures, pts_y, pts_x, times) -> dict[
     def row(name, u, p, q, pts, ts):
         return _control_report(u, p, q, pts, ts, eps, family._sups.setdefault((name, eps, ts), {}))
 
+    if isinstance(h1, _H1) and _joins(h1.gamma):
+        # every x measured here, so the h1 row below only folds the table
+        _h1_column(h1.gamma, h2, pts_x, times, family._sups.setdefault(("h1", eps, times), {}))
     return {
         "g": row("g", g, None, f, pts_y, (0.0,)),
         "h1": row("h1", h1, f, f, pts_x, times),
         "h2": row("h2", h2, None, None, pts_y, times),
     }
+
+
+def _h1_column(gamma: FlagMap, h2: _StraightLine, xs, times, memo: dict) -> None:
+    """Fill the h1 row's per-point table ``memo`` for the xs it lacks: x ->
+    (sup over t in ``times`` of d_Y(f(x), f(h1(x, t))), the first t
+    attaining it, ``len(times)`` pairs), read off h2's row
+    (``_StraightLine.sup_ats``) over the split's y = f(x), at each distinct
+    time min(2t, 1) once.
+
+    h1 is built from h2 through the product structure: h1(x, t) joins x's
+    fiber part z to h2's step of f(x) at 2t for t <= 1/2, and h1''(x, t)
+    joins a fiber point to ybar = f(h1(x, 1/2)).  split(join(z, y)) = (z,
+    y) gives f(join(z, y)) = y on every sigma, which the product
+    certificate of ``verify`` checks, so f(h1(x, t)) = h2(f(x), min(2t,
+    1)).  The two h1
+    identity lines of ``verify`` (``_H1.identity_sups``) check both halves
+    of this on h1's own tracks at comesh/2: the first half against h2's own
+    location of f(x), the second against f(h1(x, 1/2))."""
+    new = {x: gamma.split(x)[1] for x in dict.fromkeys(xs) if x not in memo}
+    first: dict[float, float] = {}  # h2 time -> the first t of ``times`` read at it
+    for time in times:
+        first.setdefault(min(2.0 * time, 1.0), time)
+    sups = h2.sup_ats(list(dict.fromkeys(new.values())), tuple(first))
+    memo.update((x, (best, first.get(arg), len(times))) for x, y in new.items() for best, arg, _ in [sups[y]])
 
 
 def measure_control(

@@ -72,11 +72,8 @@ class SimplicialMap:
         self._fiber_cache: dict = {}  # fiber_over_barycenter, one per target simplex
         self._by_image: dict[Simplex, list[Simplex]] | None = None  # _source_by_image
 
-    def image_labels(self, s: Simplex) -> tuple[str, ...]:
-        return tuple(sorted({self.vertex_map[v] for v in s.vertices}, key=self.target.vertex_index))
-
     def image_simplex(self, s: Simplex) -> Simplex:
-        return self.target.simplex(self.image_labels(s))
+        return self.target.simplex({self.vertex_map[v] for v in s.vertices})
 
     def __call__(self, p: Point) -> Point:
         return evaluate_map(self, p)
@@ -280,13 +277,13 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
         raise NotFoundError(f"simplex {sigma} not in target")
     if sigma in f._fiber_cache:
         return f._fiber_cache[sigma]
-    cells = [
-        ProductCell(
-            tau=tau,
-            factors=tuple(tuple(v for v in tau.vertices if f.vertex_map[v] == w) for w in sigma.vertices),
-        )
-        for tau in _source_by_image(f).get(sigma, ())
-    ]
+    slot = {w: k for k, w in enumerate(sigma.vertices)}
+    cells = []
+    for tau in _source_by_image(f).get(sigma, ()):
+        factors = [[] for _ in sigma.vertices]
+        for v in tau.vertices:
+            factors[slot[f.vertex_map[v]]].append(v)
+        cells.append(ProductCell(tau=tau, factors=tuple(map(tuple, factors))))
     if not cells:
         fc = FiberComplex(source=f.source, sigma=sigma, cells=[], triangulation=None, embedding={})
         f._fiber_cache[sigma] = fc

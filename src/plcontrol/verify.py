@@ -244,9 +244,15 @@ def _identity_checks(f: SimplicialMap, closures, samples: int, seed: int) -> dic
     on the closures (g, h1, h2) of one ``family.at(eps)``.  The first is
     the per-point table of ``g.identity_sups``, read off g's table, and
     the two h1 identities are the two per-point tables of
-    ``h1.identity_sups``, read off the group pass of the h1 row (one per
-    maximal simplex of Y over f(x)'s carrier), each folded by ``_fold``;
-    the last is a ``sampled_sup``, with one ``distance`` per pair."""
+    ``h1.identity_sups``, read off h1's own group pass (one per maximal
+    simplex of Y over f(x)'s carrier), each folded by ``_fold``; the last
+    is a ``sampled_sup``, with one ``distance`` per pair.
+
+    The control table's h1 column is h2's row over f(x) at min(2t, 1)
+    (``homotopies._h1_column``), so these two lines are what can see h1
+    leave h2's path: f(h1'(x, t)) is measured against h2's own location
+    of f(x), and f(h1''(x, t)) against f(h1(x, 1/2)), the row where the
+    first half ends."""
     Y, X = f.target, f.source
     g, h1, _ = closures
 

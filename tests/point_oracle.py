@@ -4,7 +4,8 @@ oracle for differential tests: `SimplicialComplex.simplex` and
 `metrics.shared_carrier`, `metrics._l2_in_simplex` and the Steiner-graph
 `metrics._MetricGraph.query`.  Bodies are unchanged;
 calls between them go to the oracle versions, and every point is built
-through the validating `Point` constructor."""
+through the validating `Point` constructor.  The query's calls of the
+method `K.contains_labels`, which left `src/`, call it in `helpers`."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from plcontrol.complexes import (
     SimplicialComplex,
 )
 from plcontrol.metrics import INF, _coords_over
+import helpers
 
 
 def simplex(self: SimplicialComplex, labels: Iterable[str]) -> Simplex:
@@ -87,12 +89,12 @@ def query(self, K: SimplicialComplex, p: Point, q: Point) -> float:
     for e, x in enumerate(extra):
         for i, node in enumerate(self.points):
             union = set(x.carrier.vertices) | set(node.carrier.vertices)
-            if K.contains_labels(union):
+            if helpers.contains_labels(K, union):
                 c = K.simplex(union)
                 links[e].append((i, _l2_in_simplex(x, node, c)))
     direct = None
     union = set(p.carrier.vertices) | set(q.carrier.vertices)
-    if K.contains_labels(union):
+    if helpers.contains_labels(K, union):
         direct = _l2_in_simplex(p, q, K.simplex(union))
 
     n = len(self.points)

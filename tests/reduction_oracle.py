@@ -5,10 +5,9 @@ them.
 ``_first_max``, ``_row_sup`` and ``_diff_sup`` are the moved functions,
 bodies unchanged: a loop over one point's pairs, and one small numpy
 pipeline and one ``_first_max`` per sampled point.
-``h2_sups``, ``h1_sups`` and ``identity_sups`` are ``_StraightLine.sup_ats``,
-``_H1.sup_ats`` and ``_H1.identity_sups`` as they were, one of those calls
-per point over the rows of the same group pass, so the differential tests
-see only the reduction change.  The fast masks of the h2 rows are read
+``h2_sups`` and ``identity_sups`` are ``_StraightLine.sup_ats`` and
+``_H1.identity_sups``, one of those calls per point over the rows of the
+same group pass, so the differential tests see only the reduction change.  The fast masks of the h2 rows are read
 through the ``homotopies`` module, so a test that patches
 ``homotopies._canonical_rows`` patches both sides."""
 
@@ -65,34 +64,21 @@ def h2_sups(h2, ys, times) -> dict:
 
 
 def _per_point(h1, xs, times):
-    """(x, its track, L, F, fast) per x of the group pass ``h1._passes``."""
-    for group, tracks, Ls, Fs, fasts in h1._passes(xs, times):
-        yield from zip(group, tracks, Ls, Fs, fasts)
-
-
-def h1_sups(h1, xs, times) -> dict:
-    """``_H1.sup_ats``: one ``_row_sup`` per x."""
-    if not times:
-        return dict.fromkeys(xs, (0.0, None, 0))
-    Y, out = h1.f.target, {}
-    for x, tr, _, F, fast in _per_point(h1, xs, times):
-        ybar = tr.second[0] if max(times) > 0.5 else None
-        out[x] = _row_sup(Y, canonical(Y, tr.y), times, F, fast, lambda j: (
-            ybar if times[j] == 0.5 and ybar is not None else evaluate_map(h1.f, tr(times[j]))))
-    return out
+    """(x, its track, F, fast) per x of the group pass ``h1._passes``."""
+    for group, tracks, Fs, fasts in h1._passes(xs, times):
+        yield from zip(group, tracks, Fs, fasts)
 
 
 def identity_sups(h1, xs, times) -> tuple[dict, dict]:
     """``_H1.identity_sups``: two ``_diff_sup`` per x."""
     f, Y, view, n = h1.f, h1.f.target, h1.view, len(times)
-    halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times]
-    at0, first, second = np.array(times) == 0.0, {}, {}
-    for x, tr, L, F, fast in _per_point(h1, xs, halves):
-        first[x] = _diff_sup(times, L[:n] - F[:n], fast[:n], lambda k: distance(
-            Y, evaluate_map(f, tr(halves[k])), view.step(tr.cell, tr.s, tr.t, view.eps * (1.0 - times[k]))))
-        anchor = canonical(Y, ybar := tr.second[0])
-        diffs = np.array(anchor.coords) - F[n:, [tr.cell.carrier.vertices.index(v) for v in anchor.carrier.vertices]]
-        keep = fast[n:] & (anchor.carrier == ybar.carrier)
-        diffs[at0], keep[at0] = 0.0, True  # 1/2 + t/2 = 1/2: the anchor against itself
-        second[x] = _diff_sup(times, diffs, keep, lambda k: distance(Y, evaluate_map(f, tr(halves[n + k])), ybar))
+    halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times] + [0.5]
+    epss = tuple(view.eps * (1.0 - time) for time in times)
+    first, second = {}, {}
+    for x, tr, F, fast in _per_point(h1, xs, halves):
+        cell, (s, t) = view.locate(tr.y)
+        first[x] = _diff_sup(times, view.rows(cell, s, t, epss) - F[:n], fast[:n], lambda k: distance(
+            Y, evaluate_map(f, tr(halves[k])), view.step(cell, s, t, epss[k])))
+        second[x] = _diff_sup(times, F[n:-1] - F[-1], fast[n:-1] & fast[-1], lambda k: distance(
+            Y, evaluate_map(f, tr(halves[n + k])), evaluate_map(f, tr(0.5))))
     return first, second

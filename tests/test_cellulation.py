@@ -26,6 +26,7 @@ from plcontrol import (
     vertex_point,
 )
 from plcontrol import fixtures
+from helpers import coord_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -189,7 +190,7 @@ def test_collar_cell_lies_near_its_flag_minimum(D2):
         s = rng.dirichlet(np.ones(2))
         t = rng.dirichlet(np.ones(2))
         y = cel.evaluate(cell, s, t)
-        coords = np.array([y.coord_of(v) for v in verts])
+        coords = np.array([coord_of(y, v) for v in verts])
         assert min_distance_to_simplex(coords, seg) <= eps + 1e-9
 
 

@@ -23,6 +23,7 @@ from plcontrol import (
 from plcontrol import complexes, contract
 from plcontrol.complexes import Simplex, _face_poset, face_chains
 from plcontrol.maps import _monotone_paths
+from helpers import euler_characteristic
 
 
 def brute_force_chain_count(K):
@@ -266,7 +267,7 @@ def test_subdivision_triangle(D2):
     assert len(sd.simplices_of_dim(0)) == 7
     assert len(sd.simplices_of_dim(1)) == 12
     assert len(sd.simplices_of_dim(2)) == 6
-    assert sd.euler_characteristic() == 1 == D2.euler_characteristic()
+    assert euler_characteristic(sd) == 1 == euler_characteristic(D2)
 
 
 def test_subdivision_circle(BD2):

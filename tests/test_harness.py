@@ -41,6 +41,7 @@ from plcontrol.cli import main
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
 import cellulation_oracle
 import control_oracle
+from helpers import coord_of
 
 
 def write_fixture_files(tmp_path):
@@ -115,7 +116,7 @@ def test_map_loader_rejects_nonsimplicial(tmp_path):
 
 def test_parse_point(D2):
     p = parse_point(D2, '{"simplex": ["b", "a"], "coords": [0.25, 0.75]}')
-    assert p.coord_of("a") == 0.75 and p.coord_of("b") == 0.25
+    assert coord_of(p, "a") == 0.75 and coord_of(p, "b") == 0.25
 
 
 @pytest.mark.parametrize("literal", [
@@ -453,8 +454,8 @@ def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkey
     had a pass of its own, 3372 and 152 with one pass per carrier of f(x)):
     gamma keeps each sampled x's split for every eps, and one pass of h1 at
     one eps joins the rows of all points whose f(x) lies on one maximal
-    simplex of Y in one ``_joined_image_rows``, read by the h1 row and by
-    both h1 identities."""
+    simplex of Y in one ``_joined_image_rows``, read by both h1 identities.
+    The h1 row is read off h2's and makes no pass (1343 and 2 since)."""
     calls = _count_work(monkeypatch)
     assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
     assert calls["fiber_split"] <= 3372

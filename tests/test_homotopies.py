@@ -36,9 +36,9 @@ from plcontrol import fixtures
 import cellulation_oracle
 import control_oracle
 import family_oracle
-import h1_row_oracle
 import reduction_oracle
 import start_oracle
+from helpers import coord_of
 
 
 def random_point(K, rng):
@@ -244,7 +244,7 @@ def test_measure_control_constant_shift(D1):
     shift = 0.3 / math.sqrt(2.0)  # metric length 0.3 in coordinate units
 
     def fn(p):
-        b = min(1.0, p.coord_of("b") + shift)
+        b = min(1.0, coord_of(p, "b") + shift)
         return make_point(D1, {"a": 1.0 - b, "b": b}, tol=-1.0) if b < 1.0 else vertex_point(D1, "b")
 
     ev = PLEvaluator(domain=D1, codomain=D1, fn=fn)
@@ -453,7 +453,7 @@ def _edge_slide(f):
 
     def H_fn(z, t):
         # the p end sits still at a; the q end slides from b halfway to a
-        w = z.coord_of("q")
+        w = coord_of(z, "q")
         target = combine_points(Y, [(1.0 - w, vertex_point(Y, "a")), (w, b_half)])
         start = combine_points(Y, [(1.0 - w, vertex_point(Y, "a")), (w, vertex_point(Y, "b"))])
         return combine_points(Y, [(1.0 - t, start), (t, target)])
@@ -461,7 +461,7 @@ def _edge_slide(f):
     H = Homotopy(domain=Z, codomain=Y, track_factory=lambda z: lambda t: H_fn(z, t))
 
     def h_fn(z):
-        w = z.coord_of("q")
+        w = coord_of(z, "q")
         return canonical(
             X, combine_points(X, [(1.0 - w, vertex_point(X, "a")), (w, vertex_point(X, "b"))])
         )
@@ -558,7 +558,9 @@ def _witness_distance(u, p, q, witness):
 def test_sampled_sup_matches_the_old_loops(name):
     """Bit-identical sups at comesh/2 and at every eps of the assembly, all
     read through one family's memo (the assembly's height 2/cm has the eps
-    comesh/2 itself)."""
+    comesh/2 itself).  The h1 control of the slices is h2's over f(x) at
+    the times min(2t, 1) (``homotopies._h1_column``), so its old loop runs
+    on those tracks; ``measure_control(h1, f, f)`` measures h1 itself."""
     from plcontrol import assemble_bounded_equivalence
     from plcontrol.verify import _identity_checks
 
@@ -568,7 +570,10 @@ def test_sampled_sup_matches_the_old_loops(name):
     assert _identity_checks(f, at_half, 20, 0) == control_oracle.identity_checks(f, fam, 20, 0)
     data = assemble_bounded_equivalence(f, fam, samples=8, time_steps=9)
     for eps in sorted({data._eps_at(t) for t in data.t_grid} | {fam.effective_comesh / 2.0}):
-        assert data.controls_at(eps) == control_oracle.slice_controls(fam, eps, 8, 0, 9)
+        want = control_oracle.slice_controls(fam, eps, 8, 0, 9)
+        pts_x = sample_points(f.source, 8, seed=1)
+        want["h1"] = control_oracle.sampled_sup(f.target, pts_x, np.linspace(0.0, 1.0, 9), _h1_through_h2(f, eps))[0]
+        assert data.controls_at(eps) == want
         g, h1, h2 = fam.at(eps)
         for u, p, q in ((g, None, f), (h1, f, f), (h2, None, None)):
             rep = measure_control(u, p, q, samples=8, seed=1, time_steps=9)
@@ -580,12 +585,18 @@ def test_sampled_sup_matches_the_old_loops(name):
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_verify_control_rows_match_the_old_loop(name):
     """The default verify's control table, from sample sets drawn once, is bit
-    for bit the table of one measure_control call per (eps, map)."""
+    for bit the table of one measure_control call per (eps, map), with the
+    h1 column the old loop on (f(x), h2(f(x), min(2t, 1))), which the table
+    reads (``homotopies._h1_column``)."""
     from plcontrol import run_verify
+    from plcontrol.cone import TIME_STEPS
 
     f = getattr(fixtures, name)()
     rows = run_verify(f).control_rows
     old = control_oracle.control_rows(f, build_family(f), epsilon_schedule(f.target), 120, 0, 17, 1e-4)
+    pts_x, times = sample_points(f.source, 40, seed=0), np.linspace(0.0, 1.0, TIME_STEPS)
+    for row in old:
+        row.h1 = control_oracle.sampled_sup(f.target, pts_x, times, _h1_through_h2(f, row.eps))[0]
     assert len(rows) == 5 and rows == old
 
 
@@ -833,7 +844,7 @@ def test_sampled_control_kernel_matches_the_moved_oracles(D1, MAP_COLLAPSE):
     pts_x = sample_points(f.source, 10, seed=4)
     rows = (
         (g, None, f, pts_y, (0.0,), control_oracle.pair_sup(Y, (0.0,), lambda y: ((lambda t: y), lambda t: evaluate_map(f, g(y))))),
-        (h1, f, f, pts_x, times, lambda x: h1_row_oracle.sup_at(h1, x, times)),
+        (h1, f, f, pts_x, times, control_oracle.pair_sup(Y, times, _oracle_h1_tracks(f, fam, eps))),
         (h2, None, None, pts_y, times, control_oracle.pair_sup(Y, times, lambda y: ((lambda t: y), h2.track(y)))),
         (h1, None, None, pts_x[:5], times, control_oracle.pair_sup(f.source, times, lambda x: ((lambda t: x), h1.track(x)))),
     )
@@ -1023,7 +1034,7 @@ def test_h2_rows_match_the_pair_loop_on_random_maps(f, seed):
             assert scalar.count(0.0) == _based_off_carrier(f.target, eps, pts)
 
 
-# -- the h1 row as arrays per sampled point ---------------------------------------------
+# -- the h1 row, read off h2 at min(2t, 1), against the pair loop ------------------------
 
 def _oracle_h1_tracks(f, fam, eps):
     """x -> (f(x), f(h1(x, .))) on the h1 tracks of ``family_oracle``."""
@@ -1036,15 +1047,29 @@ def _oracle_h1_tracks(f, fam, eps):
     return tracks
 
 
+def _h1_through_h2(f, eps):
+    """x -> (f(x), t -> h2(f(x), min(2t, 1))), on the straight line of
+    ``family_oracle``: the tracks whose pair loop the h1 row of
+    ``_family_controls`` is (``homotopies._h1_column``)."""
+    h2 = family_oracle.straightline_homotopy(f.target, eps)
+
+    def tracks(x):
+        y = evaluate_map(f, x)
+        tr = h2.track(y)
+        return (lambda t: y), (lambda t: tr(min(2.0 * t, 1.0)))
+
+    return tracks
+
+
 def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
     """The h1 row of ``_family_controls``, and each point's sup, witness time
     and pair count in the family's memo, equal the memo-free pair loop on
-    the h1 tracks of ``family_oracle`` through f; returns the number of rows
-    that took the scalar branch (one ``distance`` each)."""
+    (f(x), h2(f(x), min(2t, 1))); returns the number of rows that took the
+    scalar branch (one ``distance`` each)."""
     from plcontrol import homotopies
     from plcontrol.homotopies import _family_controls
 
-    tracks = _oracle_h1_tracks(f, fam, eps)
+    tracks = _h1_through_h2(f, eps)
     want = control_oracle.sampled_sup(f.target, pts, times, tracks)
     scalar = []
     real = homotopies.distance
@@ -1054,7 +1079,7 @@ def _assert_h1_rows_match_the_pair_loop(f, fam, eps, pts, times, monkeypatch):
         return real(*args)
 
     closures = fam.at(eps)
-    assert isinstance(closures[1], homotopies._H1) and closures[1].measures(f, f)
+    assert isinstance(closures[1], homotopies._H1)
     with monkeypatch.context() as m:
         m.setattr(homotopies, "distance", spy)
         rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
@@ -1111,10 +1136,12 @@ def test_h1_rows_match_the_pair_loop_on_random_maps(f, seed):
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse"])
 def test_h1_and_h2_rows_on_degenerate_time_grids(name):
-    """An empty grid, a single time, and an unsorted grid with a repeat: the
-    array rows of h1 through f and of h2 give the pair loop's sup, witness
-    and pair count, through ``measure_control`` and ``_control_report``."""
-    from plcontrol.homotopies import _control_report
+    """An empty grid, a single time, and an unsorted grid with a repeat: h1
+    through f (the pair loop on its own tracks) and the array row of h2
+    give the pair loop's sup, witness and pair count, through
+    ``measure_control`` and ``_control_report``, and so does the h1 row of
+    ``_family_controls``, read off h2 at min(2t, 1)."""
+    from plcontrol.homotopies import _control_report, _family_controls
 
     f = getattr(fixtures, name)()
     fam = build_family(f)
@@ -1137,13 +1164,19 @@ def test_h1_and_h2_rows_on_degenerate_time_grids(name):
         assert (rep.measured_control, rep.witness, rep.samples) == control_oracle.sampled_sup(
             f.target, pts, times, tracks
         )
+    pts = sample_points(f.source, 8) + _near_boundary_points(f.source)
+    for times in ((), (0.0,), (1.0, 0.25, 0.75, 0.5, 0.0, 0.75)):
+        rep = _family_controls(fam, eps, fam.at(eps), [], pts, times)["h1"]
+        want = control_oracle.sampled_sup(f.target, pts, times, _h1_through_h2(f, eps))
+        assert (rep.measured_control, rep.witness, rep.samples) == want
 
 
 def test_h1_row_reads_its_track_when_track_is_wrapped(monkeypatch):
     """``Homotopy.track``'s result may be wrapped into a plain callable, as a
-    tracer that times track evaluations does; the h1 row reads the state of
-    the track its factory builds, so its sup, witness and pair count stay
-    the pair loop's."""
+    tracer that times track evaluations does; the group pass of the h1
+    identities reads the state of the track its factory builds, so their
+    tables stay the pair loop's, and the h1 row, read off h2, stays the
+    pair loop's on (f(x), h2(f(x), min(2t, 1)))."""
     from plcontrol.homotopies import _family_controls
 
     f = fixtures.map_collapse()
@@ -1151,23 +1184,27 @@ def test_h1_row_reads_its_track_when_track_is_wrapped(monkeypatch):
     eps = fam.effective_comesh / 2.0
     pts = sample_points(f.source, 10, seed=0) + _near_boundary_points(f.source)
     times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
-    want = control_oracle.sampled_sup(f.target, pts, times, _oracle_h1_tracks(f, fam, eps))
+    want = control_oracle.sampled_sup(f.target, pts, times, _h1_through_h2(f, eps))
     real = Homotopy.track
     monkeypatch.setattr(Homotopy, "track", lambda self, p: (lambda t, tr=real(self, p): tr(t)))
-    rep = _family_controls(fam, eps, fam.at(eps), [], pts, times)["h1"]
+    closures = fam.at(eps)
+    rep = _family_controls(fam, eps, closures, [], pts, times)["h1"]
     assert (rep.measured_control, rep.witness, rep.samples) == want
+    _assert_identity_tables_match_the_pair_loop(f, closures, pts)
 
 
 def test_h1_row_of_another_trivialization_takes_the_pair_loop():
-    """``sup_at`` joins in f's own join coordinates, so a family whose gamma
-    uses another product structure is measured by the pair loop."""
-    from plcontrol.homotopies import _family_controls
+    """The h1 row is read off h2 only when gamma joins in f's own join
+    coordinates, whose round trip the product certificate checks, so a
+    family whose gamma uses another product structure is measured by the
+    pair loop on h1's own tracks."""
+    from plcontrol.homotopies import _family_controls, _joins
 
     fam = fixtures.proj_explicit_family()
     f = fam.f
     eps = fam.effective_comesh / 2.0
     closures = fam.at(eps)
-    assert not closures[1].measures(f, f)
+    assert not _joins(fam.gamma)
     pts = sample_points(f.source, 10, seed=0)
     times = tuple(map(float, np.linspace(0.0, 1.0, 9)))
     want = control_oracle.sampled_sup(f.target, pts, times, _oracle_h1_tracks(f, fam, eps))
@@ -1175,35 +1212,41 @@ def test_h1_row_of_another_trivialization_takes_the_pair_loop():
     assert (rep.measured_control, rep.witness, rep.samples) == want
 
 
-# -- the h1 row per carrier of f(x) against the per-point oracle ----------------------
+# -- the h1 row read off h2, per point, against the per-point oracle ------------------
 
 # no time, time 0 alone, a grid with 1/2 and one without it
 H1_GRIDS = ((), (0.0,), tuple(map(float, np.linspace(0.0, 1.0, 9))), tuple(map(float, np.linspace(0.0, 1.0, 8))))
 
 
-def _assert_sup_ats_match_the_per_point_oracle(h1, xs, times):
-    """``h1.sup_ats`` on all of xs, and on each x alone (a one-point group),
-    gives the per-point oracle's (sup, t, pairs) for every x, and the row
-    its (sup, witness, pairs), byte for byte: ``repr`` writes a float
-    exactly, with its sign."""
-    from plcontrol.homotopies import _control_report
+def _assert_h1_row_matches_the_per_point_oracle(fam, eps, xs, times):
+    """The h1 row's table (``homotopies._h1_column``), filled for all of xs
+    and for each x alone, gives every x the (sup, t, pairs) of the pair
+    loop on (f(x), h2(f(x), min(2t, 1))), and the row of
+    ``_family_controls`` its (sup, witness, pairs), byte for byte:
+    ``repr`` writes a float exactly, with its sign."""
+    from plcontrol.homotopies import _family_controls, _h1_column, _pair_sups
 
-    got = h1.sup_ats(xs, times)
+    f, closures = fam.f, fam.at(eps)
+    got, h2 = {}, closures[2]
+    _h1_column(fam.gamma, h2, xs, times, got)
     assert set(got) == set(xs)
-    want = {x: h1_row_oracle.sup_at(h1, x, times) for x in xs}
+    want = _pair_sups(f.target, xs, times, _h1_through_h2(f, eps))
     for x in xs:
-        assert repr(got[x]) == repr(h1.sup_ats([x], times)[x]) == repr(want[x])
-    rep = _control_report(h1, h1.f, h1.f, xs, times, None)
+        alone = {}
+        _h1_column(fam.gamma, h2, [x], times, alone)
+        assert repr(got[x]) == repr(alone[x]) == repr(want[x])
+    rep = _family_controls(fam, eps, closures, [], xs, times)["h1"]
     assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(control_oracle.fold_sup(xs, want.__getitem__, None))
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse", "tetrahedron_onto_edge"])
 def test_h1_row_per_carrier_matches_the_per_point_oracle(name, monkeypatch):
     """At every schedule eps, on X samples and on points with one
-    coordinate just above TOL, some of whose rows take the scalar
-    ``point(k)`` path (one ``distance`` each).  The pass groups the points
-    by a maximal simplex of Y over f(x)'s carrier, and some asserted group
-    spans two or more carriers."""
+    coordinate just above TOL, some of whose h2 rows take the scalar path
+    (one ``distance`` each), the h1 row is the per-point oracle's on every
+    grid of ``H1_GRIDS``.  The group pass of the h1 identities, which still
+    runs per carrier, groups the points by a maximal simplex of Y over
+    f(x)'s carrier, and some asserted group spans two or more carriers."""
     from plcontrol import homotopies
 
     f = _tetrahedron_onto_edge() if name == "tetrahedron_onto_edge" else getattr(fixtures, name)()
@@ -1215,8 +1258,10 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle(name, monkeypatch):
     monkeypatch.setattr(homotopies, "_maximal_over", lambda K, sigma: walks.append((sigma, real_walk(K, sigma))) or walks[-1][1])
     for eps in epsilon_schedule(f.target):
         for times in H1_GRIDS:
-            _assert_sup_ats_match_the_per_point_oracle(fam.at(eps)[1], pts, times)
+            _assert_h1_row_matches_the_per_point_oracle(fam, eps, pts, times)
     assert scalar
+    for eps in epsilon_schedule(f.target)[:2]:
+        _assert_identity_tables_match_the_pair_loop(f, fam.at(eps), pts)
     spans = {}
     for sigma, tau in walks:
         assert sigma <= tau and tau in f.target.maximal_simplices()
@@ -1234,15 +1279,17 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_random_maps(f, seed)
     pts = sample_points(f.source, 12, seed=seed) + _near_boundary_points(f.source)
     for eps in epsilon_schedule(f.target, steps=3):
         for times in H1_GRIDS:
-            _assert_sup_ats_match_the_per_point_oracle(fam.at(eps)[1], pts, times)
+            _assert_h1_row_matches_the_per_point_oracle(fam, eps, pts, times)
 
 
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)"])
 def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(name, monkeypatch):
     """Every h1 row of a default seed-0 verify, at each of its 13 eps: each
-    point's (sup, t, pairs) in the family's memo and the row's (sup,
-    witness, pairs) are the per-point oracle's, byte for byte."""
+    point's (sup, t, pairs) in the family's memo is the pair loop's on (f(x),
+    h2(f(x), min(2t, 1))), and the row's (sup, witness, pairs) their fold,
+    byte for byte."""
     from plcontrol import homotopies, run_verify
+    from plcontrol.homotopies import _pair_sups
     from plcontrol.verify import THEOREM_CONSISTENT
     from test_harness import _fresh, _load_script
 
@@ -1252,8 +1299,8 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
 
     def both(u, p, q, points, times, eps, memo=None):
         rep = real(u, p, q, points, times, eps, memo)
-        if isinstance(u, homotopies._H1) and u.measures(p, q):
-            want = {x: h1_row_oracle.sup_at(u, x, times) for x in points}
+        if isinstance(u, homotopies._H1):
+            want = _pair_sups(f.target, points, times, _h1_through_h2(f, eps))
             assert all(repr(memo[x]) == repr(want[x]) for x in points)
             fold = control_oracle.fold_sup(points, want.__getitem__, None)
             assert repr((rep.measured_control, rep.witness, rep.samples)) == repr(fold)
@@ -1265,7 +1312,53 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
     assert len(set(measured)) == 13
 
 
-# -- the two h1 identities off the h1 pass against the scalar pair loop ---------------
+def _h1_maps():
+    from test_harness import _fresh, _load_script
+
+    return {
+        "proj_map": lambda: _fresh(fixtures.proj_map()),
+        "map_collapse": lambda: _fresh(fixtures.map_collapse()),
+        "Prism(1)": lambda: _load_script("ladder").inputs.prism_map(1),
+    }
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)"])
+def test_h1_row_read_off_h2_equals_h1_measured_on_its_own_tracks(name):
+    """The independent check of the h1 row: ``measure_control(h1, f, f)``,
+    which is ``_control_report`` on h1 with no memo, measures h1 itself
+    with one ``distance`` per pair on its own tracks.  At every schedule
+    eps, every point's sup and the row's sup lie within 1e-12 of the h1 row
+    of ``family_controls``, read off h2, with the same pair counts."""
+    from plcontrol.homotopies import _control_report, family_controls
+
+    f = _h1_maps()[name]()
+    fam = build_family(f)
+    pts_x, times = sample_points(f.source, 40, seed=0), tuple(np.linspace(0.0, 1.0, 33).tolist())
+    for eps in epsilon_schedule(f.target):
+        own = {}
+        rep = _control_report(fam.at(eps)[1], f, f, pts_x, times, eps, own)
+        row = family_controls(fam, eps, [], pts_x, times)["h1"]
+        read = fam._sups["h1", eps, times]
+        assert all(abs(own[x][0] - read[x][0]) <= 1e-12 and own[x][2] == read[x][2] for x in pts_x)
+        assert abs(rep.measured_control - row.measured_control) <= 1e-12 and rep.samples == row.samples
+    assert repr(measure_control(fam.at(eps)[1], f, f, samples=40, epsilon_target=eps)) == repr(rep)
+
+
+@pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)"])
+def test_h1_identities_hold_at_every_schedule_eps(name):
+    """The two h1 identity tables, on which the h1 row read off h2 rests,
+    read at most 1e-12 at every schedule eps, not only at the comesh/2 of
+    ``verify``, on X samples and on points with one coordinate just above
+    TOL."""
+    f = _h1_maps()[name]()
+    fam = build_family(f)
+    xs = sample_points(f.source, 40, seed=0) + _near_boundary_points(f.source)
+    for eps in epsilon_schedule(f.target):
+        for table in fam.at(eps)[1].identity_sups(xs, IDENTITY_TIMES):
+            assert set(table) == set(xs) and max(best for best, _, _ in table.values()) <= 1e-12
+
+
+# -- the two h1 identities off the h1 group pass against the scalar pair loop ---------
 
 IDENTITY_TIMES = tuple(np.linspace(0.0, 1.0, 9).tolist())
 
@@ -1346,15 +1439,14 @@ def test_identity_checks_match_the_scalar_oracle_on_default_verifies(name, monke
 # -- one reduction per group pass against the per-point reductions ---------------------
 
 def _check_tables_against_the_per_point_oracle(monkeypatch, checked):
-    """From here on, every per-point table of h2's and h1's ``sup_ats`` and
-    both of h1's ``identity_sups`` is compared by ``repr`` (which writes a
+    """From here on, every per-point table of h2's ``sup_ats`` and both of
+    h1's ``identity_sups`` is compared by ``repr`` (which writes a
     float exactly) with ``reduction_oracle``'s on the same points and
     times; ``checked`` collects the name of each table compared."""
     from plcontrol import homotopies
 
     for cls, name, oracle in (
         (homotopies._StraightLine, "sup_ats", reduction_oracle.h2_sups),
-        (homotopies._H1, "sup_ats", reduction_oracle.h1_sups),
         (homotopies._H1, "identity_sups", reduction_oracle.identity_sups),
     ):
         def both(u, points, times, real=getattr(cls, name), oracle=oracle, name=f"{cls.__name__}.{name}"):
@@ -1367,8 +1459,7 @@ def _check_tables_against_the_per_point_oracle(monkeypatch, checked):
 
 
 def _force_fast_off(monkeypatch):
-    """Mark no row fast: every distance of the tables takes its pair, but
-    for the second h1 identity's row at t = 0, its anchor against itself."""
+    """Mark no row fast: every distance of the tables takes its pair."""
     from plcontrol import homotopies
 
     real = homotopies._joined_image_rows
@@ -1380,8 +1471,8 @@ def _force_fast_off(monkeypatch):
     ("proj_map", True), ("map_collapse", True), ("Prism(1)", True), ("D_3", True), ("D_4", True), ("map_collapse", False),
 ])
 def test_group_reduction_matches_the_per_point_oracle_on_default_verifies(name, fast, monkeypatch):
-    """Every table of the h2 row, the h1 row and the two h1 identities of a
-    default seed-0 verify is the per-point reductions', byte for byte; with
+    """Every table of the h2 row (which the h1 row reads too) and of the two
+    h1 identities of a default seed-0 verify is the per-point reductions', byte for byte; with
     ``fast`` off, no row is marked fast (``_force_fast_off``)."""
     from plcontrol import run_verify
     from plcontrol.verify import THEOREM_CONSISTENT
@@ -1396,7 +1487,7 @@ def test_group_reduction_matches_the_per_point_oracle_on_default_verifies(name, 
         _force_fast_off(monkeypatch)
     _check_tables_against_the_per_point_oracle(monkeypatch, checked)
     assert run_verify(f).overall == THEOREM_CONSISTENT
-    assert set(checked) == {"_StraightLine.sup_ats", "_H1.sup_ats", "_H1.identity_sups"}
+    assert set(checked) == {"_StraightLine.sup_ats", "_H1.identity_sups"}
 
 
 @given(random_simplicial_maps(), st.integers(0, 2**16), st.booleans())
@@ -1415,7 +1506,6 @@ def test_group_reduction_matches_the_per_point_oracle_on_random_maps(f, seed, fa
         for eps in epsilon_schedule(f.target, steps=3):
             _, h1, h2 = fam.at(eps)
             for times in H1_GRIDS:
-                h1.sup_ats(xs, times)
                 h2.sup_ats(ys, times)
             h1.identity_sups(xs, IDENTITY_TIMES)
 
@@ -1570,8 +1660,8 @@ def test_one_at_evaluates_gamma_once_per_located_point(PROJ, monkeypatch):
     """One ``family.at(eps)`` of proj_map evaluates gamma (a top-level
     ``FlagMap.gamma_chain`` call) once per distinct point it locates for
     g: the g row's samples, the g identity's and the y = f(x) of every h1
-    track whose second half starts up, for the control row and the h1
-    identities alike."""
+    track whose second half starts up for the h1 identities.  The h1 row
+    reads h2, so its points start nothing up."""
     from plcontrol import homotopies, verify
     from plcontrol.homotopies import FlagMap, _family_controls
 
@@ -1596,7 +1686,7 @@ def test_one_at_evaluates_gamma_once_per_located_point(PROJ, monkeypatch):
     _family_controls(fam, eps, closures, pts_y, pts_x, np.linspace(0.0, 1.0, 17))
     verify._identity_checks(f, closures, samples=120, seed=0)
     located = set(pts_y) | set(sample_points(f.target, 60, seed=0))
-    located |= {fam.gamma.split(x)[1] for x in pts_x + sample_points(f.source, 60, seed=1)}
+    located |= {fam.gamma.split(x)[1] for x in sample_points(f.source, 60, seed=1)}
     assert isinstance(closures[0], homotopies._GInverse)
     assert len(calls) == len(located) == len(closures[0].view._g)
 

@@ -40,6 +40,7 @@ from plcontrol.complexes import TOL
 from plcontrol.maps import _staircase_locate
 from test_homotopies import random_simplicial_maps
 from test_point_kernel import bits
+from helpers import coord_of
 
 
 def lattice_points(K, s, resolution):
@@ -129,7 +130,7 @@ def test_fiber_over_edge_matches_sampled_preimage(MAP_COLLAPSE):
     mid = make_point(D1, {"a": 0.5, "b": 0.5})
     fib = fiber_over_barycenter(MAP_COLLAPSE, D1.simplex(["a", "b"]))
     emb = list(fib.embedding.values())
-    seg = np.array([[p.coord_of(v) for v in ("a", "b", "c")] for p in emb])
+    seg = np.array([[coord_of(p, v) for v in ("a", "b", "c")] for p in emb])
     hits = 0
     for s in D2.maximal_simplices():
         for p in lattice_points(D2, s, 8):
@@ -138,7 +139,7 @@ def test_fiber_over_edge_matches_sampled_preimage(MAP_COLLAPSE):
                 abs(a - b) for a, b in zip(img.coords, mid.coords)
             ) < 1e-12:
                 hits += 1
-                x = np.array([p.coord_of(v) for v in ("a", "b", "c")])
+                x = np.array([coord_of(p, v) for v in ("a", "b", "c")])
                 assert min_distance_to_simplex(x, seg) < 1e-9
     assert hits >= 3  # the sampled preimage is nonempty and lies on the fiber
 
@@ -352,26 +353,22 @@ def test_fibers_hand_closure_only_their_maximal_simplices(which, monkeypatch):
 def test_fibers_take_one_image_per_source_simplex(monkeypatch, tmp_path):
     """From load on, a map's validation, all its fibers and its
     surjectivity check compute the image of each source simplex once: one
-    ``image_simplex`` call, and no image labels read apart from it."""
+    ``image_simplex`` call."""
     written = prism_map(1)
     save_complex(written.source, tmp_path / "x.json")
     save_complex(written.target, tmp_path / "y.json")
     save_map(written, tmp_path / "f.json", "x.json", "y.json")
-    calls = {"image_simplex": [], "image_labels": []}
-    for name, seen in calls.items():
-        real = getattr(SimplicialMap, name)
-        monkeypatch.setattr(SimplicialMap, name, lambda f, s, real=real, seen=seen: seen.append(s) or real(f, s))
+    seen, real = [], SimplicialMap.image_simplex
+    monkeypatch.setattr(SimplicialMap, "image_simplex", lambda f, s: seen.append(s) or real(f, s))
     makers = (lambda: load_map(tmp_path / "f.json"), lambda: prism_map(1), lambda: fresh(fixtures.proj_map()),
               lambda: fresh(fixtures.map_collapse()))
     for make in makers:
-        for seen in calls.values():
-            seen.clear()
+        seen.clear()
         f = make()
         surjectivity_check(f)
         for sigma in f.target.sorted_simplices():
             fiber_over_barycenter(f, sigma)
-        for seen in calls.values():
-            assert len(seen) == len(set(seen)) == len(f.source.simplices)
+        assert len(seen) == len(set(seen)) == len(f.source.simplices)
 
 
 def test_product_certificate_catches_a_misweighted_join(MAP_COLLAPSE, monkeypatch):
@@ -449,7 +446,7 @@ def test_star_retraction_endpoint_over_vertex(MAP_COLLAPSE, rng):
     hits = 0
     for _ in range(100):
         x = canonical(D2, Point(s, tuple(rng.dirichlet(np.ones(3)))))
-        if evaluate_map(MAP_COLLAPSE, x).coord_of("a") < 1e-9:
+        if coord_of(evaluate_map(MAP_COLLAPSE, x), "a") < 1e-9:
             continue
         hits += 1
         end = R(x, 1.0)

@@ -13,6 +13,10 @@ short h1 second-half fiber-track rows name item 10, whose open rows they
 are: h1's two fiber tracks then miss each other at the basepoint, but
 every line that reads h1's second half reads it through f, which a fiber
 track leaves where it is.
+The h1 identity rows move h1 off h2's path, the second half's level or
+the first half's steps; the h1 column of the control table is h2's read
+over f(x), so only the two h1 identity lines can see them, and each row
+pins the lines it turns.
 A row that raises names item 10's open decision: a ``NO`` row that names
 the error, instead of an error that escapes ``run_verify``.  The change
 that closes an item flips its rows and says so.
@@ -29,6 +33,7 @@ from plcontrol import (
     CertificateMismatchError,
     HomologyProfile,
     InversionError,
+    Point,
     ProductDecompositionError,
     comesh_of,
     make_point,
@@ -197,6 +202,49 @@ def short_fiber_track(k: float):
     return patch
 
 
+def moved_level(k: float):
+    """h1's second half at ybar moved k of the way to the first vertex of
+    its carrier, after every start-up (``homotopies._start``), while h1's
+    first half still ends at f(h1(x, 1/2)).  k = 0.0 changes no bit."""
+
+    def patch(monkeypatch, f):
+        real = homotopies._start
+
+        def start(gamma, view, sigma, tracks, R=None):
+            real(gamma, view, sigma, tracks, R)
+            for tr in tracks:
+                ybar, tr_a, tr_b = tr._second
+                first = ybar.carrier.vertices[0]
+                coords = ((1.0 - k) * c + (k if v == first else 0.0) for v, c in zip(ybar.carrier.vertices, ybar.coords))
+                tr._second = Point(ybar.carrier, tuple(coords)), tr_a, tr_b
+
+        monkeypatch.setattr(homotopies, "_start", start)
+
+    return patch
+
+
+def reweighted_first_half(k: float):
+    """h1's first half stepped from chain coordinates reweighted after f(x)
+    is located (``_H1Track``): k of the first coordinate's weight moves to
+    the last, so h1' leaves h2's path, while h2 reads the located
+    coordinates.  k = 0.0 changes no bit."""
+
+    def patch(monkeypatch, f):
+        real = homotopies._H1Track.__init__
+
+        def init(track, gamma, view, x):
+            real(track, gamma, view, x)
+            t = np.array(track.t, dtype=float)
+            w = k * t[0]
+            t[0] -= w
+            t[-1] += w
+            track.t = t
+
+        monkeypatch.setattr(homotopies._H1Track, "__init__", init)
+
+    return patch
+
+
 MUTANTS = {
     "collar(1.0)": collar(1.0),
     "collar(1.01)": collar(1.01),
@@ -210,6 +258,10 @@ MUTANTS = {
     "false collapse": false_collapse,
     "short contraction(0.9)": short_contraction(0.9),
     "short h1 second-half fiber track(0.9)": short_fiber_track(0.9),
+    "h1 second-half level moved(0.0)": moved_level(0.0),
+    "h1 second-half level moved(0.5)": moved_level(0.5),
+    "h1 first half off h2(0.0)": reweighted_first_half(0.0),
+    "h1 first half off h2(0.5)": reweighted_first_half(0.5),
 }
 
 
@@ -261,6 +313,10 @@ CARRIER_PROJ_SHA = "1343da914f7e50377d0cebe9a4b9ddcfe9b7933479893408a5956c07d1b8
 # map_collapse's render is its healthy one
 SHORT_PROJ_SHA = "2163584116d2a242981966ca432c8967344715e035c33623bbcca6df2f95a91a"
 SHORT_COLLAPSE_SHA = "ff0aca772348098c8ddf1cc3b16ef37cb28853164e90aa80e1b74bf0693f3f34"
+# the healthy renders, which the no-op twins of the h1 identity rows read
+PROJ_SHA = "cc2f3be84ec09e9d6437a05082e3dd7e4941bf75cd4e6a47560d798d6a5d28f0"
+COLLAPSE_SHA = SHORT_COLLAPSE_SHA
+H1_FIRST, H1_SECOND = "f(h1'(x,t)) = h2(f(x),t)", "f(h1''(x,t)) constant in t"
 
 ROWS = [
     ("collar(1.0)", "proj_map", Passes()),
@@ -291,6 +347,17 @@ ROWS = [
     ("short contraction(0.9)", "map_collapse", Passes(sha256=SHORT_COLLAPSE_SHA)),
     ("short h1 second-half fiber track(0.9)", "proj_map", Passes(sha256=SHORT_PROJ_SHA, item="item 10")),
     ("short h1 second-half fiber track(0.9)", "map_collapse", Passes(sha256=SHORT_COLLAPSE_SHA, item="item 10")),
+    # the h1 column is h2's over f(x), so only the identity lines see h1 leave h2's path
+    ("h1 second-half level moved(0.0)", "proj_map", Passes(sha256=PROJ_SHA)),
+    ("h1 second-half level moved(0.0)", "map_collapse", Passes(sha256=COLLAPSE_SHA)),
+    ("h1 second-half level moved(0.5)", "proj_map", Refutes((), bound=0.9943, identities=((H1_SECOND, "7.029e-01"),))),
+    ("h1 second-half level moved(0.5)", "map_collapse", Refutes((), bound=0.9974, identities=((H1_SECOND, "7.052e-01"),))),
+    ("h1 first half off h2(0.0)", "proj_map", Passes(sha256=PROJ_SHA)),
+    ("h1 first half off h2(0.0)", "map_collapse", Passes(sha256=COLLAPSE_SHA)),
+    ("h1 first half off h2(0.5)", "proj_map",
+     Refutes((), bound=0.9943, identities=((H1_FIRST, "6.956e-02"), ("h1(x,0) = x", "6.613e-02")))),
+    ("h1 first half off h2(0.5)", "map_collapse",
+     Refutes((), bound=0.9974, identities=((H1_FIRST, "1.641e-01"), ("h1(x,0) = x", "1.619e-01")))),
 ]
 
 
@@ -332,12 +399,17 @@ def test_mutant(mutant, name, outcome, monkeypatch):
 
 
 # the rows whose mutant patches a seam of the array kernels (``cell_parts``
-# of g's table, ``fiber_at`` of h1's second half); map_collapse's short
-# fiber-track row pins its healthy render, so no mutant can fail it
+# of g's table, ``fiber_at`` of h1's second half, ``_start`` and the located
+# coordinates of an h1 track); map_collapse's short fiber-track row pins
+# its healthy render, so no mutant can fail it
 SEAM_ROWS = [
     ("tilted g(1e-6)", "proj_map"),
     ("tilted g(1e-6)", "map_collapse"),
     ("short h1 second-half fiber track(0.9)", "proj_map"),
+    ("h1 second-half level moved(0.5)", "proj_map"),
+    ("h1 second-half level moved(0.5)", "map_collapse"),
+    ("h1 first half off h2(0.5)", "proj_map"),
+    ("h1 first half off h2(0.5)", "map_collapse"),
 ]
 
 

@@ -34,6 +34,7 @@ from plcontrol.cellulation import build_cellulation
 from plcontrol.metrics import _l2_in_simplex, shared_carrier
 from test_complexes import small_complexes
 from test_contract import sd, staircase_prism
+from helpers import contains_labels
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -96,7 +97,7 @@ def test_label_lookups_and_make_point_match_oracle(K, label_lists, weight_maps):
     drops; only all-finite maps are compared with the oracle."""
     for ls in label_lists + [list(s.vertices)[::-1] for s in K.simplices]:
         assert outcome(K.simplex, ls) == outcome(oracle.simplex, K, ls)
-        assert outcome(K.contains_labels, ls) == outcome(oracle.contains_labels, K, ls)
+        assert outcome(contains_labels, K, ls) == outcome(oracle.contains_labels, K, ls)
     for w in weight_maps:
         total = sum(v for v in w.values() if v > 0)
         scaled = {k: v / total for k, v in w.items()} if total > 0 else w
@@ -180,7 +181,6 @@ def test_family_values_match_with_the_oracle_kernel(monkeypatch):
     monkeypatch.setattr(metrics, "shared_carrier", oracle.shared_carrier)
     monkeypatch.setattr(metrics, "_l2_in_simplex", oracle._l2_in_simplex)
     monkeypatch.setattr(complexes.SimplicialComplex, "simplex", oracle.simplex)
-    monkeypatch.setattr(complexes.SimplicialComplex, "contains_labels", oracle.contains_labels)
     old = values()
     assert [bits(p) for p in new] == [bits(p) for p in old]
 
@@ -225,7 +225,7 @@ def test_make_point_errors_match_oracle(weights):
 def test_label_lookup_errors_match_oracle(labels):
     K = closure_complex([("a", "b", "c"), ("c", "d")])
     assert outcome(K.simplex, labels) == outcome(oracle.simplex, K, labels)
-    assert outcome(K.contains_labels, labels) == outcome(oracle.contains_labels, K, labels)
+    assert outcome(contains_labels, K, labels) == outcome(oracle.contains_labels, K, labels)
 
 
 def test_canonical_errors_match_oracle():

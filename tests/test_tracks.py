@@ -37,6 +37,7 @@ from plcontrol import contract, homotopies
 from test_contract import shuffled_closures
 from test_homotopies import random_simplicial_maps
 from test_point_kernel import bits, outcome
+from helpers import coord_of
 
 
 def step_times(n: int) -> list[float]:
@@ -323,7 +324,7 @@ def package_homotopies(tmp_path):
     lift = approximate_lift(f, fam, H, PLEvaluator(domain=H.domain, codomain=X, fn=lambda _: x0), 0.2)
     y = make_point(Y, {"a": 0.5, "b": 0.5})
     a = Y.simplex(["a"])
-    star_pts = [x for x in sample_points(X, 10, seed=1) if evaluate_map(f, x).coord_of("a") > 0.1]
+    star_pts = [x for x in sample_points(X, 10, seed=1) if coord_of(evaluate_map(f, x), "a") > 0.1]
     D2 = fixtures.d2()
     return [
         ("h1", h1, sample_points(X, 6, seed=3)),
