@@ -4,12 +4,13 @@ source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
 then the CPU and reference seconds of each stage of the verify (`STAGES`)
 and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
-calls, the h1 joined passes (`maps._joined_image_rows`, one per group
-pass of the two h1 identities; the h1 row is h2's read over f(x) and
-makes none), the calls of the join/split row kernel
-(`maps._join_split_rows`, one per group of h1 second-half start-ups of
-the identities and one per maximal simplex of the target in each fill of
-a g table) and the rows they hold, the pairs that the sampled-control
+calls (two per h1 second-half start-up among them), the h1 group passes
+(the groups `homotopies._H1._passes` yields, one per maximal simplex of
+the target in each pass of the two h1 identities; the h1 row is h2's
+read over f(x) and makes none), the calls of the join→image row kernel
+(`maps._joined_image_rows`, one per h1 group pass and one per maximal
+simplex of the target in each fill of a g table) and the rows they
+hold, the pairs that the sampled-control
 kernel measures with `distance` (the identities `f(g_eps(y)) = h2(y,1)`
 and `h1(x,0) = x`, and every row of the g and h2 rows, the h1 row read
 off h2's and the two h1 identities that the arrays do not reproduce),
@@ -42,7 +43,8 @@ no stage holds (the family's construction, the sample draws) is in the total
 only.  The counts are read the same way, by wrapping each counted function
 where its callers look it up while the rung runs; a count with a weight
 adds the weight of each call (a row count, or 1 for a call that no counted
-call of the same function encloses) instead of 1.
+call of the same function encloses) instead of 1, and a generator
+function's count adds 1 per item it yields.
 
 Reference seconds are wall seconds at a fixed machine speed, read off the
 `SpeedClock` of `perfbench/speed.py`, which probes the speed every 20 ms of
@@ -54,6 +56,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import string
 import sys
 import time
@@ -81,9 +84,9 @@ STAGES = {
 COUNTS = {
     "inversions": (cellulation.Cellulation, "invert", None),
     "fiber_split": (maps, "fiber_split", None),
-    "h1 joined passes": (homotopies, "_joined_image_rows", None),
-    "join/split kernel calls": (homotopies, "_join_split_rows", None),
-    "join/split kernel rows": (homotopies, "_join_split_rows", lambda depth, f, sigma, ws, L: len(ws)),
+    "h1 group passes": (homotopies._H1, "_passes", None),
+    "row kernel calls": (homotopies, "_joined_image_rows", None),
+    "row kernel rows": (homotopies, "_joined_image_rows", lambda depth, f, sigma, ws, L: len(ws)),
     "control distances": (homotopies, "distance", None),
     "row norms": (metrics, "_norms", None),
     "g table norms": (homotopies, "_norms", None),
@@ -161,7 +164,7 @@ def _stage_clock(clock):
 @contextlib.contextmanager
 def _work_counts():
     """While open, the yielded dict counts the calls of each function of
-    `COUNTS`, by their weights."""
+    `COUNTS`, by their weights, or the items a generator function yields."""
     counts = dict.fromkeys(COUNTS, 0)
     targets: dict[tuple, list] = {}
     for name, (owner, attr, weight) in COUNTS.items():
@@ -170,6 +173,14 @@ def _work_counts():
 
     def counted(fn, counters):
         depth = 0
+        if inspect.isgeneratorfunction(fn):
+            def items(*args, **kwargs):
+                for item in fn(*args, **kwargs):
+                    for name, _ in counters:
+                        counts[name] += 1
+                    yield item
+
+            return items
 
         def wrapper(*args, **kwargs):
             nonlocal depth

@@ -18,9 +18,9 @@ g, h1 and h2 has one owner, an ``_EpsView``: the cellulation that
 vertex images at each eps' = eps (1 - t) that the steps read and their
 stacks per (cell, time grid) (``_EpsView.rows``, ``step`` is its one-row
 case), and the g table (``_EpsView.g_table``): per distinct point it
-locates for g, gamma on its cell evaluated once, with the join, image
-and split of g_eps there read off one ``maps._join_split_rows`` per
-maximal simplex of Y in each fill.  It dies with the closures built over
+locates for g, gamma on its cell evaluated once, with the join and image
+of g_eps there read off one ``maps._joined_image_rows`` per maximal
+simplex of Y in each fill.  It dies with the closures built over
 it; ``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each
 build their own.  Its g (``_GInverse``) and its h2 (``_StraightLine``)
 read it to measure their control rows as arrays (each ``sup_ats``): g off
@@ -31,13 +31,14 @@ every row of a point in one ``cellulation._contract`` of that stack.  The
 h1 row through f is h2's row over the points f(x) at the times min(2t, 1)
 (``_h1_column``), which the two h1 identities of ``verify`` make sound.
 An h1 track (``_H1Track``) keeps its point's cell and second-half
-start-up as long as the track lives.  ``_H1._passes``, the group pass of
-the two h1 identities (``identity_sups``), builds the tracks of the points
-over one maximal simplex, starts their second halves up together
-(``_start``: ybar and w_a off the pass's own row at eps' = 0 and one
-``maps._join_split_rows``, w_b off the g table), joins all their rows in
-one ``maps._joined_image_rows`` pass and drops them before the next
-group; the maximal simplex over each distinct carrier is one walk up the
+start-up as long as the track lives; the start-up (``_start``) is one
+scalar split of the track's step at eps' = 0 (ybar and w_a) and one of
+the join the g table holds for f(x) (w_b).  ``_H1._passes``, the group
+pass of the two h1 identities (``identity_sups``), builds the tracks of
+the points over one maximal simplex, fills the g table for their f(x)
+once, joins all their rows in one ``maps._joined_image_rows`` pass, the
+kernel of the g table too, and drops them before the next group; the
+maximal simplex over each distinct carrier is one walk up the
 ``_face_poset`` cofacets per call (``_by_top``).  ``metrics._row_sups``
 reduces the rows of many points at once: the fast rows of one width take
 one norm (``metrics._norms``), every other row its own distance, and each
@@ -71,10 +72,8 @@ from .complexes import (
     SimplicialComplex,
     _canonical_rows,
     _check_nonnegative,
-    TOL,
     _face_poset,
     _row_point,
-    _row_sums,
     barycenter,
     canonical,
     make_point,
@@ -86,7 +85,6 @@ from .maps import (
     FiberComplex,
     JoinTrivialization,
     SimplicialMap,
-    _join_split_rows,
     _joined_image_rows,
     build_star_retraction,
     evaluate_map,
@@ -324,15 +322,15 @@ class _EpsView:
 
     def g_table(self, gamma: FlagMap, ys) -> dict:
         """The g table: located point y -> (the chain value w and base point
-        b of g_eps(y) = join(w, b) (``FlagMap.cell_parts``), then, each made
-        on call, f(g_eps(y)) and the fiber part w_b of g_eps(y), then
-        d_Y(y, f(g_eps(y))) or None), filled for the ys it lacks, so gamma
-        is evaluated once per distinct point.  The ys are grouped by a
-        maximal simplex tau of Y over their carrier (``_by_top``): the
-        joins, their images and their splits are one
-        ``maps._join_split_rows`` over tau, and the distances one array per
-        carrier.  A row it does not reproduce, and every row of another
-        trivialization, takes the scalar join and split, with no distance."""
+        b of g_eps(y) = join(w, b) (``FlagMap.cell_parts``), f(g_eps(y)),
+        made on call, then d_Y(y, f(g_eps(y))) or None), filled for the ys
+        it lacks, so gamma is evaluated once per distinct point.  The ys
+        are grouped by a maximal simplex tau of Y over their carrier
+        (``_by_top``): the joins and their images are one
+        ``maps._joined_image_rows`` over tau, and the distances one array
+        per carrier.  A row it does not reproduce, and every row of another
+        trivialization, takes the scalar join and image, with no
+        distance."""
         f, triv, new = gamma.f, gamma.trivialization, []
         for y in dict.fromkeys(ys):
             if y not in self._g:
@@ -343,7 +341,7 @@ class _EpsView:
             ys_, ws, bases = zip(*group)
             ok = [False] * len(group)
             if _joins(gamma):
-                F, ok, Z, cols = _join_split_rows(f, tau, ws, _rows_over(tau, bases))
+                F, ok = _joined_image_rows(f, tau, ws, _rows_over(tau, bases))
                 # y canonical: the inversion read the cells over y's carrier
                 D, dists = _rows_over(tau, [canonical(self.K, y) for y in ys_]) - F, []
                 for sigma, entries in by_carrier.items():
@@ -351,12 +349,9 @@ class _EpsView:
                     dists += _norms(D[k : k + len(entries)][:, [tau.vertices.index(v) for v in sigma.vertices]])
             for k, (y, w, b) in enumerate(group):
                 if ok[k]:
-                    image = functools.partial(_row_point, self.K, tau.vertices, F[k])
-                    fiber = functools.partial(_row_point, f.source, cols, Z[k])
-                    self._g[y] = (w, b, image, fiber, dists[k])
+                    self._g[y] = (w, b, functools.partial(_row_point, self.K, tau.vertices, F[k]), dists[k])
                 else:
-                    x = triv.join(w, b)
-                    self._g[y] = (w, b, functools.partial(evaluate_map, f, x), lambda x=x: triv.split(x)[0], None)
+                    self._g[y] = (w, b, functools.partial(evaluate_map, f, triv.join(w, b)), None)
         return self._g
 
 
@@ -437,7 +432,7 @@ class _GInverse(PLEvaluator):
         f(g_eps(y))), constant in t.  The distance is the table's, or
         ``distance`` where the table has none."""
         table = self.view.g_table(self.gamma, ys)
-        dists = [distance(self.view.K, y, fg()) if d is None else d for y in ys for _, _, fg, _, d in [table[y]]]
+        dists = [distance(self.view.K, y, fg()) if d is None else d for y in ys for _, _, fg, d in [table[y]]]
         return dict(zip(ys, _first_maxes(times, np.repeat(np.reshape(dists, (-1, 1)), len(times), axis=1))))
 
     def identity_sups(self, ys) -> dict[Point, tuple[float, float | None, int]]:
@@ -472,10 +467,9 @@ class _H1Track:
     the fiber part ``z``, f(x) as ``y`` and its ``cell`` and cell
     coordinates (s, t).  The second half's start-up, ybar = f(h1(x,
     1/2)) and the fiber tracks from the ends of h1' and of g_eps(f(x))
-    (``second``), is made once: by the group pass that reads the track,
-    with the tracks beside it, or on first use by one of its own
-    (``_start``).  The track holds no reference to its homotopy, so no h1
-    sits in a reference cycle."""
+    (``second``), is made once, on first use (``_start``).  The track
+    holds no reference to its homotopy, so no h1 sits in a reference
+    cycle."""
 
     def __init__(self, gamma: FlagMap, view: _EpsView, x: Point):
         self.gamma, self.view, self._second = gamma, view, None
@@ -489,11 +483,10 @@ class _H1Track:
     @property
     def second(self) -> tuple[Point, Callable[[float], Point], Callable[[float], Point]]:
         """(ybar, the fiber track from h1(x, 1/2), the fiber track from
-        g_eps(f(x))), both over ybar's carrier: made by the group pass that
-        reads the track (``_H1._passes``), or on first use by a
-        start-up of its own (``_start``)."""
+        g_eps(f(x))), both over ybar's carrier, made on first use
+        (``_start``)."""
         if self._second is None:
-            _start(self.gamma, self.view, self.cell.carrier, [self])
+            _start(self.gamma, self.view, self)
         return self._second
 
     def fiber_at(self, time: float) -> Point:
@@ -508,37 +501,15 @@ class _H1Track:
         return self.gamma.trivialization.join(self.fiber_at(time), self.second[0])
 
 
-def _start(gamma: FlagMap, view: _EpsView, sigma: Simplex, tracks, R=None) -> None:
-    """The second-half start-up of each h1 track of ``tracks``, whose f(x)
-    lies on sigma.  h1(x, 1/2) joins z to the cell point at eps' = 0, whose
-    coordinates over sigma are the matching row of R (where None, each
-    track's one-row ``_EpsView.rows``), read through ``canonical`` as
-    arrays: a row it leaves as it is stays, any other loses its coordinates
-    at or below TOL and is divided by its sum (``_row_sums``).  One
-    ``maps._join_split_rows`` then gives ybar = f(h1(x, 1/2)) and the fiber
-    part w_a of h1(x, 1/2), and the g table the fiber part w_b of
-    g_eps(f(x)).  A row the arrays do not reproduce, and every row of
-    another trivialization, takes the scalar step, join and split."""
-    triv, at = gamma.trivialization, [[sigma.vertices.index(v) for v in tr.cell.carrier.vertices] for tr in tracks]
-    if R is None:
-        R = np.zeros((len(tracks), len(sigma.vertices)))
-        for row, tr, cols in zip(R, tracks, at):
-            row[cols] = view.rows(tr.cell, tr.s, tr.t, (0.0,))[0]
-    keep = R > TOL
-    total = _row_sums(np.where(keep, R, 0.0))
-    ok = (np.abs(total - 1.0) <= 1e-7) & _joins(gamma)
-    as_is = (keep.sum(axis=1) == [len(cols) for cols in at]) & (np.abs(total - 1.0) <= 1e-12)
-    B = np.where(as_is[:, None], R, np.where(keep, R, 0.0) / np.where(ok, total, 1.0)[:, None])
-    if ok.any():
-        F, fast, Z, cols = _join_split_rows(gamma.f, sigma, [tr.z for tr in tracks], B)
-        ok &= fast
-    table = view.g_table(gamma, [tr.y for tr in tracks])
-    for k, tr in enumerate(tracks):
-        if ok[k]:
-            ybar, w_a = _row_point(view.K, sigma.vertices, F[k]), _row_point(gamma.f.source, cols, Z[k])
-        else:
-            w_a, ybar = triv.split(triv.join(tr.z, canonical(view.K, Point(tr.cell.carrier, tuple(R[k, at[k]].tolist())))))
-        tr._second = ybar, gamma.fiber_track(ybar.carrier, w_a), gamma.fiber_track(ybar.carrier, table[tr.y][3]())
+def _start(gamma: FlagMap, view: _EpsView, tr: _H1Track) -> None:
+    """The second-half start-up of the h1 track ``tr``: ybar = f(h1(x, 1/2))
+    and the fiber part w_a of h1(x, 1/2) are the split of the track's step
+    at eps' = 0, and the fiber part w_b of g_eps(f(x)) is the split of the
+    join that the g table holds for f(x), so gamma is not evaluated again."""
+    triv = gamma.trivialization
+    w_a, ybar = triv.split(tr.step(0.0))
+    w_b = triv.split(triv.join(*view.g_table(gamma, (tr.y,))[tr.y][:2]))[0]
+    tr._second = ybar, gamma.fiber_track(ybar.carrier, w_a), gamma.fiber_track(ybar.carrier, w_b)
 
 
 @dataclass
@@ -568,35 +539,35 @@ class _H1(Homotopy):
         against the pass's own row at 1/2, f(h1(x, 1/2)), so a second half
         that leaves the level where the first half ended shows, whatever
         ybar the start-up made.  A fast row is measured with one norm over
-        the carrier of f(x), and every other pair with ``distance``.  Each
-        table takes one ``_row_sups`` per group, before the next group
-        starts."""
+        the carrier of f(x), and every other pair with ``distance``, where
+        f(h1(x, 1/2)) is evaluated once per point.  Each table takes one
+        ``_row_sups`` per group, before the next group starts."""
         f, Y, view, n = self.f, self.f.target, self.view, len(times)
         halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times] + [0.5]
         epss = tuple(view.eps * (1.0 - time) for time in times)
         first, second = {}, {}
         for group, tracks, F, fast in self._passes(xs, halves):
             h2 = [view.locate(tr.y) for tr in tracks]
+            anchor = functools.cache(lambda p: evaluate_map(f, tracks[p](0.5)))
             first.update(zip(group, _row_sups(times, [view.rows(cell, s, t, epss) - F_x[:n] for (cell, (s, t)), F_x in zip(h2, F)], fast[:, :n], lambda p, k: distance(
                 Y, evaluate_map(f, tracks[p](halves[k])), view.step(h2[p][0], *h2[p][1], epss[k])))))
             second.update(zip(group, _row_sups(times, [F_x[n:-1] - F_x[-1] for F_x in F], fast[:, n:-1] & fast[:, -1:], lambda p, k: distance(
-                Y, evaluate_map(f, tracks[p](halves[n + k])), evaluate_map(f, tracks[p](0.5))))))
+                Y, evaluate_map(f, tracks[p](halves[n + k])), anchor(p)))))
         return first, second
 
     def _passes(self, xs, times):
         """The group pass of ``identity_sups``: per group of ``xs``, (its
         points, their tracks, per point the joined rows F, over the carrier
-        of f(x) one row per time, and fast, one row per point).  ``times``
-        holds 1/2.
+        of f(x) one row per time, and fast, one row per point).
 
         The points are grouped by a maximal simplex tau of Y over the
         carrier of f(x), read off gamma's split memo, one group's tracks at
         a time.  Each x's rows are read off its track: the first half (t <=
         1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows``
         array joined to the fiber part z, and the second half joins the
-        track's fiber points to ybar.  The group's tracks start up together
-        (``_start``), from their rows at t = 1/2 (eps' = 0).  All rows of a
-        group take one ``maps._joined_image_rows`` over tau, whose every sum
+        track's fiber points to ybar.  One g table fill holds the f(x) of
+        the group, which each track's start-up (``_start``) reads.  All rows
+        of a group take one ``maps._joined_image_rows`` over tau, whose every sum
         adds a column off a row's carrier as 0, so a row's bits depend
         neither on the rows beside it nor on tau.  A row is fast where the
         pass reproduces it and ``canonical`` leaves its step as it is
@@ -606,19 +577,18 @@ class _H1(Homotopy):
         late = np.array([time > 0.5 for time in times])
         early = np.flatnonzero(~late)[:, None]
         epss = tuple(self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5)
-        zero = early[epss.index(0.0), 0]  # the time 1/2, whose eps' = 0 the start-up reads
         for tau, by_carrier in groups.items():
             group = [x for xs_ in by_carrier.values() for x in xs_]
             # the factory, not ``track``, whose result a wrapper (such as the
             # tracer of perfbench/tracing.py) may hide: the rows read the track's state
             tracks = [self.track_factory(x) for x in group]
+            self.view.g_table(self.gamma, [tr.y for tr in tracks])
             rows = np.zeros((len(group), n, len(tau.vertices)))
             canon = np.tile(late, (len(group), 1))
             cols = [[tau.vertices.index(v) for v in tr.cell.carrier.vertices] for tr in tracks]
             for block, can, tr, at in zip(rows, canon, tracks, cols):
                 block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)
                 can[~late] = _canonical_rows(steps)
-            _start(self.gamma, self.view, tau, tracks, rows[:, zero])
             rows[:, late] = _rows_over(tau, [tr.second[0] for tr in tracks])[:, None]
             ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
             F, fast = _joined_image_rows(f, tau, ws, rows.reshape(len(group) * n, -1))
@@ -775,7 +745,7 @@ def _rows_over(sigma: Simplex, points) -> np.ndarray:
 
 def _joins(gamma: FlagMap) -> bool:
     """Whether gamma joins in its map's own join coordinates, the ones that
-    ``maps._join_split_rows`` reproduces."""
+    ``maps._joined_image_rows`` reproduces."""
     triv = gamma.trivialization
     return type(triv) is JoinTrivialization and triv.f is gamma.f
 

@@ -358,29 +358,22 @@ def _image_sums(rows: np.ndarray, img: list[int], n: int) -> np.ndarray:
 
 
 def _joined_image_rows(f: SimplicialMap, sigma: Simplex, ws: list[Point], L: np.ndarray):
-    """The image rows and the mask of ``_join_split_rows``, without the
-    split: the kernel of h1's group pass."""
-    return _join_split_rows(f, sigma, ws, L, split=False)
-
-
-def _join_split_rows(f: SimplicialMap, sigma: Simplex, ws: list[Point], L: np.ndarray, split: bool = True):
     """``evaluate_map(f, fiber_join(f, w, y))`` over sigma's vertices for
     each fiber point w of ``ws`` and base point y, given as the matching
     row of L over sigma (0 off y's carrier), and per row whether the
-    arrays reproduce it; with ``split``, also the rows Z of
-    ``fiber_split(f, fiber_join(f, w, y))[0]`` over ``cols``, the sorted
-    vertices of the ws, and a row is reproduced only where both are.
+    arrays reproduce it: the join→image row kernel of the g table and of
+    h1's group pass.
 
     The points sit as rows over the vertices of their carriers' union, in
     the source's vertex order.  Every sum adds one column at a time in
-    that order, as ``fiber_join``, ``fiber_split``, ``make_point`` and
-    ``_image_weights`` add in carrier order (a column off a carrier, or a
-    weight they drop, adds 0), so a reproduced row is bit for bit the
-    point's coordinates.  A row is not reproduced where y's support is not
-    in w's fiber simplex, where a coordinate of the image is at or below
-    TOL, or where a sum is off 1 by more than ``make_point`` allows or,
-    for the image, by more than ``canonical`` leaves as it is.  Every
-    vertex of the ws maps into sigma."""
+    that order, as ``fiber_join``, ``make_point`` and ``_image_weights``
+    add in carrier order (a column off a carrier, or a weight they drop,
+    adds 0), so a reproduced row is bit for bit the point's coordinates.
+    A row is not reproduced where y's support is not in w's fiber simplex,
+    where a coordinate of the image is at or below TOL, or where a sum is
+    off 1 by more than ``make_point`` allows or, for the image, by more
+    than ``canonical`` leaves as it is.  Every vertex of the ws maps into
+    sigma."""
     distinct = {id(w): w for w in ws}
     cols = sorted({v for w in distinct.values() for v in w.carrier.vertices}, key=f.source.vertex_index)
     at = {v: k for k, v in enumerate(cols)}
@@ -406,15 +399,7 @@ def _join_split_rows(f: SimplicialMap, sigma: Simplex, ws: list[Point], L: np.nd
     ok &= np.abs(total - 1.0) <= 1e-7
     F = S / np.where(ok, total, 1.0)[:, None]
     ok &= ((np.minimum(S, F) > TOL) | (S == 0.0)).all(axis=1) & (np.abs(_row_sums(F) - 1.0) <= 1e-12)
-    if not split:
-        return F, ok
-    # the split: each coordinate of a joined point over m1 times its image's
-    Z = np.divide(X, (F > 0.0).sum(axis=1)[:, None] * F[:, img], out=np.zeros_like(X), where=X > 0.0)
-    Z[Z <= TOL] = 0.0
-    total = _row_sums(Z)
-    ok &= np.abs(total - 1.0) <= 1e-7
-    Z /= np.where(ok, total, 1.0)[:, None]
-    return F, ok, Z, cols
+    return F, ok
 
 
 def fiber_project(f: SimplicialMap, z: Point, tau: Simplex) -> Point:

@@ -1,6 +1,8 @@
-"""The per-point kernels that g's table and h1's group start-up replaced:
-``_H1Track.second`` as it was, one scalar start-up per h1 track (``second``,
-a function of the track, with its body unchanged), and the g row of
+"""The per-point oracles of h1's start-up and of g's table: one scalar
+start-up per h1 track with gamma evaluated at the track's cell by
+``FlagMap.eval_cell`` (``second``, a function of the track: the body of the
+old ``_H1Track.second``, unchanged; ``homotopies._start`` reads the join of
+g_eps(f(x)) off the g table instead), and the g row of
 ``homotopies._control_report`` as it was, the pair loop on (y, f(g_eps(y)))
 with g_eps(y) evaluated by ``FlagMap.eval_cell`` at y's cell
 (``g_sups``: the body of the old ``_inverse``'s value and of the pair

@@ -317,11 +317,13 @@ def _count_work(monkeypatch) -> dict[str, int]:
     cells tried, distance queries, sample draws, cold cellulation builds,
     fiber locations, cell vertex-image builds (calls of ``vertex_images``),
     fiber-contraction tracks, ``make_point``, ``image_simplex``,
-    ``fiber_split``, the h1 row's joined passes (``_joined_image_rows``),
-    the fitting lists built (``cellulation._fits``), the row norms of the
-    control tables and the g table (``metrics._norms``) and the g evaluations
-    (``FlagMap.gamma_chain`` calls that no other call of it encloses).  The
-    returned dict is live."""
+    ``fiber_split``, the calls of the join→image row kernel
+    (``_joined_image_rows``, one per g table fill of a maximal simplex and
+    one per h1 group pass), the h1 group passes (the groups that
+    ``_H1._passes`` yields), the fitting lists built (``cellulation._fits``),
+    the row norms of the control tables and the g table (``metrics._norms``)
+    and the g evaluations (``FlagMap.gamma_chain`` calls that no other call
+    of it encloses).  The returned dict is live."""
     from plcontrol import cellulation, complexes, homotopies, maps, metrics
 
     calls: dict[str, int] = {}
@@ -367,6 +369,14 @@ def _count_work(monkeypatch) -> dict[str, int]:
             depth[0] -= 1
 
     monkeypatch.setattr(homotopies.FlagMap, "gamma_chain", gamma_chain)
+    real_passes, calls["passes"] = homotopies._H1._passes, 0
+
+    def passes(h1, *args):
+        for group in real_passes(h1, *args):
+            calls["passes"] += 1
+            yield group
+
+    monkeypatch.setattr(homotopies._H1, "_passes", passes)
     return calls
 
 
@@ -448,18 +458,21 @@ def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
 
 
 def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkeypatch):
-    """A default verify of proj_map makes at most 3372 ``fiber_split`` calls
-    and 34 joined passes of the h1 row and the two h1 identities (4219 and
-    887 when every h1 track split its x again at every eps and every point
-    had a pass of its own, 3372 and 152 with one pass per carrier of f(x)):
-    gamma keeps each sampled x's split for every eps, and one pass of h1 at
-    one eps joins the rows of all points whose f(x) lies on one maximal
-    simplex of Y in one ``_joined_image_rows``, read by both h1 identities.
-    The h1 row is read off h2's and makes no pass (1343 and 2 since)."""
+    """A default verify of proj_map makes at most 1501 ``fiber_split`` calls
+    (two of them per h1 second-half start-up), 2 h1 group passes and 32
+    calls of the join→image row kernel (30 of them g table fills): gamma
+    keeps each sampled x's split for every eps, the h1 row is read off
+    h2's and makes no pass, and one pass of the two h1 identities joins
+    the rows of all points whose f(x) lies on one maximal simplex of Y in
+    one ``_joined_image_rows``, read by both identities.  (4219 splits and
+    887 passes when every h1 track split its x again at every eps and
+    every point had a pass of its own, 3372 and 152 with one pass per
+    carrier of f(x) and an h1 row of its own.)"""
     calls = _count_work(monkeypatch)
     assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
-    assert calls["fiber_split"] <= 3372
-    assert calls["joined"] <= 34
+    assert calls["fiber_split"] <= 1501
+    assert calls["passes"] <= 2
+    assert calls["joined"] <= 32
 
 
 def test_verify_builds_only_the_flag_cells_its_points_name(monkeypatch):

@@ -1556,8 +1556,8 @@ def _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys):
     """At one ``fam.at(eps)``: the start-up of every track of h1's group
     pass, and of a lone track, reads what the per-track oracle reads; the
     g row's per-point table is the oracle pair loop's; and the g table's
-    f(g_eps(y)), w_b and g_eps(y) itself are the scalar ones, all byte for
-    byte.  Returns the number of tracks and of g table entries checked."""
+    f(g_eps(y)) and g_eps(y) itself are the scalar ones, all byte for
+    byte.  Returns the number of tracks checked and the g table."""
     g, h1, _ = fam.at(eps)
     times = tuple(np.linspace(0.0, 1.0, 17).tolist())
     late = [time for time in times if time > 0.5]
@@ -1567,12 +1567,12 @@ def _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys):
         assert _late_reads(tr.second, late) == _late_reads(h1.track_factory(x).second, late) == want
     got = g.sup_ats(ys, (0.0,))
     assert repr(got) == repr(start_oracle.g_sups(f, fam.gamma, g.view, ys, (0.0,)))
-    table, triv = g.view.g_table(fam.gamma, ys), fam.gamma.trivialization
+    table = g.view.g_table(fam.gamma, ys)
     for y, entry in table.items():
         cell, (s, t) = g.view.locate(y)
         x = fam.gamma.eval_cell(cell.flag.chain, cell.flag.base, s, t)
-        assert repr((entry[2](), entry[3](), g(y))) == repr((evaluate_map(f, x), triv.split(x)[0], x))
-    return len(tracks), len(table)
+        assert repr((entry[2](), g(y))) == repr((evaluate_map(f, x), x))
+    return len(tracks), table
 
 
 def _start_maps():
@@ -1591,22 +1591,28 @@ def _start_maps():
 @pytest.mark.parametrize("name", ["proj_map", "map_collapse", "Prism(1)", "D_3", "D_4"])
 def test_start_ups_and_g_table_match_the_per_point_oracles(name, monkeypatch):
     """At comesh/2 and comesh/8, on X and Y samples and on points with one
-    coordinate just above TOL; every call of the join/split kernel
+    coordinate just above TOL; every call of the join→image kernel
     reproduces rows, and the g table holds every point h1 started up
-    from."""
+    from.  A lone track whose f(x) the g table holds starts up without
+    the kernel."""
     from plcontrol import homotopies
 
     f = _start_maps()[name]()
     fam = build_family(f)
     rows = []
-    real = homotopies._join_split_rows
-    monkeypatch.setattr(homotopies, "_join_split_rows", lambda *args: rows.append(out := real(*args)) or out)
+    real = homotopies._joined_image_rows
+    monkeypatch.setattr(homotopies, "_joined_image_rows", lambda *args: rows.append(out := real(*args)) or out)
     for eps in (fam.effective_comesh / 2.0, fam.effective_comesh / 8.0):
         xs = sample_points(f.source, 30, seed=0) + _near_boundary_points(f.source)
         ys = sample_points(f.target, 60, seed=0) + _near_boundary_points(f.target)
-        n_tracks, n_table = _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys)
-        assert n_tracks == len(set(xs)) and n_table >= len(set(ys))
+        n_tracks, table = _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys)
+        assert n_tracks == len(set(xs)) and len(table) >= len(set(ys))
     assert rows and all(row[1].any() for row in rows)
+    _, h1, _ = fam.at(fam.effective_comesh / 2.0)
+    tr = h1.track_factory(xs[0])
+    h1.view.g_table(fam.gamma, (tr.y,))
+    kernel_calls = len(rows)
+    assert tr.second and len(rows) == kernel_calls
 
 
 @given(random_simplicial_maps(), st.integers(0, 2**16))
@@ -1624,18 +1630,10 @@ def test_start_ups_and_g_table_match_the_per_point_oracles_on_random_maps(f, see
 
 @pytest.mark.parametrize("name", ["map_collapse", "D_3"])
 def test_start_ups_and_g_table_rows_the_kernel_does_not_reproduce_take_the_scalar_path(name, monkeypatch):
-    """With every row of the join/split kernel unmasked, each start-up and
-    g table entry takes the scalar join and split (and the g row
-    ``distance``), and reads what the oracles read."""
-    from plcontrol import homotopies
-
-    real = homotopies._join_split_rows
-
-    def unmasked(*args):
-        F, ok, Z, cols = real(*args)
-        return F, np.zeros_like(ok), Z, cols
-
-    monkeypatch.setattr(homotopies, "_join_split_rows", unmasked)
+    """With no row marked fast (``_force_fast_off``), each g table entry
+    takes the scalar join and image (and the g row ``distance``), and each
+    start-up and entry reads what the oracles read."""
+    _force_fast_off(monkeypatch)
     f = _start_maps()[name]()
     fam = build_family(f)
     xs = sample_points(f.source, 20, seed=0) + _near_boundary_points(f.source)
@@ -1645,15 +1643,17 @@ def test_start_ups_and_g_table_rows_the_kernel_does_not_reproduce_take_the_scala
 
 def test_start_ups_and_g_table_of_another_trivialization_take_the_scalar_path(monkeypatch):
     """gamma of the worked example joins by heights, not in f's join
-    coordinates: no start-up and no g table entry reads the kernel, and
-    both read what the oracles read."""
+    coordinates: every start-up and g table entry reads what the oracles
+    read, and a fill of that g table's points reads no kernel."""
     from plcontrol import homotopies
 
-    monkeypatch.setattr(homotopies, "_join_split_rows", lambda *args: pytest.fail("read the kernel"))
     fam = fixtures.proj_explicit_family()
     f = fam.f
     xs, ys = sample_points(f.source, 10, seed=0), sample_points(f.target, 10, seed=0)
-    assert _assert_start_ups_and_g_table_match_the_oracles(f, fam, fam.effective_comesh / 2.0, xs, ys)[0] > 0
+    n_tracks, table = _assert_start_ups_and_g_table_match_the_oracles(f, fam, fam.effective_comesh / 2.0, xs, ys)
+    monkeypatch.setattr(homotopies, "_joined_image_rows", lambda *args: pytest.fail("read the kernel"))
+    g, _, _ = fam.at(fam.effective_comesh / 2.0)
+    assert n_tracks > 0 and len(g.view.g_table(fam.gamma, list(table))) == len(table)
 
 
 def test_one_at_evaluates_gamma_once_per_located_point(PROJ, monkeypatch):

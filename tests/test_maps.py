@@ -529,19 +529,17 @@ def test_height_trivialization_rejects_flat_fibers(PROJ):
         triv.project(barycenter(PROJ.target, sigma), sigma)
 
 
-# -- the join/split row kernel against the scalar join, image and split --------------
+# -- the join→image row kernel against the scalar join and image ---------------------
 
 @given(st.sampled_from(["proj_map", "map_collapse"]), st.data())
 @settings(max_examples=80, deadline=None)
-def test_join_split_rows_match_the_scalar_join_image_and_split(name, data):
-    """``maps._join_split_rows`` on fiber points w over sigma-hat and base
+def test_joined_image_rows_match_the_scalar_join_and_image(name, data):
+    """``maps._joined_image_rows`` on fiber points w over sigma-hat and base
     points y on sigma, some of whose weights are 0 or at, just below or just
     above TOL (weights ``fiber_join`` drops): every row it reproduces is, by
-    ``repr``, evaluate_map(f, fiber_join(f, w, y)) and the fiber part of
-    that point's ``fiber_split``, and its image rows and mask agree with
-    ``_joined_image_rows``, which does not split."""
+    ``repr``, evaluate_map(f, fiber_join(f, w, y))."""
     from plcontrol.complexes import _row_point
-    from plcontrol.maps import _join_split_rows, _joined_image_rows
+    from plcontrol.maps import _joined_image_rows
 
     f = getattr(fixtures, name)()
     sigma = data.draw(st.sampled_from([s for s in f.target.sorted_simplices() if s.dim > 0]))
@@ -556,10 +554,7 @@ def test_join_split_rows_match_the_scalar_join_image_and_split(name, data):
         lam[data.draw(st.integers(0, n - 1))] = 1.0
         ys.append(Point(sigma, tuple(c / sum(lam) for c in lam)))
     L = np.array([y.coords for y in ys])
-    F, ok, Z, cols = _join_split_rows(f, sigma, ws, L)
-    F_image, ok_image = _joined_image_rows(f, sigma, ws, L)
-    assert F.tobytes() == F_image.tobytes() and not (ok & ~ok_image).any()
+    F, ok = _joined_image_rows(f, sigma, ws, L)
     for k in np.flatnonzero(ok).tolist():
         x = fiber_join(f, ws[k], ys[k])
         assert repr(_row_point(f.target, sigma.vertices, F[k])) == repr(evaluate_map(f, x))
-        assert repr(_row_point(f.source, cols, Z[k])) == repr(fiber_split(f, x)[0])

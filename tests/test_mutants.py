@@ -210,13 +210,12 @@ def moved_level(k: float):
     def patch(monkeypatch, f):
         real = homotopies._start
 
-        def start(gamma, view, sigma, tracks, R=None):
-            real(gamma, view, sigma, tracks, R)
-            for tr in tracks:
-                ybar, tr_a, tr_b = tr._second
-                first = ybar.carrier.vertices[0]
-                coords = ((1.0 - k) * c + (k if v == first else 0.0) for v, c in zip(ybar.carrier.vertices, ybar.coords))
-                tr._second = Point(ybar.carrier, tuple(coords)), tr_a, tr_b
+        def start(gamma, view, tr):
+            real(gamma, view, tr)
+            ybar, tr_a, tr_b = tr._second
+            first = ybar.carrier.vertices[0]
+            coords = ((1.0 - k) * c + (k if v == first else 0.0) for v, c in zip(ybar.carrier.vertices, ybar.coords))
+            tr._second = Point(ybar.carrier, tuple(coords)), tr_a, tr_b
 
         monkeypatch.setattr(homotopies, "_start", start)
 
