@@ -44,6 +44,7 @@ from .contract import (
     HomologyProfile,
     NotContractibleError,
     Verdict,
+    check_collapse,
     contractibility_verdict,
     contraction_from_collapse,
     greedy_collapse,

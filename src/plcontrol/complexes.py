@@ -27,7 +27,8 @@ sorts the faces once, in ``sort_key`` order; the positions in that tuple,
 Everything derived from a complex and kept on it is a named attribute
 declared in ``__init__``, with its owner beside it: the face poset (the
 facets and cofacets of each simplex by position, which homology, collapse,
-``face_chains`` and ``maximal_simplices`` read), the comesh, the eps-free
+``face_chains`` and ``maximal_simplices`` read), the greedy collapse by
+position (which homology reads its core off), the comesh, the eps-free
 cells of the flags that inversions have named, one cellulation per exact
 eps (which holds no arrays), one metric graph per refinement and the
 component of each vertex.  Each is filled on first use and lives as long as
@@ -173,6 +174,7 @@ class SimplicialComplex:
         # Data derived from K alone, each filled on first use by its owner and
         # kept while K lives; nothing here points back at a map or family.
         self._poset: tuple | None = None  # _face_poset: facets and cofacets by position
+        self._collapse: tuple | None = None  # contract._collapse: steps and core by position
         self._comesh: float | None = None  # cellulation.comesh_of
         # cellulation._flag_cell: the eps-free cell of each flag an inversion
         # (or Cellulation.cells) has named, carrier -> vertex masks -> cell

@@ -571,7 +571,9 @@ class _H1(Homotopy):
         adds a column off a row's carrier as 0, so a row's bits depend
         neither on the rows beside it nor on tau.  A row is fast where the
         pass reproduces it and ``canonical`` leaves its step as it is
-        (``_canonical_rows``)."""
+        (``_canonical_rows``).  As in the g table, the kernel runs only when
+        gamma joins in f's own join coordinates (``_joins``); for another
+        trivialization no row is fast."""
         f, Y, n = self.f, self.f.target, len(times)
         groups = _by_top(Y, [(canonical(Y, self.gamma.split(x)[1]).carrier, x) for x in xs])
         late = np.array([time > 0.5 for time in times])
@@ -590,10 +592,14 @@ class _H1(Homotopy):
                 block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)
                 can[~late] = _canonical_rows(steps)
             rows[:, late] = _rows_over(tau, [tr.second[0] for tr in tracks])[:, None]
-            ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
-            F, fast = _joined_image_rows(f, tau, ws, rows.reshape(len(group) * n, -1))
+            rows = rows.reshape(len(group) * n, -1)
+            if _joins(self.gamma):
+                ws = [tr.fiber_at(time) if time > 0.5 else tr.z for tr in tracks for time in times]
+                F, fast = _joined_image_rows(f, tau, ws, rows)
+            else:  # another trivialization: every row takes its pair
+                F, fast = rows, np.zeros(len(rows), dtype=bool)
             fast = (fast & canon.ravel()).reshape(len(group), n)
-            yield group, tracks, [F_x[:, at] for F_x, at in zip(F.reshape(rows.shape), cols)], fast
+            yield group, tracks, [F_x[:, at] for F_x, at in zip(F.reshape(len(group), n, -1), cols)], fast
 
 
 def _by_top(K: SimplicialComplex, items) -> dict:

@@ -20,6 +20,7 @@ simplex's image once, and one fiber per target simplex (``f._fiber_cache``).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,8 @@ def _monotone_paths(shape: tuple[int, ...]):
 @dataclass
 class FiberComplex:
     """f^{-1}(sigma-hat) as a union of product cells, with the staircase
-    triangulation and the affine embedding back into the source complex.
+    triangulation and, built on first read, the affine embedding back into
+    the source complex.
 
     It keeps the source, not f, so ``f._fiber_cache`` points one way only.
     """
@@ -176,11 +178,21 @@ class FiberComplex:
     sigma: Simplex
     cells: list[ProductCell]
     triangulation: SimplicialComplex | None
-    embedding: dict[str, Point]
 
     @property
     def is_empty(self) -> bool:
         return not self.cells
+
+    @functools.cached_property
+    def embedding(self) -> dict[str, Point]:
+        """Each vertex of the triangulation, a grid tuple of one cell, in
+        the triangulation's vertex order -> the tuple's barycenter in the
+        source."""
+        if self.triangulation is None:
+            return {}
+        tuples = {_tuple_label(t): t for cell in self.cells for t in itertools.product(*cell.factors)}
+        w = 1.0 / len(self.sigma.vertices)
+        return {v: make_point(self.source, {u: w for u in tuples[v]}) for v in self.triangulation.vertex_order}
 
     @functools.cached_property
     def verdict(self) -> Verdict:
@@ -285,11 +297,10 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
             factors[slot[f.vertex_map[v]]].append(v)
         cells.append(ProductCell(tau=tau, factors=tuple(map(tuple, factors))))
     if not cells:
-        fc = FiberComplex(source=f.source, sigma=sigma, cells=[], triangulation=None, embedding={})
+        fc = FiberComplex(source=f.source, sigma=sigma, cells=[], triangulation=None)
         f._fiber_cache[sigma] = fc
         return fc
 
-    m1 = len(sigma.vertices)
     facets = {vs[:k] + vs[k + 1 :] for vs in (cell.tau.vertices for cell in cells) for k in range(len(vs))}
     paths: dict[tuple[int, ...], list] = {}  # shape -> its staircase paths
     labels: dict[tuple[str, ...], str] = {}  # grid tuple -> its vertex label
@@ -306,9 +317,7 @@ def fiber_over_barycenter(f: SimplicialMap, sigma: Simplex) -> FiberComplex:
             generators.append(tuple(gen))
     src_idx = f.source.vertex_index
     order = sorted(labels, key=lambda tup: tuple(src_idx(v) for v in tup))
-    tri = closure_complex(generators, vertex_order=[labels[t] for t in order])
-    embedding = {labels[t]: make_point(f.source, {v: 1.0 / m1 for v in t}) for t in order}
-    fc = FiberComplex(source=f.source, sigma=sigma, cells=cells, triangulation=tri, embedding=embedding)
+    fc = FiberComplex(source=f.source, sigma=sigma, cells=cells, triangulation=closure_complex(generators, vertex_order=[labels[t] for t in order]))
     f._fiber_cache[sigma] = fc
     return fc
 

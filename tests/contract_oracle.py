@@ -1,8 +1,10 @@
 """Reference kernels for the differential tests of ``plcontrol.contract``:
 the quadratic-scan greedy collapse, the dense boundary-matrix homology and
 the dense Smith normal form pivot loop that the heap collapse and the sparse
-elimination replaced, and the Smith normal form diagonal from determinantal
-divisors.
+elimination replaced, the Smith normal form diagonal from determinantal
+divisors, and the order the replayed collapse replaced: sparse homology of
+every boundary map on its own (no clearing), computed on every complex
+before the collapse, whose full collapse it then cross-checks.
 
 The dense pivot loop never reduces the rest of its block, so its entries
 can grow without bound: on the 6 x 5 matrix of
@@ -12,8 +14,10 @@ millions of bits.  Run it only on small matrices with small entries."""
 import math
 from itertools import combinations
 
-from plcontrol import Simplex, SimplicialComplex
-from plcontrol.contract import CollapseSequence, HomologyProfile
+from plcontrol import CertificateMismatchError, Simplex, SimplicialComplex
+from plcontrol.complexes import _face_poset
+from plcontrol import contract
+from plcontrol.contract import CollapseSequence, HomologyProfile, Verdict, sparse_smith_diagonal
 
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -178,3 +182,49 @@ def greedy_collapse(K: SimplicialComplex) -> CollapseSequence:
         basepoint=remaining[0].vertices[0] if complete else None,
         remaining=tuple(remaining),
     )
+
+
+def boundary_diagonals(K: SimplicialComplex) -> dict[int, list[int]]:
+    """degree d -> the ``sparse_smith_diagonal`` of boundary d, every
+    column kept; degree 0 is the augmentation."""
+    facets, _ = _face_poset(K)
+    diags = {0: sparse_smith_diagonal([{0: 1}] * len(K.simplices_of_dim(0)))[0]}
+    start = 0  # sort position of the first simplex of dimension d - 1
+    for d in range(1, K.dimension + 1):
+        first = start + len(K.simplices_of_dim(d - 1))  # and of dimension d
+        columns = range(first, first + len(K.simplices_of_dim(d)))
+        diags[d] = sparse_smith_diagonal([{f - start: (-1) ** k for k, f in enumerate(facets[i])} for i in columns])[0]
+        start = first
+    return diags
+
+
+def sparse_homology(K: SimplicialComplex) -> HomologyProfile:
+    """Reduced integral homology from ``boundary_diagonals``."""
+    diags = boundary_diagonals(K)
+    betti = []
+    torsion = []
+    for d in range(K.dimension + 1):
+        betti.append(len(K.simplices_of_dim(d)) - len(diags[d]) - len(diags.get(d + 1, [])))
+        torsion.append(tuple(v for v in diags.get(d + 1, []) if v > 1))
+    return HomologyProfile(betti=tuple(betti), torsion=tuple(torsion))
+
+
+def contractibility_verdict(K: SimplicialComplex | None) -> Verdict:
+    """Homology first on every complex, then the collapse; a full collapse
+    of a homologically nontrivial complex raises."""
+    if K is None:
+        return Verdict(kind="not_contractible", reason="empty complex")
+    prof = sparse_homology(K)
+    seq = contract.greedy_collapse(K)
+    if seq.complete and not prof.trivial:
+        raise CertificateMismatchError(f"{K} collapses to a vertex but has nontrivial homology {prof}")
+    if not prof.trivial:
+        nz = [f"b~{d}={b}" for d, b in enumerate(prof.betti) if b] + [
+            f"torsion in degree {d}" for d, t in enumerate(prof.torsion) if t
+        ]
+        if prof.betti[0] > 0:
+            nz.append("disconnected")
+        return Verdict(kind="not_contractible", reason=", ".join(nz), sequence=seq, profile=prof)
+    if seq.complete:
+        return Verdict(kind="contractible", reason="full collapse", sequence=seq, profile=prof)
+    return Verdict(kind="unknown", reason="greedy collapse stuck, homology trivial", sequence=seq, profile=prof)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from plcontrol import (
     SimplicialMap,
     barycentric_subdivision,
     canonical,
+    check_collapse,
     closure_complex,
     contractibility_verdict,
     contraction_from_collapse,
@@ -113,7 +115,7 @@ def test_smith_diagonal_divisibility():
     assert len(d) == 3
     for a, b in zip(d, d[1:]):
         assert b % a == 0
-    assert smith_diagonal(M) == sparse_smith_diagonal(sparse_columns(M)) == d
+    assert smith_diagonal(M) == sparse_smith_diagonal(sparse_columns(M))[0] == d
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
@@ -121,7 +123,7 @@ def test_smith_diagonal_divisibility():
 def test_sparse_smith_matches_dense(M):
     """The one elimination, through either entry point, against the dense
     pivot loop it replaced."""
-    assert smith_diagonal(M) == sparse_smith_diagonal(sparse_columns(M)) == oracle.smith_diagonal(M)
+    assert smith_diagonal(M) == sparse_smith_diagonal(sparse_columns(M))[0] == oracle.smith_diagonal(M)
 
 
 @st.composite
@@ -251,6 +253,39 @@ def test_kernels_match_oracles_on_named_complexes():
         assert homology(K) == oracle.homology(K)
 
 
+def _assert_verdict_and_diagonals_match_the_oracle(K):
+    """Kind, reason, sequence and profile of the collapse-first verdict are
+    the homology-first oracle's, and homology's cleared boundary maps of
+    the collapse's core have the ``sparse_smith_diagonal`` of the core's
+    full ones, degree by degree."""
+    v = contractibility_verdict(K)
+    assert v == oracle.contractibility_verdict(K)
+    diagonals, real = [], contract.sparse_smith_diagonal
+
+    def recording(columns):
+        diagonals.append(real(columns))
+        return diagonals[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(contract, "sparse_smith_diagonal", recording)
+        homology(K)
+    used = {u for s in v.sequence.remaining for u in s.vertices}
+    core = closure_complex([s.vertices for s in v.sequence.remaining], vertex_order=[u for u in K.vertex_order if u in used])
+    full = oracle.boundary_diagonals(core)
+    assert [d for d, _ in diagonals[::-1]] == [full.get(d, []) for d in range(K.dimension + 1)]  # reduced from the top degree down
+
+
+@given(shuffled_closures())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_collapse_first_matches_the_homology_first_oracle_on_random_closures(K):
+    _assert_verdict_and_diagonals_match_the_oracle(K)
+
+
+def test_collapse_first_matches_the_homology_first_oracle_on_named_complexes():
+    for K in [dunce_hat(), dunce_hat_with_flap(), sd(rp2()), fixtures.bd2(), fixtures.sphere2()]:
+        _assert_verdict_and_diagonals_match_the_oracle(K)
+
+
 def test_sd_rp2_leaves_a_torsion_residual():
     prof = homology(sd(rp2()))
     assert prof.betti == (0, 0, 0) and prof.torsion[1] == (2,)
@@ -273,6 +308,32 @@ def test_collapse_certificate_contradicting_homology_raises(monkeypatch):
     monkeypatch.setattr(contract, "homology", lambda K: HomologyProfile(betti=(0, 1, 0), torsion=((), (), ())))
     with pytest.raises(CertificateMismatchError):
         contractibility_verdict(fixtures.d2())
+
+
+def _tampered(seq, how):
+    """``seq`` with one defect of the kind ``how`` names."""
+    (a, b), rest = seq.steps[-1], seq.steps[:-1]
+    if how == "coface swapped":  # b for a simplex that is no cofacet of a
+        return replace(seq, steps=rest + ((a, next(s for s in seq.remaining if s != b)),))
+    if how == "steps reordered":  # the last step first: its face is not free yet
+        return replace(seq, steps=((a, b),) + rest)
+    if how == "step dropped":
+        return replace(seq, steps=rest)
+    if how == "remaining dropped":
+        return replace(seq, remaining=seq.remaining[1:])
+    return replace(seq, complete=not seq.complete, basepoint=None if seq.complete else seq.remaining[0].vertices[0])
+
+
+@pytest.mark.parametrize("how", ["coface swapped", "steps reordered", "step dropped", "remaining dropped", "complete flipped"])
+def test_tampered_collapse_sequence_raises(how, monkeypatch):
+    K = dunce_hat_with_flap() if how == "remaining dropped" else fixtures.cone_bd2()
+    seq = greedy_collapse(K)
+    check_collapse(K, seq)
+    with pytest.raises(CertificateMismatchError):
+        check_collapse(K, _tampered(seq, how))
+    monkeypatch.setattr(contract, "greedy_collapse", lambda K: _tampered(seq, how))
+    with pytest.raises(CertificateMismatchError):
+        contractibility_verdict(K)
 
 
 def test_verdicts():

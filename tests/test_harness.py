@@ -304,8 +304,8 @@ def test_verify_decides_each_fiber_once(monkeypatch):
     from plcontrol import contract
 
     calls = []
-    real = contract.homology
-    monkeypatch.setattr(contract, "homology", lambda K: calls.append(K) or real(K))
+    real = contract.greedy_collapse
+    monkeypatch.setattr(contract, "greedy_collapse", lambda K: calls.append(K) or real(K))
     f = fixtures.map_collapse.__wrapped__()
     rep = run_verify(f, samples=10)
     assert rep.overall == THEOREM_CONSISTENT
@@ -321,10 +321,11 @@ def _count_work(monkeypatch) -> dict[str, int]:
     (``_joined_image_rows``, one per g table fill of a maximal simplex and
     one per h1 group pass), the h1 group passes (the groups that
     ``_H1._passes`` yields), the fitting lists built (``cellulation._fits``),
-    the row norms of the control tables and the g table (``metrics._norms``)
+    the row norms of the control tables and the g table (``metrics._norms``),
+    the Smith-normal-form homology runs (``contract.homology``)
     and the g evaluations (``FlagMap.gamma_chain`` calls that no other call
     of it encloses).  The returned dict is live."""
-    from plcontrol import cellulation, complexes, homotopies, maps, metrics
+    from plcontrol import cellulation, complexes, contract, homotopies, maps, metrics
 
     calls: dict[str, int] = {}
 
@@ -351,6 +352,7 @@ def _count_work(monkeypatch) -> dict[str, int]:
         ("distance", metrics.distance), ("sample_points", homotopies.sample_points),
         ("make_point", complexes.make_point), ("fiber_split", maps.fiber_split),
         ("joined", maps._joined_image_rows), ("fits", cellulation._fits), ("norms", metrics._norms),
+        ("homology", contract.homology),
     ):
         wrapped = counting(name, fn)
         for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
@@ -378,6 +380,25 @@ def _count_work(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(homotopies._H1, "_passes", passes)
     return calls
+
+
+def test_check_fibers_reduces_only_the_collapse_cores(tmp_path, monkeypatch, capsys):
+    """check-fibers on the benchmark's slab runs homology once per fiber,
+    and each fiber collapses to a vertex, so the Smith normal forms take
+    one column per fiber, the augmentation's; on Sd^2(RP^2) -> point,
+    whose one fiber has no free face, they take the 360 triangles, the 181
+    of 540 edges that clearing leaves and one vertex of 361."""
+    from plcontrol import contract
+
+    paths = _load_script("ladder").inputs.write_inputs("fibers_slab", 0, tmp_path)
+    calls, columns = _count_work(monkeypatch), []
+    real = contract.sparse_smith_diagonal
+    monkeypatch.setattr(contract, "sparse_smith_diagonal", lambda cols: columns.append(len(cols)) or real(cols))
+    for path, (code, homology, reduced) in zip(paths, [(0, 3, 3), (1, 1, 360 + 181 + 1)]):
+        calls["homology"], columns[:] = 0, []
+        assert main(["check-fibers", str(path)]) == code
+        assert (calls["homology"], sum(columns)) == (homology, reduced)
+    capsys.readouterr()
 
 
 def _fresh(f: SimplicialMap) -> SimplicialMap:

@@ -1656,6 +1656,24 @@ def test_start_ups_and_g_table_of_another_trivialization_take_the_scalar_path(mo
     assert n_tracks > 0 and len(g.view.g_table(fam.gamma, list(table))) == len(table)
 
 
+def test_h1_identities_of_another_trivialization_are_the_all_scalar_ones(monkeypatch):
+    """gamma of the worked example joins by heights: at comesh/2 both h1
+    identity tables of its group pass read no row kernel and equal, bit for
+    bit, the same call with no row marked fast (``_force_fast_off``)."""
+    from plcontrol import homotopies
+
+    def tables():
+        fam = fixtures.proj_explicit_family()
+        _, h1, _ = fam.at(fam.effective_comesh / 2.0)
+        return h1.identity_sups(sample_points(fam.f.source, 30, seed=1), IDENTITY_TIMES)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homotopies, "_joined_image_rows", lambda *args: pytest.fail("read the kernel"))
+        got = tables()
+    _force_fast_off(monkeypatch)
+    assert repr(got) == repr(tables())
+
+
 def test_one_at_evaluates_gamma_once_per_located_point(PROJ, monkeypatch):
     """One ``family.at(eps)`` of proj_map evaluates gamma (a top-level
     ``FlagMap.gamma_chain`` call) once per distinct point it locates for

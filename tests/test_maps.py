@@ -299,7 +299,7 @@ def assert_fibers_match_the_scan(f):
         else:
             assert new.triangulation.vertex_order == old.triangulation.vertex_order
             assert new.triangulation.sorted_simplices() == old.triangulation.sorted_simplices()
-        assert [(v, bits(p)) for v, p in new.embedding.items()] == [(v, bits(p)) for v, p in old.embedding.items()]
+        assert [(v, bits(p)) for v, p in new.embedding.items()] == [(v, bits(p)) for v, p in maps_oracle.embedding(f, sigma).items()]
     assert surjectivity_check(f) == maps_oracle.surjectivity_check(f)
 
 

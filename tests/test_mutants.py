@@ -164,6 +164,29 @@ def false_collapse(monkeypatch, f):
     monkeypatch.setattr(contract, "greedy_collapse", claims)
 
 
+def swapped_coface(swap: bool):
+    """The first step of every collapse with its coface swapped for another
+    simplex live at that step: the first of K's order that is neither of
+    the pair, hence no live cofacet of the free face, so the replay
+    (``contract.check_collapse``) refuses the sequence.  With ``swap``
+    off, the sequence is rebuilt with its own coface."""
+
+    def patch(monkeypatch, f):
+        real = contract.greedy_collapse
+
+        def collapse(K):
+            seq = real(K)
+            if not seq.steps:
+                return seq
+            (a, b), rest = seq.steps[0], seq.steps[1:]
+            c = next(s for s in K.sorted_simplices() if s not in (a, b)) if swap else b
+            return replace(seq, steps=((a, c), *rest))
+
+        monkeypatch.setattr(contract, "greedy_collapse", collapse)
+
+    return patch
+
+
 def short_contraction(k: float):
     """Every fiber contraction of the family read at k t, so its tracks
     stop short of the collapse's basepoint."""
@@ -255,6 +278,8 @@ MUTANTS = {
     "carrier metric(1.01)": carrier_metric(1.01),
     "trivial homology": trivial_homology,
     "false collapse": false_collapse,
+    "collapse coface swapped": swapped_coface(True),
+    "collapse coface swapped(no-op)": swapped_coface(False),
     "short contraction(0.9)": short_contraction(0.9),
     "short h1 second-half fiber track(0.9)": short_fiber_track(0.9),
     "h1 second-half level moved(0.0)": moved_level(0.0),
@@ -312,7 +337,7 @@ CARRIER_PROJ_SHA = "1343da914f7e50377d0cebe9a4b9ddcfe9b7933479893408a5956c07d1b8
 # map_collapse's render is its healthy one
 SHORT_PROJ_SHA = "2163584116d2a242981966ca432c8967344715e035c33623bbcca6df2f95a91a"
 SHORT_COLLAPSE_SHA = "ff0aca772348098c8ddf1cc3b16ef37cb28853164e90aa80e1b74bf0693f3f34"
-# the healthy renders, which the no-op twins of the h1 identity rows read
+# the healthy renders, which the no-op twins of the h1 identity and collapse rows read
 PROJ_SHA = "cc2f3be84ec09e9d6437a05082e3dd7e4941bf75cd4e6a47560d798d6a5d28f0"
 COLLAPSE_SHA = SHORT_COLLAPSE_SHA
 H1_FIRST, H1_SECOND = "f(h1'(x,t)) = h2(f(x),t)", "f(h1''(x,t)) constant in t"
@@ -342,6 +367,10 @@ ROWS = [
     ("carrier metric(1.01)", "map_collapse", Refutes((2, 16, 32), bound=1.0074)),
     ("trivial homology", "map_bad", Undecided(("{a,b}",))),
     ("false collapse", "map_bad", Raises(CertificateMismatchError)),
+    ("collapse coface swapped", "proj_map", Raises(CertificateMismatchError)),
+    ("collapse coface swapped", "map_collapse", Raises(CertificateMismatchError)),
+    ("collapse coface swapped(no-op)", "proj_map", Passes(sha256=PROJ_SHA)),
+    ("collapse coface swapped(no-op)", "map_collapse", Passes(sha256=COLLAPSE_SHA)),
     ("short contraction(0.9)", "proj_map", Passes(sha256=SHORT_PROJ_SHA)),
     ("short contraction(0.9)", "map_collapse", Passes(sha256=SHORT_COLLAPSE_SHA)),
     ("short h1 second-half fiber track(0.9)", "proj_map", Passes(sha256=SHORT_PROJ_SHA, item="item 10")),
