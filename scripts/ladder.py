@@ -3,31 +3,9 @@
 source and target simplex counts, the CPU and reference seconds of the
 verify, the verdict, the bound B and the sha256 of the rendered report,
 then the CPU and reference seconds of each stage of the verify (`STAGES`)
-and the verify's work counts (`COUNTS`): cell inversions, `fiber_split`
-calls (two per h1 second-half start-up among them), the h1 group passes
-(the groups `homotopies._H1._passes` yields, one per maximal simplex of
-the target in each pass of the two h1 identities; the h1 row is h2's
-read over f(x) and makes none), the calls of the join→image row kernel
-(`maps._joined_image_rows`, one per h1 group pass and one per maximal
-simplex of the target in each fill of a g table) and the rows they
-hold, the pairs that the sampled-control
-kernel measures with `distance` (the identities `f(g_eps(y)) = h2(y,1)`
-and `h1(x,0) = x`, and every row of the g and h2 rows, the h1 row read
-off h2's and the two h1 identities that the arrays do not reproduce),
-the row norms (`metrics._norms` calls made by `metrics._row_sups`: per
-width of the rows the arrays reproduce, one per h2 row, the h1 row's
-included, and one per group pass of each h1 identity) and the g table norms
-(the calls `homotopies` makes itself, one per carrier of the points of
-each g table fill),
-the g evaluations (top-level `FlagMap.gamma_chain` calls, one per
-distinct point a g table holds), the flag cells built
-(`cellulation._flag_cell`, called once per cell of the target that an
-inversion names for the first time), the fitting lists built
-(`cellulation._fits`, called once per distinct point inverted, whatever
-the number of eps it is inverted at), the image stacks built
-(`homotopies._EpsView._stack`, called once per cell and time grid of one
-`family.at(eps)`) and the fiber generators (the staircase simplices that
-`fiber_over_barycenter` hands `closure_complex`, summed over the fibers).
+and the verify's work counts (`COUNTS`, whose comments say what each one
+counts).  `work_counts` is the one work counter of the repository: the
+tier-1 tests read the same table to bound the work of a verify.
 
     python3 scripts/ladder.py [RUNG ...]
 
@@ -40,11 +18,8 @@ equal to an earlier one means the report text is byte-identical.  A stage's
 seconds are those of the calls `run_verify` makes to its functions, which
 are wrapped in the namespace of `plcontrol.verify` while the rung runs; what
 no stage holds (the family's construction, the sample draws) is in the total
-only.  The counts are read the same way, by wrapping each counted function
-where its callers look it up while the rung runs; a count with a weight
-adds the weight of each call (a row count, or 1 for a call that no counted
-call of the same function encloses) instead of 1, and a generator
-function's count adds 1 per item it yields.
+only.  The counts are read by `work_counts`, which wraps each counted
+function while the rung runs.
 
 Reference seconds are wall seconds at a fixed machine speed, read off the
 `SpeedClock` of `perfbench/speed.py`, which probes the speed every 20 ms of
@@ -65,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from plcontrol import SimplicialMap, cellulation, closure_complex, homotopies, maps, metrics, verify  # noqa: E402
+from plcontrol import SimplicialMap, cellulation, closure_complex, complexes, contract, homotopies, maps, metrics, verify  # noqa: E402
 
 RUNGS = (0, 1, 2)
 
@@ -80,21 +55,65 @@ STAGES = {
 
 # work count -> the (owner, attribute) whose calls it counts, and the weight
 # of a call, weight(depth, *args), depth the number of counted calls of the
-# attribute that enclose it (None: each call counts 1)
+# attribute that enclose it (None: each call counts 1).  A module-level
+# function is counted in every plcontrol namespace that binds it, a method on
+# its class, and a generator function counts 1 per item it yields.
 COUNTS = {
+    # cell inversions
     "inversions": (cellulation.Cellulation, "invert", None),
+    # fiber splits, two per h1 second-half start-up among them
     "fiber_split": (maps, "fiber_split", None),
+    # the groups of points the two h1 identities read in one pass each, one
+    # per maximal simplex of the target in a pass; the h1 row is h2's read
+    # over f(x) and makes none
     "h1 group passes": (homotopies._H1, "_passes", None),
-    "row kernel calls": (homotopies, "_joined_image_rows", None),
-    "row kernel rows": (homotopies, "_joined_image_rows", lambda depth, f, sigma, ws, L: len(ws)),
-    "control distances": (homotopies, "distance", None),
+    # calls of the join→image row kernel, one per h1 group pass and one per
+    # maximal simplex of the target in each fill of a g table
+    "row kernel calls": (maps, "_joined_image_rows", None),
+    # the rows those calls hold
+    "row kernel rows": (maps, "_joined_image_rows", lambda depth, f, sigma, ws, L: len(ws)),
+    # the pairs the sampled-control kernel measures with `distance`: the
+    # identities f(g_eps(y)) = h2(y,1) and h1(x,0) = x, and every row of the
+    # g and h2 rows, the h1 row and the two h1 identities that the arrays do
+    # not reproduce
+    "control distances": (metrics, "distance", None),
+    # row norms of the control tables and of the g table: per width of the
+    # rows the arrays reproduce, one per h2 row (the h1 row's included) and
+    # one per group pass of each h1 identity, and one per carrier of the
+    # points of each g table fill
     "row norms": (metrics, "_norms", None),
-    "g table norms": (homotopies, "_norms", None),
+    # g evaluations, one per distinct point a g table holds: the
+    # `gamma_chain` calls that no other call of it encloses
     "g evaluations": (homotopies.FlagMap, "gamma_chain", lambda depth, *args: depth == 0),
+    # flag cells built, once per cell of the target that an inversion names
+    # for the first time
     "flag cells built": (cellulation, "_flag_cell", None),
+    # fitting lists built, once per distinct point inverted, whatever the
+    # number of eps it is inverted at
     "fitting lists built": (cellulation, "_fits", None),
+    # image stacks built, once per cell and time grid of one `family.at(eps)`
     "image stacks built": (homotopies._EpsView, "_stack", None),
+    # the staircase simplices `fiber_over_barycenter` hands `closure_complex`,
+    # summed over the fibers
     "fiber generators": (maps, "closure_complex", lambda depth, generators: len(generators)),
+    # the cells the inversions check
+    "cells tried": (cellulation.Cellulation, "_try_cell", None),
+    # cellulations built, one per complex and exact eps
+    "cellulations built": (cellulation.Cellulation, "__init__", None),
+    # builds of a cell's vertex images
+    "vertex image builds": (cellulation.FlagCell, "vertex_images", None),
+    # points located in a fiber
+    "fiber locations": (maps.FiberComplex, "locate", None),
+    # fiber-contraction tracks that gamma keeps, one per (sigma, w)
+    "fiber tracks": (homotopies.FlagMap, "_new_track", None),
+    # simplex images under the map
+    "image_simplex": (maps.SimplicialMap, "image_simplex", None),
+    # sample point draws
+    "sample draws": (homotopies, "sample_points", None),
+    # points built from vertex weights
+    "make_point": (complexes, "make_point", None),
+    # Smith-normal-form homology runs, one per fiber core a collapse leaves
+    "homology runs": (contract, "homology", None),
 }
 
 
@@ -162,14 +181,15 @@ def _stage_clock(clock):
 
 
 @contextlib.contextmanager
-def _work_counts():
+def work_counts():
     """While open, the yielded dict counts the calls of each function of
     `COUNTS`, by their weights, or the items a generator function yields."""
     counts = dict.fromkeys(COUNTS, 0)
     targets: dict[tuple, list] = {}
     for name, (owner, attr, weight) in COUNTS.items():
         targets.setdefault((owner, attr), []).append((name, weight))
-    saved = {key: getattr(*key) for key in targets}
+    modules = [m for n, m in sys.modules.items() if n == "plcontrol" or n.startswith("plcontrol.")]
+    saved = []
 
     def counted(fn, counters):
         depth = 0
@@ -195,12 +215,19 @@ def _work_counts():
         return wrapper
 
     for (owner, attr), counters in targets.items():
-        setattr(owner, attr, counted(saved[owner, attr], counters))
+        fn = getattr(owner, attr)
+        wrapper = counted(fn, counters)
+        bindings = [(owner, attr)] if isinstance(owner, type) else [
+            (module, name) for module in modules for name, value in vars(module).items() if value is fn
+        ]
+        for namespace, name in bindings:
+            saved.append((namespace, name, fn))
+            setattr(namespace, name, wrapper)
     try:
         yield counts
     finally:
-        for (owner, attr), fn in saved.items():
-            setattr(owner, attr, fn)
+        for namespace, name, fn in reversed(saved):
+            setattr(namespace, name, fn)
 
 
 def rung(k) -> dict:
@@ -211,7 +238,7 @@ def rung(k) -> dict:
     clock = speed.SpeedClock()
     clock.start()
     try:
-        with _stage_clock(clock) as (stages, ref_stages), _work_counts() as counts:
+        with _stage_clock(clock) as (stages, ref_stages), work_counts() as counts:
             start, ref_start = time.process_time(), clock.now()
             report = verify.run_verify(f)
             cpu_s, ref_s = time.process_time() - start, clock.now() - ref_start

@@ -13,7 +13,6 @@ from plcontrol import (
     canonical,
     emit_svg,
     epsilon_schedule,
-    evaluate_map,
     measure_control,
 )
 from plcontrol.fixtures import (

@@ -286,11 +286,7 @@ def _check_eps(K: SimplicialComplex, eps: float) -> None:
 
 
 class Cellulation:
-    """The fundamental epsilon-subdivision cellulation of a complex.
-
-    ``inversions`` and ``cells_tried`` count the calls of :meth:`invert` and
-    the cells it checked, so their ratio is the attempts per inversion.
-    """
+    """The fundamental epsilon-subdivision cellulation of a complex."""
 
     def __init__(self, K: SimplicialComplex, eps: float):
         _check_eps(K, eps)
@@ -298,7 +294,6 @@ class Cellulation:
         self.eps = eps
         # level values are t-averages of eps / sqrt(n (n + 1)), chain dims n >= 1
         self._level_cap = eps / math.sqrt(2.0) + _SLACK
-        self.inversions = self.cells_tried = 0
 
     @functools.cached_property
     def cells(self) -> list[FlagCell]:
@@ -332,10 +327,8 @@ class Cellulation:
         wins.
         """
         y = canonical(self.K, y)
-        self.inversions += 1
         fitting = self._fitting_cells(y, tol)
         for cell in fitting:
-            self.cells_tried += 1
             if (out := self._try_cell(cell, y, tol)) is not None:
                 return cell, out
         raise InversionError(

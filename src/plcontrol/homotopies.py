@@ -91,7 +91,7 @@ from .maps import (
     fiber_over_barycenter,
     identity_map,
 )
-from .metrics import _first_maxes, _norms, _row_sups, distance, min_distance_to_simplex
+from .metrics import _coords_over, _first_maxes, _norms, _row_sups, distance, min_distance_to_simplex
 
 
 class CannotConstructError(RuntimeError):
@@ -970,9 +970,7 @@ def star_clearance(K: SimplicialComplex, y: Point) -> float:
         if not sigma <= tau:
             continue
         verts = tau.vertices
-        yv = np.zeros(len(verts))
-        for v, c in zip(y.carrier.vertices, y.coords):
-            yv[verts.index(v)] = c
+        yv = _coords_over(y, verts)
         eye = np.eye(len(verts))
         for rho in tau.facets():
             if sigma <= rho:

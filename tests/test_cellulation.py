@@ -26,7 +26,7 @@ from plcontrol import (
     vertex_point,
 )
 from plcontrol import fixtures
-from helpers import coord_of
+from helpers import coord_of, fresh, load_script
 
 SQRT2 = math.sqrt(2.0)
 
@@ -387,14 +387,17 @@ def test_invert_matches_scan_oracle_on_schedule(name, k):
 
 
 def test_invert_counts_inversions_and_cells_tried(rng):
+    """50 inversions of generic interior points check 50 to 200 cells, as
+    the work counter of `scripts/ladder.py` reads them."""
     cel = build_cellulation(closure_complex([("a", "b", "c")]), 0.1)
-    assert (cel.inversions, cel.cells_tried) == (0, 0)
     s = cel.K.simplex(["a", "b", "c"])
-    for _ in range(50):
-        cel.invert(canonical(cel.K, Point(s, tuple(rng.dirichlet(np.ones(3))))))
-    assert cel.inversions == 50
+    ys = [canonical(cel.K, Point(s, tuple(rng.dirichlet(np.ones(3))))) for _ in range(50)]
+    with load_script("ladder").work_counts() as counts:
+        for y in ys:
+            cel.invert(y)
+    assert counts["inversions"] == 50
     # a generic interior point fits a handful of flags and the first usually holds
-    assert 50 <= cel.cells_tried <= 4 * 50
+    assert 50 <= counts["cells tried"] <= 4 * 50
 
 
 def test_inversion_error_names_carrier_and_flags_tried(monkeypatch):
@@ -665,11 +668,9 @@ def test_cells_on_demand_match_the_eager_index_on_random_complexes(gens, k, data
 
 
 def _ladder_map(name):
-    from test_harness import _fresh, _load_script
-
-    ladder = _load_script("ladder")
+    ladder = load_script("ladder")
     return {
-        "proj_map": lambda: _fresh(fixtures.proj_map()),
+        "proj_map": lambda: fresh(fixtures.proj_map()),
         "Prism(1)": lambda: ladder.inputs.prism_map(1),
         "D_3": lambda: ladder.simplex_prism(3),
         "D_4": lambda: ladder.simplex_prism(4),

@@ -24,7 +24,6 @@ from plcontrol import (
     fiber_over_barycenter,
     greedy_collapse,
     homology,
-    make_point,
     smith_diagonal,
     vertex_point,
 )

@@ -41,7 +41,7 @@ from plcontrol.cli import main
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
 import cellulation_oracle
 import control_oracle
-from helpers import coord_of
+from helpers import coord_of, fresh, load_script
 
 
 def write_fixture_files(tmp_path):
@@ -312,76 +312,6 @@ def test_verify_decides_each_fiber_once(monkeypatch):
     assert len(calls) == len(f.target.simplices) == 3
 
 
-def _count_work(monkeypatch) -> dict[str, int]:
-    """Count, from here on, the calls of the work a verify does: inversions,
-    cells tried, distance queries, sample draws, cold cellulation builds,
-    fiber locations, cell vertex-image builds (calls of ``vertex_images``),
-    fiber-contraction tracks, ``make_point``, ``image_simplex``,
-    ``fiber_split``, the calls of the join→image row kernel
-    (``_joined_image_rows``, one per g table fill of a maximal simplex and
-    one per h1 group pass), the h1 group passes (the groups that
-    ``_H1._passes`` yields), the fitting lists built (``cellulation._fits``),
-    the row norms of the control tables and the g table (``metrics._norms``),
-    the Smith-normal-form homology runs (``contract.homology``)
-    and the g evaluations (``FlagMap.gamma_chain`` calls that no other call
-    of it encloses).  The returned dict is live."""
-    from plcontrol import cellulation, complexes, contract, homotopies, maps, metrics
-
-    calls: dict[str, int] = {}
-
-    def counting(name, fn):
-        calls[name] = 0
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for owner, attr, name in (
-        (cellulation.Cellulation, "invert", "invert"),
-        (cellulation.Cellulation, "_try_cell", "tried"),
-        (cellulation.Cellulation, "__init__", "cold"),
-        (cellulation.FlagCell, "vertex_images", "images"),
-        (maps.FiberComplex, "locate", "locate"),
-        (homotopies.FlagMap, "_new_track", "tracks"),
-        (maps.SimplicialMap, "image_simplex", "image_simplex"),
-    ):
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
-    for name, fn in (
-        ("distance", metrics.distance), ("sample_points", homotopies.sample_points),
-        ("make_point", complexes.make_point), ("fiber_split", maps.fiber_split),
-        ("joined", maps._joined_image_rows), ("fits", cellulation._fits), ("norms", metrics._norms),
-        ("homology", contract.homology),
-    ):
-        wrapped = counting(name, fn)
-        for module in (m for n, m in sys.modules.items() if n.startswith("plcontrol")):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapped)
-    real_chain, depth = homotopies.FlagMap.gamma_chain, [0]
-    calls["g"] = 0
-
-    def gamma_chain(gamma, chain, t):
-        calls["g"] += not depth[0]
-        depth[0] += 1
-        try:
-            return real_chain(gamma, chain, t)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(homotopies.FlagMap, "gamma_chain", gamma_chain)
-    real_passes, calls["passes"] = homotopies._H1._passes, 0
-
-    def passes(h1, *args):
-        for group in real_passes(h1, *args):
-            calls["passes"] += 1
-            yield group
-
-    monkeypatch.setattr(homotopies._H1, "_passes", passes)
-    return calls
-
-
 def test_check_fibers_reduces_only_the_collapse_cores(tmp_path, monkeypatch, capsys):
     """check-fibers on the benchmark's slab runs homology once per fiber,
     and each fiber collapses to a vertex, so the Smith normal forms take
@@ -390,33 +320,26 @@ def test_check_fibers_reduces_only_the_collapse_cores(tmp_path, monkeypatch, cap
     of 540 edges that clearing leaves and one vertex of 361."""
     from plcontrol import contract
 
-    paths = _load_script("ladder").inputs.write_inputs("fibers_slab", 0, tmp_path)
-    calls, columns = _count_work(monkeypatch), []
+    ladder = load_script("ladder")
+    paths, columns = ladder.inputs.write_inputs("fibers_slab", 0, tmp_path), []
     real = contract.sparse_smith_diagonal
     monkeypatch.setattr(contract, "sparse_smith_diagonal", lambda cols: columns.append(len(cols)) or real(cols))
     for path, (code, homology, reduced) in zip(paths, [(0, 3, 3), (1, 1, 360 + 181 + 1)]):
-        calls["homology"], columns[:] = 0, []
-        assert main(["check-fibers", str(path)]) == code
-        assert (calls["homology"], sum(columns)) == (homology, reduced)
+        columns[:] = []
+        with ladder.work_counts() as counts:
+            assert main(["check-fibers", str(path)]) == code
+        assert (counts["homology runs"], sum(columns)) == (homology, reduced)
     capsys.readouterr()
 
 
-def _fresh(f: SimplicialMap) -> SimplicialMap:
-    """f over new copies of its complexes, which may be shared fixtures
-    holding caches from other tests."""
-    X, Y = (
-        closure_complex([s.vertices for s in K.maximal_simplices()], vertex_order=K.vertex_order)
-        for K in (f.source, f.target)
-    )
-    return SimplicialMap(X, Y, dict(f.vertex_map))
-
-
-def test_verify_work_stays_within_its_counts(monkeypatch):
-    """Inversions, distance queries, sample draws, cold cellulation builds,
-    fiber locations, cell vertex-image builds, fiber-contraction tracks,
-    ``make_point`` calls and fitting lists built of a default verify of
-    map_collapse stay at or under 1672, 1560, 6, 13, 296, 168, 296, 14935
-    and 224: the sampled-sup
+def test_verify_work_stays_within_its_counts():
+    """A default verify of map_collapse makes a nonzero count of every kind
+    of work `scripts/ladder.py` counts, so a counted function that stops
+    being called fails here.  Its inversions, distance queries, sample
+    draws, cold cellulation builds, fiber locations, cell vertex-image
+    builds, fiber-contraction tracks, ``make_point`` calls and fitting lists
+    built stay at or under 1672, 1560, 6, 13, 296, 168, 296, 14935 and 224:
+    the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -438,22 +361,22 @@ def test_verify_work_stays_within_its_counts(monkeypatch):
     with one call per row width, the h1 row and each h1 identity one per
     width in each group pass, and the g table one per carrier in each
     fill."""
-    calls = _count_work(monkeypatch)
-    rep = run_verify(_fresh(fixtures.map_collapse()))
-    assert rep.overall == THEOREM_CONSISTENT
-    assert min(calls.values()) > 0
-    assert calls["invert"] <= 1672
-    assert calls["distance"] <= 1560
-    assert calls["sample_points"] <= 6
-    assert calls["cold"] <= 13
-    assert calls["locate"] <= 296
-    assert calls["images"] <= 168
-    assert calls["tracks"] <= 296
-    assert calls["make_point"] <= 14935
-    assert calls["fits"] <= 224
-    calls.update(dict.fromkeys(calls, 0))
-    assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
-    assert calls["norms"] <= 333
+    ladder = load_script("ladder")
+    with ladder.work_counts() as counts:
+        assert run_verify(fresh(fixtures.map_collapse())).overall == THEOREM_CONSISTENT
+    assert min(counts.values()) > 0, counts
+    assert counts["inversions"] <= 1672
+    assert counts["control distances"] <= 1560
+    assert counts["sample draws"] <= 6
+    assert counts["cellulations built"] <= 13
+    assert counts["fiber locations"] <= 296
+    assert counts["vertex image builds"] <= 168
+    assert counts["fiber tracks"] <= 296
+    assert counts["make_point"] <= 14935
+    assert counts["fitting lists built"] <= 224
+    with ladder.work_counts() as counts:
+        assert run_verify(fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
+    assert counts["row norms"] <= 333
 
 
 def test_a_verify_keeps_the_cellulations_built_before_it():
@@ -461,24 +384,24 @@ def test_a_verify_keeps_the_cellulations_built_before_it():
     caller built before the run is still the target's after it."""
     from plcontrol import comesh_of
 
-    f = _fresh(fixtures.map_collapse())
+    f = fresh(fixtures.map_collapse())
     cel = build_cellulation(f.target, comesh_of(f.target) / 3.0)
     assert run_verify(f).overall == THEOREM_CONSISTENT
     assert list(f.target._cellulations.values()) == [cel]
 
 
-def test_verify_builds_one_cellulation_per_exact_eps(monkeypatch):
+def test_verify_builds_one_cellulation_per_exact_eps():
     """A default verify of proj_map builds 13 cellulations of Y: the five of
     the control table and the eight the assembly grid adds (one for the
     knee and half of it, seven geometric steps above it).  Its slice
     heights 2/cm, 4/cm and 8/cm read the control table's cm/2, cm/4 and
     cm/8 themselves, not eps that differ from them in the last bits."""
-    calls = _count_work(monkeypatch)
-    assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
-    assert calls["cold"] == 13
+    with load_script("ladder").work_counts() as counts:
+        assert run_verify(fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
+    assert counts["cellulations built"] == 13
 
 
-def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkeypatch):
+def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier():
     """A default verify of proj_map makes at most 1501 ``fiber_split`` calls
     (two of them per h1 second-half start-up), 2 h1 group passes and 32
     calls of the join→image row kernel (30 of them g table fills): gamma
@@ -489,11 +412,11 @@ def test_verify_splits_each_h1_sample_once_and_joins_its_rows_per_carrier(monkey
     887 passes when every h1 track split its x again at every eps and
     every point had a pass of its own, 3372 and 152 with one pass per
     carrier of f(x) and an h1 row of its own.)"""
-    calls = _count_work(monkeypatch)
-    assert run_verify(_fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
-    assert calls["fiber_split"] <= 1501
-    assert calls["passes"] <= 2
-    assert calls["joined"] <= 32
+    with load_script("ladder").work_counts() as counts:
+        assert run_verify(fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
+    assert counts["fiber_split"] <= 1501
+    assert counts["h1 group passes"] <= 2
+    assert counts["row kernel calls"] <= 32
 
 
 def test_verify_builds_only_the_flag_cells_its_points_name(monkeypatch):
@@ -505,7 +428,7 @@ def test_verify_builds_only_the_flag_cells_its_points_name(monkeypatch):
 
     from plcontrol import cellulation
 
-    ladder = _load_script("ladder")
+    ladder = load_script("ladder")
     built = []
     real = cellulation.FlagCell.__init__
 
@@ -544,25 +467,25 @@ def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
 
     monkeypatch.setattr(cellulation.Cellulation, "_try_cell", both)
     for name in ("proj_map", "map_collapse"):
-        assert run_verify(_fresh(getattr(fixtures, name)())).overall == THEOREM_CONSISTENT
+        assert run_verify(fresh(getattr(fixtures, name)())).overall == THEOREM_CONSISTENT
     assert tries and not differ, differ[:3]
 
 
-def test_verify_work_per_source_simplex_does_not_grow_with_the_map(monkeypatch):
+def test_verify_work_per_source_simplex_does_not_grow_with_the_map():
     """A default verify of Prism(1) does no more inversions, cells tried,
     ``make_point`` or ``distance`` calls, fiber tracks, ``image_simplex``
     calls or g evaluations per source simplex than one of Prism(0), so work
     that grows as |X| * |Y|, like a per-simplex fiber scan, fails here."""
-    ladder = _load_script("ladder")
-    calls = _count_work(monkeypatch)
+    ladder = load_script("ladder")
     per_simplex = []
     for k in (0, 1):
-        f = _fresh(ladder.inputs.prism_map(k))
-        calls.update(dict.fromkeys(calls, 0))
-        assert run_verify(f).overall == THEOREM_CONSISTENT
-        per_simplex.append({name: n / len(f.source.simplices) for name, n in calls.items()})
+        f = fresh(ladder.inputs.prism_map(k))
+        with ladder.work_counts() as counts:
+            assert run_verify(f).overall == THEOREM_CONSISTENT
+        per_simplex.append({name: n / len(f.source.simplices) for name, n in counts.items()})
     small, large = per_simplex
-    for name in ("invert", "tried", "make_point", "distance", "tracks", "image_simplex", "g"):
+    names = ("inversions", "cells tried", "make_point", "control distances", "fiber tracks", "image_simplex", "g evaluations")
+    for name in names:
         assert 0 < large[name] <= small[name], name
 
 
@@ -630,7 +553,7 @@ def test_cli_reports_a_malformed_tolerance_or_sample_count(tmp_path, capsys, arg
 def test_prism1_render_is_pinned():
     """The default verify of Prism(1), as scripts/ladder.py runs it, renders
     the text whose sha256 was recorded before any sample-kernel change."""
-    r = _load_script("ladder").rung(1)
+    r = load_script("ladder").rung(1)
     assert (r["source"], r["target"], r["overall"]) == (123, 25, THEOREM_CONSISTENT)
     assert r["sha256"] == "47953f2c7372b9349f40efb38a1cb7ca17d1c5929b36db3e66e11efb96cafd3f"
 
@@ -1012,7 +935,7 @@ def test_readme_scripts_run(tmp_path):
 
 
 def test_code_line_counter_skips_blanks_comments_and_docstrings():
-    counter = _load_script("count_code_lines")
+    counter = load_script("count_code_lines")
     source = (
         '"""Module\ndocstring."""\n'
         "# a comment\n"
@@ -1028,16 +951,6 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings():
     assert counter.code_lines(source) == 5
 
 
-def _load_script(name: str):
-    import importlib.util
-
-    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _result_line(wall_s: float, rss: float, correct: bool = True) -> dict:
     """A result line of perfbench/run.py, as json.loads returns it."""
     return {
@@ -1049,7 +962,7 @@ def _result_line(wall_s: float, rss: float, correct: bool = True) -> dict:
 def test_ab_pairs_summary_on_canned_result_lines():
     """Medians, quartiles and pairs won per metric, in the direction the
     benchmark declares; no summary when any run is not correct."""
-    ab = _load_script("ab_pairs")
+    ab = load_script("ab_pairs")
     parent = [_result_line(w, 40.0) for w in (4.0, 4.4, 4.2, 4.6, 4.8)]
     change = [_result_line(w, r) for w, r in ((3.0, 41.0), (3.4, 39.0), (4.3, 41.0), (3.2, 41.0), (3.6, 41.0))]
     lines = ab.summarize(parent, change, {"wall_s": "lower", "peak_rss_mb": "lower"})
@@ -1074,7 +987,7 @@ def test_ab_pairs_verdicts_on_canned_result_lines():
     """Within bound, worse beyond it, and unresolved when the parent's runs
     spread wider than the bound, unless every change run beats every parent
     run."""
-    ab = _load_script("ab_pairs")
+    ab = load_script("ab_pairs")
     parent = [_result_line(w, 40.0) for w in (4.0, 4.4, 4.2, 4.6, 4.8)]  # wall_s spread 0.4 / 4.4
     change = [_result_line(w, r) for w, r in ((3.0, 41.0), (3.4, 39.0), (4.3, 41.0), (3.2, 41.0), (3.6, 41.0))]
 
@@ -1103,7 +1016,7 @@ def test_ab_pairs_verdicts_on_canned_result_lines():
 def test_ab_pairs_refuses_a_checkout_that_holds_bytecode(cached, tmp_path, monkeypatch, capsys):
     """Bytecode in one checkout only would speed up that side's timed
     imports, so the script stops before any run."""
-    ab = _load_script("ab_pairs")
+    ab = load_script("ab_pairs")
     monkeypatch.setattr(ab, "run_once", lambda *args: pytest.fail("ran a benchmark"))
     for side in ("parent", "change"):
         (tmp_path / side / "src" / "plcontrol").mkdir(parents=True)

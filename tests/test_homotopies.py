@@ -38,7 +38,7 @@ import control_oracle
 import family_oracle
 import reduction_oracle
 import start_oracle
-from helpers import coord_of
+from helpers import coord_of, fresh, load_script
 
 
 def random_point(K, rng):
@@ -697,26 +697,24 @@ def test_step_kernel_matches_the_oracle_over_the_time_grid(f):
 
 
 def test_one_at_inverts_each_distinct_point_once(PROJ):
-    from plcontrol import build_cellulation
-
     f = PROJ
     fam = build_family(f)
     eps = fam.effective_comesh / 4.0
-    cel = build_cellulation(f.target, eps)
     pts_y = sample_points(f.target, 20, seed=0)
     pts_x = sample_points(f.source, 10, seed=1)
-    before = cel.inversions
-    g, h1, h2 = fam.at(eps)
-    for y in pts_y + pts_y:
-        g(y)
-        h2.track(y)(0.5)
-    for x in pts_x:
-        h1.track(x)(0.9)
+    with load_script("ladder").work_counts() as counts:
+        g, h1, h2 = fam.at(eps)
+        for y in pts_y + pts_y:
+            g(y)
+            h2.track(y)(0.5)
+        for x in pts_x:
+            h1.track(x)(0.9)
+        one_at = counts["inversions"]
+        fam.at(eps)[0](pts_y[0])
     split = {fam.gamma.trivialization.split(x)[1] for x in pts_x}
-    assert cel.inversions - before == len(set(pts_y) | split)
+    assert one_at == len(set(pts_y) | split)
     assert split & set(pts_y)  # h1 read some of the points g and h2 located
-    fam.at(eps)[0](pts_y[0])
-    assert cel.inversions - before == len(set(pts_y) | split) + 1  # a new at() has a new memo
+    assert counts["inversions"] == one_at + 1  # a new at() has a new memo
 
 
 def test_one_at_builds_each_cell_image_once(PROJ, monkeypatch):
@@ -877,22 +875,13 @@ def test_trivial_family_keeps_one_identity_map(D2):
     assert fam.f is fam.f and fam.f.source is fam.f.target is D2
 
 
-def _fresh_proj_map():
-    """proj_map over new copies of its complexes: the fixture's complexes
-    keep the cellulations that other tests built on them."""
-    from plcontrol import SimplicialMap
-
-    X, Y = fixtures.proj_X.__wrapped__(), fixtures.proj_Y.__wrapped__()
-    return SimplicialMap(X, Y, dict(fixtures.proj_map().vertex_map))
-
-
 def test_an_eps_reads_its_own_cellulation_after_a_nearby_one():
     """On proj_map's target, 1/(2/cm) (the assembly's height 2/cm) and cm/2
     differ in the last bits.  A family that has read ``at(cm/2)`` gives at
     1/(2/cm) the g values and controls of a family that has not."""
     from plcontrol.homotopies import family_controls
 
-    warm, cold = build_family(_fresh_proj_map()), build_family(_fresh_proj_map())
+    warm, cold = build_family(fresh(fixtures.proj_map())), build_family(fresh(fixtures.proj_map()))
     cm = warm.effective_comesh
     eps = 1.0 / (2.0 / cm)
     assert eps != cm / 2.0
@@ -913,7 +902,7 @@ def test_controls_at_an_eps_read_no_sups_of_a_nearby_eps():
     as a family that has not: the sups memo is keyed by the exact eps."""
     from plcontrol.homotopies import family_controls
 
-    warm, cold = build_family(_fresh_proj_map()), build_family(_fresh_proj_map())
+    warm, cold = build_family(fresh(fixtures.proj_map())), build_family(fresh(fixtures.proj_map()))
     cm = warm.effective_comesh
     eps = 1.0 / (2.0 / cm)
     assert eps != cm / 2.0
@@ -1291,9 +1280,8 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
     from plcontrol import homotopies, run_verify
     from plcontrol.homotopies import _pair_sups
     from plcontrol.verify import THEOREM_CONSISTENT
-    from test_harness import _fresh, _load_script
 
-    f = _load_script("ladder").inputs.prism_map(1) if name == "Prism(1)" else _fresh(getattr(fixtures, name)())
+    f = load_script("ladder").inputs.prism_map(1) if name == "Prism(1)" else fresh(getattr(fixtures, name)())
     real = homotopies._control_report
     measured = []
 
@@ -1313,12 +1301,10 @@ def test_h1_row_per_carrier_matches_the_per_point_oracle_on_default_verifies(nam
 
 
 def _h1_maps():
-    from test_harness import _fresh, _load_script
-
     return {
-        "proj_map": lambda: _fresh(fixtures.proj_map()),
-        "map_collapse": lambda: _fresh(fixtures.map_collapse()),
-        "Prism(1)": lambda: _load_script("ladder").inputs.prism_map(1),
+        "proj_map": lambda: fresh(fixtures.proj_map()),
+        "map_collapse": lambda: fresh(fixtures.map_collapse()),
+        "Prism(1)": lambda: load_script("ladder").inputs.prism_map(1),
     }
 
 
@@ -1384,9 +1370,8 @@ def test_h1_identity_tables_match_the_pair_loop(name, monkeypatch):
     """At comesh/2 and every schedule eps, on two sample sets and on points
     with one coordinate just above TOL; some pairs take ``distance``."""
     from plcontrol import homotopies
-    from test_harness import _load_script
 
-    ladder = _load_script("ladder")
+    ladder = load_script("ladder")
     makers = {"Prism(1)": lambda: ladder.inputs.prism_map(1), "D_3": lambda: ladder.simplex_prism(3)}
     f = makers[name]() if name in makers else getattr(fixtures, name)()
     fam = build_family(f)
@@ -1419,9 +1404,8 @@ def test_identity_checks_match_the_scalar_oracle_on_default_verifies(name, monke
     ``_identity_checks``'s, value for value."""
     from plcontrol import run_verify, verify
     from plcontrol.verify import THEOREM_CONSISTENT
-    from test_harness import _fresh, _load_script
 
-    f = _load_script("ladder").inputs.prism_map(1) if name == "Prism(1)" else _fresh(getattr(fixtures, name)())
+    f = load_script("ladder").inputs.prism_map(1) if name == "Prism(1)" else fresh(getattr(fixtures, name)())
     real, seen = verify._identity_checks, []
 
     def both(f, closures, samples, seed):
@@ -1476,12 +1460,11 @@ def test_group_reduction_matches_the_per_point_oracle_on_default_verifies(name, 
     ``fast`` off, no row is marked fast (``_force_fast_off``)."""
     from plcontrol import run_verify
     from plcontrol.verify import THEOREM_CONSISTENT
-    from test_harness import _fresh, _load_script
 
-    ladder = _load_script("ladder")
+    ladder = load_script("ladder")
     makers = {"Prism(1)": lambda: ladder.inputs.prism_map(1), "D_3": lambda: ladder.simplex_prism(3),
               "D_4": lambda: ladder.simplex_prism(4)}
-    f = makers[name]() if name in makers else _fresh(getattr(fixtures, name)())
+    f = makers[name]() if name in makers else fresh(getattr(fixtures, name)())
     checked = []
     if not fast:
         _force_fast_off(monkeypatch)
@@ -1576,12 +1559,10 @@ def _assert_start_ups_and_g_table_match_the_oracles(f, fam, eps, xs, ys):
 
 
 def _start_maps():
-    from test_harness import _fresh, _load_script
-
-    ladder = _load_script("ladder")
+    ladder = load_script("ladder")
     return {
-        "proj_map": lambda: _fresh(fixtures.proj_map()),
-        "map_collapse": lambda: _fresh(fixtures.map_collapse()),
+        "proj_map": lambda: fresh(fixtures.proj_map()),
+        "map_collapse": lambda: fresh(fixtures.map_collapse()),
         "Prism(1)": lambda: ladder.inputs.prism_map(1),
         "D_3": lambda: ladder.simplex_prism(3),
         "D_4": lambda: ladder.simplex_prism(4),

@@ -40,7 +40,7 @@ from plcontrol.complexes import TOL
 from plcontrol.maps import _staircase_locate
 from test_homotopies import random_simplicial_maps
 from test_point_kernel import bits
-from helpers import coord_of
+from helpers import coord_of, fresh, load_script
 
 
 def lattice_points(K, s, resolution):
@@ -276,15 +276,8 @@ def test_random_fibers_are_unions_of_product_cells(f):
     assert_cells_are_products(f)
 
 
-def fresh(f):
-    """f as a new map over the same complexes, with nothing cached on it."""
-    return SimplicialMap(f.source, f.target, dict(f.vertex_map))
-
-
 def prism_map(k):
-    from test_harness import _load_script
-
-    return _load_script("ladder").inputs.prism_map(k)
+    return load_script("ladder").inputs.prism_map(k)
 
 
 def assert_fibers_match_the_scan(f):
@@ -315,10 +308,8 @@ def test_fixture_fibers_match_the_scan(name):
 
 def slab_maps():
     """The two maps of the benchmark's fibers_slab batch, seed 0, as new
-    maps with nothing cached on them."""
-    from test_harness import _load_script
-
-    return [fresh(f) for f in _load_script("ladder").inputs.workload_inputs("fibers_slab", 0)]
+    maps over new copies of their complexes."""
+    return [fresh(f) for f in load_script("ladder").inputs.workload_inputs("fibers_slab", 0)]
 
 
 SLAB, RP2 = slab_maps()

@@ -41,14 +41,14 @@ from plcontrol import (
 )
 from plcontrol import cellulation, cone, contract, fixtures, homotopies, maps, metrics
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
-from test_harness import _fresh, _load_script
+from helpers import fresh, load_script
 
-ladder = _load_script("ladder")
+ladder = load_script("ladder")
 
 MAPS = {
-    "proj_map": lambda: _fresh(fixtures.proj_map()),
-    "map_collapse": lambda: _fresh(fixtures.map_collapse()),
-    "map_bad": lambda: _fresh(fixtures.map_bad()),
+    "proj_map": lambda: fresh(fixtures.proj_map()),
+    "map_collapse": lambda: fresh(fixtures.map_collapse()),
+    "map_bad": lambda: fresh(fixtures.map_bad()),
     "D_3": lambda: ladder.simplex_prism(3),
     "D_4": lambda: ladder.simplex_prism(4),
 }

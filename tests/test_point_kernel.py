@@ -34,7 +34,7 @@ from plcontrol.cellulation import build_cellulation
 from plcontrol.metrics import _l2_in_simplex, shared_carrier
 from test_complexes import small_complexes
 from test_contract import sd, staircase_prism
-from helpers import contains_labels
+from helpers import contains_labels, fresh
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -166,7 +166,7 @@ def test_family_values_match_with_the_oracle_kernel(monkeypatch):
     from plcontrol import cellulation, complexes, contract, homotopies, maps
 
     def values():
-        f = fixtures.proj_map.__wrapped__()  # fresh, with nothing cached
+        f = fresh(fixtures.proj_map())  # new complexes, with nothing cached on them
         eps = epsilon_schedule(f.target)[0]
         g, h1, h2 = build_family(f).at(eps)
         ys, xs = sample_points(f.target, 6, seed=3), sample_points(f.source, 6, seed=4)
@@ -344,8 +344,8 @@ def test_canonical_flags_only_what_passed_at_the_default_tol():
     off = Point(ab, (0.5, 0.5 + 1e-10))
     q = canonical(K, off)
     assert not off._canonical and q is not off and bits(q) == bits(oracle.canonical(K, off))
-    fresh = Point(ab, (0.5, 0.5))
-    assert canonical(K, fresh, tol=1e-3) is fresh and not fresh._canonical
+    mid = Point(ab, (0.5, 0.5))
+    assert canonical(K, mid, tol=1e-3) is mid and not mid._canonical
 
 
 @given(small_complexes, st.data())
