@@ -72,16 +72,22 @@ COUNTS = {
     "row kernel calls": (maps, "_joined_image_rows", None),
     # the rows those calls hold
     "row kernel rows": (maps, "_joined_image_rows", lambda depth, f, sigma, ws, L: len(ws)),
-    # the pairs the sampled-control kernel measures with `distance`: the
-    # identities f(g_eps(y)) = h2(y,1) and h1(x,0) = x, and every row of the
-    # g and h2 rows, the h1 row and the two h1 identities that the arrays do
-    # not reproduce
+    # `distance` calls: one per pair of the identities f(g_eps(y)) = h2(y,1)
+    # and h1(x,0) = x, per g table entry the join→image kernel does not
+    # reproduce, and per row of the h2 row (which the h1 row reads) and of
+    # the two h1 identities that `canonical` changes or the kernel does not
+    # reproduce, each at the `step` of its one eps'
     "control distances": (metrics, "distance", None),
-    # row norms of the control tables and of the g table: per width of the
-    # rows the arrays reproduce, one per h2 row (the h1 row's included) and
-    # one per group pass of each h1 identity, and one per carrier of the
-    # points of each g table fill
+    # `_norms` calls: one per carrier width of the points of each h2 row
+    # (the h1 row's and every assembly eps' included) and of each group
+    # pass of each h1 identity, and one per carrier of the points of each g
+    # table fill
     "row norms": (metrics, "_norms", None),
+    # cell-point contractions (`cellulation._contract`): one per cell and
+    # time grid of each h2 row, h1 group pass and first h1 identity table,
+    # one per `step` (the scalar rows and the h1 tracks' steps) and one per
+    # `FlagCell.evaluate`
+    "row contractions": (cellulation, "_contract", None),
     # g evaluations, one per distinct point a g table holds: the
     # `gamma_chain` calls that no other call of it encloses
     "g evaluations": (homotopies.FlagMap, "gamma_chain", lambda depth, *args: depth == 0),

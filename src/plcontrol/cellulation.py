@@ -138,10 +138,10 @@ def gamma_vertex(K: SimplicialComplex, eps: float, v: str, tau: Simplex) -> Poin
     return Point(tau, tuple(coords))
 
 
-def _contract(s, t, P) -> np.ndarray:
-    """The cell point sum_ij s_i t_j P[..., i, j, :] of vertex images P, for
-    one image array or a stack of them."""
-    return np.einsum("i,j,...ijd->...d", s, t, P)
+def _contract(S, T, P) -> np.ndarray:
+    """The cell points sum_ij S[p, i] T[p, j] P[k, i, j, :] of a stack P of
+    vertex images, one row per point p and image k."""
+    return np.einsum("pi,pj,kijd->pkd", S, T, P)
 
 
 @dataclass(eq=False)
@@ -183,7 +183,7 @@ class FlagCell:
         return self.E[:, None, :] * (1.0 - a) + a * self.chat[None, :, :]
 
     def evaluate(self, eps: float, s: np.ndarray, t: np.ndarray) -> Point:
-        return Point(self.carrier, tuple(_contract(s, t, self.vertex_images(eps))))
+        return Point(self.carrier, tuple(_contract([s], [t], self.vertex_images([eps]))[0, 0]))
 
 
 _SLACK = 1e-7

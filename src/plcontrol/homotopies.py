@@ -24,12 +24,14 @@ simplex of Y in each fill.  It dies with the closures built over
 it; ``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each
 build their own.  Its g (``_GInverse``) and its h2 (``_StraightLine``)
 read it to measure their control rows as arrays (each ``sup_ats``): g off
-its table, h2 per sampled point over the time grid, where the first point
-of a cell that asks for a grid stacks the cell's images over it, building
-those its memo lacks in one ``vertex_images`` call, and ``rows`` forms
-every row of a point in one ``cellulation._contract`` of that stack.  The
-h1 row through f is h2's row over the points f(x) at the times min(2t, 1)
-(``_h1_column``), which the two h1 identities of ``verify`` make sound.
+its table, h2 over the time grid per cell of the sampled points, where
+the first call of a cell for a grid stacks the cell's images over it,
+building those its memo lacks in one ``vertex_images`` call, and ``rows``
+forms every row of every point of the cell in one
+``cellulation._contract`` of that stack; ``rows_of`` gathers them into
+one array per carrier width.  The h1 row through f is h2's row over the
+points f(x) at the times min(2t, 1) (``_h1_column``), which the two h1
+identities of ``verify`` make sound.
 An h1 track (``_H1Track``) keeps its point's cell and second-half
 start-up as long as the track lives; the start-up (``_start``) is one
 scalar split of the track's step at eps' = 0 (ybar and w_a) and one of
@@ -40,13 +42,15 @@ once, joins all their rows in one ``maps._joined_image_rows`` pass, the
 kernel of the g table too, and drops them before the next group; the
 maximal simplex over each distinct carrier is one walk up the
 ``_face_poset`` cofacets per call (``_by_top``).  ``metrics._row_sups``
-reduces the rows of many points at once: the fast rows of one width take
-one norm (``metrics._norms``), every other row its own distance, and each
-point's first maximum is one row of ``metrics._first_maxes``, one
-``argmax``, which reduces the g row and the pair loop too.  The h2 row
-calls it once, and each h1 identity once per group pass, before the next
-group starts; none keeps anything.  Every sampled control is one per-point
-table, z -> (sup over t, first t attaining it, pairs): one call fills it
+reduces the rows of many points at once, in blocks of one carrier width
+each: the fast rows of a block take one norm (``metrics._norms``), every
+other row its own distance, and each point's first maximum is one row of
+``metrics._first_maxes``, one ``argmax``, which reduces the g row and the
+pair loop too.  The h2 row calls it once, with one canonical test and one
+difference from its points per width, and each h1 identity once per
+group pass, before the next group starts; none keeps anything.  Every
+sampled control is one per-point table, z -> (sup over t, first t
+attaining it, pairs): one call fills it
 for the distinct points it lacks (a ``sup_ats``, ``_h1_column`` or
 ``identity_sups``, or ``_pair_sups`` with one ``distance`` per pair),
 and ``_fold`` reduces it in sample order.  A
@@ -279,9 +283,12 @@ class _EpsView:
     a locate memo (a miss calls ``cel.invert``, so each distinct point is
     inverted once), the cell vertex images that the steps read, keyed by
     (cell, eps'), their stacks, keyed by (cell, the exact eps' grid), and
-    the g table (``g_table``), keyed by located point.  Nothing else holds
-    the memos: they die with the object, which only the closures built
-    over it hold."""
+    the g table (``g_table``), keyed by located point.  ``rows`` contracts
+    one stack with every point of its cell that a caller holds, so the h2
+    row, each h1 group pass and the first h1 identity table make one
+    contraction per (cell, time grid), and ``step`` is its one-row case.
+    Nothing else holds the memos: they die with the object, which only the
+    closures built over it hold."""
 
     def __init__(self, K: SimplicialComplex, eps: float):
         self.cel, self.K, self.eps = build_cellulation(K, eps), K, eps
@@ -295,16 +302,27 @@ class _EpsView:
             hit = self._located[y] = self.cel.invert(y)
         return hit
 
-    def rows(self, cell: FlagCell, s, t, epss) -> np.ndarray:
-        """The coordinates over ``cell.carrier`` of the cell point (s, t) at
-        each eps' of ``epss``, one row per eps': one contraction of the
-        cell's image stack over that grid (``_stack``), which every point of
-        the cell that asks for the grid reads."""
+    def rows(self, cell: FlagCell, S, T, epss) -> np.ndarray:
+        """The coordinates over ``cell.carrier`` of each cell point (S[p],
+        T[p]) at each eps' of ``epss``, a (points x eps' x width) array: one
+        contraction of the cell's image stack over that grid (``_stack``),
+        which every later call of the cell for the grid reads."""
         if not epss:
-            return np.empty((0, len(cell.carrier.vertices)))
+            return np.empty((len(S), 0, len(cell.carrier.vertices)))
         if (key := (cell, tuple(epss))) not in self._stacks:
             self._stacks[key] = self._stack(*key)
-        return _contract(s, t, self._stacks[key])
+        return _contract(S, T, self._stacks[key])
+
+    def rows_of(self, located, epss) -> list[tuple[list[int], np.ndarray]]:
+        """Per carrier width of the located points (cell, (s, t)) of
+        ``located``, (their positions, their ``rows`` as one (points x eps'
+        x width) array): the points of one cell take one ``rows`` call."""
+        cells, blocks = {}, {}
+        for p, (cell, _) in enumerate(located):
+            cells.setdefault(cell, []).append(p)
+        for cell, ps in cells.items():
+            blocks.setdefault(len(cell.carrier.vertices), []).append((ps, self.rows(cell, *zip(*(located[p][1] for p in ps)), epss)))
+        return [(sum((ps for ps, _ in block), []), np.concatenate([R for _, R in block])) for block in blocks.values()]
 
     def _stack(self, cell: FlagCell, epss: tuple[float, ...]) -> np.ndarray:
         """The cell's vertex images at each eps' of ``epss``, stacked: the
@@ -318,7 +336,7 @@ class _EpsView:
     def step(self, cell: FlagCell, s, t, eps: float) -> Point:
         """``canonical(K, cell.evaluate(eps, s, t))``: the one-row case of
         ``rows``, as a point."""
-        return canonical(self.K, Point(cell.carrier, tuple(self.rows(cell, s, t, (eps,))[0].tolist())))
+        return canonical(self.K, Point(cell.carrier, tuple(self.rows(cell, [s], [t], (eps,))[0, 0].tolist())))
 
     def g_table(self, gamma: FlagMap, ys) -> dict:
         """The g table: located point y -> (the chain value w and base point
@@ -373,19 +391,23 @@ class _StraightLine(Homotopy):
         attaining it, the pairs measured) for each y of ``ys``, equal to
         ``_pair_sups`` on the tracks (y, h(y, .)).
 
-        A row that ``canonical`` leaves as it is (``_canonical_rows``) is a
-        point of y's carrier, whose distance to y is the norm of their
+        The points are grouped by the width of their carrier, and each
+        group's rows are one ``_EpsView.rows_of`` block, one contraction per
+        cell.  A row that ``canonical`` leaves as it is (``_canonical_rows``)
+        is a point of y's carrier, whose distance to y is the norm of their
         difference there.  Every other row takes ``step``: at t = 1 (eps' =
         0) the step is the base point, whose row is canonical only when the
-        cell's base is its carrier.  One ``_row_sups`` measures every y."""
+        cell's base is its carrier.  Per width, the canonical test, the
+        differences and the norms are one call each, and one ``_row_sups``
+        measures every y."""
         view = self.view
         epss = tuple(view.eps * (1.0 - time) for time in times)
         cells = [view.locate(y) for y in ys]
-        rows = [view.rows(cell, s, t, epss) for cell, (s, t) in cells]
         # y canonical: the inversion read the cells over y's carrier
         anchors = [canonical(view.K, y) for y in ys]
-        return dict(zip(ys, _row_sups(times, [np.array(y.coords) - R for y, R in zip(anchors, rows)], list(map(_canonical_rows, rows)),
-                                  lambda p, k: distance(view.K, anchors[p], view.step(cells[p][0], *cells[p][1], epss[k])))))
+        blocks = [(ps, np.array([anchors[p].coords for p in ps])[:, None] - R, _canonical_rows(R.reshape(-1, R.shape[2])))
+                  for ps, R in view.rows_of(cells, epss)]
+        return dict(zip(ys, _row_sups(times, blocks, lambda p, k: distance(view.K, anchors[p], view.step(cells[p][0], *cells[p][1], epss[k])))))
 
 
 def _straightline(view: _EpsView) -> _StraightLine:
@@ -541,7 +563,8 @@ class _H1(Homotopy):
         ybar the start-up made.  A fast row is measured with one norm over
         the carrier of f(x), and every other pair with ``distance``, where
         f(h1(x, 1/2)) is evaluated once per point.  Each table takes one
-        ``_row_sups`` per group, before the next group starts."""
+        ``_row_sups`` per group, before the next group starts, over the
+        blocks of h2's ``_EpsView.rows_of``, one per carrier width of f(x)."""
         f, Y, view, n = self.f, self.f.target, self.view, len(times)
         halves = [time / 2.0 for time in times] + [0.5 + time / 2.0 for time in times] + [0.5]
         epss = tuple(view.eps * (1.0 - time) for time in times)
@@ -549,9 +572,10 @@ class _H1(Homotopy):
         for group, tracks, F, fast in self._passes(xs, halves):
             h2 = [view.locate(tr.y) for tr in tracks]
             anchor = functools.cache(lambda p: evaluate_map(f, tracks[p](0.5)))
-            first.update(zip(group, _row_sups(times, [view.rows(cell, s, t, epss) - F_x[:n] for (cell, (s, t)), F_x in zip(h2, F)], fast[:, :n], lambda p, k: distance(
+            blocks = [(ps, R, np.stack([F[p] for p in ps])) for ps, R in view.rows_of(h2, epss)]
+            first.update(zip(group, _row_sups(times, [(ps, R - F_w[:, :n], fast[ps, :n]) for ps, R, F_w in blocks], lambda p, k: distance(
                 Y, evaluate_map(f, tracks[p](halves[k])), view.step(h2[p][0], *h2[p][1], epss[k])))))
-            second.update(zip(group, _row_sups(times, [F_x[n:-1] - F_x[-1] for F_x in F], fast[:, n:-1] & fast[:, -1:], lambda p, k: distance(
+            second.update(zip(group, _row_sups(times, [(ps, F_w[:, n:-1] - F_w[:, -1:], fast[ps, n:-1] & fast[ps, -1:]) for ps, _, F_w in blocks], lambda p, k: distance(
                 Y, evaluate_map(f, tracks[p](halves[n + k])), anchor(p)))))
         return first, second
 
@@ -563,8 +587,9 @@ class _H1(Homotopy):
         The points are grouped by a maximal simplex tau of Y over the
         carrier of f(x), read off gamma's split memo, one group's tracks at
         a time.  Each x's rows are read off its track: the first half (t <=
-        1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows``
-        array joined to the fiber part z, and the second half joins the
+        1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows_of``
+        block per carrier width of the group, joined to the fiber part z,
+        and the second half joins the
         track's fiber points to ybar.  One g table fill holds the f(x) of
         the group, which each track's start-up (``_start``) reads.  All rows
         of a group take one ``maps._joined_image_rows`` over tau, whose every sum
@@ -577,7 +602,7 @@ class _H1(Homotopy):
         f, Y, n = self.f, self.f.target, len(times)
         groups = _by_top(Y, [(canonical(Y, self.gamma.split(x)[1]).carrier, x) for x in xs])
         late = np.array([time > 0.5 for time in times])
-        early = np.flatnonzero(~late)[:, None]
+        early = np.flatnonzero(~late)
         epss = tuple(self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5)
         for tau, by_carrier in groups.items():
             group = [x for xs_ in by_carrier.values() for x in xs_]
@@ -588,9 +613,9 @@ class _H1(Homotopy):
             rows = np.zeros((len(group), n, len(tau.vertices)))
             canon = np.tile(late, (len(group), 1))
             cols = [[tau.vertices.index(v) for v in tr.cell.carrier.vertices] for tr in tracks]
-            for block, can, tr, at in zip(rows, canon, tracks, cols):
-                block[early, at] = steps = self.view.rows(tr.cell, tr.s, tr.t, epss)
-                can[~late] = _canonical_rows(steps)
+            for ps, steps in self.view.rows_of([(tr.cell, (tr.s, tr.t)) for tr in tracks], epss):
+                rows[np.array(ps)[:, None, None], early[:, None], np.array([cols[p] for p in ps])[:, None]] = steps
+                canon[np.ix_(ps, early)] = _canonical_rows(steps.reshape(-1, steps.shape[2])).reshape(len(ps), len(early))
             rows[:, late] = _rows_over(tau, [tr.second[0] for tr in tracks])[:, None]
             rows = rows.reshape(len(group) * n, -1)
             if _joins(self.gamma):

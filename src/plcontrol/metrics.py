@@ -79,20 +79,21 @@ def _first_maxes(times, dists: np.ndarray) -> list[tuple[float, float | None, in
     return [(best, times[k], len(times)) for best, k in zip(dists[np.arange(len(dists)), first].tolist(), first.tolist())]
 
 
-def _row_sups(times, diffs, fast, pair) -> list[tuple[float, float | None, int]]:
+def _row_sups(times, blocks, pair) -> list[tuple[float, float | None, int]]:
     """Per point p, ``_first_maxes`` over ``times`` of one distance per row
-    k of ``diffs[p]``, the point's coordinate differences from another
-    point over one carrier: for a row marked ``fast[p][k]``, the l2 norm
-    of the row, for any other row, ``pair(p, k)``.  The fast rows of one
-    width take one ``_norms`` call, whose bits per row do not depend on
-    the rows beside it."""
-    fast = np.array(fast, dtype=bool).reshape(len(diffs), len(times))
-    dists = np.zeros(fast.shape)
-    for width in {d.shape[1] for d in diffs}:
-        of = np.array([d.shape[1] == width for d in diffs])
-        dists[fast & of[:, None]] = _norms(np.stack([d for d, ok in zip(diffs, of) if ok])[fast[of]])
-    for p, k in np.argwhere(~fast).tolist():
-        dists[p, k] = pair(p, k)
+    k of p's coordinate differences from another point over one carrier,
+    read off ``blocks``, triples (ps, D, fast) of positions p, their
+    differences D, (points x times x width), and a mask of their rows: for
+    a row marked fast, the l2 norm of the row, for any other row, ``pair(p,
+    k)``.  The fast rows of a block take one ``_norms`` call, whose bits per
+    row do not depend on the rows beside it."""
+    dists = np.zeros((sum(len(ps) for ps, _, _ in blocks), len(times)))
+    for ps, D, fast in blocks:
+        fast, sub = np.reshape(fast, D.shape[:2]), np.zeros(D.shape[:2])
+        sub[fast] = _norms(D[fast])
+        for p, k in np.argwhere(~fast).tolist():
+            sub[p, k] = pair(ps[p], k)
+        dists[ps] = sub
     return _first_maxes(times, dists)
 
 

@@ -338,16 +338,16 @@ def rows(cell: FlagCell, s, t, epss) -> np.ndarray:
     return out
 
 
-def gathered_rows(view, cell: FlagCell, s, t, epss) -> np.ndarray:
+def gathered_rows(view, cell: FlagCell, S, T, epss) -> np.ndarray:
     """``_EpsView.rows`` without its stack memo: the images the view's
     per-eps' memo lacks are built in one ``vertex_images`` call, then the
     images of the grid are gathered and stacked on every call."""
     if not epss:
-        return np.empty((0, len(cell.carrier.vertices)))
+        return np.empty((len(S), 0, len(cell.carrier.vertices)))
     images = view._images
     if new := list(dict.fromkeys(eps for eps in epss if (cell, eps) not in images)):
         images.update(((cell, eps), P) for eps, P in zip(new, cell.vertex_images(new)))
-    return _contract(s, t, np.stack([images[cell, eps] for eps in epss]))
+    return _contract(S, T, np.stack([images[cell, eps] for eps in epss]))
 
 
 def row_sup(K, y: Point, times, rows, fast, point):

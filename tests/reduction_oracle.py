@@ -1,15 +1,18 @@
 """The per-point reductions that ``metrics._row_sups`` and
-``metrics._first_maxes`` replaced, and the control tables as they read
-them.
+``metrics._first_maxes`` replaced, the per-point rows that the per-cell
+``_EpsView.rows`` replaced, and the control tables as they read them.
 
 ``_first_max``, ``_row_sup`` and ``_diff_sup`` are the moved functions,
 bodies unchanged: a loop over one point's pairs, and one small numpy
-pipeline and one ``_first_max`` per sampled point.
+pipeline and one ``_first_max`` per sampled point.  ``point_rows`` is the
+moved ``_EpsView.rows``: one contraction per point, with the one-point
+einsum of the old ``cellulation._contract``.
 ``h2_sups`` and ``identity_sups`` are ``_StraightLine.sup_ats`` and
-``_H1.identity_sups``, one of those calls per point over the rows of the
-same group pass, so the differential tests see only the reduction change.  The fast masks of the h2 rows are read
-through the ``homotopies`` module, so a test that patches
-``homotopies._canonical_rows`` patches both sides."""
+``_H1.identity_sups``, one of those calls and one ``point_rows`` per point
+over the rows of the same group pass, so the differential tests see only
+the change of the reduction and of the row formation.  The fast masks of
+the h2 rows are read through the ``homotopies`` module, so a test that
+patches ``homotopies._canonical_rows`` patches both sides."""
 
 import numpy as np
 
@@ -50,6 +53,17 @@ def _diff_sup(times, diffs: np.ndarray, fast, pair) -> tuple[float, float | None
     return _first_max(times, dists.tolist())
 
 
+def point_rows(view, cell, s, t, epss) -> np.ndarray:
+    """The coordinates over ``cell.carrier`` of the cell point (s, t) at
+    each eps' of ``epss``, one row per eps': one contraction of the cell's
+    image stack over that grid, kept in the view's stack memo."""
+    if not epss:
+        return np.empty((0, len(cell.carrier.vertices)))
+    if (key := (cell, tuple(epss))) not in view._stacks:
+        view._stacks[key] = view._stack(*key)
+    return np.einsum("i,j,...ijd->...d", s, t, view._stacks[key])
+
+
 def h2_sups(h2, ys, times) -> dict:
     """``_StraightLine.sup_ats``: one ``_row_sup`` per y."""
     view = h2.view
@@ -57,7 +71,7 @@ def h2_sups(h2, ys, times) -> dict:
     out = {}
     for y in ys:
         cell, (s, t) = view.locate(y)
-        rows = view.rows(cell, s, t, epss)
+        rows = point_rows(view, cell, s, t, epss)
         fast = homotopies._canonical_rows(rows)
         out[y] = _row_sup(view.K, canonical(view.K, y), times, rows, fast, lambda k: view.step(cell, s, t, epss[k]))
     return out
@@ -77,7 +91,7 @@ def identity_sups(h1, xs, times) -> tuple[dict, dict]:
     first, second = {}, {}
     for x, tr, F, fast in _per_point(h1, xs, halves):
         cell, (s, t) = view.locate(tr.y)
-        first[x] = _diff_sup(times, view.rows(cell, s, t, epss) - F[:n], fast[:n], lambda k: distance(
+        first[x] = _diff_sup(times, point_rows(view, cell, s, t, epss) - F[:n], fast[:n], lambda k: distance(
             Y, evaluate_map(f, tr(halves[k])), view.step(cell, s, t, epss[k])))
         second[x] = _diff_sup(times, F[n:-1] - F[-1], fast[n:-1] & fast[-1], lambda k: distance(
             Y, evaluate_map(f, tr(halves[n + k])), evaluate_map(f, tr(0.5))))

@@ -536,37 +536,39 @@ _FRACTIONS = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 @given(_GENS, st.floats(0.01, 0.99), st.data())
 @settings(max_examples=150, deadline=None)
 def test_rows_match_the_per_row_loop(gens, frac, data):
-    """Every row of a cell point, over eps' grids with repeats, with 0.0 and
-    empty, is the per-row einsum's to the bit, on a new view and on one
-    whose image memo holds some of the grid's eps'."""
+    """Every row of up to four points of a cell, over eps' grids with
+    repeats, with 0.0 and empty, is the per-row einsum's to the bit, on a
+    new view and on one whose image memo holds some of the grid's eps'."""
     from plcontrol.homotopies import _EpsView
 
     K = closure_complex([tuple(g) for g in gens])
     view = _EpsView(K, min(comesh_of(K), 1.0) * frac)
     cell = data.draw(st.sampled_from(view.cel.cells))
-    s = _weights(data.draw, len(cell.flag.base.vertices))
-    t = _weights(data.draw, len(cell.flag.chain))
+    points = [(_weights(data.draw, len(cell.flag.base.vertices)), _weights(data.draw, len(cell.flag.chain)))
+              for _ in range(data.draw(st.integers(1, 4)))]
     for fracs in (data.draw(_FRACTIONS), data.draw(_FRACTIONS)):
         fracs += fracs[: data.draw(st.integers(0, len(fracs)))]
         epss = [view.eps * u for u in fracs]
-        got = view.rows(cell, s, t, epss)
-        assert got.shape == (len(epss), len(cell.carrier.vertices))
-        assert got.tobytes() == oracle.rows(cell, s, t, epss).tobytes(), epss
+        got = view.rows(cell, *zip(*points), epss)
+        assert got.shape == (len(points), len(epss), len(cell.carrier.vertices))
+        for R, (s, t) in zip(got, points):
+            assert R.tobytes() == oracle.rows(cell, s, t, epss).tobytes(), epss
 
 
 @pytest.mark.parametrize("name", ["proj_map", "D_4"])
 def test_rows_match_the_gathered_stack_on_verify_traffic(name, monkeypatch):
-    """Every row array of a default verify (3 411 ``rows`` calls on proj_map)
-    has the bytes of the images gathered from the view's per-eps' memo and
-    stacked on that call, and some stacks serve more than one call."""
+    """Every row array of a default verify (1 204 ``rows`` calls on
+    proj_map) has the bytes of the images gathered from the view's per-eps'
+    memo and stacked on that call, and some stacks serve more than one
+    call."""
     from plcontrol import run_verify
     from plcontrol.homotopies import _EpsView
     from plcontrol.verify import THEOREM_CONSISTENT
 
     real, grids, differ = _EpsView.rows, [], []
 
-    def both(view, cell, s, t, epss):
-        got, want = real(view, cell, s, t, epss), oracle.gathered_rows(view, cell, s, t, epss)
+    def both(view, cell, S, T, epss):
+        got, want = real(view, cell, S, T, epss), oracle.gathered_rows(view, cell, S, T, epss)
         grids.append((view, cell, tuple(epss)))
         if got.shape != want.shape or got.tobytes() != want.tobytes():
             differ.append((cell.flag, epss))

@@ -337,9 +337,9 @@ def test_verify_work_stays_within_its_counts():
     of work `scripts/ladder.py` counts, so a counted function that stops
     being called fails here.  Its inversions, distance queries, sample
     draws, cold cellulation builds, fiber locations, cell vertex-image
-    builds, fiber-contraction tracks, ``make_point`` calls and fitting lists
-    built stay at or under 1672, 1560, 6, 13, 296, 168, 296, 14935 and 224:
-    the sampled-sup
+    builds, fiber-contraction tracks, ``make_point`` calls, fitting lists
+    built and cell-point contractions stay at or under 1672, 853, 6, 13,
+    65, 128, 65, 5555, 224 and 889, the counts it makes: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -347,36 +347,40 @@ def test_verify_work_stays_within_its_counts():
     table's comesh/2 row, the assembly reads the per-point sups the control
     table measured, the h2 row measures a point's canonical steps without
     ``distance``, the h1 row and the two h1 identities their reproduced
-    rows without ``distance`` or a point, the h1 track reads ybar off its split of h1(x, 1/2), gamma
-    keeps one fiber track per (sigma, w) for every eps, every point holds
-    Python floats, so that equal fiber points share one track, h1 and h2
-    of one ``family.at(eps)`` build each (cell, eps') image array
-    once, a cell point's rows build the images their memo lacks in one
-    call (the stack of a (cell, time grid) is built from that memo, so
-    the stacks add no image build), an inversion builds no images: a
-    cellulation holds no arrays, and each of the 224 distinct points
-    inverted at the 13 eps has its fitting list built once, on K.  A
-    default verify of proj_map makes at most 333 ``_norms`` calls (2 303
-    with one per sampled point and table): the h2 row measures every point
-    with one call per row width, the h1 row and each h1 identity one per
-    width in each group pass, and the g table one per carrier in each
-    fill."""
+    rows without ``distance`` or a point, the h1 track reads ybar off its
+    split of h1(x, 1/2), gamma keeps one fiber track per (sigma, w) for
+    every eps, every point holds Python floats, so that equal fiber points
+    share one track, h1 and h2 of one ``family.at(eps)`` build each (cell,
+    eps') image array once, a cell's rows build the images their memo
+    lacks in one call (the stack of a (cell, time grid) is built from that
+    memo, so the stacks add no image build), an inversion builds no images:
+    a cellulation holds no arrays, each of the 224 distinct points inverted
+    at the 13 eps has its fitting list built once, on K, and the rows of
+    the h2 row, of each h1 group pass and of the first h1 identity table
+    take one contraction per cell and time grid (2 537 with one per point).
+    A default verify of proj_map makes at most 243 ``_norms`` calls (2 303
+    with one per sampled point and table) and 1 204 contractions (2 714 with
+    one per point): the h2 row measures every point with one call per row
+    width, the h1 row and each h1 identity one per width in each group
+    pass, and the g table one per carrier in each fill."""
     ladder = load_script("ladder")
     with ladder.work_counts() as counts:
         assert run_verify(fresh(fixtures.map_collapse())).overall == THEOREM_CONSISTENT
     assert min(counts.values()) > 0, counts
     assert counts["inversions"] <= 1672
-    assert counts["control distances"] <= 1560
+    assert counts["control distances"] <= 853
     assert counts["sample draws"] <= 6
     assert counts["cellulations built"] <= 13
-    assert counts["fiber locations"] <= 296
-    assert counts["vertex image builds"] <= 168
-    assert counts["fiber tracks"] <= 296
-    assert counts["make_point"] <= 14935
+    assert counts["fiber locations"] <= 65
+    assert counts["vertex image builds"] <= 128
+    assert counts["fiber tracks"] <= 65
+    assert counts["make_point"] <= 5555
     assert counts["fitting lists built"] <= 224
+    assert counts["row contractions"] <= 889
     with ladder.work_counts() as counts:
         assert run_verify(fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
-    assert counts["row norms"] <= 333
+    assert counts["row norms"] <= 243
+    assert counts["row contractions"] <= 1204
 
 
 def test_a_verify_keeps_the_cellulations_built_before_it():
@@ -949,6 +953,14 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings():
         "            s)\n"
     )
     assert counter.code_lines(source) == 5
+
+
+def test_token_counter_counts_every_token_tokenize_reads():
+    """ENCODING, NAME, OP, NUMBER, COMMENT and NEWLINE, then NL for the
+    blank line and ENDMARKER; an empty source holds the first and last."""
+    counter = load_script("count_code_lines")
+    assert counter.token_count("x = 1  # one\n\n") == 8
+    assert counter.token_count("") == 2
 
 
 def _result_line(wall_s: float, rss: float, correct: bool = True) -> dict:

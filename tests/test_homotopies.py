@@ -1023,6 +1023,55 @@ def test_h2_rows_match_the_pair_loop_on_random_maps(f, seed):
             assert scalar.count(0.0) == _based_off_carrier(f.target, eps, pts)
 
 
+# -- the rows of one cell's points against the per-point oracle ---------------------------
+
+def _assert_cell_rows_match_the_per_point_oracle(Y, eps, pts):
+    """At eps, over the control table's time grid, the h1 grids and the
+    empty one: the rows of the points of each cell, one ``_EpsView.rows``
+    call, and of the points of each carrier width, one ``rows_of`` block,
+    are each point's own (``reduction_oracle.point_rows``, on a view of its
+    own), compared by ``repr``, which writes a float exactly; the blocks
+    hold every point once."""
+    from plcontrol.cone import TIME_STEPS
+    from plcontrol.homotopies import _EpsView
+
+    view, alone = _EpsView(Y, eps), _EpsView(Y, eps)
+    located = [view.locate(y) for y in pts]
+    for times in (tuple(np.linspace(0.0, 1.0, TIME_STEPS).tolist()), *H1_GRIDS):
+        epss = tuple(eps * (1.0 - time) for time in times)
+        want = [reduction_oracle.point_rows(alone, cell, s, t, epss).tolist() for cell, (s, t) in located]
+        for cell in dict.fromkeys(cell for cell, _ in located):
+            ps = [p for p, (c, _) in enumerate(located) if c is cell]
+            got = view.rows(cell, *zip(*(located[p][1] for p in ps)), epss)
+            assert repr(got.tolist()) == repr([want[p] for p in ps]), (cell.flag, times)
+        blocks = view.rows_of(located, epss)
+        assert sorted(p for ps, _ in blocks for p in ps) == list(range(len(pts)))
+        for ps, got in blocks:
+            assert repr(got.tolist()) == repr([want[p] for p in ps]), times
+
+
+@pytest.mark.parametrize("name", ["Prism(1)", "D_4"])
+def test_cell_rows_match_the_per_point_oracle(name):
+    """At every schedule eps and every assembly eps of a default verify, on
+    Y samples and on points whose steps leave Y's open carrier."""
+    from plcontrol import assemble_bounded_equivalence
+
+    ladder = load_script("ladder")
+    f = ladder.inputs.prism_map(1) if name == "Prism(1)" else ladder.simplex_prism(4)
+    data = assemble_bounded_equivalence(f, build_family(f), samples=40, seed=0)
+    pts = sample_points(f.target, 120, seed=0) + _near_boundary_points(f.target)
+    for eps in epsilon_schedule(f.target) + [data._eps_at(t) for t in data.t_grid]:
+        _assert_cell_rows_match_the_per_point_oracle(f.target, eps, pts)
+
+
+@given(random_simplicial_maps(), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_cell_rows_match_the_per_point_oracle_on_random_maps(f, seed):
+    pts = sample_points(f.target, 20, seed=seed) + _near_boundary_points(f.target)
+    for eps in epsilon_schedule(f.target):
+        _assert_cell_rows_match_the_per_point_oracle(f.target, eps, pts)
+
+
 # -- the h1 row, read off h2 at min(2t, 1), against the pair loop ------------------------
 
 def _oracle_h1_tracks(f, fam, eps):
@@ -1496,10 +1545,11 @@ def test_group_reduction_matches_the_per_point_oracle_on_random_maps(f, seed, fa
 @given(st.lists(st.integers(1, 5), max_size=6), st.integers(0, 9), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_group_reduction_matches_the_per_point_one_on_edge_groups(widths, n, seed):
-    """Points of mixed widths, with repeated rows, all-zero rows and points,
-    pairs that equal a fast row's norm, and empty grids: each point's (sup,
-    first t, pairs) is ``_diff_sup``'s alone, byte for byte, an exact tie
-    goes to the first t, and an empty grid gives (0.0, None, 0)."""
+    """Points of mixed widths, in one block per width whose points are not
+    consecutive, with repeated rows, all-zero rows and points, pairs that
+    equal a fast row's norm, and empty grids: each point's (sup, first t,
+    pairs) is ``_diff_sup``'s alone, byte for byte, an exact tie goes to the
+    first t, and an empty grid gives (0.0, None, 0)."""
     from plcontrol.metrics import _row_sups
 
     rng = np.random.default_rng(seed)
@@ -1516,7 +1566,9 @@ def test_group_reduction_matches_the_per_point_one_on_edge_groups(widths, n, see
         diffs.append(d)
         fast.append(rng.random(n) < 0.7)
         pairs.append([norm if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0)) for norm in norms])
-    got = _row_sups(times, diffs, fast, lambda p, k: pairs[p][k])
+    blocks = [(ps, np.stack([diffs[p] for p in ps]), np.array([fast[p] for p in ps]))
+              for w in dict.fromkeys(reversed(widths)) for ps in [[p for p, v in enumerate(widths) if v == w]]]
+    got = _row_sups(times, blocks, lambda p, k: pairs[p][k])
     want = [reduction_oracle._diff_sup(times, d, m, pr.__getitem__) for d, m, pr in zip(diffs, fast, pairs)]
     assert repr(got) == repr(want)
     for (best, arg, count), d, m, pr in zip(got, diffs, fast, pairs):
