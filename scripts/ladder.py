@@ -59,8 +59,12 @@ STAGES = {
 # function is counted in every plcontrol namespace that binds it, a method on
 # its class, and a generator function counts 1 per item it yields.
 COUNTS = {
-    # cell inversions
-    "inversions": (cellulation.Cellulation, "invert", None),
+    # points inverted, the rows of each `Cellulation.invert_block` (an
+    # `invert` is a block of one)
+    "inversions": (cellulation.Cellulation, "invert_block", lambda depth, cel, ys, *rest: len(ys)),
+    # block cell checks, one per round of a block and shape of the cells its
+    # points check in that round
+    "inversion blocks": (cellulation.Cellulation, "_check_block", None),
     # fiber splits, two per h1 second-half start-up among them
     "fiber_split": (maps, "fiber_split", None),
     # the groups of points the two h1 identities read in one pass each, one
@@ -102,8 +106,8 @@ COUNTS = {
     # the staircase simplices `fiber_over_barycenter` hands `closure_complex`,
     # summed over the fibers
     "fiber generators": (maps, "closure_complex", lambda depth, generators: len(generators)),
-    # the cells the inversions check
-    "cells tried": (cellulation.Cellulation, "_try_cell", None),
+    # the (point, cell) checks of the inversions, the rows of those blocks
+    "cells tried": (cellulation.Cellulation, "_check_block", lambda depth, cel, cell, C, tol: len(C)),
     # cellulations built, one per complex and exact eps
     "cellulations built": (cellulation.Cellulation, "__init__", None),
     # builds of a cell's vertex images

@@ -15,17 +15,27 @@ to 2 tol, so each level lies in one run of coordinates whose neighbours differ
 by at most the slack plus 2 tol.  Inversion names the flags over y's carrier
 that fit the runs by their (base, chain) vertex masks, builds the cells it has
 not met before, and checks them in flag order (``enumerate_flags``' order):
-O(d log d) for the sort and, away from ties, O(dim) cell checks.  Unless y has
-a coordinate within 2 tol, a cell over a larger carrier reproduces y only with
-zero weight on top levels made of the extra vertices, and then its truncated
-flag, earlier in flag order, reproduces y with the same s and nonzero t.
+O(d log d) for the sort and, away from ties, O(dim) cell checks; at a run of
+r tied coordinates under the level cap the list holds about 4 times the
+ordered Bell number of r flags.  Unless y has a coordinate within 2 tol, a
+cell over a larger carrier reproduces y only with zero weight on top levels
+made of the extra vertices, and then its truncated flag, earlier in flag
+order, reproduces y with the same s and nonzero t.
 
-A cell check (``Cellulation._try_cell``) runs on Python floats: y's
-coordinates, the cell's positions and sizes, and a_j = eps / len_j.  Its
-sums add left to right (``_add``), the order in which numpy reduces fewer
-than 8 elements, and no cell has 8 levels or base vertices, so its (s, t)
-has the bits of the same check on numpy arrays.  The residual is read
-only against tol.
+Points are inverted in blocks (``Cellulation.invert_block``; ``invert`` is
+a block of one).  In round k every point still open checks the k-th cell
+of its list, and a point still open after ``_ROUNDS`` rounds checks the
+rest in one round, the first in flag order that passes winning.  The
+(point, cell) pairs of a round are grouped by the cell's shape, its sizes
+and number of base vertices: gathered in its cell's level order (base
+positions, then those new at each level, ``FlagCell.level_order``), the
+points of a group share one column layout, whatever their cells, and one
+numpy cell check (``Cellulation._check_block``) reads them, with a_j = eps
+/ len_j.  Its sums add one column at a time, left to right (``_add``), the
+order in which numpy reduces fewer than 8 elements, so its (s, t) have the
+bits of the one-point checks on Python floats and on numpy arrays
+(``tests/cellulation_oracle.try_cell``, ``try_cell_arrays``).  The
+residual is read only against tol.
 
 What is kept, and for how long: the eps-free cell of a flag is built the
 first time an inversion names it (or ``Cellulation.cells`` lists every flag)
@@ -166,6 +176,12 @@ class FlagCell:
     def dim(self) -> int:
         return self.flag.dim
 
+    @functools.cached_property
+    def level_order(self) -> list[int]:
+        """The carrier positions of the base vertices, then of those new at
+        each chain level in turn."""
+        return [*self.base_pos, *itertools.chain(*self.own)]
+
     def a_coeffs(self, eps) -> np.ndarray:
         """a[..., j] = eps / |v - sigma_j-hat| (0 where sigma_j is a vertex),
         for one eps or a sequence of them."""
@@ -187,11 +203,13 @@ class FlagCell:
 
 
 _SLACK = 1e-7
+_ROUNDS = 16  # the rounds of one candidate per point before a point checks all it has left
 
 
-def _add(xs: list[float]) -> float:
-    """The sum of xs, added left to right from 0.0 (Python >= 3.12 ``sum``
-    compensates, so it may differ in the last bits)."""
+def _add(xs):
+    """The sum of xs, floats or the columns of a block, added left to right
+    from 0.0 (Python >= 3.12 ``sum`` compensates, so it may differ in the
+    last bits)."""
     return functools.reduce(operator.add, xs, 0.0)
 
 
@@ -319,22 +337,45 @@ class Cellulation:
     # -- inversion ----------------------------------------------------------------
 
     def invert(self, y: Point, tol: float = 1e-9) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
-        """The cell and (s, t) coordinates with evaluate(cell, s, t) == y.
+        """The cell and (s, t) coordinates with evaluate(cell, s, t) == y:
+        ``invert_block`` of y alone."""
+        return self.invert_block([y], tol)[0]
 
-        Exact per-cell linear recovery: level averages of y's coordinates on
-        the vertices entering at each chain level determine t, then the base
-        part determines s.  On cell boundaries the first cell in flag order
-        wins.
-        """
-        y = canonical(self.K, y)
-        fitting = self._fitting_cells(y, tol)
-        for cell in fitting:
-            if (out := self._try_cell(cell, y, tol)) is not None:
-                return cell, out
-        raise InversionError(
-            f"no cell of the eps={self.eps} cellulation reproduces {y} "
-            f"(carrier {y.carrier}, flags tried: {len(fitting)})"
-        )
+    def invert_block(self, ys, tol: float = 1e-9) -> list[tuple[FlagCell, tuple[np.ndarray, np.ndarray]]]:
+        """``invert`` of each point of ``ys``: the first cell of its fitting
+        list (``_fitting_cells``), in flag order, that reproduces it, with
+        its (s, t).  A cell's check is exact linear recovery: the level
+        averages of y's coordinates on the vertices entering at each chain
+        level give t, then the base part gives s.
+
+        In round k every point still open checks its k-th cell; a point
+        still open after ``_ROUNDS`` rounds, which only a tie reaches, checks
+        all its cells left in one round.  The (point, cell) pairs of a round
+        are grouped by the cell's shape (its sizes and number of base
+        vertices), each point's coordinates gathered in its cell's level
+        order (``FlagCell.level_order``), and one ``_check_block`` checks a
+        group."""
+        ys = [canonical(self.K, y) for y in ys]
+        fits = [self._fitting_cells(y, tol) for y in ys]
+        found, todo = {}, range(len(ys))
+        for k in range(_ROUNDS + 1):
+            groups = {}
+            for r in todo:
+                for i, cell in enumerate(fits[r][k : None if k == _ROUNDS else k + 1], k):
+                    groups.setdefault((cell.sizes, len(cell.base_pos)), []).append((r, i, cell))
+            for group in groups.values():
+                C = np.array([[ys[r].coords[p] for p in cell.level_order] for r, _, cell in group])
+                ok, S, T = self._check_block(group[0][2], C, tol)
+                for g in np.flatnonzero(ok).tolist():
+                    r, i, cell = group[g]
+                    if i < found.get(r, (i + 1,))[0]:  # the first in flag order wins
+                        found[r] = i, cell, S[g], T[g]
+            todo = [r for r in todo if r not in found]
+            for r in todo:
+                if k == _ROUNDS or k + 1 >= len(fits[r]):
+                    raise InversionError(f"no cell of the eps={self.eps} cellulation reproduces {ys[r]} "
+                                         f"(carrier {ys[r].carrier}, flags tried: {len(fits[r])})")
+        return [(cell, (s, t)) for _, cell, s, t in map(found.__getitem__, range(len(ys)))]
 
     def _fitting_cells(self, y: Point, tol: float) -> list[FlagCell]:
         """The cells over y's carrier whose flag fits y's sorted coordinates
@@ -348,80 +389,68 @@ class Cellulation:
         kept, cap = K._flag_cells.setdefault(y.carrier, {}), self._level_cap + tol
         return [kept.get(masks) or _flag_cell(K, y.carrier, masks) for masks, top in fits if top <= cap]
 
-    def _try_cell(self, cell: FlagCell, y: Point, tol: float):
-        # On Python floats: y's coordinates are its carrier's, which is the
-        # cell's.  Each sum is an explicit left-to-right add (``_add``), the
-        # order in which numpy reduces fewer than 8 elements; no cell has 8
-        # levels or base vertices, so s and t have the bits that the array
-        # form of this check (``tests/cellulation_oracle.try_cell_arrays``)
-        # gives them, and ``x if x > 0.0 else 0.0`` is np.clip's value.
-        yv, own, sizes = y.coords, cell.own, cell.sizes
-        m1 = len(sizes)
-        a = [self.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()]
-
-        mu = [0.0] * (m1 + 1)  # level averages; level 0's is read only if it owns vertices
-        for j in range(m1 - 1, -1, -1):
-            if own[j]:
-                vals = [yv[p] for p in own[j]]
-                if max(vals) - min(vals) > _SLACK:
-                    return None
-                mu[j] = _add(vals) / len(vals)
-        t = [0.0] * m1
-        for j in range(m1 - 1, 0, -1):
-            ta = (mu[j] - mu[j + 1]) * sizes[j]
-            if ta < -_SLACK:
-                return None
-            t[j] = ta / a[j]
-        # level 0's weight: read off its own vertices or, when it has none or
-        # sigma_0 is a vertex (a_0 = 0, its average then level 1's), what the
-        # levels above leave
-        if own[0] and a[0] > 0.0:
-            t[0] = (mu[0] - mu[1]) * sizes[0] / a[0]
-        elif own[0] and abs((mu[0] - mu[1]) * sizes[0]) > _SLACK:
-            return None
-        else:
-            t[0] = 1.0 - _add(t[1:])
-        if min(t) < -_SLACK or abs(_add(t) - 1.0) > 1e-6:
-            return None
-        ta = [tj * aj for tj, aj in zip(t, a)]
-        mu0 = _add([x / n for x, n in zip(ta, sizes)])
-        if own[0] and abs(mu0 - mu[0]) > _SLACK:
-            return None
-        beta = 1.0 - _add(ta)
-        if beta <= 0.0:
-            return None
-        # s's rounding grows as 1 / beta.  At or below the slack, which only
-        # the cells of a 1-dimensional complex reach, near eps = comesh, s
-        # moves the point by at most beta * sqrt(2): the residual test decides.
-        stable = beta > _SLACK
-        s = [(yv[p] - mu0) / beta for p in cell.base_pos]
-        if stable and min(s) < -_SLACK:
-            return None
-        s = [x if x > 0.0 else 0.0 for x in s]
-        total = _add(s)
-        if (stable and abs(total - 1.0) > 1e-6) or total <= 0.0:
-            return None
-        s = [x / total for x in s]
-        t = [x if x > 0.0 else 0.0 for x in t]
-        total = _add(t)
-        t = [x / total for x in t]
-        # the cell point (s, t) is sum_j t_j a_j chat_j + (1 - sum_j t_j a_j)
-        # s E, the form the solve above inverts: chat_j holds 1 / |sigma_j|
-        # on sigma_j's vertices (the base's and those new at levels <= j),
-        # and row i of E is base vertex i.  Its distance to y is read only
-        # against tol, so that a matmul adding in another order would move a
-        # verdict only at a tie with tol.
-        ta = [tj * aj for tj, aj in zip(t, a)]
-        point = [0.0] * len(yv)
-        for j, x in enumerate(ta):
-            for p in itertools.chain(cell.base_pos, *own[: j + 1]):
-                point[p] += x * (1.0 / sizes[j])
-        w = 1.0 - _add(ta)
-        for p, x in zip(cell.base_pos, s):
-            point[p] += w * x
-        if math.sqrt(_add([(q - c) * (q - c) for q, c in zip(point, yv)])) > tol:
-            return None
-        return np.array(s), np.array(t)
+    def _check_block(self, cell: FlagCell, C: np.ndarray, tol: float):
+        """(per row, whether it passes, its s, its t): the cell check of each
+        row of C, a point's coordinates in the level order of its cell, a
+        cell of ``cell``'s shape over the point's carrier (see the module
+        docstring).  Of the cellulation it reads eps alone, in a_j = eps /
+        len_j.  A row that fails a check goes on through the others, masked,
+        and ``np.where(x > 0.0, x, 0.0)`` is the one-point check's clip."""
+        sizes, nb, m1 = cell.sizes, len(cell.base_pos), len(cell.sizes)
+        a = np.array([self.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()])
+        ends, own0 = [nb, *map(int, sizes)], sizes[0] > nb  # own0: whether level 0 owns columns
+        # level averages, mu[m1] = 0; level 0's is read only if it owns columns
+        ok, mu, T = np.ones(len(C), dtype=bool), [None] * m1 + [0.0], np.empty((len(C), m1))
+        with np.errstate(all="ignore"):
+            for j in range(m1):
+                if (vals := C[:, ends[j] : ends[j + 1]]).shape[1] > 1:
+                    ok &= vals.max(axis=1) - vals.min(axis=1) <= _SLACK
+                if vals.shape[1]:
+                    mu[j] = _add(vals.T) / vals.shape[1]
+            for j in range(m1 - 1, 0, -1):
+                ta = (mu[j] - mu[j + 1]) * sizes[j]
+                ok &= ta >= -_SLACK
+                T[:, j] = ta / a[j]
+            # level 0's weight: read off its own columns or, when it has none or
+            # sigma_0 is a vertex (a_0 = 0, its average then level 1's), what the
+            # levels above leave
+            if own0 and a[0] > 0.0:
+                T[:, 0] = (mu[0] - mu[1]) * sizes[0] / a[0]
+            else:
+                if own0:
+                    ok &= abs((mu[0] - mu[1]) * sizes[0]) <= _SLACK
+                T[:, 0] = 1.0 - _add(T[:, 1:].T)
+            ok &= (T >= -_SLACK).all(axis=1) & (abs(_add(T.T) - 1.0) <= 1e-6)
+            TA = T * a
+            mu0 = _add((TA / sizes).T)
+            if own0:
+                ok &= abs(mu0 - mu[0]) <= _SLACK
+            beta = 1.0 - _add(TA.T)
+            ok &= beta > 0.0
+            # s's rounding grows as 1 / beta.  At or below the slack, which only
+            # the cells of a 1-dimensional complex reach, near eps = comesh, s
+            # moves the point by at most beta * sqrt(2): the residual test decides.
+            stable = beta > _SLACK
+            S = (C[:, :nb] - mu0[:, None]) / beta[:, None]
+            ok &= ~stable | (S >= -_SLACK).all(axis=1)
+            S = np.where(S > 0.0, S, 0.0)
+            total = _add(S.T)
+            ok &= (~stable | (abs(total - 1.0) <= 1e-6)) & (total > 0.0)
+            S /= total[:, None]
+            T = np.where(T > 0.0, T, 0.0)
+            T /= _add(T.T)[:, None]
+            # the cell point (s, t) is sum_j t_j a_j chat_j + (1 - sum_j t_j a_j)
+            # s E, the form the solve above inverts: chat_j holds 1 / |sigma_j|
+            # on sigma_j's columns (the base's and those new at levels <= j),
+            # and row i of E is base column i.  Its distance to y is read only
+            # against tol, so that a sum in another order would move a verdict
+            # only at a tie with tol.
+            TA, P = T * a, np.zeros_like(C)
+            for j in range(m1):
+                P[:, : ends[j + 1]] += (TA[:, j] * (1.0 / sizes[j]))[:, None]
+            P[:, :nb] += (1.0 - _add(TA.T))[:, None] * S
+            ok &= np.sqrt(((P - C) ** 2).sum(axis=1)) <= tol
+        return ok, S, T
 
     # -- reporting ----------------------------------------------------------------
 

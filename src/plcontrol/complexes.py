@@ -360,6 +360,31 @@ def _row_point(K: SimplicialComplex, vertices, row: np.ndarray) -> Point:
     return Point(K._by_labels[frozenset(v for v, _ in kept)], tuple(c for _, c in kept))
 
 
+def _scatter(sigma: Simplex, pairs: list) -> np.ndarray:
+    """One row over sigma's vertices per (face of sigma, values) pair: the
+    values at the face's vertices, 0 off the face."""
+    rows = np.zeros((len(pairs), len(sigma.vertices)))
+    for row, (face, values) in zip(rows, pairs):
+        row[[sigma.vertices.index(v) for v in face.vertices]] = values
+    return rows
+
+
+def _rows_over(sigma: Simplex, points) -> np.ndarray:
+    """The coordinates of each point over sigma's vertices, one row per
+    point (0 off its carrier, which lies in sigma)."""
+    return _scatter(sigma, [(p.carrier, p.coords) for p in points])
+
+
+def _weight_rows(sigma: Simplex, faces, weights) -> np.ndarray:
+    """One row over sigma's vertices per face of sigma and its weights, as
+    ``make_point`` reads them: weights at or below TOL dropped, the rest
+    divided by their sum (``_row_sums``), 0 off the face, so that
+    ``_row_point`` of a row is ``make_point``'s point."""
+    rows = _scatter(sigma, list(zip(faces, weights)))
+    rows[rows <= TOL] = 0.0
+    return rows / _row_sums(rows)[:, None]
+
+
 def canonical(K: SimplicialComplex, p: Point, tol: float = TOL) -> Point:
     """Drop (near-)zero coordinates so the carrier is minimal.
 

@@ -14,14 +14,17 @@ h1 track starts from (``FlagMap._splits``).  Neither depends on eps, so
 every ``family.at(eps)`` reads them, and one ``run_verify`` splits each
 sampled x once.  What one ``ControlledFamily.at(eps)`` shares among its
 g, h1 and h2 has one owner, an ``_EpsView``: the cellulation that
-``build_cellulation`` keeps at exactly that eps, a locate memo, the cell
-vertex images at each eps' = eps (1 - t) that the steps read and their
-stacks per (cell, time grid) (``_EpsView.rows``, ``step`` is its one-row
-case), and the g table (``_EpsView.g_table``): per distinct point it
-locates for g, gamma on its cell evaluated once, with the join and image
-of g_eps there read off one ``maps._joined_image_rows`` per maximal
-simplex of Y in each fill.  It dies with the closures built over
-it; ``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each
+``build_cellulation`` keeps at exactly that eps, a locate memo, filled by
+one ``Cellulation.invert_block`` per batch of new points (``locate_all``:
+each g table fill, h2 row and ``_H1._passes`` call locates its points at
+once), the cell vertex images at each eps' = eps (1 - t) that the steps
+read and their stacks per (cell, time grid) (``_EpsView.rows``, ``step``
+is its one-row case), and the g table (``_EpsView.g_table``): per
+distinct point it locates for g, gamma on its cell evaluated once, with
+the join and image of g_eps there read off one
+``maps._joined_image_rows`` per maximal simplex of Y in each fill, whose
+base rows are read off the located s.  It dies with the closures built
+over it; ``straightline_homotopy``, ``build_inverse`` and ``build_h1`` each
 build their own.  Its g (``_GInverse``) and its h2 (``_StraightLine``)
 read it to measure their control rows as arrays (each ``sup_ats``): g off
 its table, h2 over the time grid per cell of the sampled points, where
@@ -78,6 +81,8 @@ from .complexes import (
     _check_nonnegative,
     _face_poset,
     _row_point,
+    _rows_over,
+    _weight_rows,
     barycenter,
     canonical,
     make_point,
@@ -223,15 +228,17 @@ class FlagMap:
             w = self.gamma_chain(sub, np.delete(u, j0))
         return self.contract_in_fiber(chain[0], w, 1.0 - lam)
 
-    def cell_parts(self, chain: tuple[Simplex, ...], base: Simplex, s: np.ndarray, t: np.ndarray) -> tuple[Point, Point]:
-        """(the chain value, the base point with weights s): full gamma on
-        the flag cell is their join."""
-        return self.gamma_chain(chain, t), make_point(self.f.target, dict(zip(base.vertices, s)))
+    def cell_parts(self, chain: tuple[Simplex, ...], s: np.ndarray, t: np.ndarray) -> tuple[Point, np.ndarray]:
+        """(the chain value, the weights s of the base point over the base's
+        vertices, as given): full gamma on the flag cell is the join of the
+        chain value and that point.  Every value of g reads s through here."""
+        return self.gamma_chain(chain, t), s
 
     def eval_cell(self, chain: tuple[Simplex, ...], base: Simplex, s: np.ndarray, t: np.ndarray) -> Point:
         """Full gamma on the flag cell: spread the chain value over the base
         point with weights s through the product structure."""
-        return self.trivialization.join(*self.cell_parts(chain, base, s, t))
+        w, s = self.cell_parts(chain, s, t)
+        return self.trivialization.join(w, make_point(self.f.target, dict(zip(base.vertices, s))))
 
 
 def build_gamma_map(
@@ -280,10 +287,11 @@ def build_gamma_map(
 class _EpsView:
     """What one ``ControlledFamily.at(eps)`` shares among its g, h1 and h2:
     the cellulation of K that ``build_cellulation`` keeps at eps, eps itself,
-    a locate memo (a miss calls ``cel.invert``, so each distinct point is
-    inverted once), the cell vertex images that the steps read, keyed by
-    (cell, eps'), their stacks, keyed by (cell, the exact eps' grid), and
-    the g table (``g_table``), keyed by located point.  ``rows`` contracts
+    a locate memo (``locate_all`` inverts the points it lacks in one
+    ``cel.invert_block``, so each distinct point is inverted once, and
+    ``locate`` reads it), the cell vertex images that the steps read,
+    keyed by (cell, eps'), their stacks, keyed by (cell, the exact eps'
+    grid), and the g table (``g_table``), keyed by located point.  ``rows`` contracts
     one stack with every point of its cell that a caller holds, so the h2
     row, each h1 group pass and the first h1 identity table make one
     contraction per (cell, time grid), and ``step`` is its one-row case.
@@ -297,10 +305,14 @@ class _EpsView:
         self._located, self._images, self._stacks, self._g = {}, {}, {}, {}
 
     def locate(self, y: Point) -> tuple[FlagCell, tuple[np.ndarray, np.ndarray]]:
-        hit = self._located.get(y)
-        if hit is None:
-            hit = self._located[y] = self.cel.invert(y)
-        return hit
+        return self._located.get(y) or self.locate_all((y,))[0]
+
+    def locate_all(self, ys) -> list:
+        """``locate`` of each y of ``ys``: the distinct points the memo lacks
+        are inverted in one ``cel.invert_block``."""
+        if new := [y for y in dict.fromkeys(ys) if y not in self._located]:
+            self._located.update(zip(new, self.cel.invert_block(new)))
+        return [self._located[y] for y in ys]
 
     def rows(self, cell: FlagCell, S, T, epss) -> np.ndarray:
         """The coordinates over ``cell.carrier`` of each cell point (S[p],
@@ -339,37 +351,39 @@ class _EpsView:
         return canonical(self.K, Point(cell.carrier, tuple(self.rows(cell, [s], [t], (eps,))[0, 0].tolist())))
 
     def g_table(self, gamma: FlagMap, ys) -> dict:
-        """The g table: located point y -> (the chain value w and base point
-        b of g_eps(y) = join(w, b) (``FlagMap.cell_parts``), f(g_eps(y)),
-        made on call, then d_Y(y, f(g_eps(y))) or None), filled for the ys
-        it lacks, so gamma is evaluated once per distinct point.  The ys
-        are grouped by a maximal simplex tau of Y over their carrier
-        (``_by_top``): the joins and their images are one
-        ``maps._joined_image_rows`` over tau, and the distances one array
-        per carrier.  A row it does not reproduce, and every row of another
-        trivialization, takes the scalar join and image, with no
-        distance."""
-        f, triv, new = gamma.f, gamma.trivialization, []
-        for y in dict.fromkeys(ys):
-            if y not in self._g:
-                cell, (s, t) = self.locate(y)
-                new.append((cell.carrier, (y, *gamma.cell_parts(cell.flag.chain, cell.flag.base, s, t))))
-        for tau, by_carrier in _by_top(self.K, new).items():
+        """The g table: located point y -> (the chain value w and the base
+        point b of g_eps(y) = join(w, b) (``FlagMap.cell_parts``), b and
+        f(g_eps(y)) each made on call, then d_Y(y, f(g_eps(y))) or None),
+        filled for the ys it lacks, so gamma is evaluated once per distinct
+        point.  The ys are located in one ``locate_all`` and grouped by a
+        maximal simplex tau of Y over their carrier (``_by_top``).  Their
+        base rows over tau are read off the weights s as ``make_point``
+        reads them (``_weight_rows``), and b is the point of its row.  The
+        joins and their images are one ``maps._joined_image_rows`` over tau,
+        and the distances one array per carrier.  A row it does not
+        reproduce, and every row of another trivialization, takes the
+        scalar join and image, with no distance."""
+        f, triv, Y = gamma.f, gamma.trivialization, self.K
+        ys = [y for y in dict.fromkeys(ys) if y not in self._g]
+        new = [(cell.carrier, (y, cell.flag.base, *gamma.cell_parts(cell.flag.chain, s, t)))
+               for y, (cell, (s, t)) in zip(ys, self.locate_all(ys))]
+        for tau, by_carrier in _by_top(Y, new).items():
             group = [entry for entries in by_carrier.values() for entry in entries]
-            ys_, ws, bases = zip(*group)
-            ok = [False] * len(group)
+            ys_, bases, ws, ss = zip(*group)
+            B, ok = _weight_rows(tau, bases, ss), [False] * len(group)
             if _joins(gamma):
-                F, ok = _joined_image_rows(f, tau, ws, _rows_over(tau, bases))
+                F, ok = _joined_image_rows(f, tau, ws, B)
                 # y canonical: the inversion read the cells over y's carrier
-                D, dists = _rows_over(tau, [canonical(self.K, y) for y in ys_]) - F, []
+                D, dists = _rows_over(tau, [canonical(Y, y) for y in ys_]) - F, []
                 for sigma, entries in by_carrier.items():
                     k = len(dists)
                     dists += _norms(D[k : k + len(entries)][:, [tau.vertices.index(v) for v in sigma.vertices]])
-            for k, (y, w, b) in enumerate(group):
+            for k, (y, w) in enumerate(zip(ys_, ws)):
+                b = functools.partial(_row_point, Y, tau.vertices, B[k])
                 if ok[k]:
-                    self._g[y] = (w, b, functools.partial(_row_point, self.K, tau.vertices, F[k]), dists[k])
+                    self._g[y] = (w, b, functools.partial(_row_point, Y, tau.vertices, F[k]), dists[k])
                 else:
-                    self._g[y] = (w, b, functools.partial(evaluate_map, f, triv.join(w, b)), None)
+                    self._g[y] = (w, b, functools.partial(evaluate_map, f, triv.join(w, b())), None)
         return self._g
 
 
@@ -402,7 +416,7 @@ class _StraightLine(Homotopy):
         measures every y."""
         view = self.view
         epss = tuple(view.eps * (1.0 - time) for time in times)
-        cells = [view.locate(y) for y in ys]
+        cells = view.locate_all(ys)
         # y canonical: the inversion read the cells over y's carrier
         anchors = [canonical(view.K, y) for y in ys]
         blocks = [(ps, np.array([anchors[p].coords for p in ps])[:, None] - R, _canonical_rows(R.reshape(-1, R.shape[2])))
@@ -465,11 +479,14 @@ class _GInverse(PLEvaluator):
                 for y in ys for cell, (s, t) in [view.locate(y)]}
 
 
-def _inverse(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> PLEvaluator:
-    def fn(y: Point) -> Point:
-        return gamma.trivialization.join(*view.g_table(gamma, (y,))[y][:2])
+def _g_value(gamma: FlagMap, view: _EpsView, y: Point) -> Point:
+    """g_eps(y) = join(w, b), off the g table of ``view``."""
+    w, b = view.g_table(gamma, (y,))[y][:2]
+    return gamma.trivialization.join(w, b())
 
-    return _GInverse(domain=f.target, codomain=f.source, fn=fn, gamma=gamma, view=view)
+
+def _inverse(f: SimplicialMap, gamma: FlagMap, view: _EpsView) -> PLEvaluator:
+    return _GInverse(domain=f.target, codomain=f.source, fn=functools.partial(_g_value, gamma, view), gamma=gamma, view=view)
 
 
 def build_h1(f: SimplicialMap, eps: float, gamma: FlagMap) -> Homotopy:
@@ -530,7 +547,7 @@ def _start(gamma: FlagMap, view: _EpsView, tr: _H1Track) -> None:
     join that the g table holds for f(x), so gamma is not evaluated again."""
     triv = gamma.trivialization
     w_a, ybar = triv.split(tr.step(0.0))
-    w_b = triv.split(triv.join(*view.g_table(gamma, (tr.y,))[tr.y][:2]))[0]
+    w_b = triv.split(_g_value(gamma, view, tr.y))[0]
     tr._second = ybar, gamma.fiber_track(ybar.carrier, w_a), gamma.fiber_track(ybar.carrier, w_b)
 
 
@@ -584,9 +601,9 @@ class _H1(Homotopy):
         points, their tracks, per point the joined rows F, over the carrier
         of f(x) one row per time, and fast, one row per point).
 
-        The points are grouped by a maximal simplex tau of Y over the
-        carrier of f(x), read off gamma's split memo, one group's tracks at
-        a time.  Each x's rows are read off its track: the first half (t <=
+        The f(x), read off gamma's split memo, are located in one
+        ``_EpsView.locate_all``, and the points grouped by a maximal simplex
+        tau of Y over the carrier of f(x), one group's tracks at a time.  Each x's rows are read off its track: the first half (t <=
         1/2) is the steps at eps' = eps (1 - 2t), one ``_EpsView.rows_of``
         block per carrier width of the group, joined to the fiber part z,
         and the second half joins the
@@ -600,7 +617,8 @@ class _H1(Homotopy):
         gamma joins in f's own join coordinates (``_joins``); for another
         trivialization no row is fast."""
         f, Y, n = self.f, self.f.target, len(times)
-        groups = _by_top(Y, [(canonical(Y, self.gamma.split(x)[1]).carrier, x) for x in xs])
+        located = self.view.locate_all([self.gamma.split(x)[1] for x in xs])
+        groups = _by_top(Y, [(cell.carrier, x) for x, (cell, _) in zip(xs, located)])
         late = np.array([time > 0.5 for time in times])
         early = np.flatnonzero(~late)
         epss = tuple(self.view.eps * (1.0 - 2.0 * time) for time in times if time <= 0.5)
@@ -763,15 +781,6 @@ def sampled_sup(
     number of pairs evaluated.  ``tracks`` runs once per distinct sample, so
     per-point setup such as a cellulation inversion belongs there."""
     return _fold(points, _pair_sups(M, points, tuple(map(float, times)), tracks))
-
-
-def _rows_over(sigma: Simplex, points) -> np.ndarray:
-    """The coordinates of each point over sigma's vertices, one row per
-    point (0 off its carrier, which lies in sigma)."""
-    rows = np.zeros((len(points), len(sigma.vertices)))
-    for row, p in zip(rows, points):
-        row[[sigma.vertices.index(v) for v in p.carrier.vertices]] = p.coords
-    return rows
 
 
 def _joins(gamma: FlagMap) -> bool:

@@ -4,8 +4,10 @@ carrier contains the point's carrier, the eager build of every flag cell
 with its global (base, chain) index and the candidate lookup through it,
 which the cells built on demand replaced, the enumeration of a point's
 fitting flags at each eps and the inversion through it, which the
-per-point fitting lists replaced, the cell check on numpy arrays that
-the float kernel of ``Cellulation._try_cell`` replaced, the per-row loops
+per-point fitting lists replaced, the cell check on Python floats
+(``try_cell``) and the one-point inversion through it (``scalar_invert``),
+which the block check of ``Cellulation.invert_block`` replaced, the cell
+check on numpy arrays that the float kernel replaced, the per-row loops
 that formed a cell point's rows one eps' at a time and measured each fast
 row on its own, the rows that gathered and stacked a cell's images on
 every call, which the per-grid image stacks replaced, and the h1 built
@@ -35,7 +37,7 @@ from plcontrol import (
     distance,
     evaluate_map,
 )
-from plcontrol.cellulation import _SLACK, _contract, _flag_cell, _ordered_partitions, enumerate_flags
+from plcontrol.cellulation import _SLACK, _add, _contract, _flag_cell, _ordered_partitions, enumerate_flags
 from plcontrol.metrics import vertex_barycenter_distance
 import homotopy_oracle
 from reduction_oracle import _first_max
@@ -127,10 +129,10 @@ def fitting_cells(cel: Cellulation, y: Point, tol: float) -> list[IndexedCell]:
 
 def indexed_invert(cel: Cellulation, y: Point, tol: float = 1e-9):
     """``Cellulation.invert`` over the eager index: the first fitting cell,
-    in index order, that ``Cellulation._try_cell`` accepts, with its (s, t)."""
+    in index order, that ``try_cell`` accepts, with its (s, t)."""
     y = canonical(cel.K, y)
     for cell in fitting_cells(cel, y, tol):
-        if (out := Cellulation._try_cell(cel, cell, y, tol)) is not None:
+        if (out := try_cell(cel, cell, y, tol)) is not None:
             return cell, out
     raise InversionError(f"no cell of the eps={cel.eps} cellulation reproduces {y}")
 
@@ -169,11 +171,11 @@ def fitting_cells_per_eps(cel: Cellulation, y: Point, tol: float) -> list[FlagCe
 
 def invert_per_eps(cel: Cellulation, y: Point, tol: float = 1e-9):
     """``Cellulation.invert`` over ``fitting_cells_per_eps``: the first
-    fitting cell, in flag order, that ``Cellulation._try_cell`` accepts,
+    fitting cell, in flag order, that ``try_cell`` accepts,
     with its (s, t)."""
     y = canonical(cel.K, y)
     for cell in fitting_cells_per_eps(cel, y, tol):
-        if (out := Cellulation._try_cell(cel, cell, y, tol)) is not None:
+        if (out := try_cell(cel, cell, y, tol)) is not None:
             return cell, out
     raise InversionError(f"no cell of the eps={cel.eps} cellulation reproduces {y}")
 
@@ -252,8 +254,118 @@ def _try_cell(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
     return s, t
 
 
+def try_cell(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
+    """The cell check of one point on Python floats, the kernel that
+    ``Cellulation._check_block`` replaced: (s, t), or None where it fails.
+    y is canonical and ``cell.carrier`` is its carrier."""
+    # On Python floats: y's coordinates are its carrier's, which is the
+    # cell's.  Each sum is an explicit left-to-right add (``_add``), the
+    # order in which numpy reduces fewer than 8 elements; no cell has 8
+    # levels or base vertices, so s and t have the bits that the array
+    # form of this check (``tests/cellulation_oracle.try_cell_arrays``)
+    # gives them, and ``x if x > 0.0 else 0.0`` is np.clip's value.
+    yv, own, sizes = y.coords, cell.own, cell.sizes
+    m1 = len(sizes)
+    a = [cel.eps / n if n > 0.0 else 0.0 for n in cell.lengths.tolist()]
+
+    mu = [0.0] * (m1 + 1)  # level averages; level 0's is read only if it owns vertices
+    for j in range(m1 - 1, -1, -1):
+        if own[j]:
+            vals = [yv[p] for p in own[j]]
+            if max(vals) - min(vals) > _SLACK:
+                return None
+            mu[j] = _add(vals) / len(vals)
+    t = [0.0] * m1
+    for j in range(m1 - 1, 0, -1):
+        ta = (mu[j] - mu[j + 1]) * sizes[j]
+        if ta < -_SLACK:
+            return None
+        t[j] = ta / a[j]
+    # level 0's weight: read off its own vertices or, when it has none or
+    # sigma_0 is a vertex (a_0 = 0, its average then level 1's), what the
+    # levels above leave
+    if own[0] and a[0] > 0.0:
+        t[0] = (mu[0] - mu[1]) * sizes[0] / a[0]
+    elif own[0] and abs((mu[0] - mu[1]) * sizes[0]) > _SLACK:
+        return None
+    else:
+        t[0] = 1.0 - _add(t[1:])
+    if min(t) < -_SLACK or abs(_add(t) - 1.0) > 1e-6:
+        return None
+    ta = [tj * aj for tj, aj in zip(t, a)]
+    mu0 = _add([x / n for x, n in zip(ta, sizes)])
+    if own[0] and abs(mu0 - mu[0]) > _SLACK:
+        return None
+    beta = 1.0 - _add(ta)
+    if beta <= 0.0:
+        return None
+    # s's rounding grows as 1 / beta.  At or below the slack, which only
+    # the cells of a 1-dimensional complex reach, near eps = comesh, s
+    # moves the point by at most beta * sqrt(2): the residual test decides.
+    stable = beta > _SLACK
+    s = [(yv[p] - mu0) / beta for p in cell.base_pos]
+    if stable and min(s) < -_SLACK:
+        return None
+    s = [x if x > 0.0 else 0.0 for x in s]
+    total = _add(s)
+    if (stable and abs(total - 1.0) > 1e-6) or total <= 0.0:
+        return None
+    s = [x / total for x in s]
+    t = [x if x > 0.0 else 0.0 for x in t]
+    total = _add(t)
+    t = [x / total for x in t]
+    # the cell point (s, t) is sum_j t_j a_j chat_j + (1 - sum_j t_j a_j)
+    # s E, the form the solve above inverts: chat_j holds 1 / |sigma_j|
+    # on sigma_j's vertices (the base's and those new at levels <= j),
+    # and row i of E is base vertex i.  Its distance to y is read only
+    # against tol, so that a matmul adding in another order would move a
+    # verdict only at a tie with tol.
+    ta = [tj * aj for tj, aj in zip(t, a)]
+    point = [0.0] * len(yv)
+    for j, x in enumerate(ta):
+        for p in itertools.chain(cell.base_pos, *own[: j + 1]):
+            point[p] += x * (1.0 / sizes[j])
+    w = 1.0 - _add(ta)
+    for p, x in zip(cell.base_pos, s):
+        point[p] += w * x
+    if math.sqrt(_add([(q - c) * (q - c) for q, c in zip(point, yv)])) > tol:
+        return None
+    return np.array(s), np.array(t)
+
+
+def scalar_invert(cel: Cellulation, y: Point, tol: float = 1e-9, check=None):
+    """``Cellulation.invert`` one point at a time, as it was before blocks:
+    the first cell of y's fitting list that ``check`` (``try_cell`` by
+    default) accepts, with its (s, t), or the ``InversionError`` that names
+    y and the flags tried."""
+    y = canonical(cel.K, y)
+    fitting = cel._fitting_cells(y, tol)
+    for cell in fitting:
+        if (out := (check or try_cell)(cel, cell, y, tol)) is not None:
+            return cell, out
+    raise InversionError(
+        f"no cell of the eps={cel.eps} cellulation reproduces {y} "
+        f"(carrier {y.carrier}, flags tried: {len(fitting)})"
+    )
+
+
+def location_bytes(located) -> list:
+    """Each (cell, (s, t)) of a list of located points as (cell, the bytes
+    of s, the bytes of t): two lists compare equal when they name the same
+    cells, by identity, with s and t equal to the bit."""
+    return [(cell, s.tobytes(), t.tobytes()) for cell, (s, t) in located]
+
+
+def try_cell_block(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
+    """``Cellulation._check_block`` on the one row of y, gathered in
+    ``cell``'s level order: (s, t), or None where it fails.  y is canonical
+    and ``cell.carrier`` is its carrier."""
+    ok, S, T = cel._check_block(cell, np.array([y.coords])[:, cell.level_order], tol)
+    return (S[0], T[0]) if ok[0] else None
+
+
 def try_cell_arrays(cel: Cellulation, cell: FlagCell, y: Point, tol: float):
-    """``Cellulation._try_cell`` as numpy arrays: the same checks, slacks and
+    """``try_cell`` as numpy arrays: the same checks, slacks and
     sums, with a cell point's residual formed through ``cell.E`` and
     ``cell.chat``.  y is canonical and ``cell.carrier`` is its carrier."""
     slack = 1e-7

@@ -1,7 +1,7 @@
 """Small helpers that only the tests use: a point's coordinate at a vertex
 label, whether labels span a simplex of a complex, a complex's Euler
-characteristic, a map over new copies of its complexes and a script of
-``scripts/`` loaded as a module."""
+characteristic, a map over new copies of its complexes, the tie maps and a
+script of ``scripts/`` loaded as a module."""
 
 from __future__ import annotations
 
@@ -41,6 +41,15 @@ def fresh(f: SimplicialMap) -> SimplicialMap:
         for K in (f.source, f.target)
     )
     return SimplicialMap(X, Y, dict(f.vertex_map))
+
+
+def tie_map(d: int, k: int) -> SimplicialMap:
+    """The source simplex {a0..a(k-1), b1..bd} onto Δ^d = {v0..vd}, every
+    a_i onto v0 and b_j onto v_j: f sends the barycenters of faces of the
+    source onto points of Δ^d with d tied coordinates."""
+    a, b = [f"a{i}" for i in range(k)], [f"b{j}" for j in range(1, d + 1)]
+    Y = closure_complex([tuple(f"v{j}" for j in range(d + 1))])
+    return SimplicialMap(closure_complex([(*a, *b)]), Y, {**dict.fromkeys(a, "v0"), **{v: f"v{v[1:]}" for v in b}})
 
 
 def load_script(name: str):

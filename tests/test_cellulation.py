@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from plcontrol import (
     distance,
     enumerate_flags,
     gamma_vertex,
+    make_point,
     min_distance_to_simplex,
     straightline_homotopy,
     subdivision_points,
@@ -348,14 +350,16 @@ def test_invert_matches_scan_oracle(case):
 
 
 def assert_tries_like_arrays(cel, y, tol=1e-9):
-    """On every cell that fits y, the float kernel and the array oracle
-    both reject y, or both accept it with the same s and t bytes."""
+    """On every cell that fits y, the block check, the float oracle and the
+    array oracle all reject y, or all accept it with the same s and t
+    bytes."""
     y = canonical(cel.K, y)
     for cell in cel._fitting_cells(y, tol):
-        got, want = cel._try_cell(cell, y, tol), oracle.try_cell_arrays(cel, cell, y, tol)
-        assert (got is None) == (want is None), (y, cell.flag)
-        if got is not None:
-            assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (y, cell.flag)
+        got = oracle.try_cell_block(cel, cell, y, tol)
+        for want in (oracle.try_cell(cel, cell, y, tol), oracle.try_cell_arrays(cel, cell, y, tol)):
+            assert (got is None) == (want is None), (y, cell.flag)
+            if got is not None:
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (y, cell.flag)
 
 
 @given(inversion_cases())
@@ -387,25 +391,99 @@ def test_invert_matches_scan_oracle_on_schedule(name, k):
 
 
 def test_invert_counts_inversions_and_cells_tried(rng):
-    """50 inversions of generic interior points check 50 to 200 cells, as
-    the work counter of `scripts/ladder.py` reads them."""
+    """One block of 50 generic interior points checks 50 to 200 cells in at
+    most 4 block checks per round, as the work counter of
+    `scripts/ladder.py` reads them."""
     cel = build_cellulation(closure_complex([("a", "b", "c")]), 0.1)
     s = cel.K.simplex(["a", "b", "c"])
     ys = [canonical(cel.K, Point(s, tuple(rng.dirichlet(np.ones(3))))) for _ in range(50)]
     with load_script("ladder").work_counts() as counts:
-        for y in ys:
-            cel.invert(y)
+        located = cel.invert_block(ys)
     assert counts["inversions"] == 50
     # a generic interior point fits a handful of flags and the first usually holds
     assert 50 <= counts["cells tried"] <= 4 * 50
+    # an interior cell of the triangle has one of 4 shapes (base sizes 1-3 and
+    # 1-2 levels), and a point of it fits at most 4 cells
+    assert 1 <= counts["inversion blocks"] <= 4 * 4
+    assert oracle.location_bytes(located) == oracle.location_bytes([oracle.scalar_invert(cel, y) for y in ys])
+
+
+@functools.cache
+def _simplex(d):
+    return closure_complex([tuple("abcdef"[: d + 1])])
+
+
+@st.composite
+def tie_blocks(draw):
+    """A cellulation of Δ^d, d <= 5, at comesh/2^k, and a block of 1 to 6
+    of its points whose weights come from a small value set, so that their
+    coordinates tie; zero weights put points of several faces, so of
+    several carriers, in one block."""
+    d = draw(st.integers(1, 5))
+    K = _simplex(d)
+    cel = build_cellulation(K, comesh_of(K) / 2 ** draw(st.integers(1, 3)))
+    values = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 20, 40]), min_size=1, max_size=3, unique=True))
+    ys = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = draw(st.lists(st.sampled_from([0, *values]), min_size=d + 1, max_size=d + 1).filter(any))
+        ys.append(make_point(K, {v: x / sum(w) for v, x in zip(K.vertex_order, w)}))
+    return cel, ys
+
+
+@given(tie_blocks())
+@settings(max_examples=200, deadline=None)
+def test_invert_block_matches_the_scalar_oracle_at_ties(case):
+    """A block of tied points, and each of its points as a block of one,
+    locates every point in the cell, with the s and t, that the scalar
+    oracle finds, to the bit."""
+    cel, ys = case
+    want = oracle.location_bytes([oracle.scalar_invert(cel, y) for y in ys])
+    assert oracle.location_bytes(cel.invert_block(ys)) == want
+    assert oracle.location_bytes([cel.invert_block([y])[0] for y in ys]) == want
+
+
+def test_invert_block_checks_what_a_tie_has_left_in_one_round():
+    """A tie point of Δ^5 (0.8 and five coordinates 0.04, under the level
+    cap at comesh/2) fits 2 163 flags, and only the last in flag order
+    reproduces it.  In a block beside a vertex and an edge's barycenter,
+    which pass at their first cell, it checks one cell in each of the
+    first 16 rounds, then its other 2 147 in one round, one block check per
+    shape, and is located as the scalar oracle locates it."""
+    K = _simplex(5)
+    cel = build_cellulation(K, comesh_of(K) / 2.0)
+    tie = make_point(K, dict(zip("abcdef", [0.8] + [0.04] * 5)))
+    ys = [vertex_point(K, "a"), tie, barycenter(K, K.simplex(["a", "b"]))]
+    assert len(cel._fitting_cells(tie, 1e-9)) == 2163
+    shapes = {(c.sizes, len(c.base_pos)) for c in cel._fitting_cells(tie, 1e-9)[16:]}
+    with load_script("ladder").work_counts() as counts:
+        located = cel.invert_block(ys)
+    assert oracle.location_bytes(located) == oracle.location_bytes([oracle.scalar_invert(cel, y) for y in ys])
+    assert located[1][0] is cel._fitting_cells(tie, 1e-9)[-1]
+    assert (counts["inversions"], counts["cells tried"]) == (3, 2 + 2163)
+    first = len({(c.sizes, len(c.base_pos)) for c in (located[0][0], cel._fitting_cells(tie, 1e-9)[0], located[2][0])})
+    assert counts["inversion blocks"] == first + 15 + len(shapes)
 
 
 def test_inversion_error_names_carrier_and_flags_tried(monkeypatch):
+    """A block whose point no cell reproduces raises the error of that
+    point, with its carrier and the number of flags it tried, also among
+    points that do invert."""
     cel = build_cellulation(closure_complex([("a", "b", "c")]), 0.1)
-    monkeypatch.setattr(cel, "_try_cell", lambda cell, y, tol: None)
     y = barycenter(cel.K, cel.K.simplex(["a", "b"]))
-    with pytest.raises(InversionError, match=r"carrier \{a,b\}, flags tried: 1"):
-        cel.invert(y)
+    with monkeypatch.context() as patch:
+        patch.setattr(cel, "_check_block", lambda cell, C, tol: (np.zeros(len(C), dtype=bool), C, C))
+        with pytest.raises(InversionError, match=r"carrier \{a,b\}, flags tried: 1"):
+            cel.invert(y)
+    real = cel._check_block
+
+    def fails_on_the_edge(cell, C, tol):  # no other point's cell has an edge's shape
+        ok, S, T = real(cell, C, tol)
+        return ok & (cell.carrier != y.carrier), S, T
+
+    monkeypatch.setattr(cel, "_check_block", fails_on_the_edge)
+    ys = [vertex_point(cel.K, "a"), y, barycenter(cel.K, cel.K.simplex(["a", "b", "c"]))]
+    with pytest.raises(InversionError, match=re.escape(f"reproduces {y} (carrier {{a,b}}, flags tried: 1)")):
+        cel.invert_block(ys)
 
 
 def test_straightline_homotopy_identity_at_zero(D2, rng):

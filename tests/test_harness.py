@@ -41,7 +41,7 @@ from plcontrol.cli import main
 from plcontrol.verify import COUNTEREXAMPLE, THEOREM_CONSISTENT, UNKNOWN
 import cellulation_oracle
 import control_oracle
-from helpers import coord_of, fresh, load_script
+from helpers import coord_of, fresh, load_script, tie_map
 
 
 def write_fixture_files(tmp_path):
@@ -338,8 +338,9 @@ def test_verify_work_stays_within_its_counts():
     being called fails here.  Its inversions, distance queries, sample
     draws, cold cellulation builds, fiber locations, cell vertex-image
     builds, fiber-contraction tracks, ``make_point`` calls, fitting lists
-    built and cell-point contractions stay at or under 1672, 853, 6, 13,
-    65, 128, 65, 5555, 224 and 889, the counts it makes: the sampled-sup
+    built, cell-point contractions and block inversion checks stay at or
+    under 1672, 853, 6, 13, 65, 128, 65, 4535, 224, 889 and 74, the counts
+    it makes: the sampled-sup
     kernel rebuilds no h1 track per identity, each of the identities, the
     control table and the assembly draws its Y and X sample sets once, each
     distinct eps builds one cellulation of Y, one ``family.at(eps)`` inverts
@@ -357,12 +358,15 @@ def test_verify_work_stays_within_its_counts():
     a cellulation holds no arrays, each of the 224 distinct points inverted
     at the 13 eps has its fitting list built once, on K, and the rows of
     the h2 row, of each h1 group pass and of the first h1 identity table
-    take one contraction per cell and time grid (2 537 with one per point).
-    A default verify of proj_map makes at most 243 ``_norms`` calls (2 303
-    with one per sampled point and table) and 1 204 contractions (2 714 with
-    one per point): the h2 row measures every point with one call per row
-    width, the h1 row and each h1 identity one per width in each group
-    pass, and the g table one per carrier in each fill."""
+    take one contraction per cell and time grid (2 537 with one per point),
+    g's base points are read off the inversion's weights, and each batch of
+    points a view locates is checked with one block per (round, cell
+    shape), not one per point (1 672).  A default verify of proj_map makes
+    at most 243 ``_norms`` calls (2 303 with one per sampled point and
+    table), 1 204 contractions (2 714 with one per point) and 218 block
+    checks (1 769 points inverted): the h2 row measures every point with
+    one call per row width, the h1 row and each h1 identity one per width
+    in each group pass, and the g table one per carrier in each fill."""
     ladder = load_script("ladder")
     with ladder.work_counts() as counts:
         assert run_verify(fresh(fixtures.map_collapse())).overall == THEOREM_CONSISTENT
@@ -374,13 +378,15 @@ def test_verify_work_stays_within_its_counts():
     assert counts["fiber locations"] <= 65
     assert counts["vertex image builds"] <= 128
     assert counts["fiber tracks"] <= 65
-    assert counts["make_point"] <= 5555
+    assert counts["make_point"] <= 4535
     assert counts["fitting lists built"] <= 224
     assert counts["row contractions"] <= 889
+    assert counts["inversion blocks"] <= 74
     with ladder.work_counts() as counts:
         assert run_verify(fresh(fixtures.proj_map())).overall == THEOREM_CONSISTENT
     assert counts["row norms"] <= 243
     assert counts["row contractions"] <= 1204
+    assert counts["inversion blocks"] <= 218
 
 
 def test_a_verify_keeps_the_cellulations_built_before_it():
@@ -449,30 +455,63 @@ def test_verify_builds_only_the_flag_cells_its_points_name(monkeypatch):
     )
 
 
-def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
-    """Every cell that the default seed-0 verifies of proj_map and
-    map_collapse try (3 809 tries) is checked by the float kernel and by the
-    array oracle alike: both reject it, or both accept it with the same s
-    and t bytes."""
+def test_verify_renders_d6_to_the_byte():
+    """D_6 (1 023 source simplices onto Δ^6) renders its default report to
+    the byte, beside D_5's pin above."""
+    import hashlib
+
+    text = run_verify(load_script("ladder").simplex_prism(6)).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "52a39289454fe331dd1e081ec8d51f5d4b13822a709a07f8045c3fb002bdd233"
+    )
+
+
+def _block_traffic(monkeypatch, checks=(cellulation_oracle.try_cell,)):
+    """While the test runs, each ``Cellulation.invert_block`` call compares
+    every point it locates with ``cellulation_oracle.scalar_invert``
+    through each cell check of ``checks``: the same cell, and s and t with
+    the same bytes (``location_bytes``).  Returns the lists of the points
+    located and of the (eps, check, point) triples that differ."""
     from plcontrol import cellulation
 
-    real = cellulation.Cellulation._try_cell
-    tries, differ = [], []
+    real = cellulation.Cellulation.invert_block
+    points, differ = [], []
 
-    def both(cel, cell, y, tol):
-        got, want = real(cel, cell, y, tol), cellulation_oracle.try_cell_arrays(cel, cell, y, tol)
-        tries.append(cell.flag)
-        same = (got is None) == (want is None)
-        if same and got is not None:
-            same = [v.tobytes() for v in got] == [v.tobytes() for v in want]
-        if not same:
-            differ.append((cel.eps, cell.flag, y))
+    def both(cel, ys, tol=1e-9):
+        got = real(cel, ys, tol)
+        for y, located in zip(ys, got):
+            points.append(y)
+            for check in checks:
+                want = cellulation_oracle.scalar_invert(cel, y, tol, check)
+                if cellulation_oracle.location_bytes([located]) != cellulation_oracle.location_bytes([want]):
+                    differ.append((cel.eps, check.__name__, y))
         return got
 
-    monkeypatch.setattr(cellulation.Cellulation, "_try_cell", both)
+    monkeypatch.setattr(cellulation.Cellulation, "invert_block", both)
+    return points, differ
+
+
+def test_try_cell_matches_the_array_kernel_on_verify_traffic(monkeypatch):
+    """Every point that the default seed-0 verifies of proj_map and
+    map_collapse invert (3 441 points, 3 809 cells tried) is located by
+    the block checks as by the float oracle and as by the array oracle,
+    each one point and one cell check at a time."""
+    checks = (cellulation_oracle.try_cell, cellulation_oracle.try_cell_arrays)
+    points, differ = _block_traffic(monkeypatch, checks)
     for name in ("proj_map", "map_collapse"):
         assert run_verify(fresh(getattr(fixtures, name)())).overall == THEOREM_CONSISTENT
-    assert tries and not differ, differ[:3]
+    assert len(points) == 1769 + 1672 and not differ, differ[:3]
+
+
+@pytest.mark.parametrize("name, inverted", [("Prism(1)", 2491), ("D_4", 2998), ("tie(7, 3)", 8705)], ids=["Prism(1)", "D_4", "tie(7, 3)"])
+def test_invert_block_matches_the_scalar_oracle_on_verify_traffic(name, inverted, monkeypatch):
+    """Every point that the default verify of Prism(1), D_4 or the (7, 3)
+    tie map inverts is located by the blocks as by the scalar oracle."""
+    ladder = load_script("ladder")
+    f = {"Prism(1)": lambda: ladder.inputs.prism_map(1), "D_4": lambda: ladder.simplex_prism(4), "tie(7, 3)": lambda: tie_map(7, 3)}[name]()
+    points, differ = _block_traffic(monkeypatch)
+    assert run_verify(f).overall == THEOREM_CONSISTENT
+    assert len(points) == inverted and not differ, differ[:3]
 
 
 def test_verify_work_per_source_simplex_does_not_grow_with_the_map():

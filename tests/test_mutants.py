@@ -13,6 +13,9 @@ short h1 second-half fiber-track rows name item 10, whose open rows they
 are: h1's two fiber tracks then miss each other at the basepoint, but
 every line that reads h1's second half reads it through f, which a fiber
 track leaves where it is.
+The h2 track rows name item 10 too: h2's own track can leave the
+straight line with no report line moving, and each row probes that its
+mutant is live, since its render is the healthy one.
 The h1 identity rows move h1 off h2's path, the second half's level or
 the first half's steps; the h1 column of the control table is h2's read
 over f(x), so only the two h1 identity lines can see them, and each row
@@ -57,18 +60,18 @@ MAPS = {
 def collar(k: float):
     """The cellulation at k eps that claims to be at eps: the level
     coefficients a_j = eps / len_j of the vertex images and of the inversion
-    are both read at k eps (``_try_cell`` reads nothing of its cellulation
-    but ``eps``).  k = 1.0 changes no bit."""
+    are both read at k eps (``_check_block`` reads nothing of its
+    cellulation but ``eps``).  k = 1.0 changes no bit."""
 
     def patch(monkeypatch, f):
-        a_coeffs, try_cell = cellulation.FlagCell.a_coeffs, cellulation.Cellulation._try_cell
+        a_coeffs, check = cellulation.FlagCell.a_coeffs, cellulation.Cellulation._check_block
         monkeypatch.setattr(
             cellulation.FlagCell, "a_coeffs", lambda cell, eps: a_coeffs(cell, k * np.asarray(eps, dtype=float))
         )
         monkeypatch.setattr(
             cellulation.Cellulation,
-            "_try_cell",
-            lambda cel, cell, y, tol: try_cell(types.SimpleNamespace(eps=k * cel.eps), cell, y, tol),
+            "_check_block",
+            lambda cel, cell, C, tol: check(types.SimpleNamespace(eps=k * cel.eps), cell, C, tol),
         )
 
     return patch
@@ -91,16 +94,17 @@ def collar_images(k: float):
 def tilted_g(monkeypatch, f):
     """g's base weights tilted by 1e-6 from the first vertex of the base to
     the second (a vertex base keeps its weight), so g_eps(y) lies over a
-    point 1e-6 off y: ``FlagMap.cell_parts``, the chain value and base
-    point that every value of g (its table, ``eval_cell``) joins."""
+    point 1e-6 off y: ``FlagMap.cell_parts``, which passes on the weights
+    s of the base point that every value of g (its table, ``eval_cell``)
+    joins to the chain value."""
     real = homotopies.FlagMap.cell_parts
 
-    def tilted(gamma, chain, base, s, t):
+    def tilted(gamma, chain, s, t):
         s = np.array(s, dtype=float)
         if len(s) > 1:
             s[0] += 1e-6
             s[1] -= 1e-6
-        return real(gamma, chain, base, s, t)
+        return real(gamma, chain, s, t)
 
     monkeypatch.setattr(homotopies.FlagMap, "cell_parts", tilted)
 
@@ -267,6 +271,39 @@ def reweighted_first_half(k: float):
     return patch
 
 
+def h2_track_ahead(k: float):
+    """h2's own track stepping at eps (1 + k t) instead of eps (1 - t)
+    (``homotopies._straightline``), while h2's row reads the view's
+    ``rows`` and ``step`` at eps (1 - t).  k = -1.0 changes no bit."""
+
+    def patch(monkeypatch, f):
+        real = homotopies._straightline
+
+        def straightline(view):
+            def track_factory(y):
+                cell, (s, t) = view.locate(y)
+                return lambda time: view.step(cell, s, t, view.eps * (1.0 + k * time))
+
+            return replace(real(view), track_factory=track_factory)
+
+        monkeypatch.setattr(homotopies, "_straightline", straightline)
+
+    return patch
+
+
+def h2_track_moved(f) -> bool:
+    """Whether h2's own track at comesh/2 leaves the straight line of its
+    row: at t = 1/2 some sampled point's track is not the step of its cell
+    at eps/2, which ``sup_ats`` reads."""
+    eps = comesh_of(f.target) / 2.0
+    h2 = homotopies.build_h2(f, eps)
+    return any(
+        h2(y, 0.5) != h2.view.step(cell, s, t, eps * 0.5)
+        for y in homotopies.sample_points(f.target, 20, seed=0)
+        for cell, (s, t) in [h2.view.locate(y)]
+    )
+
+
 MUTANTS = {
     "collar(1.0)": collar(1.0),
     "collar(1.01)": collar(1.01),
@@ -286,17 +323,21 @@ MUTANTS = {
     "h1 second-half level moved(0.5)": moved_level(0.5),
     "h1 first half off h2(0.0)": reweighted_first_half(0.0),
     "h1 first half off h2(0.5)": reweighted_first_half(0.5),
+    "h2 track ahead(1.0)": h2_track_ahead(1.0),
 }
 
 
 @dataclass(frozen=True)
 class Passes:
     """TheoremConsistent, with B to 4 places and the render's sha256 where
-    pinned; ``item`` is the open item that should turn a defect's row."""
+    pinned; ``item`` is the open item that should turn a defect's row, and
+    ``live``, where given, a probe of the map that reads True while the
+    mutant is in place (a blind spot whose render is the healthy one)."""
 
     bound: float | None = None
     sha256: str | None = None
     item: str | None = None
+    live: object = None
 
 
 @dataclass(frozen=True)
@@ -386,6 +427,10 @@ ROWS = [
      Refutes((), bound=0.9943, identities=((H1_FIRST, "6.956e-02"), ("h1(x,0) = x", "6.613e-02")))),
     ("h1 first half off h2(0.5)", "map_collapse",
      Refutes((), bound=0.9974, identities=((H1_FIRST, "1.641e-01"), ("h1(x,0) = x", "1.619e-01")))),
+    # the h2 column and every identity line read the view's rows or ``step``,
+    # never h2's own tracks: the renders are the healthy ones
+    ("h2 track ahead(1.0)", "proj_map", Passes(sha256=PROJ_SHA, item="item 10", live=h2_track_moved)),
+    ("h2 track ahead(1.0)", "map_collapse", Passes(sha256=COLLAPSE_SHA, item="item 10", live=h2_track_moved)),
 ]
 
 
@@ -415,6 +460,8 @@ def test_mutant(mutant, name, outcome, monkeypatch):
             assert round(report.bound, 4) == outcome.bound, outcome.item
         if outcome.sha256 is not None:
             assert hashlib.sha256(report.render().encode()).hexdigest() == outcome.sha256
+        if outcome.live is not None:
+            assert outcome.live(f), outcome.item
         return
     assert report.overall == COUNTEREXAMPLE
     comesh = comesh_of(f.target)
@@ -428,8 +475,9 @@ def test_mutant(mutant, name, outcome, monkeypatch):
 
 # the rows whose mutant patches a seam of the array kernels (``cell_parts``
 # of g's table, ``fiber_at`` of h1's second half, ``_start`` and the located
-# coordinates of an h1 track); map_collapse's short fiber-track row pins
-# its healthy render, so no mutant can fail it
+# coordinates of an h1 track), and the h2 track rows, whose probe reads the
+# track; map_collapse's short fiber-track row pins its healthy render, so
+# no mutant can fail it
 SEAM_ROWS = [
     ("tilted g(1e-6)", "proj_map"),
     ("tilted g(1e-6)", "map_collapse"),
@@ -438,6 +486,8 @@ SEAM_ROWS = [
     ("h1 second-half level moved(0.5)", "map_collapse"),
     ("h1 first half off h2(0.5)", "proj_map"),
     ("h1 first half off h2(0.5)", "map_collapse"),
+    ("h2 track ahead(1.0)", "proj_map"),
+    ("h2 track ahead(1.0)", "map_collapse"),
 ]
 
 
